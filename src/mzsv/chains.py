@@ -11,8 +11,9 @@ over such chains with the truncation policy:
 * at each checkpoint, correct the truncation by expanding the remainder
   level-by-level into tail-polynomial sums (exact for power-law weights;
   ratio weights use their full asymptotic shape pinned to the running
-  value), so the doubling check converges after one or two steps instead
-  of chasing O(1/M) remainders;
+  value), so the doubling check usually passes at its first comparison,
+  the second checkpoint, instead of chasing O(1/M) remainders (every
+  evaluation takes at least two checkpoints);
 * alternating outer sums skip tail corrections and instead extrapolate a
   window of partial sums by iterated averaging.
 """
@@ -177,6 +178,7 @@ class ChainEvaluator:
         self.sign_next = 1
         self._calc = None
         self._ratio_shapes: dict = {}
+        self._outer_tails = None
 
     # -- kernel driving -------------------------------------------------------
     def advance_to(self, t_exclusive: int, window=None, win_start: int = 0):
@@ -214,20 +216,37 @@ class ChainEvaluator:
             F = pf if F is None else calc.mul(F, pf)
         return F
 
+    def _next_tail(self, calc: TailCalc, i: int, mc: int, above):
+        """(F_i, sumtail(F_i)) for level i, given the pair of level i+1 (or None)."""
+        F = self._level_series(calc, self.levels[i], self._kernel_args[1][i], mc)
+        if above is not None:
+            G, T = above
+            F = calc.mul(F, T if self.strict else calc.add(G, T))
+        return F, calc.sumtail(F)
+
     def tail_correction(self, mc: int):
-        """Remainder sum_{t>mc} of the chain, by level-by-level expansion."""
+        """Remainder sum_{t>mc} of the chain, by level-by-level expansion.
+
+        The remainder series are composed from the outermost level inward.
+        Those of the outer run of power-only levels do not depend on mc, so
+        they are built at the first checkpoint and reused.
+        """
         calc = self._calc_instance()
         mp = self.ctx.mp
-        lr = self._kernel_args[1]
-        series = [self._level_series(calc, lvl, lr[i], mc)
-                  for i, lvl in enumerate(self.levels)]
-        n = len(series)
-        F = series[n - 1]
-        corr = mp.mpf(self.pvals[n - 1]) / self.S * calc.eval_at(calc.sumtail(F), mc)
-        for q in range(2, n + 1):
-            T = calc.sumtail(F)
-            F = calc.mul(series[n - q], T if self.strict else calc.add(F, T))
-            corr += mp.mpf(self.pvals[n - q]) / self.S * calc.eval_at(calc.sumtail(F), mc)
+        n = len(self.levels)
+        fixed = self._outer_tails
+        if fixed is None:
+            fixed = self._outer_tails = []
+            for i in range(n - 1, -1, -1):
+                if self.levels[i].ratio is not None:
+                    break
+                fixed.append(self._next_tail(calc, i, mc, fixed[-1] if fixed else None))
+        pairs = list(fixed)
+        for i in range(n - 1 - len(fixed), -1, -1):
+            pairs.append(self._next_tail(calc, i, mc, pairs[-1] if pairs else None))
+        corr = mp.mpf(0)
+        for j, (_, T) in enumerate(pairs):
+            corr += mp.mpf(self.pvals[n - 1 - j]) / self.S * calc.eval_at(T, mc)
         return corr
 
     # -- adaptive driver ------------------------------------------------------
@@ -291,6 +310,7 @@ class WeightedChainEvaluator:
         self.t_next = 0
         self.sign_next = 1
         self._calc = None
+        self._outer = None
 
     def advance_to(self, t_exclusive: int, window=None, win_start: int = 0):
         if t_exclusive <= self.t_next:
@@ -303,16 +323,20 @@ class WeightedChainEvaluator:
 
     def tail_correction(self, mc: int):
         if self._calc is None:
-            self._calc = TailCalc(self.ctx.mp)
+            calc = self._calc = TailCalc(self.ctx.mp)
+            # the outer power series and its tail sum do not depend on mc
+            F1 = calc.pow_weight(self.p, self.ctx.mp.mpf(1))
+            T1 = calc.sumtail(F1)
+            self._outer = (T1, calc.add(F1, T1))
         calc = self._calc
+        T1, F1T1 = self._outer
         mp = self.ctx.mp
-        F1 = calc.pow_weight(self.p, mp.mpf(1))
         w_last = mp.mpf(self.accbox[2]) / self.S
-        corr = w_last * calc.eval_at(calc.sumtail(F1), mc)
+        corr = w_last * calc.eval_at(T1, mc)
         dW = (mp.mpf(self.accbox[2]) - mp.mpf(self.accbox[1])) / self.S
         if dW:
             model = calc.scale(calc.pow_weight(1, mp.mpf(1)), dW * (mc + 1))
-            F2 = calc.mul(model, calc.add(F1, calc.sumtail(F1)))
+            F2 = calc.mul(model, F1T1)
             corr += calc.eval_at(calc.sumtail(F2), mc)
         return corr
 

@@ -12,10 +12,12 @@ Two layers:
   an integer m of the form ``F(m) = sum_q c_q * (m+1)**-(rho+q)`` with a
   fixed real offset ``rho >= 0`` and integer keys ``q``. The class supports
   products, sums, and the tail-sum operator ``F -> (x -> sum_{m>x} F(m))``,
-  which is closed on this representation. Nested-series evaluators expand
-  their truncation remainder into a short chain of such operations, so the
-  remainder of a dynamic-programming chain is corrected analytically instead
-  of by brute-force term counts.
+  which is closed on this representation: each power (m+1)**-p sums to the
+  Euler-Maclaurin expansion of ``sum_{n>N} n**-p`` at N = x+1, whose terms
+  are again powers of (x+1). Nested-series evaluators expand their
+  truncation remainder into a short chain of such operations, so the
+  remainder of a dynamic-programming chain is corrected analytically
+  instead of by brute-force term counts.
 
 Coefficients live in the mpmath context handed to the constructor; series
 are truncated at ``qmax`` powers, which at the starting truncation point
@@ -103,6 +105,7 @@ class TailCalc:
         if qmax is None:
             qmax = max(18, (mp.dps + 14) // 3 + 1)
         self.qmax = qmax
+        self._em: list = []
 
     # -- constructors --------------------------------------------------------
     def const(self, value, rho=0) -> TailPoly:
@@ -171,56 +174,64 @@ class TailCalc:
             for i in range(1, qmax + 2):
                 P[i] -= P[i - 1] * u
 
-        def binom(x, i):
-            out = mp.mpf(1)
-            for j in range(i):
-                out *= (x - j) / (j + 1)
-            return out
+        # binom(-q-rho, i) for i <= qmax+1-q, one column per q
+        cols = []
+        for q in range(qmax):
+            x = -q - rho
+            col = [mp.mpf(1)]
+            for j in range(qmax + 1 - q):
+                col.append(col[j] * ((x - j) / (j + 1)))
+            cols.append(col)
 
         c = {0: mp.mpf(1)}
         for m in range(2, qmax + 2):
             acc = mp.mpf(0)
             for q in range(0, m - 1):
-                acc += c[q] * (binom(-q - rho, m - q) - P[m - q])
+                acc += c[q] * (cols[q][m - q] - P[m - q])
             c[m - 1] = acc / (m - 1)
         return TailPoly(rho, {q: v for q, v in c.items() if q <= qmax})
 
     # -- the tail-sum operator -----------------------------------------------
-    def _recentered(self, s, base_key: int, out: dict, factor):
-        """Add factor * (x+2)**(-s) to `out`, expanded in (x+1) powers.
-
-        base_key is the integer key at which power (x+1)**(-s) lands.
-        """
+    def _em_factors(self, kmax: int):
+        """B_2k/(2k)! for k = 1..kmax (index k-1), extended on demand."""
         mp = self.mp
-        term = factor
-        j = 0
-        while base_key + j <= self.qmax:
-            if term:
-                out[base_key + j] = out.get(base_key + j, mp.mpf(0)) + term
-            term = term * (-(s + j)) / (j + 1)
-            j += 1
+        em = self._em
+        for k in range(len(em) + 1, kmax + 1):
+            em.append(mp.bernoulli(2 * k) / mp.factorial(2 * k))
+        return em
 
     def sumtail(self, f: TailPoly) -> TailPoly:
-        """G with G(x) = sum_{m>x} f(m); requires min power of f > 1."""
+        """G with G(x) = sum_{m>x} f(m); requires min power of f > 1.
+
+        With N = x+1, sum_{m>x} (m+1)**-p = sum_{n>N} n**-p is the
+        Euler-Maclaurin expansion of sum_{n>=N} n**-p less its N**-p term:
+        N**(1-p)/(p-1) - N**-p/2 + sum_k B_2k/(2k)! (p)_{2k-1} N**(1-p-2k).
+        Coefficient c_q (p = rho+q) therefore lands directly on keys q-1, q
+        and q-1+2k; keys above qmax are dropped.
+        """
         mp = self.mp
         mn = f.min_power()
         if mn is None:
             return TailPoly(f.rho, {})
         if mn <= 1:
             raise DomainError(f"tail-sum of a series with minimum power {mn} diverges")
+        qmax = self.qmax
+        em = self._em_factors((qmax + 1 - min(f.coeffs)) // 2)
+        zero = mp.mpf(0)
         out: dict = {}
         for q, cq in f.coeffs.items():
             if not cq:
                 continue
             p = f.rho + q
-            # sum_{m>x} (m+1)^-p = EM expansion in powers of (x+2)
-            self._recentered(p - 1, q - 1, out, cq / (p - 1))
-            self._recentered(p, q, out, cq / 2)
+            if q - 1 <= qmax:
+                out[q - 1] = out.get(q - 1, zero) + cq / (p - 1)
+            if q <= qmax:
+                out[q] = out.get(q, zero) - cq / 2
+            rf = cq * p  # c_q * (p)_{2k-1}, built incrementally
             k = 1
-            rf = p
-            while q - 1 + 2 * k <= self.qmax:
-                fac = cq * mp.bernoulli(2 * k) / mp.factorial(2 * k) * rf
-                self._recentered(p + 2 * k - 1, q - 1 + 2 * k, out, fac)
+            while q - 1 + 2 * k <= qmax:
+                key = q - 1 + 2 * k
+                out[key] = out.get(key, zero) + rf * em[k - 1]
                 rf *= (p + 2 * k - 1) * (p + 2 * k)
                 k += 1
         return TailPoly(f.rho, out)
