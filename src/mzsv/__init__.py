@@ -2,9 +2,8 @@
 sums, finite multiple harmonic sums, and very-well-poised hypergeometric
 identities.
 
-The hot summation kernels run in a compiled extension when available; a
-pure-Python twin with identical semantics is selected automatically
-otherwise (``mzsv.kernels.BACKEND`` names the active one).
+The hot summation kernels are pure-Python fixed-point integer loops
+(``mzsv.kernels``).
 """
 
 __version__ = "0.1.0"

@@ -1,11 +1,9 @@
-"""Summation-strategy and kernel-backend benchmarks.
+"""Summation-strategy benchmark.
 
 The truncation suite runs a fixed workload set under each applicable
 strategy (direct stagnation, analytic tail correction, alternating
 acceleration) and reports terms used, wall time, and the achieved error
-against a double-precision-digits reference. The backends suite times the
-hot kernels under every importable backend (compiled extension vs the
-pure-Python twin) on the same workloads.
+against a double-precision-digits reference.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from . import kernels
 from .chains import ChainEvaluator, Level, Pow
 from .context import PrecisionContext
 from .errors import ConvergenceError
@@ -90,33 +87,6 @@ def run_truncation_suite(digits: int, tol, max_terms: int = 32_000_000) -> List[
                 val, terms, err, met = mp.nan, max_terms, mp.inf, False
             elapsed = (time.perf_counter() - start) * 1000
             rows.append(BenchRow(name, strategy, terms, elapsed, err, met))
-    return rows
-
-
-def run_backend_suite(digits: int, tol) -> List[BenchRow]:
-    """Time the kernel workloads under every importable backend."""
-    import mzsv.chains as chains_mod
-
-    rows: List[BenchRow] = []
-    current = kernels.nested_chain_advance, kernels.weighted_chain_advance
-    try:
-        for name, impl in sorted(kernels.backends().items()):
-            chains_mod.nested_chain_advance = impl.nested_chain_advance
-            chains_mod.weighted_chain_advance = impl.weighted_chain_advance
-            ctx = PrecisionContext(digits=digits)
-            mp = ctx.mp
-            tolm = mp.mpf(tol)
-            for wname, _maker, strategies in _WORKLOADS:
-                strategy = strategies[-1]
-                runner = _run_workload(ctx, wname, tolm)
-                start = time.perf_counter()
-                val, terms = runner(strategy)
-                elapsed = (time.perf_counter() - start) * 1000
-                rows.append(BenchRow(f"{wname}[{name}]", strategy, terms,
-                                     elapsed, mp.mpf(0), True))
-    finally:
-        chains_mod.nested_chain_advance = current[0]
-        chains_mod.weighted_chain_advance = current[1]
     return rows
 
 

@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the identity registry")
 
     pb = sub.add_parser("bench", help="benchmark summation strategies")
-    pb.add_argument("--suite", choices=("truncation", "backends"),
+    pb.add_argument("--suite", choices=("truncation",),
                     default="truncation")
     pb.add_argument("--prec", type=int, default=0)
     pb.add_argument("--tol", default="1e-5")
@@ -263,10 +263,7 @@ def cmd_list(_args) -> int:
 def cmd_bench(args) -> int:
     digits = args.prec if args.prec else _default_prec()
     ctx_mp = PrecisionContext(digits=digits).mp
-    if args.suite == "backends":
-        rows = bench.run_backend_suite(digits, args.tol)
-    else:
-        rows = bench.run_truncation_suite(digits, args.tol)
+    rows = bench.run_truncation_suite(digits, args.tol)
     print(bench.format_table(rows, ctx_mp))
     if args.csv_path:
         import csv as csv_mod

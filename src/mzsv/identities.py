@@ -241,32 +241,12 @@ def _ev_eq3(ctx, p):
     return lhs, rhs
 
 
-def _ev_eq3_expansion(k):
-    def ev(ctx, p):
-        s = p["s"]
-        lhs = _star(ctx, (1,) * (k + 1) + (2,) * (s - 1), ctx.tol)
-        parts = [(coef, _star(ctx, ix, ctx.tol))
-                 for coef, ix in _two_one_parts(k, s, "star")]
-        return lhs, _combine(ctx, parts)
-    return ev
-
-
 def _ev_eq4(ctx, p):
     r, s = p["r"], p["s"]
     lhs = _star(ctx, (r + 2,) + (2,) * (s - 1), ctx.tol)
     rhs = series.weighted_product_series_ex(r, s, True, ctx, tol=ctx.tol,
                                             relax=RELAX)
     return lhs, rhs
-
-
-def _ev_eq4_expansion(k):
-    def ev(ctx, p):
-        s = p["s"]
-        lhs = _star(ctx, (k + 2,) + (2,) * (s - 1), ctx.tol)
-        parts = [(coef, _alt(ctx, ix, ctx.tol))
-                 for coef, ix in _two_one_parts(k, s, "alt")]
-        return lhs, _combine(ctx, parts)
-    return ev
 
 
 def _ev_eq5_check(ctx, p):
@@ -298,6 +278,11 @@ def _ev_two_one_eq4(ctx, p):
     parts = [(coef, _alt(ctx, ix, ctx.tol))
              for coef, ix in _two_one_parts(r, s, "alt")]
     return lhs, _combine(ctx, parts)
+
+
+def _with_r(evaluate, k):
+    """Alias evaluator: ``evaluate`` with r fixed at k."""
+    return lambda ctx, p: evaluate(ctx, {**p, "r": k})
 
 
 def _kr_params_i(variant: str, alpha, s: int) -> hypergeom.KRParamsI:
@@ -398,7 +383,8 @@ def _build_registry() -> List[IdentityDescriptor]:
         _grid(r=[0, 1, 2, 3], s=[2, 3]), _ev_eq3)
     for k in range(4):
         add(f"eq3_expansion_r{k}", f"(A3) expansion display, r={k}",
-            [_int_spec("s", 2, 4)], _grid(s=[2, 3]), _ev_eq3_expansion(k))
+            [_int_spec("s", 2, 4)], _grid(s=[2, 3]),
+            _with_r(_ev_two_one_eq3, k))
     add("a4_specialized", "(A4) specialized identity",
         [_int_spec("s", 1, 4), _alpha_spec(hi=Fraction(3, 2), hi_open=True)],
         _grid(s=[1, 2, 3], alpha=_ALPHAS), _ev_specialized("a4"))
@@ -407,7 +393,8 @@ def _build_registry() -> List[IdentityDescriptor]:
         _grid(r=[0, 1, 2, 3], s=[1, 2]), _ev_eq4)
     for k in range(4):
         add(f"eq4_expansion_r{k}", f"(A4) expansion display, r={k}",
-            [_int_spec("s", 1, 3)], _grid(s=[1, 2]), _ev_eq4_expansion(k))
+            [_int_spec("s", 1, 3)], _grid(s=[1, 2]),
+            _with_r(_ev_two_one_eq4, k))
     add("eq5_check", "Eq. (5), both closed forms",
         [_int_spec("m", 0, 30), _int_spec("r", 0, 8)],
         _grid(m=[0, 1, 2, 3, 4, 6, 8, 10, 12, 15], r=[0, 1, 2, 3, 4, 5]),

@@ -1,32 +1,138 @@
-"""Kernel backend selection: compiled extension when available, else the
-pure-Python twin. ``MZSV_FORCE_PYTHON_KERNELS=1`` forces the fallback (used
-by tests and the backend benchmark)."""
+"""Fixed-point summation kernels: pure-Python integer loops.
+
+All kernels operate on Python integers scaled by a power of ten S: the int
+``v`` represents the real number ``v / S``. Floor divisions introduce at
+most one unit of error in the last scaled digit per operation, which the
+callers absorb in their guard digits. Every kernel is resumable: advancing
+over [t0, t1) and then [t1, t2) leaves the same state as one call over
+[t0, t2).
+
+Kernel state conventions:
+
+* ``nested_chain_advance`` drives a chain of prefix sums
+  ``P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t)`` (weak/star order) or
+  ``P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t-1)`` (strict order), with
+  ``P_0 = 1`` and the outermost level accumulating into ``pvals[n]``.
+  Level weights are products of power pieces ``1/(t+c)^k`` and at most one
+  ratio-updated piece ``w(t+1) = w(t) * prod(a_j + t) / prod(b_j + t)``.
+
+* ``weighted_chain_advance`` accumulates
+  ``sum_t sigma(t)/(t+1)^p * sum_{i<=r} S_t(1^(r-i)) S*_t(1^i)``
+  keeping the strict/weak one-part harmonic prefix sums updated in O(r).
+"""
 
 from __future__ import annotations
 
-import os
-
-from . import _fpkernels_py
-
-if os.environ.get("MZSV_FORCE_PYTHON_KERNELS") == "1":
-    _impl = _fpkernels_py
-else:
-    try:
-        from . import _fpkernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _fpkernels_py
-
-BACKEND: str = _impl.BACKEND
-nested_chain_advance = _impl.nested_chain_advance
-weighted_chain_advance = _impl.weighted_chain_advance
+BACKEND = "python"
 
 
-def backends():
-    """All importable kernel backends, keyed by name."""
-    found = {_fpkernels_py.BACKEND: _fpkernels_py}
-    try:
-        from . import _fpkernels  # type: ignore[attr-defined]
-        found[_fpkernels.BACKEND] = _fpkernels
-    except ImportError:
-        pass
-    return found
+def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
+                         S, pvals, rvals, t0, t1, strict, alt, sign0,
+                         window, win_start):
+    """Advance the chain over t in [t0, t1); mutates pvals/rvals/window.
+
+    level_pows: per level, tuple of (C, k, Spow) with divisor t^k when C == 0
+                else (C + t*S)^k (pre-multiplied by Spow = S^k).
+    level_ratio: per level, index into rvals or -1.
+    ratio_nums/ratio_dens: per ratio, tuple of scaled shifts A (factor A + t*S).
+    pvals: [S, P_1, ..., P_{n-1}, acc]; rvals: scaled ratio weights at t0.
+    alt: outermost accumulation carries sign sign0 * (-1)^(t - t0).
+    Returns the sign to use at t1.
+    """
+    n = len(level_pows)
+    sign = sign0
+    kmax = 0
+    for pows in level_pows:
+        for C, k, _ in pows:
+            if C == 0 and k > kmax:
+                kmax = k
+    pw = [0] * (kmax + 1)
+    for t in range(t0, t1):
+        if kmax:
+            pw[1] = t
+            for k in range(2, kmax + 1):
+                pw[k] = pw[k - 1] * t
+        if strict:
+            # outermost first (uses P_{n-1}(t-1)), then descending levels
+            contrib = pvals[n - 1]
+            for C, k, Spow in level_pows[n - 1]:
+                if C == 0:
+                    contrib //= pw[k]
+                else:
+                    contrib = contrib * Spow // (C + t * S) ** k
+            pvals[n] += contrib
+            for i in range(n - 1, 0, -1):
+                contrib = pvals[i - 1]
+                for C, k, Spow in level_pows[i - 1]:
+                    if C == 0:
+                        contrib //= pw[k]
+                    else:
+                        contrib = contrib * Spow // (C + t * S) ** k
+                pvals[i] += contrib
+        else:
+            for i in range(1, n + 1):
+                contrib = pvals[i - 1]
+                ridx = level_ratio[i - 1]
+                if ridx >= 0:
+                    contrib = contrib * rvals[ridx] // S
+                for C, k, Spow in level_pows[i - 1]:
+                    if C == 0:
+                        contrib //= pw[k]
+                    else:
+                        contrib = contrib * Spow // (C + t * S) ** k
+                if i == n and alt:
+                    pvals[n] += sign * contrib
+                else:
+                    pvals[i] += contrib
+        if alt:
+            sign = -sign
+        if window is not None and t >= win_start:
+            window.append(pvals[n])
+        if rvals:
+            for j in range(len(rvals)):
+                num = rvals[j]
+                for A in ratio_nums[j]:
+                    num *= A + t * S
+                den = 1
+                for B in ratio_dens[j]:
+                    den *= B + t * S
+                rvals[j] = num // den
+    return sign
+
+
+def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1,
+                           alt, sign0, window, win_start):
+    """Advance the harmonic-product series over t in [t0, t1).
+
+    svals[j] ~ S_t(1^j), tvals[j] ~ S*_t(1^j) (scaled),
+    accbox = [acc, W_prev, W_last] where W_* are the last two scaled
+    inner-sum values (used for tail models). Returns the sign to use at t1.
+    """
+    sign = sign0
+    acc = accbox[0]
+    w_prev = accbox[1]
+    w_last = accbox[2]
+    for t in range(t0, t1):
+        u = t + 1
+        for j in range(1, r + 1):
+            tvals[j] += tvals[j - 1] // u
+        W = 0
+        for i in range(r + 1):
+            W += svals[r - i] * tvals[i]
+        W //= S
+        w_prev = w_last
+        w_last = W
+        up = u ** p
+        if alt:
+            acc += sign * (W // up)
+            sign = -sign
+        else:
+            acc += W // up
+        for j in range(r, 0, -1):
+            svals[j] += svals[j - 1] // u
+        if window is not None and t >= win_start:
+            window.append(acc)
+    accbox[0] = acc
+    accbox[1] = w_prev
+    accbox[2] = w_last
+    return sign

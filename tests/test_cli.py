@@ -172,9 +172,3 @@ def test_verify_out_of_schema_exit_2(capsys):
     assert code == 2
     assert "bound" in err
 
-
-def test_bench_backends(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--suite", "backends",
-                           "--tol", "1e-8")
-    assert code == 0
-    assert "python" in out

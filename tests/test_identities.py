@@ -116,3 +116,13 @@ def test_rhs_rewrites_agree_on_overlap(vctx, r, s):
     addendum = verify("addendum_mzv_form", {"r": r, "s": s}, vctx)
     assert abs((eq3.rhs_value - two_one.rhs_value).mpf) <= 1e-9
     assert abs((eq3.rhs_value - addendum.rhs_value).mpf) <= 1e-9
+
+
+@pytest.mark.parametrize("eq", ["eq3", "eq4"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_expansion_ids_alias_two_one(eq, k):
+    ctx = PrecisionContext(digits=15, tol=1e-8)
+    alias = verify(f"{eq}_expansion_r{k}", {"s": 2}, ctx)
+    family = verify(f"two_one_{eq}", {"r": k, "s": 2}, ctx)
+    for field in ("lhs_value", "rhs_value", "abs_diff"):
+        assert getattr(alias, field).mpf == getattr(family, field).mpf, field
