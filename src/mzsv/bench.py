@@ -34,32 +34,30 @@ class BenchRow:
                 f"{self.elapsed_ms:.3f}", mp.nstr(self.abs_err, 6))
 
 
-def _star_eval(ctx, parts, alternating=False):
-    return ChainEvaluator(ctx, [Level(pows=(Pow(int(k)),)) for k in parts],
-                          t_start=1, alternating=alternating)
-
-
-_WORKLOADS = (
-    ("mzsv(1,2)", lambda ctx: _star_eval(ctx, (1, 2)), ("direct", "tail_corrected")),
-    ("mzsv(2,2,2)", lambda ctx: _star_eval(ctx, (2, 2, 2)), ("direct", "tail_corrected")),
-    ("alt_mzsv(1,2)", lambda ctx: _star_eval(ctx, (1, 2), alternating=True),
-     ("alternating_accelerated",)),
-    ("special_lhs(a1,1.3,2)",
-     lambda ctx: None, ("alternating_accelerated",)),  # built per run below
-)
-
-
-def _run_workload(ctx, name, tol):
-    """Return callable(strategy) -> (value_mpf, terms). Fresh state per call."""
-    def call(strategy):
-        if name == "special_lhs(a1,1.3,2)":
-            ev = specialized_lhs("a1", "1.3", 2, ctx, tol=tol)
-            return ev.value.mpf, ev.diagnostics.terms_used
-        maker = dict((w[0], w[1]) for w in _WORKLOADS)[name]
-        chain = maker(ctx)
+def _star_chain(parts, alternating=False):
+    """Workload: the zeta-star chain of `parts`, summed under one strategy."""
+    def run(ctx, tol, strategy):
+        chain = ChainEvaluator(ctx, [Level(pows=(Pow(k),)) for k in parts],
+                               t_start=1, alternating=alternating)
         val, info = chain.run(tol, corrections=(strategy == "tail_corrected"))
         return val, info["terms"]
-    return call
+    return run
+
+
+def _special_lhs_a1(ctx, tol, strategy):
+    ev = specialized_lhs("a1", "1.3", 2, ctx, tol=tol)
+    return ev.value.mpf, ev.diagnostics.terms_used
+
+
+# (name, run(ctx, tol, strategy) -> (value_mpf, terms), strategies); every
+# run builds fresh state
+_WORKLOADS = (
+    ("mzsv(1,2)", _star_chain((1, 2)), ("direct", "tail_corrected")),
+    ("mzsv(2,2,2)", _star_chain((2, 2, 2)), ("direct", "tail_corrected")),
+    ("alt_mzsv(1,2)", _star_chain((1, 2), alternating=True),
+     ("alternating_accelerated",)),
+    ("special_lhs(a1,1.3,2)", _special_lhs_a1, ("alternating_accelerated",)),
+)
 
 
 def run_truncation_suite(digits: int, tol, max_terms: int = 32_000_000) -> List[BenchRow]:
@@ -69,18 +67,17 @@ def run_truncation_suite(digits: int, tol, max_terms: int = 32_000_000) -> List[
     mp = ctx.mp
     tolm = mp.mpf(tol)
     rows: List[BenchRow] = []
-    for name, _maker, strategies in _WORKLOADS:
+    for name, run, strategies in _WORKLOADS:
         ref_tol = ref_ctx.mp.mpf(tol) * ref_ctx.mp.mpf("1e-6")
         ref_strategy = ("alternating_accelerated"
                         if "alternating_accelerated" in strategies
                         else "tail_corrected")
-        ref_val, _ = _run_workload(ref_ctx, name, ref_tol)(ref_strategy)
+        ref_val, _ = run(ref_ctx, ref_tol, ref_strategy)
         reference = mp.mpf(ref_val)
         for strategy in strategies:
-            runner = _run_workload(ctx, name, tolm)
             start = time.perf_counter()
             try:
-                val, terms = runner(strategy)
+                val, terms = run(ctx, tolm, strategy)
                 err = abs(val - reference)
                 met = err <= tolm
             except ConvergenceError:

@@ -51,14 +51,13 @@ class Pow:
 class Ratio:
     """Running weight w(t+1) = w(t) * prod(t + ns) / prod(t + ds).
 
-    ``init`` is w at the chain's first t (exact when possible). The tail
-    model assumes w(t) ~ c * (t+1)^(-model_rho) with c estimated at each
-    checkpoint from the running value.
+    ``init`` is the exact w at the chain's first t. The tail model assumes
+    w(t) ~ c * (t+1)^(-model_rho) with c estimated at each checkpoint from
+    the running value.
     """
     num_shifts: Tuple[Fraction, ...]
     den_shifts: Tuple[Fraction, ...]
-    init: Optional[Fraction] = None
-    init_value: object = None   # mpf fallback for irrational starts
+    init: Fraction
     model_rho: object = 1
 
     def __post_init__(self):
@@ -165,11 +164,7 @@ class ChainEvaluator:
                 level_ratio.append(len(rvals))
                 ratio_nums.append(tuple(_scaled(s, S) for s in r.num_shifts))
                 ratio_dens.append(tuple(_scaled(s, S) for s in r.den_shifts))
-                if r.init is not None:
-                    rvals.append(_scaled(r.init, S))
-                else:
-                    v = ctx.mp.mpf(r.init_value) * S
-                    rvals.append(int(ctx.mp.floor(v + ctx.mp.mpf("0.5"))))
+                rvals.append(_scaled(r.init, S))
         self._kernel_args = (tuple(level_pows), tuple(level_ratio),
                              tuple(ratio_nums), tuple(ratio_dens))
         self.pvals = [S] + [0] * n

@@ -176,7 +176,8 @@ def cmd_eval(args) -> int:
             raise ParseError(f"eval {kind} needs --alpha and --s")
         fn = (hypergeom.specialized_lhs if kind == "special-lhs"
               else hypergeom.specialized_rhs)
-        value = fn(case.lower(), args.alpha, args.s, ctx, relax=200).value
+        value = fn(case.lower(), args.alpha, args.s, ctx,
+                   relax=identities.RELAX).value
     print(value.decimal(ctx.digits))
     return EXIT_OK
 

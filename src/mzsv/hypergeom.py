@@ -5,6 +5,12 @@ series pairs at a real parameter alpha.
 Parameters are real only and normalized to exact fractions (decimal strings
 stay exact); hypothesis margins are therefore decided exactly. Convergence
 conditions name the violated margin when they fail.
+
+Every non-terminating series here runs through the chain driver of
+``chains``: a pFq series is a one-level ratio chain, and the
+Krattenthaler-Rivoal right-hand sides are ratio chains too, except for
+nested sums whose coupling exponents are not 1, which are summed by a
+boxed convolution.
 """
 
 from __future__ import annotations
@@ -14,13 +20,12 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import List, Sequence, Tuple
 
-from .chains import ALT_START, ALT_WINDOW, ChainEvaluator, Level, Pow, Ratio, \
-    _adaptive_drive
+from .chains import ChainEvaluator, Level, Pow, Ratio, _adaptive_drive
 from .context import HPReal, PrecisionContext
 from .errors import ConditionError, ConvergenceError, DomainError
-from .numerics import _iterated_means, gamma
+# _iterated_means is unused here; perfbench/tracing.py wraps it by name
+from .numerics import _iterated_means, gamma  # noqa: F401
 from .series import Evaluation, _wrap, exact_diag
-from .tailcalc import TailCalc
 
 
 def as_fraction(x) -> Fraction:
@@ -103,6 +108,16 @@ def _a_vectors(lo: int, hi: int):
         yield dict(zip(span, combo))
 
 
+def _margin_i(p: KRParamsI) -> Fraction:
+    """(2s+1)(a+1) - 2*sum(b_i+c_i): the convergence margin of the z = -1 series."""
+    return (2 * p.s + 1) * (p.a + 1) - 2 * sum(bi + ci for bi, ci in zip(p.b, p.c))
+
+
+def _margin_ii(p: KRParamsII) -> Fraction:
+    """2s(a+1) - 2c_0 - 2*sum(b_i+c_i): the convergence margin of the z = +1 series."""
+    return 2 * p.s * (p.a + 1) - 2 * p.c0 - 2 * sum(bi + ci for bi, ci in zip(p.b, p.c))
+
+
 def kr_conditions_i(p: KRParamsI) -> ConditionReport:
     """Hypothesis check for the z = -1 identity.
 
@@ -118,7 +133,7 @@ def kr_conditions_i(p: KRParamsI) -> ConditionReport:
             entries.append(ConditionEntry(
                 f"1+a-{name}_{i} not a non-positive integer",
                 v, not _is_nonpos_int(v)))
-    margin = (2 * p.s + 1) * (p.a + 1) - 2 * sum(bi + ci for bi, ci in zip(p.b, p.c))
+    margin = _margin_i(p)
     entries.append(ConditionEntry("(2s+1)(a+1) - 2*sum(b_i+c_i) > 0",
                                   margin, margin > 0))
     d = [one + p.a - bi - ci for bi, ci in zip(p.b, p.c)]  # d[i-1] = 1+a-b_i-c_i
@@ -146,8 +161,7 @@ def kr_conditions_ii(p: KRParamsII) -> ConditionReport:
         v = one + p.a - cj
         entries.append(ConditionEntry(
             f"1+a-c_{j} not a non-positive integer", v, not _is_nonpos_int(v)))
-    margin = 2 * p.s * (p.a + 1) - 2 * p.c0 - 2 * sum(bi + ci
-                                                      for bi, ci in zip(p.b, p.c))
+    margin = _margin_ii(p)
     entries.append(ConditionEntry("2s(a+1) - 2c_0 - 2*sum(b_i+c_i) > 0",
                                   margin, margin > 0))
     d = [one + p.a - bi - ci for bi, ci in zip(p.b, p.c)]
@@ -175,16 +189,24 @@ def pfq(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
 
     Terminating series (an upper parameter a non-positive integer) are summed
     exactly over rationals. Otherwise the convergence margin
-    delta = sum(lower) - sum(upper) governs: z = -1 sums converge for
-    delta > -1 and are accelerated by iterated averaging; z = +1 sums need
-    delta > 0 and get an asymptotic tail estimate (leading order
-    term * M / delta) with doubling validation.
+    delta = sum(lower) - sum(upper) governs: z = +1 sums need delta > 0,
+    z = -1 sums converge for delta > -1. Either runs as a one-level ratio
+    chain (see pfq_ex).
     """
     return pfq_ex(upper, lower, z, ctx, tol=tol).value
 
 
 def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
            tol=None) -> Evaluation:
+    """pfq with diagnostics.
+
+    A non-terminating series is the one-level chain whose ratio weight is
+    the term ratio prod(upper+m) / ((1+m) prod(lower+m)), run by the chain
+    driver on the fixed-point kernels: at z = +1 the remainder is the
+    Euler-Maclaurin sum of the term's asymptotic shape (decay exponent
+    1 + delta) pinned to the running term, at z = -1 a window of partial
+    sums is extrapolated by iterated averaging.
+    """
     up = [as_fraction(u) for u in upper]
     lo = [as_fraction(l) for l in lower]
     if len(up) != len(lo) + 1:
@@ -196,7 +218,6 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
         if _is_nonpos_int(l):
             raise DomainError(f"lower parameter {l} is a non-positive integer")
     terminating = [u for u in up if _is_nonpos_int(u)]
-    mp = ctx.mp
     if terminating:
         N = min(int(-u) for u in terminating)
         term = Fraction(1)
@@ -220,64 +241,10 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
     if z == -1 and delta <= -1:
         raise ConvergenceError(
             f"series diverges at z=-1: margin sum(lower) - sum(upper) = {delta} <= -1")
-    tolm = mp.mpf(tol if tol is not None else ctx.tol)
-    upf = [mp.mpf(u.numerator) / u.denominator for u in up]
-    lof = [mp.mpf(l.numerator) / l.denominator for l in lo]
-    deltaf = mp.mpf(delta.numerator) / delta.denominator
-
-    state = {"m": 0, "term": mp.mpf(1), "partial": mp.mpf(0), "window": []}
-
-    def advance(count):
-        m, term, partial = state["m"], state["term"], state["partial"]
-        window = state["window"]
-        win_from = count - ALT_WINDOW if z == -1 else count
-        while m < count:
-            partial += term
-            if z == -1 and m >= win_from:
-                window.append(partial)
-            ratio = mp.mpf(z) / (m + 1)
-            for u in upf:
-                ratio *= u + m
-            for l in lof:
-                ratio /= l + m
-            term *= ratio
-            m += 1
-        state.update(m=m, term=term, partial=partial,
-                     window=window[-ALT_WINDOW:] if z == -1 else [])
-
-    if z == -1:
-        def checkpoint(count):
-            state["window"] = []
-            advance(count)
-            val, spread = _iterated_means(mp, state["window"])
-            floor = mp.mpf(10) ** (-(ctx.working_digits + 2)) * max(1, abs(val))
-            return val, mp.mpf(0), spread + floor
-
-        val, info = _adaptive_drive(mp, tolm, ALT_START, ctx.max_terms,
-                                    checkpoint, "alternating_accelerated",
-                                    what="hypergeometric series at z=-1")
-        return _wrap(ctx, val, info)
-
-    # term ratio t_{m+1}/t_m = prod(upper+m) / ((1+m) prod(lower+m)) has equal
-    # factor counts, so the term sequence carries a full asymptotic shape
-    # with decay exponent 1 + delta; the tail estimate evaluates its
-    # Euler-Maclaurin sum pinned to the current term (leading order t_M*M/delta)
-    calc = TailCalc(mp)
-    shape = calc.ratio_asymptotics(upf, [mp.mpf(1)] + lof, 1 + deltaf)
-    tail_series = calc.sumtail(shape)
-
-    def checkpoint(count):
-        advance(count)
-        scale = state["term"] / calc.eval_at(shape, count)
-        tail = scale * calc.eval_at(tail_series, count - 1)
-        floor = mp.mpf(10) ** (-(ctx.working_digits + 2))
-        return state["partial"] + tail, tail, floor
-
-    start = max(500, min(4096, ctx.max_terms // 2))
-    val, info = _adaptive_drive(mp, tolm, start, ctx.max_terms, checkpoint,
-                                "tail_corrected",
-                                what="hypergeometric series at z=+1")
-    return _wrap(ctx, val, info)
+    level = Level(ratio=Ratio(tuple(up), (Fraction(1),) + tuple(lo),
+                              init=Fraction(1), model_rho=1 + delta))
+    ev = ChainEvaluator(ctx, [level], t_start=0, alternating=(z == -1))
+    return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
 
 
 # -- nested right-hand sides -----------------------------------------------------
@@ -309,8 +276,14 @@ def _gamma_any(ctx: PrecisionContext, x: Fraction):
     return gamma(x + shift, ctx).mpf / denom
 
 
-def _rho_of(expr: Fraction, mp):
-    return mp.mpf(expr.numerator) / expr.denominator
+def _prefactored(ctx: PrecisionContext, pref, tol, run) -> Evaluation:
+    """pref times run(inner_tol), with inner_tol = tol / max(1, |pref|) so the
+    scaled value meets tol; the tail and the estimate are scaled alike."""
+    prefa = abs(pref)
+    tolm = ctx.mp.mpf(tol if tol is not None else ctx.tol)
+    val, info = run(tolm / (prefa if prefa > 1 else 1))
+    info = dict(info, tail=pref * info["tail"], estimate=prefa * info["estimate"])
+    return _wrap(ctx, pref * val, info)
 
 
 def _kr_prefix_levels(p, kind: str):
@@ -320,31 +293,20 @@ def _kr_prefix_levels(p, kind: str):
     upper levels (b_{i+1})_t (c_{i+1})_t / ((1+a-b_i)_t (1+a-c_i)_t).
     kind 'ii': level-1 weight (b_1)_t (c_1)_t / (t! (1+a-c_0)_t),
     upper levels (b_i)_t (c_i)_t / ((1+a-b_{i-1})_t (1+a-c_{i-1})_t).
+    (Indices here are 1-based; p.b and p.c are 0-based tuples.)
     """
     one = Fraction(1)
-    levels = []
     if kind == "i":
-        d1 = one + p.a - p.b[0] - p.c[0]
-        num = (d1, p.b[1], p.c[1])
-        den = (one, one + p.a - p.b[0], one + p.a - p.c[0])
-        rho1 = sum(den, Fraction(0)) - sum(num, Fraction(0))
-        levels.append(Level(ratio=Ratio(num, den, init=one, model_rho=rho1)))
-        for i in range(2, p.s + 1):
-            num = (p.b[i], p.c[i])
-            den = (one + p.a - p.b[i - 1], one + p.a - p.c[i - 1])
-            rho = sum(den, Fraction(0)) - sum(num, Fraction(0))
-            levels.append(Level(ratio=Ratio(num, den, init=one, model_rho=rho)))
+        shapes = [((one + p.a - p.b[0] - p.c[0], p.b[1], p.c[1]),
+                   (one, one + p.a - p.b[0], one + p.a - p.c[0]))]
+        first = 2
     else:
-        num = (p.b[0], p.c[0])
-        den = (one, one + p.a - p.c0)
-        rho1 = sum(den, Fraction(0)) - sum(num, Fraction(0))
-        levels.append(Level(ratio=Ratio(num, den, init=one, model_rho=rho1)))
-        for i in range(2, p.s + 1):
-            num = (p.b[i - 1], p.c[i - 1])
-            den = (one + p.a - p.b[i - 2], one + p.a - p.c[i - 2])
-            rho = sum(den, Fraction(0)) - sum(num, Fraction(0))
-            levels.append(Level(ratio=Ratio(num, den, init=one, model_rho=rho)))
-    return levels
+        shapes = [((p.b[0], p.c[0]), (one, one + p.a - p.c0))]
+        first = 1
+    shapes += [((p.b[j], p.c[j]), (one + p.a - p.b[j - 1], one + p.a - p.c[j - 1]))
+               for j in range(first, first + p.s - 1)]
+    return [Level(ratio=Ratio(num, den, init=one, model_rho=sum(den) - sum(num)))
+            for num, den in shapes]
 
 
 def _kr_couplings(p, kind: str) -> List[Fraction]:
@@ -356,63 +318,43 @@ def _kr_couplings(p, kind: str) -> List[Fraction]:
     return [one + p.a - p.b[i - 2] - p.c[i - 2] for i in range(2, p.s + 1)]
 
 
-def _kr_convolution(ctx: PrecisionContext, p, kind: str, tol, relax):
+def _kr_convolution(ctx: PrecisionContext, p, kind: str, margin: Fraction, tol,
+                    relax):
     """General nested sum by boxed convolution (used when couplings != 1).
 
-    O(s * L^2) work; intended for modest tolerances on small parameter sets.
+    Level weights are those of _kr_prefix_levels; level i+1 convolves level
+    i with the coupling weights (d)_l / l!. O(s * L^2) work per checkpoint;
+    intended for modest tolerances on small parameter sets.
     """
     mp = ctx.mp
-    one = Fraction(1)
 
     def fr(x):
         return mp.mpf(x.numerator) / x.denominator
 
-    if kind == "i":
-        w1_num = [fr(one + p.a - p.b[0] - p.c[0]), fr(p.b[1]), fr(p.c[1])]
-        w1_den = [mp.mpf(1), fr(one + p.a - p.b[0]), fr(one + p.a - p.c[0])]
-        couplings = [fr(one + p.a - p.b[i - 1] - p.c[i - 1]) for i in range(2, p.s + 1)]
-        unum = [(fr(p.b[i]), fr(p.c[i])) for i in range(2, p.s + 1)]
-        uden = [(fr(one + p.a - p.b[i - 1]), fr(one + p.a - p.c[i - 1]))
-                for i in range(2, p.s + 1)]
-        margin = (2 * p.s + 1) * (p.a + 1) - 2 * sum(bi + ci for bi, ci in zip(p.b, p.c))
-    else:
-        w1_num = [fr(p.b[0]), fr(p.c[0])]
-        w1_den = [mp.mpf(1), fr(one + p.a - p.c0)]
-        couplings = [fr(one + p.a - p.b[i - 2] - p.c[i - 2]) for i in range(2, p.s + 1)]
-        unum = [(fr(p.b[i - 1]), fr(p.c[i - 1])) for i in range(2, p.s + 1)]
-        uden = [(fr(one + p.a - p.b[i - 2]), fr(one + p.a - p.c[i - 2]))
-                for i in range(2, p.s + 1)]
-        margin = 2 * p.s * (p.a + 1) - 2 * p.c0 - 2 * sum(bi + ci
-                                                          for bi, ci in zip(p.b, p.c))
-    deltaf = fr(Fraction(margin))
+    def weights(num, den, L):
+        """w(0..L) with w(0) = 1 and w(t+1) = w(t) prod(num+t) / prod(den+t)."""
+        num = [fr(x) for x in num]
+        den = [fr(x) for x in den]
+        w = [mp.mpf(1)]
+        for t in range(L):
+            ratio = mp.mpf(1)
+            for x in num:
+                ratio *= x + t
+            for x in den:
+                ratio /= x + t
+            w.append(w[t] * ratio)
+        return w
 
-    state = {"L": 0, "w1": [], "T": None}
+    levels = [lvl.ratio for lvl in _kr_prefix_levels(p, kind)]
+    couplings = _kr_couplings(p, kind)
+    deltaf = fr(margin)
+    floor = mp.mpf(10) ** (-(ctx.working_digits + 2))
 
-    def extend(L):
-        w1 = state["w1"]
-        t0 = len(w1)
-        if t0 == 0:
-            w1.append(mp.mpf(1))
-            t0 = 1
-        for t in range(t0, L + 1):
-            ratio = mp.mpf(1) / t
-            for x in w1_num:
-                ratio *= x + (t - 1)
-            for x in w1_den[1:]:
-                ratio /= x + (t - 1)
-            w1.append(w1[t - 1] * ratio)
-        # rebuild upper levels entirely (kept simple; generic path is rare)
-        T = w1
-        for lev in range(len(couplings)):
-            dcoef = couplings[lev]
-            K = [mp.mpf(1)]
-            for l in range(1, L + 1):
-                K.append(K[l - 1] * (dcoef + l - 1) / l)
-            u = [mp.mpf(1)]
-            for t in range(1, L + 1):
-                un, ud = unum[lev], uden[lev]
-                u.append(u[t - 1] * (un[0] + t - 1) * (un[1] + t - 1)
-                         / ((ud[0] + t - 1) * (ud[1] + t - 1)))
+    def checkpoint(L):
+        T = weights(levels[0].num_shifts, levels[0].den_shifts, L)
+        for d, r in zip(couplings, levels[1:]):
+            K = weights((d,), (Fraction(1),), L)
+            u = weights(r.num_shifts, r.den_shifts, L)
             Tn = []
             for t in range(L + 1):
                 acc = mp.mpf(0)
@@ -420,72 +362,48 @@ def _kr_convolution(ctx: PrecisionContext, p, kind: str, tol, relax):
                     acc += K[t - tp] * T[tp]
                 Tn.append(u[t] * acc)
             T = Tn
-        state["T"] = T
-        state["L"] = L
-
-    def checkpoint(L):
-        extend(L)
-        T = state["T"]
-        total = mp.mpf(0)
-        for t in range(L + 1):
-            total += T[t]
         tail = abs(T[L]) * L / deltaf
-        floor = mp.mpf(10) ** (-(ctx.working_digits + 2))
-        return total + tail, tail, floor
+        return sum(T, mp.mpf(0)) + tail, tail, floor
 
     return _adaptive_drive(mp, mp.mpf(tol), 256, min(ctx.max_terms, 1 << 16),
                            checkpoint, "tail_corrected", relax=relax,
                            what="nested hypergeometric sum (convolution)")
 
 
-def kr_rhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None, relax=None) -> Evaluation:
-    """Gamma prefactor times the s-fold nested sum of the z = -1 identity."""
-    report = kr_conditions_i(p)
+def _kr_rhs(p, kind: str, report: ConditionReport, margin: Fraction,
+            ctx: PrecisionContext, tol, relax) -> Evaluation:
+    """Gamma prefactor times the s-fold nested sum of either identity.
+
+    Both prefactors are gamma(1+a-b)gamma(1+a-c) / (gamma(1+a)gamma(1+a-b-c))
+    at the last pair (b, c); the sum runs as a prefix chain when every
+    coupling is 1 and by convolution otherwise.
+    """
     if not report.overall:
         raise ConditionError(
             "hypothesis conditions fail: "
             + "; ".join(e.description for e in report.failures()), report)
     one = Fraction(1)
-    pref = _gamma_ratio(ctx,
-                        [one + p.a - p.b[p.s], one + p.a - p.c[p.s]],
-                        [one + p.a, one + p.a - p.b[p.s] - p.c[p.s]])
-    tolv = tol if tol is not None else ctx.tol
-    prefa = abs(pref)
-    inner_tol = ctx.mp.mpf(tolv) / (prefa if prefa > 1 else 1)
-    if all(d == 1 for d in _kr_couplings(p, "i")):
-        ev = ChainEvaluator(ctx, _kr_prefix_levels(p, "i"), t_start=0)
-        val, info = ev.run(inner_tol, relax=relax)
+    b, c = p.b[-1], p.c[-1]
+    pref = _gamma_ratio(ctx, [one + p.a - b, one + p.a - c],
+                        [one + p.a, one + p.a - b - c])
+    if all(d == 1 for d in _kr_couplings(p, kind)):
+        def run(inner_tol):
+            ev = ChainEvaluator(ctx, _kr_prefix_levels(p, kind), t_start=0)
+            return ev.run(inner_tol, relax=relax)
     else:
-        val, info = _kr_convolution(ctx, p, "i", inner_tol, relax)
-    info = dict(info)
-    info["tail"] = pref * info["tail"]
-    info["estimate"] = prefa * info["estimate"]
-    return _wrap(ctx, pref * val, info)
+        def run(inner_tol):
+            return _kr_convolution(ctx, p, kind, margin, inner_tol, relax)
+    return _prefactored(ctx, pref, tol, run)
+
+
+def kr_rhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None, relax=None) -> Evaluation:
+    """Gamma prefactor times the s-fold nested sum of the z = -1 identity."""
+    return _kr_rhs(p, "i", kr_conditions_i(p), _margin_i(p), ctx, tol, relax)
 
 
 def kr_rhs_ii(p: KRParamsII, ctx: PrecisionContext, tol=None, relax=None) -> Evaluation:
-    """Nested-sum right-hand side of the z = +1 identity."""
-    report = kr_conditions_ii(p)
-    if not report.overall:
-        raise ConditionError(
-            "hypothesis conditions fail: "
-            + "; ".join(e.description for e in report.failures()), report)
-    one = Fraction(1)
-    pref = _gamma_ratio(ctx,
-                        [one + p.a - p.b[-1], one + p.a - p.c[-1]],
-                        [one + p.a, one + p.a - p.b[-1] - p.c[-1]])
-    tolv = tol if tol is not None else ctx.tol
-    prefa = abs(pref)
-    inner_tol = ctx.mp.mpf(tolv) / (prefa if prefa > 1 else 1)
-    if all(d == 1 for d in _kr_couplings(p, "ii")):
-        ev = ChainEvaluator(ctx, _kr_prefix_levels(p, "ii"), t_start=0)
-        val, info = ev.run(inner_tol, relax=relax)
-    else:
-        val, info = _kr_convolution(ctx, p, "ii", inner_tol, relax)
-    info = dict(info)
-    info["tail"] = pref * info["tail"]
-    info["estimate"] = prefa * info["estimate"]
-    return _wrap(ctx, pref * val, info)
+    """Gamma prefactor times the s-fold nested sum of the z = +1 identity."""
+    return _kr_rhs(p, "ii", kr_conditions_ii(p), _margin_ii(p), ctx, tol, relax)
 
 
 def kr_lhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
@@ -575,8 +493,6 @@ def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
     """The displayed nested-sum side of one of the four specializations."""
     al = as_fraction(alpha)
     _check_case(case, al, s)
-    tolv = ctx.mp.mpf(tol if tol is not None else ctx.tol)
-    mp = ctx.mp
     if case in ("a1", "a2"):
         # inner weight (alpha)_t^2 / (t! (2*alpha)_t); a1 has 1/(t+alpha) extra
         ratio = Ratio((al, al), (Fraction(1), 2 * al), init=Fraction(1),
@@ -595,12 +511,6 @@ def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
             # inner weight 1/((t+2-alpha)(t+1)); exact power pieces
             levels = [Level(pows=(Pow(1, 2 - al), Pow(1, Fraction(1))))]
         levels += [Level(pows=(Pow(2, Fraction(1)),)) for _ in range(s - 1)]
-        pref = mp.mpf("0.5")
-    prefa = abs(pref)
-    inner_tol = tolv / (prefa if prefa > 1 else 1)
-    ev = ChainEvaluator(ctx, levels, t_start=0)
-    val, info = ev.run(inner_tol, relax=relax)
-    info = dict(info)
-    info["tail"] = pref * info["tail"]
-    info["estimate"] = prefa * info["estimate"]
-    return _wrap(ctx, pref * val, info)
+        pref = ctx.mp.mpf("0.5")
+    return _prefactored(ctx, pref, tol, lambda inner_tol: ChainEvaluator(
+        ctx, levels, t_start=0).run(inner_tol, relax=relax))

@@ -29,6 +29,36 @@ def test_pfq_gauss_value_at_one(ctx30):
     assert abs(ours - ref) < 1000 * ctx30.tol
 
 
+def _fr(mp, x):
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize("a,b,c", [
+    ("-5/2", "1/2", "3/2"), ("-3/2", "2/3", "5/4"), ("3/10", "2/5", "11/5"),
+])
+def test_pfq_gauss_theorem_50_digits(ctx50, a, b, c):
+    # 2F1(a,b;c;1) = G(c)G(c-a-b) / (G(c-a)G(c-b)), with mpmath's gamma
+    mp = ctx50.mp
+    af, bf, cf = (_fr(mp, x) for x in (a, b, c))
+    ref = (mp.gamma(cf) * mp.gamma(cf - af - bf)
+           / (mp.gamma(cf - af) * mp.gamma(cf - bf)))
+    ours = pfq([Fraction(a), Fraction(b)], [Fraction(c)], 1, ctx50).mpf
+    assert abs(ours - ref) < mp.mpf("1e-45")
+
+
+@pytest.mark.parametrize("a,b", [("-1/2", "1/4"), ("-7/3", "1/5"), ("1/3", "2/3")])
+def test_pfq_kummer_theorem_50_digits(ctx50, a, b):
+    # 2F1(a,b;1+a-b;-1) = G(1+a-b)G(1+a/2) / (G(1+a)G(1+a/2-b))
+    mp = ctx50.mp
+    af, bf = _fr(mp, a), _fr(mp, b)
+    ref = (mp.gamma(1 + af - bf) * mp.gamma(1 + af / 2)
+           / (mp.gamma(1 + af) * mp.gamma(1 + af / 2 - bf)))
+    ours = pfq([Fraction(a), Fraction(b)], [1 + Fraction(a) - Fraction(b)], -1,
+               ctx50).mpf
+    assert abs(ours - ref) < mp.mpf("1e-45")
+
+
 def test_pfq_preconditions(ctx30):
     with pytest.raises(DomainError):
         pfq([1, 2, 3], [1], -1, ctx30)  # arity
