@@ -68,6 +68,9 @@ class Ratio:
 
 @dataclass(frozen=True)
 class Level:
+    """Weight of one chain level: the product of its pieces. An empty level
+    has weight 1, so it is a plain prefix sum of the level below; it must
+    not be the outermost level, whose tail sum would then diverge."""
     pows: Tuple[Pow, ...] = ()
     ratio: Optional[Ratio] = None
 
@@ -88,15 +91,13 @@ def _scaled(value, S: int) -> int:
 
 
 def _adaptive_drive(mp, tolm, start, max_terms, checkpoint, strategy,
-                    relax=None, what="series"):
+                    what="series"):
     """Doubling driver shared by all evaluators.
 
     checkpoint(M) must advance state and return (E, tail, extra_est).
     Stops when two successive results differ by < tol/2. A plateau (the
     difference no longer shrinking while still above tolerance) means the
-    truncation model has bottomed out: with `relax` set, the value is
-    returned with its honest estimate as long as it is within relax*tol,
-    otherwise ConvergenceError is raised.
+    truncation model has bottomed out, and raises ConvergenceError at once.
     """
     M = start
     prev = None
@@ -108,11 +109,7 @@ def _adaptive_drive(mp, tolm, start, max_terms, checkpoint, strategy,
             if diff < tolm / 2:
                 return E, {"terms": M, "tail": tail, "estimate": diff,
                            "strategy": strategy}
-            plateau = dprev is not None and diff * mp.mpf("1.6") > dprev
-            if plateau:
-                if relax is not None and diff <= relax * tolm:
-                    return E, {"terms": M, "tail": tail, "estimate": diff,
-                               "strategy": strategy}
+            if dprev is not None and diff * mp.mpf("1.6") > dprev:
                 raise ConvergenceError(
                     f"{what}: truncation error plateaued at {mp.nstr(diff, 4)} "
                     f"above tolerance {mp.nstr(tolm, 4)}")
@@ -209,7 +206,7 @@ class ChainEvaluator:
         for p in lvl.pows:
             pf = calc.pow_weight(p.k, _to_mpf(mp, p.shift))
             F = pf if F is None else calc.mul(F, pf)
-        return F
+        return calc.const(1) if F is None else F
 
     def _next_tail(self, calc: TailCalc, i: int, mc: int, above):
         """(F_i, sumtail(F_i)) for level i, given the pair of level i+1 (or None)."""
@@ -245,12 +242,11 @@ class ChainEvaluator:
         return corr
 
     # -- adaptive driver ------------------------------------------------------
-    def run(self, tol, corrections: bool = True, relax=None):
+    def run(self, tol, corrections: bool = True):
         """Evaluate to absolute tolerance tol.
 
-        Returns (value_mpf, info) with info keys terms/tail/estimate/strategy.
-        With `relax`, a truncation plateau within relax*tol is returned with
-        its honest estimate instead of raising ConvergenceError.
+        Returns (value_mpf, info) with info keys terms/tail/estimate/strategy;
+        a truncation plateau raises ConvergenceError.
         """
         mp = self.ctx.mp
         tolm = mp.mpf(tol)
@@ -265,7 +261,7 @@ class ChainEvaluator:
                 return E, mp.mpf(0), spread + floor * max(1, abs(E))
 
             return _adaptive_drive(mp, tolm, ALT_START, self.ctx.max_terms,
-                                   checkpoint, ALT_ACCELERATED, relax=relax,
+                                   checkpoint, ALT_ACCELERATED,
                                    what="alternating chain")
 
         def checkpoint(M):
@@ -278,7 +274,7 @@ class ChainEvaluator:
         start = max(500, min(DEFAULT_START, self.ctx.max_terms // 2))
         return _adaptive_drive(mp, tolm, start, self.ctx.max_terms, checkpoint,
                                TAIL_CORRECTED if corrections else DIRECT,
-                               relax=relax, what="chain")
+                               what="chain")
 
 
 class WeightedChainEvaluator:
@@ -335,7 +331,7 @@ class WeightedChainEvaluator:
             corr += calc.eval_at(calc.sumtail(F2), mc)
         return corr
 
-    def run(self, tol, corrections: bool = True, relax=None):
+    def run(self, tol, corrections: bool = True):
         mp = self.ctx.mp
         tolm = mp.mpf(tol)
         floor = mp.mpf(10) ** (-(self.ctx.working_digits + 4))
@@ -348,7 +344,7 @@ class WeightedChainEvaluator:
                 return E, mp.mpf(0), spread + floor * max(1, abs(E))
 
             return _adaptive_drive(mp, tolm, ALT_START, self.ctx.max_terms,
-                                   checkpoint, ALT_ACCELERATED, relax=relax,
+                                   checkpoint, ALT_ACCELERATED,
                                    what="alternating harmonic-product series")
 
         def checkpoint(M):
@@ -360,4 +356,4 @@ class WeightedChainEvaluator:
         start = max(500, min(DEFAULT_START, self.ctx.max_terms // 2))
         return _adaptive_drive(mp, tolm, start, self.ctx.max_terms, checkpoint,
                                TAIL_CORRECTED if corrections else DIRECT,
-                               relax=relax, what="harmonic-product series")
+                               what="harmonic-product series")

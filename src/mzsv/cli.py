@@ -176,8 +176,7 @@ def cmd_eval(args) -> int:
             raise ParseError(f"eval {kind} needs --alpha and --s")
         fn = (hypergeom.specialized_lhs if kind == "special-lhs"
               else hypergeom.specialized_rhs)
-        value = fn(case.lower(), args.alpha, args.s, ctx,
-                   relax=identities.RELAX).value
+        value = fn(case.lower(), args.alpha, args.s, ctx).value
     print(value.decimal(ctx.digits))
     return EXIT_OK
 

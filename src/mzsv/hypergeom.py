@@ -8,9 +8,11 @@ conditions name the violated margin when they fail.
 
 Every non-terminating series here runs through the chain driver of
 ``chains``: a pFq series is a one-level ratio chain, and the
-Krattenthaler-Rivoal right-hand sides are ratio chains too, except for
-nested sums whose coupling exponents are not 1, which are summed by a
-boxed convolution.
+Krattenthaler-Rivoal right-hand sides are ratio chains too. A coupling
+exponent d between two ratio levels weights the inner sum by
+(d)_l / l! = C(l+d-1, d-1), which is a d-fold prefix sum, so an integer
+d >= 1 adds d-1 weight-one levels to the chain; any other coupling is
+outside this engine's domain.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import List, Sequence, Tuple
 
-from .chains import ChainEvaluator, Level, Pow, Ratio, _adaptive_drive
+from .chains import ChainEvaluator, Level, Pow, Ratio
 from .context import HPReal, PrecisionContext
 from .errors import ConditionError, ConvergenceError, DomainError
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
@@ -287,7 +289,7 @@ def _prefactored(ctx: PrecisionContext, pref, tol, run) -> Evaluation:
 
 
 def _kr_prefix_levels(p, kind: str):
-    """Chain levels for the nested sum when every coupling factor is (1)_l.
+    """The ratio levels of the nested sum, innermost first.
 
     kind 'i': level-1 weight (d_1)_t (b_2)_t (c_2)_t / (t! (1+a-b_1)_t (1+a-c_1)_t),
     upper levels (b_{i+1})_t (c_{i+1})_t / ((1+a-b_i)_t (1+a-c_i)_t).
@@ -309,101 +311,55 @@ def _kr_prefix_levels(p, kind: str):
             for num, den in shapes]
 
 
-def _kr_couplings(p, kind: str) -> List[Fraction]:
-    """The coupling exponents d whose value 1 collapses the nested sum to a
-    prefix chain: for 'i' d_i (i=2..s), for 'ii' 1+a-b_{i-1}-c_{i-1} (i=2..s)."""
-    one = Fraction(1)
-    if kind == "i":
-        return [one + p.a - p.b[i - 1] - p.c[i - 1] for i in range(2, p.s + 1)]
-    return [one + p.a - p.b[i - 2] - p.c[i - 2] for i in range(2, p.s + 1)]
+def _kr_levels(p, kind: str):
+    """The nested sum as one prefix chain, innermost level first.
 
-
-def _kr_convolution(ctx: PrecisionContext, p, kind: str, margin: Fraction, tol,
-                    relax):
-    """General nested sum by boxed convolution (used when couplings != 1).
-
-    Level weights are those of _kr_prefix_levels; level i+1 convolves level
-    i with the coupling weights (d)_l / l!. O(s * L^2) work per checkpoint;
-    intended for modest tolerances on small parameter sets.
+    Successive ratio levels are coupled by d = 1+a-b_j-c_j (j = 2..s for
+    'i', where it is d_j; j = 1..s-1 for 'ii'). Its weight (d)_l / l! is a
+    d-fold prefix sum, so an integer d >= 1 puts d-1 weight-one levels
+    after the ratio level below it.
     """
-    mp = ctx.mp
-
-    def fr(x):
-        return mp.mpf(x.numerator) / x.denominator
-
-    def weights(num, den, L):
-        """w(0..L) with w(0) = 1 and w(t+1) = w(t) prod(num+t) / prod(den+t)."""
-        num = [fr(x) for x in num]
-        den = [fr(x) for x in den]
-        w = [mp.mpf(1)]
-        for t in range(L):
-            ratio = mp.mpf(1)
-            for x in num:
-                ratio *= x + t
-            for x in den:
-                ratio /= x + t
-            w.append(w[t] * ratio)
-        return w
-
-    levels = [lvl.ratio for lvl in _kr_prefix_levels(p, kind)]
-    couplings = _kr_couplings(p, kind)
-    deltaf = fr(margin)
-    floor = mp.mpf(10) ** (-(ctx.working_digits + 2))
-
-    def checkpoint(L):
-        T = weights(levels[0].num_shifts, levels[0].den_shifts, L)
-        for d, r in zip(couplings, levels[1:]):
-            K = weights((d,), (Fraction(1),), L)
-            u = weights(r.num_shifts, r.den_shifts, L)
-            Tn = []
-            for t in range(L + 1):
-                acc = mp.mpf(0)
-                for tp in range(t + 1):
-                    acc += K[t - tp] * T[tp]
-                Tn.append(u[t] * acc)
-            T = Tn
-        tail = abs(T[L]) * L / deltaf
-        return sum(T, mp.mpf(0)) + tail, tail, floor
-
-    return _adaptive_drive(mp, mp.mpf(tol), 256, min(ctx.max_terms, 1 << 16),
-                           checkpoint, "tail_corrected", relax=relax,
-                           what="nested hypergeometric sum (convolution)")
+    ratios = _kr_prefix_levels(p, kind)
+    first = 2 if kind == "i" else 1
+    levels = [ratios[0]]
+    for j, level in zip(range(first, first + p.s - 1), ratios[1:]):
+        d = 1 + p.a - p.b[j - 1] - p.c[j - 1]
+        if d.denominator != 1 or d < 1:
+            raise DomainError(
+                f"coupling exponent 1+a-b_{j}-c_{j} = {d} is not a positive "
+                "integer; the nested sum is summed only for integer couplings")
+        levels += [Level()] * (int(d) - 1) + [level]
+    return levels
 
 
-def _kr_rhs(p, kind: str, report: ConditionReport, margin: Fraction,
-            ctx: PrecisionContext, tol, relax) -> Evaluation:
+def _kr_rhs(p, kind: str, report: ConditionReport, ctx: PrecisionContext,
+            tol) -> Evaluation:
     """Gamma prefactor times the s-fold nested sum of either identity.
 
     Both prefactors are gamma(1+a-b)gamma(1+a-c) / (gamma(1+a)gamma(1+a-b-c))
-    at the last pair (b, c); the sum runs as a prefix chain when every
-    coupling is 1 and by convolution otherwise.
+    at the last pair (b, c); the sum runs as the prefix chain of _kr_levels.
     """
     if not report.overall:
         raise ConditionError(
             "hypothesis conditions fail: "
             + "; ".join(e.description for e in report.failures()), report)
+    levels = _kr_levels(p, kind)
     one = Fraction(1)
     b, c = p.b[-1], p.c[-1]
     pref = _gamma_ratio(ctx, [one + p.a - b, one + p.a - c],
                         [one + p.a, one + p.a - b - c])
-    if all(d == 1 for d in _kr_couplings(p, kind)):
-        def run(inner_tol):
-            ev = ChainEvaluator(ctx, _kr_prefix_levels(p, kind), t_start=0)
-            return ev.run(inner_tol, relax=relax)
-    else:
-        def run(inner_tol):
-            return _kr_convolution(ctx, p, kind, margin, inner_tol, relax)
-    return _prefactored(ctx, pref, tol, run)
+    return _prefactored(ctx, pref, tol, lambda inner_tol: ChainEvaluator(
+        ctx, levels, t_start=0).run(inner_tol))
 
 
-def kr_rhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None, relax=None) -> Evaluation:
+def kr_rhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Gamma prefactor times the s-fold nested sum of the z = -1 identity."""
-    return _kr_rhs(p, "i", kr_conditions_i(p), _margin_i(p), ctx, tol, relax)
+    return _kr_rhs(p, "i", kr_conditions_i(p), ctx, tol)
 
 
-def kr_rhs_ii(p: KRParamsII, ctx: PrecisionContext, tol=None, relax=None) -> Evaluation:
+def kr_rhs_ii(p: KRParamsII, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Gamma prefactor times the s-fold nested sum of the z = +1 identity."""
-    return _kr_rhs(p, "ii", kr_conditions_ii(p), _margin_ii(p), ctx, tol, relax)
+    return _kr_rhs(p, "ii", kr_conditions_ii(p), ctx, tol)
 
 
 def kr_lhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
@@ -457,7 +413,7 @@ def _pochhammer_ratio_levels(alpha: Fraction, outer_k: int):
 
 
 def specialized_lhs(case: str, alpha, s: int, ctx: PrecisionContext,
-                    tol=None, relax=None) -> Evaluation:
+                    tol=None) -> Evaluation:
     """The displayed single-series side of one of the four specializations."""
     al = as_fraction(alpha)
     _check_case(case, al, s)
@@ -466,7 +422,7 @@ def specialized_lhs(case: str, alpha, s: int, ctx: PrecisionContext,
     if case == "a1":
         ev = ChainEvaluator(ctx, [Level(pows=(Pow(2 * s, al),))], t_start=0,
                             alternating=True)
-        val, info = ev.run(tolv, relax=relax)
+        val, info = ev.run(tolv)
         return _wrap(ctx, val, info)
     if case == "a2":
         from .tailcalc import power_sum_tail
@@ -475,21 +431,23 @@ def specialized_lhs(case: str, alpha, s: int, ctx: PrecisionContext,
         partial = mp.mpf(0)
         for m in range(M0 + 1):
             partial += (m + alv) ** (1 - 2 * s)
-        tail = power_sum_tail(mp, 2 * s - 1, alv, M0, mp.mpf(tolv) * mp.mpf("1e-2"))
+        # summed to working precision, so that exact_diag's floor holds
+        tail = power_sum_tail(mp, 2 * s - 1, alv, M0,
+                              mp.mpf(10) ** -ctx.working_digits)
         return Evaluation(HPReal(partial + tail, ctx), exact_diag(ctx))
     if case == "a3":
         ev = ChainEvaluator(ctx, [_pochhammer_ratio_levels(al, 2 * s - 2)],
                             t_start=0)
-        val, info = ev.run(tolv, relax=relax)
+        val, info = ev.run(tolv)
         return _wrap(ctx, val, info)
     ev = ChainEvaluator(ctx, [_pochhammer_ratio_levels(al, 2 * s - 1)],
                         t_start=0, alternating=True)
-    val, info = ev.run(tolv, relax=relax)
+    val, info = ev.run(tolv)
     return _wrap(ctx, val, info)
 
 
 def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
-                    tol=None, relax=None) -> Evaluation:
+                    tol=None) -> Evaluation:
     """The displayed nested-sum side of one of the four specializations."""
     al = as_fraction(alpha)
     _check_case(case, al, s)
@@ -513,4 +471,4 @@ def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
         levels += [Level(pows=(Pow(2, Fraction(1)),)) for _ in range(s - 1)]
         pref = ctx.mp.mpf("0.5")
     return _prefactored(ctx, pref, tol, lambda inner_tol: ChainEvaluator(
-        ctx, levels, t_start=0).run(inner_tol, relax=relax))
+        ctx, levels, t_start=0).run(inner_tol))

@@ -26,8 +26,6 @@ from .indices import Index, compositions
 from .numerics import derivative_at
 from .series import EvalDiagnostics, Evaluation, exact_diag
 
-RELAX = 200  # sides may return a plateaued estimate up to RELAX * tol
-
 
 @dataclass(frozen=True)
 class ParamSpec:
@@ -130,15 +128,15 @@ def _combine(ctx: PrecisionContext, parts: List[Tuple[int, Evaluation]]) -> Eval
 
 
 def _star(ctx, parts, tol):
-    return series.mzsv(Index(tuple(parts)), ctx, tol=tol, relax=RELAX)
+    return series.mzsv(Index(tuple(parts)), ctx, tol=tol)
 
 
 def _strict(ctx, parts, tol):
-    return series.mzv(Index(tuple(parts)), ctx, tol=tol, relax=RELAX)
+    return series.mzv(Index(tuple(parts)), ctx, tol=tol)
 
 
 def _alt(ctx, parts, tol):
-    return series.alt_mzsv(Index(tuple(parts)), ctx, tol=tol, relax=RELAX)
+    return series.alt_mzsv(Index(tuple(parts)), ctx, tol=tol)
 
 
 def _two_one_parts(r: int, s: int, kind: str) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -179,8 +177,8 @@ def _ev_remark1_odd(ctx, p):
 def _ev_specialized(case):
     def ev(ctx, p):
         s, alpha = p["s"], p["alpha"]
-        lhs = hypergeom.specialized_lhs(case, alpha, s, ctx, tol=ctx.tol, relax=RELAX)
-        rhs = hypergeom.specialized_rhs(case, alpha, s, ctx, tol=ctx.tol, relax=RELAX)
+        lhs = hypergeom.specialized_lhs(case, alpha, s, ctx, tol=ctx.tol)
+        rhs = hypergeom.specialized_rhs(case, alpha, s, ctx, tol=ctx.tol)
         return lhs, rhs
     return ev
 
@@ -236,16 +234,14 @@ def _ev_eq2_check(ctx, p):
 def _ev_eq3(ctx, p):
     r, s = p["r"], p["s"]
     lhs = _star(ctx, (1,) * (r + 1) + (2,) * (s - 1), ctx.tol)
-    rhs = series.weighted_product_series_ex(r, s, False, ctx, tol=ctx.tol,
-                                            relax=RELAX)
+    rhs = series.weighted_product_series_ex(r, s, False, ctx, tol=ctx.tol)
     return lhs, rhs
 
 
 def _ev_eq4(ctx, p):
     r, s = p["r"], p["s"]
     lhs = _star(ctx, (r + 2,) + (2,) * (s - 1), ctx.tol)
-    rhs = series.weighted_product_series_ex(r, s, True, ctx, tol=ctx.tol,
-                                            relax=RELAX)
+    rhs = series.weighted_product_series_ex(r, s, True, ctx, tol=ctx.tol)
     return lhs, rhs
 
 
@@ -257,8 +253,7 @@ def _ev_eq5_check(ctx, p):
 
 def _ev_addendum_mzv_form(ctx, p):
     r, s = p["r"], p["s"]
-    lhs = series.weighted_product_series_ex(r, s, False, ctx, tol=ctx.tol,
-                                            relax=RELAX)
+    lhs = series.weighted_product_series_ex(r, s, False, ctx, tol=ctx.tol)
     parts = [(coef, _strict(ctx, ix, ctx.tol))
              for coef, ix in _two_one_parts(r, s, "mzv")]
     return lhs, _combine(ctx, parts)
@@ -316,14 +311,14 @@ def _kr_params_ii(variant: str, alpha, s: int) -> hypergeom.KRParamsII:
 def _ev_theoremA_i(ctx, p):
     params = _kr_params_i(p["variant"], p.get("alpha", "1"), p["s"])
     lhs = hypergeom.kr_lhs_i(params, ctx, tol=ctx.tol)
-    rhs = hypergeom.kr_rhs_i(params, ctx, tol=ctx.tol, relax=RELAX)
+    rhs = hypergeom.kr_rhs_i(params, ctx, tol=ctx.tol)
     return lhs, rhs
 
 
 def _ev_theoremA_ii(ctx, p):
     params = _kr_params_ii(p["variant"], p.get("alpha", "1"), p["s"])
     lhs = hypergeom.kr_lhs_ii(params, ctx, tol=ctx.tol)
-    rhs = hypergeom.kr_rhs_ii(params, ctx, tol=ctx.tol, relax=RELAX)
+    rhs = hypergeom.kr_rhs_ii(params, ctx, tol=ctx.tol)
     return lhs, rhs
 
 

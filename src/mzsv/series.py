@@ -85,28 +85,28 @@ def _index_levels(ix: Index):
     return [Level(pows=(Pow(int(k)),)) for k in ix.parts]
 
 
-def mzv(ix: Index, ctx: PrecisionContext, tol=None, relax=None) -> Evaluation:
+def mzv(ix: Index, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Multiple zeta value over strictly increasing variables."""
     if not admissible(ix, alternating=False):
         raise DomainError(f"inadmissible index {ix}: last part must be >= 2")
     ev = ChainEvaluator(ctx, _index_levels(ix), t_start=1, strict=True)
-    val, info = ev.run(tol if tol is not None else ctx.tol, relax=relax)
+    val, info = ev.run(tol if tol is not None else ctx.tol)
     return _wrap(ctx, val, info)
 
 
-def mzsv(ix: Index, ctx: PrecisionContext, tol=None, relax=None) -> Evaluation:
+def mzsv(ix: Index, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Multiple zeta-star value over weakly increasing variables."""
     if not admissible(ix, alternating=False):
         raise DomainError(f"inadmissible index {ix}: last part must be >= 2")
     ev = ChainEvaluator(ctx, _index_levels(ix), t_start=1)
-    val, info = ev.run(tol if tol is not None else ctx.tol, relax=relax)
+    val, info = ev.run(tol if tol is not None else ctx.tol)
     return _wrap(ctx, val, info)
 
 
-def alt_mzsv(ix: Index, ctx: PrecisionContext, tol=None, relax=None) -> Evaluation:
+def alt_mzsv(ix: Index, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Alternating zeta-star value: sign (-1)^(m_n - 1) on the outer variable."""
     ev = ChainEvaluator(ctx, _index_levels(ix), t_start=1, alternating=True)
-    val, info = ev.run(tol if tol is not None else ctx.tol, relax=relax)
+    val, info = ev.run(tol if tol is not None else ctx.tol)
     return _wrap(ctx, val, info)
 
 
@@ -121,8 +121,7 @@ def weighted_product_series(r: int, s: int, alternating: bool,
 
 
 def weighted_product_series_ex(r: int, s: int, alternating: bool,
-                               ctx: PrecisionContext, tol=None,
-                               relax=None) -> Evaluation:
+                               ctx: PrecisionContext, tol=None) -> Evaluation:
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
     if alternating:
@@ -134,7 +133,7 @@ def weighted_product_series_ex(r: int, s: int, alternating: bool,
             raise DomainError(f"plain case needs s >= 2, got {s}")
         p = 2 * s - 1
     ev = WeightedChainEvaluator(ctx, r=int(r), p=p, alternating=alternating)
-    val, info = ev.run(tol if tol is not None else ctx.tol, relax=relax)
+    val, info = ev.run(tol if tol is not None else ctx.tol)
     two = ctx.mp.mpf(2)
     info = dict(info)
     info["tail"] = two * info["tail"]

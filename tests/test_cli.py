@@ -165,6 +165,9 @@ def test_eval_domain_errors_exit_2(capsys):
     assert run_cli(capsys, "eval", "eta", "0")[0] == 2
     assert run_cli(capsys, "eval", "special-lhs", "a3", "--alpha", "2.5",
                    "--s", "2")[0] == 2
+    # coupling 1+a-b_2-c_2 = 5/2 is not an integer
+    assert run_cli(capsys, "eval", "kr-rhs-i", "--s", "2", "--a", "2.5",
+                   "--b", "0.75,0.5,0.5", "--c", "0.75,0.5,0.5")[0] == 2
 
 
 def test_verify_out_of_schema_exit_2(capsys):

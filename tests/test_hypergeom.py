@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from mzsv import (ConditionError, ConvergenceError, DomainError, KRParamsI,
@@ -141,7 +142,7 @@ def test_theorem_i_equality_a1_family(ctx30, alpha):
     p = KRParamsI(s=1, a=2 * al, b=(Fraction(1), al), c=(al, al))
     assert kr_conditions_i(p).overall
     lhs = kr_lhs_i(p, ctx30, tol=ctx30.mp.mpf("1e-14"))
-    rhs = kr_rhs_i(p, ctx30, tol=ctx30.mp.mpf("1e-14"), relax=200)
+    rhs = kr_rhs_i(p, ctx30, tol=ctx30.mp.mpf("1e-14"))
     assert abs(lhs.value.mpf - rhs.value.mpf) < ctx30.mp.mpf("1e-12")
 
 
@@ -149,7 +150,7 @@ def test_theorem_i_equality_generic(ctx30):
     p = KRParamsI(s=1, a="2.2", b=("0.7", "0.7"), c=("0.7", "0.7"))
     assert kr_conditions_i(p).overall
     lhs = kr_lhs_i(p, ctx30, tol=ctx30.mp.mpf("1e-14"))
-    rhs = kr_rhs_i(p, ctx30, tol=ctx30.mp.mpf("1e-14"), relax=200)
+    rhs = kr_rhs_i(p, ctx30, tol=ctx30.mp.mpf("1e-14"))
     assert abs(lhs.value.mpf - rhs.value.mpf) < ctx30.mp.mpf("1e-12")
 
 
@@ -163,13 +164,13 @@ def test_theorem_ii_equality_families(ctx30):
     for p in cases:
         assert kr_conditions_ii(p).overall
         lhs = kr_lhs_ii(p, ctx30, tol=mp.mpf("1e-13"))
-        rhs = kr_rhs_ii(p, ctx30, tol=mp.mpf("1e-13"), relax=200)
+        rhs = kr_rhs_ii(p, ctx30, tol=mp.mpf("1e-13"))
         assert abs(lhs.value.mpf - rhs.value.mpf) < mp.mpf("1e-11"), p
 
 
 def test_kr_rhs_ii_a2_collapse_is_zeta3(ctx30):
     p = KRParamsII(s=2, a=2, c0=1, b=(1, 1), c=(1, 1))
-    val = kr_rhs_ii(p, ctx30, tol=ctx30.mp.mpf("1e-14"), relax=200).value.mpf
+    val = kr_rhs_ii(p, ctx30, tol=ctx30.mp.mpf("1e-14")).value.mpf
     assert abs(val - zeta(3, ctx30).mpf) < ctx30.mp.mpf("1e-12")
 
 
@@ -180,17 +181,42 @@ def test_kr_rhs_ii_degenerate_c0_zero(ctx30):
     assert kr_conditions_ii(p).overall
     lhs = kr_lhs_ii(p, ctx30)  # terminating: exactly 1
     assert lhs.value == 1
-    rhs = kr_rhs_ii(p, ctx30, tol=ctx30.mp.mpf("1e-13"), relax=200)
+    rhs = kr_rhs_ii(p, ctx30, tol=ctx30.mp.mpf("1e-13"))
     assert abs(rhs.value.mpf - 1) < ctx30.mp.mpf("1e-11")
 
 
 def test_theorem_ii_generic_s2_convolution(ctx30):
-    # couplings != 1 exercise the boxed-convolution route
+    # coupling 3 between the two ratio levels: two weight-one prefix levels
     p = KRParamsII(s=2, a=3, c0="0.5", b=("0.5", "0.5"), c=("0.5", "0.5"))
     assert kr_conditions_ii(p).overall
     lhs = kr_lhs_ii(p, ctx30, tol=ctx30.mp.mpf("1e-10"))
-    rhs = kr_rhs_ii(p, ctx30, tol=ctx30.mp.mpf("1e-8"), relax=500)
+    rhs = kr_rhs_ii(p, ctx30, tol=ctx30.mp.mpf("1e-8"))
     assert abs(lhs.value.mpf - rhs.value.mpf) < ctx30.mp.mpf("1e-7")
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("p,lhs_fn,rhs_fn", [
+    (KRParamsII(s=2, a=3, c0=_HALF, b=(_HALF,) * 2, c=(_HALF,) * 2),
+     kr_lhs_ii, kr_rhs_ii),                                     # d = 3
+    (KRParamsII(s=3, a=4, c0=_HALF, b=(_HALF,) * 3, c=(_HALF,) * 3),
+     kr_lhs_ii, kr_rhs_ii),                                     # d = 4, 4
+    (KRParamsI(s=2, a=3, b=(_HALF,) * 3, c=(_HALF,) * 3),
+     kr_lhs_i, kr_rhs_i),                                       # d_2 = 3
+])
+def test_integer_couplings_match_lhs_to_working_precision(ctx30, p, lhs_fn, rhs_fn):
+    tol = ctx30.mp.mpf("1e-28")
+    lhs = lhs_fn(p, ctx30, tol=tol)
+    rhs = rhs_fn(p, ctx30, tol=tol)
+    assert abs(lhs.value.mpf - rhs.value.mpf) < ctx30.mp.mpf("1e-25")
+
+
+def test_non_integer_coupling_is_a_domain_error(ctx30):
+    p = KRParamsI(s=2, a="5/2", b=("3/4", "1/2", "1/2"), c=("3/4", "1/2", "1/2"))
+    assert kr_conditions_i(p).overall
+    with pytest.raises(DomainError, match=r"1\+a-b_2-c_2 = 5/2"):
+        kr_rhs_i(p, ctx30)
 
 
 # -- specialized series -----------------------------------------------------------------
@@ -218,9 +244,23 @@ def test_specialized_a2_a3_at_one(ctx30):
 def test_specialized_lhs_equals_rhs(ctx30, case, alpha, s):
     mp = ctx30.mp
     tol = mp.mpf("1e-13")
-    lhs = specialized_lhs(case, alpha, s, ctx30, tol=tol, relax=200)
-    rhs = specialized_rhs(case, alpha, s, ctx30, tol=tol, relax=200)
+    lhs = specialized_lhs(case, alpha, s, ctx30, tol=tol)
+    rhs = specialized_rhs(case, alpha, s, ctx30, tol=tol)
     assert abs(lhs.value.mpf - rhs.value.mpf) < mp.mpf("1e-11")
+
+
+@pytest.mark.parametrize("alpha", ["0.6", "1.3"])
+@pytest.mark.parametrize("s", [2, 3])
+def test_specialized_a2_estimate_bounds_hurwitz_error(ctx30, alpha, s):
+    # the a2 side is the Hurwitz value zeta(2s-1, alpha); even at a loose
+    # tol its reported estimate must bound the error against a reference
+    # at twice the digits
+    lhs = specialized_lhs("a2", alpha, s, ctx30, tol=ctx30.mp.mpf("1e-9"))
+    ref_mp = mpmath.MPContext()
+    ref_mp.dps = 2 * ctx30.working_digits
+    ref = ref_mp.zeta(2 * s - 1, ref_mp.mpf(alpha))
+    err = abs(ref_mp.mpf(lhs.value.mpf) - ref)
+    assert err <= lhs.diagnostics.error_estimate.mpf
 
 
 def test_specialized_domain_errors(ctx30):

@@ -1,8 +1,8 @@
 import pytest
 
-from mzsv import (DomainError, Index, admissible, alt_mzsv, coarsenings,
+from mzsv import (ConvergenceError, DomainError, Index, admissible, alt_mzsv, coarsenings,
                   eta_shifted, mzsv, mzv, weighted_product_series, zeta)
-from mzsv.chains import ChainEvaluator, Level, Pow
+from mzsv.chains import ChainEvaluator, Level, Pow, _adaptive_drive
 from mzsv.series import weighted_product_series_ex
 
 
@@ -173,7 +173,7 @@ def test_weighted_preconditions(ctx30):
 @pytest.mark.parametrize("s", [2, 3])
 def test_weighted_matches_star_value(ctx30, r, s):
     tol = ctx30.mp.mpf("1e-11")
-    v = weighted_product_series_ex(r, s, False, ctx30, tol=tol, relax=200)
+    v = weighted_product_series_ex(r, s, False, ctx30, tol=tol)
     star = mzsv(Index((1,) * (r + 1) + (2,) * (s - 1)), ctx30)
     budget = 10 * (v.diagnostics.error_estimate.mpf
                    + star.diagnostics.error_estimate.mpf) + tol
@@ -184,7 +184,7 @@ def test_weighted_matches_star_value(ctx30, r, s):
 @pytest.mark.parametrize("s", [1, 2])
 def test_weighted_alternating_matches_star_value(ctx30, r, s):
     tol = ctx30.mp.mpf("1e-13")
-    v = weighted_product_series_ex(r, s, True, ctx30, tol=tol, relax=200)
+    v = weighted_product_series_ex(r, s, True, ctx30, tol=tol)
     star = mzsv(Index((r + 2,) + (2,) * (s - 1)), ctx30)
     budget = 10 * (v.diagnostics.error_estimate.mpf
                    + star.diagnostics.error_estimate.mpf) + tol
@@ -208,3 +208,20 @@ def test_diagnostics_error_estimate_bounds_doubling_deviation(ctx30):
 def test_evaluation_strategy_labels(ctx30):
     assert mzsv(Index((2,)), ctx30).diagnostics.strategy == "tail_corrected"
     assert alt_mzsv(Index((2,)), ctx30).diagnostics.strategy == "alternating_accelerated"
+
+
+def test_driver_plateau_raises_at_third_checkpoint(ctx30):
+    # the step difference stays at 2e-3, far above tol: the driver must give
+    # up at the first comparison that shows no shrinking, not double M on
+    # to max_terms
+    mp = ctx30.mp
+    calls = []
+
+    def checkpoint(M):
+        calls.append(M)
+        return mp.mpf((-1) ** len(calls)) / 1000, mp.mpf(0), mp.mpf(0)
+
+    with pytest.raises(ConvergenceError, match="plateaued"):
+        _adaptive_drive(mp, mp.mpf("1e-20"), 1, 1 << 20, checkpoint,
+                        "tail_corrected")
+    assert calls == [1, 2, 4]
