@@ -6,14 +6,15 @@ is a chain P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t or t-1) whose outermost
 level accumulates the value. This module drives the fixed-point kernels
 over such chains with the truncation policy:
 
-* start at M = 10^4 and double M until two successive results differ by
+* start at M = 500 and double M until two successive results differ by
   less than tol/2 (ctx.max_terms caps the doubling);
 * at each checkpoint, correct the truncation by expanding the remainder
   level-by-level into tail-polynomial sums (exact for power-law weights;
   ratio weights use their full asymptotic shape pinned to the running
   value), so the doubling check usually passes at its first comparison,
   the second checkpoint, instead of chasing O(1/M) remainders (every
-  evaluation takes at least two checkpoints);
+  evaluation takes at least two checkpoints); the harmonic-product series
+  splits its remainder exactly into the prefix state times tail sums;
 * alternating outer sums skip tail corrections and instead extrapolate a
   window of partial sums by iterated averaging.
 """
@@ -26,12 +27,13 @@ from typing import Optional, Tuple
 
 from .context import PrecisionContext
 from .errors import ConvergenceError, DomainError
+from .indices import compositions
 from .kernels import nested_chain_advance, weighted_chain_advance
 from .numerics import _iterated_means
 from .tailcalc import TailCalc
 
 SCALE_PAD = 16          # extra scaled digits absorbing floor-division bias
-DEFAULT_START = 10_000  # first truncation checkpoint
+DEFAULT_START = 500     # first truncation checkpoint
 ALT_START = 512         # first checkpoint for alternating outer sums
 ALT_WINDOW = 40         # averaging window length
 
@@ -250,7 +252,7 @@ class ChainEvaluator:
         """
         mp = self.ctx.mp
         tolm = mp.mpf(tol)
-        floor = mp.mpf(10) ** (-(self.ctx.working_digits + 4))
+        floor = mp.mpf(10) ** (-self.ctx.working_digits)
         if self.alternating:
             def checkpoint(count):
                 window: list = []
@@ -271,19 +273,23 @@ class ChainEvaluator:
             E = mp.mpf(self.pvals[-1]) / self.S + tail
             return E, tail, floor * max(1, abs(E))
 
-        start = max(500, min(DEFAULT_START, self.ctx.max_terms // 2))
-        return _adaptive_drive(mp, tolm, start, self.ctx.max_terms, checkpoint,
-                               TAIL_CORRECTED if corrections else DIRECT,
+        return _adaptive_drive(mp, tolm, DEFAULT_START, self.ctx.max_terms,
+                               checkpoint, TAIL_CORRECTED if corrections else DIRECT,
                                what="chain")
 
 
 class WeightedChainEvaluator:
-    """The harmonic-product series 2 * sum sigma(m)/(m+1)^p * W_r(m).
+    """The harmonic-product series 2 * sum_{N>=1} sigma(N)/N^p * W_r(N).
 
-    W_r(m) = sum_{i<=r} S_m(1^(r-i)) S*_m(1^i) is maintained incrementally;
-    the non-alternating tail uses the exact outer power series plus a
-    one-over-(m+1) model for the increments of W_r (the prefactor 2 is NOT
-    applied here).
+    W_r(N) = [x^r] prod_{n<N}(1 + x/n) * prod_{n<=N}(1 - x/n)^-1 is
+    maintained incrementally as sum_{i<=r} S(1^(r-i)) S*(1^i). The
+    non-alternating tail is exact: splitting both products at the last
+    summed N = K gives sum_{N>K} N^-p W_r(N) = sum_a A_a * T_{r-a}(K), where
+    A_a are the coefficients of the prefix products (the kernel state) and
+    T_b, from (1+y)/(1-y) = 1 + 2 sum_{j>=1} y^j on the segment K < n < N, is
+    T_b(x) = sum_{k<=b} sum_{compositions c of b-k} 2^len(c)
+             sum_{N>n_1>...>n_d>x} N^(-p-k) prod n_i^(-c_i).
+    The prefactor 2 is NOT applied here.
     """
 
     def __init__(self, ctx: PrecisionContext, r: int, p: int, alternating: bool):
@@ -297,11 +303,11 @@ class WeightedChainEvaluator:
         self.S = S
         self.svals = [S] + [0] * r
         self.tvals = [S] + [0] * r
-        self.accbox = [0, 0, 0]
+        self.accbox = [0]
         self.t_next = 0
         self.sign_next = 1
         self._calc = None
-        self._outer = None
+        self._segments = None
 
     def advance_to(self, t_exclusive: int, window=None, win_start: int = 0):
         if t_exclusive <= self.t_next:
@@ -312,29 +318,52 @@ class WeightedChainEvaluator:
             window, win_start)
         self.t_next = t_exclusive
 
+    def _segment_tails(self, calc: TailCalc):
+        """[T_0, ..., T_r] as tail series in x; none depends on the checkpoint."""
+        chains: dict = {}
+
+        def chain(parts):
+            # sum_{N>n_1>...>n_d>x} N^-parts[0] prod n_i^-parts[i], sharing
+            # the sums of every shorter prefix of parts
+            T = chains.get(parts)
+            if T is None:
+                F = calc.pow_weight(parts[-1], 0)
+                if len(parts) > 1:
+                    F = calc.mul(F, chain(parts[:-1]))
+                T = chains[parts] = calc.sumtail(F)
+            return T
+
+        tails = []
+        for b in range(self.r + 1):
+            T = None
+            for k in range(b + 1):
+                n = b - k
+                comps = [()] if n == 0 else [
+                    c for d in range(1, n + 1) for c in compositions(n, d)]
+                for c in comps:
+                    term = calc.scale(chain((self.p + k,) + c), 2 ** len(c))
+                    T = term if T is None else calc.add(T, term)
+            tails.append(T)
+        return tails
+
     def tail_correction(self, mc: int):
-        if self._calc is None:
-            calc = self._calc = TailCalc(self.ctx.mp)
-            # the outer power series and its tail sum do not depend on mc
-            F1 = calc.pow_weight(self.p, self.ctx.mp.mpf(1))
-            T1 = calc.sumtail(F1)
-            self._outer = (T1, calc.add(F1, T1))
+        """sum_{N>K} N^-p W_r(N) with K = mc + 1, the last N summed."""
+        if self._segments is None:
+            self._calc = TailCalc(self.ctx.mp)
+            self._segments = self._segment_tails(self._calc)
         calc = self._calc
-        T1, F1T1 = self._outer
         mp = self.ctx.mp
-        w_last = mp.mpf(self.accbox[2]) / self.S
-        corr = w_last * calc.eval_at(T1, mc)
-        dW = (mp.mpf(self.accbox[2]) - mp.mpf(self.accbox[1])) / self.S
-        if dW:
-            model = calc.scale(calc.pow_weight(1, mp.mpf(1)), dW * (mc + 1))
-            F2 = calc.mul(model, F1T1)
-            corr += calc.eval_at(calc.sumtail(F2), mc)
+        S, r, sv, tv = self.S, self.r, self.svals, self.tvals
+        corr = mp.mpf(0)
+        for a in range(r + 1):
+            A = mp.mpf(sum(sv[a - i] * tv[i] for i in range(a + 1))) / (S * S)
+            corr += A * calc.eval_at(self._segments[r - a], mc + 1)
         return corr
 
     def run(self, tol, corrections: bool = True):
         mp = self.ctx.mp
         tolm = mp.mpf(tol)
-        floor = mp.mpf(10) ** (-(self.ctx.working_digits + 4))
+        floor = mp.mpf(10) ** (-self.ctx.working_digits)
         if self.alternating:
             def checkpoint(count):
                 window: list = []
@@ -353,7 +382,6 @@ class WeightedChainEvaluator:
             E = mp.mpf(self.accbox[0]) / self.S + tail
             return E, tail, floor * max(1, abs(E))
 
-        start = max(500, min(DEFAULT_START, self.ctx.max_terms // 2))
-        return _adaptive_drive(mp, tolm, start, self.ctx.max_terms, checkpoint,
-                               TAIL_CORRECTED if corrections else DIRECT,
+        return _adaptive_drive(mp, tolm, DEFAULT_START, self.ctx.max_terms,
+                               checkpoint, TAIL_CORRECTED if corrections else DIRECT,
                                what="harmonic-product series")

@@ -47,6 +47,8 @@ def _default_prec() -> int:
 def _context(args) -> PrecisionContext:
     digits = args.prec if args.prec else _default_prec()
     tol = getattr(args, "tol", None)
+    if tol is None and args.command == "verify":
+        tol = f"1e-{digits - 5}"  # five digits below the output precision
     return PrecisionContext(digits=digits, tol=tol)
 
 
@@ -97,8 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--alpha", default=None, help="comma-separated values")
     pv.add_argument("--variant", default=None, help="comma-separated variants")
     pv.add_argument("--prec", type=int, default=0)
-    pv.add_argument("--tol", default="1e-9",
-                    help="verification tolerance (default 1e-9)")
+    pv.add_argument("--tol", default=None,
+                    help="verification tolerance (default 10^-(digits-5), "
+                         "1e-25 at 30 digits)")
     pv.add_argument("--json", dest="json_path", default=None,
                     help="write the full report to this path")
 

@@ -104,14 +104,11 @@ def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1,
                            alt, sign0, window, win_start):
     """Advance the harmonic-product series over t in [t0, t1).
 
-    svals[j] ~ S_t(1^j), tvals[j] ~ S*_t(1^j) (scaled),
-    accbox = [acc, W_prev, W_last] where W_* are the last two scaled
-    inner-sum values (used for tail models). Returns the sign to use at t1.
+    svals[j] ~ S_t(1^j), tvals[j] ~ S*_t(1^j) (scaled), accbox = [acc]
+    holds the scaled running sum. Returns the sign to use at t1.
     """
     sign = sign0
     acc = accbox[0]
-    w_prev = accbox[1]
-    w_last = accbox[2]
     for t in range(t0, t1):
         u = t + 1
         for j in range(1, r + 1):
@@ -120,8 +117,6 @@ def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1,
         for i in range(r + 1):
             W += svals[r - i] * tvals[i]
         W //= S
-        w_prev = w_last
-        w_last = W
         up = u ** p
         if alt:
             acc += sign * (W // up)
@@ -133,6 +128,4 @@ def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1,
         if window is not None and t >= win_start:
             window.append(acc)
     accbox[0] = acc
-    accbox[1] = w_prev
-    accbox[2] = w_last
     return sign

@@ -10,6 +10,7 @@ accelerate_alternating -- iterated pairwise averaging of partial sums
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -42,6 +43,15 @@ def _spouge_coefficients(mp, a: int):
     return coeffs
 
 
+def _spouge_cancellation(z: float, a: int) -> int:
+    """Decimal digits the Spouge sum at z loses to cancellation: its largest
+    term |c_k|/(z+k) against its value Gamma(z+1) (z+a)^-(z+1/2) e^(z+a)."""
+    log_term = max((k - 0.5) * math.log(a - k) + (a - k) - math.lgamma(k)
+                   - math.log(z + k) for k in range(1, a))
+    log_sum = math.lgamma(z + 1) - (z + 0.5) * math.log(z + a) + z + a
+    return max(0, math.ceil((log_term - log_sum) / math.log(10)))
+
+
 def gamma(x, ctx: PrecisionContext) -> HPReal:
     """Gamma function for positive real arguments.
 
@@ -53,10 +63,13 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
     if xv <= 0:
         raise DomainError(f"gamma requires x > 0, got {xv}")
     mp = ctx.mp
-    # a few extra digits absorb the Spouge-sum rounding
-    work = mp.clone()
-    work.dps = ctx.working_digits + 10
     a = int((ctx.working_digits + 12) / _LOG10_TWO_PI) + 2
+    zr = float(xv.mpf)
+    while zr < 1:
+        zr += 1
+    # extra digits absorb the rounding and the cancellation of the Spouge sum
+    work = mp.clone()
+    work.dps = ctx.working_digits + 10 + _spouge_cancellation(zr - 1, a)
     z = work.mpf(xv.mpf)
     shift = 0
     while z < 1:  # argument reduction: Gamma(z) = Gamma(z+n) / (z (z+1) ... )

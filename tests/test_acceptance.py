@@ -220,3 +220,21 @@ def test_criterion_10_verify_all(tmp_path):
     _report("criterion 10", "report records no failures",
             report["summary"]["failed"] == 0
             and report["summary"]["total"] >= 26)
+
+
+# -- criterion 11: the full registry at the context's default tolerance ------------
+
+def test_criterion_11_verify_all_default_tol(tmp_path):
+    # no --tol: verify takes 10^-(digits-5), 1e-25 at 30 digits
+    path = tmp_path / "report.json"
+    t0 = time.perf_counter()
+    code = cli.main(["verify", "all", "--prec", "30", "--json", str(path)])
+    dt = time.perf_counter() - t0
+    import json
+
+    report = json.loads(path.read_text())
+    summary = report["summary"]
+    _report("criterion 11", f"`verify all` at tol {report['context']['tol']}: "
+            f"{summary['passed']}/{summary['total']} in {dt:.1f}s",
+            code == 0 and report["context"]["tol"] == "1.0e-25"
+            and summary["passed"] == summary["total"] == 220)

@@ -4,9 +4,9 @@ import mpmath
 import pytest
 
 from mzsv import (ConditionError, ConvergenceError, DomainError, KRParamsI,
-                  KRParamsII, kr_conditions_i, kr_conditions_ii, kr_lhs_i,
-                  kr_lhs_ii, kr_rhs_i, kr_rhs_ii, pfq, specialized_lhs,
-                  specialized_rhs, zeta)
+                  KRParamsII, PrecisionContext, kr_conditions_i,
+                  kr_conditions_ii, kr_lhs_i, kr_lhs_ii, kr_rhs_i, kr_rhs_ii,
+                  pfq, specialized_lhs, specialized_rhs, zeta)
 
 
 # -- the series itself ------------------------------------------------------------
@@ -210,6 +210,20 @@ def test_integer_couplings_match_lhs_to_working_precision(ctx30, p, lhs_fn, rhs_
     lhs = lhs_fn(p, ctx30, tol=tol)
     rhs = rhs_fn(p, ctx30, tol=tol)
     assert abs(lhs.value.mpf - rhs.value.mpf) < ctx30.mp.mpf("1e-25")
+
+
+@pytest.mark.parametrize("p, fn", [
+    (KRParamsI(s=2, a=3, b=(_HALF,) * 3, c=(_HALF,) * 3), kr_rhs_i),
+    (KRParamsII(s=2, a=3, c0=_HALF, b=(_HALF,) * 2, c=(_HALF,) * 2), kr_lhs_ii),
+])
+def test_error_estimate_bounds_error_against_60_digits(ctx30, p, fn):
+    # the prefix chain (with its gamma prefactor) and the pFq ratio chain
+    # must not report less than their real error
+    ref_ctx = PrecisionContext(digits=60)
+    ev = fn(p, ctx30, tol=ctx30.mp.mpf("1e-28"))
+    ref = fn(p, ref_ctx, tol=ref_ctx.mp.mpf("1e-58"))
+    err = abs(ref_ctx.mp.mpf(ev.value.mpf) - ref.value.mpf)
+    assert err <= ev.diagnostics.error_estimate.mpf
 
 
 def test_non_integer_coupling_is_a_domain_error(ctx30):

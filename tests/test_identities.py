@@ -118,6 +118,36 @@ def test_rhs_rewrites_agree_on_overlap(vctx, r, s):
     assert abs((eq3.rhs_value - addendum.rhs_value).mpf) <= 1e-9
 
 
+@pytest.mark.parametrize("r,s", [(0, 2), (1, 2), (2, 3), (3, 2)])
+def test_rhs_rewrites_agree_to_working_precision(r, s):
+    # with the exact harmonic-product tail the three routes meet near the
+    # working precision, not only at the 1e-9 of the test above
+    ctx = PrecisionContext(digits=30, tol="1e-28")
+    eq3 = verify("eq3", {"r": r, "s": s}, ctx)
+    two_one = verify("two_one_eq3", {"r": r, "s": s}, ctx)
+    addendum = verify("addendum_mzv_form", {"r": r, "s": s}, ctx)
+    assert abs((eq3.rhs_value - two_one.rhs_value).mpf) <= 1e-25
+    assert abs((eq3.rhs_value - addendum.lhs_value).mpf) <= 1e-25
+    assert abs((eq3.rhs_value - addendum.rhs_value).mpf) <= 1e-25
+
+
+@pytest.mark.parametrize("id_", ["eq3", "addendum_mzv_form"])
+def test_eq3_sides_agree_at_30_digits(id_):
+    # the default grid plus r = 5, at tol 1e-25
+    ctx = PrecisionContext(digits=30, tol="1e-25")
+    results = (verify_suite(id_, None, ctx)
+               + verify_suite(id_, {"r": [5], "s": [2, 3]}, ctx))
+    for res in results:
+        assert res.passed and res.abs_diff.mpf <= 1e-25, res.params
+
+
+@pytest.mark.parametrize("id_", ["eq3", "addendum_mzv_form"])
+def test_eq3_sides_agree_at_100_digits(id_):
+    ctx = PrecisionContext(digits=100, tol="1e-90")
+    res = verify(id_, {"r": 3, "s": 2}, ctx)
+    assert res.passed and res.abs_diff.mpf <= ctx.mp.mpf("1e-90")
+
+
 @pytest.mark.parametrize("eq", ["eq3", "eq4"])
 @pytest.mark.parametrize("k", [0, 1])
 def test_expansion_ids_alias_two_one(eq, k):

@@ -35,7 +35,7 @@ def _run_nested(bounds, strict=False, alt=False, with_ratio=False):
 def _run_weighted(bounds, alt=False):
     svals = [S, 0, 0, 0]
     tvals = [S, 0, 0, 0]
-    accbox = [0, 0, 0]
+    accbox = [0]
     window = [] if alt else None
     sign = 1
     for lo, hi in zip(bounds, bounds[1:]):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from mzsv import (ArityError, DomainError, accelerate_alternating,
@@ -34,6 +36,19 @@ def test_gamma_agrees_with_library_oracle(ctx50):
         ours = gamma(x, ctx50).mpf
         ref = ctx50.mp.gamma(ctx50.real(x).mpf)
         assert abs(ours - ref) <= ctx50.tol * max(1, abs(ref))
+
+
+def test_gamma_meets_working_precision(ctx30):
+    # the Spouge sum cancels more digits as x grows; the result must still
+    # be right to the working digits, not only to ctx.tol
+    mp = ctx30.mp
+    ref_mp = mp.clone()
+    ref_mp.dps = 2 * ctx30.working_digits
+    for x in (Fraction(1, 7), Fraction(1, 2), Fraction(4), Fraction(10),
+              Fraction(40)):
+        ours = gamma(x, ctx30).mpf
+        ref = ref_mp.gamma(ref_mp.mpf(x.numerator) / x.denominator)
+        assert abs(ours - ref) <= 10 * ref_mp.mpf(10) ** -ctx30.working_digits * ref, x
 
 
 def test_gamma_domain(ctx30):

@@ -2,7 +2,8 @@ import pytest
 
 from mzsv import (ConvergenceError, DomainError, Index, admissible, alt_mzsv, coarsenings,
                   eta_shifted, mzsv, mzv, weighted_product_series, zeta)
-from mzsv.chains import ChainEvaluator, Level, Pow, _adaptive_drive
+from mzsv.chains import (ChainEvaluator, Level, Pow, WeightedChainEvaluator,
+                         _adaptive_drive)
 from mzsv.series import weighted_product_series_ex
 
 
@@ -189,6 +190,20 @@ def test_weighted_alternating_matches_star_value(ctx30, r, s):
     budget = 10 * (v.diagnostics.error_estimate.mpf
                    + star.diagnostics.error_estimate.mpf) + tol
     assert abs(v.value.mpf - star.value.mpf) <= budget
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_weighted_tail_is_exact(ctx30, s):
+    # the tail of the plain harmonic-product series is an exact split, so
+    # the corrected value must not depend on where the kernel stopped
+    mp = ctx30.mp
+    for r in range(6):
+        ev = WeightedChainEvaluator(ctx30, r, 2 * s - 1, False)
+        values = []
+        for M in (500, 1000, 2000):
+            ev.advance_to(M + 1)
+            values.append(mp.mpf(ev.accbox[0]) / ev.S + ev.tail_correction(M))
+        assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits, r
 
 
 def test_diagnostics_error_estimate_bounds_doubling_deviation(ctx30):
