@@ -27,7 +27,6 @@ from typing import Optional, Tuple
 
 from .context import PrecisionContext
 from .errors import ConvergenceError, DomainError
-from .indices import compositions
 from .kernels import nested_chain_advance, weighted_chain_advance
 from .numerics import _iterated_means
 from .tailcalc import TailCalc
@@ -93,19 +92,31 @@ def _scaled(value, S: int) -> int:
 
 
 def _adaptive_drive(mp, tolm, start, max_terms, checkpoint, strategy,
-                    what="series"):
+                    what="series", digits=None):
     """Doubling driver shared by all evaluators.
 
-    checkpoint(M) must advance state and return (E, tail, extra_est).
-    Stops when two successive results differ by < tol/2. A plateau (the
-    difference no longer shrinking while still above tolerance) means the
-    truncation model has bottomed out, and raises ConvergenceError at once.
+    checkpoint(M) must advance state and return (E, tail, spread), where
+    spread is any error estimate beyond the rounding floor
+    10^-digits * max(1, |E|), which the driver adds. Stops when two
+    successive results differ by < tol/2. A tol that the floor alone
+    exceeds can never be met and raises DomainError at the first
+    checkpoint. A plateau (the difference no longer shrinking while still
+    above tolerance) means the truncation model has bottomed out, and
+    raises ConvergenceError at once.
     """
+    floor = mp.mpf(10) ** -digits if digits is not None else 0
     M = start
     prev = None
     dprev = None
     while True:
-        E, tail, extra = checkpoint(M)
+        E, tail, spread = checkpoint(M)
+        rounding = floor * max(1, abs(E))
+        if rounding >= tolm / 2:
+            raise DomainError(
+                f"{what}: tolerance {mp.nstr(tolm, 4)} is below the rounding "
+                f"floor {mp.nstr(rounding, 4)} of {digits} working digits; "
+                f"raise the precision")
+        extra = spread + rounding
         if prev is not None:
             diff = max(abs(E - prev), extra)
             if diff < tolm / 2:
@@ -248,11 +259,12 @@ class ChainEvaluator:
         """Evaluate to absolute tolerance tol.
 
         Returns (value_mpf, info) with info keys terms/tail/estimate/strategy;
-        a truncation plateau raises ConvergenceError.
+        a truncation plateau raises ConvergenceError, and a tol at or below
+        twice the rounding floor 10^-working_digits * max(1, |value|)
+        raises DomainError.
         """
         mp = self.ctx.mp
         tolm = mp.mpf(tol)
-        floor = mp.mpf(10) ** (-self.ctx.working_digits)
         if self.alternating:
             def checkpoint(count):
                 window: list = []
@@ -260,22 +272,23 @@ class ChainEvaluator:
                 self.advance_to(t_end, window=window, win_start=t_end - ALT_WINDOW)
                 row = [mp.mpf(v) / self.S for v in window]
                 E, spread = _iterated_means(mp, row)
-                return E, mp.mpf(0), spread + floor * max(1, abs(E))
+                return E, mp.mpf(0), spread
 
             return _adaptive_drive(mp, tolm, ALT_START, self.ctx.max_terms,
                                    checkpoint, ALT_ACCELERATED,
-                                   what="alternating chain")
+                                   what="alternating chain",
+                                   digits=self.ctx.working_digits)
 
         def checkpoint(M):
             self.advance_to(self.t_start + M)
             mc = self.t_start + M - 1
             tail = self.tail_correction(mc) if corrections else mp.mpf(0)
             E = mp.mpf(self.pvals[-1]) / self.S + tail
-            return E, tail, floor * max(1, abs(E))
+            return E, tail, mp.mpf(0)
 
         return _adaptive_drive(mp, tolm, DEFAULT_START, self.ctx.max_terms,
                                checkpoint, TAIL_CORRECTED if corrections else DIRECT,
-                               what="chain")
+                               what="chain", digits=self.ctx.working_digits)
 
 
 class WeightedChainEvaluator:
@@ -286,9 +299,10 @@ class WeightedChainEvaluator:
     non-alternating tail is exact: splitting both products at the last
     summed N = K gives sum_{N>K} N^-p W_r(N) = sum_a A_a * T_{r-a}(K), where
     A_a are the coefficients of the prefix products (the kernel state) and
-    T_b, from (1+y)/(1-y) = 1 + 2 sum_{j>=1} y^j on the segment K < n < N, is
-    T_b(x) = sum_{k<=b} sum_{compositions c of b-k} 2^len(c)
-             sum_{N>n_1>...>n_d>x} N^(-p-k) prod n_i^(-c_i).
+    T_b(x) = sum_{N>x} N^-p [y^b] prod_{x<n<N} (1+y/n)/(1-y/n) / (1-y/N).
+    Peeling off the smallest n of the segment, with (1+u)/(1-u) =
+    1 + 2 sum_{c>=1} u^c, gives the recurrence
+    T_b(x) = sum_{n>x} (n^(-p-b) + 2 sum_{c=1..b} n^-c T_{b-c}(n)).
     The prefactor 2 is NOT applied here.
     """
 
@@ -320,30 +334,13 @@ class WeightedChainEvaluator:
 
     def _segment_tails(self, calc: TailCalc):
         """[T_0, ..., T_r] as tail series in x; none depends on the checkpoint."""
-        chains: dict = {}
-
-        def chain(parts):
-            # sum_{N>n_1>...>n_d>x} N^-parts[0] prod n_i^-parts[i], sharing
-            # the sums of every shorter prefix of parts
-            T = chains.get(parts)
-            if T is None:
-                F = calc.pow_weight(parts[-1], 0)
-                if len(parts) > 1:
-                    F = calc.mul(F, chain(parts[:-1]))
-                T = chains[parts] = calc.sumtail(F)
-            return T
-
-        tails = []
+        inner = [calc.pow_weight(c, 0) for c in range(1, self.r + 1)]
+        tails: list = []
         for b in range(self.r + 1):
-            T = None
-            for k in range(b + 1):
-                n = b - k
-                comps = [()] if n == 0 else [
-                    c for d in range(1, n + 1) for c in compositions(n, d)]
-                for c in comps:
-                    term = calc.scale(chain((self.p + k,) + c), 2 ** len(c))
-                    T = term if T is None else calc.add(T, term)
-            tails.append(T)
+            F = calc.pow_weight(self.p + b, 0)
+            for c in range(1, b + 1):
+                F = calc.add(F, calc.scale(calc.mul(inner[c - 1], tails[b - c]), 2))
+            tails.append(calc.sumtail(F))
         return tails
 
     def tail_correction(self, mc: int):
@@ -363,25 +360,26 @@ class WeightedChainEvaluator:
     def run(self, tol, corrections: bool = True):
         mp = self.ctx.mp
         tolm = mp.mpf(tol)
-        floor = mp.mpf(10) ** (-self.ctx.working_digits)
         if self.alternating:
             def checkpoint(count):
                 window: list = []
                 self.advance_to(count, window=window, win_start=count - ALT_WINDOW)
                 row = [mp.mpf(v) / self.S for v in window]
                 E, spread = _iterated_means(mp, row)
-                return E, mp.mpf(0), spread + floor * max(1, abs(E))
+                return E, mp.mpf(0), spread
 
             return _adaptive_drive(mp, tolm, ALT_START, self.ctx.max_terms,
                                    checkpoint, ALT_ACCELERATED,
-                                   what="alternating harmonic-product series")
+                                   what="alternating harmonic-product series",
+                                   digits=self.ctx.working_digits)
 
         def checkpoint(M):
             self.advance_to(M + 1)
             tail = self.tail_correction(M) if corrections else mp.mpf(0)
             E = mp.mpf(self.accbox[0]) / self.S + tail
-            return E, tail, floor * max(1, abs(E))
+            return E, tail, mp.mpf(0)
 
         return _adaptive_drive(mp, tolm, DEFAULT_START, self.ctx.max_terms,
                                checkpoint, TAIL_CORRECTED if corrections else DIRECT,
-                               what="harmonic-product series")
+                               what="harmonic-product series",
+                               digits=self.ctx.working_digits)

@@ -104,6 +104,10 @@ def _decimal_string(mp, x, sig: int) -> str:
         return str(x)
     if x == 0:
         return "0." + "0" * (sig - 1)
+    # decimal magnitude d10: 10^d10 <= |x| < 10^(d10+1)
+    d10 = int(mp.floor(mp.log10(abs(x))))
+    if d10 >= 6:  # before the exact rational, which has about d10 digits
+        return mp.nstr(x, sig)
     sign, man, exp, _ = x._mpf_
     # exact binary rational man * 2**exp
     num, den = man, 1
@@ -111,8 +115,6 @@ def _decimal_string(mp, x, sig: int) -> str:
         num = man << exp
     else:
         den = 1 << (-exp)
-    # decimal magnitude d10: 10^d10 <= |x| < 10^(d10+1)
-    d10 = int(mp.floor(mp.log10(abs(x))))
     # round-half-even integer of |x| * 10^(sig-1-d10)
     shift = sig - 1 - d10
     if shift >= 0:

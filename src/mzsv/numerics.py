@@ -43,13 +43,13 @@ def _spouge_coefficients(mp, a: int):
     return coeffs
 
 
-def _spouge_cancellation(z: float, a: int) -> int:
-    """Decimal digits the Spouge sum at z loses to cancellation: its largest
-    term |c_k|/(z+k) against its value Gamma(z+1) (z+a)^-(z+1/2) e^(z+a)."""
-    log_term = max((k - 0.5) * math.log(a - k) + (a - k) - math.lgamma(k)
-                   - math.log(z + k) for k in range(1, a))
-    log_sum = math.lgamma(z + 1) - (z + 0.5) * math.log(z + a) + z + a
-    return max(0, math.ceil((log_term - log_sum) / math.log(10)))
+def _spouge_guard_digits(a: int) -> int:
+    """Decimal digits the Spouge sum can lose to cancellation at any z >= 0:
+    its terms |c_k|/(z+k) are at most |c_k|/k, and its value
+    Gamma(z+1) (z+a)^-(z+1/2) e^(z+a) is at least sqrt(2 pi)."""
+    log_term = max((k - 0.5) * math.log(a - k) + (a - k) - math.lgamma(k + 1)
+                   for k in range(1, a))
+    return max(0, math.ceil((log_term - 0.5 * math.log(2 * math.pi)) / math.log(10)))
 
 
 def gamma(x, ctx: PrecisionContext) -> HPReal:
@@ -64,12 +64,11 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
         raise DomainError(f"gamma requires x > 0, got {xv}")
     mp = ctx.mp
     a = int((ctx.working_digits + 12) / _LOG10_TWO_PI) + 2
-    zr = float(xv.mpf)
-    while zr < 1:
-        zr += 1
-    # extra digits absorb the rounding and the cancellation of the Spouge sum
+    # extra digits absorb the rounding and the cancellation of the Spouge sum,
+    # and the integer digits of z that (z+1/2) log(z+a) and z+a carry
+    lead = int(mp.log10(xv.mpf)) if xv > 1 else 0
     work = mp.clone()
-    work.dps = ctx.working_digits + 10 + _spouge_cancellation(zr - 1, a)
+    work.dps = ctx.working_digits + 10 + _spouge_guard_digits(a) + lead
     z = work.mpf(xv.mpf)
     shift = 0
     while z < 1:  # argument reduction: Gamma(z) = Gamma(z+n) / (z (z+1) ... )

@@ -55,13 +55,10 @@ def power_sum_tail(mp, p, c, M: int, tol):
     tol = mp.mpf(tol)
     tol_digits = float(-mp.log10(tol)) if tol < 1 else 1.0
     X = _em_expansion_point(tol_digits, M)
-    em: list = []  # B_2k/(2k)! for k = 1, 2, ..., shared by every retry
-    bridge = mp.mpf(0)
-    summed = M  # the bridge holds sum_{M < m <= summed}
     for _ in range(6):
-        for m in range(summed + 1, X + 1):
+        bridge = mp.mpf(0)
+        for m in range(M + 1, X + 1):
             bridge += (m + c) ** (-p)
-        summed = X
         base = X + 1 + c
         total = base ** (1 - p) / (p - 1) + base ** (-p) / 2
         # Bernoulli correction terms; asymptotic, so stop at the minimum term
@@ -70,9 +67,7 @@ def power_sum_tail(mp, p, c, M: int, tol):
         k = 1
         rf = p  # (p)_{2k-1} built incrementally
         while True:
-            if len(em) < k:
-                em.append(mp.bernoulli(2 * k) / mp.factorial(2 * k))
-            term = em[k - 1] * rf * base ** (1 - p - 2 * k)
+            term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * rf * base ** (1 - p - 2 * k)
             at = abs(term)
             if at >= prev:
                 break  # divergence onset; min term reached
@@ -85,7 +80,7 @@ def power_sum_tail(mp, p, c, M: int, tol):
             k += 1
         if term_ok or prev < tol:
             return bridge + total
-        X *= 2  # min term was not small enough; extend the bridge
+        X *= 2  # min term was not small enough; expand the bridge
     raise ConvergenceError(
         f"Euler-Maclaurin tail did not reach tolerance {tol} for exponent {p}")
 

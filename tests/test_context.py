@@ -66,6 +66,9 @@ def test_decimal_rendering(ctx30):
     tiny = ctx30.real("0.000001").decimal(6)
     assert "e" not in tiny and tiny.startswith("0.00000100")
     assert ctx30.real("999999.5").decimal(8) == "999999.50"
+    # exponent form from 1e6 on, however large the exponent
+    assert ctx30.real("1e6").decimal(3) == "1.0e+6"
+    assert ctx30.real("1e400").decimal(3) == "1.0e+400"
 
 
 def test_decimal_rounding_carry(ctx30):

@@ -45,10 +45,15 @@ def test_gamma_meets_working_precision(ctx30):
     ref_mp = mp.clone()
     ref_mp.dps = 2 * ctx30.working_digits
     for x in (Fraction(1, 7), Fraction(1, 2), Fraction(4), Fraction(10),
-              Fraction(40)):
+              Fraction(40), Fraction(10 ** 20)):
         ours = gamma(x, ctx30).mpf
         ref = ref_mp.gamma(ref_mp.mpf(x.numerator) / x.denominator)
         assert abs(ours - ref) <= 10 * ref_mp.mpf(10) ** -ctx30.working_digits * ref, x
+    # beyond the float range, against the argument as the context rounds it
+    x = ctx30.real(Fraction(10 ** 400)).mpf
+    ours = gamma(x, ctx30).mpf
+    ref = ref_mp.gamma(ref_mp.mpf(x))
+    assert abs(ours - ref) <= 10 * ref_mp.mpf(10) ** -ctx30.working_digits * ref
 
 
 def test_gamma_domain(ctx30):

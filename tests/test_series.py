@@ -240,3 +240,21 @@ def test_driver_plateau_raises_at_third_checkpoint(ctx30):
         _adaptive_drive(mp, mp.mpf("1e-20"), 1, 1 << 20, checkpoint,
                         "tail_corrected")
     assert calls == [1, 2, 4]
+
+
+def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
+    # no truncation can beat the rounding floor 10^-digits * max(1, |E|):
+    # the driver must say so at once, not report a plateau
+    mp = ctx30.mp
+    calls = []
+
+    def checkpoint(M):
+        calls.append(M)
+        return mp.mpf(3), mp.mpf(0), mp.mpf(0)
+
+    with pytest.raises(DomainError, match="rounding floor"):
+        _adaptive_drive(mp, mp.mpf("5e-10"), 1, 1 << 20, checkpoint,
+                        "tail_corrected", digits=10)
+    assert calls == [1]
+    with pytest.raises(DomainError, match="rounding floor"):
+        mzsv(Index((2,)), ctx30, tol=mp.mpf(10) ** -(ctx30.working_digits + 1))
