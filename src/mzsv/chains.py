@@ -4,17 +4,21 @@ Every convergent multiple series in the package (zeta-star/strict values,
 the hypergeometric nested right-hand sides, the harmonic-product series)
 is a chain P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t or t-1) whose outermost
 level accumulates the value. This module drives the fixed-point kernels
-over such chains with the truncation policy:
+over such chains, and both evaluators share one run loop with the
+truncation policy:
 
 * start at M = 500 and double M until two successive results differ by
-  less than tol/2 (ctx.max_terms caps the doubling);
+  less than tol/2 (ctx.max_terms caps the doubling); checkpoint M sums
+  exactly M terms;
 * at each checkpoint, correct the truncation by expanding the remainder
   level-by-level into tail-polynomial sums (exact for power-law weights;
-  ratio weights use their full asymptotic shape pinned to the running
-  value), so the doubling check usually passes at its first comparison,
-  the second checkpoint, instead of chasing O(1/M) remainders (every
-  evaluation takes at least two checkpoints); the harmonic-product series
-  splits its remainder exactly into the prefix state times tail sums;
+  a ratio weight uses its full asymptotic shape, whose decay exponent
+  sum(den_shifts) - sum(num_shifts) the ratio itself fixes, pinned to
+  the running value), so the doubling check usually passes at its first
+  comparison, the second checkpoint, instead of chasing O(1/M)
+  remainders (every evaluation takes at least two checkpoints); the
+  harmonic-product series splits its remainder exactly into the prefix
+  state times tail sums;
 * alternating outer sums skip tail corrections and instead extrapolate a
   window of partial sums by iterated averaging.
 """
@@ -52,14 +56,14 @@ class Pow:
 class Ratio:
     """Running weight w(t+1) = w(t) * prod(t + ns) / prod(t + ds).
 
-    ``init`` is the exact w at the chain's first t. The tail model assumes
-    w(t) ~ c * (t+1)^(-model_rho) with c estimated at each checkpoint from
-    the running value.
+    ``init`` is the exact w at the chain's first t. The tail model is
+    w(t) ~ c * (t+1)^-rho with rho = sum(ds) - sum(ns), the decay the
+    recurrence itself fixes, and c estimated at each checkpoint from the
+    running value.
     """
     num_shifts: Tuple[Fraction, ...]
     den_shifts: Tuple[Fraction, ...]
     init: Fraction
-    model_rho: object = 1
 
     def __post_init__(self):
         if len(self.num_shifts) != len(self.den_shifts):
@@ -135,6 +139,33 @@ def _adaptive_drive(mp, tolm, start, max_terms, checkpoint, strategy,
         M *= 2
 
 
+def _run_evaluator(ev, tol, corrections: bool, what: str):
+    """The run loop of both evaluators: checkpoint M sums the M terms from
+    ev.t_start on. A plain sum adds its remainder after them (unless
+    corrections is off); an alternating sum extrapolates its last
+    ALT_WINDOW partial sums."""
+    mp = ev.ctx.mp
+    if ev.alternating:
+        def checkpoint(M):
+            window: list = []
+            t_end = ev.t_start + M
+            ev.advance_to(t_end, window=window, win_start=t_end - ALT_WINDOW)
+            E, spread = _iterated_means(mp, [mp.mpf(v) / ev.S for v in window])
+            return E, mp.mpf(0), spread
+
+        start, strategy, what = ALT_START, ALT_ACCELERATED, "alternating " + what
+    else:
+        def checkpoint(M):
+            t_end = ev.t_start + M
+            ev.advance_to(t_end)
+            tail = ev.tail_correction(t_end - 1) if corrections else mp.mpf(0)
+            return mp.mpf(ev.acc) / ev.S + tail, tail, mp.mpf(0)
+
+        start, strategy = DEFAULT_START, TAIL_CORRECTED if corrections else DIRECT
+    return _adaptive_drive(mp, mp.mpf(tol), start, ev.ctx.max_terms, checkpoint,
+                           strategy, what=what, digits=ev.ctx.working_digits)
+
+
 class ChainEvaluator:
     """Evaluate one chain adaptively; resumable across doubling checkpoints."""
 
@@ -208,10 +239,11 @@ class ChainEvaluator:
         if lvl.ratio is not None:
             shape = self._ratio_shapes.get(ridx)
             if shape is None:
-                rho = _to_mpf(mp, lvl.ratio.model_rho)
+                ns, ds = lvl.ratio.num_shifts, lvl.ratio.den_shifts
+                rho = sum(ds, Fraction(0)) - sum(ns, Fraction(0))
                 shape = calc.ratio_asymptotics(
-                    [_to_mpf(mp, x) for x in lvl.ratio.num_shifts],
-                    [_to_mpf(mp, x) for x in lvl.ratio.den_shifts], rho)
+                    [_to_mpf(mp, x) for x in ns], [_to_mpf(mp, x) for x in ds],
+                    _to_mpf(mp, rho))
                 self._ratio_shapes[ridx] = shape
             # pin the free scale to the running weight at t = mc + 1
             w_next = mp.mpf(self.rvals[ridx]) / self.S
@@ -255,6 +287,11 @@ class ChainEvaluator:
         return corr
 
     # -- adaptive driver ------------------------------------------------------
+    @property
+    def acc(self) -> int:
+        """The scaled running value of the outermost sum."""
+        return self.pvals[-1]
+
     def run(self, tol, corrections: bool = True):
         """Evaluate to absolute tolerance tol.
 
@@ -263,32 +300,7 @@ class ChainEvaluator:
         twice the rounding floor 10^-working_digits * max(1, |value|)
         raises DomainError.
         """
-        mp = self.ctx.mp
-        tolm = mp.mpf(tol)
-        if self.alternating:
-            def checkpoint(count):
-                window: list = []
-                t_end = self.t_start + count
-                self.advance_to(t_end, window=window, win_start=t_end - ALT_WINDOW)
-                row = [mp.mpf(v) / self.S for v in window]
-                E, spread = _iterated_means(mp, row)
-                return E, mp.mpf(0), spread
-
-            return _adaptive_drive(mp, tolm, ALT_START, self.ctx.max_terms,
-                                   checkpoint, ALT_ACCELERATED,
-                                   what="alternating chain",
-                                   digits=self.ctx.working_digits)
-
-        def checkpoint(M):
-            self.advance_to(self.t_start + M)
-            mc = self.t_start + M - 1
-            tail = self.tail_correction(mc) if corrections else mp.mpf(0)
-            E = mp.mpf(self.pvals[-1]) / self.S + tail
-            return E, tail, mp.mpf(0)
-
-        return _adaptive_drive(mp, tolm, DEFAULT_START, self.ctx.max_terms,
-                               checkpoint, TAIL_CORRECTED if corrections else DIRECT,
-                               what="chain", digits=self.ctx.working_digits)
+        return _run_evaluator(self, tol, corrections, "chain")
 
 
 class WeightedChainEvaluator:
@@ -318,6 +330,7 @@ class WeightedChainEvaluator:
         self.svals = [S] + [0] * r
         self.tvals = [S] + [0] * r
         self.accbox = [0]
+        self.t_start = 0
         self.t_next = 0
         self.sign_next = 1
         self._calc = None
@@ -343,6 +356,11 @@ class WeightedChainEvaluator:
             tails.append(calc.sumtail(F))
         return tails
 
+    @property
+    def acc(self) -> int:
+        """The scaled running sum; term t is the one at N = t + 1."""
+        return self.accbox[0]
+
     def tail_correction(self, mc: int):
         """sum_{N>K} N^-p W_r(N) with K = mc + 1, the last N summed."""
         if self._segments is None:
@@ -358,28 +376,5 @@ class WeightedChainEvaluator:
         return corr
 
     def run(self, tol, corrections: bool = True):
-        mp = self.ctx.mp
-        tolm = mp.mpf(tol)
-        if self.alternating:
-            def checkpoint(count):
-                window: list = []
-                self.advance_to(count, window=window, win_start=count - ALT_WINDOW)
-                row = [mp.mpf(v) / self.S for v in window]
-                E, spread = _iterated_means(mp, row)
-                return E, mp.mpf(0), spread
-
-            return _adaptive_drive(mp, tolm, ALT_START, self.ctx.max_terms,
-                                   checkpoint, ALT_ACCELERATED,
-                                   what="alternating harmonic-product series",
-                                   digits=self.ctx.working_digits)
-
-        def checkpoint(M):
-            self.advance_to(M + 1)
-            tail = self.tail_correction(M) if corrections else mp.mpf(0)
-            E = mp.mpf(self.accbox[0]) / self.S + tail
-            return E, tail, mp.mpf(0)
-
-        return _adaptive_drive(mp, tolm, DEFAULT_START, self.ctx.max_terms,
-                               checkpoint, TAIL_CORRECTED if corrections else DIRECT,
-                               what="harmonic-product series",
-                               digits=self.ctx.working_digits)
+        """As ChainEvaluator.run; the value still lacks the prefactor 2."""
+        return _run_evaluator(self, tol, corrections, "harmonic-product series")

@@ -18,8 +18,7 @@ from typing import List, Optional
 
 from . import __version__, bench, finite_sums, hypergeom, identities, series
 from .context import PrecisionContext
-from .errors import (ConditionError, ConfigurationError, ConvergenceError,
-                     DomainError, MzsvError, ParseError)
+from .errors import ConfigurationError, ConvergenceError, MzsvError, ParseError
 from .indices import parse_index
 from .numerics import gamma
 
@@ -289,9 +288,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ParseError, DomainError, ConfigurationError, ConditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MzsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,8 +7,9 @@ stay exact); hypothesis margins are therefore decided exactly. Convergence
 conditions name the violated margin when they fail.
 
 Every non-terminating series here runs through the chain driver of
-``chains``: a pFq series is a one-level ratio chain, and the
-Krattenthaler-Rivoal right-hand sides are ratio chains too. A coupling
+``chains``: a pFq series and each specialized single-series side are
+one-level chains, and the Krattenthaler-Rivoal right-hand sides are ratio
+chains too. A coupling
 exponent d between two ratio levels weights the inner sum by
 (d)_l / l! = C(l+d-1, d-1), which is a d-fold prefix sum, so an integer
 d >= 1 adds d-1 weight-one levels to the chain; any other coupling is
@@ -244,7 +245,7 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
         raise ConvergenceError(
             f"series diverges at z=-1: margin sum(lower) - sum(upper) = {delta} <= -1")
     level = Level(ratio=Ratio(tuple(up), (Fraction(1),) + tuple(lo),
-                              init=Fraction(1), model_rho=1 + delta))
+                              init=Fraction(1)))
     ev = ChainEvaluator(ctx, [level], t_start=0, alternating=(z == -1))
     return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
 
@@ -307,8 +308,7 @@ def _kr_prefix_levels(p, kind: str):
         first = 1
     shapes += [((p.b[j], p.c[j]), (one + p.a - p.b[j - 1], one + p.a - p.c[j - 1]))
                for j in range(first, first + p.s - 1)]
-    return [Level(ratio=Ratio(num, den, init=one, model_rho=sum(den) - sum(num)))
-            for num, den in shapes]
+    return [Level(ratio=Ratio(num, den, init=one)) for num, den in shapes]
 
 
 def _kr_levels(p, kind: str):
@@ -407,43 +407,31 @@ def _check_case(case: str, alpha: Fraction, s: int):
 def _pochhammer_ratio_levels(alpha: Fraction, outer_k: int):
     """Level with weight (alpha)_t / (2-alpha)_{t+1} / (t+1)^outer_k."""
     pows = (Pow(outer_k, Fraction(1)),) if outer_k else ()
-    ratio = Ratio((alpha,), (3 - alpha,), init=Fraction(1, 2 - alpha),
-                  model_rho=3 - 2 * alpha)
+    ratio = Ratio((alpha,), (3 - alpha,), init=Fraction(1, 2 - alpha))
     return Level(pows=pows, ratio=ratio)
 
 
 def specialized_lhs(case: str, alpha, s: int, ctx: PrecisionContext,
                     tol=None) -> Evaluation:
-    """The displayed single-series side of one of the four specializations."""
+    """The displayed single-series side of one of the four specializations.
+
+    Each is a one-level chain from t = 0: (A1) the alternating sum of
+    1/(t+alpha)^(2s), (A2) the plain sum of 1/(t+alpha)^(2s-1), and (A3),
+    (A4) the plain and alternating sums of (alpha)_t / (2-alpha)_{t+1}
+    over (t+1)^(2s-2) and (t+1)^(2s-1).
+    """
     al = as_fraction(alpha)
     _check_case(case, al, s)
-    tolv = tol if tol is not None else ctx.tol
-    mp = ctx.mp
-    if case == "a1":
-        ev = ChainEvaluator(ctx, [Level(pows=(Pow(2 * s, al),))], t_start=0,
-                            alternating=True)
-        val, info = ev.run(tolv)
-        return _wrap(ctx, val, info)
-    if case == "a2":
-        from .tailcalc import power_sum_tail
-        alv = mp.mpf(al.numerator) / al.denominator
-        M0 = 40
-        partial = mp.mpf(0)
-        for m in range(M0 + 1):
-            partial += (m + alv) ** (1 - 2 * s)
-        # summed to working precision, so that exact_diag's floor holds
-        tail = power_sum_tail(mp, 2 * s - 1, alv, M0,
-                              mp.mpf(10) ** -ctx.working_digits)
-        return Evaluation(HPReal(partial + tail, ctx), exact_diag(ctx))
-    if case == "a3":
-        ev = ChainEvaluator(ctx, [_pochhammer_ratio_levels(al, 2 * s - 2)],
-                            t_start=0)
-        val, info = ev.run(tolv)
-        return _wrap(ctx, val, info)
-    ev = ChainEvaluator(ctx, [_pochhammer_ratio_levels(al, 2 * s - 1)],
-                        t_start=0, alternating=True)
-    val, info = ev.run(tolv)
-    return _wrap(ctx, val, info)
+    # (level, alternating), built lazily: the ratio levels divide by 2-alpha,
+    # which only the a3/a4 domains keep nonzero
+    level, alternating = {
+        "a1": lambda: (Level(pows=(Pow(2 * s, al),)), True),
+        "a2": lambda: (Level(pows=(Pow(2 * s - 1, al),)), False),
+        "a3": lambda: (_pochhammer_ratio_levels(al, 2 * s - 2), False),
+        "a4": lambda: (_pochhammer_ratio_levels(al, 2 * s - 1), True),
+    }[case]()
+    ev = ChainEvaluator(ctx, [level], t_start=0, alternating=alternating)
+    return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
 
 
 def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
@@ -453,8 +441,7 @@ def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
     _check_case(case, al, s)
     if case in ("a1", "a2"):
         # inner weight (alpha)_t^2 / (t! (2*alpha)_t); a1 has 1/(t+alpha) extra
-        ratio = Ratio((al, al), (Fraction(1), 2 * al), init=Fraction(1),
-                      model_rho=Fraction(1))
+        ratio = Ratio((al, al), (Fraction(1), 2 * al), init=Fraction(1))
         pows = (Pow(1, al),) if case == "a1" else ()
         levels = [Level(pows=pows, ratio=ratio)]
         levels += [Level(pows=(Pow(2, al),)) for _ in range(s - 1)]
@@ -462,8 +449,7 @@ def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
     else:
         if case == "a3":
             # inner weight t! / (2-alpha)_{t+1}
-            ratio = Ratio((Fraction(1),), (3 - al,), init=Fraction(1, 2 - al),
-                          model_rho=2 - al)
+            ratio = Ratio((Fraction(1),), (3 - al,), init=Fraction(1, 2 - al))
             levels = [Level(ratio=ratio)]
         else:
             # inner weight 1/((t+2-alpha)(t+1)); exact power pieces

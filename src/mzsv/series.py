@@ -58,13 +58,10 @@ def zeta(k, ctx: PrecisionContext) -> HPReal:
     if kv <= 1:
         raise DomainError(f"zeta requires k > 1, got {kv}")
     mp = ctx.mp
-    tail = power_sum_tail(mp, kv.mpf, mp.mpf(0), 1, ctx.tol * mp.mpf("1e-2"))
+    # to working precision, so that callers may claim exact_diag's floor
+    tail = power_sum_tail(mp, kv.mpf, mp.mpf(0), 1,
+                          mp.mpf(10) ** -ctx.working_digits)
     return HPReal(1 + tail, ctx)
-
-
-def zeta_ex(k, ctx: PrecisionContext) -> Evaluation:
-    val = zeta(k, ctx)
-    return Evaluation(val, exact_diag(ctx))
 
 
 def eta_shifted(k: int, ctx: PrecisionContext) -> HPReal:

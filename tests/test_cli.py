@@ -168,6 +168,11 @@ def test_eval_domain_errors_exit_2(capsys):
     # coupling 1+a-b_2-c_2 = 5/2 is not an integer
     assert run_cli(capsys, "eval", "kr-rhs-i", "--s", "2", "--a", "2.5",
                    "--b", "0.75,0.5,0.5", "--c", "0.75,0.5,0.5")[0] == 2
+    # a ParseError: no argument
+    assert run_cli(capsys, "eval", "zeta")[0] == 2
+    # a ConditionError: the convergence margin (2s+1)(a+1) - 2*sum(b_i+c_i) is -2
+    assert run_cli(capsys, "eval", "kr-rhs-i", "--s", "1", "--a", "1",
+                   "--b", "1,1", "--c", "1,1")[0] == 2
 
 
 def test_verify_out_of_schema_exit_2(capsys):

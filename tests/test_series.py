@@ -1,7 +1,8 @@
 import pytest
 
-from mzsv import (ConvergenceError, DomainError, Index, admissible, alt_mzsv, coarsenings,
-                  eta_shifted, mzsv, mzv, weighted_product_series, zeta)
+from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext, admissible,
+                  alt_mzsv, coarsenings, eta_shifted, mzsv, mzv, verify,
+                  weighted_product_series, zeta)
 from mzsv.chains import (ChainEvaluator, Level, Pow, WeightedChainEvaluator,
                          _adaptive_drive)
 from mzsv.series import weighted_product_series_ex
@@ -19,6 +20,19 @@ def test_zeta_real_argument(ctx30):
     # cross-checked against the library's analytic continuation
     ref = ctx30.mp.zeta(ctx30.mp.mpf("2.5"))
     assert abs(zeta("2.5", ctx30).mpf - ref) < 100 * ctx30.tol
+
+
+def test_zeta_meets_working_precision():
+    # the sides built on zeta claim exact_diag's floor, so even at a loose
+    # tol its tail must be summed to the working digits
+    ctx = PrecisionContext(30, tol="1e-9")
+    ref_mp = ctx.mp.clone()
+    ref_mp.dps = 60
+    floor = ref_mp.mpf(10) ** -ctx.working_digits
+    for k in (2, 3, 10, "2.5"):
+        assert abs(zeta(k, ctx).mpf - ref_mp.zeta(ref_mp.mpf(k))) <= floor, k
+    res = verify("a2_cyclic", {"s": 5}, ctx)
+    assert res.abs_diff.mpf <= ctx.mp.mpf("1e-30")
 
 
 def test_eta_shifted_values(ctx30):
@@ -256,5 +270,25 @@ def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
         _adaptive_drive(mp, mp.mpf("5e-10"), 1, 1 << 20, checkpoint,
                         "tail_corrected", digits=10)
     assert calls == [1]
+    below_floor = mp.mpf(10) ** -(ctx30.working_digits + 1)
     with pytest.raises(DomainError, match="rounding floor"):
-        mzsv(Index((2,)), ctx30, tol=mp.mpf(10) ** -(ctx30.working_digits + 1))
+        mzsv(Index((2,)), ctx30, tol=below_floor)
+    for s, alternating in ((2, False), (1, True)):
+        with pytest.raises(DomainError, match="rounding floor"):
+            weighted_product_series_ex(0, s, alternating, ctx30, tol=below_floor)
+
+
+@pytest.mark.parametrize("make", [
+    lambda ctx: ChainEvaluator(ctx, [Level(pows=(Pow(1),)), Level(pows=(Pow(2),))],
+                               t_start=1),
+    lambda ctx: ChainEvaluator(ctx, [Level(pows=(Pow(2),))], t_start=1,
+                               alternating=True),
+    lambda ctx: WeightedChainEvaluator(ctx, 2, 3, False),
+    lambda ctx: WeightedChainEvaluator(ctx, 2, 2, True),
+], ids=["chain", "alternating_chain", "weighted", "weighted_alternating"])
+def test_run_sums_exactly_the_terms_it_reports(ctx30, make):
+    # one run loop serves both evaluators: checkpoint M sums the M terms
+    # from t_start on, and the reported count is that M
+    ev = make(ctx30)
+    _, info = ev.run(ctx30.mp.mpf("1e-20"))
+    assert ev.t_next - ev.t_start == info["terms"]
