@@ -5,7 +5,8 @@ the hypergeometric nested right-hand sides, the harmonic-product series)
 is a chain P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t or t-1) whose outermost
 level accumulates the value. This module drives the fixed-point kernels
 over such chains, and both evaluators share one run loop with the
-truncation policy:
+truncation policy below. A power piece 1/(t+c)^k reaches the kernel as
+(c, k, 0) for an integer c and as the scaled (c*S, k, S^k) otherwise.
 
 * start at M = 500 and double M until two successive results differ by
   less than tol/2 (ctx.max_terms caps the doubling); checkpoint M sums
@@ -18,7 +19,8 @@ truncation policy:
   comparison, the second checkpoint, instead of chasing O(1/M)
   remainders (every evaluation takes at least two checkpoints); the
   harmonic-product series splits its remainder exactly into the prefix
-  state times tail sums;
+  state times tail sums. Each evaluator builds its tail series once,
+  every ratio level at unit scale; a checkpoint only rescales them;
 * alternating outer sums skip tail corrections and instead extrapolate a
   window of partial sums by iterated averaging.
 """
@@ -191,8 +193,8 @@ class ChainEvaluator:
         for lvl in self.levels:
             pieces = []
             for p in lvl.pows:
-                if p.shift == 0:
-                    pieces.append((0, p.k, 0))
+                if p.shift.denominator == 1:
+                    pieces.append((int(p.shift), p.k, 0))
                 else:
                     pieces.append((_scaled(p.shift, S), p.k, S ** p.k))
             level_pows.append(tuple(pieces))
@@ -212,9 +214,7 @@ class ChainEvaluator:
         self.rvals = rvals
         self.t_next = t_start
         self.sign_next = 1
-        self._calc = None
-        self._ratio_shapes: dict = {}
-        self._outer_tails = None
+        self._tails = None
 
     # -- kernel driving -------------------------------------------------------
     def advance_to(self, t_exclusive: int, window=None, win_start: int = 0):
@@ -228,62 +228,57 @@ class ChainEvaluator:
         self.t_next = t_exclusive
 
     # -- tail corrections -----------------------------------------------------
-    def _calc_instance(self) -> TailCalc:
-        if self._calc is None:
-            self._calc = TailCalc(self.ctx.mp)
-        return self._calc
+    def _build_tails(self, calc: TailCalc):
+        """Per level, outermost first: (ratio shape or None, tail series).
 
-    def _level_series(self, calc: TailCalc, lvl: Level, ridx: int, mc: int):
+        Each ratio level enters at unit scale (its shape), so no series
+        depends on the checkpoint: the tail of level i is linear in the
+        scale of every ratio level at or outside i.
+        """
         mp = self.ctx.mp
-        F = None
-        if lvl.ratio is not None:
-            shape = self._ratio_shapes.get(ridx)
-            if shape is None:
+        tails = []
+        G = T = None
+        for lvl in reversed(self.levels):
+            shape = F = None
+            if lvl.ratio is not None:
                 ns, ds = lvl.ratio.num_shifts, lvl.ratio.den_shifts
                 rho = sum(ds, Fraction(0)) - sum(ns, Fraction(0))
-                shape = calc.ratio_asymptotics(
+                shape = F = calc.ratio_asymptotics(
                     [_to_mpf(mp, x) for x in ns], [_to_mpf(mp, x) for x in ds],
                     _to_mpf(mp, rho))
-                self._ratio_shapes[ridx] = shape
-            # pin the free scale to the running weight at t = mc + 1
-            w_next = mp.mpf(self.rvals[ridx]) / self.S
-            F = calc.scale(shape, w_next / calc.eval_at(shape, mc + 1))
-        for p in lvl.pows:
-            pf = calc.pow_weight(p.k, _to_mpf(mp, p.shift))
-            F = pf if F is None else calc.mul(F, pf)
-        return calc.const(1) if F is None else F
-
-    def _next_tail(self, calc: TailCalc, i: int, mc: int, above):
-        """(F_i, sumtail(F_i)) for level i, given the pair of level i+1 (or None)."""
-        F = self._level_series(calc, self.levels[i], self._kernel_args[1][i], mc)
-        if above is not None:
-            G, T = above
-            F = calc.mul(F, T if self.strict else calc.add(G, T))
-        return F, calc.sumtail(F)
+            for p in lvl.pows:
+                pf = calc.pow_weight(p.k, _to_mpf(mp, p.shift))
+                F = pf if F is None else calc.mul(F, pf)
+            if F is None:
+                F = calc.const(1)
+            if T is not None:
+                F = calc.mul(F, T if self.strict else calc.add(G, T))
+            G, T = F, calc.sumtail(F)
+            tails.append((shape, T))
+        return tails
 
     def tail_correction(self, mc: int):
         """Remainder sum_{t>mc} of the chain, by level-by-level expansion.
 
-        The remainder series are composed from the outermost level inward.
-        Those of the outer run of power-only levels do not depend on mc, so
-        they are built at the first checkpoint and reused.
+        The tail series are built once; at each checkpoint the tail of
+        level i is scaled by w(mc+1)/shape(mc+1) of every ratio level at or
+        outside i, which pins each ratio shape to its running weight.
         """
-        calc = self._calc_instance()
         mp = self.ctx.mp
+        if self._tails is None:
+            calc = TailCalc(mp)
+            self._tails = (calc, self._build_tails(calc))
+        calc, tails = self._tails
+        ratio_index = self._kernel_args[1]
         n = len(self.levels)
-        fixed = self._outer_tails
-        if fixed is None:
-            fixed = self._outer_tails = []
-            for i in range(n - 1, -1, -1):
-                if self.levels[i].ratio is not None:
-                    break
-                fixed.append(self._next_tail(calc, i, mc, fixed[-1] if fixed else None))
-        pairs = list(fixed)
-        for i in range(n - 1 - len(fixed), -1, -1):
-            pairs.append(self._next_tail(calc, i, mc, pairs[-1] if pairs else None))
+        scale = mp.mpf(1)
         corr = mp.mpf(0)
-        for j, (_, T) in enumerate(pairs):
-            corr += mp.mpf(self.pvals[n - 1 - j]) / self.S * calc.eval_at(T, mc)
+        for j, (shape, T) in enumerate(tails):
+            i = n - 1 - j
+            if shape is not None:
+                w_next = mp.mpf(self.rvals[ratio_index[i]]) / self.S
+                scale *= w_next / calc.eval_at(shape, mc + 1)
+            corr += scale * (mp.mpf(self.pvals[i]) / self.S) * calc.eval_at(T, mc)
         return corr
 
     # -- adaptive driver ------------------------------------------------------
@@ -333,8 +328,7 @@ class WeightedChainEvaluator:
         self.t_start = 0
         self.t_next = 0
         self.sign_next = 1
-        self._calc = None
-        self._segments = None
+        self._tails = None
 
     def advance_to(self, t_exclusive: int, window=None, win_start: int = 0):
         if t_exclusive <= self.t_next:
@@ -363,16 +357,16 @@ class WeightedChainEvaluator:
 
     def tail_correction(self, mc: int):
         """sum_{N>K} N^-p W_r(N) with K = mc + 1, the last N summed."""
-        if self._segments is None:
-            self._calc = TailCalc(self.ctx.mp)
-            self._segments = self._segment_tails(self._calc)
-        calc = self._calc
         mp = self.ctx.mp
+        if self._tails is None:
+            calc = TailCalc(mp)
+            self._tails = (calc, self._segment_tails(calc))
+        calc, segments = self._tails
         S, r, sv, tv = self.S, self.r, self.svals, self.tvals
         corr = mp.mpf(0)
         for a in range(r + 1):
             A = mp.mpf(sum(sv[a - i] * tv[i] for i in range(a + 1))) / (S * S)
-            corr += A * calc.eval_at(self._segments[r - a], mc + 1)
+            corr += A * calc.eval_at(segments[r - a], mc + 1)
         return corr
 
     def run(self, tol, corrections: bool = True):

@@ -13,8 +13,14 @@ Kernel state conventions:
   ``P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t)`` (weak/star order) or
   ``P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t-1)`` (strict order), with
   ``P_0 = 1`` and the outermost level accumulating into ``pvals[n]``.
-  Level weights are products of power pieces ``1/(t+c)^k`` and at most one
-  ratio-updated piece ``w(t+1) = w(t) * prod(a_j + t) / prod(b_j + t)``.
+  Both orders share one level loop: weak order updates the levels
+  innermost first, strict order outermost first, so that level i still
+  reads ``P_{i-1}(t-1)``. Level weights are products of power pieces
+  ``1/(t+c)^k`` and at most one ratio-updated piece
+  ``w(t+1) = w(t) * prod(a_j + t) / prod(b_j + t)``. A piece with an
+  integer shift c divides by the plain integer ``(t+c)^k``; only a
+  fractional c takes the scaled ``contrib * S^k // (C + t*S)^k`` path,
+  which gives the same floor for an integer c.
 
 * ``weighted_chain_advance`` accumulates
   ``sum_t sigma(t)/(t+1)^p * sum_{i<=r} S_t(1^(r-i)) S*_t(1^i)``
@@ -31,59 +37,34 @@ def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
                          window, win_start):
     """Advance the chain over t in [t0, t1); mutates pvals/rvals/window.
 
-    level_pows: per level, tuple of (C, k, Spow) with divisor t^k when C == 0
-                else (C + t*S)^k (pre-multiplied by Spow = S^k).
+    level_pows: per level, tuple of (C, k, Spow): divisor (t + C)^k for an
+                integer shift C (Spow == 0), else (C + t*S)^k for a scaled
+                fractional shift C, pre-multiplied by Spow = S^k.
     level_ratio: per level, index into rvals or -1.
     ratio_nums/ratio_dens: per ratio, tuple of scaled shifts A (factor A + t*S).
     pvals: [S, P_1, ..., P_{n-1}, acc]; rvals: scaled ratio weights at t0.
+    strict: levels update outermost first, so level i reads P_{i-1}(t-1).
     alt: outermost accumulation carries sign sign0 * (-1)^(t - t0).
     Returns the sign to use at t1.
     """
     n = len(level_pows)
+    order = range(n, 0, -1) if strict else range(1, n + 1)
     sign = sign0
-    kmax = 0
-    for pows in level_pows:
-        for C, k, _ in pows:
-            if C == 0 and k > kmax:
-                kmax = k
-    pw = [0] * (kmax + 1)
     for t in range(t0, t1):
-        if kmax:
-            pw[1] = t
-            for k in range(2, kmax + 1):
-                pw[k] = pw[k - 1] * t
-        if strict:
-            # outermost first (uses P_{n-1}(t-1)), then descending levels
-            contrib = pvals[n - 1]
-            for C, k, Spow in level_pows[n - 1]:
-                if C == 0:
-                    contrib //= pw[k]
-                else:
+        for i in order:
+            contrib = pvals[i - 1]
+            ridx = level_ratio[i - 1]
+            if ridx >= 0:
+                contrib = contrib * rvals[ridx] // S
+            for C, k, Spow in level_pows[i - 1]:
+                if Spow:
                     contrib = contrib * Spow // (C + t * S) ** k
-            pvals[n] += contrib
-            for i in range(n - 1, 0, -1):
-                contrib = pvals[i - 1]
-                for C, k, Spow in level_pows[i - 1]:
-                    if C == 0:
-                        contrib //= pw[k]
-                    else:
-                        contrib = contrib * Spow // (C + t * S) ** k
-                pvals[i] += contrib
-        else:
-            for i in range(1, n + 1):
-                contrib = pvals[i - 1]
-                ridx = level_ratio[i - 1]
-                if ridx >= 0:
-                    contrib = contrib * rvals[ridx] // S
-                for C, k, Spow in level_pows[i - 1]:
-                    if C == 0:
-                        contrib //= pw[k]
-                    else:
-                        contrib = contrib * Spow // (C + t * S) ** k
-                if i == n and alt:
-                    pvals[n] += sign * contrib
                 else:
-                    pvals[i] += contrib
+                    contrib //= (t + C) ** k
+            if i == n and alt:
+                pvals[n] += sign * contrib
+            else:
+                pvals[i] += contrib
         if alt:
             sign = -sign
         if window is not None and t >= win_start:

@@ -146,9 +146,10 @@ def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
                   ctx: PrecisionContext) -> HPReal:
     """r-th derivative of f at x0 by central differences.
 
-    Stencil accuracy order is at least r+2 and the evaluation runs at
-    tripled working precision with step h = 10^(-digits/(r+2)), so the
-    subtractive cancellation stays far below the 10^(-digits+5) target.
+    Stencil accuracy order is at least r+3 and the evaluation runs at
+    tripled precision with step h = 10^(-wd/(r+2)), wd = ctx.working_digits,
+    so the truncation error (about h^(r+3)) stays below 10^-wd and the
+    subtractive cancellation (about 10^(-3*digits)/h^r) far below it.
     `f` receives HPReal arguments bound to the internal tripled context and
     must return HPReal (or something coercible) in that context.
     """
@@ -166,7 +167,7 @@ def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
     npts = 2 * r + 3  # accuracy order >= r + 3
     nodes, weights = _central_weights(r, npts)
     mp = hi.mp
-    h = mp.mpf(10) ** (mp.mpf(-ctx.digits) / (r + 2))
+    h = mp.mpf(10) ** (mp.mpf(-ctx.working_digits) / (r + 2))
     acc = mp.mpf(0)
     for node, w in zip(nodes, weights):
         if w == 0:

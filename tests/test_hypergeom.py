@@ -7,6 +7,9 @@ from mzsv import (ConditionError, ConvergenceError, DomainError, KRParamsI,
                   KRParamsII, PrecisionContext, kr_conditions_i,
                   kr_conditions_ii, kr_lhs_i, kr_lhs_ii, kr_rhs_i, kr_rhs_ii,
                   pfq, specialized_lhs, specialized_rhs, zeta)
+from mzsv.chains import ChainEvaluator, Level, Pow, Ratio
+from mzsv.hypergeom import _kr_levels
+from mzsv.tailcalc import TailCalc
 
 
 # -- the series itself ------------------------------------------------------------
@@ -224,6 +227,43 @@ def test_error_estimate_bounds_error_against_60_digits(ctx30, p, fn):
     ref = fn(p, ref_ctx, tol=ref_ctx.mp.mpf("1e-58"))
     err = abs(ref_ctx.mp.mpf(ev.value.mpf) - ref.value.mpf)
     assert err <= ev.diagnostics.error_estimate.mpf
+
+
+def _ratio_chains():
+    """(name, levels) of three ratio chains, innermost level first."""
+    half = Fraction(1, 2)
+    kr = KRParamsII(s=2, a=3, c0=half, b=(half,) * 2, c=(half,) * 2)
+    # the z = +1 series of 2F1(3/10, 2/5; 11/5; 1), as pfq_ex sums it
+    gauss = Ratio((Fraction(3, 10), Fraction(2, 5)), (Fraction(1), Fraction(11, 5)),
+                  init=Fraction(1))
+    # the (A3) right-hand side at alpha = 1/2, s = 3, as specialized_rhs sums it
+    a3 = [Level(ratio=Ratio((Fraction(1),), (3 - half,), init=1 / (2 - half)))]
+    a3 += [Level(pows=(Pow(2, Fraction(1)),))] * 2
+    return [("kr_ii", _kr_levels(kr, "ii")), ("pfq", [Level(ratio=gauss)]),
+            ("a3_rhs", a3)]
+
+
+@pytest.mark.parametrize("name, levels", _ratio_chains())
+def test_ratio_chain_tail_is_checkpoint_independent(ctx30, monkeypatch, name, levels):
+    # each ratio level's shape is pinned to its running weight, so the
+    # corrected value must not depend on where the kernel stopped; the tail
+    # series are built once, one sumtail per level for all checkpoints
+    sumtails = []
+    sumtail = TailCalc.sumtail
+
+    def counted(calc, f):
+        sumtails.append(f)
+        return sumtail(calc, f)
+
+    monkeypatch.setattr(TailCalc, "sumtail", counted)
+    mp = ctx30.mp
+    ev = ChainEvaluator(ctx30, levels, t_start=0)
+    values = []
+    for M in (500, 1000, 2000):
+        ev.advance_to(M)
+        values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M - 1))
+    assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits, name
+    assert len(sumtails) == len(levels), name
 
 
 def test_non_integer_coupling_is_a_domain_error(ctx30):

@@ -8,8 +8,15 @@ SINGLE = (1, 4001)
 SPLIT = (1, 501, 2300, 4001)
 WIN_START = 2000  # the window opens inside the second split call
 
+# pieces (C, k, Spow): 1/(t + C)^k for an integer shift (Spow = 0), else
+# S^k/(C + t*S)^k for a scaled shift C
+UNSHIFTED = (((0, 1, 0),), ((0, 2, 0),))
+SHIFTED = (((1, 1, 0),), ((0, 2, 0), (1, 3, 0)))              # shift c = 1
+SHIFTED_SCALED = (((S, 1, S),), ((0, 2, 0), (S, 3, S ** 3)))   # the same, scaled
 
-def _run_nested(bounds, strict=False, alt=False, with_ratio=False):
+
+def _run_nested(bounds, strict=False, alt=False, with_ratio=False,
+                level_pows=UNSHIFTED):
     if with_ratio:
         level_pows = (((0, 1, 0),), ((S, 2, S ** 2),))
         level_ratio = (0, -1)
@@ -17,7 +24,6 @@ def _run_nested(bounds, strict=False, alt=False, with_ratio=False):
         ratio_dens = ((3 * S,),)          # factor (t + 3)
         rvals = [S // 2]
     else:
-        level_pows = (((0, 1, 0),), ((0, 2, 0),))
         level_ratio = (-1, -1)
         ratio_nums = ()
         ratio_dens = ()
@@ -51,6 +57,8 @@ def test_resumability_matches_single_pass():
         (_run_nested, {"strict": True}),
         (_run_nested, {"alt": True}),
         (_run_nested, {"with_ratio": True}),
+        (_run_nested, {"level_pows": SHIFTED}),
+        (_run_nested, {"level_pows": SHIFTED, "strict": True}),
         (_run_weighted, {}),
         (_run_weighted, {"alt": True}),
     ]
@@ -59,3 +67,12 @@ def test_resumability_matches_single_pass():
         assert run(SPLIT, **opts) == single, (run.__name__, opts)
         if opts.get("alt"):
             assert len(single[-2]) == SINGLE[1] - WIN_START  # the window
+
+
+def test_integer_shift_encodings_agree():
+    # floor(c * S^k / (S^k * u^k)) = floor(c / u^k): both encodings of an
+    # integer shift leave the same integers
+    for strict in (False, True):
+        plain = _run_nested(SINGLE, strict=strict, level_pows=SHIFTED)
+        scaled = _run_nested(SINGLE, strict=strict, level_pows=SHIFTED_SCALED)
+        assert plain[0] == scaled[0] and plain[0][2] > 0, strict

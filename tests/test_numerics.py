@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from mzsv import (ArityError, DomainError, accelerate_alternating,
-                  derivative_at, gamma, zeta_tail)
+from mzsv import (ArityError, DomainError, PrecisionContext,
+                  accelerate_alternating, derivative_at,
+                  dr_inv_pochhammer_2minus_at1, gamma, zeta_tail)
 
 from conftest import close
 
@@ -130,6 +132,25 @@ def test_derivative_gamma_prefactor(ctx50):
 
     d = derivative_at(f, 1, 1, ctx50)
     assert abs(d.mpf + 1) <= ctx50.mp.mpf(10) ** (-(ctx50.digits - 5))
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_derivative_meets_working_precision(digits):
+    # the eq2_check oracle: d^r/dx^r [1/(2-x)_{m+1}] at 1 over r!, against
+    # its exact closed form, within 10^-(wd-2) (the floor its callers claim)
+    ctx = PrecisionContext(digits)
+    bound = ctx.mp.mpf(10) ** -(ctx.working_digits - 2)
+    for m in (0, 1, 2, 3, 5, 10, 15):
+        def f(x, m=m):
+            prod = x.ctx.one()
+            for j in range(m + 1):
+                prod = prod * (2 - x + j)
+            return 1 / prod
+
+        for r in range(7):
+            d = derivative_at(f, 1, r, ctx).mpf / math.factorial(r)
+            exact = dr_inv_pochhammer_2minus_at1(m, r, ctx).mpf
+            assert abs(d - exact) <= bound, (m, r)
 
 
 def test_derivative_domain(ctx30):
