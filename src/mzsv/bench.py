@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from .chains import ChainEvaluator, Level, Pow
+from .chains import ChainEvaluator, index_levels
 from .context import PrecisionContext
 from .errors import ConvergenceError
 from .hypergeom import specialized_lhs
@@ -37,8 +37,7 @@ class BenchRow:
 def _star_chain(parts, alternating=False):
     """Workload: the zeta-star chain of `parts`, summed under one strategy."""
     def run(ctx, tol, strategy):
-        chain = ChainEvaluator(ctx, [Level(pows=(Pow(k),)) for k in parts],
-                               t_start=1, alternating=alternating)
+        chain = ChainEvaluator(ctx, index_levels(parts), alternating=alternating)
         val, info = chain.run(tol, corrections=(strategy == "tail_corrected"))
         return val, info["terms"]
     return run
@@ -60,10 +59,10 @@ _WORKLOADS = (
 )
 
 
-def run_truncation_suite(digits: int, tol, max_terms: int = 32_000_000) -> List[BenchRow]:
+def run_truncation_suite(digits: int, tol) -> List[BenchRow]:
     """Compare summation strategies on the fixed workloads at one tolerance."""
-    ctx = PrecisionContext(digits=digits, max_terms=max_terms)
-    ref_ctx = PrecisionContext(digits=2 * digits, max_terms=4 * max_terms)
+    ctx = PrecisionContext(digits=digits, max_terms=32_000_000)
+    ref_ctx = PrecisionContext(digits=2 * digits, max_terms=4 * ctx.max_terms)
     mp = ctx.mp
     tolm = mp.mpf(tol)
     rows: List[BenchRow] = []
@@ -81,7 +80,7 @@ def run_truncation_suite(digits: int, tol, max_terms: int = 32_000_000) -> List[
                 err = abs(val - reference)
                 met = err <= tolm
             except ConvergenceError:
-                val, terms, err, met = mp.nan, max_terms, mp.inf, False
+                val, terms, err, met = mp.nan, ctx.max_terms, mp.inf, False
             elapsed = (time.perf_counter() - start) * 1000
             rows.append(BenchRow(name, strategy, terms, elapsed, err, met))
     return rows

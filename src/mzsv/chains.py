@@ -5,12 +5,13 @@ the hypergeometric nested right-hand sides, the harmonic-product series)
 is a chain P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t or t-1) whose outermost
 level accumulates the value. This module drives the fixed-point kernels
 over such chains, and both evaluators share one run loop with the
-truncation policy below. A power piece 1/(t+c)^k reaches the kernel as
-(c, k, 0) for an integer c and as the scaled (c*S, k, S^k) otherwise.
+truncation policy below. Every chain starts at t = 0, with index part k as
+the level 1/(t+1)^k (``index_levels``); a power piece 1/(t+c)^k reaches the
+kernel as (c, k, 0) for an integer c, else as the scaled (c*S, k, S^k).
 
 * start at M = 500 and double M until two successive results differ by
   less than tol/2 (ctx.max_terms caps the doubling); checkpoint M sums
-  exactly M terms;
+  exactly the M terms t = 0 .. M-1;
 * at each checkpoint, correct the truncation by expanding the remainder
   level-by-level into tail-polynomial sums (exact for power-law weights;
   a ratio weight uses its full asymptotic shape, whose decay exponent
@@ -82,12 +83,6 @@ class Level:
     ratio: Optional[Ratio] = None
 
 
-def _to_mpf(mp, x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
 def _scaled(value, S: int) -> int:
     """Round value * S to the nearest integer (value: Fraction or int)."""
     fr = value if isinstance(value, Fraction) else Fraction(value)
@@ -142,25 +137,23 @@ def _adaptive_drive(mp, tolm, start, max_terms, checkpoint, strategy,
 
 
 def _run_evaluator(ev, tol, corrections: bool, what: str):
-    """The run loop of both evaluators: checkpoint M sums the M terms from
-    ev.t_start on. A plain sum adds its remainder after them (unless
+    """The run loop of both evaluators: checkpoint M sums the M terms
+    t = 0 .. M-1. A plain sum adds its remainder after them (unless
     corrections is off); an alternating sum extrapolates its last
     ALT_WINDOW partial sums."""
     mp = ev.ctx.mp
     if ev.alternating:
         def checkpoint(M):
             window: list = []
-            t_end = ev.t_start + M
-            ev.advance_to(t_end, window=window, win_start=t_end - ALT_WINDOW)
+            ev.advance_to(M, window=window, win_start=M - ALT_WINDOW)
             E, spread = _iterated_means(mp, [mp.mpf(v) / ev.S for v in window])
             return E, mp.mpf(0), spread
 
         start, strategy, what = ALT_START, ALT_ACCELERATED, "alternating " + what
     else:
         def checkpoint(M):
-            t_end = ev.t_start + M
-            ev.advance_to(t_end)
-            tail = ev.tail_correction(t_end - 1) if corrections else mp.mpf(0)
+            ev.advance_to(M)
+            tail = ev.tail_correction(M - 1) if corrections else mp.mpf(0)
             return mp.mpf(ev.acc) / ev.S + tail, tail, mp.mpf(0)
 
         start, strategy = DEFAULT_START, TAIL_CORRECTED if corrections else DIRECT
@@ -168,18 +161,22 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
                            strategy, what=what, digits=ev.ctx.working_digits)
 
 
-class ChainEvaluator:
-    """Evaluate one chain adaptively; resumable across doubling checkpoints."""
+def index_levels(parts):
+    """The chain levels of an index, innermost first: part k is 1/(t+1)^k."""
+    return [Level(pows=(Pow(k, Fraction(1)),)) for k in parts]
 
-    def __init__(self, ctx: PrecisionContext, levels, t_start: int = 1,
-                 strict: bool = False, alternating: bool = False):
+
+class ChainEvaluator:
+    """One chain over t = 0, 1, ..., evaluated adaptively and resumably."""
+
+    def __init__(self, ctx: PrecisionContext, levels, strict: bool = False,
+                 alternating: bool = False):
         if strict and alternating:
             raise DomainError("strict chains with alternating outer sums are unsupported")
         self.ctx = ctx
         self.levels = list(levels)
         self.strict = strict
         self.alternating = alternating
-        self.t_start = t_start
         n = len(self.levels)
         if n < 1:
             raise DomainError("chain needs at least one level")
@@ -212,7 +209,7 @@ class ChainEvaluator:
                              tuple(ratio_nums), tuple(ratio_dens))
         self.pvals = [S] + [0] * n
         self.rvals = rvals
-        self.t_next = t_start
+        self.t_next = 0
         self.sign_next = 1
         self._tails = None
 
@@ -235,7 +232,7 @@ class ChainEvaluator:
         depends on the checkpoint: the tail of level i is linear in the
         scale of every ratio level at or outside i.
         """
-        mp = self.ctx.mp
+        real = self.ctx.real
         tails = []
         G = T = None
         for lvl in reversed(self.levels):
@@ -244,10 +241,9 @@ class ChainEvaluator:
                 ns, ds = lvl.ratio.num_shifts, lvl.ratio.den_shifts
                 rho = sum(ds, Fraction(0)) - sum(ns, Fraction(0))
                 shape = F = calc.ratio_asymptotics(
-                    [_to_mpf(mp, x) for x in ns], [_to_mpf(mp, x) for x in ds],
-                    _to_mpf(mp, rho))
+                    [real(x).mpf for x in ns], [real(x).mpf for x in ds], real(rho).mpf)
             for p in lvl.pows:
-                pf = calc.pow_weight(p.k, _to_mpf(mp, p.shift))
+                pf = calc.pow_weight(p.k, real(p.shift).mpf)
                 F = pf if F is None else calc.mul(F, pf)
             if F is None:
                 F = calc.const(1)
@@ -325,7 +321,6 @@ class WeightedChainEvaluator:
         self.svals = [S] + [0] * r
         self.tvals = [S] + [0] * r
         self.accbox = [0]
-        self.t_start = 0
         self.t_next = 0
         self.sign_next = 1
         self._tails = None

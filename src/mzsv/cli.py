@@ -55,13 +55,24 @@ def _parse_reals(text: str) -> List[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{text!r} is not an integer") from None
+
+
 def _parse_int_range(text: str) -> List[int]:
-    """'1..4' -> [1,2,3,4]; '1,3,5' -> [1,3,5]; '2' -> [2]."""
+    """'1..4' -> [1,2,3,4]; '1,3,5' -> [1,3,5]; '2' -> [2]; never empty."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x.strip()]
+        values = list(range(_parse_int(lo), _parse_int(hi) + 1))
+    else:
+        values = [_parse_int(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ConfigurationError(f"range {text!r} is empty")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,7 +143,7 @@ def cmd_eval(args) -> int:
         value = series.zeta(ctx.real(k), ctx)
     elif kind == "eta":
         (k,) = _require(pos, 1, "eval eta K")
-        value = series.eta_shifted(int(k), ctx)
+        value = series.eta_shifted(_parse_int(k), ctx)
     elif kind in ("mzv", "mzsv", "alt-mzsv"):
         (text,) = _require(pos, 1, f"eval {kind} INDEX")
         ix = parse_index(text)
@@ -148,7 +159,7 @@ def cmd_eval(args) -> int:
         value = fn(ix, args.m, ctx)
     elif kind == "pochhammer":
         a, m = _require(pos, 2, "eval pochhammer A M")
-        value = finite_sums.pochhammer(a, int(m), ctx)
+        value = finite_sums.pochhammer(a, _parse_int(m), ctx)
     elif kind == "gamma":
         (x,) = _require(pos, 1, "eval gamma X")
         value = gamma(x, ctx)

@@ -16,7 +16,7 @@ from typing import Union
 import mpmath
 from mpmath.ctx_mp import MPContext
 
-from .errors import ContextMismatchError, DomainError
+from .errors import ContextMismatchError, DomainError, ParseError
 
 Real = Union["HPReal", int, float, str, Fraction]
 
@@ -80,7 +80,10 @@ class PrecisionContext:
         if isinstance(x, Fraction):
             v = mp.mpf(x.numerator) / x.denominator
         else:
-            v = mp.mpf(x)
+            try:
+                v = mp.mpf(x)
+            except (TypeError, ValueError):
+                raise ParseError(f"cannot read {x!r} as a real number") from None
         return HPReal(v, self)
 
     def zero(self) -> "HPReal":

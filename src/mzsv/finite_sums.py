@@ -1,10 +1,11 @@
 """Pochhammer symbols, finite multiple harmonic sums, and the closed-form
 derivatives at 1 of the Pochhammer-ratio weights.
 
-The strict/weak sums run on the same fixed-point chain kernels as the
-infinite series (O(depth * m) time, O(depth) memory). Exact-rational twins
-built by plain enumeration are provided for small arguments; the derivative
-closed forms are assembled from exact rationals and only rounded on return.
+The strict/weak sums are the infinite series' index chains, 1/(t+1)^k from
+t = 0, cut off at m (O(depth * m) time, O(depth) memory). Exact-rational
+twins built by plain enumeration are provided for small arguments; the
+derivative closed forms are assembled from exact rationals and only rounded
+on return.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import List, Optional, Tuple
 
-from .chains import ChainEvaluator, Level, Pow
+from .chains import ChainEvaluator, index_levels
 from .context import HPReal, PrecisionContext
 from .errors import ConsistencyError, DomainError
 from .indices import Index, compositions
@@ -34,8 +35,7 @@ def pochhammer(a, m: int, ctx: PrecisionContext) -> HPReal:
 
 def _finite_chain(parts: Tuple[int, ...], m: int, ctx: PrecisionContext,
                   strict: bool) -> HPReal:
-    levels = [Level(pows=(Pow(k, Fraction(1)),)) for k in parts]
-    ev = ChainEvaluator(ctx, levels, t_start=0, strict=strict)
+    ev = ChainEvaluator(ctx, index_levels(parts), strict=strict)
     # strict S_m sums variables < m (state h_n(m-1)); weak S*_m includes m
     ev.advance_to(m if strict else m + 1)
     return HPReal(ctx.mp.mpf(ev.pvals[-1]) / ev.S, ctx)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import List, Sequence, Tuple
 
-from .chains import ChainEvaluator, Level, Pow, Ratio
+from .chains import ChainEvaluator, Level, Pow, Ratio, index_levels
 from .context import HPReal, PrecisionContext
 from .errors import ConditionError, ConvergenceError, DomainError
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
@@ -33,12 +33,11 @@ from .series import Evaluation, _wrap, exact_diag
 
 def as_fraction(x) -> Fraction:
     """Exact normalization of a real parameter (decimal strings stay exact)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (str, float)):
-        return Fraction(str(x)) if isinstance(x, str) else Fraction(x)
+    if isinstance(x, (Fraction, int, str, float)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
     raise DomainError(f"cannot interpret {x!r} as an exact real parameter")
 
 
@@ -246,7 +245,7 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
             f"series diverges at z=-1: margin sum(lower) - sum(upper) = {delta} <= -1")
     level = Level(ratio=Ratio(tuple(up), (Fraction(1),) + tuple(lo),
                               init=Fraction(1)))
-    ev = ChainEvaluator(ctx, [level], t_start=0, alternating=(z == -1))
+    ev = ChainEvaluator(ctx, [level], alternating=(z == -1))
     return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
 
 
@@ -349,7 +348,7 @@ def _kr_rhs(p, kind: str, report: ConditionReport, ctx: PrecisionContext,
     pref = _gamma_ratio(ctx, [one + p.a - b, one + p.a - c],
                         [one + p.a, one + p.a - b - c])
     return _prefactored(ctx, pref, tol, lambda inner_tol: ChainEvaluator(
-        ctx, levels, t_start=0).run(inner_tol))
+        ctx, levels).run(inner_tol))
 
 
 def kr_rhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
@@ -430,7 +429,7 @@ def specialized_lhs(case: str, alpha, s: int, ctx: PrecisionContext,
         "a3": lambda: (_pochhammer_ratio_levels(al, 2 * s - 2), False),
         "a4": lambda: (_pochhammer_ratio_levels(al, 2 * s - 1), True),
     }[case]()
-    ev = ChainEvaluator(ctx, [level], t_start=0, alternating=alternating)
+    ev = ChainEvaluator(ctx, [level], alternating=alternating)
     return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
 
 
@@ -454,7 +453,7 @@ def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
         else:
             # inner weight 1/((t+2-alpha)(t+1)); exact power pieces
             levels = [Level(pows=(Pow(1, 2 - al), Pow(1, Fraction(1))))]
-        levels += [Level(pows=(Pow(2, Fraction(1)),)) for _ in range(s - 1)]
+        levels += index_levels((2,) * (s - 1))
         pref = ctx.mp.mpf("0.5")
     return _prefactored(ctx, pref, tol, lambda inner_tol: ChainEvaluator(
-        ctx, levels, t_start=0).run(inner_tol))
+        ctx, levels).run(inner_tol))

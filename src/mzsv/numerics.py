@@ -99,7 +99,7 @@ def zeta_tail(s, M: int, ctx: PrecisionContext) -> HPReal:
     if M < 1:
         raise DomainError(f"zeta_tail requires M >= 1, got {M}")
     mp = ctx.mp
-    val = power_sum_tail(mp, sv.mpf, mp.mpf(0), int(M), ctx.tol * mp.mpf("1e-2"))
+    val = power_sum_tail(mp, sv.mpf, int(M), ctx.tol * mp.mpf("1e-2"))
     return HPReal(val, ctx)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chains import ChainEvaluator, Level, Pow, WeightedChainEvaluator
+from .chains import ChainEvaluator, WeightedChainEvaluator, index_levels
 from .context import HPReal, PrecisionContext
 from .errors import DomainError
 from .indices import Index, admissible
@@ -59,8 +59,7 @@ def zeta(k, ctx: PrecisionContext) -> HPReal:
         raise DomainError(f"zeta requires k > 1, got {kv}")
     mp = ctx.mp
     # to working precision, so that callers may claim exact_diag's floor
-    tail = power_sum_tail(mp, kv.mpf, mp.mpf(0), 1,
-                          mp.mpf(10) ** -ctx.working_digits)
+    tail = power_sum_tail(mp, kv.mpf, 1, mp.mpf(10) ** -ctx.working_digits)
     return HPReal(1 + tail, ctx)
 
 
@@ -72,39 +71,32 @@ def eta_shifted(k: int, ctx: PrecisionContext) -> HPReal:
 def eta_shifted_ex(k: int, ctx: PrecisionContext) -> Evaluation:
     if k < 1:
         raise DomainError(f"eta_shifted requires k >= 1, got {k}")
-    ev = ChainEvaluator(ctx, [Level(pows=(Pow(int(k)),))], t_start=1,
-                        alternating=True)
-    val, info = ev.run(ctx.tol)
-    return _wrap(ctx, val, info)
+    return _index_chain(Index((int(k),)), ctx, None, alternating=True)
 
 
-def _index_levels(ix: Index):
-    return [Level(pows=(Pow(int(k)),)) for k in ix.parts]
+def _index_chain(ix: Index, ctx: PrecisionContext, tol, strict: bool = False,
+                 alternating: bool = False) -> Evaluation:
+    """The chain of an admissible index ix, summed to tol (default ctx.tol)."""
+    if not admissible(ix, alternating=alternating):
+        raise DomainError(f"inadmissible index {ix}: last part must be >= 2")
+    ev = ChainEvaluator(ctx, index_levels(ix.parts), strict=strict,
+                        alternating=alternating)
+    return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
 
 
 def mzv(ix: Index, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Multiple zeta value over strictly increasing variables."""
-    if not admissible(ix, alternating=False):
-        raise DomainError(f"inadmissible index {ix}: last part must be >= 2")
-    ev = ChainEvaluator(ctx, _index_levels(ix), t_start=1, strict=True)
-    val, info = ev.run(tol if tol is not None else ctx.tol)
-    return _wrap(ctx, val, info)
+    return _index_chain(ix, ctx, tol, strict=True)
 
 
 def mzsv(ix: Index, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Multiple zeta-star value over weakly increasing variables."""
-    if not admissible(ix, alternating=False):
-        raise DomainError(f"inadmissible index {ix}: last part must be >= 2")
-    ev = ChainEvaluator(ctx, _index_levels(ix), t_start=1)
-    val, info = ev.run(tol if tol is not None else ctx.tol)
-    return _wrap(ctx, val, info)
+    return _index_chain(ix, ctx, tol)
 
 
 def alt_mzsv(ix: Index, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Alternating zeta-star value: sign (-1)^(m_n - 1) on the outer variable."""
-    ev = ChainEvaluator(ctx, _index_levels(ix), t_start=1, alternating=True)
-    val, info = ev.run(tol if tol is not None else ctx.tol)
-    return _wrap(ctx, val, info)
+    return _index_chain(ix, ctx, tol, alternating=True)
 
 
 def weighted_product_series(r: int, s: int, alternating: bool,

@@ -173,6 +173,24 @@ def test_eval_domain_errors_exit_2(capsys):
     # a ConditionError: the convergence margin (2s+1)(a+1) - 2*sum(b_i+c_i) is -2
     assert run_cli(capsys, "eval", "kr-rhs-i", "--s", "1", "--a", "1",
                    "--b", "1,1", "--c", "1,1")[0] == 2
+    # malformed numbers are usage errors, not tracebacks
+    for argv in (("eval", "zeta", "abc"), ("eval", "gamma", "x"),
+                 ("eval", "eta", "1.5"), ("eval", "pochhammer", "1", "x"),
+                 ("eval", "pfq", "--upper=a,1", "--lower", "2", "--z", "1"),
+                 ("eval", "special-lhs", "a1", "--alpha", "x", "--s", "2"),
+                 ("eval", "kr-rhs-i", "--s", "1", "--a", "x", "--b", "1,1",
+                  "--c", "1,1"),
+                 ("verify", "eq1", "--s", "abc"), ("verify", "eq1", "--s", "1..x")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), argv
+
+
+def test_verify_empty_range_exit_2(capsys):
+    # a range that selects nothing would verify nothing and report 0/0
+    for argv in (("verify", "eq1", "--s", "4..1"),
+                 ("verify", "eq2_check", "--m", "1", "--r", "1..0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "empty" in err and "summary" not in out, argv
 
 
 def test_verify_out_of_schema_exit_2(capsys):

@@ -257,7 +257,7 @@ def test_ratio_chain_tail_is_checkpoint_independent(ctx30, monkeypatch, name, le
 
     monkeypatch.setattr(TailCalc, "sumtail", counted)
     mp = ctx30.mp
-    ev = ChainEvaluator(ctx30, levels, t_start=0)
+    ev = ChainEvaluator(ctx30, levels)
     values = []
     for M in (500, 1000, 2000):
         ev.advance_to(M)

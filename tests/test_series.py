@@ -3,8 +3,8 @@ import pytest
 from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext, admissible,
                   alt_mzsv, coarsenings, eta_shifted, mzsv, mzv, verify,
                   weighted_product_series, zeta)
-from mzsv.chains import (ChainEvaluator, Level, Pow, WeightedChainEvaluator,
-                         _adaptive_drive)
+from mzsv.chains import (ChainEvaluator, WeightedChainEvaluator, _adaptive_drive,
+                         index_levels)
 from mzsv.series import weighted_product_series_ex
 
 
@@ -220,16 +220,30 @@ def test_weighted_tail_is_exact(ctx30, s):
         assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits, r
 
 
+@pytest.mark.parametrize("parts, strict", [
+    ((2,), False), ((1, 2), False), ((2, 2, 2), False), ((3, 1, 2), False),
+    ((1, 1, 2), False), ((1, 2), True), ((2, 1, 3), True)])
+def test_power_chain_tail_is_checkpoint_independent(ctx30, parts, strict):
+    # every power level 1/(t+1)^k has an exact one-term tail series, so the
+    # corrected value must not depend on where the kernel stopped
+    mp = ctx30.mp
+    ev = ChainEvaluator(ctx30, index_levels(parts), strict=strict)
+    values = []
+    for M in (500, 1000, 2000):
+        ev.advance_to(M)
+        values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M - 1))
+    assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits
+
+
 def test_diagnostics_error_estimate_bounds_doubling_deviation(ctx30):
     # re-evaluate each chain beyond its stopping point; the reported
     # estimate must cover the observed shift
     for parts in ((2,), (1, 2), (2, 2), (1, 1, 2)):
         ev = mzsv(Index(parts), ctx30)
-        chain = ChainEvaluator(ctx30, [Level(pows=(Pow(k),)) for k in parts],
-                               t_start=1)
+        chain = ChainEvaluator(ctx30, index_levels(parts))
         m2 = 2 * ev.diagnostics.terms_used
-        chain.advance_to(m2 + 1)
-        refined = ctx30.mp.mpf(chain.pvals[-1]) / chain.S + chain.tail_correction(m2)
+        chain.advance_to(m2)
+        refined = ctx30.mp.mpf(chain.pvals[-1]) / chain.S + chain.tail_correction(m2 - 1)
         assert abs(refined - ev.value.mpf) <= ev.diagnostics.error_estimate.mpf + \
             ctx30.mp.mpf(10) ** (-(ctx30.working_digits + 2))
 
@@ -279,16 +293,14 @@ def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
 
 
 @pytest.mark.parametrize("make", [
-    lambda ctx: ChainEvaluator(ctx, [Level(pows=(Pow(1),)), Level(pows=(Pow(2),))],
-                               t_start=1),
-    lambda ctx: ChainEvaluator(ctx, [Level(pows=(Pow(2),))], t_start=1,
-                               alternating=True),
+    lambda ctx: ChainEvaluator(ctx, index_levels((1, 2))),
+    lambda ctx: ChainEvaluator(ctx, index_levels((2,)), alternating=True),
     lambda ctx: WeightedChainEvaluator(ctx, 2, 3, False),
     lambda ctx: WeightedChainEvaluator(ctx, 2, 2, True),
 ], ids=["chain", "alternating_chain", "weighted", "weighted_alternating"])
 def test_run_sums_exactly_the_terms_it_reports(ctx30, make):
     # one run loop serves both evaluators: checkpoint M sums the M terms
-    # from t_start on, and the reported count is that M
+    # t = 0 .. M-1, and the reported count is that M
     ev = make(ctx30)
     _, info = ev.run(ctx30.mp.mpf("1e-20"))
-    assert ev.t_next - ev.t_start == info["terms"]
+    assert ev.t_next == info["terms"]
