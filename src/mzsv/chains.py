@@ -23,7 +23,11 @@ kernel as (c, k, 0) for an integer c, else as the scaled (c*S, k, S^k).
   state times tail sums. Each evaluator builds its tail series once,
   every ratio level at unit scale; a checkpoint only rescales them;
 * alternating outer sums skip tail corrections and instead extrapolate a
-  window of partial sums by iterated averaging.
+  window of partial sums by iterated averaging;
+* a finished run is memoised on its PrecisionContext, keyed by the
+  evaluator's structure (``memo_key``), tol and corrections, so the many
+  identities that share a series sum it once per context. A run that
+  raises is not stored.
 """
 
 from __future__ import annotations
@@ -140,8 +144,20 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     """The run loop of both evaluators: checkpoint M sums the M terms
     t = 0 .. M-1. A plain sum adds its remainder after them (unless
     corrections is off); an alternating sum extrapolates its last
-    ALT_WINDOW partial sums."""
+    ALT_WINDOW partial sums.
+
+    Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol,
+    corrections). A hit returns the stored value and a copy of its info
+    without advancing ev; ConvergenceError and DomainError are never
+    stored, so a repeat raises them again.
+    """
     mp = ev.ctx.mp
+    tolm = mp.mpf(tol)
+    memo = ev.ctx.evaluations
+    key = (ev.memo_key, tolm, corrections)
+    if key in memo:
+        E, info = memo[key]
+        return E, dict(info)
     if ev.alternating:
         def checkpoint(M):
             window: list = []
@@ -157,8 +173,10 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
             return mp.mpf(ev.acc) / ev.S + tail, tail, mp.mpf(0)
 
         start, strategy = DEFAULT_START, TAIL_CORRECTED if corrections else DIRECT
-    return _adaptive_drive(mp, mp.mpf(tol), start, ev.ctx.max_terms, checkpoint,
-                           strategy, what=what, digits=ev.ctx.working_digits)
+    E, info = _adaptive_drive(mp, tolm, start, ev.ctx.max_terms, checkpoint,
+                              strategy, what=what, digits=ev.ctx.working_digits)
+    memo[key] = (E, info)
+    return E, dict(info)
 
 
 def index_levels(parts):
@@ -177,6 +195,8 @@ class ChainEvaluator:
         self.levels = list(levels)
         self.strict = strict
         self.alternating = alternating
+        # Level, Pow and Ratio are frozen dataclasses of Fractions: hashable
+        self.memo_key = (tuple(self.levels), strict, alternating)
         n = len(self.levels)
         if n < 1:
             raise DomainError("chain needs at least one level")
@@ -316,6 +336,7 @@ class WeightedChainEvaluator:
         self.r = r
         self.p = p
         self.alternating = alternating
+        self.memo_key = (r, p, alternating)
         S = 10 ** (ctx.working_digits + SCALE_PAD)
         self.S = S
         self.svals = [S] + [0] * r

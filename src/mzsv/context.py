@@ -28,9 +28,14 @@ class PrecisionContext:
     guard     -- extra working digits used internally (>= 5, default 10)
     max_terms -- hard cap on any single summation loop (default 10**8)
     tol       -- target absolute tolerance (default 10**-digits)
+
+    A context also memoises the finished series evaluations run on it
+    (``chains._run_evaluator``), so it is cheap to evaluate one series
+    several times on one context.
     """
 
-    __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr")
+    __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr",
+                 "evaluations")
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
@@ -53,9 +58,10 @@ class PrecisionContext:
             self.tol = mp.mpf(tol if not isinstance(tol, Fraction)
                               else tol.numerator) / (1 if not isinstance(tol, Fraction)
                                                      else tol.denominator)
-            if self.tol <= 0:
-                raise DomainError(f"tol must be positive, got {tol}")
+            if not (mp.isfinite(self.tol) and self.tol > 0):
+                raise DomainError(f"tol must be positive and finite, got {tol}")
             self._tol_repr = str(tol)
+        self.evaluations: dict = {}
 
     @property
     def working_digits(self) -> int:
@@ -70,7 +76,8 @@ class PrecisionContext:
         """Coerce a number into this context.
 
         Strings are parsed as exact decimals before rounding; floats are
-        taken at their exact binary value.
+        taken at their exact binary value. A non-finite value (nan, inf)
+        raises DomainError.
         """
         if isinstance(x, HPReal):
             if x.ctx is not self:
@@ -84,6 +91,8 @@ class PrecisionContext:
                 v = mp.mpf(x)
             except (TypeError, ValueError):
                 raise ParseError(f"cannot read {x!r} as a real number") from None
+            if not mp.isfinite(v):
+                raise DomainError(f"{x!r} is not a finite real number")
         return HPReal(v, self)
 
     def zero(self) -> "HPReal":

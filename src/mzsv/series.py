@@ -124,7 +124,6 @@ def weighted_product_series_ex(r: int, s: int, alternating: bool,
     ev = WeightedChainEvaluator(ctx, r=int(r), p=p, alternating=alternating)
     val, info = ev.run(tol if tol is not None else ctx.tol)
     two = ctx.mp.mpf(2)
-    info = dict(info)
     info["tail"] = two * info["tail"]
     info["estimate"] = two * info["estimate"]
     return _wrap(ctx, two * val, info)

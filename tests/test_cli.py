@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from mzsv import cli
 
@@ -183,6 +186,23 @@ def test_eval_domain_errors_exit_2(capsys):
                  ("verify", "eq1", "--s", "abc"), ("verify", "eq1", "--s", "1..x")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:"), argv
+    # so are non-finite ones, which used to hang (zeta) or crash (gamma)
+    for argv in (("eval", "zeta", "nan"), ("eval", "zeta", "inf"),
+                 ("eval", "gamma", "inf"), ("eval", "gamma", "nan"),
+                 ("eval", "pochhammer", "nan", "2"),
+                 ("verify", "eq1", "--s", "2", "--tol", "nan")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), argv
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "mzsv", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("mzsv ")
 
 
 def test_verify_empty_range_exit_2(capsys):

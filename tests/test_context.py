@@ -12,6 +12,17 @@ def test_context_validation():
         PrecisionContext(digits=30, max_terms=10)
     with pytest.raises(DomainError):
         PrecisionContext(digits=30, tol=0)
+    for tol in ("nan", "inf", float("inf")):
+        with pytest.raises(DomainError):
+            PrecisionContext(digits=30, tol=tol)
+
+
+def test_non_finite_reals_are_domain_errors(ctx30):
+    # nan would slip past every `k <= 1`-style domain check downstream
+    mp = ctx30.mp
+    for x in ("nan", "inf", "-inf", float("nan"), float("inf"), mp.nan, -mp.inf):
+        with pytest.raises(DomainError):
+            ctx30.real(x)
 
 
 def test_defaults():

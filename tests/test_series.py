@@ -298,9 +298,11 @@ def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
     lambda ctx: WeightedChainEvaluator(ctx, 2, 3, False),
     lambda ctx: WeightedChainEvaluator(ctx, 2, 2, True),
 ], ids=["chain", "alternating_chain", "weighted", "weighted_alternating"])
-def test_run_sums_exactly_the_terms_it_reports(ctx30, make):
+def test_run_sums_exactly_the_terms_it_reports(make):
     # one run loop serves both evaluators: checkpoint M sums the M terms
-    # t = 0 .. M-1, and the reported count is that M
-    ev = make(ctx30)
-    _, info = ev.run(ctx30.mp.mpf("1e-20"))
+    # t = 0 .. M-1, and the reported count is that M; a fresh context, as
+    # a memo hit would return without summing
+    ctx = PrecisionContext(digits=30)
+    ev = make(ctx)
+    _, info = ev.run(ctx.mp.mpf("1e-20"))
     assert ev.t_next == info["terms"]
