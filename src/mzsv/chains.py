@@ -184,6 +184,41 @@ def index_levels(parts):
     return [Level(pows=(Pow(k, Fraction(1)),)) for k in parts]
 
 
+def kernel_levels(levels, S: int, strict: bool):
+    """The kernel's view of a chain at scale S.
+
+    Returns ((level_pows, level_ratio, ratio_nums, ratio_dens), rvals), the
+    leading arguments of ``nested_chain_advance`` and the scaled ratio
+    weights at t = 0. A power piece with an integer shift c becomes
+    (c, k, 0); a fractional c becomes (c*S, k, S^k).
+    """
+    level_pows = []
+    level_ratio = []
+    ratio_nums = []
+    ratio_dens = []
+    rvals = []
+    for lvl in levels:
+        pieces = []
+        for p in lvl.pows:
+            if p.shift.denominator == 1:
+                pieces.append((int(p.shift), p.k, 0))
+            else:
+                pieces.append((_scaled(p.shift, S), p.k, S ** p.k))
+        level_pows.append(tuple(pieces))
+        if lvl.ratio is None:
+            level_ratio.append(-1)
+        else:
+            if strict:
+                raise DomainError("ratio weights are only supported on weak-order chains")
+            r = lvl.ratio
+            level_ratio.append(len(rvals))
+            ratio_nums.append(tuple(_scaled(s, S) for s in r.num_shifts))
+            ratio_dens.append(tuple(_scaled(s, S) for s in r.den_shifts))
+            rvals.append(_scaled(r.init, S))
+    return (tuple(level_pows), tuple(level_ratio), tuple(ratio_nums),
+            tuple(ratio_dens)), rvals
+
+
 class ChainEvaluator:
     """One chain over t = 0, 1, ..., evaluated adaptively and resumably."""
 
@@ -202,33 +237,8 @@ class ChainEvaluator:
             raise DomainError("chain needs at least one level")
         S = 10 ** (ctx.working_digits + SCALE_PAD)
         self.S = S
-        level_pows = []
-        level_ratio = []
-        ratio_nums = []
-        ratio_dens = []
-        rvals = []
-        for lvl in self.levels:
-            pieces = []
-            for p in lvl.pows:
-                if p.shift.denominator == 1:
-                    pieces.append((int(p.shift), p.k, 0))
-                else:
-                    pieces.append((_scaled(p.shift, S), p.k, S ** p.k))
-            level_pows.append(tuple(pieces))
-            if lvl.ratio is None:
-                level_ratio.append(-1)
-            else:
-                if strict:
-                    raise DomainError("ratio weights are only supported on weak-order chains")
-                r = lvl.ratio
-                level_ratio.append(len(rvals))
-                ratio_nums.append(tuple(_scaled(s, S) for s in r.num_shifts))
-                ratio_dens.append(tuple(_scaled(s, S) for s in r.den_shifts))
-                rvals.append(_scaled(r.init, S))
-        self._kernel_args = (tuple(level_pows), tuple(level_ratio),
-                             tuple(ratio_nums), tuple(ratio_dens))
+        self._kernel_args, self.rvals = kernel_levels(self.levels, S, strict)
         self.pvals = [S] + [0] * n
-        self.rvals = rvals
         self.t_next = 0
         self.sign_next = 1
         self._tails = None

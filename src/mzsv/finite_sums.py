@@ -2,19 +2,20 @@
 derivatives at 1 of the Pochhammer-ratio weights.
 
 The strict/weak sums are the infinite series' index chains, 1/(t+1)^k from
-t = 0, cut off at m (O(depth * m) time, O(depth) memory). Exact-rational
-twins built by plain enumeration are provided for small arguments; the
-derivative closed forms are assembled from exact rationals and only rounded
-on return.
+t = 0, cut off at m (O(depth * m) time, O(depth) memory). Their exact
+rational twins run the same chain on the same kernel at the scale
+lcm(1..m+1)^(sum of the parts), where every floor division is exact. The
+derivative closed forms are assembled from these exact rationals and only
+rounded on return.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 from typing import List, Optional, Tuple
 
-from .chains import ChainEvaluator, index_levels
+from . import chains
 from .context import HPReal, PrecisionContext
 from .errors import ConsistencyError, DomainError
 from .indices import Index, compositions
@@ -35,10 +36,26 @@ def pochhammer(a, m: int, ctx: PrecisionContext) -> HPReal:
 
 def _finite_chain(parts: Tuple[int, ...], m: int, ctx: PrecisionContext,
                   strict: bool) -> HPReal:
-    ev = ChainEvaluator(ctx, index_levels(parts), strict=strict)
+    ev = chains.ChainEvaluator(ctx, chains.index_levels(parts), strict=strict)
     # strict S_m sums variables < m (state h_n(m-1)); weak S*_m includes m
     ev.advance_to(m if strict else m + 1)
     return HPReal(ctx.mp.mpf(ev.pvals[-1]) / ev.S, ctx)
+
+
+def _exact_chain(parts: Tuple[int, ...], m: int, strict: bool) -> List[Fraction]:
+    """Exact [S_m(k_1..k_j)] (strict) or [S*_m(k_1..k_j)] (weak) for j = 0..n.
+
+    The index chain runs on the shared kernel at the scale
+    S = lcm(1..m+1)^(k_1+...+k_n). Every contribution S * prod (m_j+1)^-k_j
+    divides S, so every floor division in the kernel is exact.
+    """
+    S = math.lcm(*range(1, m + 2)) ** sum(parts)
+    (lp, lr, rn, rd), rvals = chains.kernel_levels(chains.index_levels(parts), S,
+                                                   strict)
+    pvals = [S] + [0] * len(parts)
+    chains.nested_chain_advance(lp, lr, rn, rd, S, pvals, rvals, 0,
+                                m if strict else m + 1, strict, False, 1, None, 0)
+    return [Fraction(p, S) for p in pvals]
 
 
 def strict_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
@@ -65,74 +82,35 @@ def star_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
 
 
 def strict_sum_exact(ix: Optional[Index], m: int) -> Fraction:
-    """Enumeration-based exact S_m (intended for small m)."""
+    """Exact S_m, from the index chain at an exact scale."""
+    if m < 0:
+        raise DomainError(f"m must be >= 0, got {m}")
     if ix is None:
         return Fraction(1)
-    total = Fraction(0)
-    for combo in combinations(range(m), ix.depth):
-        term = Fraction(1)
-        for mi, k in zip(combo, ix.parts):
-            term /= Fraction(mi + 1) ** k
-        total += term
-    return total
+    return _exact_chain(ix.parts, m, strict=True)[-1]
 
 
 def star_sum_exact(ix: Optional[Index], m: int) -> Fraction:
-    """Enumeration-based exact S*_m (intended for small m)."""
+    """Exact S*_m, from the index chain at an exact scale."""
+    if m < 0:
+        raise DomainError(f"m must be >= 0, got {m}")
     if ix is None:
         return Fraction(1)
-    total = Fraction(0)
-    for combo in combinations_with_replacement(range(m + 1), ix.depth):
-        term = Fraction(1)
-        for mi, k in zip(combo, ix.parts):
-            term /= Fraction(mi + 1) ** k
-        total += term
-    return total
-
-
-def _ones_strict(m: int, r: int) -> List[Fraction]:
-    """Exact [S_m(1^j)]_{j=0..r} by the O(r*m) recurrence."""
-    vals = [Fraction(1)] + [Fraction(0)] * r
-    for t in range(m):
-        inv = Fraction(1, t + 1)
-        for j in range(r, 0, -1):
-            vals[j] += vals[j - 1] * inv
-    return vals
-
-
-def _ones_star(m: int, r: int) -> List[Fraction]:
-    """Exact [S*_m(1^j)]_{j=0..r}."""
-    vals = [Fraction(1)] + [Fraction(0)] * r
-    for t in range(m + 1):
-        inv = Fraction(1, t + 1)
-        for j in range(1, r + 1):
-            vals[j] += vals[j - 1] * inv
-    return vals
-
-
-def _harmonic(m: int) -> Fraction:
-    return sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for j in range(2, m + 1):
-        out *= j
-    return out
+    return _exact_chain(ix.parts, m, strict=False)[-1]
 
 
 def d1_pochhammer_at1(m: int, ctx: PrecisionContext) -> HPReal:
     """d/da (a)_m at a=1, i.e. m! * (H_{m+1} - 1/(m+1)) = m! * H_m."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    return ctx.real(_factorial(m) * _harmonic(m))
+    return ctx.real(math.factorial(m) * strict_sum_exact(Index((1,)), m))
 
 
 def d1_inv_pochhammer2a_at1(m: int, ctx: PrecisionContext) -> HPReal:
     """d/da 1/(2a)_m at a=1, i.e. (-2/(m+1)!) * (H_{m+1} - 1)."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    val = Fraction(-2, _factorial(m + 1)) * (_harmonic(m + 1) - 1)
+    val = Fraction(-2, math.factorial(m + 1)) * (star_sum_exact(Index((1,)), m) - 1)
     return ctx.real(val)
 
 
@@ -140,10 +118,11 @@ def dr_inv_pochhammer_2minus_at1_exact(m: int, r: int) -> Fraction:
     """(1/r!) d^r/da^r [1/(2-a)_{m+1}] at a=1 via S*_m(1^r)/(m+1)!."""
     if m < 0 or r < 0:
         raise DomainError("m and r must be >= 0")
-    return _ones_star(m, r)[r] / _factorial(m + 1)
+    return _exact_chain((1,) * r, m, strict=False)[r] / math.factorial(m + 1)
 
 
 def dr_inv_pochhammer_2minus_at1(m: int, r: int, ctx: PrecisionContext) -> HPReal:
+    """(1/r!) d^r/da^r [1/(2-a)_{m+1}] at a=1, rounded from the exact value."""
     return ctx.real(dr_inv_pochhammer_2minus_at1_exact(m, r))
 
 
@@ -157,8 +136,8 @@ def dr_ratio_at1_forms(m: int, r: int) -> Tuple[Fraction, Fraction]:
     """
     if m < 0 or r < 0:
         raise DomainError("m and r must be >= 0")
-    ones_s = _ones_strict(m, r)
-    ones_t = _ones_star(m, r)
+    ones_s = _exact_chain((1,) * r, m, strict=True)
+    ones_t = _exact_chain((1,) * r, m, strict=False)
     form_a = sum((ones_s[r - i] * ones_t[i] for i in range(r + 1)),
                  Fraction(0)) / (m + 1)
     form_b = Fraction(0)

@@ -12,6 +12,7 @@ error while a genuinely false identity still fails loudly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fnmatch import fnmatch
@@ -224,10 +225,7 @@ def _ev_eq2_check(ctx, p):
             prod = prod * (2 - x + j)
         return 1 / prod
 
-    fact_r = 1
-    for j in range(2, r + 1):
-        fact_r *= j
-    rhs = _scalar(ctx, derivative_at(f, 1, r, ctx) / fact_r)
+    rhs = _scalar(ctx, derivative_at(f, 1, r, ctx) / math.factorial(r))
     return lhs, rhs
 
 

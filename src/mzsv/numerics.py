@@ -122,11 +122,8 @@ def _central_weights(r: int, npts: int):
     nodes = list(range(-K, K + 1))
     n = len(nodes)
     rows = [[Fraction(node) ** t for node in nodes] + [Fraction(0)] for t in range(n)]
-    fact_r = 1
-    for i in range(2, r + 1):
-        fact_r *= i
     if r < n:
-        rows[r][-1] = Fraction(fact_r)
+        rows[r][-1] = Fraction(math.factorial(r))
     # Gaussian elimination with partial pivoting over Fractions
     for col in range(n):
         piv = next(i for i in range(col, n) if rows[i][col] != 0)

@@ -1,12 +1,54 @@
+import math
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+import mzsv.chains
 from mzsv import (DomainError, Index, d1_inv_pochhammer2a_at1,
                   d1_pochhammer_at1, dr_inv_pochhammer_2minus_at1,
                   dr_ratio_at1, derivative_at, pochhammer, star_sum,
                   star_sum_exact, strict_sum, strict_sum_exact)
-from mzsv.finite_sums import dr_ratio_at1_forms, dr_inv_pochhammer_2minus_at1_exact
+from mzsv.finite_sums import (_exact_chain, dr_ratio_at1_forms,
+                              dr_inv_pochhammer_2minus_at1_exact)
+
+
+# -- oracle: plain enumeration and Fraction recurrences, independent of the
+# chain kernel -------------------------------------------------------------------
+
+def _enum_sum(parts, m, strict):
+    """S_m (strict) or S*_m (weak) by enumerating every index tuple."""
+    if strict:
+        combos = combinations(range(m), len(parts))
+    else:
+        combos = combinations_with_replacement(range(m + 1), len(parts))
+    total = Fraction(0)
+    for combo in combos:
+        den = 1
+        for mi, k in zip(combo, parts):
+            den *= (mi + 1) ** k
+        total += Fraction(1, den)
+    return total
+
+
+def _ones_strict(m, r):
+    """[S_m(1^j)] for j = 0..r by the O(r*m) recurrence."""
+    vals = [Fraction(1)] + [Fraction(0)] * r
+    for t in range(m):
+        inv = Fraction(1, t + 1)
+        for j in range(r, 0, -1):
+            vals[j] += vals[j - 1] * inv
+    return vals
+
+
+def _ones_star(m, r):
+    """[S*_m(1^j)] for j = 0..r."""
+    vals = [Fraction(1)] + [Fraction(0)] * r
+    for t in range(m + 1):
+        inv = Fraction(1, t + 1)
+        for j in range(1, r + 1):
+            vals[j] += vals[j - 1] * inv
+    return vals
 
 
 def test_pochhammer_examples(ctx30):
@@ -22,6 +64,11 @@ def test_strict_sum_examples(ctx30):
                 - ctx30.real(Fraction(11, 6))).mpf) < ctx30.tol
     assert strict_sum(None, 5, ctx30) == 1
     assert strict_sum(Index((1, 1)), 1, ctx30) == 0
+    for ix in (None, Index((1,)), Index((2, 1))):
+        with pytest.raises(DomainError):
+            strict_sum(ix, -1, ctx30)
+        with pytest.raises(DomainError):
+            strict_sum_exact(ix, -1)
 
 
 def test_star_sum_examples(ctx30):
@@ -30,19 +77,62 @@ def test_star_sum_examples(ctx30):
     assert abs((star_sum(Index((1, 1)), 2, ctx30)
                 - ctx30.real(Fraction(85, 36))).mpf) < ctx30.tol
     assert star_sum(None, 0, ctx30) == 1
+    for ix in (None, Index((1,)), Index((2, 1))):
+        with pytest.raises(DomainError):
+            star_sum(ix, -1, ctx30)
+        with pytest.raises(DomainError):
+            star_sum_exact(ix, -1)
 
 
 def test_sums_match_enumeration_oracle(ctx30):
     cases = [((1,), 4), ((2,), 6), ((1, 2), 5), ((2, 1), 5), ((1, 1, 2), 6),
              ((3, 1), 4), ((1, 1), 6)]
+    cases += [(parts, m) for parts in ((1, 2), (2, 1, 3), (1, 1, 1, 1, 1), (3,))
+              for m in range(16)]
+    floor = 100 * ctx30.mp.mpf(10) ** -ctx30.working_digits
     for parts, m in cases:
         ix = Index(parts)
-        se = strict_sum_exact(ix, m)
-        te = star_sum_exact(ix, m)
-        assert abs(strict_sum(ix, m, ctx30).mpf
-                   - ctx30.real(se).mpf) < 100 * 10 ** -ctx30.working_digits
-        assert abs(star_sum(ix, m, ctx30).mpf
-                   - ctx30.real(te).mpf) < 100 * 10 ** -ctx30.working_digits
+        se = _enum_sum(parts, m, strict=True)
+        te = _enum_sum(parts, m, strict=False)
+        assert strict_sum_exact(ix, m) == se, (parts, m)
+        assert star_sum_exact(ix, m) == te, (parts, m)
+        assert abs(strict_sum(ix, m, ctx30).mpf - ctx30.real(se).mpf) < floor
+        assert abs(star_sum(ix, m, ctx30).mpf - ctx30.real(te).mpf) < floor
+    # one chain of r unit levels holds S_m(1^j) / S*_m(1^j) for every j <= r
+    for m in range(16):
+        for r in range(6):
+            assert _exact_chain((1,) * r, m, strict=True) == _ones_strict(m, r)
+            assert _exact_chain((1,) * r, m, strict=False) == _ones_star(m, r)
+
+
+def test_exact_sums_at_large_m(ctx30):
+    m = 300
+    ix = Index((1, 2, 3))
+    floor = 100 * ctx30.mp.mpf(10) ** -ctx30.working_digits
+    assert abs(ctx30.real(star_sum_exact(ix, m)).mpf - star_sum(ix, m, ctx30).mpf) < floor
+    assert abs(ctx30.real(strict_sum_exact(ix, m)).mpf
+               - strict_sum(ix, m, ctx30).mpf) < floor
+    for k in (1, 2, 3):
+        gap = star_sum_exact(Index((k,)), m) - strict_sum_exact(Index((k,)), m)
+        assert gap == Fraction(1, (m + 1) ** k)
+
+
+def test_exact_sums_run_on_the_chain_kernel(monkeypatch):
+    # the benchmark's tracer wraps the kernel under this name
+    kernel = mzsv.chains.nested_chain_advance
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(mzsv.chains, "nested_chain_advance", counting)
+    assert strict_sum_exact(Index((1, 2)), 7) == _enum_sum((1, 2), 7, strict=True)
+    assert len(calls) == 1
+    calls.clear()
+    a, b = dr_ratio_at1_forms(5, 2)
+    assert a == b
+    assert len(calls) > 2
 
 
 def test_strict_ones_is_harmonic(ctx30):
@@ -108,7 +198,9 @@ def test_dr_ratio_both_routes_agree_broadly():
     for m in range(0, 16):
         for r in range(0, 6):
             a, b = dr_ratio_at1_forms(m, r)
-            assert a == b, (m, r)
+            ones_s, ones_t = _ones_strict(m, r), _ones_star(m, r)
+            want = sum(ones_s[r - i] * ones_t[i] for i in range(r + 1)) / (m + 1)
+            assert a == b == want, (m, r)
 
 
 def _inv_pochhammer_2minus(x, m):
@@ -130,9 +222,7 @@ def _ratio_fn(x, m):
 def test_closed_forms_match_derivative_oracle(ctx50, m, r):
     # relative error <= 10^-(digits-10) at 50 digits
     bound = ctx50.mp.mpf(10) ** (-(ctx50.digits - 10))
-    fact_r = 1
-    for j in range(2, r + 1):
-        fact_r *= j
+    fact_r = math.factorial(r)
 
     d_inv = derivative_at(lambda x: _inv_pochhammer_2minus(x, m), 1, r, ctx50)
     want_inv = ctx50.real(dr_inv_pochhammer_2minus_at1_exact(m, r) * fact_r)
