@@ -22,8 +22,10 @@ kernel as (c, k, 0) for an integer c, else as the scaled (c*S, k, S^k).
   harmonic-product series splits its remainder exactly into the prefix
   state times tail sums. Each evaluator builds its tail series once,
   every ratio level at unit scale; a checkpoint only rescales them;
-* alternating outer sums skip tail corrections and instead extrapolate a
-  window of partial sums by iterated averaging;
+* an alternating outer sum signs term t by (-1)^t; its remainder expands
+  the same way, with every level's tail sum taken by the Boole formula
+  (``TailCalc.sumtail(..., alternating=True)``), since the sign of the
+  outermost level carries into every level below it;
 * a finished run is memoised on its PrecisionContext, keyed by the
   evaluator's structure (``memo_key``), tol and corrections, so the many
   identities that share a series sum it once per context. A run that
@@ -39,17 +41,15 @@ from typing import Optional, Tuple
 from .context import PrecisionContext
 from .errors import ConvergenceError, DomainError
 from .kernels import nested_chain_advance, weighted_chain_advance
-from .numerics import _iterated_means
+# _iterated_means is unused here; perfbench/tracing.py wraps it by name
+from .numerics import _iterated_means  # noqa: F401
 from .tailcalc import TailCalc
 
 SCALE_PAD = 16          # extra scaled digits absorbing floor-division bias
 DEFAULT_START = 500     # first truncation checkpoint
-ALT_START = 512         # first checkpoint for alternating outer sums
-ALT_WINDOW = 40         # averaging window length
 
 DIRECT = "direct"
 TAIL_CORRECTED = "tail_corrected"
-ALT_ACCELERATED = "alternating_accelerated"
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,8 @@ def _adaptive_drive(mp, tolm, start, max_terms, checkpoint, strategy,
 
 def _run_evaluator(ev, tol, corrections: bool, what: str):
     """The run loop of both evaluators: checkpoint M sums the M terms
-    t = 0 .. M-1. A plain sum adds its remainder after them (unless
-    corrections is off); an alternating sum extrapolates its last
-    ALT_WINDOW partial sums.
+    t = 0 .. M-1 and adds the remainder after them, unless corrections is
+    off. Plain and alternating sums alike start at DEFAULT_START.
 
     Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol,
     corrections). A hit returns the stored value and a copy of its info
@@ -158,23 +157,17 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     if key in memo:
         E, info = memo[key]
         return E, dict(info)
+
+    def checkpoint(M):
+        ev.advance_to(M)
+        tail = ev.tail_correction(M - 1) if corrections else mp.mpf(0)
+        return mp.mpf(ev.acc) / ev.S + tail, tail, mp.mpf(0)
+
     if ev.alternating:
-        def checkpoint(M):
-            window: list = []
-            ev.advance_to(M, window=window, win_start=M - ALT_WINDOW)
-            E, spread = _iterated_means(mp, [mp.mpf(v) / ev.S for v in window])
-            return E, mp.mpf(0), spread
-
-        start, strategy, what = ALT_START, ALT_ACCELERATED, "alternating " + what
-    else:
-        def checkpoint(M):
-            ev.advance_to(M)
-            tail = ev.tail_correction(M - 1) if corrections else mp.mpf(0)
-            return mp.mpf(ev.acc) / ev.S + tail, tail, mp.mpf(0)
-
-        start, strategy = DEFAULT_START, TAIL_CORRECTED if corrections else DIRECT
-    E, info = _adaptive_drive(mp, tolm, start, ev.ctx.max_terms, checkpoint,
-                              strategy, what=what, digits=ev.ctx.working_digits)
+        what = "alternating " + what
+    E, info = _adaptive_drive(mp, tolm, DEFAULT_START, ev.ctx.max_terms,
+                              checkpoint, TAIL_CORRECTED if corrections else DIRECT,
+                              what=what, digits=ev.ctx.working_digits)
     memo[key] = (E, info)
     return E, dict(info)
 
@@ -244,14 +237,14 @@ class ChainEvaluator:
         self._tails = None
 
     # -- kernel driving -------------------------------------------------------
-    def advance_to(self, t_exclusive: int, window=None, win_start: int = 0):
+    def advance_to(self, t_exclusive: int):
         if t_exclusive <= self.t_next:
             return
         lp, lr, rn, rd = self._kernel_args
         self.sign_next = nested_chain_advance(
             lp, lr, rn, rd, self.S, self.pvals, self.rvals,
             self.t_next, t_exclusive, self.strict, self.alternating,
-            self.sign_next, window, win_start)
+            self.sign_next)
         self.t_next = t_exclusive
 
     # -- tail corrections -----------------------------------------------------
@@ -279,7 +272,7 @@ class ChainEvaluator:
                 F = calc.const(1)
             if T is not None:
                 F = calc.mul(F, T if self.strict else calc.add(G, T))
-            G, T = F, calc.sumtail(F)
+            G, T = F, calc.sumtail(F, self.alternating)
             tails.append((shape, T))
         return tails
 
@@ -288,7 +281,8 @@ class ChainEvaluator:
 
         The tail series are built once; at each checkpoint the tail of
         level i is scaled by w(mc+1)/shape(mc+1) of every ratio level at or
-        outside i, which pins each ratio shape to its running weight.
+        outside i, which pins each ratio shape to its running weight. An
+        alternating chain's tails are Boole tails, (-1)^mc times the sum.
         """
         mp = self.ctx.mp
         if self._tails is None:
@@ -305,7 +299,7 @@ class ChainEvaluator:
                 w_next = mp.mpf(self.rvals[ratio_index[i]]) / self.S
                 scale *= w_next / calc.eval_at(shape, mc + 1)
             corr += scale * (mp.mpf(self.pvals[i]) / self.S) * calc.eval_at(T, mc)
-        return corr
+        return -corr if self.alternating and mc % 2 else corr
 
     # -- adaptive driver ------------------------------------------------------
     @property
@@ -329,14 +323,17 @@ class WeightedChainEvaluator:
 
     W_r(N) = [x^r] prod_{n<N}(1 + x/n) * prod_{n<=N}(1 - x/n)^-1 is
     maintained incrementally as sum_{i<=r} S(1^(r-i)) S*(1^i). The
-    non-alternating tail is exact: splitting both products at the last
+    tail is exact: splitting both products at the last
     summed N = K gives sum_{N>K} N^-p W_r(N) = sum_a A_a * T_{r-a}(K), where
     A_a are the coefficients of the prefix products (the kernel state) and
     T_b(x) = sum_{N>x} N^-p [y^b] prod_{x<n<N} (1+y/n)/(1-y/n) / (1-y/N).
     Peeling off the smallest n of the segment, with (1+u)/(1-u) =
     1 + 2 sum_{c>=1} u^c, gives the recurrence
     T_b(x) = sum_{n>x} (n^(-p-b) + 2 sum_{c=1..b} n^-c T_{b-c}(n)).
-    The prefactor 2 is NOT applied here.
+    The alternating series signs the term at N by (-1)^(N-1); its T_b
+    carry (-1)^n through the same recurrence, so each is (-1)^x times a
+    Boole tail sum and the factor 2 stays. The prefactor 2 is NOT applied
+    here.
     """
 
     def __init__(self, ctx: PrecisionContext, r: int, p: int, alternating: bool):
@@ -356,13 +353,12 @@ class WeightedChainEvaluator:
         self.sign_next = 1
         self._tails = None
 
-    def advance_to(self, t_exclusive: int, window=None, win_start: int = 0):
+    def advance_to(self, t_exclusive: int):
         if t_exclusive <= self.t_next:
             return
         self.sign_next = weighted_chain_advance(
             self.r, self.p, self.S, self.svals, self.tvals, self.accbox,
-            self.t_next, t_exclusive, self.alternating, self.sign_next,
-            window, win_start)
+            self.t_next, t_exclusive, self.alternating, self.sign_next)
         self.t_next = t_exclusive
 
     def _segment_tails(self, calc: TailCalc):
@@ -373,7 +369,7 @@ class WeightedChainEvaluator:
             F = calc.pow_weight(self.p + b, 0)
             for c in range(1, b + 1):
                 F = calc.add(F, calc.scale(calc.mul(inner[c - 1], tails[b - c]), 2))
-            tails.append(calc.sumtail(F))
+            tails.append(calc.sumtail(F, self.alternating))
         return tails
 
     @property
@@ -393,7 +389,7 @@ class WeightedChainEvaluator:
         for a in range(r + 1):
             A = mp.mpf(sum(sv[a - i] * tv[i] for i in range(a + 1))) / (S * S)
             corr += A * calc.eval_at(segments[r - a], mc + 1)
-        return corr
+        return -corr if self.alternating and mc % 2 else corr
 
     def run(self, tol, corrections: bool = True):
         """As ChainEvaluator.run; the value still lacks the prefactor 2."""

@@ -54,7 +54,7 @@ def _exact_chain(parts: Tuple[int, ...], m: int, strict: bool) -> List[Fraction]
                                                    strict)
     pvals = [S] + [0] * len(parts)
     chains.nested_chain_advance(lp, lr, rn, rd, S, pvals, rvals, 0,
-                                m if strict else m + 1, strict, False, 1, None, 0)
+                                m if strict else m + 1, strict, False, 1)
     return [Fraction(p, S) for p in pvals]
 
 

@@ -204,10 +204,10 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
 
     A non-terminating series is the one-level chain whose ratio weight is
     the term ratio prod(upper+m) / ((1+m) prod(lower+m)), run by the chain
-    driver on the fixed-point kernels: at z = +1 the remainder is the
-    Euler-Maclaurin sum of the term's asymptotic shape (decay exponent
-    1 + delta) pinned to the running term, at z = -1 a window of partial
-    sums is extrapolated by iterated averaging.
+    driver on the fixed-point kernels: the remainder is the tail sum of the
+    term's asymptotic shape (decay exponent 1 + delta) pinned to the
+    running term, by Euler-Maclaurin at z = +1 and by the Boole formula at
+    z = -1.
     """
     up = [as_fraction(u) for u in upper]
     lo = [as_fraction(l) for l in lower]

@@ -33,9 +33,8 @@ BACKEND = "python"
 
 
 def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
-                         S, pvals, rvals, t0, t1, strict, alt, sign0,
-                         window, win_start):
-    """Advance the chain over t in [t0, t1); mutates pvals/rvals/window.
+                         S, pvals, rvals, t0, t1, strict, alt, sign0):
+    """Advance the chain over t in [t0, t1); mutates pvals/rvals.
 
     level_pows: per level, tuple of (C, k, Spow): divisor (t + C)^k for an
                 integer shift C (Spow == 0), else (C + t*S)^k for a scaled
@@ -67,8 +66,6 @@ def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
                 pvals[i] += contrib
         if alt:
             sign = -sign
-        if window is not None and t >= win_start:
-            window.append(pvals[n])
         if rvals:
             for j in range(len(rvals)):
                 num = rvals[j]
@@ -81,8 +78,7 @@ def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
     return sign
 
 
-def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1,
-                           alt, sign0, window, win_start):
+def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1, alt, sign0):
     """Advance the harmonic-product series over t in [t0, t1).
 
     svals[j] ~ S_t(1^j), tvals[j] ~ S*_t(1^j) (scaled), accbox = [acc]
@@ -106,7 +102,5 @@ def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1,
             acc += W // up
         for j in range(r, 0, -1):
             svals[j] += svals[j - 1] // u
-        if window is not None and t >= win_start:
-            window.append(acc)
     accbox[0] = acc
     return sign

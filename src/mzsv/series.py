@@ -1,6 +1,6 @@
 """Convergent infinite-series evaluators.
 
-zeta / eta_shifted          single series (Euler-Maclaurin tail / accelerated)
+zeta / eta_shifted          single series (Euler-Maclaurin / Boole tail)
 mzv / mzsv / alt_mzsv       nested chains over strictly / weakly increasing
                             variables, with analytic chain-tail corrections
 weighted_product_series     the harmonic-product series forming the
@@ -64,7 +64,7 @@ def zeta(k, ctx: PrecisionContext) -> HPReal:
 
 
 def eta_shifted(k: int, ctx: PrecisionContext) -> HPReal:
-    """sum_{m>=0} (-1)^m / (m+1)^k for integer k >= 1 (accelerated)."""
+    """sum_{m>=0} (-1)^m / (m+1)^k for integer k >= 1 (Boole tail)."""
     return eta_shifted_ex(k, ctx).value
 
 

@@ -251,9 +251,9 @@ def test_ratio_chain_tail_is_checkpoint_independent(ctx30, monkeypatch, name, le
     sumtails = []
     sumtail = TailCalc.sumtail
 
-    def counted(calc, f):
+    def counted(calc, f, *rest):
         sumtails.append(f)
-        return sumtail(calc, f)
+        return sumtail(calc, f, *rest)
 
     monkeypatch.setattr(TailCalc, "sumtail", counted)
     mp = ctx30.mp

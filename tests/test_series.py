@@ -250,7 +250,7 @@ def test_diagnostics_error_estimate_bounds_doubling_deviation(ctx30):
 
 def test_evaluation_strategy_labels(ctx30):
     assert mzsv(Index((2,)), ctx30).diagnostics.strategy == "tail_corrected"
-    assert alt_mzsv(Index((2,)), ctx30).diagnostics.strategy == "alternating_accelerated"
+    assert alt_mzsv(Index((2,)), ctx30).diagnostics.strategy == "tail_corrected"
 
 
 def test_driver_plateau_raises_at_third_checkpoint(ctx30):

@@ -113,3 +113,54 @@ def test_ratio_asymptotics_matches_direct_product(env, nums, dens):
             w /= t + d
     got = calc.eval_at(shape, t2) / calc.eval_at(shape, t1)
     _close(mp, got, w, rtol * 10 ** 3)
+
+
+# -- alternating (Boole) tail sums ------------------------------------------------
+
+ALT_X = 499  # the tail after the first checkpoint, M = 500
+
+
+def _alt_power_tail(mp, p, x):
+    """sum_{m>x} (-1)**m (m+1)**-p, by Hurwitz zeta at half-integer shifts:
+    the terms pair up into 2**-p (zeta(p, (x+2)/2) - zeta(p, (x+3)/2))."""
+    half = mp.mpf(x + 2) / 2
+    return (-1) ** (x + 1) * 2 ** -p * (mp.zeta(p, half) - mp.zeta(p, half + mp.mpf(1) / 2))
+
+
+def _check_alt(build):
+    """sumtail(alternating=True) of build(calc, mp) at ALT_X and 30 digits,
+    against the Hurwitz form of every power at 60 digits."""
+    ctx = PrecisionContext(digits=30)
+    mp = ctx.mp
+    calc = TailCalc(mp)
+    f = build(calc, mp)
+    got = (-1) ** ALT_X * calc.eval_at(calc.sumtail(f, alternating=True), ALT_X)
+    with mp.workdps(2 * mp.dps):
+        want = sum(c * _alt_power_tail(mp, f.rho + q, ALT_X) for q, c in f.coeffs.items())
+    tol = mp.mpf(10) ** -ctx.working_digits * abs(want)
+    assert abs(got - want) <= tol, mp.nstr(got - want, 5)
+
+
+@pytest.mark.parametrize("p", ["1/2", "2", "3"])
+def test_alternating_sumtail_of_single_power(p):
+    _check_alt(lambda calc, mp: TailPoly(_mpf(mp, p), {0: mp.mpf(1)}))
+
+
+def test_alternating_sumtail_of_ratio_shape():
+    # (1/2)_t / (5/2)_t: the decay rho = 2 of a ratio-weighted level
+    _check_alt(lambda calc, mp: calc.ratio_asymptotics(
+        [mp.mpf(1) / 2], [mp.mpf(5) / 2], mp.mpf(2)))
+
+
+def test_sumtail_domain_thresholds():
+    mp = PrecisionContext(digits=30).mp
+    calc = TailCalc(mp)
+    one = TailPoly(mp.mpf(1), {0: mp.mpf(1)})
+    with pytest.raises(DomainError):
+        calc.sumtail(one)                       # plain needs min power > 1
+    assert calc.sumtail(one, alternating=True).coeffs
+    for f in (TailPoly(mp.mpf(0), {0: mp.mpf(1)}),
+              TailPoly(mp.mpf(2), {-2: mp.mpf(1), 0: mp.mpf(1)})):
+        with pytest.raises(DomainError):
+            calc.sumtail(f, alternating=True)   # alternating needs > 0
+    assert calc.sumtail(TailPoly(mp.mpf("0.25"), {0: mp.mpf(1)}), alternating=True).coeffs

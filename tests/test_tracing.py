@@ -34,3 +34,23 @@ def test_tracer_installs_on_every_name_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(_current(owner, attr) is orig for owner, attr, orig in patched)
+
+
+def test_tracer_counts_alternating_kernel_work(monkeypatch):
+    # the tracer reads the kernels' t0/t1 by position (args[7]/args[8] of
+    # nested_chain_advance, args[6]/args[7] of weighted_chain_advance); an
+    # alternating run must count terms x levels like any other
+    tracing = _load_tracing(monkeypatch)
+    runs = [
+        (lambda ctx: mzsv.series.alt_mzsv(mzsv.Index((1, 2)), ctx), 2),
+        (lambda ctx: mzsv.series.weighted_product_series_ex(3, 2, True, ctx), 3 + 1),
+    ]
+    for evaluate, levels in runs:
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer, mzsv)
+            ev = evaluate(mzsv.PrecisionContext(30))
+        finally:
+            tracer.uninstall()
+        metrics = tracing.layer_metrics(tracer)
+        assert metrics["kernels.term_levels"] == ev.diagnostics.terms_used * levels
