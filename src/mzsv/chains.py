@@ -4,8 +4,9 @@ Every convergent multiple series in the package (zeta-star/strict values,
 the hypergeometric nested right-hand sides, the harmonic-product series)
 is a chain P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t or t-1) whose outermost
 level accumulates the value. This module drives the fixed-point kernels
-over such chains, and both evaluators share one run loop with the
-truncation policy below. Every chain starts at t = 0, with index part k as
+over such chains, and both evaluators share one run loop,
+``_run_evaluator``: advance to M, add the tail, compare with the last
+checkpoint, double M. Every chain starts at t = 0, with index part k as
 the level 1/(t+1)^k (``index_levels``); a power piece 1/(t+c)^k reaches the
 kernel as (c, k, 0) for an integer c, else as the scaled (c*S, k, S^k).
 
@@ -22,7 +23,8 @@ kernel as (c, k, 0) for an integer c, else as the scaled (c*S, k, S^k).
   harmonic-product series splits its remainder exactly into the prefix
   state times tail sums. Each evaluator builds its tail series once,
   every ratio level at unit scale; a checkpoint only rescales them;
-* an alternating outer sum signs term t by (-1)^t; its remainder expands
+* an alternating outer sum signs term t by (-1)^t, which the kernels
+  compute from t, so an evaluator keeps no sign state; its remainder expands
   the same way, with every level's tail sum taken by the Boole formula
   (``TailCalc.sumtail(..., alternating=True)``), since the sign of the
   outermost level carries into every level below it;
@@ -96,80 +98,66 @@ def _scaled(value, S: int) -> int:
     return q
 
 
-def _adaptive_drive(mp, tolm, start, max_terms, checkpoint, strategy,
-                    what="series", digits=None):
-    """Doubling driver shared by all evaluators.
-
-    checkpoint(M) must advance state and return (E, tail, spread), where
-    spread is any error estimate beyond the rounding floor
-    10^-digits * max(1, |E|), which the driver adds. Stops when two
-    successive results differ by < tol/2. A tol that the floor alone
-    exceeds can never be met and raises DomainError at the first
-    checkpoint. A plateau (the difference no longer shrinking while still
-    above tolerance) means the truncation model has bottomed out, and
-    raises ConvergenceError at once.
-    """
-    floor = mp.mpf(10) ** -digits if digits is not None else 0
-    M = start
-    prev = None
-    dprev = None
-    while True:
-        E, tail, spread = checkpoint(M)
-        rounding = floor * max(1, abs(E))
-        if rounding >= tolm / 2:
-            raise DomainError(
-                f"{what}: tolerance {mp.nstr(tolm, 4)} is below the rounding "
-                f"floor {mp.nstr(rounding, 4)} of {digits} working digits; "
-                f"raise the precision")
-        extra = spread + rounding
-        if prev is not None:
-            diff = max(abs(E - prev), extra)
-            if diff < tolm / 2:
-                return E, {"terms": M, "tail": tail, "estimate": diff,
-                           "strategy": strategy}
-            if dprev is not None and diff * mp.mpf("1.6") > dprev:
-                raise ConvergenceError(
-                    f"{what}: truncation error plateaued at {mp.nstr(diff, 4)} "
-                    f"above tolerance {mp.nstr(tolm, 4)}")
-            dprev = diff
-        prev = E
-        if 2 * M > max_terms:
-            raise ConvergenceError(
-                f"{what}: not stabilized below {mp.nstr(tolm, 4)} within "
-                f"max_terms={max_terms} (last M={M})")
-        M *= 2
-
-
 def _run_evaluator(ev, tol, corrections: bool, what: str):
-    """The run loop of both evaluators: checkpoint M sums the M terms
-    t = 0 .. M-1 and adds the remainder after them, unless corrections is
-    off. Plain and alternating sums alike start at DEFAULT_START.
+    """The run loop of both evaluators.
+
+    Checkpoint M sums the M terms t = 0 .. M-1 and adds the remainder after
+    them, unless corrections is off; M starts at DEFAULT_START and doubles
+    until two successive results differ by less than tol/2, with the
+    rounding floor 10^-working_digits * max(1, |E|) as the least
+    difference. A tol that the floor alone exceeds can never be met and
+    raises DomainError at the first checkpoint. A plateau (the difference
+    no longer shrinking while still above tolerance) means the truncation
+    model has bottomed out, and raises ConvergenceError at once; so does
+    a doubling past ctx.max_terms.
 
     Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol,
     corrections). A hit returns the stored value and a copy of its info
     without advancing ev; ConvergenceError and DomainError are never
     stored, so a repeat raises them again.
     """
-    mp = ev.ctx.mp
+    ctx = ev.ctx
+    mp = ctx.mp
     tolm = mp.mpf(tol)
-    memo = ev.ctx.evaluations
+    memo = ctx.evaluations
     key = (ev.memo_key, tolm, corrections)
     if key in memo:
         E, info = memo[key]
         return E, dict(info)
-
-    def checkpoint(M):
-        ev.advance_to(M)
-        tail = ev.tail_correction(M - 1) if corrections else mp.mpf(0)
-        return mp.mpf(ev.acc) / ev.S + tail, tail, mp.mpf(0)
-
     if ev.alternating:
         what = "alternating " + what
-    E, info = _adaptive_drive(mp, tolm, DEFAULT_START, ev.ctx.max_terms,
-                              checkpoint, TAIL_CORRECTED if corrections else DIRECT,
-                              what=what, digits=ev.ctx.working_digits)
-    memo[key] = (E, info)
-    return E, dict(info)
+    digits = ctx.working_digits
+    floor = mp.mpf(10) ** -digits
+    M = DEFAULT_START
+    prev = dprev = None
+    while True:
+        ev.advance_to(M)
+        tail = ev.tail_correction(M - 1) if corrections else mp.mpf(0)
+        E = mp.mpf(ev.acc) / ev.S + tail
+        rounding = floor * max(1, abs(E))
+        if rounding >= tolm / 2:
+            raise DomainError(
+                f"{what}: tolerance {mp.nstr(tolm, 4)} is below the rounding "
+                f"floor {mp.nstr(rounding, 4)} of {digits} working digits; "
+                f"raise the precision")
+        if prev is not None:
+            diff = max(abs(E - prev), rounding)
+            if diff < tolm / 2:
+                info = {"terms": M, "tail": tail, "estimate": diff,
+                        "strategy": TAIL_CORRECTED if corrections else DIRECT}
+                memo[key] = (E, info)
+                return E, dict(info)
+            if dprev is not None and diff * mp.mpf("1.6") > dprev:
+                raise ConvergenceError(
+                    f"{what}: truncation error plateaued at {mp.nstr(diff, 4)} "
+                    f"above tolerance {mp.nstr(tolm, 4)}")
+            dprev = diff
+        prev = E
+        if 2 * M > ctx.max_terms:
+            raise ConvergenceError(
+                f"{what}: not stabilized below {mp.nstr(tolm, 4)} within "
+                f"max_terms={ctx.max_terms} (last M={M})")
+        M *= 2
 
 
 def index_levels(parts):
@@ -233,7 +221,6 @@ class ChainEvaluator:
         self._kernel_args, self.rvals = kernel_levels(self.levels, S, strict)
         self.pvals = [S] + [0] * n
         self.t_next = 0
-        self.sign_next = 1
         self._tails = None
 
     # -- kernel driving -------------------------------------------------------
@@ -241,10 +228,8 @@ class ChainEvaluator:
         if t_exclusive <= self.t_next:
             return
         lp, lr, rn, rd = self._kernel_args
-        self.sign_next = nested_chain_advance(
-            lp, lr, rn, rd, self.S, self.pvals, self.rvals,
-            self.t_next, t_exclusive, self.strict, self.alternating,
-            self.sign_next)
+        nested_chain_advance(lp, lr, rn, rd, self.S, self.pvals, self.rvals,
+                             self.t_next, t_exclusive, self.strict, self.alternating)
         self.t_next = t_exclusive
 
     # -- tail corrections -----------------------------------------------------
@@ -348,17 +333,16 @@ class WeightedChainEvaluator:
         self.S = S
         self.svals = [S] + [0] * r
         self.tvals = [S] + [0] * r
-        self.accbox = [0]
+        self.acc = 0    # the scaled running sum; term t is the one at N = t + 1
         self.t_next = 0
-        self.sign_next = 1
         self._tails = None
 
     def advance_to(self, t_exclusive: int):
         if t_exclusive <= self.t_next:
             return
-        self.sign_next = weighted_chain_advance(
-            self.r, self.p, self.S, self.svals, self.tvals, self.accbox,
-            self.t_next, t_exclusive, self.alternating, self.sign_next)
+        self.acc = weighted_chain_advance(
+            self.r, self.p, self.S, self.svals, self.tvals, self.acc,
+            self.t_next, t_exclusive, self.alternating)
         self.t_next = t_exclusive
 
     def _segment_tails(self, calc: TailCalc):
@@ -371,11 +355,6 @@ class WeightedChainEvaluator:
                 F = calc.add(F, calc.scale(calc.mul(inner[c - 1], tails[b - c]), 2))
             tails.append(calc.sumtail(F, self.alternating))
         return tails
-
-    @property
-    def acc(self) -> int:
-        """The scaled running sum; term t is the one at N = t + 1."""
-        return self.accbox[0]
 
     def tail_correction(self, mc: int):
         """sum_{N>K} N^-p W_r(N) with K = mc + 1, the last N summed."""

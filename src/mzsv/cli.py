@@ -275,7 +275,8 @@ def cmd_list(_args) -> int:
 
 def cmd_bench(args) -> int:
     digits = args.prec if args.prec else _default_prec()
-    ctx_mp = PrecisionContext(digits=digits).mp
+    # the context checks --tol before any run
+    ctx_mp = PrecisionContext(digits=digits, tol=args.tol).mp
     rows = bench.run_truncation_suite(digits, args.tol)
     print(bench.format_table(rows, ctx_mp))
     if args.csv_path:

@@ -55,11 +55,9 @@ class PrecisionContext:
             self.tol = mp.mpf(10) ** (-self.digits)
             self._tol_repr = f"1e-{self.digits}"
         else:
-            self.tol = mp.mpf(tol if not isinstance(tol, Fraction)
-                              else tol.numerator) / (1 if not isinstance(tol, Fraction)
-                                                     else tol.denominator)
-            if not (mp.isfinite(self.tol) and self.tol > 0):
-                raise DomainError(f"tol must be positive and finite, got {tol}")
+            self.tol = self.real(tol).mpf
+            if not self.tol > 0:
+                raise DomainError(f"tol must be positive, got {tol}")
             self._tol_repr = str(tol)
         self.evaluations: dict = {}
 
@@ -89,7 +87,7 @@ class PrecisionContext:
         else:
             try:
                 v = mp.mpf(x)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, ZeroDivisionError):
                 raise ParseError(f"cannot read {x!r} as a real number") from None
             if not mp.isfinite(v):
                 raise DomainError(f"{x!r} is not a finite real number")

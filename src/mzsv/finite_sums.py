@@ -34,28 +34,32 @@ def pochhammer(a, m: int, ctx: PrecisionContext) -> HPReal:
     return HPReal(acc, ctx)
 
 
-def _finite_chain(parts: Tuple[int, ...], m: int, ctx: PrecisionContext,
-                  strict: bool) -> HPReal:
-    ev = chains.ChainEvaluator(ctx, chains.index_levels(parts), strict=strict)
-    # strict S_m sums variables < m (state h_n(m-1)); weak S*_m includes m
-    ev.advance_to(m if strict else m + 1)
-    return HPReal(ctx.mp.mpf(ev.pvals[-1]) / ev.S, ctx)
+def _chain_prefixes(parts: Tuple[int, ...], m: int, strict: bool, S: int) -> List[int]:
+    """Scaled [S_m(k_1..k_j)] (strict) or [S*_m(k_1..k_j)] (weak) for j = 0..n.
 
-
-def _exact_chain(parts: Tuple[int, ...], m: int, strict: bool) -> List[Fraction]:
-    """Exact [S_m(k_1..k_j)] (strict) or [S*_m(k_1..k_j)] (weak) for j = 0..n.
-
-    The index chain runs on the shared kernel at the scale
-    S = lcm(1..m+1)^(k_1+...+k_n). Every contribution S * prod (m_j+1)^-k_j
-    divides S, so every floor division in the kernel is exact.
+    One kernel call over the index chain at scale S: 10^(working digits +
+    SCALE_PAD) for a rounded sum, or lcm(1..m+1)^(k_1+...+k_n) for an
+    exact one, where every contribution S * prod (m_j+1)^-k_j divides S
+    and so every floor division in the kernel is exact.
     """
-    S = math.lcm(*range(1, m + 2)) ** sum(parts)
     (lp, lr, rn, rd), rvals = chains.kernel_levels(chains.index_levels(parts), S,
                                                    strict)
     pvals = [S] + [0] * len(parts)
+    # strict S_m sums variables < m (state h_n(m-1)); weak S*_m includes m
     chains.nested_chain_advance(lp, lr, rn, rd, S, pvals, rvals, 0,
-                                m if strict else m + 1, strict, False, 1)
-    return [Fraction(p, S) for p in pvals]
+                                m if strict else m + 1, strict, False)
+    return pvals
+
+
+def _finite_sum(parts: Tuple[int, ...], m: int, ctx: PrecisionContext,
+                strict: bool) -> HPReal:
+    S = 10 ** (ctx.working_digits + chains.SCALE_PAD)
+    return HPReal(ctx.mp.mpf(_chain_prefixes(parts, m, strict, S)[-1]) / S, ctx)
+
+
+def _exact_prefixes(parts: Tuple[int, ...], m: int, strict: bool) -> List[Fraction]:
+    S = math.lcm(*range(1, m + 2)) ** sum(parts)
+    return [Fraction(p, S) for p in _chain_prefixes(parts, m, strict, S)]
 
 
 def strict_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
@@ -69,7 +73,7 @@ def strict_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
         return ctx.one()
     if m < ix.depth:
         return ctx.zero()
-    return _finite_chain(ix.parts, m, ctx, strict=True)
+    return _finite_sum(ix.parts, m, ctx, strict=True)
 
 
 def star_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
@@ -78,7 +82,7 @@ def star_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
         raise DomainError(f"m must be >= 0, got {m}")
     if ix is None:
         return ctx.one()
-    return _finite_chain(ix.parts, m, ctx, strict=False)
+    return _finite_sum(ix.parts, m, ctx, strict=False)
 
 
 def strict_sum_exact(ix: Optional[Index], m: int) -> Fraction:
@@ -87,7 +91,7 @@ def strict_sum_exact(ix: Optional[Index], m: int) -> Fraction:
         raise DomainError(f"m must be >= 0, got {m}")
     if ix is None:
         return Fraction(1)
-    return _exact_chain(ix.parts, m, strict=True)[-1]
+    return _exact_prefixes(ix.parts, m, strict=True)[-1]
 
 
 def star_sum_exact(ix: Optional[Index], m: int) -> Fraction:
@@ -96,7 +100,7 @@ def star_sum_exact(ix: Optional[Index], m: int) -> Fraction:
         raise DomainError(f"m must be >= 0, got {m}")
     if ix is None:
         return Fraction(1)
-    return _exact_chain(ix.parts, m, strict=False)[-1]
+    return _exact_prefixes(ix.parts, m, strict=False)[-1]
 
 
 def d1_pochhammer_at1(m: int, ctx: PrecisionContext) -> HPReal:
@@ -118,7 +122,7 @@ def dr_inv_pochhammer_2minus_at1_exact(m: int, r: int) -> Fraction:
     """(1/r!) d^r/da^r [1/(2-a)_{m+1}] at a=1 via S*_m(1^r)/(m+1)!."""
     if m < 0 or r < 0:
         raise DomainError("m and r must be >= 0")
-    return _exact_chain((1,) * r, m, strict=False)[r] / math.factorial(m + 1)
+    return _exact_prefixes((1,) * r, m, strict=False)[r] / math.factorial(m + 1)
 
 
 def dr_inv_pochhammer_2minus_at1(m: int, r: int, ctx: PrecisionContext) -> HPReal:
@@ -136,8 +140,8 @@ def dr_ratio_at1_forms(m: int, r: int) -> Tuple[Fraction, Fraction]:
     """
     if m < 0 or r < 0:
         raise DomainError("m and r must be >= 0")
-    ones_s = _exact_chain((1,) * r, m, strict=True)
-    ones_t = _exact_chain((1,) * r, m, strict=False)
+    ones_s = _exact_prefixes((1,) * r, m, strict=True)
+    ones_t = _exact_prefixes((1,) * r, m, strict=False)
     form_a = sum((ones_s[r - i] * ones_t[i] for i in range(r + 1)),
                  Fraction(0)) / (m + 1)
     form_b = Fraction(0)

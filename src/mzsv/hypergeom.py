@@ -28,7 +28,7 @@ from .context import HPReal, PrecisionContext
 from .errors import ConditionError, ConvergenceError, DomainError
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
 from .numerics import _iterated_means, gamma  # noqa: F401
-from .series import Evaluation, _wrap, exact_diag
+from .series import Evaluation, exact_diag, run_evaluation
 
 
 def as_fraction(x) -> Fraction:
@@ -245,8 +245,7 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
             f"series diverges at z=-1: margin sum(lower) - sum(upper) = {delta} <= -1")
     level = Level(ratio=Ratio(tuple(up), (Fraction(1),) + tuple(lo),
                               init=Fraction(1)))
-    ev = ChainEvaluator(ctx, [level], alternating=(z == -1))
-    return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
+    return run_evaluation(ChainEvaluator(ctx, [level], alternating=(z == -1)), tol)
 
 
 # -- nested right-hand sides -----------------------------------------------------
@@ -276,16 +275,6 @@ def _gamma_any(ctx: PrecisionContext, x: Fraction):
     for j in range(shift):
         denom *= base + j
     return gamma(x + shift, ctx).mpf / denom
-
-
-def _prefactored(ctx: PrecisionContext, pref, tol, run) -> Evaluation:
-    """pref times run(inner_tol), with inner_tol = tol / max(1, |pref|) so the
-    scaled value meets tol; the tail and the estimate are scaled alike."""
-    prefa = abs(pref)
-    tolm = ctx.mp.mpf(tol if tol is not None else ctx.tol)
-    val, info = run(tolm / (prefa if prefa > 1 else 1))
-    info = dict(info, tail=pref * info["tail"], estimate=prefa * info["estimate"])
-    return _wrap(ctx, pref * val, info)
 
 
 def _kr_prefix_levels(p, kind: str):
@@ -347,8 +336,7 @@ def _kr_rhs(p, kind: str, report: ConditionReport, ctx: PrecisionContext,
     b, c = p.b[-1], p.c[-1]
     pref = _gamma_ratio(ctx, [one + p.a - b, one + p.a - c],
                         [one + p.a, one + p.a - b - c])
-    return _prefactored(ctx, pref, tol, lambda inner_tol: ChainEvaluator(
-        ctx, levels).run(inner_tol))
+    return run_evaluation(ChainEvaluator(ctx, levels), tol, pref)
 
 
 def kr_rhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
@@ -429,8 +417,7 @@ def specialized_lhs(case: str, alpha, s: int, ctx: PrecisionContext,
         "a3": lambda: (_pochhammer_ratio_levels(al, 2 * s - 2), False),
         "a4": lambda: (_pochhammer_ratio_levels(al, 2 * s - 1), True),
     }[case]()
-    ev = ChainEvaluator(ctx, [level], alternating=alternating)
-    return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
+    return run_evaluation(ChainEvaluator(ctx, [level], alternating=alternating), tol)
 
 
 def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
@@ -455,5 +442,4 @@ def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
             levels = [Level(pows=(Pow(1, 2 - al), Pow(1, Fraction(1))))]
         levels += index_levels((2,) * (s - 1))
         pref = ctx.mp.mpf("0.5")
-    return _prefactored(ctx, pref, tol, lambda inner_tol: ChainEvaluator(
-        ctx, levels).run(inner_tol))
+    return run_evaluation(ChainEvaluator(ctx, levels), tol, pref)

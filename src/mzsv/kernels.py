@@ -25,6 +25,9 @@ Kernel state conventions:
 * ``weighted_chain_advance`` accumulates
   ``sum_t sigma(t)/(t+1)^p * sum_{i<=r} S_t(1^(r-i)) S*_t(1^i)``
   keeping the strict/weak one-part harmonic prefix sums updated in O(r).
+
+An alternating sum signs term t by (-1)^t, computed from t itself, so a
+kernel carries no sign between calls.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ BACKEND = "python"
 
 
 def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
-                         S, pvals, rvals, t0, t1, strict, alt, sign0):
+                         S, pvals, rvals, t0, t1, strict, alt):
     """Advance the chain over t in [t0, t1); mutates pvals/rvals.
 
     level_pows: per level, tuple of (C, k, Spow): divisor (t + C)^k for an
@@ -43,12 +46,10 @@ def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
     ratio_nums/ratio_dens: per ratio, tuple of scaled shifts A (factor A + t*S).
     pvals: [S, P_1, ..., P_{n-1}, acc]; rvals: scaled ratio weights at t0.
     strict: levels update outermost first, so level i reads P_{i-1}(t-1).
-    alt: outermost accumulation carries sign sign0 * (-1)^(t - t0).
-    Returns the sign to use at t1.
+    alt: the outermost level subtracts the terms at odd t.
     """
     n = len(level_pows)
     order = range(n, 0, -1) if strict else range(1, n + 1)
-    sign = sign0
     for t in range(t0, t1):
         for i in order:
             contrib = pvals[i - 1]
@@ -60,12 +61,10 @@ def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
                     contrib = contrib * Spow // (C + t * S) ** k
                 else:
                     contrib //= (t + C) ** k
-            if i == n and alt:
-                pvals[n] += sign * contrib
+            if i == n and alt and t & 1:
+                pvals[n] -= contrib
             else:
                 pvals[i] += contrib
-        if alt:
-            sign = -sign
         if rvals:
             for j in range(len(rvals)):
                 num = rvals[j]
@@ -75,17 +74,14 @@ def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
                 for B in ratio_dens[j]:
                     den *= B + t * S
                 rvals[j] = num // den
-    return sign
 
 
-def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1, alt, sign0):
+def weighted_chain_advance(r, p, S, svals, tvals, acc, t0, t1, alt):
     """Advance the harmonic-product series over t in [t0, t1).
 
-    svals[j] ~ S_t(1^j), tvals[j] ~ S*_t(1^j) (scaled), accbox = [acc]
-    holds the scaled running sum. Returns the sign to use at t1.
+    svals[j] ~ S_t(1^j), tvals[j] ~ S*_t(1^j) (scaled); acc is the scaled
+    running sum at t0. Returns the running sum at t1.
     """
-    sign = sign0
-    acc = accbox[0]
     for t in range(t0, t1):
         u = t + 1
         for j in range(1, r + 1):
@@ -94,13 +90,11 @@ def weighted_chain_advance(r, p, S, svals, tvals, accbox, t0, t1, alt, sign0):
         for i in range(r + 1):
             W += svals[r - i] * tvals[i]
         W //= S
-        up = u ** p
-        if alt:
-            acc += sign * (W // up)
-            sign = -sign
+        term = W // u ** p
+        if alt and t & 1:
+            acc -= term
         else:
-            acc += W // up
+            acc += term
         for j in range(r, 0, -1):
             svals[j] += svals[j - 1] // u
-    accbox[0] = acc
-    return sign
+    return acc

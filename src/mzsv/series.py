@@ -36,14 +36,23 @@ class Evaluation(NamedTuple):
     diagnostics: EvalDiagnostics
 
 
-def _wrap(ctx: PrecisionContext, value_mpf, info) -> Evaluation:
+def run_evaluation(ev, tol=None, pref=1) -> Evaluation:
+    """pref times the run of evaluator ev, as an Evaluation.
+
+    The run asks for tol / max(1, |pref|) (tol defaults to ctx.tol), so
+    the scaled value meets tol; the tail and the estimate are scaled alike.
+    """
+    ctx = ev.ctx
+    prefa = abs(pref)
+    tolm = ctx.mp.mpf(tol if tol is not None else ctx.tol)
+    val, info = ev.run(tolm / (prefa if prefa > 1 else 1))
     diag = EvalDiagnostics(
         terms_used=info["terms"],
-        tail_correction=HPReal(info["tail"], ctx),
-        error_estimate=HPReal(info["estimate"], ctx),
+        tail_correction=HPReal(pref * info["tail"], ctx),
+        error_estimate=HPReal(prefa * info["estimate"], ctx),
         strategy=info["strategy"],
     )
-    return Evaluation(HPReal(value_mpf, ctx), diag)
+    return Evaluation(HPReal(pref * val, ctx), diag)
 
 
 def exact_diag(ctx: PrecisionContext) -> EvalDiagnostics:
@@ -79,9 +88,8 @@ def _index_chain(ix: Index, ctx: PrecisionContext, tol, strict: bool = False,
     """The chain of an admissible index ix, summed to tol (default ctx.tol)."""
     if not admissible(ix, alternating=alternating):
         raise DomainError(f"inadmissible index {ix}: last part must be >= 2")
-    ev = ChainEvaluator(ctx, index_levels(ix.parts), strict=strict,
-                        alternating=alternating)
-    return _wrap(ctx, *ev.run(tol if tol is not None else ctx.tol))
+    return run_evaluation(ChainEvaluator(ctx, index_levels(ix.parts), strict=strict,
+                                         alternating=alternating), tol)
 
 
 def mzv(ix: Index, ctx: PrecisionContext, tol=None) -> Evaluation:
@@ -122,8 +130,4 @@ def weighted_product_series_ex(r: int, s: int, alternating: bool,
             raise DomainError(f"plain case needs s >= 2, got {s}")
         p = 2 * s - 1
     ev = WeightedChainEvaluator(ctx, r=int(r), p=p, alternating=alternating)
-    val, info = ev.run(tol if tol is not None else ctx.tol)
-    two = ctx.mp.mpf(2)
-    info["tail"] = two * info["tail"]
-    info["estimate"] = two * info["estimate"]
-    return _wrap(ctx, two * val, info)
+    return run_evaluation(ev, tol, pref=2)

@@ -35,6 +35,21 @@ from .errors import ConvergenceError, DomainError
 
 _TWO_PI = 6.283185307179586
 
+_em_cache: dict = {}
+
+
+def _em_factors(mp, kmax: int) -> list:
+    """B_2k/(2k)! for k = 1..kmax (index k-1): one list per precision,
+    shared by every TailCalc and power_sum_tail, extended on demand. The
+    values live in a private clone of the first caller's context, so a
+    later precision change of that context cannot alter them."""
+    if mp.prec not in _em_cache:
+        _em_cache[mp.prec] = (mp.clone(), [])
+    work, em = _em_cache[mp.prec]
+    for k in range(len(em) + 1, kmax + 1):
+        em.append(work.bernoulli(2 * k) / work.factorial(2 * k))
+    return em
+
 
 def _em_expansion_point(tol_digits: float, M: int) -> int:
     # smallest X where the EM minimum term ~ e^(-2*pi*X) clears the target
@@ -70,7 +85,7 @@ def power_sum_tail(mp, p, M: int, tol):
         k = 1
         rf = p  # (p)_{2k-1} built incrementally
         while True:
-            term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * rf * base ** (1 - p - 2 * k)
+            term = _em_factors(mp, k)[k - 1] * rf * base ** (1 - p - 2 * k)
             at = abs(term)
             if at >= prev:
                 break  # divergence onset; min term reached
@@ -107,7 +122,6 @@ class TailCalc:
     def __init__(self, mp):
         self.mp = mp
         self.qmax = max(18, (mp.dps + 14) // 3 + 1)
-        self._em: list = []
 
     # -- constructors --------------------------------------------------------
     def const(self, value) -> TailPoly:
@@ -194,14 +208,6 @@ class TailCalc:
         return TailPoly(rho, {q: v for q, v in c.items() if q <= qmax})
 
     # -- the tail-sum operator -----------------------------------------------
-    def _em_factors(self, kmax: int):
-        """B_2k/(2k)! for k = 1..kmax (index k-1), extended on demand."""
-        mp = self.mp
-        em = self._em
-        for k in range(len(em) + 1, kmax + 1):
-            em.append(mp.bernoulli(2 * k) / mp.factorial(2 * k))
-        return em
-
     def sumtail(self, f: TailPoly, alternating: bool = False) -> TailPoly:
         """G with G(x) = sum_{m>x} f(m); requires min power of f > 1.
 
@@ -223,7 +229,7 @@ class TailCalc:
         if mn <= (0 if alternating else 1):
             raise DomainError(f"tail-sum of a series with minimum power {mn} diverges")
         qmax = self.qmax
-        em = self._em_factors((qmax + 1 - min(f.coeffs)) // 2)
+        em = _em_factors(mp, (qmax + 1 - min(f.coeffs)) // 2)
         zero = mp.mpf(0)
         out: dict = {}
         for q, cq in f.coeffs.items():

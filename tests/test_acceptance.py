@@ -3,6 +3,7 @@ checked case at its stated tolerance. Run with `pytest tests/test_acceptance.py 
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from mzsv import (Index, PrecisionContext, cli, coarsenings, compositions,
                   mzsv, mzv, verify, zeta)
 
 from test_series import _admissible_small, _brute_partial, _tail_bound
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _report(criterion: str, detail: str, ok: bool):
@@ -220,6 +223,15 @@ def test_criterion_10_verify_all(tmp_path):
     _report("criterion 10", "report records no failures",
             report["summary"]["failed"] == 0
             and report["summary"]["total"] >= 26)
+    # every value and verdict as pinned; terms_used, tail_correction,
+    # abs_diff and timings move with legitimate algorithm changes
+    keys = ("id", "params", "lhs", "rhs", "pass")
+    got = [{k: r[k] for k in keys} for r in report["results"]]
+    pinned = json.loads((DATA / "verify_all_30d.json").read_text())
+    changed = [(p["id"], p["params"]) for g, p in zip(got, pinned) if g != p]
+    _report("criterion 10", f"{len(got)} records against {len(pinned)} pinned, "
+            f"{len(changed)} changed {changed[:3]}",
+            len(got) == len(pinned) and not changed)
 
 
 # -- criterion 11: the full registry at the context's default tolerance ------------

@@ -185,7 +185,10 @@ def test_eval_domain_errors_exit_2(capsys):
                  ("eval", "special-lhs", "a1", "--alpha", "x", "--s", "2"),
                  ("eval", "kr-rhs-i", "--s", "1", "--a", "x", "--b", "1,1",
                   "--c", "1,1"),
-                 ("verify", "eq1", "--s", "abc"), ("verify", "eq1", "--s", "1..x")):
+                 ("verify", "eq1", "--s", "abc"), ("verify", "eq1", "--s", "1..x"),
+                 ("eval", "gamma", "1/0"), ("eval", "pochhammer", "1/0", "2"),
+                 ("verify", "eq1", "--s", "1", "--tol", "abc"),
+                 ("verify", "eq1", "--s", "1", "--tol", "1/0")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:"), argv
     # so are non-finite ones, which used to hang (zeta) or crash (gamma)
@@ -195,6 +198,16 @@ def test_eval_domain_errors_exit_2(capsys):
                  ("verify", "eq1", "--s", "2", "--tol", "nan")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:"), argv
+
+
+def test_bench_tol_is_validated(capsys):
+    # checked by the context before any run: a malformed, non-finite or
+    # zero tolerance is a usage error, not a crash or a convergence failure
+    for tol, says in (("abc", "cannot read"), ("nan", "not a finite"),
+                      ("0", "tol must be positive")):
+        code, out, err = run_cli(capsys, "bench", "--tol", tol)
+        assert code == 2 and err.startswith("error:") and says in err, tol
+        assert out == "", tol
 
 
 def test_python_dash_m_runs_the_cli():

@@ -9,7 +9,7 @@ from mzsv import (DomainError, Index, d1_inv_pochhammer2a_at1,
                   d1_pochhammer_at1, dr_inv_pochhammer_2minus_at1,
                   dr_ratio_at1, derivative_at, pochhammer, star_sum,
                   star_sum_exact, strict_sum, strict_sum_exact)
-from mzsv.finite_sums import (_exact_chain, dr_ratio_at1_forms,
+from mzsv.finite_sums import (_exact_prefixes, dr_ratio_at1_forms,
                               dr_inv_pochhammer_2minus_at1_exact)
 
 
@@ -101,8 +101,8 @@ def test_sums_match_enumeration_oracle(ctx30):
     # one chain of r unit levels holds S_m(1^j) / S*_m(1^j) for every j <= r
     for m in range(16):
         for r in range(6):
-            assert _exact_chain((1,) * r, m, strict=True) == _ones_strict(m, r)
-            assert _exact_chain((1,) * r, m, strict=False) == _ones_star(m, r)
+            assert _exact_prefixes((1,) * r, m, strict=True) == _ones_strict(m, r)
+            assert _exact_prefixes((1,) * r, m, strict=False) == _ones_star(m, r)
 
 
 def test_exact_sums_at_large_m(ctx30):

@@ -28,23 +28,21 @@ def _run_nested(bounds, strict=False, alt=False, with_ratio=False,
         ratio_dens = ()
         rvals = []
     pvals = [S, 0, 0]
-    sign = 1
     for lo, hi in zip(bounds, bounds[1:]):
-        sign = kernels.nested_chain_advance(
+        kernels.nested_chain_advance(
             level_pows, level_ratio, ratio_nums, ratio_dens, S, pvals, rvals,
-            lo, hi, strict, alt, sign)
-    return pvals, rvals, sign
+            lo, hi, strict, alt)
+    return pvals, rvals
 
 
 def _run_weighted(bounds, alt=False):
     svals = [S, 0, 0, 0]
     tvals = [S, 0, 0, 0]
-    accbox = [0]
-    sign = 1
+    acc = 0
     for lo, hi in zip(bounds, bounds[1:]):
-        sign = kernels.weighted_chain_advance(3, 3, S, svals, tvals, accbox,
-                                              lo, hi, alt, sign)
-    return svals, tvals, accbox, sign
+        acc = kernels.weighted_chain_advance(3, 3, S, svals, tvals, acc,
+                                             lo, hi, alt)
+    return svals, tvals, acc
 
 
 def test_resumability_matches_single_pass():
@@ -70,3 +68,23 @@ def test_integer_shift_encodings_agree():
         plain = _run_nested(SINGLE, strict=strict, level_pows=SHIFTED)
         scaled = _run_nested(SINGLE, strict=strict, level_pows=SHIFTED_SCALED)
         assert plain[0] == scaled[0] and plain[0][2] > 0, strict
+
+
+def test_alternating_sign_follows_t():
+    # term t carries (-1)^t whatever t0 a call starts at; at the scale
+    # lcm(1..N) every division is exact, so the sums are exact rationals
+    from fractions import Fraction
+    from math import lcm
+    N = 12
+    L = lcm(*range(1, N + 1))
+    want = sum(Fraction((-1) ** t, t + 1) for t in range(1, N))
+    pvals = [L, 0]
+    for lo, hi in ((1, 4), (4, 5), (5, N)):
+        kernels.nested_chain_advance((((1, 1, 0),),), (-1,), (), (), L, pvals, [],
+                                     lo, hi, False, True)
+    assert Fraction(pvals[1], L) == want
+    # the weighted kernel at r = 0, p = 1 sums the same terms
+    acc = 0
+    for lo, hi in ((1, 6), (6, 7), (7, N)):
+        acc = kernels.weighted_chain_advance(0, 1, L, [L], [L], acc, lo, hi, True)
+    assert Fraction(acc, L) == want

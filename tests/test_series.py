@@ -3,8 +3,8 @@ import pytest
 from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext, admissible,
                   alt_mzsv, coarsenings, eta_shifted, mzsv, mzv, verify,
                   weighted_product_series, zeta)
-from mzsv.chains import (ChainEvaluator, WeightedChainEvaluator, _adaptive_drive,
-                         index_levels)
+from mzsv.chains import (DEFAULT_START, ChainEvaluator, WeightedChainEvaluator,
+                         _run_evaluator, index_levels)
 from mzsv.series import weighted_product_series_ex
 
 
@@ -216,7 +216,7 @@ def test_weighted_tail_is_exact(ctx30, s):
         values = []
         for M in (500, 1000, 2000):
             ev.advance_to(M + 1)
-            values.append(mp.mpf(ev.accbox[0]) / ev.S + ev.tail_correction(M))
+            values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M))
         assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits, r
 
 
@@ -253,37 +253,45 @@ def test_evaluation_strategy_labels(ctx30):
     assert alt_mzsv(Index((2,)), ctx30).diagnostics.strategy == "tail_corrected"
 
 
-def test_driver_plateau_raises_at_third_checkpoint(ctx30):
+class _StubEvaluator:
+    """An evaluator whose n-th checkpoint reads value(n), scaled by
+    S = 10^45, with no tail; it records every M the run loop advances to."""
+
+    S = 10 ** 45
+    alternating = False
+    memo_key = "stub"
+
+    def __init__(self, ctx, value):
+        self.ctx = ctx
+        self.value = value
+        self.calls = []
+
+    def advance_to(self, M):
+        self.calls.append(M)
+        self.acc = int(self.value(len(self.calls)) * self.S)
+
+    def tail_correction(self, mc):
+        return self.ctx.mp.mpf(0)
+
+
+def test_driver_plateau_raises_at_third_checkpoint():
     # the step difference stays at 2e-3, far above tol: the driver must give
     # up at the first comparison that shows no shrinking, not double M on
     # to max_terms
-    mp = ctx30.mp
-    calls = []
-
-    def checkpoint(M):
-        calls.append(M)
-        return mp.mpf((-1) ** len(calls)) / 1000, mp.mpf(0), mp.mpf(0)
-
+    ev = _StubEvaluator(PrecisionContext(30), lambda n: (-1) ** n / 1000)
     with pytest.raises(ConvergenceError, match="plateaued"):
-        _adaptive_drive(mp, mp.mpf("1e-20"), 1, 1 << 20, checkpoint,
-                        "tail_corrected")
-    assert calls == [1, 2, 4]
+        _run_evaluator(ev, "1e-20", True, "stub")
+    assert ev.calls == [DEFAULT_START, 2 * DEFAULT_START, 4 * DEFAULT_START]
 
 
 def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
     # no truncation can beat the rounding floor 10^-digits * max(1, |E|):
     # the driver must say so at once, not report a plateau
     mp = ctx30.mp
-    calls = []
-
-    def checkpoint(M):
-        calls.append(M)
-        return mp.mpf(3), mp.mpf(0), mp.mpf(0)
-
+    ev = _StubEvaluator(PrecisionContext(30), lambda n: 3)
     with pytest.raises(DomainError, match="rounding floor"):
-        _adaptive_drive(mp, mp.mpf("5e-10"), 1, 1 << 20, checkpoint,
-                        "tail_corrected", digits=10)
-    assert calls == [1]
+        _run_evaluator(ev, "5e-40", True, "stub")   # floor 3e-40 at 40 digits
+    assert ev.calls == [DEFAULT_START]
     below_floor = mp.mpf(10) ** -(ctx30.working_digits + 1)
     with pytest.raises(DomainError, match="rounding floor"):
         mzsv(Index((2,)), ctx30, tol=below_floor)
