@@ -240,7 +240,6 @@ class ChainEvaluator:
         depends on the checkpoint: the tail of level i is linear in the
         scale of every ratio level at or outside i.
         """
-        real = self.ctx.real
         tails = []
         G = T = None
         for lvl in reversed(self.levels):
@@ -248,10 +247,9 @@ class ChainEvaluator:
             if lvl.ratio is not None:
                 ns, ds = lvl.ratio.num_shifts, lvl.ratio.den_shifts
                 rho = sum(ds, Fraction(0)) - sum(ns, Fraction(0))
-                shape = F = calc.ratio_asymptotics(
-                    [real(x).mpf for x in ns], [real(x).mpf for x in ds], real(rho).mpf)
+                shape = F = calc.ratio_asymptotics(ns, ds, rho)
             for p in lvl.pows:
-                pf = calc.pow_weight(p.k, real(p.shift).mpf)
+                pf = calc.pow_weight(p.k, p.shift)
                 F = pf if F is None else calc.mul(F, pf)
             if F is None:
                 F = calc.const(1)

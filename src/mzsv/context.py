@@ -13,7 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-import mpmath
+# mpmath is unused here; perfbench/worker.py reads mzsv.context.mpmath's
+# __version__ and libmp.BACKEND for its facts line
+import mpmath  # noqa: F401
 from mpmath.ctx_mp import MPContext
 
 from .errors import ContextMismatchError, DomainError, ParseError

@@ -10,39 +10,60 @@ Two layers:
 
 * :class:`TailCalc` manipulates asymptotic *tail polynomials*: functions of
   an integer m of the form ``F(m) = sum_q c_q * (m+1)**-(rho+q)`` with a
-  fixed real offset ``rho >= 0`` and integer keys ``q``. The class supports
-  products, sums, and the tail-sum operator ``F -> (x -> sum_{m>x} F(m))``,
-  which is closed on this representation: each power (m+1)**-p sums to the
-  Euler-Maclaurin expansion of ``sum_{n>N} n**-p`` at N = x+1, whose terms
-  are again powers of (x+1). The alternating tail
-  ``x -> sum_{m>x} (-1)**m F(m)`` is (-1)**x times a tail polynomial too,
-  by the Boole summation formula, so one operator serves both kinds of
-  sum. Nested-series evaluators expand their truncation remainder into a
-  short chain of such operations, so the remainder of a dynamic-programming
-  chain is corrected analytically instead of by brute-force term counts.
+  fixed exact rational offset ``rho >= 0`` and integer keys ``q``. The
+  class supports products, sums, and the tail-sum operator
+  ``F -> (x -> sum_{m>x} F(m))``, which is closed on this representation:
+  each power (m+1)**-p sums to the Euler-Maclaurin expansion of
+  ``sum_{n>N} n**-p`` at N = x+1, whose terms are again powers of (x+1).
+  The alternating tail ``x -> sum_{m>x} (-1)**m F(m)`` is (-1)**x times a
+  tail polynomial too, by the Boole summation formula, so one operator
+  serves both kinds of sum. Nested-series evaluators expand their
+  truncation remainder into a short chain of such operations, so the
+  remainder of a dynamic-programming chain is corrected analytically
+  instead of by brute-force term counts.
 
-Coefficients live in the mpmath context handed to the constructor; series
-are truncated at ``qmax = max(18, (dps + 14) // 3 + 1)`` powers: at m ~ 500
-that is below working precision at 30 digits, but only about 1e-101 at 100
-digits, where the Euler-Maclaurin coefficients outgrow 500^-qmax. The
-Boole coefficients grow faster still (about q!/pi^q against q!/(2 pi)^q),
-so at 100 digits an alternating tail holds about 104 digits.
+Coefficients are fixed-point integers, as in the kernels: each TailCalc
+keeps every c_q as round-down(c_q * 2**bits), with bits the precision of
+the mpmath context handed to the constructor plus ``GUARD_BITS``, so a
+product rescales by a shift. rho, the power weights' shifts and the
+ratio shifts stay exact Fractions. ``sumtail`` multiplies each coefficient
+c_q by one cached row of factors per (scale, p = rho+q, alternating):
+1/(p-1), then B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a Boole tail, each
+rounded once from its exact rational value; the rows are built on first
+use, never at import, and shared by every TailCalc at that scale. Only
+``eval_at`` returns an mpf: it runs Horner by integer division by m+1 and
+converts once, times (m+1)**-(rho + lowest key).
+
+Series are truncated at ``qmax = max(18, (dps + 14) // 3 + 1)`` powers: at
+m ~ 500 that is below working precision at 30 digits, but only about
+1e-101 at 100 digits, where the Euler-Maclaurin coefficients outgrow
+500^-qmax. The Boole coefficients grow faster still (about q!/pi^q against
+q!/(2 pi)^q), so at 100 digits an alternating tail holds about 104 digits.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial
+
+from mpmath import bernfrac
+
 from .errors import ConvergenceError, DomainError
+
+GUARD_BITS = 32  # fixed-point bits of TailCalc beyond the context's precision
 
 _TWO_PI = 6.283185307179586
 
 _em_cache: dict = {}
+_em_exact: list = []
+_sum_rows: dict = {}
 
 
 def _em_factors(mp, kmax: int) -> list:
-    """B_2k/(2k)! for k = 1..kmax (index k-1): one list per precision,
-    shared by every TailCalc and power_sum_tail, extended on demand. The
-    values live in a private clone of the first caller's context, so a
-    later precision change of that context cannot alter them."""
+    """B_2k/(2k)! for k = 1..kmax (index k-1): one list per precision for
+    power_sum_tail, extended on demand. The values live in a private clone
+    of the first caller's context, so a later precision change of that
+    context cannot alter them."""
     if mp.prec not in _em_cache:
         _em_cache[mp.prec] = (mp.clone(), [])
     work, em = _em_cache[mp.prec]
@@ -103,8 +124,46 @@ def power_sum_tail(mp, p, M: int, tol):
         f"Euler-Maclaurin tail did not reach tolerance {tol} for exponent {p}")
 
 
+def _em_fraction(k: int) -> tuple:
+    """B_2k/(2k)! as an exact (numerator, denominator) pair, extended on
+    demand in a list shared by every scale."""
+    for j in range(len(_em_exact) + 1, k + 1):
+        num, den = bernfrac(2 * j)
+        _em_exact.append((num, den * factorial(2 * j)))
+    return _em_exact[k - 1]
+
+
+def _sum_row(bits: int, a: int, b: int, alternating: bool, kmax: int) -> list:
+    """The factors sumtail applies to the coefficient of (m+1)**-p, p = a/b,
+    at scale 2**bits: row[0] = 1/(p-1) (0 for a Boole tail, which has no
+    such term) and row[k] = B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a
+    Boole tail, for k = 1..kmax. Each is rounded down from its exact
+    rational value. Rows are cached per (bits, p, alternating), shared by
+    every TailCalc at that scale, and rebuilt longer when a longer one is
+    asked for."""
+    key = (bits, a, b, alternating)
+    row = _sum_rows.get(key)
+    if row is not None and len(row) > kmax:
+        return row
+    row = [0 if alternating else (b << bits) // (a - b)]
+    num, den = a, b  # (p)_{2k-1} = num/den, built incrementally
+    for k in range(1, kmax + 1):
+        en, ed = _em_fraction(k)
+        if alternating:
+            en *= 4 ** k - 1
+        row.append((en * num << bits) // (ed * den))
+        num *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
+        den *= b * b
+    _sum_rows[key] = row
+    return row
+
+
 class TailPoly:
-    """Asymptotic tail polynomial: sum_q coeffs[q] * (m+1)**-(rho+q)."""
+    """Asymptotic tail polynomial: sum_q coeffs[q] * (m+1)**-(rho+q).
+
+    rho is an exact Fraction; each coeffs[q] is an int, the coefficient
+    times 2**bits of the TailCalc that built it.
+    """
 
     __slots__ = ("rho", "coeffs")
 
@@ -117,27 +176,34 @@ class TailPoly:
 
 
 class TailCalc:
-    """Algebra of tail polynomials over a fixed mpmath context."""
+    """Algebra of tail polynomials in fixed point at the precision of an
+    mpmath context: coefficients are ints at scale 2**bits, with bits the
+    context's precision plus GUARD_BITS."""
 
     def __init__(self, mp):
         self.mp = mp
         self.qmax = max(18, (mp.dps + 14) // 3 + 1)
+        self.bits = mp.prec + GUARD_BITS
 
     # -- constructors --------------------------------------------------------
     def const(self, value) -> TailPoly:
-        return TailPoly(self.mp.mpf(0), {0: self.mp.mpf(value)})
+        v = Fraction(value)
+        return TailPoly(Fraction(0), {0: (v.numerator << self.bits) // v.denominator})
 
     def pow_weight(self, k, c) -> TailPoly:
-        """(m+c)**(-k) expanded around the (m+1) basis; rho = k."""
-        mp = self.mp
-        k = mp.mpf(k)
-        u = mp.mpf(1) - c  # (m+c)^-k = (m+1)^-k * (1 - u/(m+1))^-k with u = 1-c
+        """(m+c)**(-k) expanded around the (m+1) basis; rho = k. k and c
+        are exact (int or Fraction)."""
+        k = Fraction(k)
+        u = 1 - Fraction(c)  # (m+c)^-k = (m+1)^-k * (1 - u/(m+1))^-k
+        un, ud = u.numerator, u.denominator
+        kn, kd = k.numerator, k.denominator
         coeffs = {}
-        term = mp.mpf(1)
+        term = 1 << self.bits
         for j in range(self.qmax + 1):
-            if term:
-                coeffs[j] = term
-            term = term * u * (k + j) / (j + 1)
+            if not term:
+                break  # u = 0, or rounded away: every later term is 0 too
+            coeffs[j] = term
+            term = term * un * (kn + j * kd) // (ud * kd * (j + 1))
         return TailPoly(k, coeffs)
 
     # -- arithmetic ----------------------------------------------------------
@@ -146,23 +212,25 @@ class TailCalc:
             raise ValueError("tail polynomials with different offsets cannot be added")
         coeffs = dict(f.coeffs)
         for q, c in g.coeffs.items():
-            coeffs[q] = coeffs.get(q, self.mp.mpf(0)) + c
+            coeffs[q] = coeffs.get(q, 0) + c
         return TailPoly(f.rho, coeffs)
 
     def scale(self, f: TailPoly, s) -> TailPoly:
-        s = self.mp.mpf(s)
-        return TailPoly(f.rho, {q: c * s for q, c in f.coeffs.items()})
+        """f times the exact number s (int or Fraction)."""
+        s = Fraction(s)
+        n, d = s.numerator, s.denominator
+        return TailPoly(f.rho, {q: c * n // d for q, c in f.coeffs.items()})
 
     def mul(self, f: TailPoly, g: TailPoly) -> TailPoly:
         qmax = self.qmax
-        coeffs = {}
-        zero = self.mp.mpf(0)
+        acc: dict = {}
         for qf, cf in f.coeffs.items():
             for qg, cg in g.coeffs.items():
                 q = qf + qg
                 if q <= qmax:
-                    coeffs[q] = coeffs.get(q, zero) + cf * cg
-        return TailPoly(f.rho + g.rho, coeffs)
+                    acc[q] = acc.get(q, 0) + cf * cg
+        bits = self.bits
+        return TailPoly(f.rho + g.rho, {q: v >> bits for q, v in acc.items()})
 
     def ratio_asymptotics(self, num_shifts, den_shifts, rho) -> TailPoly:
         """Asymptotic shape (normalized to leading coefficient 1) of a weight
@@ -172,40 +240,44 @@ class TailCalc:
         (t+1)^(-rho) * (1 + c_1/(t+1) + ...), rho = sum(d) - sum(n); the c_q
         solve a triangular recurrence obtained by matching the functional
         equation order by order. Scaling the result to the running value at
-        one point makes the model exact to series-truncation order.
+        one point makes the model exact to series-truncation order. The
+        shifts and rho are exact (int or Fraction).
         """
-        mp = self.mp
-        rho = mp.mpf(rho)
-        qmax = self.qmax
+        bits, qmax = self.bits, self.qmax
+        one = 1 << bits
+        rho = Fraction(rho)
         # P(y) = prod(1 + (n_j - 1) y) / prod(1 + (d_j - 1) y)
-        P = [mp.mpf(0)] * (qmax + 2)
-        P[0] = mp.mpf(1)
+        P = [0] * (qmax + 2)
+        P[0] = one
         for n in num_shifts:
-            u = mp.mpf(n) - 1
+            u = Fraction(n) - 1
+            a, b = u.numerator, u.denominator
             for i in range(qmax + 1, 0, -1):
-                P[i] += P[i - 1] * u
+                P[i] += P[i - 1] * a // b
         for d in den_shifts:
-            u = mp.mpf(d) - 1
+            u = Fraction(d) - 1
+            a, b = u.numerator, u.denominator
             # multiply by 1/(1 + u y): P <- P * sum (-u)^i y^i, in place
             for i in range(1, qmax + 2):
-                P[i] -= P[i - 1] * u
+                P[i] -= P[i - 1] * a // b
 
-        # binom(-q-rho, i) for i <= qmax+1-q, one column per q
+        # binom(-q-rho, i) for i <= qmax+1-q, one column per q:
+        # (-q-rho-j)/(j+1) = (-(q+j)*rd - rn) / (rd*(j+1))
+        rn, rd = rho.numerator, rho.denominator
         cols = []
         for q in range(qmax):
-            x = -q - rho
-            col = [mp.mpf(1)]
+            col = [one]
             for j in range(qmax + 1 - q):
-                col.append(col[j] * ((x - j) / (j + 1)))
+                col.append(col[j] * (-(q + j) * rd - rn) // (rd * (j + 1)))
             cols.append(col)
 
-        c = {0: mp.mpf(1)}
+        c = [one]
         for m in range(2, qmax + 2):
-            acc = mp.mpf(0)
+            acc = 0
             for q in range(0, m - 1):
                 acc += c[q] * (cols[q][m - q] - P[m - q])
-            c[m - 1] = acc / (m - 1)
-        return TailPoly(rho, {q: v for q, v in c.items() if q <= qmax})
+            c.append((acc >> bits) // (m - 1))
+        return TailPoly(rho, dict(enumerate(c)))
 
     # -- the tail-sum operator -----------------------------------------------
     def sumtail(self, f: TailPoly, alternating: bool = False) -> TailPoly:
@@ -215,59 +287,57 @@ class TailCalc:
         Euler-Maclaurin expansion of sum_{n>=N} n**-p less its N**-p term:
         N**(1-p)/(p-1) - N**-p/2 + sum_k B_2k/(2k)! (p)_{2k-1} N**(1-p-2k).
         Coefficient c_q (p = rho+q) therefore lands directly on keys q-1, q
-        and q-1+2k; keys above qmax are dropped.
+        and q-1+2k, times the factors of its row (``_sum_row``); keys above
+        qmax are dropped.
 
         alternating: G with sum_{m>x} (-1)**m f(m) = (-1)**x G(x), for any
         min power > 0. The Boole summation formula (DLMF 24.17) gives
         -N**-p/2 + sum_k (4**k - 1) B_2k/(2k)! (p)_{2k-1} N**(1-p-2k):
         the key q-1 term is gone and key q-1+2k gains the factor 4**k - 1.
         """
-        mp = self.mp
         mn = f.min_power()
         if mn is None:
             return TailPoly(f.rho, {})
         if mn <= (0 if alternating else 1):
             raise DomainError(f"tail-sum of a series with minimum power {mn} diverges")
-        qmax = self.qmax
-        em = _em_factors(mp, (qmax + 1 - min(f.coeffs)) // 2)
-        zero = mp.mpf(0)
+        bits, qmax = self.bits, self.qmax
+        rn, rd = f.rho.numerator, f.rho.denominator
         out: dict = {}
+        get = out.get
         for q, cq in f.coeffs.items():
             if not cq:
                 continue
-            p = f.rho + q
+            kmax = (qmax + 1 - q) // 2
+            row = _sum_row(bits, rn + q * rd, rd, alternating, kmax)
             if q - 1 <= qmax and not alternating:
-                out[q - 1] = out.get(q - 1, zero) + cq / (p - 1)
+                out[q - 1] = get(q - 1, 0) + cq * row[0]
             if q <= qmax:
-                out[q] = out.get(q, zero) - cq / 2
-            rf = cq * p  # c_q * (p)_{2k-1}, built incrementally
-            k = 1
-            while q - 1 + 2 * k <= qmax:
-                key = q - 1 + 2 * k
-                fac = em[k - 1] * (4 ** k - 1) if alternating else em[k - 1]
-                out[key] = out.get(key, zero) + rf * fac
-                rf *= (p + 2 * k - 1) * (p + 2 * k)
-                k += 1
-        return TailPoly(f.rho, out)
+                out[q] = get(q, 0) - (cq << (bits - 1))  # -c_q/2
+            key = q + 1
+            for k in range(1, kmax + 1):
+                out[key] = get(key, 0) + cq * row[k]
+                key += 2
+        return TailPoly(f.rho, {q: v >> bits for q, v in out.items()})
 
     # -- evaluation ------------------------------------------------------------
     def eval_at(self, f: TailPoly, m: int):
-        """Numeric value of f at integer m (valid for m well above qmax)."""
+        """Numeric value of f at integer m (valid for m well above qmax):
+        Horner in fixed point by integer division by m+1, then one mpf
+        conversion times (m+1)**-e, e = rho + lowest key. With e = a/b that
+        power is the b-th root of the exact integer (m+1)**a, which rounds
+        once; an mpf exponent would carry its own rounding times e*log(m+1)."""
         mp = self.mp
-        y = mp.mpf(1) / (m + 1)
-        # Horner over (possibly sparse) integer keys
-        keys = sorted(f.coeffs)
-        total = mp.mpf(0)
-        prev = None
-        for q in reversed(keys):
-            if prev is None:
-                total = f.coeffs[q]
-            else:
-                total = total * y ** (prev - q) + f.coeffs[q]
-            prev = q
-        if prev is None:
+        if not f.coeffs:
             return mp.mpf(0)
-        total *= y ** prev
-        if f.rho:
-            total *= y ** f.rho
-        return total
+        n = m + 1
+        coeffs = f.coeffs
+        keys = sorted(coeffs, reverse=True)
+        prev = keys[0]
+        total = 0
+        for q in keys:
+            total = total // n ** (prev - q) + coeffs[q]
+            prev = q
+        value = mp.ldexp(mp.mpf(total), -self.bits)
+        e = f.rho + prev
+        power = mp.root(n ** abs(e.numerator), e.denominator)
+        return value / power if e > 0 else value * power

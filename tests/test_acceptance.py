@@ -234,6 +234,25 @@ def test_criterion_10_verify_all(tmp_path):
             len(got) == len(pinned) and not changed)
 
 
+@pytest.mark.parametrize("argv", [["eq4_expansion_r3", "--s", "1"],
+                                  ["eq4_expansion_r2", "--s", "1"],
+                                  ["two_one_eq4", "--r", "2", "--s", "1"]],
+                         ids=lambda argv: argv[0])
+def test_criterion_10_alternating_items_at_100_digits(tmp_path, argv):
+    # the alternating (Boole-tailed) sides that hold the fewest digits at
+    # 100 digits; their rendered values and verdicts as pinned
+    import json
+
+    path = tmp_path / "report.json"
+    code = cli.main(["verify", *argv, "--prec", "100", "--json", str(path)])
+    keys = ("id", "params", "lhs", "rhs", "pass")
+    got = [{k: r[k] for k in keys} for r in json.loads(path.read_text())["results"]]
+    pinned = json.loads((DATA / "verify_100d_alternating.json").read_text())
+    want = [p for p in pinned if p["id"] == argv[0]]
+    _report("criterion 10", f"{argv[0]} at 100 digits as pinned",
+            code == 0 and len(want) == 1 and got == want)
+
+
 # -- criterion 11: the full registry at the context's default tolerance ------------
 
 def test_criterion_11_verify_all_default_tol(tmp_path):

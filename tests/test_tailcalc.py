@@ -2,9 +2,12 @@
 
 sum_{m>x} (m+1)**-p is the Hurwitz zeta value zeta(p, x+2), which mpmath
 computes by its own route, so every tail sum below has a reference that
-shares no code with TailCalc.
+shares no code with TailCalc. TailCalc keeps its coefficients as integers
+at scale 2**bits; the mpf algebra it replaced is kept below as a second
+oracle, run at twice the working digits.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,19 +33,27 @@ def _close(mp, got, want, rtol):
     assert abs(got - want) <= rtol * abs(want), mp.nstr(got - want, 5)
 
 
+def _poly(calc, rho, coeffs):
+    """The TailPoly sum_q coeffs[q] (m+1)**-(rho+q), from exact numbers."""
+    fixed = {}
+    for q, c in coeffs.items():
+        c = Fraction(c)
+        fixed[q] = (c.numerator << calc.bits) // c.denominator
+    return TailPoly(Fraction(rho), fixed)
+
+
 @pytest.mark.parametrize("rho", ["2", "3", "2.5", "1.25"])
 def test_sumtail_of_single_power(env, rho):
     mp, calc, rtol = env
-    r = mp.mpf(rho)
-    got = calc.eval_at(calc.sumtail(TailPoly(r, {0: mp.mpf(1)})), X)
-    _close(mp, got, mp.zeta(r, X + 2), rtol)
+    got = calc.eval_at(calc.sumtail(_poly(calc, rho, {0: 1})), X)
+    _close(mp, got, mp.zeta(_mpf(mp, rho), X + 2), rtol)
 
 
 @pytest.mark.parametrize("k,shift", [(2, "0"), (3, "1/3"), (2, "5/2"), (4, "-1/2")])
 def test_sumtail_of_shifted_pow_weight(env, k, shift):
     mp, calc, rtol = env
     c = _mpf(mp, shift)
-    got = calc.eval_at(calc.sumtail(calc.pow_weight(k, c)), X)
+    got = calc.eval_at(calc.sumtail(calc.pow_weight(k, Fraction(shift))), X)
     # sum_{m>x} (m+c)**-k = zeta(k, x+1+c)
     _close(mp, got, mp.zeta(k, X + 1 + c), rtol)
 
@@ -50,7 +61,7 @@ def test_sumtail_of_shifted_pow_weight(env, k, shift):
 def test_sumtail_with_negative_keys(env):
     mp, calc, rtol = env
     rho = mp.mpf("3.5")
-    f = TailPoly(rho, {-1: mp.mpf(2), 0: mp.mpf(-3), 2: mp.mpf("0.5")})
+    f = _poly(calc, "3.5", {-1: 2, 0: -3, 2: "0.5"})
     got = calc.eval_at(calc.sumtail(f), X)
     want = (2 * mp.zeta(rho - 1, X + 2) - 3 * mp.zeta(rho, X + 2)
             + mp.mpf("0.5") * mp.zeta(rho + 2, X + 2))
@@ -86,10 +97,10 @@ def test_sumtail_requires_convergence(env):
     with pytest.raises(DomainError):
         calc.sumtail(calc.pow_weight(1, 0))
     with pytest.raises(DomainError):
-        calc.sumtail(TailPoly(mp.mpf("0.75"), {0: mp.mpf(1)}))
+        calc.sumtail(_poly(calc, "0.75", {0: 1}))
     with pytest.raises(DomainError):
-        calc.sumtail(TailPoly(mp.mpf(3), {-2: mp.mpf(1), 0: mp.mpf(1)}))
-    assert calc.sumtail(TailPoly(mp.mpf(2), {})).coeffs == {}
+        calc.sumtail(_poly(calc, 3, {-2: 1, 0: 1}))
+    assert calc.sumtail(_poly(calc, 2, {})).coeffs == {}
 
 
 @pytest.mark.parametrize("nums,dens", [
@@ -102,8 +113,9 @@ def test_ratio_asymptotics_matches_direct_product(env, nums, dens):
 
     ns = [_mpf(mp, s) for s in nums]
     ds = [_mpf(mp, s) for s in dens]
-    rho = sum(ds) - sum(ns)
-    shape = calc.ratio_asymptotics(ns, ds, rho)
+    exact_ns = [Fraction(s) for s in nums]
+    exact_ds = [Fraction(s) for s in dens]
+    shape = calc.ratio_asymptotics(exact_ns, exact_ds, sum(exact_ds) - sum(exact_ns))
     t1, t2 = X, 2 * X
     w = mp.mpf(1)  # w(t1) = 1; multiply up to w(t2)
     for t in range(t1, t2):
@@ -136,31 +148,173 @@ def _check_alt(build):
     f = build(calc, mp)
     got = (-1) ** ALT_X * calc.eval_at(calc.sumtail(f, alternating=True), ALT_X)
     with mp.workdps(2 * mp.dps):
-        want = sum(c * _alt_power_tail(mp, f.rho + q, ALT_X) for q, c in f.coeffs.items())
+        want = sum(mp.ldexp(c, -calc.bits) * _alt_power_tail(mp, _mpf(mp, f.rho + q), ALT_X)
+                   for q, c in f.coeffs.items())
     tol = mp.mpf(10) ** -ctx.working_digits * abs(want)
     assert abs(got - want) <= tol, mp.nstr(got - want, 5)
 
 
 @pytest.mark.parametrize("p", ["1/2", "2", "3"])
 def test_alternating_sumtail_of_single_power(p):
-    _check_alt(lambda calc, mp: TailPoly(_mpf(mp, p), {0: mp.mpf(1)}))
+    _check_alt(lambda calc, mp: _poly(calc, p, {0: 1}))
 
 
 def test_alternating_sumtail_of_ratio_shape():
     # (1/2)_t / (5/2)_t: the decay rho = 2 of a ratio-weighted level
     _check_alt(lambda calc, mp: calc.ratio_asymptotics(
-        [mp.mpf(1) / 2], [mp.mpf(5) / 2], mp.mpf(2)))
+        [Fraction(1, 2)], [Fraction(5, 2)], Fraction(2)))
 
 
 def test_sumtail_domain_thresholds():
     mp = PrecisionContext(digits=30).mp
     calc = TailCalc(mp)
-    one = TailPoly(mp.mpf(1), {0: mp.mpf(1)})
+    one = _poly(calc, 1, {0: 1})
     with pytest.raises(DomainError):
         calc.sumtail(one)                       # plain needs min power > 1
     assert calc.sumtail(one, alternating=True).coeffs
-    for f in (TailPoly(mp.mpf(0), {0: mp.mpf(1)}),
-              TailPoly(mp.mpf(2), {-2: mp.mpf(1), 0: mp.mpf(1)})):
+    for f in (_poly(calc, 0, {0: 1}), _poly(calc, 2, {-2: 1, 0: 1})):
         with pytest.raises(DomainError):
             calc.sumtail(f, alternating=True)   # alternating needs > 0
-    assert calc.sumtail(TailPoly(mp.mpf("0.25"), {0: mp.mpf(1)}), alternating=True).coeffs
+    assert calc.sumtail(_poly(calc, "0.25", {0: 1}), alternating=True).coeffs
+
+
+# -- the mpf tail algebra as an oracle ---------------------------------------------
+#
+# TailCalc's algebra as it stood in mpf arithmetic: a poly is (rho, {q: c}) in
+# mpf, truncated at the qmax of the TailCalc under test so that both sides
+# drop the same keys. Run at twice the working digits, it checks the fixed
+# point arithmetic alone, not the truncation.
+
+def _oracle_sumtail(mp, qmax, f, alternating):
+    rho, coeffs = f
+    out = {}
+    zero = mp.mpf(0)
+    for q, cq in coeffs.items():
+        p = rho + q
+        if q - 1 <= qmax and not alternating:
+            out[q - 1] = out.get(q - 1, zero) + cq / (p - 1)
+        if q <= qmax:
+            out[q] = out.get(q, zero) - cq / 2
+        rf = cq * p  # c_q * (p)_{2k-1}, built incrementally
+        k = 1
+        while q - 1 + 2 * k <= qmax:
+            fac = mp.bernoulli(2 * k) / mp.factorial(2 * k)
+            if alternating:
+                fac *= 4 ** k - 1
+            out[q - 1 + 2 * k] = out.get(q - 1 + 2 * k, zero) + rf * fac
+            rf *= (p + 2 * k - 1) * (p + 2 * k)
+            k += 1
+    return rho, out
+
+
+def _oracle_mul(mp, qmax, f, g):
+    coeffs = {}
+    for qf, cf in f[1].items():
+        for qg, cg in g[1].items():
+            if qf + qg <= qmax:
+                coeffs[qf + qg] = coeffs.get(qf + qg, mp.mpf(0)) + cf * cg
+    return f[0] + g[0], coeffs
+
+
+def _oracle_add(mp, f, g):
+    coeffs = dict(f[1])
+    for q, c in g[1].items():
+        coeffs[q] = coeffs.get(q, mp.mpf(0)) + c
+    return f[0], coeffs
+
+
+def _oracle_ratio_asymptotics(mp, qmax, ns, ds, rho):
+    P = [mp.mpf(0)] * (qmax + 2)
+    P[0] = mp.mpf(1)
+    for n in ns:
+        for i in range(qmax + 1, 0, -1):
+            P[i] += P[i - 1] * (n - 1)
+    for d in ds:
+        for i in range(1, qmax + 2):
+            P[i] -= P[i - 1] * (d - 1)
+    cols = []
+    for q in range(qmax):
+        col = [mp.mpf(1)]
+        for j in range(qmax + 1 - q):
+            col.append(col[j] * ((-q - rho - j) / (j + 1)))
+        cols.append(col)
+    c = {0: mp.mpf(1)}
+    for m in range(2, qmax + 2):
+        acc = mp.mpf(0)
+        for q in range(0, m - 1):
+            acc += c[q] * (cols[q][m - q] - P[m - q])
+        c[m - 1] = acc / (m - 1)
+    return rho, c
+
+
+def _oracle_eval(mp, f, x):
+    return sum(c * mp.mpf(x + 1) ** -(f[0] + q) for q, c in f[1].items())
+
+
+def _random_poly(rng, rho, qlo, qmax):
+    """Exact coefficients on a random key set from qlo up: the lowest one of
+    size 1/2..1, so the value at x = 499 has no cancellation."""
+    keys = [qlo] + sorted(rng.sample(range(qlo + 1, qmax + 1), rng.randint(2, 8)))
+    coeffs = {q: Fraction(rng.randint(-10 ** 6, 10 ** 6), 10 ** 6) for q in keys}
+    coeffs[qlo] = Fraction(rng.choice((-1, 1)) * rng.randint(5 * 10 ** 5, 10 ** 6), 10 ** 6)
+    return Fraction(rho), coeffs
+
+
+def _oracle_poly(mp, f):
+    """The exact poly f as an oracle poly at mp's precision."""
+    rho, coeffs = f
+    return _mpf(mp, rho), {q: _mpf(mp, c) for q, c in coeffs.items()}
+
+
+# (rho, lowest key) of plain and alternating random polys: integer and
+# fractional offsets, negative keys, minimum powers above 1 (plain) or 0
+PLAIN = [(2, 0), (3, -1), ("5/2", -1), ("7/3", 0), (4, -2)]
+ALTERNATING = [("1/2", 0), (1, 0), (2, -1), ("7/3", -2), ("5/4", 0)]
+ORACLE_X = 499
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_point_algebra_matches_mpf_oracle(digits, alternating, seed):
+    ctx = PrecisionContext(digits=digits)
+    mp = ctx.mp
+    calc = TailCalc(mp)
+    qmax = calc.qmax
+    rng = random.Random(1000 * digits + 10 * seed + alternating)
+    rho, qlo = rng.choice(ALTERNATING if alternating else PLAIN)
+    f = _random_poly(rng, rho, qlo, qmax)
+    g = _random_poly(rng, rng.choice(["1/3", 1, 2] if alternating else [2, "5/2", 3]), 0, qmax)
+    ns = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(2)]
+    ds = [n + Fraction(rng.randint(2, 8), rng.randint(1, 2)) for n in ns]  # rho >= 2
+    rho_r = sum(ds) - sum(ns)
+
+    fx, gx = _poly(calc, *f), _poly(calc, *g)
+    shape = calc.ratio_asymptotics(ns, ds, rho_r)
+    got = {
+        "sumtail": calc.sumtail(fx, alternating),
+        "mul": calc.mul(fx, gx),
+        "sumtail(mul(f, add(g, sumtail(g))))": calc.sumtail(
+            calc.mul(fx, calc.add(gx, calc.sumtail(gx, alternating))), alternating),
+        "ratio_asymptotics": shape,
+        "sumtail(shape)": calc.sumtail(shape, alternating),
+    }
+    got = {name: calc.eval_at(h, ORACLE_X) for name, h in got.items()}
+    with mp.workdps(2 * mp.dps):
+        fo, go = _oracle_poly(mp, f), _oracle_poly(mp, g)
+        so = _oracle_ratio_asymptotics(mp, qmax, [_mpf(mp, n) for n in ns],
+                                       [_mpf(mp, d) for d in ds], _mpf(mp, rho_r))
+        want = {
+            "sumtail": _oracle_sumtail(mp, qmax, fo, alternating),
+            "mul": _oracle_mul(mp, qmax, fo, go),
+            "sumtail(mul(f, add(g, sumtail(g))))": _oracle_sumtail(mp, qmax, _oracle_mul(
+                mp, qmax, fo, _oracle_add(mp, go, _oracle_sumtail(mp, qmax, go, alternating))),
+                alternating),
+            "ratio_asymptotics": so,
+            "sumtail(shape)": _oracle_sumtail(mp, qmax, so, alternating),
+        }
+        want = {name: _oracle_eval(mp, h, ORACLE_X) for name, h in want.items()}
+        for name in got:
+            err = abs(got[name] - want[name]) / abs(want[name])
+            assert err <= mp.mpf(10) ** -ctx.working_digits, (name, mp.nstr(err, 3))
+

@@ -36,6 +36,12 @@ def test_tracer_installs_on_every_name_and_uninstalls(monkeypatch):
     assert all(_current(owner, attr) is orig for owner, attr, orig in patched)
 
 
+def test_worker_facts_resolve():
+    # perfbench/worker.py reports the mpmath build through mzsv.context
+    assert mzsv.context.mpmath.__version__
+    assert mzsv.context.mpmath.libmp.BACKEND
+
+
 def test_tracer_counts_alternating_kernel_work(monkeypatch):
     # the tracer reads the kernels' t0/t1 by position (args[7]/args[8] of
     # nested_chain_advance, args[6]/args[7] of weighted_chain_advance); an
