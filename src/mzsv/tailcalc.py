@@ -30,9 +30,11 @@ ratio shifts stay exact Fractions. ``sumtail`` multiplies each coefficient
 c_q by one cached row of factors per (scale, p = rho+q, alternating):
 1/(p-1), then B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a Boole tail, each
 rounded once from its exact rational value; the rows are built on first
-use, never at import, and shared by every TailCalc at that scale. Only
-``eval_at`` returns an mpf: it runs Horner by integer division by m+1 and
-converts once, times (m+1)**-(rho + lowest key).
+use, never at import, shared by every TailCalc at that scale, and the
+``SUM_ROWS_MAX`` most recently used are kept. The exact B_2k/(2k)! behind
+them also serve ``power_sum_tail``. Only ``eval_at`` returns an mpf: it
+runs Horner by integer division by m+1 and converts once, times
+(m+1)**-(rho + lowest key).
 
 Series are truncated at ``qmax = max(18, (dps + 14) // 3 + 1)`` powers: at
 m ~ 500 that is below working precision at 30 digits, but only about
@@ -43,6 +45,7 @@ q!/(2 pi)^q), so at 100 digits an alternating tail holds about 104 digits.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from math import factorial
 
@@ -54,22 +57,11 @@ GUARD_BITS = 32  # fixed-point bits of TailCalc beyond the context's precision
 
 _TWO_PI = 6.283185307179586
 
-_em_cache: dict = {}
+SUM_ROWS_MAX = 1024  # sumtail factor rows kept, least recently used dropped first
+EXACT_POWER_BITS = 4096  # eval_at takes a root of (m+1)**|a| up to this size
+
 _em_exact: list = []
-_sum_rows: dict = {}
-
-
-def _em_factors(mp, kmax: int) -> list:
-    """B_2k/(2k)! for k = 1..kmax (index k-1): one list per precision for
-    power_sum_tail, extended on demand. The values live in a private clone
-    of the first caller's context, so a later precision change of that
-    context cannot alter them."""
-    if mp.prec not in _em_cache:
-        _em_cache[mp.prec] = (mp.clone(), [])
-    work, em = _em_cache[mp.prec]
-    for k in range(len(em) + 1, kmax + 1):
-        em.append(work.bernoulli(2 * k) / work.factorial(2 * k))
-    return em
+_sum_rows: OrderedDict = OrderedDict()
 
 
 def _em_expansion_point(tol_digits: float, M: int) -> int:
@@ -106,7 +98,8 @@ def power_sum_tail(mp, p, M: int, tol):
         k = 1
         rf = p  # (p)_{2k-1} built incrementally
         while True:
-            term = _em_factors(mp, k)[k - 1] * rf * base ** (1 - p - 2 * k)
+            num, den = _em_fraction(k)
+            term = mp.mpf(num) / den * rf * base ** (1 - p - 2 * k)
             at = abs(term)
             if at >= prev:
                 break  # divergence onset; min term reached
@@ -126,7 +119,7 @@ def power_sum_tail(mp, p, M: int, tol):
 
 def _em_fraction(k: int) -> tuple:
     """B_2k/(2k)! as an exact (numerator, denominator) pair, extended on
-    demand in a list shared by every scale."""
+    demand in one list shared by power_sum_tail and every scale."""
     for j in range(len(_em_exact) + 1, k + 1):
         num, den = bernfrac(2 * j)
         _em_exact.append((num, den * factorial(2 * j)))
@@ -140,10 +133,11 @@ def _sum_row(bits: int, a: int, b: int, alternating: bool, kmax: int) -> list:
     Boole tail, for k = 1..kmax. Each is rounded down from its exact
     rational value. Rows are cached per (bits, p, alternating), shared by
     every TailCalc at that scale, and rebuilt longer when a longer one is
-    asked for."""
+    asked for; the SUM_ROWS_MAX most recently used are kept."""
     key = (bits, a, b, alternating)
     row = _sum_rows.get(key)
     if row is not None and len(row) > kmax:
+        _sum_rows.move_to_end(key)
         return row
     row = [0 if alternating else (b << bits) // (a - b)]
     num, den = a, b  # (p)_{2k-1} = num/den, built incrementally
@@ -155,6 +149,9 @@ def _sum_row(bits: int, a: int, b: int, alternating: bool, kmax: int) -> list:
         num *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
         den *= b * b
     _sum_rows[key] = row
+    _sum_rows.move_to_end(key)
+    if len(_sum_rows) > SUM_ROWS_MAX:
+        _sum_rows.popitem(last=False)
     return row
 
 
@@ -324,8 +321,11 @@ class TailCalc:
         """Numeric value of f at integer m (valid for m well above qmax):
         Horner in fixed point by integer division by m+1, then one mpf
         conversion times (m+1)**-e, e = rho + lowest key. With e = a/b that
-        power is the b-th root of the exact integer (m+1)**a, which rounds
-        once; an mpf exponent would carry its own rounding times e*log(m+1)."""
+        power is the b-th root of the exact integer (m+1)**|a|, which rounds
+        once, while that integer has at most EXACT_POWER_BITS bits. Past
+        that (a parameter with many digits, or a large one) the power takes
+        an mpf exponent, with enough extra bits that its rounding, magnified
+        by e*log(m+1), stays GUARD_BITS below the working precision."""
         mp = self.mp
         if not f.coeffs:
             return mp.mpf(0)
@@ -339,5 +339,11 @@ class TailCalc:
             prev = q
         value = mp.ldexp(mp.mpf(total), -self.bits)
         e = f.rho + prev
-        power = mp.root(n ** abs(e.numerator), e.denominator)
-        return value / power if e > 0 else value * power
+        a, b = e.numerator, e.denominator
+        if abs(a) * n.bit_length() <= EXACT_POWER_BITS:
+            power = mp.root(n ** abs(a), b)
+            return value / power if e > 0 else value * power
+        lost = int(abs(e) * n.bit_length()).bit_length()
+        with mp.workprec(mp.prec + GUARD_BITS + lost):
+            power = mp.power(n, mp.mpf(-a) / b)
+        return value * power

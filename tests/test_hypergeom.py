@@ -63,6 +63,22 @@ def test_pfq_kummer_theorem_50_digits(ctx50, a, b):
     assert abs(ours - ref) < mp.mpf("1e-45")
 
 
+@pytest.mark.parametrize("upper,lower,z", [
+    (["0.1234567", 1], ["2.3"], 1),
+    ([0.1, 1], [2.3], 1),
+    (["0.1234567", "0.5"], ["1.7654321"], -1),
+    ([0.1, 0.7], [1.3], -1),
+], ids=["digits7-z1", "float-z1", "digits7-zm1", "float-zm1"])
+def test_pfq_many_digit_parameters(ctx50, upper, lower, z):
+    # a 7-digit decimal stays an exact Fraction over 10^7 and a float one over
+    # 2^55; the tail's decay exponent then has a long denominator
+    mp = ctx50.mp
+    ours = pfq(upper, lower, z, ctx50).mpf
+    with mp.workdps(2 * mp.dps):
+        ref = mp.hyper([_fr(mp, u) for u in upper], [_fr(mp, l) for l in lower], z)
+    assert abs(ours - ref) < mp.mpf("1e-45") * abs(ref)
+
+
 def test_pfq_preconditions(ctx30):
     with pytest.raises(DomainError):
         pfq([1, 2, 3], [1], -1, ctx30)  # arity

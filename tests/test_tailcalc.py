@@ -318,3 +318,34 @@ def test_fixed_point_algebra_matches_mpf_oracle(digits, alternating, seed):
             err = abs(got[name] - want[name]) / abs(want[name])
             assert err <= mp.mpf(10) ** -ctx.working_digits, (name, mp.nstr(err, 3))
 
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("rho", ["7/2", "1001/2", Fraction(0.1) + 2, "2.1234567"],
+                         ids=["short", "large", "float", "digits7"])
+def test_eval_at_long_exponents_match_mpf_oracle(digits, rho):
+    # (m+1)**-e is an exact root while (m+1)**|numerator| is small, an mpf
+    # power with extra bits past that (a large e, or a long denominator)
+    ctx = PrecisionContext(digits=digits)
+    mp = ctx.mp
+    calc = TailCalc(mp)
+    f = _random_poly(random.Random(digits), rho, 0, calc.qmax)
+    for x in (ORACLE_X, 10 ** 6):
+        got = calc.eval_at(_poly(calc, *f), x)
+        with mp.workdps(2 * mp.dps):
+            want = _oracle_eval(mp, _oracle_poly(mp, f), x)
+            err = abs(got - want) / abs(want)
+            assert err <= mp.mpf(10) ** -ctx.working_digits, (x, mp.nstr(err, 3))
+
+
+def test_sum_rows_keep_only_the_most_recent(monkeypatch):
+    from mzsv import tailcalc
+    monkeypatch.setattr(tailcalc, "SUM_ROWS_MAX", 8)
+    monkeypatch.setattr(tailcalc, "_sum_rows", tailcalc.OrderedDict())
+    calc = TailCalc(PrecisionContext(digits=30).mp)
+    for j in range(20):
+        calc.sumtail(_poly(calc, Fraction(2) + Fraction(1, j + 2), {0: 1, 1: 1}))
+    assert len(tailcalc._sum_rows) == 8
+    rho = Fraction(2) + Fraction(1, 21)  # the last poly: its two rows are the newest
+    assert list(tailcalc._sum_rows)[-2:] == [
+        (calc.bits, (rho + q).numerator, (rho + q).denominator, False) for q in (0, 1)]
