@@ -9,12 +9,12 @@ The hot summation kernels are pure-Python fixed-point integer loops
 __version__ = "0.1.0"
 
 from .context import HPReal, PrecisionContext
-from .errors import (ArityError, ConditionError, ConfigurationError,
-                     ConsistencyError, ContextMismatchError, ConvergenceError,
-                     DomainError, MzsvError, ParseError)
+from .errors import (ConditionError, ConfigurationError, ConsistencyError,
+                     ContextMismatchError, ConvergenceError, DomainError,
+                     MzsvError, ParseError)
 from .indices import Index, admissible, coarsenings, compositions, parse_index
 from .kernels import BACKEND
-from .numerics import accelerate_alternating, derivative_at, gamma, zeta_tail
+from .numerics import derivative_at, gamma, zeta_tail
 from .finite_sums import (d1_inv_pochhammer2a_at1, d1_pochhammer_at1,
                           dr_inv_pochhammer_2minus_at1, dr_ratio_at1,
                           pochhammer, star_sum, star_sum_exact, strict_sum,
@@ -32,10 +32,10 @@ __all__ = [
     "__version__", "BACKEND",
     "PrecisionContext", "HPReal",
     "MzsvError", "DomainError", "ParseError", "ContextMismatchError",
-    "ArityError", "ConvergenceError", "ConsistencyError", "ConditionError",
+    "ConvergenceError", "ConsistencyError", "ConditionError",
     "ConfigurationError",
     "Index", "parse_index", "admissible", "coarsenings", "compositions",
-    "gamma", "zeta_tail", "derivative_at", "accelerate_alternating",
+    "gamma", "zeta_tail", "derivative_at",
     "pochhammer", "strict_sum", "star_sum", "strict_sum_exact",
     "star_sum_exact", "d1_pochhammer_at1", "d1_inv_pochhammer2a_at1",
     "dr_inv_pochhammer_2minus_at1", "dr_ratio_at1",

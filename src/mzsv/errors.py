@@ -23,10 +23,6 @@ class ContextMismatchError(MzsvError, TypeError):
     """Two high-precision values from different precision contexts were mixed."""
 
 
-class ArityError(MzsvError, ValueError):
-    """A sequence argument has too few entries."""
-
-
 class ConvergenceError(MzsvError, ArithmeticError):
     """A series or summation strategy could not reach the requested tolerance."""
 

@@ -128,16 +128,16 @@ def _combine(ctx: PrecisionContext, parts: List[Tuple[int, Evaluation]]) -> Eval
     return Evaluation(total, EvalDiagnostics(terms, tail, est, strategy))
 
 
-def _star(ctx, parts, tol):
-    return series.mzsv(Index(tuple(parts)), ctx, tol=tol)
+def _star(ctx, parts):
+    return series.mzsv(Index(tuple(parts)), ctx)
 
 
-def _strict(ctx, parts, tol):
-    return series.mzv(Index(tuple(parts)), ctx, tol=tol)
+def _strict(ctx, parts):
+    return series.mzv(Index(tuple(parts)), ctx)
 
 
-def _alt(ctx, parts, tol):
-    return series.alt_mzsv(Index(tuple(parts)), ctx, tol=tol)
+def _alt(ctx, parts):
+    return series.alt_mzsv(Index(tuple(parts)), ctx)
 
 
 def _two_one_parts(r: int, s: int, kind: str) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -164,22 +164,22 @@ def _ev_remark1_even(ctx, p):
     s = p["s"]
     z = series.zeta(2 * s, ctx)
     lhs = _scalar(ctx, 2 * (1 - ctx.real(2) ** (1 - 2 * s)) * z)
-    rhs = _star(ctx, (2,) * s, ctx.tol)
+    rhs = _star(ctx, (2,) * s)
     return lhs, rhs
 
 
 def _ev_remark1_odd(ctx, p):
     s = p["s"]
     lhs = _scalar(ctx, 2 * series.zeta(2 * s + 1, ctx))
-    rhs = _star(ctx, (1,) + (2,) * s, ctx.tol)
+    rhs = _star(ctx, (1,) + (2,) * s)
     return lhs, rhs
 
 
 def _ev_specialized(case):
     def ev(ctx, p):
         s, alpha = p["s"], p["alpha"]
-        lhs = hypergeom.specialized_lhs(case, alpha, s, ctx, tol=ctx.tol)
-        rhs = hypergeom.specialized_rhs(case, alpha, s, ctx, tol=ctx.tol)
+        lhs = hypergeom.specialized_lhs(case, alpha, s, ctx)
+        rhs = hypergeom.specialized_rhs(case, alpha, s, ctx)
         return lhs, rhs
     return ev
 
@@ -199,19 +199,18 @@ def _ev_eq1(ctx, p):
     s = p["s"]
     lhs = _scalar(ctx, 4 * s * (1 - ctx.real(2) ** (-2 * s))
                   * series.zeta(2 * s + 1, ctx))
-    parts = [(1, _star(ctx, (3,) + (2,) * (s - 1), ctx.tol))]
+    parts = [(1, _star(ctx, (3,) + (2,) * (s - 1)))]
     for i in range(1, s + 1):
-        parts.append((2, _star(ctx, (2,) * (i - 1) + (3,) + (2,) * (s - i), ctx.tol)))
+        parts.append((2, _star(ctx, (2,) * (i - 1) + (3,) + (2,) * (s - i))))
     return lhs, _combine(ctx, parts)
 
 
 def _ev_a2_cyclic(ctx, p):
     s = p["s"]
     lhs = _scalar(ctx, (2 * s - 1) * series.zeta(2 * s, ctx))
-    parts = [(1, _star(ctx, (2,) * s, ctx.tol))]
+    parts = [(1, _star(ctx, (2,) * s))]
     for i in range(0, s - 1):
-        parts.append((1, _star(ctx, (1,) + (2,) * i + (3,) + (2,) * (s - 2 - i),
-                               ctx.tol)))
+        parts.append((1, _star(ctx, (1,) + (2,) * i + (3,) + (2,) * (s - 2 - i))))
     return lhs, _combine(ctx, parts)
 
 
@@ -231,15 +230,15 @@ def _ev_eq2_check(ctx, p):
 
 def _ev_eq3(ctx, p):
     r, s = p["r"], p["s"]
-    lhs = _star(ctx, (1,) * (r + 1) + (2,) * (s - 1), ctx.tol)
-    rhs = series.weighted_product_series_ex(r, s, False, ctx, tol=ctx.tol)
+    lhs = _star(ctx, (1,) * (r + 1) + (2,) * (s - 1))
+    rhs = series.weighted_product_series_ex(r, s, False, ctx)
     return lhs, rhs
 
 
 def _ev_eq4(ctx, p):
     r, s = p["r"], p["s"]
-    lhs = _star(ctx, (r + 2,) + (2,) * (s - 1), ctx.tol)
-    rhs = series.weighted_product_series_ex(r, s, True, ctx, tol=ctx.tol)
+    lhs = _star(ctx, (r + 2,) + (2,) * (s - 1))
+    rhs = series.weighted_product_series_ex(r, s, True, ctx)
     return lhs, rhs
 
 
@@ -251,24 +250,24 @@ def _ev_eq5_check(ctx, p):
 
 def _ev_addendum_mzv_form(ctx, p):
     r, s = p["r"], p["s"]
-    lhs = series.weighted_product_series_ex(r, s, False, ctx, tol=ctx.tol)
-    parts = [(coef, _strict(ctx, ix, ctx.tol))
+    lhs = series.weighted_product_series_ex(r, s, False, ctx)
+    parts = [(coef, _strict(ctx, ix))
              for coef, ix in _two_one_parts(r, s, "mzv")]
     return lhs, _combine(ctx, parts)
 
 
 def _ev_two_one_eq3(ctx, p):
     r, s = p["r"], p["s"]
-    lhs = _star(ctx, (1,) * (r + 1) + (2,) * (s - 1), ctx.tol)
-    parts = [(coef, _star(ctx, ix, ctx.tol))
+    lhs = _star(ctx, (1,) * (r + 1) + (2,) * (s - 1))
+    parts = [(coef, _star(ctx, ix))
              for coef, ix in _two_one_parts(r, s, "star")]
     return lhs, _combine(ctx, parts)
 
 
 def _ev_two_one_eq4(ctx, p):
     r, s = p["r"], p["s"]
-    lhs = _star(ctx, (r + 2,) + (2,) * (s - 1), ctx.tol)
-    parts = [(coef, _alt(ctx, ix, ctx.tol))
+    lhs = _star(ctx, (r + 2,) + (2,) * (s - 1))
+    parts = [(coef, _alt(ctx, ix))
              for coef, ix in _two_one_parts(r, s, "alt")]
     return lhs, _combine(ctx, parts)
 
@@ -308,15 +307,15 @@ def _kr_params_ii(variant: str, alpha, s: int) -> hypergeom.KRParamsII:
 
 def _ev_theoremA_i(ctx, p):
     params = _kr_params_i(p["variant"], p.get("alpha", "1"), p["s"])
-    lhs = hypergeom.kr_lhs_i(params, ctx, tol=ctx.tol)
-    rhs = hypergeom.kr_rhs_i(params, ctx, tol=ctx.tol)
+    lhs = hypergeom.kr_lhs_i(params, ctx)
+    rhs = hypergeom.kr_rhs_i(params, ctx)
     return lhs, rhs
 
 
 def _ev_theoremA_ii(ctx, p):
     params = _kr_params_ii(p["variant"], p.get("alpha", "1"), p["s"])
-    lhs = hypergeom.kr_lhs_ii(params, ctx, tol=ctx.tol)
-    rhs = hypergeom.kr_rhs_ii(params, ctx, tol=ctx.tol)
+    lhs = hypergeom.kr_lhs_ii(params, ctx)
+    rhs = hypergeom.kr_rhs_ii(params, ctx)
     return lhs, rhs
 
 

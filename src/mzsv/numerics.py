@@ -5,17 +5,16 @@ gamma                  -- Spouge's approximation, parameter chosen from the
 zeta_tail              -- Euler-Maclaurin remainder of the zeta series
 derivative_at          -- central-difference derivative oracle at tripled
                           working precision
-accelerate_alternating -- iterated pairwise averaging of partial sums
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable
 
 from .context import HPReal, PrecisionContext
-from .errors import ArityError, ContextMismatchError, DomainError
+from .errors import DomainError
 from .tailcalc import power_sum_tail
 
 _LOG10_TWO_PI = 0.7981798683581151
@@ -176,13 +175,9 @@ def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
     return HPReal(ctx.mp.mpf(res), ctx)
 
 
-# -- alternating-series acceleration -------------------------------------------
+# -- pairwise means ---------------------------------------------------------------
 
-class Acceleration(NamedTuple):
-    value: HPReal
-    error_estimate: HPReal
-
-
+# _iterated_means is unused here; perfbench/tracing.py wraps it by name
 def _iterated_means(mp, row):
     """Collapse a sequence by repeated pairwise means.
 
@@ -197,25 +192,3 @@ def _iterated_means(mp, row):
         last_spread = abs(row[-1] - row[-2])
         row = [(row[i] + row[i + 1]) * half for i in range(len(row) - 1)]
     return row[0], last_spread * half
-
-
-def accelerate_alternating(partial_sums: Sequence[HPReal],
-                           ctx: PrecisionContext) -> Acceleration:
-    """Iterated pairwise-mean extrapolation of alternating partial sums.
-
-    Repeatedly replaces the sequence by adjacent means until one value is
-    left; the error estimate is the spread of the final averaging step
-    (plus a working-precision floor), which bounds the true error for
-    alternating series whose term magnitudes are eventually monotone.
-    """
-    vals = list(partial_sums)
-    if len(vals) < 4:
-        raise ArityError(f"acceleration needs >= 4 partial sums, got {len(vals)}")
-    for v in vals:
-        if not isinstance(v, HPReal) or v.ctx is not ctx:
-            raise ContextMismatchError("partial sums must be HPReal in the given context")
-    mp = ctx.mp
-    value, spread = _iterated_means(mp, [v.mpf for v in vals])
-    scale = max(mp.mpf(1), abs(value))
-    floor = scale * mp.mpf(10) ** (-(ctx.working_digits - 2))
-    return Acceleration(HPReal(value, ctx), HPReal(spread + floor, ctx))

@@ -3,10 +3,10 @@
 Two layers:
 
 * :func:`power_sum_tail` evaluates ``sum_{m>M} m**(-p)`` to a requested
-  tolerance by summing a short bridge up to the point where the asymptotic
-  Euler-Maclaurin expansion has a minimum term below tolerance, then adding
-  the expansion. This backs ``series.zeta`` and the public ``zeta_tail``
-  operation.
+  tolerance in one pass: it sums a short bridge up to an expansion point
+  chosen so that the asymptotic Euler-Maclaurin expansion has a least term
+  far below tolerance, then adds the expansion. This backs ``series.zeta``
+  and the public ``zeta_tail`` operation.
 
 * :class:`TailCalc` manipulates asymptotic *tail polynomials*: functions of
   an integer m of the form ``F(m) = sum_q c_q * (m+1)**-(rho+q)`` with a
@@ -51,7 +51,7 @@ from math import factorial
 
 from mpmath import bernfrac
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 GUARD_BITS = 32  # fixed-point bits of TailCalc beyond the context's precision
 
@@ -64,19 +64,18 @@ _em_exact: list = []
 _sum_rows: OrderedDict = OrderedDict()
 
 
-def _em_expansion_point(tol_digits: float, M: int) -> int:
-    # smallest X where the EM minimum term ~ e^(-2*pi*X) clears the target
-    need = int(tol_digits * 2.302585 / _TWO_PI) + 8
-    return max(M, need)
-
-
 def power_sum_tail(mp, p, M: int, tol):
-    """sum_{m>M} m**(-p) for real p > 1 and integer M >= 1.
+    """sum_{m>M} m**(-p) for real p > 1 and integer M >= 1, in one pass.
 
-    Bridge-sums explicitly up to the Euler-Maclaurin expansion point, then
-    adds the asymptotic expansion truncated at its first term below ``tol``
-    (minimum-term guarded: if the expansion stalls above tolerance the
-    expansion point is pushed outward and the computation retried).
+    Bridge-sums explicitly up to the expansion point
+    X = max(M, floor(tol_digits * ln 10 / (2 pi)) + 8), then adds the
+    Euler-Maclaurin expansion at X+1 up to its first term below tol/1000,
+    or up to its least term. The terms B_2k/(2k)! (p)_{2k-1} (X+1)**(1-p-2k)
+    fall while p + 2k < 2 pi X, so the least term is at most about
+    X e**(2 pi - 2 pi X), the worst case being p near 2 pi. Since
+    X >= tol_digits * ln 10 / (2 pi) + 7, that is below tol * X e**(-12 pi),
+    far under tol/1000 (a scan over 20-410 digits and p from 1.0001 to 1e5
+    found at most 3e-21 tol), so the pass never needs a larger X.
     """
     p = mp.mpf(p)
     if p <= 1:
@@ -85,36 +84,28 @@ def power_sum_tail(mp, p, M: int, tol):
         raise DomainError(f"tail start must satisfy M >= 1, got {M}")
     tol = mp.mpf(tol)
     tol_digits = float(-mp.log10(tol)) if tol < 1 else 1.0
-    X = _em_expansion_point(tol_digits, M)
-    for _ in range(6):
-        bridge = mp.mpf(0)
-        for m in range(M + 1, X + 1):
-            bridge += mp.mpf(m) ** (-p)
-        base = mp.mpf(X + 1)
-        total = base ** (1 - p) / (p - 1) + base ** (-p) / 2
-        # Bernoulli correction terms; asymptotic, so stop at the minimum term
-        prev = mp.inf
-        term_ok = False
-        k = 1
-        rf = p  # (p)_{2k-1} built incrementally
-        while True:
-            num, den = _em_fraction(k)
-            term = mp.mpf(num) / den * rf * base ** (1 - p - 2 * k)
-            at = abs(term)
-            if at >= prev:
-                break  # divergence onset; min term reached
-            total += term
-            prev = at
-            if at < tol * mp.mpf("1e-3"):
-                term_ok = True
-                break
-            rf *= (p + 2 * k - 1) * (p + 2 * k)
-            k += 1
-        if term_ok or prev < tol:
-            return bridge + total
-        X *= 2  # min term was not small enough; expand the bridge
-    raise ConvergenceError(
-        f"Euler-Maclaurin tail did not reach tolerance {tol} for exponent {p}")
+    X = max(M, int(tol_digits * 2.302585 / _TWO_PI) + 8)
+    bridge = mp.mpf(0)
+    for m in range(M + 1, X + 1):
+        bridge += mp.mpf(m) ** (-p)
+    base = mp.mpf(X + 1)
+    total = base ** (1 - p) / (p - 1) + base ** (-p) / 2
+    # Bernoulli correction terms; asymptotic, so stop at the least term
+    stop = tol * mp.mpf("1e-3")
+    at = prev = mp.inf
+    k = 1
+    rf = p  # (p)_{2k-1} built incrementally
+    while at >= stop:
+        num, den = _em_fraction(k)
+        term = mp.mpf(num) / den * rf * base ** (1 - p - 2 * k)
+        at = abs(term)
+        if at >= prev:
+            break  # past the least term
+        total += term
+        prev = at
+        rf *= (p + 2 * k - 1) * (p + 2 * k)
+        k += 1
+    return bridge + total
 
 
 def _em_fraction(k: int) -> tuple:

@@ -1,5 +1,6 @@
 import pytest
 
+import mzsv
 from mzsv import ContextMismatchError, DomainError, HPReal, PrecisionContext
 
 
@@ -88,3 +89,9 @@ def test_decimal_rounding_carry(ctx30):
 
 def test_hpreal_repr(ctx30):
     assert "HPReal(" in repr(ctx30.real(2))
+
+
+def test_public_exports_resolve():
+    # a deleted function must take its __all__ entry with it
+    missing = [name for name in mzsv.__all__ if not hasattr(mzsv, name)]
+    assert not missing

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzsv import (ArityError, DomainError, PrecisionContext,
-                  accelerate_alternating, derivative_at,
+from mzsv import (DomainError, PrecisionContext, derivative_at,
                   dr_inv_pochhammer_2minus_at1, gamma, zeta_tail)
 
 from conftest import close
@@ -157,38 +156,3 @@ def test_derivative_domain(ctx30):
     with pytest.raises(DomainError):
         derivative_at(lambda x: x, 1, -1, ctx30)
 
-
-# -- alternating acceleration ------------------------------------------------------
-
-def _partials(ctx, terms, k):
-    mp = ctx.mp
-    acc = mp.mpf(0)
-    out = []
-    for m in range(terms):
-        acc += mp.mpf(-1) ** m / mp.mpf(m + 1) ** k
-        out.append(ctx.real(acc))
-    return out
-
-
-def test_accelerate_alternating_harmonic(ctx30):
-    res = accelerate_alternating(_partials(ctx30, 20, 1), ctx30)
-    assert abs(res.value.mpf - ctx30.mp.ln(2)) <= ctx30.mp.mpf("1e-6")
-    assert abs(res.value.mpf - ctx30.mp.ln(2)) <= res.error_estimate.mpf
-
-
-def test_accelerate_alternating_eta2(ctx30):
-    res = accelerate_alternating(_partials(ctx30, 40, 2), ctx30)
-    target = ctx30.mp.pi ** 2 / 12
-    assert abs(res.value.mpf - target) <= ctx30.mp.mpf("1e-10")
-    assert abs(res.value.mpf - target) <= res.error_estimate.mpf
-
-
-def test_accelerate_constant_fixed_point(ctx30):
-    c = ctx30.real("2.25")
-    res = accelerate_alternating([c, c, c, c], ctx30)
-    assert res.value.mpf == c.mpf
-
-
-def test_accelerate_arity(ctx30):
-    with pytest.raises(ArityError):
-        accelerate_alternating([ctx30.real(1)] * 3, ctx30)

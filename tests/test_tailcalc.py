@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mzsv import DomainError, PrecisionContext
-from mzsv.tailcalc import TailCalc, TailPoly
+from mzsv.tailcalc import TailCalc, TailPoly, power_sum_tail
 
 X = 10 ** 4
 
@@ -125,6 +125,24 @@ def test_ratio_asymptotics_matches_direct_product(env, nums, dens):
             w /= t + d
     got = calc.eval_at(shape, t2) / calc.eval_at(shape, t1)
     _close(mp, got, w, rtol * 10 ** 3)
+
+
+# -- power sums by Euler-Maclaurin ---------------------------------------------------
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("p", ["1.0001", "2", "17", "1000"])
+def test_power_sum_tail_one_pass(digits, p):
+    # against mpmath's Hurwitz zeta(p, M+1) at twice the working digits, at p
+    # as the context rounds it; the expansion point is fixed before the pass
+    mp = PrecisionContext(digits=digits).mp
+    ref_mp = mp.clone()
+    ref_mp.dps = 2 * mp.dps
+    tol = mp.mpf(10) ** -(mp.dps - 2)
+    pv = mp.mpf(p)
+    for M in (1, 500, 10 ** 6):
+        val = power_sum_tail(mp, pv, M, tol)
+        ref = ref_mp.zeta(ref_mp.mpf(pv), M + 1)
+        assert abs(val - ref) <= tol * max(1, abs(ref)), M
 
 
 # -- alternating (Boole) tail sums ------------------------------------------------
