@@ -10,9 +10,11 @@ checkpoint, double M. Every chain starts at t = 0, with index part k as
 the level 1/(t+1)^k (``index_levels``); a power piece 1/(t+c)^k reaches the
 kernel as (c, k, 0) for an integer c, else as the scaled (c*S, k, S^k).
 
-* start at M = 500 and double M until two successive results differ by
+* start at M = M0 and double M until two successive results differ by
   less than tol/2 (ctx.max_terms caps the doubling); checkpoint M sums
-  exactly the M terms t = 0 .. M-1;
+  exactly the M terms t = 0 .. M-1. M0 grows with the working digits,
+  with the tail expansion order (``tailcalc.expansion_plan``): 112 at
+  30 digits, 389 at 100;
 * at each checkpoint, correct the truncation by expanding the remainder
   level-by-level into tail-polynomial sums (exact for power-law weights;
   a ratio weight uses its full asymptotic shape, whose decay exponent
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Optional, Tuple
 
 from .context import PrecisionContext
@@ -45,10 +48,9 @@ from .errors import ConvergenceError, DomainError
 from .kernels import nested_chain_advance, weighted_chain_advance
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
 from .numerics import _iterated_means  # noqa: F401
-from .tailcalc import TailCalc
+from .tailcalc import TailCalc, expansion_plan
 
 SCALE_PAD = 16          # extra scaled digits absorbing floor-division bias
-DEFAULT_START = 500     # first truncation checkpoint
 
 DIRECT = "direct"
 TAIL_CORRECTED = "tail_corrected"
@@ -98,18 +100,37 @@ def _scaled(value, S: int) -> int:
     return q
 
 
+def first_checkpoint(ctx: PrecisionContext, levels=()) -> int:
+    """The first checkpoint of a run on ctx over the given chain levels.
+
+    That is M0 of ``tailcalc.expansion_plan``, from which the tail
+    expansion of ctx's TailCalc holds the working digits, unless a level
+    has a large shift: a piece 1/(t+c)^k, or a ratio factor t + c, expands
+    in powers of (c-1)/(m+1), which diverge for m below |c-1|. So a chain
+    starts at twice its largest |c-1| at least, and the doubling takes it
+    on from there.
+    """
+    shifts = [p.shift for lvl in levels for p in lvl.pows]
+    shifts += [c for lvl in levels if lvl.ratio is not None
+               for c in lvl.ratio.num_shifts + lvl.ratio.den_shifts]
+    reach = max((abs(c - 1) for c in shifts), default=0)
+    return max(expansion_plan(ctx.working_digits)[0], ceil(2 * reach))
+
+
 def _run_evaluator(ev, tol, corrections: bool, what: str):
     """The run loop of both evaluators.
 
     Checkpoint M sums the M terms t = 0 .. M-1 and adds the remainder after
-    them, unless corrections is off; M starts at DEFAULT_START and doubles
-    until two successive results differ by less than tol/2, with the
-    rounding floor 10^-working_digits * max(1, |E|) as the least
-    difference. A tol that the floor alone exceeds can never be met and
+    them, unless corrections is off; M starts at ev.start (the
+    ``first_checkpoint`` of its levels) and doubles until two successive
+    results differ by less than tol/2. The least difference is the
+    rounding floor 10^-working_digits * max(1, |E|, |tail|): the partial
+    sum and the tail each round at their own size. A tol that
+    10^-working_digits * max(1, |E|) alone exceeds can never be met and
     raises DomainError at the first checkpoint. A plateau (the difference
     no longer shrinking while still above tolerance) means the truncation
     model has bottomed out, and raises ConvergenceError at once; so does
-    a doubling past ctx.max_terms.
+    a doubling past ctx.max_terms, checked before the first checkpoint too.
 
     Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol,
     corrections). A hit returns the stored value and a copy of its info
@@ -128,7 +149,11 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
         what = "alternating " + what
     digits = ctx.working_digits
     floor = mp.mpf(10) ** -digits
-    M = DEFAULT_START
+    M = ev.start
+    if 2 * M > ctx.max_terms:
+        raise ConvergenceError(
+            f"{what}: its first two checkpoints, M = {M} and {2 * M}, "
+            f"exceed max_terms={ctx.max_terms}")
     prev = dprev = None
     while True:
         ev.advance_to(M)
@@ -141,7 +166,10 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
                 f"floor {mp.nstr(rounding, 4)} of {digits} working digits; "
                 f"raise the precision")
         if prev is not None:
-            diff = max(abs(E - prev), rounding)
+            # E adds the tail to the partial sum; where both far exceed E
+            # (a long alternating sum with large terms), each rounds at
+            # its own size
+            diff = max(abs(E - prev), rounding, floor * abs(tail))
             if diff < tolm / 2:
                 info = {"terms": M, "tail": tail, "estimate": diff,
                         "strategy": TAIL_CORRECTED if corrections else DIRECT}
@@ -221,6 +249,7 @@ class ChainEvaluator:
         self._kernel_args, self.rvals = kernel_levels(self.levels, S, strict)
         self.pvals = [S] + [0] * n
         self.t_next = 0
+        self.start = first_checkpoint(ctx, self.levels)
         self._tails = None
 
     # -- kernel driving -------------------------------------------------------
@@ -333,6 +362,7 @@ class WeightedChainEvaluator:
         self.tvals = [S] + [0] * r
         self.acc = 0    # the scaled running sum; term t is the one at N = t + 1
         self.t_next = 0
+        self.start = first_checkpoint(ctx)
         self._tails = None
 
     def advance_to(self, t_exclusive: int):

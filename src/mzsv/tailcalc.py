@@ -36,18 +36,29 @@ them also serve ``power_sum_tail``. Only ``eval_at`` returns an mpf: it
 runs Horner by integer division by m+1 and converts once, times
 (m+1)**-(rho + lowest key).
 
-Series are truncated at ``qmax = max(18, (dps + 14) // 3 + 1)`` powers: at
-m ~ 500 that is below working precision at 30 digits, but only about
-1e-101 at 100 digits, where the Euler-Maclaurin coefficients outgrow
-500^-qmax. The Boole coefficients grow faster still (about q!/pi^q against
-q!/(2 pi)^q), so at 100 digits an alternating tail holds about 104 digits.
+Series are truncated at ``qmax`` powers, and the run loop of ``chains``
+takes its first checkpoint at M0; ``expansion_plan`` derives both from
+the working digits D, from the truncation at the first checkpoint. The
+Euler-Maclaurin coefficient of key q grows like q!/(2 pi)^q and the Boole
+one faster still, like q!/pi^q (DLMF 24.17, 2.10), so dropping every key
+above qmax leaves about (qmax+1)!/(pi M0)^(qmax+1) at M0, times a factor
+that grows with the power summed. The rule keeps that below 10^-D for
+every power up to 3 (relative to the tail itself), so a tail holds the
+working digits from the first checkpoint on, plain or alternating, and a
+power chain settles at its second checkpoint for any tolerance its
+context admits. A larger M0 lets a shorter expansion do; of the pairs
+that qualify, the rule takes the cheapest by a measured cost model
+(kernel terms against tail-coefficient products), with M0 at least
+``MARGIN`` times qmax: M0 = 112 and qmax = 28 at 30 digits (D = 40),
+389 and 67 at 100, 1005 and 114 at 200.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import ceil, exp, factorial, lgamma, log, pi
 
 from mpmath import bernfrac
 
@@ -57,6 +68,8 @@ GUARD_BITS = 32  # fixed-point bits of TailCalc beyond the context's precision
 
 _TWO_PI = 6.283185307179586
 
+PRODUCT_COST = 0.25  # one tail-coefficient product in kernel term steps (expansion_plan)
+MARGIN = 4  # the first checkpoint is at least MARGIN * qmax (expansion_plan)
 SUM_ROWS_MAX = 1024  # sumtail factor rows kept, least recently used dropped first
 EXACT_POWER_BITS = 4096  # eval_at takes a root of (m+1)**|a| up to this size
 
@@ -106,6 +119,40 @@ def power_sum_tail(mp, p, M: int, tol):
         rf *= (p + 2 * k - 1) * (p + 2 * k)
         k += 1
     return bridge + total
+
+
+@lru_cache(maxsize=None)
+def expansion_plan(dps: int) -> tuple:
+    """(M0, qmax) for dps working digits: the first checkpoint of a run
+    and the number of powers every tail series keeps.
+
+    The Boole tail of (m+1)**-p at x = M0 - 1 drops, relative to its
+    leading term, about 4 M0 (p)_{2k-1} / (pi M0)^(2k) at its first
+    dropped key 2k - 1 > qmax (|B_2k|/(2k)! ~ 2/(2 pi)^2k); with
+    2k = qmax + 2 and p = 3 that is 2 M0 (qmax+3)! / (pi M0)^(qmax+2).
+    A pair is admissible when that is at most 10^-dps and M0 >= MARGIN *
+    qmax. The truncation grows with p, so every power up to 3 then keeps
+    the working digits relative to itself and every larger one keeps
+    them absolutely (its tail, M0^-p, shrinks faster), plain tails
+    (4^k smaller) more so. For each qmax that fixes the least M0; of those
+    pairs the rule takes the one of least cost 2 * M0 + PRODUCT_COST *
+    qmax**2, the kernel steps and tail-coefficient products of one level
+    of a run that settles at its second checkpoint.
+    """
+    bound = dps * log(10)
+    best = None
+    q = 0
+    while best is None or PRODUCT_COST * q * q < best[0]:
+        q += 1
+        # the least M0 with 2 M0 (q+3)! / (pi M0)^(q+2) <= 10^-dps
+        log_m0 = (log(2) + lgamma(q + 4) - (q + 2) * log(pi) + bound) / (q + 1)
+        if log_m0 > 690:
+            continue  # an M0 past 10^299: never the cheapest
+        m0 = max(ceil(exp(log_m0)), MARGIN * q)
+        cost = 2 * m0 + PRODUCT_COST * q * q
+        if best is None or cost < best[0]:
+            best = (cost, m0, q)
+    return best[1:]
 
 
 def _em_fraction(k: int) -> tuple:
@@ -170,7 +217,7 @@ class TailCalc:
 
     def __init__(self, mp):
         self.mp = mp
-        self.qmax = max(18, (mp.dps + 14) // 3 + 1)
+        self.qmax = expansion_plan(mp.dps)[1]
         self.bits = mp.prec + GUARD_BITS
 
     # -- constructors --------------------------------------------------------
@@ -309,9 +356,11 @@ class TailCalc:
 
     # -- evaluation ------------------------------------------------------------
     def eval_at(self, f: TailPoly, m: int):
-        """Numeric value of f at integer m (valid for m well above qmax):
-        Horner in fixed point by integer division by m+1, then one mpf
-        conversion times (m+1)**-e, e = rho + lowest key. With e = a/b that
+        """Numeric value of f at integer m, valid for m well above qmax (a
+        run evaluates its tails at m + 1 >= M0 >= MARGIN * qmax, see
+        ``expansion_plan``): Horner in fixed point by integer division by
+        m+1, then one mpf conversion times (m+1)**-e, e = rho + lowest
+        key. With e = a/b that
         power is the b-th root of the exact integer (m+1)**|a|, which rounds
         once, while that integer has at most EXACT_POWER_BITS bits. Past
         that (a parameter with many digits, or a large one) the power takes

@@ -9,6 +9,7 @@ import pytest
 
 from mzsv import (Index, PrecisionContext, cli, coarsenings, compositions,
                   mzsv, mzv, verify, zeta)
+from mzsv.chains import first_checkpoint
 
 from test_series import _admissible_small, _brute_partial, _tail_bound
 
@@ -232,6 +233,27 @@ def test_criterion_10_verify_all(tmp_path):
     _report("criterion 10", f"{len(got)} records against {len(pinned)} pinned, "
             f"{len(changed)} changed {changed[:3]}",
             len(got) == len(pinned) and not changed)
+    # every series side settles at its second checkpoint, twice the start
+    M0 = first_checkpoint(PrecisionContext(digits=30))
+    later = sorted({r["terms_used"] for r in report["results"]} - {0, 2 * M0})
+    _report("criterion 10", f"every series side stops at M = {2 * M0}, "
+            f"other term counts {later}", not later)
+
+
+def test_criterion_10_verify_all_100_digits(tmp_path):
+    # the whole registry at 100 digits and the default tolerance 1e-95:
+    # every value and verdict as pinned
+    import json
+
+    path = tmp_path / "report.json"
+    code = cli.main(["verify", "all", "--prec", "100", "--json", str(path)])
+    keys = ("id", "params", "lhs", "rhs", "pass")
+    got = [{k: r[k] for k in keys} for r in json.loads(path.read_text())["results"]]
+    pinned = json.loads((DATA / "verify_all_100d.json").read_text())
+    changed = [(p["id"], p["params"]) for g, p in zip(got, pinned) if g != p]
+    _report("criterion 10", f"{len(got)} records at 100 digits against "
+            f"{len(pinned)} pinned, {len(changed)} changed {changed[:3]}",
+            code == 0 and len(got) == len(pinned) and not changed)
 
 
 @pytest.mark.parametrize("argv", [["eq4_expansion_r3", "--s", "1"],

@@ -94,7 +94,8 @@ def test_a_hit_returns_a_fresh_info(kernel_calls):
 
 
 @pytest.mark.parametrize("run, max_terms, error", [
-    # a direct zeta(2) remainder is about 1/M, far above 1e-20 at M = 1000
+    # a direct zeta(2) remainder is about 1/M, far above 1e-20 at any M up
+    # to 1000
     (_chain((2,), corrections=False), 1000, ConvergenceError),
     # below the rounding floor of 40 working digits
     (_chain((2,), tol="1e-45"), 10 ** 8, DomainError),

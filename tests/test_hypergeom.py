@@ -7,8 +7,8 @@ from mzsv import (ConditionError, ConvergenceError, DomainError, KRParamsI,
                   KRParamsII, PrecisionContext, kr_conditions_i,
                   kr_conditions_ii, kr_lhs_i, kr_lhs_ii, kr_rhs_i, kr_rhs_ii,
                   pfq, specialized_lhs, specialized_rhs, zeta)
-from mzsv.chains import ChainEvaluator, Level, Pow, Ratio
-from mzsv.hypergeom import _gamma_any, _kr_levels
+from mzsv.chains import ChainEvaluator, Level, Pow, Ratio, first_checkpoint
+from mzsv.hypergeom import _gamma_any, _kr_levels, pfq_ex
 from mzsv.tailcalc import TailCalc
 
 
@@ -77,6 +77,30 @@ def test_pfq_many_digit_parameters(ctx50, upper, lower, z):
     with mp.workdps(2 * mp.dps):
         ref = mp.hyper([_fr(mp, u) for u in upper], [_fr(mp, l) for l in lower], z)
     assert abs(ours - ref) < mp.mpf("1e-45") * abs(ref)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("case", [
+    lambda M: (("200", "1/2"), ("405/2",), 1),
+    lambda M: (("110", "3"), ("113",), -1),
+    lambda M: (("1/2", "120"), ("121",), -1),
+    lambda M: ((M, "1/2"), (Fraction(2 * M + 5, 2),), 1),
+    lambda M: ((M - 10, 3), (M - 7,), -1),
+    lambda M: (("1/2", M), (M + 1,), -1),
+], ids=["2F1(200,1/2;405/2;1)", "2F1(110,3;113;-1)", "2F1(1/2,120;121;-1)",
+        "2F1(M0,1/2;M0+5/2;1)", "2F1(M0-10,3;M0-7;-1)", "2F1(1/2,M0;M0+1;-1)"])
+def test_pfq_large_parameters_error_estimate(digits, case):
+    # ratio shifts near the first checkpoint M0, where the expansion of the
+    # term in powers of 1/(m+1) converges slowly or not at all: the reported
+    # estimate must still bound the error, against mpmath at twice the digits
+    ctx = PrecisionContext(digits=digits)
+    upper, lower, z = case(first_checkpoint(ctx))
+    ev = pfq_ex(upper, lower, z, ctx)
+    mp = ctx.mp
+    with mp.workdps(2 * mp.dps):
+        ref = mp.hyper([_fr(mp, u) for u in upper], [_fr(mp, l) for l in lower], z)
+        err = abs(ev.value.mpf - ref)
+    assert err <= ev.diagnostics.error_estimate.mpf, mp.nstr(err, 3)
 
 
 def test_pfq_preconditions(ctx30):
@@ -290,7 +314,7 @@ def test_ratio_chain_tail_is_checkpoint_independent(ctx30, monkeypatch, name, le
     mp = ctx30.mp
     ev = ChainEvaluator(ctx30, levels)
     values = []
-    for M in (500, 1000, 2000):
+    for M in (first_checkpoint(ctx30), 500, 1000, 2000):
         ev.advance_to(M)
         values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M - 1))
     assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits, name

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext, admissible,
                   alt_mzsv, coarsenings, eta_shifted, mzsv, mzv, verify,
                   weighted_product_series, zeta)
-from mzsv.chains import (DEFAULT_START, ChainEvaluator, WeightedChainEvaluator,
-                         _run_evaluator, index_levels)
+from mzsv.chains import (ChainEvaluator, Level, Ratio, WeightedChainEvaluator,
+                         _run_evaluator, first_checkpoint, index_levels)
 from mzsv.series import weighted_product_series_ex
 
 
@@ -214,7 +216,7 @@ def test_weighted_tail_is_exact(ctx30, s):
     for r in range(6):
         ev = WeightedChainEvaluator(ctx30, r, 2 * s - 1, False)
         values = []
-        for M in (500, 1000, 2000):
+        for M in (first_checkpoint(ctx30), 500, 1000, 2000):
             ev.advance_to(M + 1)
             values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M))
         assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits, r
@@ -229,7 +231,7 @@ def test_power_chain_tail_is_checkpoint_independent(ctx30, parts, strict):
     mp = ctx30.mp
     ev = ChainEvaluator(ctx30, index_levels(parts), strict=strict)
     values = []
-    for M in (500, 1000, 2000):
+    for M in (first_checkpoint(ctx30), 500, 1000, 2000):
         ev.advance_to(M)
         values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M - 1))
     assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits
@@ -265,6 +267,7 @@ class _StubEvaluator:
         self.ctx = ctx
         self.value = value
         self.calls = []
+        self.start = first_checkpoint(ctx)
 
     def advance_to(self, M):
         self.calls.append(M)
@@ -278,10 +281,12 @@ def test_driver_plateau_raises_at_third_checkpoint():
     # the step difference stays at 2e-3, far above tol: the driver must give
     # up at the first comparison that shows no shrinking, not double M on
     # to max_terms
-    ev = _StubEvaluator(PrecisionContext(30), lambda n: (-1) ** n / 1000)
+    ctx = PrecisionContext(30)
+    ev = _StubEvaluator(ctx, lambda n: (-1) ** n / 1000)
     with pytest.raises(ConvergenceError, match="plateaued"):
         _run_evaluator(ev, "1e-20", True, "stub")
-    assert ev.calls == [DEFAULT_START, 2 * DEFAULT_START, 4 * DEFAULT_START]
+    M0 = first_checkpoint(ctx)
+    assert ev.calls == [M0, 2 * M0, 4 * M0]
 
 
 def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
@@ -291,13 +296,29 @@ def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
     ev = _StubEvaluator(PrecisionContext(30), lambda n: 3)
     with pytest.raises(DomainError, match="rounding floor"):
         _run_evaluator(ev, "5e-40", True, "stub")   # floor 3e-40 at 40 digits
-    assert ev.calls == [DEFAULT_START]
+    assert ev.calls == [first_checkpoint(ctx30)]
     below_floor = mp.mpf(10) ** -(ctx30.working_digits + 1)
     with pytest.raises(DomainError, match="rounding floor"):
         mzsv(Index((2,)), ctx30, tol=below_floor)
     for s, alternating in ((2, False), (1, True)):
         with pytest.raises(DomainError, match="rounding floor"):
             weighted_product_series_ex(0, s, alternating, ctx30, tol=below_floor)
+
+
+def test_large_shift_moves_the_first_checkpoint():
+    # the term of 2F1(400, 1/2; 805/2; 1) expands in powers of about
+    # 401/(m+1), so the run starts at twice the largest |shift - 1|, and
+    # one whose first two checkpoints pass max_terms raises before summing
+    a = Fraction(400)
+    level = Level(ratio=Ratio((a, Fraction(1, 2)), (Fraction(1), a + Fraction(5, 2)),
+                              init=Fraction(1)))
+    ctx = PrecisionContext(30)
+    assert first_checkpoint(ctx, [level]) == 803 > first_checkpoint(ctx)
+    assert first_checkpoint(ctx, index_levels((1, 2))) == first_checkpoint(ctx)
+    ev = ChainEvaluator(PrecisionContext(30, max_terms=1000), [level])
+    with pytest.raises(ConvergenceError, match="first two checkpoints"):
+        ev.run("1e-20")
+    assert ev.t_next == 0
 
 
 @pytest.mark.parametrize("make", [

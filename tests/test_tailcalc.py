@@ -9,11 +9,13 @@ oracle, run at twice the working digits.
 
 import random
 from fractions import Fraction
+from math import lgamma, log, pi
 
 import pytest
 
 from mzsv import DomainError, PrecisionContext
-from mzsv.tailcalc import TailCalc, TailPoly, power_sum_tail
+from mzsv.chains import first_checkpoint
+from mzsv.tailcalc import MARGIN, TailCalc, TailPoly, expansion_plan, power_sum_tail
 
 X = 10 ** 4
 
@@ -145,9 +147,36 @@ def test_power_sum_tail_one_pass(digits, p):
         assert abs(val - ref) <= tol * max(1, abs(ref)), M
 
 
+# -- the first checkpoint and the expansion order -----------------------------------
+
+def test_expansion_plan_truncation_and_margin():
+    # at every precision from 15 to 1000 digits (any guard), the first
+    # dropped key leaves a Boole truncation of at most 10^-dps at the first
+    # checkpoint, of the tail of (m+1)^-3 relative to itself,
+    # 2 M0 (q+3)!/(pi M0)^(q+2), and so also of the estimate the truncation
+    # of every tail starts from, (q+1)!/(pi M0)^(q+1); M0 stays MARGIN *
+    # qmax clear of qmax, the margin eval_at asks for
+    assert MARGIN >= 4
+    for dps in range(15, 1011):
+        m0, q = expansion_plan(dps)
+        assert m0 >= MARGIN * q, dps
+        bound = -dps * log(10)
+        assert log(2 * m0) + lgamma(q + 4) - (q + 2) * log(pi * m0) <= bound, dps
+        assert lgamma(q + 2) - (q + 1) * log(pi * m0) <= bound, dps
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100, 200])
+def test_run_start_and_tailcalc_share_the_plan(digits):
+    ctx = PrecisionContext(digits=digits)
+    m0, qmax = expansion_plan(ctx.working_digits)
+    assert first_checkpoint(ctx) == m0
+    assert TailCalc(ctx.mp).qmax == qmax
+
+
 # -- alternating (Boole) tail sums ------------------------------------------------
 
-ALT_X = 499  # the tail after the first checkpoint, M = 500
+# the tails after the first checkpoint at 30 digits and after M = 500
+ALT_X = (first_checkpoint(PrecisionContext(digits=30)) - 1, 499)
 
 
 def _alt_power_tail(mp, p, x):
@@ -158,18 +187,20 @@ def _alt_power_tail(mp, p, x):
 
 
 def _check_alt(build):
-    """sumtail(alternating=True) of build(calc, mp) at ALT_X and 30 digits,
-    against the Hurwitz form of every power at 60 digits."""
+    """sumtail(alternating=True) of build(calc, mp) at each ALT_X and 30
+    digits, against the Hurwitz form of every power at 60 digits."""
     ctx = PrecisionContext(digits=30)
     mp = ctx.mp
     calc = TailCalc(mp)
     f = build(calc, mp)
-    got = (-1) ** ALT_X * calc.eval_at(calc.sumtail(f, alternating=True), ALT_X)
-    with mp.workdps(2 * mp.dps):
-        want = sum(mp.ldexp(c, -calc.bits) * _alt_power_tail(mp, _mpf(mp, f.rho + q), ALT_X)
-                   for q, c in f.coeffs.items())
-    tol = mp.mpf(10) ** -ctx.working_digits * abs(want)
-    assert abs(got - want) <= tol, mp.nstr(got - want, 5)
+    G = calc.sumtail(f, alternating=True)
+    for x in ALT_X:
+        got = (-1) ** x * calc.eval_at(G, x)
+        with mp.workdps(2 * mp.dps):
+            want = sum(mp.ldexp(c, -calc.bits) * _alt_power_tail(mp, _mpf(mp, f.rho + q), x)
+                       for q, c in f.coeffs.items())
+        tol = mp.mpf(10) ** -ctx.working_digits * abs(want)
+        assert abs(got - want) <= tol, (x, mp.nstr(got - want, 5))
 
 
 @pytest.mark.parametrize("p", ["1/2", "2", "3"])
