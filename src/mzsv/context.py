@@ -33,11 +33,13 @@ class PrecisionContext:
 
     A context also memoises the finished series evaluations run on it
     (``chains._run_evaluator``), so it is cheap to evaluate one series
-    several times on one context.
+    several times on one context. It keeps Gamma at each fractional part
+    that ``numerics.gamma`` met (``gammas``) and the tripled context of
+    ``numerics.derivative_at`` (``tripled()``) the same way.
     """
 
     __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr",
-                 "evaluations")
+                 "evaluations", "gammas", "_tripled")
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
@@ -62,6 +64,8 @@ class PrecisionContext:
                 raise DomainError(f"tol must be positive, got {tol}")
             self._tol_repr = str(tol)
         self.evaluations: dict = {}
+        self.gammas: dict = {}
+        self._tripled = None
 
     @property
     def working_digits(self) -> int:
@@ -71,6 +75,14 @@ class PrecisionContext:
     def mp(self) -> MPContext:
         """The private mpmath context (working precision)."""
         return self._mp
+
+    def tripled(self) -> "PrecisionContext":
+        """A context with three times the digits and the same guard and
+        max_terms, made on the first call and kept with this one."""
+        if self._tripled is None:
+            self._tripled = PrecisionContext(3 * self.digits, self.guard,
+                                             self.max_terms)
+        return self._tripled
 
     def real(self, x: Real) -> "HPReal":
         """Coerce a number into this context.

@@ -252,7 +252,7 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
 
 def _gamma_ratio(ctx: PrecisionContext, num: Sequence[Fraction],
                  den: Sequence[Fraction]):
-    """prod gamma(num) / prod gamma(den) via the shifted-recurrence gamma."""
+    """prod gamma(num) / prod gamma(den) on gamma's exact rational path."""
     mp = ctx.mp
     val = mp.mpf(1)
     for x in num:
@@ -263,18 +263,8 @@ def _gamma_ratio(ctx: PrecisionContext, num: Sequence[Fraction],
 
 
 def _gamma_any(ctx: PrecisionContext, x: Fraction):
-    """Gamma at any real non-pole point, via the recurrence for x < 1."""
-    if _is_nonpos_int(x):
-        raise DomainError(f"gamma pole at {x}")
-    if x > 0:
-        return gamma(x, ctx).mpf
-    mp = ctx.mp
-    shift = 1 - int(x)  # x + shift > 0
-    denom = mp.mpf(1)
-    base = mp.mpf(x.numerator) / x.denominator
-    for j in range(shift):
-        denom *= base + j
-    return gamma(x + shift, ctx).mpf / denom
+    """Gamma at any rational non-pole point; DomainError at a pole."""
+    return gamma(x, ctx).mpf
 
 
 def _kr_prefix_levels(p, kind: str):

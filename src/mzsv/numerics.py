@@ -1,8 +1,13 @@
 """Arbitrary-precision scalar operations.
 
-gamma                  -- Spouge's approximation, parameter chosen from the
-                          context's working digits, recurrence reduction below 1
-zeta_tail              -- Euler-Maclaurin remainder of the zeta series
+gamma                  -- exact at an int or Fraction argument up to Gamma at
+                          its fractional part, which is computed once per
+                          context; Spouge's approximation (parameter chosen
+                          from the working digits, one shared work context
+                          per precision) for that part and for any other
+                          argument
+zeta_tail              -- Euler-Maclaurin remainder of the zeta series, to
+                          working precision
 derivative_at          -- central-difference derivative oracle at tripled
                           working precision
 """
@@ -11,7 +16,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
+
+from mpmath.ctx_mp import MPContext
 
 from .context import HPReal, PrecisionContext
 from .errors import DomainError
@@ -21,27 +29,41 @@ _LOG10_TWO_PI = 0.7981798683581151
 
 # -- gamma --------------------------------------------------------------------
 
-_spouge_cache: dict = {}
+EXACT_PART_MAX = 1000  # |integer part| up to which a rational takes the exact path
+WORK_CONTEXTS_MAX = 32  # Spouge work contexts kept, the oldest dropped first
+
+_work_contexts: dict = {}
 
 
-def _spouge_coefficients(mp, a: int):
-    """c_k = (-1)^(k-1)/(k-1)! * (a-k)^(k-1/2) * e^(a-k), k = 1..a-1."""
-    key = (a, mp.prec)
-    cached = _spouge_cache.get(key)
+def _spouge_work(a: int, dps: int):
+    """A work context at `dps` digits and its Spouge coefficients
+    c_k = (-1)^(k-1)/(k-1)! * (a-k)^(k-1/2) * e^(a-k), k = 1..a-1.
+
+    Made once per (a, dps) and never set to another precision: an mpf
+    computes at the current precision of the context that made it, so
+    coefficients shared between callers must keep their context's.
+    """
+    key = (a, dps)
+    cached = _work_contexts.get(key)
     if cached is not None:
         return cached
+    work = MPContext()
+    work.dps = dps
     coeffs = []
     sign = 1
-    fact = mp.mpf(1)
+    fact = work.mpf(1)
     for k in range(1, a):
-        ak = mp.mpf(a - k)
-        coeffs.append(sign * ak ** (k - mp.mpf("0.5")) * mp.exp(ak) / fact)
+        ak = work.mpf(a - k)
+        coeffs.append(sign * ak ** (k - work.mpf("0.5")) * work.exp(ak) / fact)
         sign = -sign
         fact *= k
-    _spouge_cache[key] = coeffs
-    return coeffs
+    if len(_work_contexts) >= WORK_CONTEXTS_MAX:
+        del _work_contexts[next(iter(_work_contexts))]
+    _work_contexts[key] = work, coeffs
+    return work, coeffs
 
 
+@lru_cache(maxsize=None)
 def _spouge_guard_digits(a: int) -> int:
     """Decimal digits the Spouge sum can lose to cancellation at any z >= 0:
     its terms |c_k|/(z+k) are at most |c_k|/k, and its value
@@ -51,54 +73,110 @@ def _spouge_guard_digits(a: int) -> int:
     return max(0, math.ceil((log_term - 0.5 * math.log(2 * math.pi)) / math.log(10)))
 
 
-def gamma(x, ctx: PrecisionContext) -> HPReal:
-    """Gamma function for positive real arguments.
+def _spouge(x, working_digits: int, lead: int = 0):
+    """Gamma(x) for x > 0 (a Fraction or an mpf) by Spouge's sum, as an mpf
+    of its work context. `lead` is the count of integer digits of x.
 
-    Absolute error <= ctx.tol * max(1, Gamma(x)). Spouge's parameter `a`
-    grows linearly with the working digits; the stated relative error bound
-    a^(-1/2) * (2*pi)^(-(a+1/2)) then sits below one working ulp.
+    Spouge's parameter `a` grows linearly with the working digits; the
+    stated relative error bound a^(-1/2) * (2*pi)^(-(a+1/2)) then sits
+    below one working ulp.
     """
-    xv = ctx.real(x)
-    if xv <= 0:
-        raise DomainError(f"gamma requires x > 0, got {xv}")
-    mp = ctx.mp
-    a = int((ctx.working_digits + 12) / _LOG10_TWO_PI) + 2
+    a = int((working_digits + 12) / _LOG10_TWO_PI) + 2
     # extra digits absorb the rounding and the cancellation of the Spouge sum,
     # and the integer digits of z that (z+1/2) log(z+a) and z+a carry
-    lead = int(mp.log10(xv.mpf)) if xv > 1 else 0
-    work = mp.clone()
-    work.dps = ctx.working_digits + 10 + _spouge_guard_digits(a) + lead
-    z = work.mpf(xv.mpf)
+    work, coeffs = _spouge_work(a, working_digits + 10 + _spouge_guard_digits(a) + lead)
+    if isinstance(x, Fraction):
+        base = work.mpf(x.numerator) / x.denominator
+    else:
+        base = work.mpf(x)
+    z = base
     shift = 0
     while z < 1:  # argument reduction: Gamma(z) = Gamma(z+n) / (z (z+1) ... )
         shift += 1
         z += 1
     z -= 1  # Spouge computes Gamma(z+1)
-    coeffs = _spouge_coefficients(work, a)
     acc = work.sqrt(2 * work.pi)
     for k in range(1, a):
         acc += coeffs[k - 1] / (z + k)
     val = (z + a) ** (z + work.mpf("0.5")) * work.exp(-(z + a)) * acc
     if shift:
-        base = work.mpf(xv.mpf)
         denom = work.mpf(1)
         for j in range(shift):
             denom *= base + j
         val /= denom
-    return HPReal(mp.mpf(val), ctx)
+    return val
+
+
+def _gamma_exact(n: int, f: Fraction, ctx: PrecisionContext) -> HPReal:
+    """Gamma(n + f) for an integer n and a rational 0 <= f < 1, not a pole."""
+    mp = ctx.mp
+    if f == 0:
+        return HPReal(mp.mpf(math.factorial(n - 1)), ctx)
+    g = ctx.gammas.get(f)
+    if g is None:
+        g = ctx.gammas[f] = _spouge(f, ctx.working_digits)
+    p, q = f.numerator, f.denominator
+    if n >= 0:  # Gamma(f) (f)_n, (f)_n = prod_{j<n} (p + j q) / q^n
+        val = g * math.prod(p + j * q for j in range(n)) / q ** n
+    else:  # Gamma(f) / (x)_{-n}, (x)_{-n} = prod_{i=1..-n} (p - i q) / q^-n
+        val = g * q ** -n / math.prod(p - i * q for i in range(1, 1 - n))
+    return HPReal(mp.mpf(val), ctx)  # one rounding from the work precision
+
+
+def gamma(x, ctx: PrecisionContext) -> HPReal:
+    """Gamma function at a real x > 0, or at a rational x that is not a pole.
+
+    An int or Fraction x = n + f (n = floor(x), 0 <= f < 1) whose integer
+    part has |n| <= EXACT_PART_MAX = 1000 takes the exact path: Gamma(n) =
+    (n-1)! when f = 0, otherwise Gamma(f) (f)_n for n >= 0 and
+    Gamma(f) / (x)_{-n} for n < 0, with the rising factorial exact in
+    integers. Gamma(f) comes from Spouge's sum once per fractional part and
+    context (kept in ``ctx.gammas``), and the product is rounded once into
+    the context. A rational below -EXACT_PART_MAX takes the reflection
+    Gamma(x) = pi / (sin(pi x) Gamma(1-x)). A rational above
+    EXACT_PART_MAX, and any other argument (which must then be > 0), takes
+    Spouge's sum at guard digits beyond the working precision.
+    The result is within a few units of the working precision, relative.
+    """
+    if isinstance(x, int):
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        n = math.floor(x)
+        f = x - n
+        if f == 0 and n <= 0:
+            raise DomainError(f"gamma pole at {x}")
+        if abs(n) <= EXACT_PART_MAX:
+            return _gamma_exact(n, f, ctx)
+        if n < 0:
+            mp = ctx.mp
+            # sin(pi x) = (-1)^n sin(pi g), g = min(f, 1-f) keeps sinpi
+            # well conditioned near f = 1
+            g = min(f, 1 - f)
+            val = mp.pi / (mp.sinpi(mp.mpf(g.numerator) / g.denominator)
+                           * gamma(1 - x, ctx).mpf)
+            return HPReal(-val if n % 2 else val, ctx)
+    xv = ctx.real(x)
+    if xv <= 0:
+        raise DomainError(f"gamma requires x > 0, got {xv}")
+    lead = int(ctx.mp.log10(xv.mpf)) if xv > 1 else 0
+    # a Fraction enters the work precision exactly: rounded to the working
+    # digits, its error would grow by about x log(x) relative
+    arg = x if isinstance(x, Fraction) else xv.mpf
+    return HPReal(ctx.mp.mpf(_spouge(arg, ctx.working_digits, lead)), ctx)
 
 
 # -- zeta tail ------------------------------------------------------------------
 
 def zeta_tail(s, M: int, ctx: PrecisionContext) -> HPReal:
-    """sum_{m>M} m^(-s) for real s > 1, M >= 1, to absolute error <= ctx.tol."""
+    """sum_{m>M} m^(-s) for real s > 1, M >= 1, to working precision
+    (absolute error about 10^-working_digits, whatever ctx.tol is)."""
     sv = ctx.real(s)
     if sv <= 1:
         raise DomainError(f"zeta_tail requires s > 1, got {sv}")
     if M < 1:
         raise DomainError(f"zeta_tail requires M >= 1, got {M}")
     mp = ctx.mp
-    val = power_sum_tail(mp, sv.mpf, int(M), ctx.tol * mp.mpf("1e-2"))
+    val = power_sum_tail(mp, sv.mpf, int(M), mp.mpf(10) ** -ctx.working_digits)
     return HPReal(val, ctx)
 
 
@@ -146,13 +224,13 @@ def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
     tripled precision with step h = 10^(-wd/(r+2)), wd = ctx.working_digits,
     so the truncation error (about h^(r+3)) stays below 10^-wd and the
     subtractive cancellation (about 10^(-3*digits)/h^r) far below it.
-    `f` receives HPReal arguments bound to the internal tripled context and
-    must return HPReal (or something coercible) in that context.
+    `f` receives HPReal arguments bound to the tripled context
+    (``ctx.tripled()``, one per calling context) and must return HPReal
+    (or something coercible) in that context.
     """
     if r < 0:
         raise DomainError(f"derivative order must be >= 0, got {r}")
-    hi = PrecisionContext(digits=3 * ctx.digits, guard=ctx.guard,
-                          max_terms=ctx.max_terms)
+    hi = ctx.tripled()
     if isinstance(x0, HPReal):
         x0v = HPReal(hi.mp.mpf(x0.mpf), hi)  # exact binary transfer
     else:

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import mpmath
+
 from mzsv import (DomainError, PrecisionContext, derivative_at,
-                  dr_inv_pochhammer_2minus_at1, gamma, zeta_tail)
+                  dr_inv_pochhammer_2minus_at1, gamma, get_identity, numerics,
+                  verify, zeta_tail)
 
 from conftest import close
 
@@ -64,6 +67,76 @@ def test_gamma_domain(ctx30):
         gamma(-2, ctx30)
 
 
+def _gamma_ulps(x, ctx):
+    """|gamma(x) - Gamma(x)| / |Gamma(x)| in working ulps, against mpmath at
+    twice the working digits."""
+    ref_mp = mpmath.mp.clone()
+    ref_mp.dps = 2 * ctx.working_digits
+    ref = ref_mp.gamma(ref_mp.mpf(x.numerator) / x.denominator)
+    ours = ref_mp.mpf(gamma(x, ctx).mpf)
+    return abs(ours - ref) / abs(ref) * ref_mp.mpf(10) ** ctx.working_digits
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_gamma_exact_path_meets_working_precision(digits):
+    # integers and rationals whose integer part lies below, at and just
+    # above EXACT_PART_MAX, on both sides of zero, within 10 working ulps
+    ctx = PrecisionContext(digits)
+    cap = numerics.EXACT_PART_MAX
+    third, tiny = Fraction(1, 3), Fraction(1, 10 ** 12)
+    xs = [Fraction(n) for n in (1, 2, 3, 17, cap - 1, cap, cap + 1, cap + 2)]
+    xs += [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10),
+           Fraction(11, 5), Fraction(-7, 3), Fraction(-3) + tiny, Fraction(-3) - tiny]
+    for n in (cap - 1, cap, cap + 1):
+        xs += [n + third, n + 1 - tiny, -n + third, -n - tiny]
+    xs.append(Fraction(-10 ** 20) + Fraction(2, 3))
+    for x in xs:
+        assert _gamma_ulps(x, ctx) <= 10, x
+
+
+def test_gamma_poles_and_negative_reals(ctx30):
+    for x in (Fraction(-2000), Fraction(-numerics.EXACT_PART_MAX), Fraction(0)):
+        with pytest.raises(DomainError, match="pole"):
+            gamma(x, ctx30)
+    # only an exact rational may be negative
+    with pytest.raises(DomainError):
+        gamma("-0.5", ctx30)
+
+
+def test_spouge_runs_once_per_fractional_part(monkeypatch):
+    # the exact path keeps Gamma(f) on the context: Spouge's sum runs once
+    # per distinct fractional part, however often the prefactors repeat it
+    calls = []
+    spouge = numerics._spouge
+
+    def counting(x, *args):
+        calls.append(x)
+        return spouge(x, *args)
+
+    monkeypatch.setattr(numerics, "_spouge", counting)
+    ctx = PrecisionContext(30)
+    for id_ in ("theoremA_i", "a1_specialized"):
+        for params in get_identity(id_).default_grid:
+            assert verify(id_, params, ctx).passed, (id_, params)
+    assert calls and all(isinstance(x, Fraction) and 0 < x < 1 for x in calls)
+    assert len(calls) == len(set(calls)) == len(ctx.gammas)
+
+
+def test_gamma_independent_of_call_order():
+    # Spouge coefficients are shared between contexts; a context that ran
+    # gamma at another precision must not change a later context's value
+    x = Fraction(7, 10)
+    first = gamma(x, PrecisionContext(30)).mpf
+    for digits in (20, 30, 50, 100):
+        other = PrecisionContext(digits)
+        for y in (x, Fraction(17, 10), Fraction(12), "0.7", "2.25"):
+            gamma(y, other)
+        derivative_at(lambda t: gamma(t, t.ctx), 1, 1, other)
+    fresh = PrecisionContext(30)
+    assert gamma(x, fresh).mpf == first
+    assert _gamma_ulps(x, fresh) <= 10
+
+
 # -- zeta tail -----------------------------------------------------------------
 
 def test_zeta_tail_first_term_values(ctx30):
@@ -91,6 +164,21 @@ def test_zeta_tail_m_independence(ctx30):
             totals.append(partial + zeta_tail(s, M, ctx30).mpf)
         assert abs(totals[0] - totals[1]) <= 10 * ctx30.tol
         assert abs(totals[1] - totals[2]) <= 10 * ctx30.tol
+
+
+@pytest.mark.parametrize("tol", [None, "1e-9"])
+def test_zeta_tail_meets_working_precision(tol):
+    # summed to the working digits whatever ctx.tol is, against the Hurwitz
+    # zeta at twice the digits
+    ctx = PrecisionContext(30, tol=tol)
+    ref_mp = mpmath.mp.clone()
+    ref_mp.dps = 2 * ctx.working_digits
+    bound = 10 * ref_mp.mpf(10) ** -ctx.working_digits
+    for s, M in ((2, 1), (3, 1), (Fraction(5, 2), 10), (2, 1000), (Fraction(11, 10), 5)):
+        sv = ref_mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else s
+        ref = ref_mp.zeta(sv, M + 1)
+        ours = zeta_tail(s, M, ctx).mpf
+        assert abs(ref_mp.mpf(ours) - ref) <= bound * max(1, ref), (s, M)
 
 
 def test_zeta_tail_domain(ctx30):
@@ -150,6 +238,21 @@ def test_derivative_meets_working_precision(digits):
             d = derivative_at(f, 1, r, ctx).mpf / math.factorial(r)
             exact = dr_inv_pochhammer_2minus_at1(m, r, ctx).mpf
             assert abs(d - exact) <= bound, (m, r)
+
+
+def test_derivative_reuses_one_tripled_context():
+    # one tripled context per calling context, whose values match a
+    # derivative taken on a fresh context
+    def f(x):
+        return gamma(x, x.ctx) ** 2 / (2 * gamma(2 * x, x.ctx))
+
+    ctx = PrecisionContext(30)
+    first = derivative_at(f, 1, 1, ctx)
+    hi = ctx.tripled()
+    assert hi.digits == 90 and hi.guard == ctx.guard
+    second = derivative_at(f, 1, 1, ctx)
+    assert ctx.tripled() is hi
+    assert first.mpf == second.mpf == derivative_at(f, 1, 1, PrecisionContext(30)).mpf
 
 
 def test_derivative_domain(ctx30):
