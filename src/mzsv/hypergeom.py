@@ -256,15 +256,10 @@ def _gamma_ratio(ctx: PrecisionContext, num: Sequence[Fraction],
     mp = ctx.mp
     val = mp.mpf(1)
     for x in num:
-        val *= _gamma_any(ctx, x)
+        val *= gamma(x, ctx).mpf
     for x in den:
-        val /= _gamma_any(ctx, x)
+        val /= gamma(x, ctx).mpf
     return val
-
-
-def _gamma_any(ctx: PrecisionContext, x: Fraction):
-    """Gamma at any rational non-pole point; DomainError at a pole."""
-    return gamma(x, ctx).mpf
 
 
 def _kr_prefix_levels(p, kind: str):

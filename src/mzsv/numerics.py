@@ -2,10 +2,9 @@
 
 gamma                  -- exact at an int or Fraction argument up to Gamma at
                           its fractional part, which is computed once per
-                          context; Spouge's approximation (parameter chosen
-                          from the working digits, one shared work context
-                          per precision) for that part and for any other
-                          argument
+                          context; Stirling's series on the shared Bernoulli
+                          table, after a shift chosen from the working
+                          digits, for that part and for any other argument
 zeta_tail              -- Euler-Maclaurin remainder of the zeta series, to
                           working precision
 derivative_at          -- central-difference derivative oracle at tripled
@@ -19,92 +18,57 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from mpmath.ctx_mp import MPContext
-
 from .context import HPReal, PrecisionContext
 from .errors import DomainError
-from .tailcalc import power_sum_tail
-
-_LOG10_TWO_PI = 0.7981798683581151
+from .tailcalc import _em_fraction, power_sum_tail
 
 # -- gamma --------------------------------------------------------------------
 
 EXACT_PART_MAX = 1000  # |integer part| up to which a rational takes the exact path
-WORK_CONTEXTS_MAX = 32  # Spouge work contexts kept, the oldest dropped first
-
-_work_contexts: dict = {}
 
 
-def _spouge_work(a: int, dps: int):
-    """A work context at `dps` digits and its Spouge coefficients
-    c_k = (-1)^(k-1)/(k-1)! * (a-k)^(k-1/2) * e^(a-k), k = 1..a-1.
+def _stirling(x, mp, working_digits: int):
+    """Gamma(x) for x > 0 (a Fraction or an mpf) by Stirling's series for
+    log Gamma (DLMF 5.11.1), as an mpf of `mp` at the work precision.
 
-    Made once per (a, dps) and never set to another precision: an mpf
-    computes at the current precision of the context that made it, so
-    coefficients shared between callers must keep their context's.
+    The work precision D is the working digits + 5 plus the integer digits
+    of x, which log Gamma carries ahead of the point. x is shifted to
+    z = x + N >= 2 D ln(10) / (2 pi), where the least term of the series is
+    far below 10^-D, and the sum
+    (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k B_2k / (2k (2k-1) z^(2k-1))
+    stops after its first term below 10^-D; for real z > 0 the remainder
+    is smaller than the first term left out (DLMF 5.11(ii)). Then
+    Gamma(x) = exp(sum) / (x)_N.
     """
-    key = (a, dps)
-    cached = _work_contexts.get(key)
-    if cached is not None:
-        return cached
-    work = MPContext()
-    work.dps = dps
-    coeffs = []
-    sign = 1
-    fact = work.mpf(1)
-    for k in range(1, a):
-        ak = work.mpf(a - k)
-        coeffs.append(sign * ak ** (k - work.mpf("0.5")) * work.exp(ak) / fact)
-        sign = -sign
-        fact *= k
-    if len(_work_contexts) >= WORK_CONTEXTS_MAX:
-        del _work_contexts[next(iter(_work_contexts))]
-    _work_contexts[key] = work, coeffs
-    return work, coeffs
-
-
-@lru_cache(maxsize=None)
-def _spouge_guard_digits(a: int) -> int:
-    """Decimal digits the Spouge sum can lose to cancellation at any z >= 0:
-    its terms |c_k|/(z+k) are at most |c_k|/k, and its value
-    Gamma(z+1) (z+a)^-(z+1/2) e^(z+a) is at least sqrt(2 pi)."""
-    log_term = max((k - 0.5) * math.log(a - k) + (a - k) - math.lgamma(k + 1)
-                   for k in range(1, a))
-    return max(0, math.ceil((log_term - 0.5 * math.log(2 * math.pi)) / math.log(10)))
-
-
-def _spouge(x, working_digits: int, lead: int = 0):
-    """Gamma(x) for x > 0 (a Fraction or an mpf) by Spouge's sum, as an mpf
-    of its work context. `lead` is the count of integer digits of x.
-
-    Spouge's parameter `a` grows linearly with the working digits; the
-    stated relative error bound a^(-1/2) * (2*pi)^(-(a+1/2)) then sits
-    below one working ulp.
-    """
-    a = int((working_digits + 12) / _LOG10_TWO_PI) + 2
-    # extra digits absorb the rounding and the cancellation of the Spouge sum,
-    # and the integer digits of z that (z+1/2) log(z+a) and z+a carry
-    work, coeffs = _spouge_work(a, working_digits + 10 + _spouge_guard_digits(a) + lead)
     if isinstance(x, Fraction):
-        base = work.mpf(x.numerator) / x.denominator
+        bits = x.numerator.bit_length() - x.denominator.bit_length()
     else:
-        base = work.mpf(x)
-    z = base
-    shift = 0
-    while z < 1:  # argument reduction: Gamma(z) = Gamma(z+n) / (z (z+1) ... )
-        shift += 1
-        z += 1
-    z -= 1  # Spouge computes Gamma(z+1)
-    acc = work.sqrt(2 * work.pi)
-    for k in range(1, a):
-        acc += coeffs[k - 1] / (z + k)
-    val = (z + a) ** (z + work.mpf("0.5")) * work.exp(-(z + a)) * acc
-    if shift:
-        denom = work.mpf(1)
+        bits = mp.mag(x)
+    work = working_digits + 5 + max(0, math.ceil(bits * math.log10(2)))
+    with mp.workdps(work):
+        # a Fraction enters the work precision exactly: rounded to the working
+        # digits, its error would grow by about x log(x) relative
+        base = mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else +x
+        zmin = work * math.log(10) / math.pi
+        shift = int(mp.ceil(zmin - base)) if base < zmin else 0
+        z = base + shift
+        total = (z - 0.5) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
+        eps = mp.mpf(10) ** -work
+        inv2 = 1 / (z * z)
+        zpow = 1 / z  # z^-(2k-1)
+        k = 1
+        while True:
+            num, den = _em_fraction(k)  # B_2k / (2k)!
+            term = mp.mpf(num * math.factorial(2 * k - 2)) / den * zpow
+            total += term
+            if abs(term) < eps:
+                break
+            zpow *= inv2
+            k += 1
+        rising = mp.mpf(1)  # (x)_N
         for j in range(shift):
-            denom *= base + j
-        val /= denom
-    return val
+            rising *= base + j
+        return mp.exp(total) / rising
 
 
 def _gamma_exact(n: int, f: Fraction, ctx: PrecisionContext) -> HPReal:
@@ -112,14 +76,16 @@ def _gamma_exact(n: int, f: Fraction, ctx: PrecisionContext) -> HPReal:
     mp = ctx.mp
     if f == 0:
         return HPReal(mp.mpf(math.factorial(n - 1)), ctx)
+    wd = ctx.working_digits
     g = ctx.gammas.get(f)
     if g is None:
-        g = ctx.gammas[f] = _spouge(f, ctx.working_digits)
+        g = ctx.gammas[f] = _stirling(f, mp, wd)
     p, q = f.numerator, f.denominator
-    if n >= 0:  # Gamma(f) (f)_n, (f)_n = prod_{j<n} (p + j q) / q^n
-        val = g * math.prod(p + j * q for j in range(n)) / q ** n
-    else:  # Gamma(f) / (x)_{-n}, (x)_{-n} = prod_{i=1..-n} (p - i q) / q^-n
-        val = g * q ** -n / math.prod(p - i * q for i in range(1, 1 - n))
+    with mp.workdps(wd + 5):
+        if n >= 0:  # Gamma(f) (f)_n, (f)_n = prod_{j<n} (p + j q) / q^n
+            val = g * math.prod(p + j * q for j in range(n)) / q ** n
+        else:  # Gamma(f) / (x)_{-n}, (x)_{-n} = prod_{i=1..-n} (p - i q) / q^-n
+            val = g * q ** -n / math.prod(p - i * q for i in range(1, 1 - n))
     return HPReal(mp.mpf(val), ctx)  # one rounding from the work precision
 
 
@@ -130,12 +96,13 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
     part has |n| <= EXACT_PART_MAX = 1000 takes the exact path: Gamma(n) =
     (n-1)! when f = 0, otherwise Gamma(f) (f)_n for n >= 0 and
     Gamma(f) / (x)_{-n} for n < 0, with the rising factorial exact in
-    integers. Gamma(f) comes from Spouge's sum once per fractional part and
-    context (kept in ``ctx.gammas``), and the product is rounded once into
-    the context. A rational below -EXACT_PART_MAX takes the reflection
+    integers. Gamma(f) comes from Stirling's series once per fractional
+    part and context (kept in ``ctx.gammas``), the product is formed at 5
+    digits beyond the working precision and rounded once into the context.
+    A rational below -EXACT_PART_MAX takes the reflection
     Gamma(x) = pi / (sin(pi x) Gamma(1-x)). A rational above
     EXACT_PART_MAX, and any other argument (which must then be > 0), takes
-    Spouge's sum at guard digits beyond the working precision.
+    Stirling's series at guard digits beyond the working precision.
     The result is within a few units of the working precision, relative.
     """
     if isinstance(x, int):
@@ -158,11 +125,8 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
     xv = ctx.real(x)
     if xv <= 0:
         raise DomainError(f"gamma requires x > 0, got {xv}")
-    lead = int(ctx.mp.log10(xv.mpf)) if xv > 1 else 0
-    # a Fraction enters the work precision exactly: rounded to the working
-    # digits, its error would grow by about x log(x) relative
     arg = x if isinstance(x, Fraction) else xv.mpf
-    return HPReal(ctx.mp.mpf(_spouge(arg, ctx.working_digits, lead)), ctx)
+    return HPReal(ctx.mp.mpf(_stirling(arg, ctx.mp, ctx.working_digits)), ctx)
 
 
 # -- zeta tail ------------------------------------------------------------------
@@ -182,19 +146,13 @@ def zeta_tail(s, M: int, ctx: PrecisionContext) -> HPReal:
 
 # -- finite-difference derivative oracle ---------------------------------------
 
-_weight_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _central_weights(r: int, npts: int):
     """Exact stencil weights w_j on nodes j = -K..K with sum w_j f(jh) ~ h^r f^(r)(0).
 
     Solved from the moment conditions sum_j w_j j^t = r! [t == r] for
     t = 0..npts-1 (Fraction Gaussian elimination; npts is small).
     """
-    key = (r, npts)
-    cached = _weight_cache.get(key)
-    if cached is not None:
-        return cached
     K = npts // 2
     nodes = list(range(-K, K + 1))
     n = len(nodes)
@@ -211,9 +169,7 @@ def _central_weights(r: int, npts: int):
             if i != col and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    weights = [rows[i][-1] for i in range(n)]
-    _weight_cache[key] = (nodes, weights)
-    return nodes, weights
+    return nodes, [rows[i][-1] for i in range(n)]
 
 
 def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,

@@ -43,8 +43,9 @@ def test_gamma_agrees_with_library_oracle(ctx50):
 
 
 def test_gamma_meets_working_precision(ctx30):
-    # the Spouge sum cancels more digits as x grows; the result must still
-    # be right to the working digits, not only to ctx.tol
+    # log Gamma carries the integer digits of x ahead of the point, so the
+    # result must still be right to the working digits as x grows, not only
+    # to ctx.tol
     mp = ctx30.mp
     ref_mp = mp.clone()
     ref_mp.dps = 2 * ctx30.working_digits
@@ -103,17 +104,17 @@ def test_gamma_poles_and_negative_reals(ctx30):
         gamma("-0.5", ctx30)
 
 
-def test_spouge_runs_once_per_fractional_part(monkeypatch):
-    # the exact path keeps Gamma(f) on the context: Spouge's sum runs once
-    # per distinct fractional part, however often the prefactors repeat it
+def test_stirling_runs_once_per_fractional_part(monkeypatch):
+    # the exact path keeps Gamma(f) on the context: Stirling's series runs
+    # once per distinct fractional part, however often the prefactors repeat it
     calls = []
-    spouge = numerics._spouge
+    stirling = numerics._stirling
 
     def counting(x, *args):
         calls.append(x)
-        return spouge(x, *args)
+        return stirling(x, *args)
 
-    monkeypatch.setattr(numerics, "_spouge", counting)
+    monkeypatch.setattr(numerics, "_stirling", counting)
     ctx = PrecisionContext(30)
     for id_ in ("theoremA_i", "a1_specialized"):
         for params in get_identity(id_).default_grid:
@@ -123,8 +124,9 @@ def test_spouge_runs_once_per_fractional_part(monkeypatch):
 
 
 def test_gamma_independent_of_call_order():
-    # Spouge coefficients are shared between contexts; a context that ran
-    # gamma at another precision must not change a later context's value
+    # only exact values (the Bernoulli table) are shared between contexts;
+    # a context that ran gamma at another precision must not change a later
+    # context's value
     x = Fraction(7, 10)
     first = gamma(x, PrecisionContext(30)).mpf
     for digits in (20, 30, 50, 100):
@@ -135,6 +137,31 @@ def test_gamma_independent_of_call_order():
     fresh = PrecisionContext(30)
     assert gamma(x, fresh).mpf == first
     assert _gamma_ulps(x, fresh) <= 10
+
+
+@pytest.mark.parametrize("digits", [30, 100, 300])
+def test_gamma_non_rational_path_meets_working_precision(digits):
+    # decimal strings and the points derivative_at evaluates for the (A1)
+    # prefactor Gamma(x)^2 / (2 Gamma(2x)) at x = 1, within 10 working ulps of
+    # mpmath at twice the digits; gamma leaves the context's precision as it was
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    prec = mp.prec
+    ref_mp = mpmath.mp.clone()
+    ref_mp.dps = 2 * ctx.working_digits
+    xs = [ctx.real(x).mpf for x in ("1e-30", "0.001", "0.9999", "1.0001", "2.5",
+                                    "170.5", "12345.678", "1e20")]
+    hi = ctx.tripled()
+    h = hi.mp.mpf(10) ** (hi.mp.mpf(-ctx.working_digits) / 3)
+    nodes, weights = numerics._central_weights(1, 5)
+    xs += [mp.mpf(c * (1 + j * h)) for c in (1, 2)
+           for j, w in zip(nodes, weights) if w]
+    for x in xs:
+        ours = gamma(x, ctx).mpf
+        assert mp.prec == prec, x
+        ref = ref_mp.gamma(ref_mp.mpf(x))
+        ulps = abs(ref_mp.mpf(ours) - ref) / ref * ref_mp.mpf(10) ** ctx.working_digits
+        assert ulps <= 10, x
 
 
 # -- zeta tail -----------------------------------------------------------------

@@ -227,14 +227,16 @@ def test_weighted_tail_is_exact(ctx30, s):
     ((1, 1, 2), False), ((1, 2), True), ((2, 1, 3), True)])
 def test_power_chain_tail_is_checkpoint_independent(ctx30, parts, strict):
     # every power level 1/(t+1)^k has an exact one-term tail series, so the
-    # corrected value must not depend on where the kernel stopped
-    mp = ctx30.mp
-    ev = ChainEvaluator(ctx30, index_levels(parts), strict=strict)
-    values = []
-    for M in (first_checkpoint(ctx30), 500, 1000, 2000):
-        ev.advance_to(M)
-        values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M - 1))
-    assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits
+    # corrected value must not depend on where the kernel stopped, at 30
+    # digits and at 100
+    for ctx in (ctx30, PrecisionContext(100)):
+        mp = ctx.mp
+        ev = ChainEvaluator(ctx, index_levels(parts), strict=strict)
+        values = []
+        for M in (first_checkpoint(ctx), 500, 1000, 2000):
+            ev.advance_to(M)
+            values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M - 1))
+        assert max(values) - min(values) <= mp.mpf(10) ** -ctx.working_digits, ctx.digits
 
 
 def test_diagnostics_error_estimate_bounds_doubling_deviation(ctx30):
