@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+import mpmath
 import pytest
 
 import mzsv.chains
-from mzsv import (DomainError, Index, d1_inv_pochhammer2a_at1,
-                  d1_pochhammer_at1, dr_inv_pochhammer_2minus_at1,
-                  dr_ratio_at1, derivative_at, pochhammer, star_sum,
-                  star_sum_exact, strict_sum, strict_sum_exact)
+from mzsv import (DomainError, Index, PrecisionContext,
+                  d1_inv_pochhammer2a_at1, d1_pochhammer_at1,
+                  dr_inv_pochhammer_2minus_at1, dr_ratio_at1, derivative_at,
+                  pochhammer, star_sum, star_sum_exact, strict_sum,
+                  strict_sum_exact)
 from mzsv.finite_sums import (_exact_prefixes, dr_ratio_at1_forms,
                               dr_inv_pochhammer_2minus_at1_exact)
 
@@ -115,6 +117,25 @@ def test_exact_sums_at_large_m(ctx30):
     for k in (1, 2, 3):
         gap = star_sum_exact(Index((k,)), m) - strict_sum_exact(Index((k,)), m)
         assert gap == Fraction(1, (m + 1) ** k)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_single_part_sums_match_hurwitz_zeta(digits):
+    # independent route: S*_m((k)) = zeta(k) - zeta(k, m+2) and
+    # S_m((k)) = S*_{m-1}((k)), with mpmath's Hurwitz zeta at twice the
+    # digits; at m = 40 000 the kernel's q*q = (t+1)^2 passes 2^30, two digits
+    ctx = PrecisionContext(digits)
+    ref_mp = mpmath.mp.clone()
+    ref_mp.dps = 2 * digits
+    m = 40_000
+    bound = ref_mp.mpf(10) ** -digits
+    for k in (2, 3, 4):
+        star_ref = ref_mp.zeta(k) - ref_mp.zeta(k, m + 2)
+        strict_ref = ref_mp.zeta(k) - ref_mp.zeta(k, m + 1)
+        star, strict = star_sum(Index((k,)), m, ctx), strict_sum(Index((k,)), m, ctx)
+        for got, ref in ((star, star_ref), (strict, strict_ref)):
+            assert abs(ref_mp.mpf(got.mpf) - ref) <= bound * ref, (k, digits)
+        assert strict.mpf == star_sum(Index((k,)), m - 1, ctx).mpf
 
 
 def test_exact_sums_run_on_the_chain_kernel(monkeypatch):

@@ -1,6 +1,8 @@
 """Kernel resumability: advancing a kernel in several calls must leave the
 same state as one call over the whole range, for every kernel shape."""
 
+import pytest
+
 from mzsv import kernels
 
 S = 10 ** 45
@@ -88,3 +90,123 @@ def test_alternating_sign_follows_t():
     for lo, hi in ((1, 6), (6, 7), (7, N)):
         acc = kernels.weighted_chain_advance(0, 1, L, [L], [L], acc, lo, hi, True)
     assert Fraction(acc, L) == want
+
+
+# -- oracle: the level loop with one division by (t + C)^k per piece ------------
+
+def _reference_nested(level_pows, level_ratio, ratio_nums, ratio_dens,
+                      S, pvals, rvals, t0, t1, strict, alt):
+    n = len(level_pows)
+    order = range(n, 0, -1) if strict else range(1, n + 1)
+    for t in range(t0, t1):
+        for i in order:
+            contrib = pvals[i - 1]
+            ridx = level_ratio[i - 1]
+            if ridx >= 0:
+                contrib = contrib * rvals[ridx] // S
+            for C, k, Spow in level_pows[i - 1]:
+                if Spow:
+                    contrib = contrib * Spow // (C + t * S) ** k
+                else:
+                    contrib //= (t + C) ** k
+            if i == n and alt and t & 1:
+                pvals[n] -= contrib
+            else:
+                pvals[i] += contrib
+        for j in range(len(rvals)):
+            num = rvals[j]
+            for A in ratio_nums[j]:
+                num *= A + t * S
+            den = 1
+            for B in ratio_dens[j]:
+                den *= B + t * S
+            rvals[j] = num // den
+
+
+def _reference_weighted(r, p, S, svals, tvals, acc, t0, t1, alt):
+    for t in range(t0, t1):
+        u = t + 1
+        for j in range(1, r + 1):
+            tvals[j] += tvals[j - 1] // u
+        W = sum(svals[r - i] * tvals[i] for i in range(r + 1)) // S
+        term = W // u ** p
+        acc += -term if alt and t & 1 else term
+        for j in range(r, 0, -1):
+            svals[j] += svals[j - 1] // u
+    return acc
+
+
+def _both_nested(level_pows, bounds, level_ratio=None, ratio_nums=(),
+                 ratio_dens=(), rvals=(), strict=False, alt=False, scale=S):
+    """(kernel state, reference state) after the same calls over bounds."""
+    if level_ratio is None:
+        level_ratio = (-1,) * len(level_pows)
+    states = []
+    for advance in (kernels.nested_chain_advance, _reference_nested):
+        pvals = [scale] + [0] * len(level_pows)
+        rv = list(rvals)
+        for lo, hi in bounds:
+            advance(level_pows, level_ratio, ratio_nums, ratio_dens, scale,
+                    pvals, rv, lo, hi, strict, alt)
+        states.append((pvals, rv))
+    return states
+
+
+ORDERS = [(False, False), (True, False), (False, True)]  # weak, strict, alt
+HALF = S // 2                                            # scaled shift c = 1/2
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("strict, alt", ORDERS)
+def test_split_divisor_matches_one_division(k, strict, alt):
+    # C = -3 takes q through -3..-1, where the contributions of level 2 are
+    # negative for odd k, and the ranges skip q = 0
+    negative = (((1, k, 0),), ((-3, k, 0),), ((2, 1, 0),))
+    got, want = _both_nested(negative, ((0, 3),), strict=strict, alt=alt)
+    assert got == want and (got[0][2] < 0) == (k % 2 == 1)
+    got, want = _both_nested(negative, ((0, 3), (4, 300)), strict=strict, alt=alt)
+    assert got == want
+    # t + 68 crosses 2^15 = 32768, where q*q no longer fits one 30-bit digit
+    wide = (((0, k, 0),), ((68, k, 0),))
+    got, want = _both_nested(wide, ((32_700, 32_751), (32_751, 32_900)),
+                             strict=strict, alt=alt, scale=10 ** 100)
+    assert got == want and got[0][2] != 0
+
+
+@pytest.mark.parametrize("strict, alt", ORDERS)
+def test_mixed_pieces_match_one_division(strict, alt):
+    # a leading integer piece, a second integer piece and a fractional one;
+    # and a fractional piece ahead of an integer one, which keeps its order
+    level_pows = (((1, 2, 0), (3, 3, 0), (HALF, 2, S ** 2)),
+                  ((HALF, 1, S), (1, 1, 0)),
+                  ((1, 1, 0),))
+    got, want = _both_nested(level_pows, ((1, 40), (40, 500)),
+                             strict=strict, alt=alt)
+    assert got == want and got[0][3] != 0
+
+
+@pytest.mark.parametrize("alt", [False, True])
+def test_negative_ratio_level_matches_one_division(alt):
+    # the ratio weight starts at -1/3, so every contribution of level 2 and
+    # on is negative
+    level_pows = (((1, 1, 0),), ((1, 3, 0),), ((2, 4, 0),))
+    got, want = _both_nested(level_pows, ((1, 100), (100, 700)),
+                             level_ratio=(-1, 0, -1), ratio_nums=((S,),),
+                             ratio_dens=((3 * S,),), rvals=(-S // 3,), alt=alt)
+    assert got == want
+    assert got[0][2] < 0 and got[1][0] < 0
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("alt", [False, True])
+def test_weighted_split_divisor_matches_one_division(p, alt):
+    for r in (0, 1, 3):
+        states = []
+        for advance in (kernels.weighted_chain_advance, _reference_weighted):
+            svals = [S] + [0] * r
+            tvals = [S] + [0] * r
+            acc = 0
+            for lo, hi in ((0, 7), (7, 400), (32_700, 32_900)):
+                acc = advance(r, p, S, svals, tvals, acc, lo, hi, alt)
+            states.append((svals, tvals, acc))
+        assert states[0] == states[1], r
