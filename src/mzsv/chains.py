@@ -6,20 +6,22 @@ is a chain P_i(t) = P_i(t-1) + w_i(t) * P_{i-1}(t or t-1) whose outermost
 level accumulates the value. This module drives the fixed-point kernels
 over such chains, and both evaluators share one run loop,
 ``_run_evaluator``: advance to M, add the tail, compare with the last
-checkpoint, double M. Every chain starts at t = 0, with index part k as
+checkpoint, step M on. Every chain starts at t = 0, with index part k as
 the level 1/(t+1)^k (``index_levels``); a power piece 1/(t+c)^k reaches the
 kernel as (c, k, 0) for an integer c, else as the scaled (c*S, k, S^k).
 
-* start at M = M0 and double M until two successive results differ by
-  less than tol/2 (ctx.max_terms caps the doubling); checkpoint M sums
-  exactly the M terms t = 0 .. M-1. M0 grows with the working digits,
-  with the tail expansion order (``tailcalc.expansion_plan``): 112 at
-  30 digits, 389 at 100;
+* start at M = M0, take the second checkpoint a short step on, at
+  M0 + ceil(M0/8), and double M from there until two successive results,
+  their difference scaled by M_prev/(M - M_prev), differ by less than
+  tol/2 (ctx.max_terms caps M); checkpoint M sums exactly the M terms
+  t = 0 .. M-1. M0 grows with the working digits, with the tail
+  expansion order (``tailcalc.expansion_plan``): 112 at 30 digits, 389
+  at 100;
 * at each checkpoint, correct the truncation by expanding the remainder
   level-by-level into tail-polynomial sums (exact for power-law weights;
   a ratio weight uses its full asymptotic shape, whose decay exponent
   sum(den_shifts) - sum(num_shifts) the ratio itself fixes, pinned to
-  the running value), so the doubling check usually passes at its first
+  the running value), so the check usually passes at its first
   comparison, the second checkpoint, instead of chasing O(1/M)
   remainders (every evaluation takes at least two checkpoints); the
   harmonic-product series splits its remainder exactly into the prefix
@@ -107,8 +109,8 @@ def first_checkpoint(ctx: PrecisionContext, levels=()) -> int:
     expansion of ctx's TailCalc holds the working digits, unless a level
     has a large shift: a piece 1/(t+c)^k, or a ratio factor t + c, expands
     in powers of (c-1)/(m+1), which diverge for m below |c-1|. So a chain
-    starts at twice its largest |c-1| at least, and the doubling takes it
-    on from there.
+    starts at twice its largest |c-1| at least, and the run loop steps on
+    from there.
     """
     shifts = [p.shift for lvl in levels for p in lvl.pows]
     shifts += [c for lvl in levels if lvl.ratio is not None
@@ -122,15 +124,23 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
 
     Checkpoint M sums the M terms t = 0 .. M-1 and adds the remainder after
     them, unless corrections is off; M starts at ev.start (the
-    ``first_checkpoint`` of its levels) and doubles until two successive
-    results differ by less than tol/2. The least difference is the
-    rounding floor 10^-working_digits * max(1, |E|, |tail|): the partial
-    sum and the tail each round at their own size. A tol that
+    ``first_checkpoint`` of its levels), M0, steps to M0 + ceil(M0/8) and
+    then doubles, until two successive results differ by less than tol/2.
+    The difference over a step Mp -> M is scaled by Mp/(M - Mp), about 8
+    for the first step and 1 for a doubling: a model error c*M^-j with
+    j >= 1 changes over the step by (x^j - 1)/(x - 1) >= 1 times its value
+    at M = x*Mp, so the scaled difference bounds the error where the run
+    stops. The short first step still shows the expansion's first dropped
+    term (j about qmax) almost whole: it falls by 1 - (8/9)^j over it.
+    The least difference is the rounding floor
+    10^-working_digits * max(1, |E|, |tail|): the partial sum and the tail
+    each round at their own size. A tol that
     10^-working_digits * max(1, |E|) alone exceeds can never be met and
-    raises DomainError at the first checkpoint. A plateau (the difference
-    no longer shrinking while still above tolerance) means the truncation
-    model has bottomed out, and raises ConvergenceError at once; so does
-    a doubling past ctx.max_terms, checked before the first checkpoint too.
+    raises DomainError at the first checkpoint. A plateau (the scaled
+    difference no longer shrinking while still above tolerance) means the
+    truncation model has bottomed out, and raises ConvergenceError at
+    once; so does a next checkpoint past ctx.max_terms, checked for the
+    second before the first is summed.
 
     Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol,
     corrections). A hit returns the stored value and a copy of its info
@@ -150,9 +160,10 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     digits = ctx.working_digits
     floor = mp.mpf(10) ** -digits
     M = ev.start
-    if 2 * M > ctx.max_terms:
+    nxt = M + -(-M // 8)
+    if nxt > ctx.max_terms:
         raise ConvergenceError(
-            f"{what}: its first two checkpoints, M = {M} and {2 * M}, "
+            f"{what}: its first two checkpoints, M = {M} and {nxt}, "
             f"exceed max_terms={ctx.max_terms}")
     prev = dprev = None
     while True:
@@ -166,10 +177,12 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
                 f"floor {mp.nstr(rounding, 4)} of {digits} working digits; "
                 f"raise the precision")
         if prev is not None:
-            # E adds the tail to the partial sum; where both far exceed E
-            # (a long alternating sum with large terms), each rounds at
-            # its own size
-            diff = max(abs(E - prev), rounding, floor * abs(tail))
+            # the step difference scaled by Mprev/(M - Mprev), exactly 1
+            # for a doubling; E adds the tail to the partial sum, and where
+            # both far exceed E (a long alternating sum with large terms),
+            # each rounds at its own size
+            step = abs(E - prev) * (mp.mpf(Mprev) / (M - Mprev))
+            diff = max(step, rounding, floor * abs(tail))
             if diff < tolm / 2:
                 info = {"terms": M, "tail": tail, "estimate": diff,
                         "strategy": TAIL_CORRECTED if corrections else DIRECT}
@@ -180,12 +193,12 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
                     f"{what}: truncation error plateaued at {mp.nstr(diff, 4)} "
                     f"above tolerance {mp.nstr(tolm, 4)}")
             dprev = diff
-        prev = E
-        if 2 * M > ctx.max_terms:
+        prev, Mprev = E, M
+        if nxt > ctx.max_terms:
             raise ConvergenceError(
                 f"{what}: not stabilized below {mp.nstr(tolm, 4)} within "
                 f"max_terms={ctx.max_terms} (last M={M})")
-        M *= 2
+        M, nxt = nxt, 2 * nxt
 
 
 def index_levels(parts):

@@ -3,8 +3,8 @@ precision grows, and error estimates that bound the real error.
 
 Every alternating run (alternating index chains, the alternating
 harmonic-product series, pFq at z = -1) corrects its truncation with the
-Boole tail sum, so the first comparison of the doubling driver, at the
-second checkpoint 2 * M0 (224 at 30 digits), usually passes.
+Boole tail sum, so the first comparison of the run loop, at the second
+checkpoint M0 + ceil(M0/8) (126 at 30 digits), usually passes.
 """
 
 import random

@@ -282,13 +282,67 @@ class _StubEvaluator:
 def test_driver_plateau_raises_at_third_checkpoint():
     # the step difference stays at 2e-3, far above tol: the driver must give
     # up at the first comparison that shows no shrinking, not double M on
-    # to max_terms
+    # to max_terms. The short first step M0 -> M1 = M0 + ceil(M0/8) scales
+    # its difference by M0/(M1 - M0) = 8, so the first doubling still
+    # looks like progress and the plateau shows at the second
     ctx = PrecisionContext(30)
     ev = _StubEvaluator(ctx, lambda n: (-1) ** n / 1000)
     with pytest.raises(ConvergenceError, match="plateaued"):
         _run_evaluator(ev, "1e-20", True, "stub")
     M0 = first_checkpoint(ctx)
-    assert ev.calls == [M0, 2 * M0, 4 * M0]
+    M1 = M0 + -(-M0 // 8)
+    assert ev.calls == [M0, M1, 2 * M1, 4 * M1]
+
+
+class _ModelStub(_StubEvaluator):
+    """A stub whose checkpoint M reads value(M)."""
+
+    def advance_to(self, M):
+        self.calls.append(M)
+        self.acc = int(self.value(M) * self.S)
+
+
+def _run_model(err, tol):
+    """Run the loop on a series of limit 0 whose checkpoint M is err(M);
+    returns (estimate, |E - 0|, the previous checkpoint, the returned M)."""
+    ctx = PrecisionContext(30)
+    ev = _ModelStub(ctx, lambda M: err(ctx.mp, M))
+    E, info = _run_evaluator(ev, tol, True, "stub")
+    assert info["terms"] == ev.calls[-1]
+    return info["estimate"], abs(E), ev.calls[-2], ev.calls[-1]
+
+
+@pytest.mark.parametrize("tol", ["1e-19", "1e-22"])
+@pytest.mark.parametrize("j", [1, 2, 28])
+def test_scaled_step_difference_bounds_power_model_error(j, tol):
+    # a truncation error c*M^-j with j >= 1: over a step Mp -> M = x*Mp the
+    # difference, scaled by Mp/(M - Mp), is (x^j - 1)/(x - 1) >= j times the
+    # error at M, wherever the run stops: 8((9/8)^j - 1) at the short first
+    # step, 2^j - 1 at a doubling. j = 1 is tight (ratio 1), so the check
+    # allows the rounding floor 10^-40 of 30 digits; the ratio is only as
+    # exact as the stub's values, which carry 45 digits after the point
+    M0 = first_checkpoint(PrecisionContext(30))
+    est, err, Mp, M = _run_model(
+        lambda mp, M: mp.mpf(10) ** -18 * (mp.mpf(M0) / M) ** j, tol)
+    assert err <= est + PrecisionContext(30).mp.mpf(10) ** -40
+    x = Fraction(M, Mp)
+    ratio = float(est / err)
+    assert ratio == pytest.approx(float((x ** j - 1) / (x - 1)), rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", ["1e-19", "1e-22"])
+def test_scaled_step_difference_on_a_log_model(tol):
+    # the error log(M)/M of a run without tail corrections decays slower
+    # than M^-1, so no difference of two checkpoints that assumes j >= 1
+    # bounds it: the scaled estimate reads 1 - x log(x)/((x-1) log M) of
+    # the error at M = x*Mp, a shortfall of 1.06/log M at the short first
+    # step and 2 log(2)/log M at a doubling, as under a doubling from M0
+    from math import log
+    est, err, Mp, M = _run_model(lambda mp, M: mp.log(M) / M / 10 ** 18, tol)
+    x = M / Mp
+    ratio = float(est / err)
+    assert ratio == pytest.approx(1 - x * log(x) / ((x - 1) * log(M)), rel=1e-9)
+    assert 0.75 < ratio < 1
 
 
 def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
@@ -308,14 +362,15 @@ def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
 
 
 def test_large_shift_moves_the_first_checkpoint():
-    # the term of 2F1(400, 1/2; 805/2; 1) expands in powers of about
-    # 401/(m+1), so the run starts at twice the largest |shift - 1|, and
-    # one whose first two checkpoints pass max_terms raises before summing
-    a = Fraction(400)
+    # the term of 2F1(450, 1/2; 905/2; 1) expands in powers of about
+    # 451/(m+1), so the run starts at twice the largest |shift - 1|, and
+    # one whose first two checkpoints, 903 and 903 + 113, pass max_terms
+    # raises before summing
+    a = Fraction(450)
     level = Level(ratio=Ratio((a, Fraction(1, 2)), (Fraction(1), a + Fraction(5, 2)),
                               init=Fraction(1)))
     ctx = PrecisionContext(30)
-    assert first_checkpoint(ctx, [level]) == 803 > first_checkpoint(ctx)
+    assert first_checkpoint(ctx, [level]) == 903 > first_checkpoint(ctx)
     assert first_checkpoint(ctx, index_levels((1, 2))) == first_checkpoint(ctx)
     ev = ChainEvaluator(PrecisionContext(30, max_terms=1000), [level])
     with pytest.raises(ConvergenceError, match="first two checkpoints"):
