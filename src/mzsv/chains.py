@@ -160,7 +160,7 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     digits = ctx.working_digits
     floor = mp.mpf(10) ** -digits
     M = ev.start
-    nxt = M + -(-M // 8)
+    nxt = M + ceil(M / 8)
     if nxt > ctx.max_terms:
         raise ConvergenceError(
             f"{what}: its first two checkpoints, M = {M} and {nxt}, "
@@ -177,10 +177,11 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
                 f"floor {mp.nstr(rounding, 4)} of {digits} working digits; "
                 f"raise the precision")
         if prev is not None:
-            # the step difference scaled by Mprev/(M - Mprev), exactly 1
-            # for a doubling; E adds the tail to the partial sum, and where
-            # both far exceed E (a long alternating sum with large terms),
-            # each rounds at its own size
+            # the step difference scaled by Mprev/(M - Mprev), the factor
+            # formed first so that a doubling scales by exactly 1; E adds
+            # the tail to the partial sum, and where both far exceed E (a
+            # long alternating sum with large terms), each rounds at its
+            # own size
             step = abs(E - prev) * (mp.mpf(Mprev) / (M - Mprev))
             diff = max(step, rounding, floor * abs(tail))
             if diff < tolm / 2:

@@ -138,12 +138,12 @@ def expansion_plan(dps: int) -> tuple:
     pairs the rule takes the one of least cost 2 * M0 + PRODUCT_COST *
     qmax**2, kernel steps against tail-coefficient products per level.
 
-    A run now settles at its second checkpoint M0 + ceil(M0/8), not 2 * M0,
-    yet the cost keeps 2 * M0: re-fit to M0 + ceil(M0/8), the rule picks
-    (133, 26) at 30 digits, (515, 61) at 100 and (1333, 105) at 200, which
-    raises the terms a 30-digit ``verify all`` sums from 15 624 to 18 600
-    and left a 100-digit pass as fast as before. The weight of a product,
-    PRODUCT_COST, was fitted against the old term count; fit both again
+    A run settles at its second checkpoint M0 + ceil(M0/8), yet the cost
+    counts 2 * M0, the weight PRODUCT_COST was fitted against: costed at
+    M0 + ceil(M0/8) with that weight, the rule picks (133, 26) at 30
+    digits, (515, 61) at 100 and (1333, 105) at 200, which raises the
+    terms a 30-digit ``verify all`` sums from 15 624 to 18 600 and leaves
+    a 100-digit pass no faster. The two terms are to be re-fitted
     together.
     """
     bound = dps * log(10)

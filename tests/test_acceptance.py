@@ -234,8 +234,10 @@ def test_criterion_10_verify_all(tmp_path):
             f"{len(changed)} changed {changed[:3]}",
             len(got) == len(pinned) and not changed)
     # every series side settles at its second checkpoint, M0 + ceil(M0/8)
+    import math
+
     M0 = first_checkpoint(PrecisionContext(digits=30))
-    M1 = M0 + -(-M0 // 8)
+    M1 = M0 + math.ceil(M0 / 8)
     later = sorted({r["terms_used"] for r in report["results"]} - {0, M1})
     _report("criterion 10", f"every series side stops at M = {M1}, "
             f"other term counts {later}", not later)
