@@ -7,8 +7,9 @@ level accumulates the value. This module drives the fixed-point kernels
 over such chains, and both evaluators share one run loop,
 ``_run_evaluator``: advance to M, add the tail, compare with the last
 checkpoint, step M on. Every chain starts at t = 0, with index part k as
-the level 1/(t+1)^k (``index_levels``); a power piece 1/(t+c)^k reaches the
-kernel as (c, k, 0) for an integer c, else as the scaled (c*S, k, S^k).
+the level 1/(t+1)^k (``index_levels``). Every shift reaches the kernel
+exactly (``kernel_levels``): a power piece 1/(t+a/b)^k as (a, k, b), a ratio
+factor t + s as (s*L, L) over the common denominator L of its ratio.
 
 * start at M = M0, take the second checkpoint a short step on, at
   M0 + ceil(M0/8), and double M from there until two successive results,
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Optional, Tuple
 
 from .context import PrecisionContext
@@ -69,10 +70,12 @@ class Pow:
 class Ratio:
     """Running weight w(t+1) = w(t) * prod(t + ns) / prod(t + ds).
 
-    ``init`` is the exact w at the chain's first t. The tail model is
-    w(t) ~ c * (t+1)^-rho with rho = sum(ds) - sum(ns), the decay the
-    recurrence itself fixes, and c estimated at each checkpoint from the
-    running value.
+    ``init`` is the exact w at the chain's first t. The kernel takes each
+    factor over the common denominator L of all the shifts, as the integer
+    L*(t + s); the factor counts are equal, so the L's cancel. The tail
+    model is w(t) ~ c * (t+1)^-rho with rho = sum(ds) - sum(ns), the decay
+    the recurrence itself fixes, and c estimated at each checkpoint from
+    the running value.
     """
     num_shifts: Tuple[Fraction, ...]
     den_shifts: Tuple[Fraction, ...]
@@ -91,15 +94,6 @@ class Level:
     not be the outermost level, whose tail sum would then diverge."""
     pows: Tuple[Pow, ...] = ()
     ratio: Optional[Ratio] = None
-
-
-def _scaled(value, S: int) -> int:
-    """Round value * S to the nearest integer (value: Fraction or int)."""
-    fr = value if isinstance(value, Fraction) else Fraction(value)
-    q, r = divmod(fr.numerator * S, fr.denominator)
-    if 2 * r >= fr.denominator:
-        q += 1
-    return q
 
 
 def first_checkpoint(ctx: PrecisionContext, levels=()) -> int:
@@ -212,8 +206,10 @@ def kernel_levels(levels, S: int, strict: bool):
 
     Returns ((level_pows, level_ratio, ratio_nums, ratio_dens), rvals), the
     leading arguments of ``nested_chain_advance`` and the scaled ratio
-    weights at t = 0. A power piece with an integer shift c becomes
-    (c, k, 0); a fractional c becomes (c*S, k, S^k).
+    weights at t = 0, each rounded to the nearest multiple of 1/S. The
+    shifts stay exact: a power piece 1/(t + a/b)^k, a/b in lowest terms,
+    becomes (a, k, b), and a ratio factor t + s becomes (s*L, L), with L
+    the lcm of that ratio's shift denominators.
     """
     level_pows = []
     level_ratio = []
@@ -221,13 +217,8 @@ def kernel_levels(levels, S: int, strict: bool):
     ratio_dens = []
     rvals = []
     for lvl in levels:
-        pieces = []
-        for p in lvl.pows:
-            if p.shift.denominator == 1:
-                pieces.append((int(p.shift), p.k, 0))
-            else:
-                pieces.append((_scaled(p.shift, S), p.k, S ** p.k))
-        level_pows.append(tuple(pieces))
+        level_pows.append(tuple((p.shift.numerator, p.k, p.shift.denominator)
+                                for p in lvl.pows))
         if lvl.ratio is None:
             level_ratio.append(-1)
         else:
@@ -235,9 +226,10 @@ def kernel_levels(levels, S: int, strict: bool):
                 raise DomainError("ratio weights are only supported on weak-order chains")
             r = lvl.ratio
             level_ratio.append(len(rvals))
-            ratio_nums.append(tuple(_scaled(s, S) for s in r.num_shifts))
-            ratio_dens.append(tuple(_scaled(s, S) for s in r.den_shifts))
-            rvals.append(_scaled(r.init, S))
+            L = lcm(*(s.denominator for s in r.num_shifts + r.den_shifts))
+            ratio_nums.append(tuple((int(s * L), L) for s in r.num_shifts))
+            ratio_dens.append(tuple((int(s * L), L) for s in r.den_shifts))
+            rvals.append(round(r.init * S))
     return (tuple(level_pows), tuple(level_ratio), tuple(ratio_nums),
             tuple(ratio_dens)), rvals
 

@@ -53,23 +53,20 @@ class ParamSpec:
                 raise ConfigurationError(
                     f"{self.name}={value!r} not in {self.choices}")
             return str(value)
-        if self.kind == "int":
-            try:
-                v = int(value)
-            except (TypeError, ValueError):
-                raise ConfigurationError(f"{self.name}={value!r} is not an integer")
-            frac = Fraction(v)
-        else:
-            try:
-                v = hypergeom.as_fraction(value)
-            except (DomainError, ValueError):
-                raise ConfigurationError(f"{self.name}={value!r} is not a real number")
-            frac = v
+        what = "an integer" if self.kind == "int" else "a real number"
+        if isinstance(value, bool):  # an int to Python, a flag to a caller
+            raise ConfigurationError(f"{self.name}={value!r} is not {what}")
+        try:
+            frac = hypergeom.as_fraction(value)
+        except DomainError:
+            raise ConfigurationError(f"{self.name}={value!r} is not {what}")
+        if self.kind == "int" and frac.denominator != 1:
+            raise ConfigurationError(f"{self.name}={value!r} is not an integer")
         if self.lo is not None and (frac < self.lo or (self.lo_open and frac == self.lo)):
             raise ConfigurationError(f"{self.name}={value} below bound {self.lo}")
         if self.hi is not None and (frac > self.hi or (self.hi_open and frac == self.hi)):
             raise ConfigurationError(f"{self.name}={value} above bound {self.hi}")
-        return v if self.kind == "int" else value
+        return int(frac) if self.kind == "int" else value
 
 
 @dataclass(frozen=True)

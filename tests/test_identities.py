@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from mzsv import (ConfigurationError, PrecisionContext, get_identity,
@@ -72,6 +74,23 @@ def test_verify_rejects_out_of_schema_params(vctx):
         verify("eq1", {}, vctx)
     with pytest.raises(ConfigurationError):
         verify("a3_specialized", {"s": 2, "alpha": "2.5"}, vctx)
+
+
+def test_verify_rejects_non_integral_int_param(vctx):
+    # an int parameter is not truncated: s = 2.5 is no s = 2
+    for bad in (2.5, "2.5", Fraction(5, 2)):
+        with pytest.raises(ConfigurationError, match="s="):
+            verify("eq1", {"s": bad}, vctx)
+    # an integral value of another type is still an integer
+    for good in (2.0, "2", Fraction(2)):
+        assert verify("eq1", {"s": good}, vctx).params == {"s": 2}
+
+
+def test_verify_rejects_bool_int_param(vctx):
+    # True is an int to Python, but no s = 1
+    for bad in (True, False):
+        with pytest.raises(ConfigurationError, match="s="):
+            verify("eq1", {"s": bad}, vctx)
 
 
 def test_verify_suite_filter(vctx):

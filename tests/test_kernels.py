@@ -1,28 +1,30 @@
 """Kernel resumability: advancing a kernel in several calls must leave the
 same state as one call over the whole range, for every kernel shape."""
 
+from fractions import Fraction
+from math import lcm, prod
+
 import pytest
 
 from mzsv import kernels
+from mzsv.chains import Level, Pow, Ratio, kernel_levels
 
 S = 10 ** 45
 SINGLE = (1, 4001)
 SPLIT = (1, 501, 2300, 4001)
 
-# pieces (C, k, Spow): 1/(t + C)^k for an integer shift (Spow = 0), else
-# S^k/(C + t*S)^k for a scaled shift C
-UNSHIFTED = (((0, 1, 0),), ((0, 2, 0),))
-SHIFTED = (((1, 1, 0),), ((0, 2, 0), (1, 3, 0)))              # shift c = 1
-SHIFTED_SCALED = (((S, 1, S),), ((0, 2, 0), (S, 3, S ** 3)))   # the same, scaled
+# pieces (a, k, b): 1/(t + a/b)^k; ratio factors (A, L): A + t*L
+UNSHIFTED = (((0, 1, 1),), ((0, 2, 1),))
+SHIFTED = (((1, 1, 1),), ((0, 2, 1), (1, 3, 1)))              # shift c = 1
 
 
 def _run_nested(bounds, strict=False, alt=False, with_ratio=False,
                 level_pows=UNSHIFTED):
     if with_ratio:
-        level_pows = (((0, 1, 0),), ((S, 2, S ** 2),))
+        level_pows = (((0, 1, 1),), ((1, 2, 2),))     # shift c = 1/2
         level_ratio = (0, -1)
-        ratio_nums = ((S,),)              # factor (t + 1)
-        ratio_dens = ((3 * S,),)          # factor (t + 3)
+        ratio_nums = (((2, 2),),)         # factor 2(t + 1)
+        ratio_dens = (((6, 2),),)         # factor 2(t + 3)
         rvals = [S // 2]
     else:
         level_ratio = (-1, -1)
@@ -63,26 +65,15 @@ def test_resumability_matches_single_pass():
         assert run(SPLIT, **opts) == single, (run.__name__, opts)
 
 
-def test_integer_shift_encodings_agree():
-    # floor(c * S^k / (S^k * u^k)) = floor(c / u^k): both encodings of an
-    # integer shift leave the same integers
-    for strict in (False, True):
-        plain = _run_nested(SINGLE, strict=strict, level_pows=SHIFTED)
-        scaled = _run_nested(SINGLE, strict=strict, level_pows=SHIFTED_SCALED)
-        assert plain[0] == scaled[0] and plain[0][2] > 0, strict
-
-
 def test_alternating_sign_follows_t():
     # term t carries (-1)^t whatever t0 a call starts at; at the scale
     # lcm(1..N) every division is exact, so the sums are exact rationals
-    from fractions import Fraction
-    from math import lcm
     N = 12
     L = lcm(*range(1, N + 1))
     want = sum(Fraction((-1) ** t, t + 1) for t in range(1, N))
     pvals = [L, 0]
     for lo, hi in ((1, 4), (4, 5), (5, N)):
-        kernels.nested_chain_advance((((1, 1, 0),),), (-1,), (), (), L, pvals, [],
+        kernels.nested_chain_advance((((1, 1, 1),),), (-1,), (), (), L, pvals, [],
                                      lo, hi, False, True)
     assert Fraction(pvals[1], L) == want
     # the weighted kernel at r = 0, p = 1 sums the same terms
@@ -92,7 +83,42 @@ def test_alternating_sign_follows_t():
     assert Fraction(acc, L) == want
 
 
-# -- oracle: the level loop with one division by (t + C)^k per piece ------------
+def test_fractional_power_shift_is_exact():
+    # sum_{t<12} 1/(t + 1/3)^2 = sum 9/(3t + 1)^2: at a scale that every
+    # (3t + 1)^2 divides, the kernel's one division per term is exact
+    N = 12
+    S_exact = lcm(*(3 * t + 1 for t in range(N))) ** 2
+    levels = [Level(pows=(Pow(2, Fraction(1, 3)),))]
+    (lp, lr, rn, rd), rvals = kernel_levels(levels, S_exact, False)
+    assert lp == (((1, 2, 3),),)
+    pvals = [S_exact, 0]
+    kernels.nested_chain_advance(lp, lr, rn, rd, S_exact, pvals, rvals,
+                                 0, N, False, False)
+    assert Fraction(pvals[1], S_exact) == sum(Fraction(9, (3 * t + 1) ** 2)
+                                              for t in range(N))
+
+
+def test_ratio_shifts_in_thirds_are_exact():
+    # w(t+1) = w(t) (t + 1/3)(t + 2/3) / ((t + 4/3)(t + 5/3)), w(0) = 1: at
+    # the scale prod_{u<N} (3u + 4)(3u + 5) every S*w(t) is an integer
+    N = 10
+    third = Fraction(1, 3)
+    ratio = Ratio((third, 2 * third), (4 * third, 5 * third), init=Fraction(1))
+    S_exact = prod((3 * u + 4) * (3 * u + 5) for u in range(N))
+    (lp, lr, rn, rd), rvals = kernel_levels([Level(ratio=ratio)], S_exact, False)
+    assert rn == (((1, 3), (2, 3)),) and rd == (((4, 3), (5, 3)),)
+    pvals = [S_exact, 0]
+    kernels.nested_chain_advance(lp, lr, rn, rd, S_exact, pvals, rvals,
+                                 0, N, False, False)
+    w = [Fraction(1)]
+    for t in range(N):
+        w.append(w[-1] * (t + third) * (t + 2 * third)
+                 / ((t + 4 * third) * (t + 5 * third)))
+    assert Fraction(rvals[0], S_exact) == w[N]
+    assert Fraction(pvals[1], S_exact) == sum(w[:N])
+
+
+# -- oracle: the level loop with one exact division per piece -------------------
 
 def _reference_nested(level_pows, level_ratio, ratio_nums, ratio_dens,
                       S, pvals, rvals, t0, t1, strict, alt):
@@ -104,22 +130,19 @@ def _reference_nested(level_pows, level_ratio, ratio_nums, ratio_dens,
             ridx = level_ratio[i - 1]
             if ridx >= 0:
                 contrib = contrib * rvals[ridx] // S
-            for C, k, Spow in level_pows[i - 1]:
-                if Spow:
-                    contrib = contrib * Spow // (C + t * S) ** k
-                else:
-                    contrib //= (t + C) ** k
+            for a, k, b in level_pows[i - 1]:
+                contrib = contrib * b ** k // (b * t + a) ** k
             if i == n and alt and t & 1:
                 pvals[n] -= contrib
             else:
                 pvals[i] += contrib
         for j in range(len(rvals)):
             num = rvals[j]
-            for A in ratio_nums[j]:
-                num *= A + t * S
+            for A, L in ratio_nums[j]:
+                num *= A + t * L
             den = 1
-            for B in ratio_dens[j]:
-                den *= B + t * S
+            for B, L in ratio_dens[j]:
+                den *= B + t * L
             rvals[j] = num // den
 
 
@@ -153,7 +176,6 @@ def _both_nested(level_pows, bounds, level_ratio=None, ratio_nums=(),
 
 
 ORDERS = [(False, False), (True, False), (False, True)]  # weak, strict, alt
-HALF = S // 2                                            # scaled shift c = 1/2
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -161,13 +183,13 @@ HALF = S // 2                                            # scaled shift c = 1/2
 def test_split_divisor_matches_one_division(k, strict, alt):
     # C = -3 takes q through -3..-1, where the contributions of level 2 are
     # negative for odd k, and the ranges skip q = 0
-    negative = (((1, k, 0),), ((-3, k, 0),), ((2, 1, 0),))
+    negative = (((1, k, 1),), ((-3, k, 1),), ((2, 1, 1),))
     got, want = _both_nested(negative, ((0, 3),), strict=strict, alt=alt)
     assert got == want and (got[0][2] < 0) == (k % 2 == 1)
     got, want = _both_nested(negative, ((0, 3), (4, 300)), strict=strict, alt=alt)
     assert got == want
     # t + 68 crosses 2^15 = 32768, where q*q no longer fits one 30-bit digit
-    wide = (((0, k, 0),), ((68, k, 0),))
+    wide = (((0, k, 1),), ((68, k, 1),))
     got, want = _both_nested(wide, ((32_700, 32_751), (32_751, 32_900)),
                              strict=strict, alt=alt, scale=10 ** 100)
     assert got == want and got[0][2] != 0
@@ -175,11 +197,12 @@ def test_split_divisor_matches_one_division(k, strict, alt):
 
 @pytest.mark.parametrize("strict, alt", ORDERS)
 def test_mixed_pieces_match_one_division(strict, alt):
-    # a leading integer piece, a second integer piece and a fractional one;
-    # and a fractional piece ahead of an integer one, which keeps its order
-    level_pows = (((1, 2, 0), (3, 3, 0), (HALF, 2, S ** 2)),
-                  ((HALF, 1, S), (1, 1, 0)),
-                  ((1, 1, 0),))
+    # a leading integer piece, a second integer piece and a fractional one
+    # (shift 1/2); and a fractional piece ahead of an integer one, which
+    # keeps its order
+    level_pows = (((1, 2, 1), (3, 3, 1), (1, 2, 2)),
+                  ((1, 1, 2), (1, 1, 1)),
+                  ((1, 1, 1),))
     got, want = _both_nested(level_pows, ((1, 40), (40, 500)),
                              strict=strict, alt=alt)
     assert got == want and got[0][3] != 0
@@ -189,10 +212,10 @@ def test_mixed_pieces_match_one_division(strict, alt):
 def test_negative_ratio_level_matches_one_division(alt):
     # the ratio weight starts at -1/3, so every contribution of level 2 and
     # on is negative
-    level_pows = (((1, 1, 0),), ((1, 3, 0),), ((2, 4, 0),))
+    level_pows = (((1, 1, 1),), ((1, 3, 1),), ((2, 4, 1),))
     got, want = _both_nested(level_pows, ((1, 100), (100, 700)),
-                             level_ratio=(-1, 0, -1), ratio_nums=((S,),),
-                             ratio_dens=((3 * S,),), rvals=(-S // 3,), alt=alt)
+                             level_ratio=(-1, 0, -1), ratio_nums=(((1, 1),),),
+                             ratio_dens=(((3, 1),),), rvals=(-S // 3,), alt=alt)
     assert got == want
     assert got[0][2] < 0 and got[1][0] < 0
 

@@ -60,3 +60,28 @@ def test_tracer_counts_alternating_kernel_work(monkeypatch):
             tracer.uninstall()
         metrics = tracing.layer_metrics(tracer)
         assert metrics["kernels.term_levels"] == ev.diagnostics.terms_used * levels
+
+
+def test_tracer_counts_fractional_and_ratio_chains(monkeypatch):
+    # chains whose kernel arguments carry exact fractional shifts (a, k, b)
+    # and ratio factors (A, L): the tracer still reads the level count and
+    # t0/t1 by position
+    tracing = _load_tracing(monkeypatch)
+    hg = mzsv.hypergeom
+    runs = [
+        # one level: 1/(t+1)^3 times the ratio (1.3)_t / (0.7)_{t+1}
+        (lambda ctx: hg.specialized_lhs("a4", "1.3", 2, ctx), 1),
+        # one level 1/(t+3/5)^4, alternating
+        (lambda ctx: hg.specialized_lhs("a1", "0.6", 2, ctx), 1),
+        # a ratio level with 1/(t+3/5), then 1/(t+3/5)^2
+        (lambda ctx: hg.specialized_rhs("a1", "0.6", 2, ctx), 2),
+    ]
+    for evaluate, levels in runs:
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer, mzsv)
+            ev = evaluate(mzsv.PrecisionContext(30))
+        finally:
+            tracer.uninstall()
+        metrics = tracing.layer_metrics(tracer)
+        assert metrics["kernels.term_levels"] == ev.diagnostics.terms_used * levels
