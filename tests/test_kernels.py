@@ -1,5 +1,7 @@
 """Kernel resumability: advancing a kernel in several calls must leave the
-same state as one call over the whole range, for every kernel shape."""
+same state as one call over the whole range, for every kernel shape. The
+kernels also match a one-division oracle, and sum exactly at a scale where
+every division is exact, fractional shifts included."""
 
 from fractions import Fraction
 from math import lcm, prod
