@@ -91,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--prec", type=int, default=0, help="output decimal digits")
     pe.add_argument("--m", type=int, default=None, help="finite-sum bound")
     pe.add_argument("--s", type=int, default=None)
-    pe.add_argument("--r", type=int, default=None)
     pe.add_argument("--alpha", default=None)
     pe.add_argument("--z", type=int, default=None, choices=(1, -1))
     pe.add_argument("--upper", default=None, help="comma-separated upper parameters")
@@ -169,20 +168,16 @@ def cmd_eval(args) -> int:
         value = hypergeom.pfq(_parse_reals(args.upper), _parse_reals(args.lower),
                               args.z, ctx)
     elif kind in ("kr-rhs-i", "kr-rhs-ii"):
-        if args.s is None or args.a is None or not args.b or not args.c:
-            raise ParseError(f"eval {kind} needs --s, --a, --b and --c")
-        if kind == "kr-rhs-i":
-            params = hypergeom.KRParamsI(s=args.s, a=args.a,
-                                         b=tuple(_parse_reals(args.b)),
-                                         c=tuple(_parse_reals(args.c)))
-            value = hypergeom.kr_rhs_i(params, ctx).value
-        else:
-            if args.c0 is None:
-                raise ParseError("eval kr-rhs-ii needs --c0")
-            params = hypergeom.KRParamsII(s=args.s, a=args.a, c0=args.c0,
-                                          b=tuple(_parse_reals(args.b)),
-                                          c=tuple(_parse_reals(args.c)))
-            value = hypergeom.kr_rhs_ii(params, ctx).value
+        ii = kind == "kr-rhs-ii"
+        if (args.s is None or args.a is None or not args.b or not args.c
+                or ii and args.c0 is None):
+            raise ParseError(f"eval {kind} needs --s, --a, --b, --c"
+                             + (" and --c0" if ii else ""))
+        cls, extra = ((hypergeom.KRParamsII, {"c0": args.c0}) if ii
+                      else (hypergeom.KRParamsI, {}))
+        params = cls(s=args.s, a=args.a, b=tuple(_parse_reals(args.b)),
+                     c=tuple(_parse_reals(args.c)), **extra)
+        value = getattr(hypergeom, kind.replace("-", "_"))(params, ctx).value
     else:  # special-lhs / special-rhs
         (case,) = _require(pos, 1, f"eval {kind} CASE --alpha A --s S")
         if args.alpha is None or args.s is None:

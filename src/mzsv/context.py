@@ -23,6 +23,23 @@ from .errors import ContextMismatchError, DomainError, ParseError
 Real = Union["HPReal", int, float, str, Fraction]
 
 
+def as_int(value, name: str, lo: int) -> int:
+    """value as an int >= lo, for an integer argument of a public entry point.
+
+    A value of any exact integer worth (2, 2.0, Fraction(4, 2)) passes; a
+    bool, a non-integral value (2.5) or one below lo raises DomainError
+    instead of being truncated.
+    """
+    if not isinstance(value, bool):
+        try:
+            frac = Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            frac = None
+        if frac is not None and frac.denominator == 1 and frac >= lo:
+            return int(frac)
+    raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 class PrecisionContext:
     """Working-precision policy: output digits, guard digits, loop caps, tolerance.
 
@@ -43,15 +60,9 @@ class PrecisionContext:
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
-        if digits < 10:
-            raise DomainError(f"digits must be >= 10, got {digits}")
-        if guard < 5:
-            raise DomainError(f"guard must be >= 5, got {guard}")
-        if max_terms < 10 ** 3:
-            raise DomainError(f"max_terms must be >= 10^3, got {max_terms}")
-        self.digits = int(digits)
-        self.guard = int(guard)
-        self.max_terms = int(max_terms)
+        self.digits = as_int(digits, "digits", 10)
+        self.guard = as_int(guard, "guard", 5)
+        self.max_terms = as_int(max_terms, "max_terms", 10 ** 3)
         mp = MPContext()
         mp.dps = self.digits + self.guard
         self._mp = mp

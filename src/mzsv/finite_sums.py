@@ -16,15 +16,14 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import chains
-from .context import HPReal, PrecisionContext
-from .errors import ConsistencyError, DomainError
+from .context import HPReal, PrecisionContext, as_int
+from .errors import ConsistencyError
 from .indices import Index, compositions
 
 
 def pochhammer(a, m: int, ctx: PrecisionContext) -> HPReal:
     """Rising factorial (a)_m = a (a+1) ... (a+m-1), with (a)_0 = 1."""
-    if m < 0:
-        raise DomainError(f"pochhammer needs m >= 0, got {m}")
+    m = as_int(m, "m", 0)
     av = ctx.real(a)
     mp = ctx.mp
     acc = mp.mpf(1)
@@ -67,8 +66,7 @@ def strict_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
 
     The empty index gives 1; m below the depth gives 0.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = as_int(m, "m", 0)
     if ix is None:
         return ctx.one()
     if m < ix.depth:
@@ -78,8 +76,7 @@ def strict_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
 
 def star_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
     """S*_m: sum over 0 <= m_1 <= ... <= m_n <= m of prod (m_i+1)^(-k_i)."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = as_int(m, "m", 0)
     if ix is None:
         return ctx.one()
     return _finite_sum(ix.parts, m, ctx, strict=False)
@@ -87,8 +84,7 @@ def star_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
 
 def strict_sum_exact(ix: Optional[Index], m: int) -> Fraction:
     """Exact S_m, from the index chain at an exact scale."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = as_int(m, "m", 0)
     if ix is None:
         return Fraction(1)
     return _exact_prefixes(ix.parts, m, strict=True)[-1]
@@ -96,8 +92,7 @@ def strict_sum_exact(ix: Optional[Index], m: int) -> Fraction:
 
 def star_sum_exact(ix: Optional[Index], m: int) -> Fraction:
     """Exact S*_m, from the index chain at an exact scale."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = as_int(m, "m", 0)
     if ix is None:
         return Fraction(1)
     return _exact_prefixes(ix.parts, m, strict=False)[-1]
@@ -105,23 +100,20 @@ def star_sum_exact(ix: Optional[Index], m: int) -> Fraction:
 
 def d1_pochhammer_at1(m: int, ctx: PrecisionContext) -> HPReal:
     """d/da (a)_m at a=1, i.e. m! * (H_{m+1} - 1/(m+1)) = m! * H_m."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = as_int(m, "m", 0)
     return ctx.real(math.factorial(m) * strict_sum_exact(Index((1,)), m))
 
 
 def d1_inv_pochhammer2a_at1(m: int, ctx: PrecisionContext) -> HPReal:
     """d/da 1/(2a)_m at a=1, i.e. (-2/(m+1)!) * (H_{m+1} - 1)."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = as_int(m, "m", 0)
     val = Fraction(-2, math.factorial(m + 1)) * (star_sum_exact(Index((1,)), m) - 1)
     return ctx.real(val)
 
 
 def dr_inv_pochhammer_2minus_at1_exact(m: int, r: int) -> Fraction:
     """(1/r!) d^r/da^r [1/(2-a)_{m+1}] at a=1 via S*_m(1^r)/(m+1)!."""
-    if m < 0 or r < 0:
-        raise DomainError("m and r must be >= 0")
+    m, r = as_int(m, "m", 0), as_int(r, "r", 0)
     return _exact_prefixes((1,) * r, m, strict=False)[r] / math.factorial(m + 1)
 
 
@@ -138,8 +130,7 @@ def dr_ratio_at1_forms(m: int, r: int) -> Tuple[Fraction, Fraction]:
             S_m(k_1..k_i) / (m+1)^(k_{i+1}).
     Equality of the two for all m, r is itself one of the verified identities.
     """
-    if m < 0 or r < 0:
-        raise DomainError("m and r must be >= 0")
+    m, r = as_int(m, "m", 0), as_int(r, "r", 0)
     ones_s = _exact_prefixes((1,) * r, m, strict=True)
     ones_t = _exact_prefixes((1,) * r, m, strict=False)
     form_a = sum((ones_s[r - i] * ones_t[i] for i in range(r + 1)),

@@ -4,7 +4,10 @@ series pairs at a real parameter alpha.
 
 Parameters are real only and normalized to exact fractions (decimal strings
 stay exact); hypothesis margins are therefore decided exactly. Convergence
-conditions name the violated margin when they fail.
+conditions name the violated margin when they fail. Each parameter class of
+the two Krattenthaler-Rivoal identities lists its well-poised parameters
+(``wellpoised``), the xs that enter the series as x over 1+a-x; both
+identities take their series side, margin and hypothesis checks from it.
 
 Every non-terminating series here runs through the chain driver of
 ``chains``: a pFq series and each specialized single-series side are
@@ -24,7 +27,7 @@ from itertools import product as iter_product
 from typing import List, Sequence, Tuple
 
 from .chains import ChainEvaluator, Level, Pow, Ratio, index_levels
-from .context import HPReal, PrecisionContext
+from .context import HPReal, PrecisionContext, as_int
 from .errors import ConditionError, ConvergenceError, DomainError
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
 from .numerics import _iterated_means, gamma  # noqa: F401
@@ -45,6 +48,24 @@ def _is_nonpos_int(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
+def _normalise(p, extra_pairs: int):
+    """Shared __post_init__: s an integer >= 1, a, b and c exact, and
+    s + extra_pairs pairs (b_i, c_i)."""
+    object.__setattr__(p, "s", as_int(p.s, "s", 1))
+    object.__setattr__(p, "a", as_fraction(p.a))
+    object.__setattr__(p, "b", tuple(as_fraction(x) for x in p.b))
+    object.__setattr__(p, "c", tuple(as_fraction(x) for x in p.c))
+    pairs = p.s + extra_pairs
+    if len(p.b) != pairs or len(p.c) != pairs:
+        raise DomainError(f"b and c must have length {pairs} at s={p.s}")
+
+
+def _pairs(p) -> Tuple[Tuple[str, Fraction], ...]:
+    """(name, x) of b_1, c_1, b_2, c_2, ... in series order."""
+    return tuple((f"{name}_{i}", x) for i, bc in enumerate(zip(p.b, p.c), 1)
+                 for name, x in zip("bc", bc))
+
+
 @dataclass(frozen=True)
 class KRParamsI:
     """Parameters of the z = -1 identity: a plus s+1 pairs (b_i, c_i)."""
@@ -52,15 +73,16 @@ class KRParamsI:
     a: Fraction
     b: Tuple[Fraction, ...]
     c: Tuple[Fraction, ...]
+    z = -1
+    margin_text = "(2s+1)(a+1) - 2*sum(b_i+c_i)"
 
     def __post_init__(self):
-        if self.s < 1:
-            raise DomainError(f"s must be >= 1, got {self.s}")
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", tuple(as_fraction(x) for x in self.b))
-        object.__setattr__(self, "c", tuple(as_fraction(x) for x in self.c))
-        if len(self.b) != self.s + 1 or len(self.c) != self.s + 1:
-            raise DomainError(f"b and c must have length s+1={self.s + 1}")
+        _normalise(self, 1)
+
+    @property
+    def wellpoised(self) -> Tuple[Tuple[str, Fraction], ...]:
+        """(name, x) of each x that enters the series as x over 1+a-x."""
+        return _pairs(self)
 
 
 @dataclass(frozen=True)
@@ -71,16 +93,17 @@ class KRParamsII:
     c0: Fraction
     b: Tuple[Fraction, ...]
     c: Tuple[Fraction, ...]
+    z = 1
+    margin_text = "2s(a+1) - 2c_0 - 2*sum(b_i+c_i)"
 
     def __post_init__(self):
-        if self.s < 1:
-            raise DomainError(f"s must be >= 1, got {self.s}")
-        object.__setattr__(self, "a", as_fraction(self.a))
         object.__setattr__(self, "c0", as_fraction(self.c0))
-        object.__setattr__(self, "b", tuple(as_fraction(x) for x in self.b))
-        object.__setattr__(self, "c", tuple(as_fraction(x) for x in self.c))
-        if len(self.b) != self.s or len(self.c) != self.s:
-            raise DomainError(f"b and c must have length s={self.s}")
+        _normalise(self, 0)
+
+    @property
+    def wellpoised(self) -> Tuple[Tuple[str, Fraction], ...]:
+        """(name, x) of each x that enters the series as x over 1+a-x."""
+        return (("c_0", self.c0),) + _pairs(self)
 
 
 @dataclass(frozen=True)
@@ -110,77 +133,59 @@ def _a_vectors(lo: int, hi: int):
         yield dict(zip(span, combo))
 
 
-def _margin_i(p: KRParamsI) -> Fraction:
-    """(2s+1)(a+1) - 2*sum(b_i+c_i): the convergence margin of the z = -1 series."""
-    return (2 * p.s + 1) * (p.a + 1) - 2 * sum(bi + ci for bi, ci in zip(p.b, p.c))
+def _margin(p) -> Fraction:
+    """(n-1)(a+1) - 2*sum(x) over the n well-poised xs: sum(lower) -
+    sum(upper) of the series, the convergence margin of either identity."""
+    xs = [x for _, x in p.wellpoised]
+    return (len(xs) - 1) * (p.a + 1) - 2 * sum(xs)
 
 
-def _margin_ii(p: KRParamsII) -> Fraction:
-    """2s(a+1) - 2c_0 - 2*sum(b_i+c_i): the convergence margin of the z = +1 series."""
-    return 2 * p.s * (p.a + 1) - 2 * p.c0 - 2 * sum(bi + ci for bi, ci in zip(p.b, p.c))
+def _kr_conditions(p) -> ConditionReport:
+    """Hypothesis check of either identity.
 
-
-def kr_conditions_i(p: KRParamsI) -> ConditionReport:
-    """Hypothesis check for the z = -1 identity.
-
-    Every A-vector with A_i in {1,2} (i = 2..s) and A_{s+1} = 1 is checked,
-    which over-checks conservatively: a parameter set passing all vectors
+    Each 1+a-x must not be a non-positive integer and the margin must be
+    positive. Over the n pairs (b_i, c_i), every A-vector with A_i in {1,2}
+    (i = 2..n-1) and A_n = 1 must give a positive
+    sum_(i=r..n) A_i(1+a-b_i-c_i) for r = 2..n, and for (ii) also a positive
+    1+a-c_0-b_1-c_1 + sum_(i=2..n) A_i(1+a-b_i-c_i). Checking every such vector
+    over-checks conservatively: a parameter set passing all of them
     certainly satisfies the hypothesis.
     """
     entries: List[ConditionEntry] = []
     one = Fraction(1)
-    for i in range(1, p.s + 2):
-        for name, val in (("b", p.b[i - 1]), ("c", p.c[i - 1])):
-            v = one + p.a - val
-            entries.append(ConditionEntry(
-                f"1+a-{name}_{i} not a non-positive integer",
-                v, not _is_nonpos_int(v)))
-    margin = _margin_i(p)
-    entries.append(ConditionEntry("(2s+1)(a+1) - 2*sum(b_i+c_i) > 0",
-                                  margin, margin > 0))
+    for name, x in p.wellpoised:
+        v = one + p.a - x
+        entries.append(ConditionEntry(f"1+a-{name} not a non-positive integer",
+                                      v, not _is_nonpos_int(v)))
+    margin = _margin(p)
+    entries.append(ConditionEntry(f"{p.margin_text} > 0", margin, margin > 0))
     d = [one + p.a - bi - ci for bi, ci in zip(p.b, p.c)]  # d[i-1] = 1+a-b_i-c_i
-    for vec in _a_vectors(2, p.s):
-        vec[p.s + 1] = 1
-        for r in range(2, p.s + 2):
-            val = sum(Fraction(vec[i]) * d[i - 1] for i in range(r, p.s + 2))
-            label = ",".join(f"A{i}={vec[i]}" for i in range(2, p.s + 2))
+    n = len(d)
+    head = one + p.a - p.c0 - p.b[0] - p.c[0] if p.z == 1 else None
+    for vec in _a_vectors(2, n - 1):
+        vec[n] = 1
+        label = ",".join(f"A{i}={vec[i]}" for i in range(2, n + 1)) or "s=1"
+        for r in range(2, n + 1):
+            val = sum(vec[i] * d[i - 1] for i in range(r, n + 1))
             entries.append(ConditionEntry(
-                f"sum_(i={r}..{p.s + 1}) A_i(1+a-b_i-c_i) > 0 [{label}]",
+                f"sum_(i={r}..{n}) A_i(1+a-b_i-c_i) > 0 [{label}]",
+                val, val > 0))
+        if head is not None:
+            val = head + sum(vec[i] * d[i - 1] for i in range(2, n + 1))
+            entries.append(ConditionEntry(
+                f"1+a-c_0-b_1-c_1 + sum_(i=2..{n}) A_i(1+a-b_i-c_i) > 0 [{label}]",
                 val, val > 0))
     return ConditionReport.build(entries)
+
+
+def kr_conditions_i(p: KRParamsI) -> ConditionReport:
+    """Hypothesis check for the z = -1 identity."""
+    return _kr_conditions(p)
 
 
 def kr_conditions_ii(p: KRParamsII) -> ConditionReport:
     """Hypothesis check for the z = +1 identity (includes the c0 inequality)."""
-    entries: List[ConditionEntry] = []
-    one = Fraction(1)
-    for i in range(1, p.s + 1):
-        v = one + p.a - p.b[i - 1]
-        entries.append(ConditionEntry(
-            f"1+a-b_{i} not a non-positive integer", v, not _is_nonpos_int(v)))
-    for j in range(0, p.s + 1):
-        cj = p.c0 if j == 0 else p.c[j - 1]
-        v = one + p.a - cj
-        entries.append(ConditionEntry(
-            f"1+a-c_{j} not a non-positive integer", v, not _is_nonpos_int(v)))
-    margin = _margin_ii(p)
-    entries.append(ConditionEntry("2s(a+1) - 2c_0 - 2*sum(b_i+c_i) > 0",
-                                  margin, margin > 0))
-    d = [one + p.a - bi - ci for bi, ci in zip(p.b, p.c)]
-    head = one + p.a - p.c0 - p.b[0] - p.c[0]
-    for vec in _a_vectors(2, p.s - 1):
-        vec[p.s] = 1
-        label = ",".join(f"A{i}={vec[i]}" for i in range(2, p.s + 1)) or "s=1"
-        for r in range(2, p.s + 1):
-            val = sum(Fraction(vec[i]) * d[i - 1] for i in range(r, p.s + 1))
-            entries.append(ConditionEntry(
-                f"sum_(i={r}..{p.s}) A_i(1+a-b_i-c_i) > 0 [{label}]",
-                val, val > 0))
-        val = head + sum(Fraction(vec[i]) * d[i - 1] for i in range(2, p.s + 1))
-        entries.append(ConditionEntry(
-            f"1+a-c_0-b_1-c_1 + sum_(i=2..{p.s}) A_i(1+a-b_i-c_i) > 0 [{label}]",
-            val, val > 0))
-    return ConditionReport.build(entries)
+    return _kr_conditions(p)
 
 
 # -- the hypergeometric series itself ------------------------------------------
@@ -262,61 +267,51 @@ def _gamma_ratio(ctx: PrecisionContext, num: Sequence[Fraction],
     return val
 
 
-def _kr_prefix_levels(p, kind: str):
-    """The ratio levels of the nested sum, innermost first.
+def _kr_levels(p):
+    """The nested sum of either identity as one prefix chain, innermost
+    level first.
 
-    kind 'i': level-1 weight (d_1)_t (b_2)_t (c_2)_t / (t! (1+a-b_1)_t (1+a-c_1)_t),
-    upper levels (b_{i+1})_t (c_{i+1})_t / ((1+a-b_i)_t (1+a-c_i)_t).
-    kind 'ii': level-1 weight (b_1)_t (c_1)_t / (t! (1+a-c_0)_t),
-    upper levels (b_i)_t (c_i)_t / ((1+a-b_{i-1})_t (1+a-c_{i-1})_t).
-    (Indices here are 1-based; p.b and p.c are 0-based tuples.)
+    Level 1 weighs (d_1)_t (b_2)_t (c_2)_t / (t! (1+a-b_1)_t (1+a-c_1)_t) in
+    (i) and (b_1)_t (c_1)_t / (t! (1+a-c_0)_t) in (ii), d_j = 1+a-b_j-c_j.
+    Each level above weighs (b_{j+1})_t (c_{j+1})_t / ((1+a-b_j)_t (1+a-c_j)_t)
+    (j = 2..s in (i), 1..s-1 in (ii)) and is coupled to the one below by d_j.
+    The coupling weight (d)_l / l! is a d-fold prefix sum, so an integer
+    d >= 1 puts d-1 weight-one levels between the two ratio levels.
     """
     one = Fraction(1)
-    if kind == "i":
-        shapes = [((one + p.a - p.b[0] - p.c[0], p.b[1], p.c[1]),
-                   (one, one + p.a - p.b[0], one + p.a - p.c[0]))]
-        first = 2
+    a, b, c = p.a, p.b, p.c
+    if p.z == -1:
+        num = (one + a - b[0] - c[0], b[1], c[1])
+        den = (one, one + a - b[0], one + a - c[0])
     else:
-        shapes = [((p.b[0], p.c[0]), (one, one + p.a - p.c0))]
-        first = 1
-    shapes += [((p.b[j], p.c[j]), (one + p.a - p.b[j - 1], one + p.a - p.c[j - 1]))
-               for j in range(first, first + p.s - 1)]
-    return [Level(ratio=Ratio(num, den, init=one)) for num, den in shapes]
-
-
-def _kr_levels(p, kind: str):
-    """The nested sum as one prefix chain, innermost level first.
-
-    Successive ratio levels are coupled by d = 1+a-b_j-c_j (j = 2..s for
-    'i', where it is d_j; j = 1..s-1 for 'ii'). Its weight (d)_l / l! is a
-    d-fold prefix sum, so an integer d >= 1 puts d-1 weight-one levels
-    after the ratio level below it.
-    """
-    ratios = _kr_prefix_levels(p, kind)
-    first = 2 if kind == "i" else 1
-    levels = [ratios[0]]
-    for j, level in zip(range(first, first + p.s - 1), ratios[1:]):
-        d = 1 + p.a - p.b[j - 1] - p.c[j - 1]
+        num, den = (b[0], c[0]), (one, one + a - p.c0)
+    levels = [Level(ratio=Ratio(num, den, init=one))]
+    for j in range(len(b) - p.s, len(b) - 1):  # (b[j], c[j]) is pair j+1
+        d = one + a - b[j] - c[j]
         if d.denominator != 1 or d < 1:
             raise DomainError(
-                f"coupling exponent 1+a-b_{j}-c_{j} = {d} is not a positive "
-                "integer; the nested sum is summed only for integer couplings")
-        levels += [Level()] * (int(d) - 1) + [level]
+                f"coupling exponent 1+a-b_{j + 1}-c_{j + 1} = {d} is not a "
+                "positive integer; the nested sum is summed only for integer "
+                "couplings")
+        ratio = Ratio((b[j + 1], c[j + 1]), (one + a - b[j], one + a - c[j]),
+                      init=one)
+        levels += [Level()] * (int(d) - 1) + [Level(ratio=ratio)]
     return levels
 
 
-def _kr_rhs(p, kind: str, report: ConditionReport, ctx: PrecisionContext,
-            tol) -> Evaluation:
+def _kr_rhs(p, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Gamma prefactor times the s-fold nested sum of either identity.
 
     Both prefactors are gamma(1+a-b)gamma(1+a-c) / (gamma(1+a)gamma(1+a-b-c))
     at the last pair (b, c); the sum runs as the prefix chain of _kr_levels.
+    A parameter set outside the hypothesis raises ConditionError.
     """
+    report = _kr_conditions(p)
     if not report.overall:
         raise ConditionError(
             "hypothesis conditions fail: "
             + "; ".join(e.description for e in report.failures()), report)
-    levels = _kr_levels(p, kind)
+    levels = _kr_levels(p)
     one = Fraction(1)
     b, c = p.b[-1], p.c[-1]
     pref = _gamma_ratio(ctx, [one + p.a - b, one + p.a - c],
@@ -324,34 +319,32 @@ def _kr_rhs(p, kind: str, report: ConditionReport, ctx: PrecisionContext,
     return run_evaluation(ChainEvaluator(ctx, levels), tol, pref)
 
 
+def _kr_lhs(p, ctx: PrecisionContext, tol=None) -> Evaluation:
+    """The very-well-poised series of either identity, at z = p.z: upper
+    parameters a, 1+a/2 and the well-poised xs, lower a/2 and the 1+a-xs."""
+    xs = [x for _, x in p.wellpoised]
+    return pfq_ex([p.a, p.a / 2 + 1] + xs, [p.a / 2] + [1 + p.a - x for x in xs],
+                  p.z, ctx, tol=tol)
+
+
 def kr_rhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Gamma prefactor times the s-fold nested sum of the z = -1 identity."""
-    return _kr_rhs(p, "i", kr_conditions_i(p), ctx, tol)
+    return _kr_rhs(p, ctx, tol)
 
 
 def kr_rhs_ii(p: KRParamsII, ctx: PrecisionContext, tol=None) -> Evaluation:
     """Gamma prefactor times the s-fold nested sum of the z = +1 identity."""
-    return _kr_rhs(p, "ii", kr_conditions_ii(p), ctx, tol)
+    return _kr_rhs(p, ctx, tol)
 
 
 def kr_lhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
     """The very-well-poised series of the z = -1 identity."""
-    upper = [p.a, p.a / 2 + 1]
-    lower = [p.a / 2]
-    for bi, ci in zip(p.b, p.c):
-        upper += [bi, ci]
-        lower += [1 + p.a - bi, 1 + p.a - ci]
-    return pfq_ex(upper, lower, -1, ctx, tol=tol)
+    return _kr_lhs(p, ctx, tol)
 
 
 def kr_lhs_ii(p: KRParamsII, ctx: PrecisionContext, tol=None) -> Evaluation:
     """The very-well-poised series of the z = +1 identity."""
-    upper = [p.a, p.a / 2 + 1, p.c0]
-    lower = [p.a / 2, 1 + p.a - p.c0]
-    for bi, ci in zip(p.b, p.c):
-        upper += [bi, ci]
-        lower += [1 + p.a - bi, 1 + p.a - ci]
-    return pfq_ex(upper, lower, 1, ctx, tol=tol)
+    return _kr_lhs(p, ctx, tol)
 
 
 # -- the four specializations -----------------------------------------------------
@@ -359,21 +352,17 @@ def kr_lhs_ii(p: KRParamsII, ctx: PrecisionContext, tol=None) -> Evaluation:
 _CASES = ("a1", "a2", "a3", "a4")
 
 
-def _check_case(case: str, alpha: Fraction, s: int):
+def _check_case(case: str, alpha, s) -> Tuple[Fraction, int]:
+    """Exact alpha and integer s of one specialization, in its domain."""
     if case not in _CASES:
         raise DomainError(f"case must be one of {_CASES}, got {case!r}")
-    if case == "a1":
-        if alpha <= 0 or s < 1:
-            raise DomainError("case a1 needs alpha > 0 and s >= 1")
-    elif case == "a2":
-        if alpha <= 0 or s < 2:
-            raise DomainError("case a2 needs alpha > 0 and s >= 2")
-    elif case == "a3":
-        if alpha >= 2 or s < 2:
-            raise DomainError("case a3 needs alpha < 2 and s >= 2")
-    else:
-        if 2 * alpha >= 3 or s < 1:
-            raise DomainError("case a4 needs alpha < 3/2 and s >= 1")
+    al = as_fraction(alpha)
+    s = as_int(s, "s", 2 if case in ("a2", "a3") else 1)
+    ok, need = {"a1": (al > 0, "alpha > 0"), "a2": (al > 0, "alpha > 0"),
+                "a3": (al < 2, "alpha < 2"), "a4": (2 * al < 3, "alpha < 3/2")}[case]
+    if not ok:
+        raise DomainError(f"case {case} needs {need}")
+    return al, s
 
 
 def _pochhammer_ratio_levels(alpha: Fraction, outer_k: int):
@@ -392,8 +381,7 @@ def specialized_lhs(case: str, alpha, s: int, ctx: PrecisionContext,
     (A4) the plain and alternating sums of (alpha)_t / (2-alpha)_{t+1}
     over (t+1)^(2s-2) and (t+1)^(2s-1).
     """
-    al = as_fraction(alpha)
-    _check_case(case, al, s)
+    al, s = _check_case(case, alpha, s)
     # (level, alternating), built lazily: the ratio levels divide by 2-alpha,
     # which only the a3/a4 domains keep nonzero
     level, alternating = {
@@ -408,8 +396,7 @@ def specialized_lhs(case: str, alpha, s: int, ctx: PrecisionContext,
 def specialized_rhs(case: str, alpha, s: int, ctx: PrecisionContext,
                     tol=None) -> Evaluation:
     """The displayed nested-sum side of one of the four specializations."""
-    al = as_fraction(alpha)
-    _check_case(case, al, s)
+    al, s = _check_case(case, alpha, s)
     if case in ("a1", "a2"):
         # inner weight (alpha)_t^2 / (t! (2*alpha)_t); a1 has 1/(t+alpha) extra
         ratio = Ratio((al, al), (Fraction(1), 2 * al), init=Fraction(1))

@@ -129,14 +129,6 @@ def _star(ctx, parts):
     return series.mzsv(Index(tuple(parts)), ctx)
 
 
-def _strict(ctx, parts):
-    return series.mzv(Index(tuple(parts)), ctx)
-
-
-def _alt(ctx, parts):
-    return series.alt_mzsv(Index(tuple(parts)), ctx)
-
-
 def _two_one_parts(r: int, s: int, kind: str) -> List[Tuple[int, Tuple[int, ...]]]:
     """Signed power-of-two combinations over compositions of r+1.
 
@@ -225,18 +217,20 @@ def _ev_eq2_check(ctx, p):
     return lhs, rhs
 
 
-def _ev_eq3(ctx, p):
-    r, s = p["r"], p["s"]
-    lhs = _star(ctx, (1,) * (r + 1) + (2,) * (s - 1))
-    rhs = series.weighted_product_series_ex(r, s, False, ctx)
-    return lhs, rhs
+def _star_side(ctx, r, s, alternating):
+    """The zeta-star side of Eq. (4) if alternating, else of Eq. (3)."""
+    head = (r + 2,) if alternating else (1,) * (r + 1)
+    return _star(ctx, head + (2,) * (s - 1))
 
 
-def _ev_eq4(ctx, p):
-    r, s = p["r"], p["s"]
-    lhs = _star(ctx, (r + 2,) + (2,) * (s - 1))
-    rhs = series.weighted_product_series_ex(r, s, True, ctx)
-    return lhs, rhs
+def _ev_eq(alternating):
+    """Eq. (4) if alternating, else Eq. (3): the zeta-star side against the
+    harmonic-product series."""
+    def ev(ctx, p):
+        r, s = p["r"], p["s"]
+        lhs = _star_side(ctx, r, s, alternating)
+        return lhs, series.weighted_product_series_ex(r, s, alternating, ctx)
+    return ev
 
 
 def _ev_eq5_check(ctx, p):
@@ -245,28 +239,24 @@ def _ev_eq5_check(ctx, p):
     return _scalar(ctx, form_a), _scalar(ctx, form_b)
 
 
-def _ev_addendum_mzv_form(ctx, p):
-    r, s = p["r"], p["s"]
-    lhs = series.weighted_product_series_ex(r, s, False, ctx)
-    parts = [(coef, _strict(ctx, ix))
-             for coef, ix in _two_one_parts(r, s, "mzv")]
-    return lhs, _combine(ctx, parts)
+def _ev_two_one(kind):
+    """A two-one rewrite against the side it rewrites, by _two_one_parts
+    kind: the zeta-star side of Eq. (3) as zeta-star values ('star'), that
+    of Eq. (4) as alternating ones ('alt'), or the harmonic-product side of
+    Eq. (3) as strict ones ('mzv')."""
+    name = {"star": "mzsv", "alt": "alt_mzsv", "mzv": "mzv"}[kind]
 
-
-def _ev_two_one_eq3(ctx, p):
-    r, s = p["r"], p["s"]
-    lhs = _star(ctx, (1,) * (r + 1) + (2,) * (s - 1))
-    parts = [(coef, _star(ctx, ix))
-             for coef, ix in _two_one_parts(r, s, "star")]
-    return lhs, _combine(ctx, parts)
-
-
-def _ev_two_one_eq4(ctx, p):
-    r, s = p["r"], p["s"]
-    lhs = _star(ctx, (r + 2,) + (2,) * (s - 1))
-    parts = [(coef, _alt(ctx, ix))
-             for coef, ix in _two_one_parts(r, s, "alt")]
-    return lhs, _combine(ctx, parts)
+    def ev(ctx, p):
+        r, s = p["r"], p["s"]
+        if kind == "mzv":
+            lhs = series.weighted_product_series_ex(r, s, False, ctx)
+        else:
+            lhs = _star_side(ctx, r, s, kind == "alt")
+        fn = getattr(series, name)  # at call time, as the tracer wraps it
+        parts = [(coef, fn(Index(ix), ctx))
+                 for coef, ix in _two_one_parts(r, s, kind)]
+        return lhs, _combine(ctx, parts)
+    return ev
 
 
 def _with_r(evaluate, k):
@@ -274,46 +264,37 @@ def _with_r(evaluate, k):
     return lambda ctx, p: evaluate(ctx, {**p, "r": k})
 
 
-def _kr_params_i(variant: str, alpha, s: int) -> hypergeom.KRParamsI:
-    if variant == "a1":
-        al = hypergeom.as_fraction(alpha)
-        return hypergeom.KRParamsI(s=s, a=2 * al, b=(Fraction(1),) + (al,) * s,
-                                   c=(al,) * (s + 1))
-    if variant == "a4":
-        al = hypergeom.as_fraction(alpha)
-        return hypergeom.KRParamsI(s=s, a=Fraction(2), b=(al,) + (Fraction(1),) * s,
-                                   c=(Fraction(1),) * (s + 1))
-    g = Fraction(7, 10)
-    return hypergeom.KRParamsI(s=s, a=Fraction(11, 5), b=(g,) * (s + 1),
-                               c=(g,) * (s + 1))
+def _kr_params(kind: str, variant: str, alpha, s: int):
+    """The Theorem A (kind 'i' or 'ii') parameter set of a variant.
+
+    Its well-poised xs in series order (b_1, c_1, b_2, ... for (i);
+    c_0, b_1, c_1, ... for (ii)) are `first`, then `rest` for every other
+    x: (A1)/(A2) take a = 2 alpha, first 1 and rest alpha; (A4)/(A3) take
+    a = 2, first alpha and rest 1; 'generic' takes a = 11/5 and 7/10 for
+    every x.
+    """
+    if variant == "generic":
+        a, first, rest = Fraction(11, 5), Fraction(7, 10), Fraction(7, 10)
+    elif variant in ("a1", "a2"):
+        rest = hypergeom.as_fraction(alpha)
+        a, first = 2 * rest, Fraction(1)
+    else:
+        first = hypergeom.as_fraction(alpha)
+        a, rest = Fraction(2), Fraction(1)
+    if kind == "i":
+        return hypergeom.KRParamsI(s=s, a=a, b=(first,) + (rest,) * s,
+                                   c=(rest,) * (s + 1))
+    return hypergeom.KRParamsII(s=s, a=a, c0=first, b=(rest,) * s, c=(rest,) * s)
 
 
-def _kr_params_ii(variant: str, alpha, s: int) -> hypergeom.KRParamsII:
-    if variant == "a2":
-        al = hypergeom.as_fraction(alpha)
-        return hypergeom.KRParamsII(s=s, a=2 * al, c0=Fraction(1), b=(al,) * s,
-                                    c=(al,) * s)
-    if variant == "a3":
-        al = hypergeom.as_fraction(alpha)
-        return hypergeom.KRParamsII(s=s, a=Fraction(2), c0=al,
-                                    b=(Fraction(1),) * s, c=(Fraction(1),) * s)
-    g = Fraction(7, 10)
-    return hypergeom.KRParamsII(s=s, a=Fraction(11, 5), c0=g, b=(g,) * s,
-                                c=(g,) * s)
-
-
-def _ev_theoremA_i(ctx, p):
-    params = _kr_params_i(p["variant"], p.get("alpha", "1"), p["s"])
-    lhs = hypergeom.kr_lhs_i(params, ctx)
-    rhs = hypergeom.kr_rhs_i(params, ctx)
-    return lhs, rhs
-
-
-def _ev_theoremA_ii(ctx, p):
-    params = _kr_params_ii(p["variant"], p.get("alpha", "1"), p["s"])
-    lhs = hypergeom.kr_lhs_ii(params, ctx)
-    rhs = hypergeom.kr_rhs_ii(params, ctx)
-    return lhs, rhs
+def _ev_theoremA(kind):
+    """Theorem A (i) or (ii): the series side against the nested sum."""
+    def ev(ctx, p):
+        params = _kr_params(kind, p["variant"], p.get("alpha", "1"), p["s"])
+        # looked up at call time, as the tracer wraps these names
+        lhs = getattr(hypergeom, f"kr_lhs_{kind}")(params, ctx)
+        return lhs, getattr(hypergeom, f"kr_rhs_{kind}")(params, ctx)
+    return ev
 
 
 # -- registry ---------------------------------------------------------------------
@@ -369,48 +350,48 @@ def _build_registry() -> List[IdentityDescriptor]:
         _grid(m=[0, 1, 2, 3, 5, 10, 15], r=[0, 1, 2, 3, 4]), _ev_eq2_check)
     add("eq3", "Eq. (3)",
         [_int_spec("r", 0, 5), _int_spec("s", 2, 4)],
-        _grid(r=[0, 1, 2, 3], s=[2, 3]), _ev_eq3)
+        _grid(r=[0, 1, 2, 3], s=[2, 3]), _ev_eq(False))
     for k in range(4):
         add(f"eq3_expansion_r{k}", f"(A3) expansion display, r={k}",
             [_int_spec("s", 2, 4)], _grid(s=[2, 3]),
-            _with_r(_ev_two_one_eq3, k))
+            _with_r(_ev_two_one("star"), k))
     add("a4_specialized", "(A4) specialized identity",
         [_int_spec("s", 1, 4), _alpha_spec(hi=Fraction(3, 2), hi_open=True)],
         _grid(s=[1, 2, 3], alpha=_ALPHAS), _ev_specialized("a4"))
     add("eq4", "Eq. (4)",
         [_int_spec("r", 0, 5), _int_spec("s", 1, 3)],
-        _grid(r=[0, 1, 2, 3], s=[1, 2]), _ev_eq4)
+        _grid(r=[0, 1, 2, 3], s=[1, 2]), _ev_eq(True))
     for k in range(4):
         add(f"eq4_expansion_r{k}", f"(A4) expansion display, r={k}",
             [_int_spec("s", 1, 3)], _grid(s=[1, 2]),
-            _with_r(_ev_two_one_eq4, k))
+            _with_r(_ev_two_one("alt"), k))
     add("eq5_check", "Eq. (5), both closed forms",
         [_int_spec("m", 0, 30), _int_spec("r", 0, 8)],
         _grid(m=[0, 1, 2, 3, 4, 6, 8, 10, 12, 15], r=[0, 1, 2, 3, 4, 5]),
         _ev_eq5_check)
     add("addendum_mzv_form", "Addendum, strict-sum form",
         [_int_spec("r", 0, 5), _int_spec("s", 2, 3)],
-        _grid(r=[0, 1, 2, 3, 4], s=[2, 3]), _ev_addendum_mzv_form)
+        _grid(r=[0, 1, 2, 3, 4], s=[2, 3]), _ev_two_one("mzv"))
     add("two_one_eq3", "Addendum, two-one rewrite of Eq. (3)",
         [_int_spec("r", 0, 5), _int_spec("s", 2, 3)],
-        _grid(r=[0, 1, 2, 3, 4], s=[2, 3]), _ev_two_one_eq3)
+        _grid(r=[0, 1, 2, 3, 4], s=[2, 3]), _ev_two_one("star"))
     add("two_one_eq4", "Addendum, two-one rewrite of Eq. (4)",
         [_int_spec("r", 0, 5), _int_spec("s", 1, 3)],
-        _grid(r=[0, 1, 2, 3, 4], s=[1, 2]), _ev_two_one_eq4)
+        _grid(r=[0, 1, 2, 3, 4], s=[1, 2]), _ev_two_one("alt"))
     add("theoremA_i", "Theorem A (i)",
         [ParamSpec("variant", "choice", choices=("a1", "a4", "generic")),
          _int_spec("s", 1, 3), _alpha_spec()],
         tuple([{"variant": "a1", "s": 1, "alpha": a} for a in _ALPHAS]
               + [{"variant": "a4", "s": 1, "alpha": a} for a in _ALPHAS]
               + [{"variant": "generic", "s": 1, "alpha": "1.0"}]),
-        _ev_theoremA_i)
+        _ev_theoremA("i"))
     add("theoremA_ii", "Theorem A (ii)",
         [ParamSpec("variant", "choice", choices=("a2", "a3", "generic")),
          _int_spec("s", 1, 3), _alpha_spec()],
         tuple([{"variant": "a2", "s": 2, "alpha": a} for a in _ALPHAS]
               + [{"variant": "a3", "s": 2, "alpha": a} for a in _ALPHAS]
               + [{"variant": "generic", "s": 1, "alpha": "1.0"}]),
-        _ev_theoremA_ii)
+        _ev_theoremA("ii"))
     return reg
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .context import HPReal, PrecisionContext
+from .context import HPReal, PrecisionContext, as_int
 from .errors import DomainError
 from .tailcalc import _em_fraction, power_sum_tail
 
@@ -137,10 +137,9 @@ def zeta_tail(s, M: int, ctx: PrecisionContext) -> HPReal:
     sv = ctx.real(s)
     if sv <= 1:
         raise DomainError(f"zeta_tail requires s > 1, got {sv}")
-    if M < 1:
-        raise DomainError(f"zeta_tail requires M >= 1, got {M}")
+    M = as_int(M, "M", 1)
     mp = ctx.mp
-    val = power_sum_tail(mp, sv.mpf, int(M), mp.mpf(10) ** -ctx.working_digits)
+    val = power_sum_tail(mp, sv.mpf, M, mp.mpf(10) ** -ctx.working_digits)
     return HPReal(val, ctx)
 
 
@@ -184,16 +183,12 @@ def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
     (``ctx.tripled()``, one per calling context) and must return HPReal
     (or something coercible) in that context.
     """
-    if r < 0:
-        raise DomainError(f"derivative order must be >= 0, got {r}")
+    r = as_int(r, "derivative order r", 0)
     hi = ctx.tripled()
     if isinstance(x0, HPReal):
         x0v = HPReal(hi.mp.mpf(x0.mpf), hi)  # exact binary transfer
     else:
         x0v = hi.real(x0)
-    if r == 0:
-        res = f(x0v)
-        return ctx.real(hi.real(res).decimal(hi.working_digits))
     npts = 2 * r + 3  # accuracy order >= r + 3
     nodes, weights = _central_weights(r, npts)
     mp = hi.mp

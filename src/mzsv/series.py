@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chains import ChainEvaluator, WeightedChainEvaluator, index_levels
-from .context import HPReal, PrecisionContext
+from .context import HPReal, PrecisionContext, as_int
 from .errors import DomainError
 from .indices import Index, admissible
 from .tailcalc import power_sum_tail
@@ -78,9 +78,8 @@ def eta_shifted(k: int, ctx: PrecisionContext) -> HPReal:
 
 
 def eta_shifted_ex(k: int, ctx: PrecisionContext) -> Evaluation:
-    if k < 1:
-        raise DomainError(f"eta_shifted requires k >= 1, got {k}")
-    return _index_chain(Index((int(k),)), ctx, None, alternating=True)
+    k = as_int(k, "k", 1)
+    return _index_chain(Index((k,)), ctx, None, alternating=True)
 
 
 def _index_chain(ix: Index, ctx: PrecisionContext, tol, strict: bool = False,
@@ -119,15 +118,8 @@ def weighted_product_series(r: int, s: int, alternating: bool,
 
 def weighted_product_series_ex(r: int, s: int, alternating: bool,
                                ctx: PrecisionContext, tol=None) -> Evaluation:
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    if alternating:
-        if s < 1:
-            raise DomainError(f"alternating case needs s >= 1, got {s}")
-        p = 2 * s
-    else:
-        if s < 2:
-            raise DomainError(f"plain case needs s >= 2, got {s}")
-        p = 2 * s - 1
-    ev = WeightedChainEvaluator(ctx, r=int(r), p=p, alternating=alternating)
+    r = as_int(r, "r", 0)
+    s = as_int(s, "s", 1 if alternating else 2)
+    p = 2 * s if alternating else 2 * s - 1
+    ev = WeightedChainEvaluator(ctx, r=r, p=p, alternating=alternating)
     return run_evaluation(ev, tol, pref=2)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from mzsv import cli
 
 
@@ -163,6 +165,20 @@ def test_eval_kr_rhs_kinds(capsys):
     assert code == 0
     # zeta(3)
     assert out.strip().startswith("1.202056903159594285")
+
+
+def test_eval_unknown_and_missing_options_exit_2(capsys):
+    # eval has no --r
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "zeta", "3", "--r", "1"])
+    assert exc.value.code == 2
+    # kr-rhs-ii needs --c0 on top of what kr-rhs-i needs
+    code, _, err = run_cli(capsys, "eval", "kr-rhs-ii", "--s", "1", "--a", "2",
+                           "--b", "1", "--c", "1")
+    assert code == 2 and "--c0" in err
+    code, _, err = run_cli(capsys, "eval", "kr-rhs-i", "--s", "1", "--a", "2",
+                           "--b", "1,1")
+    assert code == 2 and "--c" in err
 
 
 def test_eval_domain_errors_exit_2(capsys):

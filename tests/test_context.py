@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import mzsv
@@ -95,3 +97,40 @@ def test_public_exports_resolve():
     # a deleted function must take its __all__ entry with it
     missing = [name for name in mzsv.__all__ if not hasattr(mzsv, name)]
     assert not missing
+
+
+_IX2 = mzsv.Index((2,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: mzsv.eta_shifted(2.5, ctx),
+    lambda ctx: mzsv.eta_shifted(True, ctx),
+    lambda ctx: mzsv.weighted_product_series(1.5, 2, False, ctx),
+    lambda ctx: mzsv.weighted_product_series(1, 2.5, False, ctx),
+    lambda ctx: mzsv.zeta_tail(3, 2.5, ctx),
+    lambda ctx: mzsv.specialized_lhs("a1", "0.6", 1.5, ctx),
+    lambda ctx: mzsv.specialized_rhs("a1", "0.6", 1.5, ctx),
+    lambda ctx: mzsv.pochhammer(2, 2.5, ctx),
+    lambda ctx: mzsv.strict_sum(_IX2, 2.5, ctx),
+    lambda ctx: mzsv.star_sum(_IX2, True, ctx),
+    lambda ctx: mzsv.star_sum_exact(_IX2, 2.5),
+    lambda ctx: mzsv.dr_ratio_at1(2, 1.5, ctx),
+    lambda ctx: mzsv.derivative_at(lambda x: x, 1, 0.5, ctx),
+    lambda ctx: mzsv.KRParamsI(s=1.5, a=2, b=(1, 1), c=(1, 1)),
+    lambda ctx: PrecisionContext(digits=30.5),
+], ids=["eta_shifted", "eta_shifted_bool", "weighted_product_series_r",
+        "weighted_product_series_s", "zeta_tail", "specialized_lhs",
+        "specialized_rhs", "pochhammer", "strict_sum", "star_sum_bool",
+        "star_sum_exact", "dr_ratio_at1", "derivative_at", "KRParamsI",
+        "PrecisionContext"])
+def test_integer_arguments_reject_bool_and_non_integral(ctx30, call):
+    # each of these once truncated the value, or failed deep inside with a
+    # bare TypeError or a plateaued ConvergenceError
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(ctx30)
+
+
+def test_integer_arguments_take_integral_values(ctx30):
+    assert mzsv.eta_shifted(2.0, ctx30) == mzsv.eta_shifted(2, ctx30)
+    assert mzsv.pochhammer(2, Fraction(6, 2), ctx30) == 24
+    assert PrecisionContext(digits=30.0).digits == 30

@@ -7,6 +7,7 @@ from mzsv import (ConditionError, ConvergenceError, DomainError, KRParamsI,
                   KRParamsII, PrecisionContext, kr_conditions_i,
                   kr_conditions_ii, kr_lhs_i, kr_lhs_ii, kr_rhs_i, kr_rhs_ii,
                   pfq, specialized_lhs, specialized_rhs, zeta)
+from mzsv import hypergeom
 from mzsv.chains import ChainEvaluator, Level, Pow, Ratio, first_checkpoint
 from mzsv.hypergeom import _kr_levels, gamma, pfq_ex
 from mzsv.tailcalc import TailCalc
@@ -284,6 +285,34 @@ def test_error_estimate_bounds_error_against_60_digits(ctx30, p, fn):
     assert err <= ev.diagnostics.error_estimate.mpf
 
 
+@pytest.mark.parametrize("p", [
+    KRParamsI(s=1, a=2, b=(1, 1), c=(1, 1)),
+    KRParamsI(s=1, a=1, b=(1, 1), c=(1, 1)),                    # margin -2
+    KRParamsI(s=2, a="5/2", b=("3/4", "1/2", "1/2"), c=("3/4", "1/2", "1/2")),
+    KRParamsII(s=1, a="2.2", c0="0.7", b=("0.7",), c=("0.7",)),
+    KRParamsII(s=3, a=4, c0=_HALF, b=(_HALF,) * 3, c=(_HALF,) * 3),
+    KRParamsII(s=2, a=2, c0="3.5", b=(1, 1), c=(1, 1)),            # margin -3
+], ids=["i_unit", "i_negative", "i_s2", "ii_generic", "ii_s3", "ii_negative"])
+def test_margin_is_the_summed_series_margin(ctx30, monkeypatch, p):
+    # the margin entry is sum(lower) - sum(upper) of the series kr_lhs_*
+    # hands to pfq_ex, and each well-poised parameter x has one entry
+    # "1+a-x not a non-positive integer": 2s+2 of them for (i), 2s+1 for (ii)
+    seen = []
+    monkeypatch.setattr(hypergeom, "pfq_ex",
+                        lambda upper, lower, z, ctx, tol=None:
+                        seen.append((upper, lower, z)))
+    first = isinstance(p, KRParamsI)
+    (kr_lhs_i if first else kr_lhs_ii)(p, ctx30)
+    [(upper, lower, z)] = seen
+    assert z == (-1 if first else 1)
+    report = (kr_conditions_i if first else kr_conditions_ii)(p)
+    [margin] = [e for e in report.entries if "(a+1)" in e.description]
+    assert margin.lhs_value == sum(lower) - sum(upper)
+    assert margin.satisfied == (margin.lhs_value > 0)
+    poles = [e for e in report.entries if "non-positive integer" in e.description]
+    assert len(poles) == 2 * p.s + (2 if first else 1)
+
+
 def _ratio_chains():
     """(name, levels) of three ratio chains, innermost level first."""
     half = Fraction(1, 2)
@@ -294,7 +323,7 @@ def _ratio_chains():
     # the (A3) right-hand side at alpha = 1/2, s = 3, as specialized_rhs sums it
     a3 = [Level(ratio=Ratio((Fraction(1),), (3 - half,), init=1 / (2 - half)))]
     a3 += [Level(pows=(Pow(2, Fraction(1)),))] * 2
-    return [("kr_ii", _kr_levels(kr, "ii")), ("pfq", [Level(ratio=gauss)]),
+    return [("kr_ii", _kr_levels(kr)), ("pfq", [Level(ratio=gauss)]),
             ("a3_rhs", a3)]
 
 

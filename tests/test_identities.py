@@ -1,7 +1,12 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mzsv
+import mzsv.cli  # noqa: F401  (the tracer wraps a name in it)
 from mzsv import (ConfigurationError, PrecisionContext, get_identity,
                   list_identities, verify, verify_suite, zeta)
 
@@ -175,3 +180,35 @@ def test_expansion_ids_alias_two_one(eq, k):
     family = verify(f"two_one_{eq}", {"r": k, "s": 2}, ctx)
     for field in ("lhs_value", "rhs_value", "abs_diff"):
         assert getattr(alias, field).mpf == getattr(family, field).mpf, field
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.mark.parametrize("id_, params, series_calls, sides", [
+    ("eq3", {"r": 2, "s": 2}, 2, 0),
+    ("two_one_eq3", {"r": 2, "s": 2}, 1 + 2 ** 2, 0),   # 2^r two-one parts
+    ("addendum_mzv_form", {"r": 2, "s": 2}, 1 + 2 ** 2, 0),
+    ("theoremA_i", {"variant": "generic", "s": 1}, 0, 1),
+    ("theoremA_ii", {"variant": "generic", "s": 1}, 0, 1),
+])
+def test_registry_evaluators_reach_the_tracer(monkeypatch, id_, params,
+                                              series_calls, sides):
+    # the benchmark's tracer (perfbench/tracing.py) replaces series.* and
+    # hypergeom.* attributes after import; an evaluator that bound one of
+    # them at import would bypass it and go uncounted
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as is
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, mzsv)
+        assert verify(id_, params, PrecisionContext(digits=15, tol=1e-8)).passed
+    finally:
+        tracer.uninstall()
+    calls = {name: agg.calls for name, agg in tracer.aggs.items()}
+    assert tracer.series_calls == series_calls
+    # Theorem A: one pFq series side and one nested right-hand side
+    assert calls.get("hypergeom.pfq", 0) == sides
+    assert calls.get("hypergeom.kr_rhs", 0) == sides
