@@ -21,14 +21,14 @@ _ITEM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 @dataclass(frozen=True)
 class Index:
-    """A non-empty composition of positive integers."""
+    """A non-empty composition of positive integers; a bool is not a part."""
 
     parts: Tuple[int, ...]
 
     def __post_init__(self):
         if not self.parts:
             raise DomainError("index must have at least one part")
-        if any((not isinstance(p, int)) or p < 1 for p in self.parts):
+        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in self.parts):
             raise DomainError(f"index parts must be positive integers: {self.parts}")
         object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
 

@@ -22,19 +22,27 @@ Two layers:
   remainder of a dynamic-programming chain is corrected analytically
   instead of by brute-force term counts.
 
-Coefficients are fixed-point integers, as in the kernels: each TailCalc
-keeps every c_q as round-down(c_q * 2**bits), with bits the precision of
-the mpmath context handed to the constructor plus ``GUARD_BITS``, so a
-product rescales by a shift. rho, the power weights' shifts and the
-ratio shifts stay exact Fractions. ``sumtail`` multiplies each coefficient
-c_q by one cached row of factors per (scale, p = rho+q, alternating):
-1/(p-1), then B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a Boole tail, each
-rounded once from its exact rational value; the rows are built on first
-use, never at import, shared by every TailCalc at that scale, and the
-``SUM_ROWS_MAX`` most recently used are kept. The exact B_2k/(2k)! behind
-them also serve ``power_sum_tail``. Only ``eval_at`` returns an mpf: it
-runs Horner by integer division by m+1 and converts once, times
-(m+1)**-(rho + lowest key).
+Coefficients are fixed-point integers, as in the kernels, at a scale
+graded by key: each TailCalc keeps c_q as round-down(c_q * 2**(bits -
+q*d)), with bits the precision of the mpmath context handed to the
+constructor plus ``GUARD_BITS`` and d = floor(log2 M0) for the first
+checkpoint M0 of ``expansion_plan``. A tail is only evaluated at
+m + 1 >= 2**d (``eval_at`` enforces it), where key q is worth
+(m+1)**-q <= 2**(-q*d) of key 0, so a unit of key q's scale is worth at
+most one of key 0's there and the later keys carry q*d fewer bits
+(Brent & Zimmermann, Modern Computer Arithmetic, ch. 4). The scale is
+linear in q, so a product of keys qf and qg still rescales by a shift of
+bits. rho, the power weights' shifts and the ratio shifts stay exact
+Fractions. ``sumtail`` multiplies each coefficient c_q by one cached row
+of factors per (scale, p = rho+q, alternating): 1/(p-1), then
+B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a Boole tail, each rounded once
+from its exact rational value at the scale of the key it lands on; the
+rows are built on first use, never at import, shared by every TailCalc at
+that scale, and the ``SUM_ROWS_MAX`` most recently used are kept. The
+exact B_2k/(2k)! behind them come from the integer tangent numbers and
+also serve ``power_sum_tail`` and Stirling's series in ``numerics``. Only
+``eval_at`` returns an mpf: it runs Horner by integer division by m+1 and
+converts once, times (m+1)**-(rho + lowest key).
 
 Series are truncated at ``qmax`` powers, and the run loop of ``chains``
 takes its first checkpoint at M0; ``expansion_plan`` derives both from
@@ -58,9 +66,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, factorial, lgamma, log, pi
-
-from mpmath import bernfrac
+from math import ceil, exp, lgamma, log, pi
 
 from .errors import DomainError
 
@@ -163,34 +169,59 @@ def expansion_plan(dps: int) -> tuple:
 
 
 def _em_fraction(k: int) -> tuple:
-    """B_2k/(2k)! as an exact (numerator, denominator) pair, extended on
-    demand in one list shared by power_sum_tail and every scale."""
-    for j in range(len(_em_exact) + 1, k + 1):
-        num, den = bernfrac(2 * j)
-        _em_exact.append((num, den * factorial(2 * j)))
+    """B_2k/(2k)! as an exact (numerator, denominator) pair: the reduced
+    B_2k = num/den, and den * (2k)!. One table, shared by power_sum_tail,
+    numerics and every scale, rebuilt to max(k, twice its length) when
+    asked past its end.
+
+    B_2j = (-1)**(j-1) 2j T_j / (4**j (4**j - 1)) with the tangent numbers
+    T_j, which an O(n**2) recurrence in small integers gives all at once
+    (Brent & Zimmermann, Modern Computer Arithmetic, 4.7.2).
+    """
+    if k > len(_em_exact):
+        n = max(k, 2 * len(_em_exact))
+        T = [0, 1]  # T[j] for j = 1..n
+        for j in range(2, n + 1):
+            T.append((j - 1) * T[j - 1])
+        for i in range(2, n + 1):
+            for j in range(i, n + 1):
+                T[j] = (j - i) * T[j - 1] + (j - i + 2) * T[j]
+        table = []
+        fact = 1  # (2j)!
+        for j in range(1, n + 1):
+            fact *= (2 * j - 1) * (2 * j)
+            b = Fraction((-1) ** (j - 1) * 2 * j * T[j], 4 ** j * (4 ** j - 1))
+            table.append((b.numerator, b.denominator * fact))
+        _em_exact[:] = table
     return _em_exact[k - 1]
 
 
-def _sum_row(bits: int, a: int, b: int, alternating: bool, kmax: int) -> list:
-    """The factors sumtail applies to the coefficient of (m+1)**-p, p = a/b,
-    at scale 2**bits: row[0] = 1/(p-1) (0 for a Boole tail, which has no
-    such term) and row[k] = B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a
-    Boole tail, for k = 1..kmax. Each is rounded down from its exact
-    rational value. Rows are cached per (bits, p, alternating), shared by
-    every TailCalc at that scale, and rebuilt longer when a longer one is
-    asked for; the SUM_ROWS_MAX most recently used are kept."""
-    key = (bits, a, b, alternating)
+def _sum_row(bits: int, d: int, a: int, b: int, alternating: bool, kmax: int) -> list:
+    """The factors sumtail applies to the coefficient of (m+1)**-p, p = a/b:
+    row[0] = 1/(p-1) (0 for a Boole tail, which has no such term) at scale
+    2**(bits + d), and row[k] = B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a
+    Boole tail, at scale 2**(bits - (2k-1)*d), for k = 1..kmax, so that
+    its product with the coefficient of key q, shifted down by bits, lands
+    at the graded scale of its key, q-1 or q-1+2k. Each factor is rounded down
+    from its exact rational value. Rows are cached per (bits, d, p,
+    alternating), shared by every TailCalc at that scale, and rebuilt
+    longer when a longer one is asked for; the SUM_ROWS_MAX most recently
+    used are kept."""
+    key = (bits, d, a, b, alternating)
     row = _sum_rows.get(key)
     if row is not None and len(row) > kmax:
         _sum_rows.move_to_end(key)
         return row
-    row = [0 if alternating else (b << bits) // (a - b)]
+    row = [0 if alternating else (b << (bits + d)) // (a - b)]
     num, den = a, b  # (p)_{2k-1} = num/den, built incrementally
     for k in range(1, kmax + 1):
         en, ed = _em_fraction(k)
         if alternating:
             en *= 4 ** k - 1
-        row.append((en * num << bits) // (ed * den))
+        en *= num
+        ed *= den
+        s = bits - (2 * k - 1) * d  # a later key's scale may be below 2**0
+        row.append((en << s) // ed if s >= 0 else en // (ed << -s))
         num *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
         den *= b * b
     _sum_rows[key] = row
@@ -201,10 +232,10 @@ def _sum_row(bits: int, a: int, b: int, alternating: bool, kmax: int) -> list:
 
 
 class TailPoly:
-    """Asymptotic tail polynomial: sum_q coeffs[q] * (m+1)**-(rho+q).
+    """Asymptotic tail polynomial: sum_q c_q * (m+1)**-(rho+q).
 
-    rho is an exact Fraction; each coeffs[q] is an int, the coefficient
-    times 2**bits of the TailCalc that built it.
+    rho is an exact Fraction; each coeffs[q] is an int, c_q times
+    2**(bits - q*d) of the TailCalc that built it.
     """
 
     __slots__ = ("rho", "coeffs")
@@ -219,13 +250,16 @@ class TailPoly:
 
 class TailCalc:
     """Algebra of tail polynomials in fixed point at the precision of an
-    mpmath context: coefficients are ints at scale 2**bits, with bits the
-    context's precision plus GUARD_BITS."""
+    mpmath context: the coefficient of key q is an int at scale
+    2**(bits - q*d), with bits the context's precision plus GUARD_BITS and
+    d = floor(log2 M0) bits fewer per key, for the first checkpoint M0 of
+    ``expansion_plan``. Its tails are evaluated at m + 1 >= 2**d only."""
 
     def __init__(self, mp):
         self.mp = mp
-        self.qmax = expansion_plan(mp.dps)[1]
+        m0, self.qmax = expansion_plan(mp.dps)
         self.bits = mp.prec + GUARD_BITS
+        self.d = m0.bit_length() - 1
 
     # -- constructors --------------------------------------------------------
     def const(self, value) -> TailPoly:
@@ -239,13 +273,14 @@ class TailCalc:
         u = 1 - Fraction(c)  # (m+c)^-k = (m+1)^-k * (1 - u/(m+1))^-k
         un, ud = u.numerator, u.denominator
         kn, kd = k.numerator, k.denominator
+        d = self.d
         coeffs = {}
         term = 1 << self.bits
         for j in range(self.qmax + 1):
             if not term:
                 break  # u = 0, or rounded away: every later term is 0 too
             coeffs[j] = term
-            term = term * un * (kn + j * kd) // (ud * kd * (j + 1))
+            term = term * un * (kn + j * kd) // (ud * kd * (j + 1) << d)
         return TailPoly(k, coeffs)
 
     # -- arithmetic ----------------------------------------------------------
@@ -285,40 +320,43 @@ class TailCalc:
         one point makes the model exact to series-truncation order. The
         shifts and rho are exact (int or Fraction).
         """
-        bits, qmax = self.bits, self.qmax
+        bits, d, qmax = self.bits, self.d, self.qmax
         one = 1 << bits
         rho = Fraction(rho)
-        # P(y) = prod(1 + (n_j - 1) y) / prod(1 + (d_j - 1) y)
+        # P(y) = prod(1 + (n_j - 1) y) / prod(1 + (d_j - 1) y), y^i at the
+        # scale of key i
         P = [0] * (qmax + 2)
         P[0] = one
         for n in num_shifts:
             u = Fraction(n) - 1
-            a, b = u.numerator, u.denominator
+            a, b = u.numerator, u.denominator << d
             for i in range(qmax + 1, 0, -1):
                 P[i] += P[i - 1] * a // b
-        for d in den_shifts:
-            u = Fraction(d) - 1
-            a, b = u.numerator, u.denominator
+        for s in den_shifts:
+            u = Fraction(s) - 1
+            a, b = u.numerator, u.denominator << d
             # multiply by 1/(1 + u y): P <- P * sum (-u)^i y^i, in place
             for i in range(1, qmax + 2):
                 P[i] -= P[i - 1] * a // b
 
-        # binom(-q-rho, i) for i <= qmax+1-q, one column per q:
-        # (-q-rho-j)/(j+1) = (-(q+j)*rd - rn) / (rd*(j+1))
+        # binom(-q-rho, i) for i <= qmax+1-q, one column per q, entry i at
+        # the scale of key i: (-q-rho-j)/(j+1) = (-(q+j)*rd - rn) / (rd*(j+1))
         rn, rd = rho.numerator, rho.denominator
         cols = []
         for q in range(qmax):
             col = [one]
             for j in range(qmax + 1 - q):
-                col.append(col[j] * (-(q + j) * rd - rn) // (rd * (j + 1)))
+                col.append(col[j] * (-(q + j) * rd - rn) // (rd * (j + 1) << d))
             cols.append(col)
 
+        # c_q (key q) times a y^(m-q) entry is at the scale of key m; c_(m-1)
+        # is d bits above it
         c = [one]
         for m in range(2, qmax + 2):
             acc = 0
             for q in range(0, m - 1):
                 acc += c[q] * (cols[q][m - q] - P[m - q])
-            c.append((acc >> bits) // (m - 1))
+            c.append((acc >> (bits - d)) // (m - 1))
         return TailPoly(rho, dict(enumerate(c)))
 
     # -- the tail-sum operator -----------------------------------------------
@@ -329,8 +367,9 @@ class TailCalc:
         Euler-Maclaurin expansion of sum_{n>=N} n**-p less its N**-p term:
         N**(1-p)/(p-1) - N**-p/2 + sum_k B_2k/(2k)! (p)_{2k-1} N**(1-p-2k).
         Coefficient c_q (p = rho+q) therefore lands directly on keys q-1, q
-        and q-1+2k, times the factors of its row (``_sum_row``); keys above
-        qmax are dropped.
+        and q-1+2k, times the factors of its row (``_sum_row``), whose
+        scales carry each product to the graded scale of its key; keys
+        above qmax are dropped.
 
         alternating: G with sum_{m>x} (-1)**m f(m) = (-1)**x G(x), for any
         min power > 0. The Boole summation formula (DLMF 24.17) gives
@@ -342,7 +381,7 @@ class TailCalc:
             return TailPoly(f.rho, {})
         if mn <= (0 if alternating else 1):
             raise DomainError(f"tail-sum of a series with minimum power {mn} diverges")
-        bits, qmax = self.bits, self.qmax
+        bits, d, qmax = self.bits, self.d, self.qmax
         rn, rd = f.rho.numerator, f.rho.denominator
         out: dict = {}
         get = out.get
@@ -350,7 +389,7 @@ class TailCalc:
             if not cq:
                 continue
             kmax = (qmax + 1 - q) // 2
-            row = _sum_row(bits, rn + q * rd, rd, alternating, kmax)
+            row = _sum_row(bits, d, rn + q * rd, rd, alternating, kmax)
             if q - 1 <= qmax and not alternating:
                 out[q - 1] = get(q - 1, 0) + cq * row[0]
             if q <= qmax:
@@ -365,26 +404,34 @@ class TailCalc:
     def eval_at(self, f: TailPoly, m: int):
         """Numeric value of f at integer m, valid for m well above qmax (a
         run evaluates its tails at m + 1 >= M0 >= MARGIN * qmax, see
-        ``expansion_plan``): Horner in fixed point by integer division by
-        m+1, then one mpf conversion times (m+1)**-e, e = rho + lowest
-        key. With e = a/b that
-        power is the b-th root of the exact integer (m+1)**|a|, which rounds
-        once, while that integer has at most EXACT_POWER_BITS bits. Past
-        that (a parameter with many digits, or a large one) the power takes
-        an mpf exponent, with enough extra bits that its rounding, magnified
-        by e*log(m+1), stays GUARD_BITS below the working precision."""
+        ``expansion_plan``). m + 1 must be at least 2**d, where a unit of
+        every key's graded scale is worth at most 2**-bits (m+1)**-rho;
+        below that a tail would lose digits, so it raises DomainError.
+
+        Horner in fixed point: moving from key prev down to key q shifts
+        the running total up to q's scale by (prev-q)*d bits and divides
+        it by (m+1)**(prev-q). Then one mpf conversion times (m+1)**-e,
+        e = rho + lowest key. With e = a/b that power is the b-th root of
+        the exact integer (m+1)**|a|, which rounds once, while that integer
+        has at most EXACT_POWER_BITS bits. Past that (a parameter with many
+        digits, or a large one) the power takes an mpf exponent, with
+        enough extra bits that its rounding, magnified by e*log(m+1), stays
+        GUARD_BITS below the working precision."""
         mp = self.mp
+        d = self.d
+        n = m + 1
+        if n < 1 << d:
+            raise DomainError(f"tail evaluated at m + 1 = {n}, below its minimum 2**{d}")
         if not f.coeffs:
             return mp.mpf(0)
-        n = m + 1
         coeffs = f.coeffs
         keys = sorted(coeffs, reverse=True)
         prev = keys[0]
         total = 0
         for q in keys:
-            total = total // n ** (prev - q) + coeffs[q]
+            total = (total << (prev - q) * d) // n ** (prev - q) + coeffs[q]
             prev = q
-        value = mp.ldexp(mp.mpf(total), -self.bits)
+        value = mp.ldexp(mp.mpf(total), prev * d - self.bits)
         e = f.rho + prev
         a, b = e.numerator, e.denominator
         if abs(a) * n.bit_length() <= EXACT_POWER_BITS:

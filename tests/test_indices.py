@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsv import (DomainError, Index, ParseError, admissible, coarsenings,
-                  compositions, parse_index)
+from mzsv import (DomainError, Index, ParseError, PrecisionContext, admissible,
+                  coarsenings, compositions, mzsv, parse_index)
 
 
 def test_parse_examples():
@@ -32,6 +32,17 @@ def test_index_invariants():
         Index(())
     with pytest.raises(DomainError):
         Index((0, 2))
+
+
+def test_bool_parts_are_rejected():
+    # True is an int to isinstance; as for context.as_int it is not a part
+    for parts in ((True, 2), (1, False), (True,)):
+        with pytest.raises(DomainError):
+            Index(parts)
+    with pytest.raises(DomainError):
+        mzsv(Index((True, 2)), PrecisionContext(digits=30))
+    assert parse_index("1,2") == Index((1, 2))
+    assert type(parse_index("1^2,3").parts[0]) is int
 
 
 def test_admissible():

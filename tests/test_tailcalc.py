@@ -2,14 +2,14 @@
 
 sum_{m>x} (m+1)**-p is the Hurwitz zeta value zeta(p, x+2), which mpmath
 computes by its own route, so every tail sum below has a reference that
-shares no code with TailCalc. TailCalc keeps its coefficients as integers
-at scale 2**bits; the mpf algebra it replaced is kept below as a second
-oracle, run at twice the working digits.
+shares no code with TailCalc. TailCalc keeps the coefficient of key q as
+an integer at scale 2**(bits - q*d); the mpf algebra it replaced is kept
+below as a second oracle, run at twice the working digits.
 """
 
 import random
 from fractions import Fraction
-from math import lgamma, log, pi
+from math import factorial, floor, lgamma, log, pi
 
 import pytest
 
@@ -37,10 +37,8 @@ def _close(mp, got, want, rtol):
 
 def _poly(calc, rho, coeffs):
     """The TailPoly sum_q coeffs[q] (m+1)**-(rho+q), from exact numbers."""
-    fixed = {}
-    for q, c in coeffs.items():
-        c = Fraction(c)
-        fixed[q] = (c.numerator << calc.bits) // c.denominator
+    fixed = {q: floor(Fraction(c) * Fraction(2) ** (calc.bits - q * calc.d))
+             for q, c in coeffs.items()}
     return TailPoly(Fraction(rho), fixed)
 
 
@@ -197,7 +195,8 @@ def _check_alt(build):
     for x in ALT_X:
         got = (-1) ** x * calc.eval_at(G, x)
         with mp.workdps(2 * mp.dps):
-            want = sum(mp.ldexp(c, -calc.bits) * _alt_power_tail(mp, _mpf(mp, f.rho + q), x)
+            want = sum(mp.ldexp(c, q * calc.d - calc.bits)
+                       * _alt_power_tail(mp, _mpf(mp, f.rho + q), x)
                        for q, c in f.coeffs.items())
         tol = mp.mpf(10) ** -ctx.working_digits * abs(want)
         assert abs(got - want) <= tol, (x, mp.nstr(got - want, 5))
@@ -322,10 +321,9 @@ ALTERNATING = [("1/2", 0), (1, 0), (2, -1), ("7/3", -2), ("5/4", 0)]
 ORACLE_X = 499
 
 
-@pytest.mark.parametrize("digits", [30, 100])
-@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
-@pytest.mark.parametrize("seed", range(4))
-def test_fixed_point_algebra_matches_mpf_oracle(digits, alternating, seed):
+def _check_algebra(digits, alternating, seed, xs):
+    """Every TailCalc operation on seeded random polys, evaluated at each x
+    in xs, against the mpf oracle at twice the working digits."""
     ctx = PrecisionContext(digits=digits)
     mp = ctx.mp
     calc = TailCalc(mp)
@@ -348,7 +346,6 @@ def test_fixed_point_algebra_matches_mpf_oracle(digits, alternating, seed):
         "ratio_asymptotics": shape,
         "sumtail(shape)": calc.sumtail(shape, alternating),
     }
-    got = {name: calc.eval_at(h, ORACLE_X) for name, h in got.items()}
     with mp.workdps(2 * mp.dps):
         fo, go = _oracle_poly(mp, f), _oracle_poly(mp, g)
         so = _oracle_ratio_asymptotics(mp, qmax, [_mpf(mp, n) for n in ns],
@@ -362,10 +359,33 @@ def test_fixed_point_algebra_matches_mpf_oracle(digits, alternating, seed):
             "ratio_asymptotics": so,
             "sumtail(shape)": _oracle_sumtail(mp, qmax, so, alternating),
         }
-        want = {name: _oracle_eval(mp, h, ORACLE_X) for name, h in want.items()}
-        for name in got:
-            err = abs(got[name] - want[name]) / abs(want[name])
-            assert err <= mp.mpf(10) ** -ctx.working_digits, (name, mp.nstr(err, 3))
+    for x in xs:
+        with mp.workdps(2 * mp.dps):
+            wx = {name: _oracle_eval(mp, h, x) for name, h in want.items()}
+        for name, h in got.items():
+            val = calc.eval_at(h, x)
+            with mp.workdps(2 * mp.dps):
+                err = abs(val - wx[name]) / abs(wx[name])
+                assert err <= mp.mpf(10) ** -ctx.working_digits, (x, name, mp.nstr(err, 3))
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_point_algebra_matches_mpf_oracle(digits, alternating, seed):
+    _check_algebra(digits, alternating, seed, (ORACLE_X,))
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
+@pytest.mark.parametrize("seed", [4, 5])
+def test_fixed_point_algebra_at_the_first_checkpoint(digits, alternating, seed):
+    # the least point a run evaluates its tails at, m + 1 = M0, and the
+    # least one eval_at admits, m + 1 = 2**d, where the later keys of the
+    # graded scale weigh the most
+    ctx = PrecisionContext(digits=digits)
+    _check_algebra(digits, alternating, seed,
+                   (first_checkpoint(ctx) - 1, 2 ** TailCalc(ctx.mp).d - 1))
 
 
 
@@ -387,6 +407,34 @@ def test_eval_at_long_exponents_match_mpf_oracle(digits, rho):
             assert err <= mp.mpf(10) ** -ctx.working_digits, (x, mp.nstr(err, 3))
 
 
+@pytest.mark.parametrize("digits", [30, 100, 200])
+def test_eval_at_rejects_points_below_the_graded_minimum(digits):
+    # key q sits at scale 2**(bits - q*d): below m + 1 = 2**d a unit of a
+    # later key would outweigh one of key 0
+    ctx = PrecisionContext(digits=digits)
+    calc = TailCalc(ctx.mp)
+    f = calc.sumtail(calc.pow_weight(2, 1))
+    assert 2 ** calc.d <= first_checkpoint(ctx) < 2 ** (calc.d + 1)
+    with pytest.raises(DomainError):
+        calc.eval_at(f, 2 ** calc.d - 2)
+    with pytest.raises(DomainError):
+        calc.eval_at(TailPoly(Fraction(2), {}), 0)
+    assert calc.eval_at(f, first_checkpoint(ctx) - 1) > 0
+    assert calc.eval_at(f, 2 ** calc.d - 1) > 0
+
+
+def test_bernoulli_table_matches_bernfrac(monkeypatch):
+    # the tangent-number table, grown on demand from empty, against
+    # mpmath's B_2k: the same reduced pairs (num, den * (2k)!)
+    from mpmath import bernfrac
+    from mzsv import tailcalc
+    monkeypatch.setattr(tailcalc, "_em_exact", [])
+    for k in range(1, 121):
+        num, den = bernfrac(2 * k)
+        assert tailcalc._em_fraction(k) == (num, den * factorial(2 * k)), k
+    assert len(tailcalc._em_exact) == 128
+
+
 def test_sum_rows_keep_only_the_most_recent(monkeypatch):
     from mzsv import tailcalc
     monkeypatch.setattr(tailcalc, "SUM_ROWS_MAX", 8)
@@ -397,4 +445,5 @@ def test_sum_rows_keep_only_the_most_recent(monkeypatch):
     assert len(tailcalc._sum_rows) == 8
     rho = Fraction(2) + Fraction(1, 21)  # the last poly: its two rows are the newest
     assert list(tailcalc._sum_rows)[-2:] == [
-        (calc.bits, (rho + q).numerator, (rho + q).denominator, False) for q in (0, 1)]
+        (calc.bits, calc.d, (rho + q).numerator, (rho + q).denominator, False)
+        for q in (0, 1)]
