@@ -26,8 +26,9 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
   comparison, the second checkpoint, instead of chasing O(1/M)
   remainders (every evaluation takes at least two checkpoints); the
   harmonic-product series splits its remainder exactly into the prefix
-  state times tail sums. Each evaluator builds its tail series once,
-  every ratio level at unit scale; a checkpoint only rescales them;
+  state times tail sums. Each evaluator builds its tail series once, every
+  ratio level at unit scale, by the tail algebra (and factor rows) that
+  its context keeps (``ctx.tail_calc()``); a checkpoint only rescales them;
 * an alternating outer sum signs term t by (-1)^t, which the kernels
   compute from t, so an evaluator keeps no sign state; its remainder expands
   the same way, with every level's tail sum taken by the Boole formula
@@ -51,7 +52,6 @@ from .errors import ConvergenceError, DomainError
 from .kernels import nested_chain_advance, weighted_chain_advance
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
 from .numerics import _iterated_means  # noqa: F401
-from .tailcalc import TailCalc, expansion_plan
 
 SCALE_PAD = 16          # extra scaled digits absorbing floor-division bias
 
@@ -99,8 +99,8 @@ class Level:
 def first_checkpoint(ctx: PrecisionContext, levels=()) -> int:
     """The first checkpoint of a run on ctx over the given chain levels.
 
-    That is M0 of ``tailcalc.expansion_plan``, from which the tail
-    expansion of ctx's TailCalc holds the working digits, unless a level
+    That is M0 of ctx's tail algebra (``ctx.tail_calc().m0``), from which
+    its tail expansion holds the working digits, unless a level
     has a large shift: a piece 1/(t+c)^k, or a ratio factor t + c, expands
     in powers of (c-1)/(m+1), which diverge for m below |c-1|. So a chain
     starts at twice its largest |c-1| at least, and the run loop steps on
@@ -110,7 +110,7 @@ def first_checkpoint(ctx: PrecisionContext, levels=()) -> int:
     shifts += [c for lvl in levels if lvl.ratio is not None
                for c in lvl.ratio.num_shifts + lvl.ratio.den_shifts]
     reach = max((abs(c - 1) for c in shifts), default=0)
-    return max(expansion_plan(ctx.working_digits)[0], ceil(2 * reach))
+    return max(ctx.tail_calc().m0, ceil(2 * reach))
 
 
 def _run_evaluator(ev, tol, corrections: bool, what: str):
@@ -268,7 +268,7 @@ class ChainEvaluator:
         self.t_next = t_exclusive
 
     # -- tail corrections -----------------------------------------------------
-    def _build_tails(self, calc: TailCalc):
+    def _build_tails(self, calc):
         """Per level, outermost first: (ratio shape or None, tail series).
 
         Each ratio level enters at unit scale (its shape), so no series
@@ -280,9 +280,8 @@ class ChainEvaluator:
         for lvl in reversed(self.levels):
             shape = F = None
             if lvl.ratio is not None:
-                ns, ds = lvl.ratio.num_shifts, lvl.ratio.den_shifts
-                rho = sum(ds, Fraction(0)) - sum(ns, Fraction(0))
-                shape = F = calc.ratio_asymptotics(ns, ds, rho)
+                shape = F = calc.ratio_asymptotics(lvl.ratio.num_shifts,
+                                                   lvl.ratio.den_shifts)
             for p in lvl.pows:
                 pf = calc.pow_weight(p.k, p.shift)
                 F = pf if F is None else calc.mul(F, pf)
@@ -297,21 +296,21 @@ class ChainEvaluator:
     def tail_correction(self, mc: int):
         """Remainder sum_{t>mc} of the chain, by level-by-level expansion.
 
-        The tail series are built once; at each checkpoint the tail of
-        level i is scaled by w(mc+1)/shape(mc+1) of every ratio level at or
-        outside i, which pins each ratio shape to its running weight. An
-        alternating chain's tails are Boole tails, (-1)^mc times the sum.
+        The tail series are built once, by ``ctx.tail_calc()``; at each
+        checkpoint the tail of level i is scaled by w(mc+1)/shape(mc+1) of
+        every ratio level at or outside i, which pins each ratio shape to
+        its running weight. An alternating chain's tails are Boole tails,
+        (-1)^mc times the sum.
         """
         mp = self.ctx.mp
+        calc = self.ctx.tail_calc()
         if self._tails is None:
-            calc = TailCalc(mp)
-            self._tails = (calc, self._build_tails(calc))
-        calc, tails = self._tails
+            self._tails = self._build_tails(calc)
         ratio_index = self._kernel_args[1]
         n = len(self.levels)
         scale = mp.mpf(1)
         corr = mp.mpf(0)
-        for j, (shape, T) in enumerate(tails):
+        for j, (shape, T) in enumerate(self._tails):
             i = n - 1 - j
             if shape is not None:
                 w_next = mp.mpf(self.rvals[ratio_index[i]]) / self.S
@@ -379,7 +378,7 @@ class WeightedChainEvaluator:
             self.t_next, t_exclusive, self.alternating)
         self.t_next = t_exclusive
 
-    def _segment_tails(self, calc: TailCalc):
+    def _segment_tails(self, calc):
         """[T_0, ..., T_r] as tail series in x; none depends on the checkpoint."""
         inner = [calc.pow_weight(c, 0) for c in range(1, self.r + 1)]
         tails: list = []
@@ -393,15 +392,14 @@ class WeightedChainEvaluator:
     def tail_correction(self, mc: int):
         """sum_{N>K} N^-p W_r(N) with K = mc + 1, the last N summed."""
         mp = self.ctx.mp
+        calc = self.ctx.tail_calc()
         if self._tails is None:
-            calc = TailCalc(mp)
-            self._tails = (calc, self._segment_tails(calc))
-        calc, segments = self._tails
+            self._tails = self._segment_tails(calc)
         S, r, sv, tv = self.S, self.r, self.svals, self.tvals
         corr = mp.mpf(0)
         for a in range(r + 1):
             A = mp.mpf(sum(sv[a - i] * tv[i] for i in range(a + 1))) / (S * S)
-            corr += A * calc.eval_at(segments[r - a], mc + 1)
+            corr += A * calc.eval_at(self._tails[r - a], mc + 1)
         return -corr if self.alternating and mc % 2 else corr
 
     def run(self, tol, corrections: bool = True):

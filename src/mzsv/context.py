@@ -19,6 +19,7 @@ import mpmath  # noqa: F401
 from mpmath.ctx_mp import MPContext
 
 from .errors import ContextMismatchError, DomainError, ParseError
+from .tailcalc import TailCalc
 
 Real = Union["HPReal", int, float, str, Fraction]
 
@@ -51,12 +52,13 @@ class PrecisionContext:
     A context also memoises the finished series evaluations run on it
     (``chains._run_evaluator``), so it is cheap to evaluate one series
     several times on one context. It keeps Gamma at each fractional part
-    that ``numerics.gamma`` met (``gammas``) and the tripled context of
-    ``numerics.derivative_at`` (``tripled()``) the same way.
+    that ``numerics.gamma`` met (``gammas``), the tripled context of
+    ``numerics.derivative_at`` (``tripled()``) and the chain evaluators'
+    tail algebra with its factor rows (``tail_calc()``) the same way.
     """
 
     __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr",
-                 "evaluations", "gammas", "_tripled")
+                 "evaluations", "gammas", "_tripled", "_tail_calc")
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
@@ -77,6 +79,7 @@ class PrecisionContext:
         self.evaluations: dict = {}
         self.gammas: dict = {}
         self._tripled = None
+        self._tail_calc = None
 
     @property
     def working_digits(self) -> int:
@@ -95,17 +98,25 @@ class PrecisionContext:
                                              self.max_terms)
         return self._tripled
 
+    def tail_calc(self) -> TailCalc:
+        """The tail algebra at this precision, made on the first call and kept."""
+        if self._tail_calc is None:
+            self._tail_calc = TailCalc(self._mp)
+        return self._tail_calc
+
     def real(self, x: Real) -> "HPReal":
         """Coerce a number into this context.
 
         Strings are parsed as exact decimals before rounding; floats are
-        taken at their exact binary value. A non-finite value (nan, inf)
-        raises DomainError.
+        taken at their exact binary value. A bool or a non-finite value
+        (nan, inf) raises DomainError.
         """
         if isinstance(x, HPReal):
             if x.ctx is not self:
                 raise ContextMismatchError("value belongs to a different PrecisionContext")
             return x
+        if isinstance(x, bool):
+            raise DomainError(f"{x!r} is not a real number")
         mp = self._mp
         if isinstance(x, Fraction):
             v = mp.mpf(x.numerator) / x.denominator

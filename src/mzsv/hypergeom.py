@@ -36,7 +36,7 @@ from .series import Evaluation, exact_diag, run_evaluation
 
 def as_fraction(x) -> Fraction:
     """Exact normalization of a real parameter (decimal strings stay exact)."""
-    if isinstance(x, (Fraction, int, str, float)):
+    if isinstance(x, (Fraction, int, str, float)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -219,7 +219,7 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
     if len(up) != len(lo) + 1:
         raise DomainError(
             f"need exactly one more upper than lower parameter, got {len(up)}/{len(lo)}")
-    if z not in (1, -1):
+    if isinstance(z, bool) or z not in (1, -1):
         raise DomainError(f"z must be +1 or -1, got {z}")
     for l in lo:
         if _is_nonpos_int(l):

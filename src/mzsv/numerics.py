@@ -105,7 +105,7 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
     Stirling's series at guard digits beyond the working precision.
     The result is within a few units of the working precision, relative.
     """
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):  # a bool fails in ctx.real
         x = Fraction(x)
     if isinstance(x, Fraction):
         n = math.floor(x)
@@ -149,26 +149,22 @@ def zeta_tail(s, M: int, ctx: PrecisionContext) -> HPReal:
 def _central_weights(r: int, npts: int):
     """Exact stencil weights w_j on nodes j = -K..K with sum w_j f(jh) ~ h^r f^(r)(0).
 
-    Solved from the moment conditions sum_j w_j j^t = r! [t == r] for
-    t = 0..npts-1 (Fraction Gaussian elimination; npts is small).
+    w_j is r! times the x^r coefficient of node j's Lagrange basis
+    polynomial prod_{i != j} (x - i)/(j - i), which meets the moment
+    conditions sum_j w_j j^t = r! [t == r] for t = 0..npts-1.
     """
     K = npts // 2
     nodes = list(range(-K, K + 1))
-    n = len(nodes)
-    rows = [[Fraction(node) ** t for node in nodes] + [Fraction(0)] for t in range(n)]
-    if r < n:
-        rows[r][-1] = Fraction(math.factorial(r))
-    # Gaussian elimination with partial pivoting over Fractions
-    for col in range(n):
-        piv = next(i for i in range(col, n) if rows[i][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return nodes, [rows[i][-1] for i in range(n)]
+    weights = []
+    for j in nodes:
+        poly, den = [1], 1  # prod (x - i) over i != j, lowest power first
+        for i in nodes:
+            if i != j:
+                poly = [a - i * b for a, b in zip([0] + poly, poly + [0])]
+                den *= j - i
+        coeff = poly[r] if r < len(poly) else 0
+        weights.append(Fraction(math.factorial(r) * coeff, den))
+    return nodes, weights
 
 
 def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,

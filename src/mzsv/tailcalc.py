@@ -33,14 +33,15 @@ most one of key 0's there and the later keys carry q*d fewer bits
 (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4). The scale is
 linear in q, so a product of keys qf and qg still rescales by a shift of
 bits. rho, the power weights' shifts and the ratio shifts stay exact
-Fractions. ``sumtail`` multiplies each coefficient c_q by one cached row
-of factors per (scale, p = rho+q, alternating): 1/(p-1), then
-B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a Boole tail, each rounded once
-from its exact rational value at the scale of the key it lands on; the
-rows are built on first use, never at import, shared by every TailCalc at
-that scale, and the ``SUM_ROWS_MAX`` most recently used are kept. The
-exact B_2k/(2k)! behind them come from the integer tangent numbers and
-also serve ``power_sum_tail`` and Stirling's series in ``numerics``. Only
+Fractions. ``sumtail`` multiplies each coefficient c_q by one row of
+factors per (p = rho+q, alternating): 1/(p-1), then B_2k/(2k)! (p)_{2k-1},
+times 4**k - 1 for a Boole tail, each rounded once from its exact
+rational value at the scale of the key it lands on. A TailCalc builds its
+rows on first use and keeps them (``rows``); each PrecisionContext keeps
+one TailCalc (``PrecisionContext.tail_calc``), so every evaluation on a
+context shares its rows. The exact B_2k/(2k)! behind them, the module's
+one table, come from the integer tangent numbers and also serve
+``power_sum_tail`` and Stirling's series in ``numerics``. Only
 ``eval_at`` returns an mpf: it runs Horner by integer division by m+1 and
 converts once, times (m+1)**-(rho + lowest key).
 
@@ -63,9 +64,7 @@ that qualify, the rule takes the cheapest by a measured cost model
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, exp, lgamma, log, pi
 
 from .errors import DomainError
@@ -76,11 +75,9 @@ _TWO_PI = 6.283185307179586
 
 PRODUCT_COST = 0.25  # one tail-coefficient product in kernel term steps (expansion_plan)
 MARGIN = 4  # the first checkpoint is at least MARGIN * qmax (expansion_plan)
-SUM_ROWS_MAX = 1024  # sumtail factor rows kept, least recently used dropped first
 EXACT_POWER_BITS = 4096  # eval_at takes a root of (m+1)**|a| up to this size
 
 _em_exact: list = []
-_sum_rows: OrderedDict = OrderedDict()
 
 
 def power_sum_tail(mp, p, M: int, tol):
@@ -127,7 +124,6 @@ def power_sum_tail(mp, p, M: int, tol):
     return bridge + total
 
 
-@lru_cache(maxsize=None)
 def expansion_plan(dps: int) -> tuple:
     """(M0, qmax) for dps working digits: the first checkpoint of a run
     and the number of powers every tail series keeps.
@@ -196,41 +192,6 @@ def _em_fraction(k: int) -> tuple:
     return _em_exact[k - 1]
 
 
-def _sum_row(bits: int, d: int, a: int, b: int, alternating: bool, kmax: int) -> list:
-    """The factors sumtail applies to the coefficient of (m+1)**-p, p = a/b:
-    row[0] = 1/(p-1) (0 for a Boole tail, which has no such term) at scale
-    2**(bits + d), and row[k] = B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a
-    Boole tail, at scale 2**(bits - (2k-1)*d), for k = 1..kmax, so that
-    its product with the coefficient of key q, shifted down by bits, lands
-    at the graded scale of its key, q-1 or q-1+2k. Each factor is rounded down
-    from its exact rational value. Rows are cached per (bits, d, p,
-    alternating), shared by every TailCalc at that scale, and rebuilt
-    longer when a longer one is asked for; the SUM_ROWS_MAX most recently
-    used are kept."""
-    key = (bits, d, a, b, alternating)
-    row = _sum_rows.get(key)
-    if row is not None and len(row) > kmax:
-        _sum_rows.move_to_end(key)
-        return row
-    row = [0 if alternating else (b << (bits + d)) // (a - b)]
-    num, den = a, b  # (p)_{2k-1} = num/den, built incrementally
-    for k in range(1, kmax + 1):
-        en, ed = _em_fraction(k)
-        if alternating:
-            en *= 4 ** k - 1
-        en *= num
-        ed *= den
-        s = bits - (2 * k - 1) * d  # a later key's scale may be below 2**0
-        row.append((en << s) // ed if s >= 0 else en // (ed << -s))
-        num *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
-        den *= b * b
-    _sum_rows[key] = row
-    _sum_rows.move_to_end(key)
-    if len(_sum_rows) > SUM_ROWS_MAX:
-        _sum_rows.popitem(last=False)
-    return row
-
-
 class TailPoly:
     """Asymptotic tail polynomial: sum_q c_q * (m+1)**-(rho+q).
 
@@ -253,13 +214,16 @@ class TailCalc:
     mpmath context: the coefficient of key q is an int at scale
     2**(bits - q*d), with bits the context's precision plus GUARD_BITS and
     d = floor(log2 M0) bits fewer per key, for the first checkpoint M0 of
-    ``expansion_plan``. Its tails are evaluated at m + 1 >= 2**d only."""
+    ``expansion_plan`` (``m0``). Its tails are evaluated at m + 1 >= 2**d
+    only. ``rows`` keeps the sumtail factor rows it has built, keyed by
+    (a, b, alternating) with p = a/b."""
 
     def __init__(self, mp):
         self.mp = mp
-        m0, self.qmax = expansion_plan(mp.dps)
+        self.m0, self.qmax = expansion_plan(mp.dps)
         self.bits = mp.prec + GUARD_BITS
-        self.d = m0.bit_length() - 1
+        self.d = self.m0.bit_length() - 1
+        self.rows: dict = {}
 
     # -- constructors --------------------------------------------------------
     def const(self, value) -> TailPoly:
@@ -309,7 +273,7 @@ class TailCalc:
         bits = self.bits
         return TailPoly(f.rho + g.rho, {q: v >> bits for q, v in acc.items()})
 
-    def ratio_asymptotics(self, num_shifts, den_shifts, rho) -> TailPoly:
+    def ratio_asymptotics(self, num_shifts, den_shifts) -> TailPoly:
         """Asymptotic shape (normalized to leading coefficient 1) of a weight
         obeying w(t+1) = w(t) * prod(t + n_j) / prod(t + d_j).
 
@@ -318,11 +282,11 @@ class TailCalc:
         solve a triangular recurrence obtained by matching the functional
         equation order by order. Scaling the result to the running value at
         one point makes the model exact to series-truncation order. The
-        shifts and rho are exact (int or Fraction).
+        shifts are exact (int or Fraction).
         """
         bits, d, qmax = self.bits, self.d, self.qmax
         one = 1 << bits
-        rho = Fraction(rho)
+        rho = sum(den_shifts, Fraction(0)) - sum(num_shifts, Fraction(0))
         # P(y) = prod(1 + (n_j - 1) y) / prod(1 + (d_j - 1) y), y^i at the
         # scale of key i
         P = [0] * (qmax + 2)
@@ -360,6 +324,36 @@ class TailCalc:
         return TailPoly(rho, dict(enumerate(c)))
 
     # -- the tail-sum operator -----------------------------------------------
+    def _sum_row(self, a: int, b: int, alternating: bool, kmax: int) -> list:
+        """The factors sumtail applies to the coefficient of (m+1)**-p, p = a/b:
+        row[0] = 1/(p-1) (0 for a Boole tail, which has no such term) at scale
+        2**(bits + d), and row[k] = B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a
+        Boole tail, at scale 2**(bits - (2k-1)*d), for k = 1..kmax, so that
+        its product with the coefficient of key q, shifted down by bits, lands
+        at the graded scale of its key, q-1 or q-1+2k. Each factor is rounded
+        down from its exact rational value. Rows are kept in ``rows`` under
+        (a, b, alternating), and rebuilt longer when a longer one is asked
+        for."""
+        key = (a, b, alternating)
+        row = self.rows.get(key)
+        if row is not None and len(row) > kmax:
+            return row
+        bits, d = self.bits, self.d
+        row = [0 if alternating else (b << (bits + d)) // (a - b)]
+        num, den = a, b  # (p)_{2k-1} = num/den, built incrementally
+        for k in range(1, kmax + 1):
+            en, ed = _em_fraction(k)
+            if alternating:
+                en *= 4 ** k - 1
+            en *= num
+            ed *= den
+            s = bits - (2 * k - 1) * d  # a later key's scale may be below 2**0
+            row.append((en << s) // ed if s >= 0 else en // (ed << -s))
+            num *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
+            den *= b * b
+        self.rows[key] = row
+        return row
+
     def sumtail(self, f: TailPoly, alternating: bool = False) -> TailPoly:
         """G with G(x) = sum_{m>x} f(m); requires min power of f > 1.
 
@@ -381,7 +375,7 @@ class TailCalc:
             return TailPoly(f.rho, {})
         if mn <= (0 if alternating else 1):
             raise DomainError(f"tail-sum of a series with minimum power {mn} diverges")
-        bits, d, qmax = self.bits, self.d, self.qmax
+        bits, qmax = self.bits, self.qmax
         rn, rd = f.rho.numerator, f.rho.denominator
         out: dict = {}
         get = out.get
@@ -389,7 +383,7 @@ class TailCalc:
             if not cq:
                 continue
             kmax = (qmax + 1 - q) // 2
-            row = _sum_row(bits, d, rn + q * rd, rd, alternating, kmax)
+            row = self._sum_row(rn + q * rd, rd, alternating, kmax)
             if q - 1 <= qmax and not alternating:
                 out[q - 1] = get(q - 1, 0) + cq * row[0]
             if q <= qmax:

@@ -130,6 +130,35 @@ def test_integer_arguments_reject_bool_and_non_integral(ctx30, call):
         call(ctx30)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ctx: ctx.real(True),
+    lambda ctx: PrecisionContext(digits=30, tol=True),
+    lambda ctx: mzsv.gamma(True, ctx),
+    lambda ctx: mzsv.pochhammer(True, 3, ctx),
+    lambda ctx: mzsv.specialized_lhs("a1", True, 1, ctx),
+    lambda ctx: mzsv.pfq([True, 1], [3], 1, ctx),
+    lambda ctx: mzsv.pfq([1, 1], [3], True, ctx),
+], ids=["real", "tol", "gamma", "pochhammer", "specialized_lhs", "pfq_param",
+        "pfq_z"])
+def test_real_arguments_reject_bool(ctx30, call):
+    # each of these once read True as 1
+    with pytest.raises(DomainError):
+        call(ctx30)
+
+
+def test_real_arguments_take_ints_fractions_and_decimal_strings(ctx30):
+    for x in (3, Fraction(6, 2), "3", "3.0"):
+        assert ctx30.real(x) == 3
+        assert mzsv.gamma(x, ctx30) == 2
+        assert mzsv.pochhammer(x, 2, ctx30) == 12
+    assert PrecisionContext(digits=30, tol=Fraction(1, 10 ** 9)).tol == ctx30.real("1e-9")
+    ln2 = mzsv.pfq([1, 1], [2], -1, ctx30).mpf
+    for z, upper in ((-1, [Fraction(1), "1"]), (Fraction(-1), [1, "1.0"])):
+        assert mzsv.pfq(upper, [2], z, ctx30).mpf == ln2
+    a1 = mzsv.specialized_lhs("a1", Fraction(3, 5), 1, ctx30).value
+    assert mzsv.specialized_lhs("a1", "0.6", 1, ctx30).value == a1
+
+
 def test_integer_arguments_take_integral_values(ctx30):
     assert mzsv.eta_shifted(2.0, ctx30) == mzsv.eta_shifted(2, ctx30)
     assert mzsv.pochhammer(2, Fraction(6, 2), ctx30) == 24

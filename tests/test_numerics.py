@@ -217,6 +217,18 @@ def test_zeta_tail_domain(ctx30):
 
 # -- derivative oracle -----------------------------------------------------------
 
+@pytest.mark.parametrize("r", range(7))
+def test_central_weights_meet_the_moment_conditions(r):
+    # sum_j w_j j^t = r! [t == r] exactly, for every t below the node count,
+    # on the stencil derivative_at takes and on a wider one
+    for npts in (2 * r + 3, 2 * r + 5):
+        nodes, weights = numerics._central_weights(r, npts)
+        assert len(nodes) == npts and all(isinstance(w, Fraction) for w in weights)
+        for t in range(npts):
+            want = math.factorial(r) if t == r else 0
+            assert sum(w * Fraction(j) ** t for j, w in zip(nodes, weights)) == want, t
+
+
 def test_derivative_polynomials_exact(ctx30):
     bound = ctx30.mp.mpf(10) ** (-(ctx30.digits - 5))
     # f(x) = x^2

@@ -14,7 +14,7 @@ from math import factorial, floor, lgamma, log, pi
 import pytest
 
 from mzsv import DomainError, PrecisionContext
-from mzsv.chains import first_checkpoint
+from mzsv.chains import ChainEvaluator, first_checkpoint, index_levels
 from mzsv.tailcalc import MARGIN, TailCalc, TailPoly, expansion_plan, power_sum_tail
 
 X = 10 ** 4
@@ -115,7 +115,7 @@ def test_ratio_asymptotics_matches_direct_product(env, nums, dens):
     ds = [_mpf(mp, s) for s in dens]
     exact_ns = [Fraction(s) for s in nums]
     exact_ds = [Fraction(s) for s in dens]
-    shape = calc.ratio_asymptotics(exact_ns, exact_ds, sum(exact_ds) - sum(exact_ns))
+    shape = calc.ratio_asymptotics(exact_ns, exact_ds)
     t1, t2 = X, 2 * X
     w = mp.mpf(1)  # w(t1) = 1; multiply up to w(t2)
     for t in range(t1, t2):
@@ -209,8 +209,7 @@ def test_alternating_sumtail_of_single_power(p):
 
 def test_alternating_sumtail_of_ratio_shape():
     # (1/2)_t / (5/2)_t: the decay rho = 2 of a ratio-weighted level
-    _check_alt(lambda calc, mp: calc.ratio_asymptotics(
-        [Fraction(1, 2)], [Fraction(5, 2)], Fraction(2)))
+    _check_alt(lambda calc, mp: calc.ratio_asymptotics([Fraction(1, 2)], [Fraction(5, 2)]))
 
 
 def test_sumtail_domain_thresholds():
@@ -337,7 +336,7 @@ def _check_algebra(digits, alternating, seed, xs):
     rho_r = sum(ds) - sum(ns)
 
     fx, gx = _poly(calc, *f), _poly(calc, *g)
-    shape = calc.ratio_asymptotics(ns, ds, rho_r)
+    shape = calc.ratio_asymptotics(ns, ds)
     got = {
         "sumtail": calc.sumtail(fx, alternating),
         "mul": calc.mul(fx, gx),
@@ -435,15 +434,29 @@ def test_bernoulli_table_matches_bernfrac(monkeypatch):
     assert len(tailcalc._em_exact) == 128
 
 
-def test_sum_rows_keep_only_the_most_recent(monkeypatch):
-    from mzsv import tailcalc
-    monkeypatch.setattr(tailcalc, "SUM_ROWS_MAX", 8)
-    monkeypatch.setattr(tailcalc, "_sum_rows", tailcalc.OrderedDict())
-    calc = TailCalc(PrecisionContext(digits=30).mp)
-    for j in range(20):
-        calc.sumtail(_poly(calc, Fraction(2) + Fraction(1, j + 2), {0: 1, 1: 1}))
-    assert len(tailcalc._sum_rows) == 8
-    rho = Fraction(2) + Fraction(1, 21)  # the last poly: its two rows are the newest
-    assert list(tailcalc._sum_rows)[-2:] == [
-        (calc.bits, calc.d, (rho + q).numerator, (rho + q).denominator, False)
-        for q in (0, 1)]
+def test_each_context_keeps_one_tail_algebra_and_its_rows():
+    ctx = PrecisionContext(digits=30)
+    calc = ctx.tail_calc()
+    assert ctx.tail_calc() is calc
+    twin = PrecisionContext(digits=30)
+    assert twin.tail_calc() is not calc
+    assert ctx.tripled().tail_calc() not in (calc, twin.tail_calc())
+    # key 5 of a poly at rho = 1/2 asks for a shorter row of p = 11/2 than
+    # key 0 of one at rho = 11/2; the longer request rebuilds it
+    calc.sumtail(_poly(calc, "1/2", {5: 1}))
+    short = calc.rows[(11, 2, False)]
+    assert len(short) == (calc.qmax - 4) // 2 + 1
+    calc.sumtail(_poly(calc, "11/2", {0: 1}))
+    row = calc.rows[(11, 2, False)]
+    assert len(row) == (calc.qmax + 1) // 2 + 1
+    assert row[:len(short)] == short
+    assert twin.tail_calc().rows == {}
+    # a second evaluation of one chain (at another tolerance, past the
+    # memo) builds its tails again from the rows the first one left
+    levels = index_levels((3, 1, 2))
+    ChainEvaluator(ctx, levels, alternating=True).run(ctx.mp.mpf("1e-30"))
+    built = dict(calc.rows)
+    assert len(built) > 2
+    ChainEvaluator(ctx, levels, alternating=True).run(ctx.mp.mpf("1e-25"))
+    assert calc.rows.keys() == built.keys()
+    assert all(calc.rows[k] is built[k] for k in built)
