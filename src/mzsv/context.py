@@ -52,13 +52,13 @@ class PrecisionContext:
     A context also memoises the finished series evaluations run on it
     (``chains._run_evaluator``), so it is cheap to evaluate one series
     several times on one context. It keeps Gamma at each fractional part
-    that ``numerics.gamma`` met (``gammas``), the tripled context of
-    ``numerics.derivative_at`` (``tripled()``) and the chain evaluators'
-    tail algebra with its factor rows (``tail_calc()``) the same way.
+    that ``numerics.gamma`` met (``gammas``), one context per digit count
+    that ``numerics.derivative_at`` raises it to (``raised(digits)``) and
+    the chain evaluators' tail algebra with its rows (``tail_calc()``) alike.
     """
 
     __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr",
-                 "evaluations", "gammas", "_tripled", "_tail_calc")
+                 "evaluations", "gammas", "_raised", "_tail_calc")
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
@@ -78,7 +78,7 @@ class PrecisionContext:
             self._tol_repr = str(tol)
         self.evaluations: dict = {}
         self.gammas: dict = {}
-        self._tripled = None
+        self._raised: dict = {}
         self._tail_calc = None
 
     @property
@@ -90,13 +90,12 @@ class PrecisionContext:
         """The private mpmath context (working precision)."""
         return self._mp
 
-    def tripled(self) -> "PrecisionContext":
-        """A context with three times the digits and the same guard and
-        max_terms, made on the first call and kept with this one."""
-        if self._tripled is None:
-            self._tripled = PrecisionContext(3 * self.digits, self.guard,
-                                             self.max_terms)
-        return self._tripled
+    def raised(self, digits: int) -> "PrecisionContext":
+        """A context of `digits` digits with this one's guard and max_terms,
+        made on the first call for that count and kept with this one."""
+        if digits not in self._raised:
+            self._raised[digits] = PrecisionContext(digits, self.guard, self.max_terms)
+        return self._raised[digits]
 
     def tail_calc(self) -> TailCalc:
         """The tail algebra at this precision, made on the first call and kept."""

@@ -7,8 +7,8 @@ gamma                  -- exact at an int or Fraction argument up to Gamma at
                           digits, for that part and for any other argument
 zeta_tail              -- Euler-Maclaurin remainder of the zeta series, to
                           working precision
-derivative_at          -- central-difference derivative oracle at tripled
-                          working precision
+derivative_at          -- central-difference derivative oracle of order r,
+                          f run at wd + ceil(r wd/(r+2)) digits plus guard
 """
 
 from __future__ import annotations
@@ -169,26 +169,24 @@ def _central_weights(r: int, npts: int):
 
 def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
                   ctx: PrecisionContext) -> HPReal:
-    """r-th derivative of f at x0 by central differences.
+    """r-th derivative of f at x0 (taken into ctx) by central differences.
 
-    Stencil accuracy order is at least r+3 and the evaluation runs at
-    tripled precision with step h = 10^(-wd/(r+2)), wd = ctx.working_digits,
-    so the truncation error (about h^(r+3)) stays below 10^-wd and the
-    subtractive cancellation (about 10^(-3*digits)/h^r) far below it.
-    `f` receives HPReal arguments bound to the tripled context
-    (``ctx.tripled()``, one per calling context) and must return HPReal
-    (or something coercible) in that context.
+    The 2r+3-point stencil has accuracy order r+3 or more, and its step
+    h = 10^(-wd/(r+2)), wd = ctx.working_digits, keeps the truncation error
+    (about h^(r+3)) below 10^-wd. Dividing by h^r magnifies the rounding of
+    each f value by 10^(r wd/(r+2)), so f runs on ``ctx.raised(wd +
+    ceil(r wd/(r+2)))``, whose guard digits hold that error near
+    10^-(wd+guard) times the stencil's weights. `f` receives HPReal
+    arguments bound to that context and must return one in it (or a number).
     """
     r = as_int(r, "derivative order r", 0)
-    hi = ctx.tripled()
-    if isinstance(x0, HPReal):
-        x0v = HPReal(hi.mp.mpf(x0.mpf), hi)  # exact binary transfer
-    else:
-        x0v = hi.real(x0)
+    wd = ctx.working_digits
+    hi = ctx.raised(wd - (-r * wd // (r + 2)))
+    x0v = HPReal(hi.mp.mpf(ctx.real(x0).mpf), hi)  # exact binary transfer
     npts = 2 * r + 3  # accuracy order >= r + 3
     nodes, weights = _central_weights(r, npts)
     mp = hi.mp
-    h = mp.mpf(10) ** (mp.mpf(-ctx.working_digits) / (r + 2))
+    h = mp.mpf(10) ** (mp.mpf(-wd) / (r + 2))
     acc = mp.mpf(0)
     for node, w in zip(nodes, weights):
         if w == 0:

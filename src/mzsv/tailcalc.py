@@ -332,26 +332,27 @@ class TailCalc:
         its product with the coefficient of key q, shifted down by bits, lands
         at the graded scale of its key, q-1 or q-1+2k. Each factor is rounded
         down from its exact rational value. Rows are kept in ``rows`` under
-        (a, b, alternating), and rebuilt longer when a longer one is asked
-        for."""
+        (a, b, alternating), and extended in place when a longer one is
+        asked for."""
         key = (a, b, alternating)
         row = self.rows.get(key)
         if row is not None and len(row) > kmax:
             return row
         bits, d = self.bits, self.d
-        row = [0 if alternating else (b << (bits + d)) // (a - b)]
-        num, den = a, b  # (p)_{2k-1} = num/den, built incrementally
+        if row is None:
+            row = self.rows[key] = [0 if alternating else (b << (bits + d)) // (a - b)]
+        num, den = a, b  # (p)_{2k-1} = num/den, carried across the kept entries
         for k in range(1, kmax + 1):
-            en, ed = _em_fraction(k)
-            if alternating:
-                en *= 4 ** k - 1
-            en *= num
-            ed *= den
-            s = bits - (2 * k - 1) * d  # a later key's scale may be below 2**0
-            row.append((en << s) // ed if s >= 0 else en // (ed << -s))
+            if k >= len(row):
+                en, ed = _em_fraction(k)
+                if alternating:
+                    en *= 4 ** k - 1
+                en *= num
+                ed *= den
+                s = bits - (2 * k - 1) * d  # a later key's scale may be below 2**0
+                row.append((en << s) // ed if s >= 0 else en // (ed << -s))
             num *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
             den *= b * b
-        self.rows[key] = row
         return row
 
     def sumtail(self, f: TailPoly, alternating: bool = False) -> TailPoly:

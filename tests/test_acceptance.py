@@ -278,6 +278,24 @@ def test_criterion_10_alternating_items_at_100_digits(tmp_path, argv):
             code == 0 and len(want) == 1 and got == want)
 
 
+@pytest.mark.parametrize("id_", ["eq2_check", "a1_prefactor_derivative"])
+def test_criterion_10_derivative_items_at_200_digits(tmp_path, id_):
+    # the derivative_at sides, whose raised precision is tightest at high
+    # digits; their rendered values and verdicts as pinned
+    import json
+
+    path = tmp_path / "report.json"
+    code = cli.main(["verify", id_, "--prec", "200", "--json", str(path)])
+    keys = ("id", "params", "lhs", "rhs", "pass")
+    got = [{k: r[k] for k in keys} for r in json.loads(path.read_text())["results"]]
+    pinned = json.loads((DATA / "verify_200d_derivatives.json").read_text())
+    want = [p for p in pinned if p["id"] == id_]
+    changed = [p["params"] for g, p in zip(got, want) if g != p]
+    _report("criterion 10", f"{id_} at 200 digits: {len(got)} records against "
+            f"{len(want)} pinned, {len(changed)} changed {changed[:3]}",
+            code == 0 and len(got) == len(want) > 0 and not changed)
+
+
 # -- criterion 11: the full registry at the context's default tolerance ------------
 
 def test_criterion_11_verify_all_default_tol(tmp_path):

@@ -70,6 +70,10 @@ def test_cross_context_mixing_is_an_error(ctx30, ctx50):
         _ = a < b
     with pytest.raises(ContextMismatchError):
         _ = a == b
+    # derivative_at takes its point into the calling context like any real
+    with pytest.raises(ContextMismatchError):
+        mzsv.derivative_at(lambda x: x * x, b * "1.5", 1, ctx30)
+    assert abs(mzsv.derivative_at(lambda x: x * x, a * "1.5", 1, ctx30) - 3) <= ctx30.tol
 
 
 def test_decimal_rendering(ctx30):

@@ -151,8 +151,9 @@ def test_gamma_non_rational_path_meets_working_precision(digits):
     ref_mp.dps = 2 * ctx.working_digits
     xs = [ctx.real(x).mpf for x in ("1e-30", "0.001", "0.9999", "1.0001", "2.5",
                                     "170.5", "12345.678", "1e20")]
-    hi = ctx.tripled()
-    h = hi.mp.mpf(10) ** (hi.mp.mpf(-ctx.working_digits) / 3)
+    wd = ctx.working_digits
+    hi = ctx.raised(wd - (-wd // 3))  # the context derivative_at takes at r = 1
+    h = hi.mp.mpf(10) ** (hi.mp.mpf(-wd) / 3)
     nodes, weights = numerics._central_weights(1, 5)
     xs += [mp.mpf(c * (1 + j * h)) for c in (1, 2)
            for j, w in zip(nodes, weights) if w]
@@ -251,16 +252,18 @@ def test_derivative_pochhammer_rising_two(ctx30):
     assert abs(d.mpf - 3) <= ctx30.mp.mpf(10) ** (-(ctx30.digits - 5))
 
 
-def test_derivative_gamma_prefactor(ctx50):
+def test_derivative_gamma_prefactor():
     # d/da Gamma(a)^2/(2 Gamma(2a)) at 1 = -1
     def f(x):
         return gamma(x, x.ctx) ** 2 / (2 * gamma(2 * x, x.ctx))
 
-    d = derivative_at(f, 1, 1, ctx50)
-    assert abs(d.mpf + 1) <= ctx50.mp.mpf(10) ** (-(ctx50.digits - 5))
+    for digits in (50, 200):
+        ctx = PrecisionContext(digits)
+        d = derivative_at(f, 1, 1, ctx)
+        assert abs(d.mpf + 1) <= ctx.mp.mpf(10) ** (-(ctx.digits - 5)), digits
 
 
-@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("digits", [30, 100, 200])
 def test_derivative_meets_working_precision(digits):
     # the eq2_check oracle: d^r/dx^r [1/(2-x)_{m+1}] at 1 over r!, against
     # its exact closed form, within 10^-(wd-2) (the floor its callers claim)
@@ -279,19 +282,28 @@ def test_derivative_meets_working_precision(digits):
             assert abs(d - exact) <= bound, (m, r)
 
 
-def test_derivative_reuses_one_tripled_context():
-    # one tripled context per calling context, whose values match a
-    # derivative taken on a fresh context
+def test_derivative_reuses_one_context_per_digit_count():
+    # the calling context keeps one raised context per digit count,
+    # wd + ceil(r wd/(r+2)) with wd = 40; a second call reuses it, and the
+    # values match derivatives taken on a fresh context
+    seen = set()
+
     def f(x):
+        seen.add(x.ctx)
         return gamma(x, x.ctx) ** 2 / (2 * gamma(2 * x, x.ctx))
 
     ctx = PrecisionContext(30)
-    first = derivative_at(f, 1, 1, ctx)
-    hi = ctx.tripled()
-    assert hi.digits == 90 and hi.guard == ctx.guard
-    second = derivative_at(f, 1, 1, ctx)
-    assert ctx.tripled() is hi
-    assert first.mpf == second.mpf == derivative_at(f, 1, 1, PrecisionContext(30)).mpf
+    first, second = [], []
+    for r, digits in enumerate((40, 54, 60, 64, 67)):
+        first.append(derivative_at(f, 1, r, ctx).mpf)
+        hi = ctx.raised(digits)
+        assert seen == {hi} and (hi.guard, hi.max_terms) == (ctx.guard, ctx.max_terms)
+        seen.clear()
+        second.append(derivative_at(f, 1, r, ctx).mpf)
+        assert seen == {hi} and ctx.raised(digits) is hi
+        seen.clear()
+    fresh = PrecisionContext(30)
+    assert first == second == [derivative_at(f, 1, r, fresh).mpf for r in range(5)]
 
 
 def test_derivative_domain(ctx30):

@@ -440,16 +440,18 @@ def test_each_context_keeps_one_tail_algebra_and_its_rows():
     assert ctx.tail_calc() is calc
     twin = PrecisionContext(digits=30)
     assert twin.tail_calc() is not calc
-    assert ctx.tripled().tail_calc() not in (calc, twin.tail_calc())
+    assert ctx.raised(90).tail_calc() not in (calc, twin.tail_calc())
     # key 5 of a poly at rho = 1/2 asks for a shorter row of p = 11/2 than
-    # key 0 of one at rho = 11/2; the longer request rebuilds it
+    # key 0 of one at rho = 11/2; the longer request extends it in place
     calc.sumtail(_poly(calc, "1/2", {5: 1}))
-    short = calc.rows[(11, 2, False)]
+    kept = calc.rows[(11, 2, False)]
+    short = list(kept)
     assert len(short) == (calc.qmax - 4) // 2 + 1
     calc.sumtail(_poly(calc, "11/2", {0: 1}))
     row = calc.rows[(11, 2, False)]
-    assert len(row) == (calc.qmax + 1) // 2 + 1
+    assert row is kept and len(row) == (calc.qmax + 1) // 2 + 1
     assert row[:len(short)] == short
+    assert row == TailCalc(ctx.mp)._sum_row(11, 2, False, len(row) - 1)
     assert twin.tail_calc().rows == {}
     # a second evaluation of one chain (at another tolerance, past the
     # memo) builds its tails again from the rows the first one left
