@@ -2,11 +2,11 @@
 derivatives at 1 of the Pochhammer-ratio weights.
 
 The strict/weak sums are the infinite series' index chains, 1/(t+1)^k from
-t = 0, cut off at m (O(depth * m) time, O(depth) memory). Their exact
-rational twins run the same chain on the same kernel at the scale
-lcm(1..m+1)^(sum of the parts), where every floor division is exact. The
-derivative closed forms are assembled from these exact rationals and only
-rounded on return.
+t = 0, cut off at m (O(depth * m) time, O(depth * kernels.BLOCK) memory).
+Their exact rational twins run the same chain on the same kernel at the
+scale lcm(1..m+1)^(sum of the parts), where every floor division is exact.
+The derivative closed forms are assembled from these exact rationals and
+only rounded on return.
 """
 
 from __future__ import annotations

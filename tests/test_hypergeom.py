@@ -328,10 +328,12 @@ def _ratio_chains():
 
 
 @pytest.mark.parametrize("name, levels", _ratio_chains())
-def test_ratio_chain_tail_is_checkpoint_independent(ctx30, monkeypatch, name, levels):
+def test_ratio_chain_tail_is_checkpoint_independent(monkeypatch, name, levels):
     # each ratio level's shape is pinned to its running weight, so the
     # corrected value must not depend on where the kernel stopped; the tail
-    # series are built once, one sumtail per level for all checkpoints
+    # series are built once, one sumtail per level for all checkpoints. A
+    # fresh context counts them whatever tails earlier tests left on a shared one
+    ctx30 = PrecisionContext(30)
     sumtails = []
     sumtail = TailCalc.sumtail
 

@@ -3,13 +3,16 @@ same state as one call over the whole range, for every kernel shape. The
 kernels also match a one-division oracle, and sum exactly at a scale where
 every division is exact, fractional shifts included."""
 
+import tracemalloc
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzsv import kernels
-from mzsv.chains import Level, Pow, Ratio, kernel_levels
+from mzsv.chains import Level, Pow, Ratio, index_levels, kernel_levels
 
 S = 10 ** 45
 SINGLE = (1, 4001)
@@ -235,3 +238,97 @@ def test_weighted_split_divisor_matches_one_division(p, alt):
                 acc = advance(r, p, S, svals, tvals, acc, lo, hi, alt)
             states.append((svals, tvals, acc))
         assert states[0] == states[1], r
+
+
+# -- the level-major blocks against the one-division oracle ---------------------
+
+BLOCK = kernels.BLOCK
+
+
+@st.composite
+def _pieces(draw, fractional):
+    """(a, k, b) pieces of one level, a/b > 0 in lowest terms."""
+    pieces = []
+    for j in range(draw(st.integers(1 if fractional else 0, 3))):
+        lead = fractional and j == 0    # a leading piece with a/b not an integer
+        b = draw(st.sampled_from((2, 3) if lead else (1, 1, 2, 3)))
+        a = b * draw(st.integers(0, 4)) + draw(st.integers(1, b - 1 if lead else b))
+        g = gcd(a, b)
+        pieces.append((a // g, draw(st.integers(1, 6)), b // g))
+    return tuple(pieces)
+
+
+@st.composite
+def _ratio(draw):
+    """(nums, dens) of one ratio: as many factors A + t*L above as below."""
+    L = draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.integers(1, 2))
+    factor = st.tuples(st.integers(1, 4 * L), st.just(L))
+    return (tuple(draw(factor) for _ in range(n)),
+            tuple(draw(factor) for _ in range(n)))
+
+
+@st.composite
+def _chain_and_calls(draw, kind):
+    """A chain of depth 1-4 of the given kind and the calls that advance it."""
+    depth = draw(st.integers(1, 4))
+    fractional = kind == "fractional"
+    level_pows = tuple(draw(_pieces(fractional and i == depth - 1))
+                       for i in range(depth))
+    if kind == "ratio":
+        ratios = draw(st.lists(_ratio(), min_size=1, max_size=2))
+        level_ratio = [draw(st.integers(-1, len(ratios) - 1)) for _ in range(depth)]
+        level_ratio[draw(st.integers(0, depth - 1))] = 0
+        ratio_nums, ratio_dens = (tuple(r) for r in zip(*ratios))
+        rvals = [draw(st.integers(-S, S)) for _ in ratios]
+    else:
+        level_ratio, ratio_nums, ratio_dens, rvals = [-1] * depth, (), (), []
+    strict = kind == "strict"
+    alt = kind == "alt" or (not strict and draw(st.booleans()))
+    t0 = draw(st.integers(0, 3 * BLOCK))
+    if kind == "alt":
+        t0 |= 1
+    lengths = draw(st.lists(st.integers(0, BLOCK + 40), min_size=1, max_size=4))
+    cuts = [t0]
+    for n in lengths:
+        cuts.append(cuts[-1] + n)
+    return dict(level_pows=level_pows, bounds=tuple(zip(cuts, cuts[1:])),
+                level_ratio=tuple(level_ratio), ratio_nums=ratio_nums,
+                ratio_dens=ratio_dens, rvals=rvals, strict=strict, alt=alt)
+
+
+@pytest.mark.parametrize("kind", ["weak", "strict", "alt", "ratio", "fractional"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_blocks_match_one_division_oracle(kind, data):
+    # split points anywhere against the block grid, ranges shorter than a
+    # block and empty ones: the state is the per-t oracle's, bit for bit
+    got, want = _both_nested(**data.draw(_chain_and_calls(kind)))
+    assert got == want
+
+
+@pytest.mark.parametrize("t0, t1", [(5, 5), (BLOCK + 3, 7)])
+def test_empty_range_leaves_state_untouched(t0, t1):
+    level_pows = (((1, 2, 1),), ((1, 1, 2),), ((2, 3, 1),))
+    pvals = [S, 11, -22, 33]
+    rvals = [S // 3]
+    kernels.nested_chain_advance(level_pows, (-1, 0, -1), (((1, 1),),),
+                                 (((4, 1),),), S, pvals, rvals, t0, t1, False, True)
+    assert pvals == [S, 11, -22, 33] and rvals == [S // 3]
+
+
+def test_one_long_call_keeps_memory_bounded():
+    # 200 000 terms of zeta*(2, 2, 2): the kernel keeps a few block columns,
+    # about 60 KB, where whole-range columns of 46-digit ints would hold
+    # some 40 MB. tracemalloc slows the call about thirtyfold, to seconds
+    (lp, lr, rn, rd), rvals = kernel_levels(index_levels((2, 2, 2)), S, False)
+    pvals = [S, 0, 0, 0]
+    tracemalloc.start()
+    try:
+        kernels.nested_chain_advance(lp, lr, rn, rd, S, pvals, rvals,
+                                     0, 200_000, False, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pvals[3] > 0
+    assert peak < 2 ** 20, peak
