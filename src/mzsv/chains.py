@@ -16,8 +16,9 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
   their difference scaled by M_prev/(M - M_prev), differ by less than
   tol/2 (ctx.max_terms caps M); checkpoint M sums exactly the M terms
   t = 0 .. M-1. M0 grows with the working digits, with the tail
-  expansion order (``tailcalc.expansion_plan``): 112 at 30 digits, 389
-  at 100;
+  expansion order, and depends on the sign (``tailcalc.expansion_plan``):
+  92 at 30 digits and 268 at 100 for a plain sum, 112 and 389 for an
+  alternating one;
 * at each checkpoint, correct the truncation by expanding the remainder
   level-by-level into tail-polynomial sums (exact for power-law weights;
   a ratio weight uses its full asymptotic shape, whose decay exponent
@@ -27,12 +28,16 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
   remainders (every evaluation takes at least two checkpoints); the
   harmonic-product series splits its remainder exactly into the prefix
   state times tail sums. Each evaluator builds its tail series once, every
-  ratio level at unit scale, by the tail algebra (and factor rows) that
-  its context keeps (``ctx.tail_calc()``); a checkpoint only rescales them;
+  ratio level at unit scale, by the tail algebra of its sign that its
+  context keeps (``ctx.tail_calc(alternating)``); a checkpoint only
+  rescales them. A chain's tail from level i outwards depends on its
+  levels i.. alone, so an index chain takes the levels that an earlier
+  chain on the context built (``TailCalc.suffix_tails``), and builds only
+  the rest;
 * an alternating outer sum signs term t by (-1)^t, which the kernels
   compute from t, so an evaluator keeps no sign state; its remainder expands
   the same way, with every level's tail sum taken by the Boole formula
-  (``TailCalc.sumtail(..., alternating=True)``), since the sign of the
+  (the ``sumtail`` of an alternating TailCalc), since the sign of the
   outermost level carries into every level below it;
 * a finished run is memoised on its PrecisionContext, keyed by the
   evaluator's structure (``memo_key``), tol and corrections, so the many
@@ -96,11 +101,14 @@ class Level:
     ratio: Optional[Ratio] = None
 
 
-def first_checkpoint(ctx: PrecisionContext, levels=()) -> int:
-    """The first checkpoint of a run on ctx over the given chain levels.
+def first_checkpoint(ctx: PrecisionContext, alternating: bool, levels=()) -> int:
+    """The first checkpoint of a run on ctx over the given chain levels,
+    with a plain or an alternating outer sum.
 
-    That is M0 of ctx's tail algebra (``ctx.tail_calc().m0``), from which
-    its tail expansion holds the working digits, unless a level
+    That is M0 of ctx's tail algebra of that sign
+    (``ctx.tail_calc(alternating).m0``: 92 at 30 digits and 268 at 100 for
+    a plain sum, 112 and 389 for an alternating one), from which its tail
+    expansion holds the working digits, unless a level
     has a large shift: a piece 1/(t+c)^k, or a ratio factor t + c, expands
     in powers of (c-1)/(m+1), which diverge for m below |c-1|. So a chain
     starts at twice its largest |c-1| at least, and the run loop steps on
@@ -110,7 +118,7 @@ def first_checkpoint(ctx: PrecisionContext, levels=()) -> int:
     shifts += [c for lvl in levels if lvl.ratio is not None
                for c in lvl.ratio.num_shifts + lvl.ratio.den_shifts]
     reach = max((abs(c - 1) for c in shifts), default=0)
-    return max(ctx.tail_calc().m0, ceil(2 * reach))
+    return max(ctx.tail_calc(alternating).m0, ceil(2 * reach))
 
 
 def _run_evaluator(ev, tol, corrections: bool, what: str):
@@ -255,7 +263,7 @@ class ChainEvaluator:
         self._kernel_args, self.rvals = kernel_levels(self.levels, S, strict)
         self.pvals = [S] + [0] * n
         self.t_next = 0
-        self.start = first_checkpoint(ctx, self.levels)
+        self.start = first_checkpoint(ctx, alternating, self.levels)
         self._tails = None
 
     # -- kernel driving -------------------------------------------------------
@@ -273,37 +281,48 @@ class ChainEvaluator:
 
         Each ratio level enters at unit scale (its shape), so no series
         depends on the checkpoint: the tail of level i is linear in the
-        scale of every ratio level at or outside i.
+        scale of every ratio level at or outside i. Level i's entry
+        depends only on levels[i:] and the order, so it is kept in
+        ``calc.suffix_tails`` under (tuple(levels[i:]), strict), with the
+        series the next level inwards multiplies by: T (strict) or G + T
+        (weak), G the summand of T.
         """
         tails = []
-        G = T = None
-        for lvl in reversed(self.levels):
-            shape = F = None
-            if lvl.ratio is not None:
-                shape = F = calc.ratio_asymptotics(lvl.ratio.num_shifts,
-                                                   lvl.ratio.den_shifts)
-            for p in lvl.pows:
-                pf = calc.pow_weight(p.k, p.shift)
-                F = pf if F is None else calc.mul(F, pf)
-            if F is None:
-                F = calc.const(1)
-            if T is not None:
-                F = calc.mul(F, T if self.strict else calc.add(G, T))
-            G, T = F, calc.sumtail(F, self.alternating)
+        inner = None
+        for i in range(len(self.levels) - 1, -1, -1):
+            key = (tuple(self.levels[i:]), self.strict)
+            entry = calc.suffix_tails.get(key)
+            if entry is None:
+                lvl = self.levels[i]
+                shape = F = None
+                if lvl.ratio is not None:
+                    shape = F = calc.ratio_asymptotics(lvl.ratio.num_shifts,
+                                                       lvl.ratio.den_shifts)
+                for p in lvl.pows:
+                    pf = calc.pow_weight(p.k, p.shift)
+                    F = pf if F is None else calc.mul(F, pf)
+                if F is None:
+                    F = calc.const(1)
+                if inner is not None:
+                    F = calc.mul(F, inner)
+                T = calc.sumtail(F)
+                entry = calc.suffix_tails[key] = (
+                    shape, T, T if self.strict else calc.add(F, T))
+            shape, T, inner = entry
             tails.append((shape, T))
         return tails
 
     def tail_correction(self, mc: int):
         """Remainder sum_{t>mc} of the chain, by level-by-level expansion.
 
-        The tail series are built once, by ``ctx.tail_calc()``; at each
-        checkpoint the tail of level i is scaled by w(mc+1)/shape(mc+1) of
-        every ratio level at or outside i, which pins each ratio shape to
-        its running weight. An alternating chain's tails are Boole tails,
-        (-1)^mc times the sum.
+        The tail series are built once per context, by the TailCalc of the
+        chain's sign (``_build_tails``); at each checkpoint the tail of
+        level i is scaled by w(mc+1)/shape(mc+1) of every ratio level at or
+        outside i, which pins each ratio shape to its running weight. An
+        alternating chain's tails are Boole tails, (-1)^mc times the sum.
         """
         mp = self.ctx.mp
-        calc = self.ctx.tail_calc()
+        calc = self.ctx.tail_calc(self.alternating)
         if self._tails is None:
             self._tails = self._build_tails(calc)
         ratio_index = self._kernel_args[1]
@@ -367,7 +386,7 @@ class WeightedChainEvaluator:
         self.tvals = [S] + [0] * r
         self.acc = 0    # the scaled running sum; term t is the one at N = t + 1
         self.t_next = 0
-        self.start = first_checkpoint(ctx)
+        self.start = first_checkpoint(ctx, alternating)
         self._tails = None
 
     def advance_to(self, t_exclusive: int):
@@ -386,13 +405,13 @@ class WeightedChainEvaluator:
             F = calc.pow_weight(self.p + b, 0)
             for c in range(1, b + 1):
                 F = calc.add(F, calc.scale(calc.mul(inner[c - 1], tails[b - c]), 2))
-            tails.append(calc.sumtail(F, self.alternating))
+            tails.append(calc.sumtail(F))
         return tails
 
     def tail_correction(self, mc: int):
         """sum_{N>K} N^-p W_r(N) with K = mc + 1, the last N summed."""
         mp = self.ctx.mp
-        calc = self.ctx.tail_calc()
+        calc = self.ctx.tail_calc(self.alternating)
         if self._tails is None:
             self._tails = self._segment_tails(calc)
         S, r, sv, tv = self.S, self.r, self.svals, self.tvals

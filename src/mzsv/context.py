@@ -54,11 +54,12 @@ class PrecisionContext:
     several times on one context. It keeps Gamma at each fractional part
     that ``numerics.gamma`` met (``gammas``), one context per digit count
     that ``numerics.derivative_at`` raises it to (``raised(digits)``) and
-    the chain evaluators' tail algebra with its rows (``tail_calc()``) alike.
+    the chain evaluators' tail algebra alike: one TailCalc per sign, plain
+    or alternating (``tail_calc(alternating)``), each with what it built.
     """
 
     __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr",
-                 "evaluations", "gammas", "_raised", "_tail_calc")
+                 "evaluations", "gammas", "_raised", "_tail_calcs")
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
@@ -79,7 +80,7 @@ class PrecisionContext:
         self.evaluations: dict = {}
         self.gammas: dict = {}
         self._raised: dict = {}
-        self._tail_calc = None
+        self._tail_calcs: dict = {}
 
     @property
     def working_digits(self) -> int:
@@ -97,11 +98,13 @@ class PrecisionContext:
             self._raised[digits] = PrecisionContext(digits, self.guard, self.max_terms)
         return self._raised[digits]
 
-    def tail_calc(self) -> TailCalc:
-        """The tail algebra at this precision, made on the first call and kept."""
-        if self._tail_calc is None:
-            self._tail_calc = TailCalc(self._mp)
-        return self._tail_calc
+    def tail_calc(self, alternating: bool) -> TailCalc:
+        """The tail algebra of one sign at this precision, made on the first
+        call for that sign and kept."""
+        calc = self._tail_calcs.get(alternating)
+        if calc is None:
+            calc = self._tail_calcs[alternating] = TailCalc(self._mp, alternating)
+        return calc
 
     def real(self, x: Real) -> "HPReal":
         """Coerce a number into this context.

@@ -17,7 +17,8 @@ Two layers:
   ``sum_{n>N} n**-p`` at N = x+1, whose terms are again powers of (x+1).
   The alternating tail ``x -> sum_{m>x} (-1)**m F(m)`` is (-1)**x times a
   tail polynomial too, by the Boole summation formula, so one operator
-  serves both kinds of sum. Nested-series evaluators expand their
+  serves both kinds of sum; a TailCalc takes one of the two signs
+  (``alternating``) for all its sums. Nested-series evaluators expand their
   truncation remainder into a short chain of such operations, so the
   remainder of a dynamic-programming chain is corrected analytically
   instead of by brute-force term counts.
@@ -26,7 +27,7 @@ Coefficients are fixed-point integers, as in the kernels, at a scale
 graded by key: each TailCalc keeps c_q as round-down(c_q * 2**(bits -
 q*d)), with bits the precision of the mpmath context handed to the
 constructor plus ``GUARD_BITS`` and d = floor(log2 M0) for the first
-checkpoint M0 of ``expansion_plan``. A tail is only evaluated at
+checkpoint M0 of its ``expansion_plan``. A tail is only evaluated at
 m + 1 >= 2**d (``eval_at`` enforces it), where key q is worth
 (m+1)**-q <= 2**(-q*d) of key 0, so a unit of key q's scale is worth at
 most one of key 0's there and the later keys carry q*d fewer bits
@@ -34,12 +35,15 @@ most one of key 0's there and the later keys carry q*d fewer bits
 linear in q, so a product of keys qf and qg still rescales by a shift of
 bits. rho, the power weights' shifts and the ratio shifts stay exact
 Fractions. ``sumtail`` multiplies each coefficient c_q by one row of
-factors per (p = rho+q, alternating): 1/(p-1), then B_2k/(2k)! (p)_{2k-1},
-times 4**k - 1 for a Boole tail, each rounded once from its exact
-rational value at the scale of the key it lands on. A TailCalc builds its
-rows on first use and keeps them (``rows``); each PrecisionContext keeps
-one TailCalc (``PrecisionContext.tail_calc``), so every evaluation on a
-context shares its rows. The exact B_2k/(2k)! behind them, the module's
+factors per p = rho+q: 1/(p-1), then B_2k/(2k)! (p)_{2k-1}, times
+4**k - 1 for a Boole tail, each rounded once from its exact rational
+value at the scale of the key it lands on. A TailCalc builds its rows on
+first use and keeps them (``rows``), and so the shapes of
+``ratio_asymptotics`` (``shapes``) and the tails the chain evaluators
+build per suffix of their levels (``suffix_tails``). Each
+PrecisionContext keeps one TailCalc per sign
+(``PrecisionContext.tail_calc``), so every evaluation on a context shares
+what the others built. The exact B_2k/(2k)! behind the rows, the module's
 one table, come from the integer tangent numbers and also serve
 ``power_sum_tail`` and Stirling's series in ``numerics``. Only
 ``eval_at`` returns an mpf: it runs Horner by integer division by m+1 and
@@ -47,19 +51,20 @@ converts once, times (m+1)**-(rho + lowest key).
 
 Series are truncated at ``qmax`` powers, and the run loop of ``chains``
 takes its first checkpoint at M0; ``expansion_plan`` derives both from
-the working digits D, from the truncation at the first checkpoint. The
-Euler-Maclaurin coefficient of key q grows like q!/(2 pi)^q and the Boole
-one faster still, like q!/pi^q (DLMF 24.17, 2.10), so dropping every key
-above qmax leaves about (qmax+1)!/(pi M0)^(qmax+1) at M0, times a factor
-that grows with the power summed. The rule keeps that below 10^-D for
-every power up to 3 (relative to the tail itself), so a tail holds the
-working digits from the first checkpoint on, plain or alternating, and a
-power chain settles at its second checkpoint for any tolerance its
-context admits. A larger M0 lets a shorter expansion do; of the pairs
-that qualify, the rule takes the cheapest by a measured cost model
-(kernel terms against tail-coefficient products), with M0 at least
-``MARGIN`` times qmax: M0 = 112 and qmax = 28 at 30 digits (D = 40),
-389 and 67 at 100, 1005 and 114 at 200.
+the working digits D and the sign, from the truncation at the first
+checkpoint. The Euler-Maclaurin coefficient of key q grows like
+q!/(2 pi)^q and the Boole one faster, like q!/pi^q (DLMF 24.17, 2.10), so
+dropping every key above qmax leaves about (qmax+1)!/(c M0)^(qmax+1) at
+M0, c = 2 pi for a plain tail and pi for a Boole one, times a factor that
+grows with the power summed. The rule keeps that below 10^-D for every
+power up to 3 (relative to the tail itself), so a tail holds the working
+digits from the first checkpoint on, and a power chain settles at its
+second checkpoint for any tolerance its context admits. A larger M0 lets
+a shorter expansion do; of the pairs that qualify, the rule takes the
+cheapest by a measured cost model (kernel terms against tail-coefficient
+products), with M0 at least ``MARGIN`` times qmax. A plain tail gets
+M0 = 92 and qmax = 23 at 30 digits (D = 40), 268 and 60 at 100, 711 and
+103 at 200; a Boole tail 112 and 28, 389 and 67, 1005 and 114.
 """
 
 from __future__ import annotations
@@ -124,37 +129,42 @@ def power_sum_tail(mp, p, M: int, tol):
     return bridge + total
 
 
-def expansion_plan(dps: int) -> tuple:
-    """(M0, qmax) for dps working digits: the first checkpoint of a run
-    and the number of powers every tail series keeps.
+def expansion_plan(dps: int, alternating: bool) -> tuple:
+    """(M0, qmax) for dps working digits and one sign of tail: the first
+    checkpoint of a run and the number of powers every tail series keeps.
 
     The Boole tail of (m+1)**-p at x = M0 - 1 drops, relative to its
     leading term, about 4 M0 (p)_{2k-1} / (pi M0)^(2k) at its first
     dropped key 2k - 1 > qmax (|B_2k|/(2k)! ~ 2/(2 pi)^2k); with
     2k = qmax + 2 and p = 3 that is 2 M0 (qmax+3)! / (pi M0)^(qmax+2).
-    A pair is admissible when that is at most 10^-dps and M0 >= MARGIN *
+    The plain tail lacks the factor 4**k - 1 of the Boole one, so the
+    rule puts 2 pi in place of pi for it. Relative to its leading term
+    M0**(1-p)/(p-1) it drops about 2 (p-1) (p)_{2k-1} / (2 pi M0)^(2k),
+    so that bound leaves it a factor M0 to spare. A pair is admissible
+    when the bound of its sign is at most 10^-dps and M0 >= MARGIN *
     qmax. The truncation grows with p, so every power up to 3 then keeps
     the working digits relative to itself and every larger one keeps
-    them absolutely (its tail, M0^-p, shrinks faster), plain tails
-    (4^k smaller) more so. For each qmax that fixes the least M0; of those
-    pairs the rule takes the one of least cost 2 * M0 + PRODUCT_COST *
-    qmax**2, kernel steps against tail-coefficient products per level.
+    them absolutely (its tail, M0^-p, shrinks faster).
+    For each qmax that fixes the least M0; of those pairs the rule takes
+    the one of least cost 2 * M0 + PRODUCT_COST * qmax**2, kernel steps
+    against tail-coefficient products per level.
 
     A run settles at its second checkpoint M0 + ceil(M0/8), yet the cost
     counts 2 * M0, the weight PRODUCT_COST was fitted against: costed at
-    M0 + ceil(M0/8) with that weight, the rule picks (133, 26) at 30
-    digits, (515, 61) at 100 and (1333, 105) at 200, which raises the
-    terms a 30-digit ``verify all`` sums from 15 624 to 18 600 and leaves
-    a 100-digit pass no faster. The two terms are to be re-fitted
-    together.
+    M0 + ceil(M0/8) with that weight, the rule picks (133, 26) for a
+    Boole tail at 30 digits, (515, 61) at 100 and (1333, 105) at 200,
+    which raised the terms a 30-digit ``verify all`` sums from 15 624 to
+    18 600 and left a 100-digit pass no faster. The two terms are to be
+    re-fitted together.
     """
     bound = dps * log(10)
+    log_c = log(pi if alternating else 2 * pi)
     best = None
     q = 0
     while best is None or PRODUCT_COST * q * q < best[0]:
         q += 1
-        # the least M0 with 2 M0 (q+3)! / (pi M0)^(q+2) <= 10^-dps
-        log_m0 = (log(2) + lgamma(q + 4) - (q + 2) * log(pi) + bound) / (q + 1)
+        # the least M0 with 2 M0 (q+3)! / (c M0)^(q+2) <= 10^-dps
+        log_m0 = (log(2) + lgamma(q + 4) - (q + 2) * log_c + bound) / (q + 1)
         if log_m0 > 690:
             continue  # an M0 past 10^299: never the cheapest
         m0 = max(ceil(exp(log_m0)), MARGIN * q)
@@ -214,16 +224,25 @@ class TailCalc:
     mpmath context: the coefficient of key q is an int at scale
     2**(bits - q*d), with bits the context's precision plus GUARD_BITS and
     d = floor(log2 M0) bits fewer per key, for the first checkpoint M0 of
-    ``expansion_plan`` (``m0``). Its tails are evaluated at m + 1 >= 2**d
-    only. ``rows`` keeps the sumtail factor rows it has built, keyed by
-    (a, b, alternating) with p = a/b."""
+    ``expansion_plan`` of its sign (``m0``). Its tails are evaluated at
+    m + 1 >= 2**d only, and its sums are all plain or all Boole
+    (``alternating``).
 
-    def __init__(self, mp):
+    It keeps what it builds, for every evaluation on its context:
+    ``rows``, the sumtail factor rows, keyed by (a, b) with p = a/b;
+    ``shapes``, the ``ratio_asymptotics`` results, keyed by their shift
+    tuples; and ``suffix_tails``, which ``chains.ChainEvaluator`` fills
+    with one entry per suffix of its levels. Every entry is read only."""
+
+    def __init__(self, mp, alternating: bool):
         self.mp = mp
-        self.m0, self.qmax = expansion_plan(mp.dps)
+        self.alternating = alternating
+        self.m0, self.qmax = expansion_plan(mp.dps, alternating)
         self.bits = mp.prec + GUARD_BITS
         self.d = self.m0.bit_length() - 1
         self.rows: dict = {}
+        self.shapes: dict = {}
+        self.suffix_tails: dict = {}
 
     # -- constructors --------------------------------------------------------
     def const(self, value) -> TailPoly:
@@ -282,8 +301,13 @@ class TailCalc:
         solve a triangular recurrence obtained by matching the functional
         equation order by order. Scaling the result to the running value at
         one point makes the model exact to series-truncation order. The
-        shifts are exact (int or Fraction).
+        shifts are exact (int or Fraction). A shape is built once per pair of
+        shift tuples and kept in ``shapes``.
         """
+        key = (tuple(num_shifts), tuple(den_shifts))
+        shape = self.shapes.get(key)
+        if shape is not None:
+            return shape
         bits, d, qmax = self.bits, self.d, self.qmax
         one = 1 << bits
         rho = sum(den_shifts, Fraction(0)) - sum(num_shifts, Fraction(0))
@@ -321,10 +345,11 @@ class TailCalc:
             for q in range(0, m - 1):
                 acc += c[q] * (cols[q][m - q] - P[m - q])
             c.append((acc >> (bits - d)) // (m - 1))
-        return TailPoly(rho, dict(enumerate(c)))
+        shape = self.shapes[key] = TailPoly(rho, dict(enumerate(c)))
+        return shape
 
     # -- the tail-sum operator -----------------------------------------------
-    def _sum_row(self, a: int, b: int, alternating: bool, kmax: int) -> list:
+    def _sum_row(self, a: int, b: int, kmax: int) -> list:
         """The factors sumtail applies to the coefficient of (m+1)**-p, p = a/b:
         row[0] = 1/(p-1) (0 for a Boole tail, which has no such term) at scale
         2**(bits + d), and row[k] = B_2k/(2k)! (p)_{2k-1}, times 4**k - 1 for a
@@ -332,13 +357,12 @@ class TailCalc:
         its product with the coefficient of key q, shifted down by bits, lands
         at the graded scale of its key, q-1 or q-1+2k. Each factor is rounded
         down from its exact rational value. Rows are kept in ``rows`` under
-        (a, b, alternating), and extended in place when a longer one is
-        asked for."""
-        key = (a, b, alternating)
+        (a, b), and extended in place when a longer one is asked for."""
+        key = (a, b)
         row = self.rows.get(key)
         if row is not None and len(row) > kmax:
             return row
-        bits, d = self.bits, self.d
+        bits, d, alternating = self.bits, self.d, self.alternating
         if row is None:
             row = self.rows[key] = [0 if alternating else (b << (bits + d)) // (a - b)]
         num, den = a, b  # (p)_{2k-1} = num/den, carried across the kept entries
@@ -355,7 +379,7 @@ class TailCalc:
             den *= b * b
         return row
 
-    def sumtail(self, f: TailPoly, alternating: bool = False) -> TailPoly:
+    def sumtail(self, f: TailPoly) -> TailPoly:
         """G with G(x) = sum_{m>x} f(m); requires min power of f > 1.
 
         With N = x+1, sum_{m>x} (m+1)**-p = sum_{n>N} n**-p is the
@@ -366,14 +390,16 @@ class TailCalc:
         scales carry each product to the graded scale of its key; keys
         above qmax are dropped.
 
-        alternating: G with sum_{m>x} (-1)**m f(m) = (-1)**x G(x), for any
-        min power > 0. The Boole summation formula (DLMF 24.17) gives
+        On an alternating TailCalc: G with sum_{m>x} (-1)**m f(m) =
+        (-1)**x G(x), for any min power > 0. The Boole summation formula
+        (DLMF 24.17) gives
         -N**-p/2 + sum_k (4**k - 1) B_2k/(2k)! (p)_{2k-1} N**(1-p-2k):
         the key q-1 term is gone and key q-1+2k gains the factor 4**k - 1.
         """
         mn = f.min_power()
         if mn is None:
             return TailPoly(f.rho, {})
+        alternating = self.alternating
         if mn <= (0 if alternating else 1):
             raise DomainError(f"tail-sum of a series with minimum power {mn} diverges")
         bits, qmax = self.bits, self.qmax
@@ -384,7 +410,7 @@ class TailCalc:
             if not cq:
                 continue
             kmax = (qmax + 1 - q) // 2
-            row = self._sum_row(rn + q * rd, rd, alternating, kmax)
+            row = self._sum_row(rn + q * rd, rd, kmax)
             if q - 1 <= qmax and not alternating:
                 out[q - 1] = get(q - 1, 0) + cq * row[0]
             if q <= qmax:

@@ -9,6 +9,7 @@ import pytest
 
 from mzsv import (Index, PrecisionContext, cli, coarsenings, compositions,
                   mzsv, mzv, verify, zeta)
+from mzsv import chains
 from mzsv.chains import first_checkpoint
 
 from test_series import _admissible_small, _brute_partial, _tail_bound
@@ -210,7 +211,17 @@ def test_criterion_09_property_suites():
 
 # -- criterion 10: the full registry run ------------------------------------------------
 
-def test_criterion_10_verify_all(tmp_path):
+def test_criterion_10_verify_all(tmp_path, monkeypatch):
+    # every series run of the pass, with its sign and where it stopped
+    runs = []
+    run = chains._run_evaluator
+
+    def recorded(ev, tol, corrections, what):
+        E, info = run(ev, tol, corrections, what)
+        runs.append((ev.alternating, info["terms"]))
+        return E, info
+
+    monkeypatch.setattr(chains, "_run_evaluator", recorded)
     path = tmp_path / "report.json"
     t0 = time.perf_counter()
     code = cli.main(["verify", "all", "--prec", "30", "--tol", "1e-9",
@@ -233,14 +244,23 @@ def test_criterion_10_verify_all(tmp_path):
     _report("criterion 10", f"{len(got)} records against {len(pinned)} pinned, "
             f"{len(changed)} changed {changed[:3]}",
             len(got) == len(pinned) and not changed)
-    # every series side settles at its second checkpoint, M0 + ceil(M0/8)
+    # every series side settles at the second checkpoint of its sign,
+    # M0 + ceil(M0/8) with M0 = first_checkpoint(ctx, alternating): a plain
+    # and an alternating run start from their own expansion plans
     import math
 
-    M0 = first_checkpoint(PrecisionContext(digits=30))
-    M1 = M0 + math.ceil(M0 / 8)
-    later = sorted({r["terms_used"] for r in report["results"]} - {0, M1})
-    _report("criterion 10", f"every series side stops at M = {M1}, "
-            f"other term counts {later}", not later)
+    ctx = PrecisionContext(digits=30)
+    M1 = {}
+    for alternating in (False, True):
+        M0 = first_checkpoint(ctx, alternating)
+        M1[alternating] = M0 + math.ceil(M0 / 8)
+    later = sorted({run for run in runs if run[1] != M1[run[0]]})
+    _report("criterion 10", f"{len(runs)} series runs stop at M = {M1[False]} "
+            f"(plain) or {M1[True]} (alternating), other (alternating, M) "
+            f"{later}", bool(runs) and not later)
+    later = sorted({r["terms_used"] for r in report["results"]} - {0, *M1.values()})
+    _report("criterion 10", f"every series side stops at M = {M1[False]} or "
+            f"{M1[True]}, other term counts {later}", not later)
 
 
 def test_criterion_10_verify_all_100_digits(tmp_path):

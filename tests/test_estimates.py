@@ -5,7 +5,8 @@ at 60 digits: the error against that reference must not exceed the
 reported ``error_estimate``. The cases cover power chains (random
 admissible weak and strict index chains), ratio chains (pFq at z = +1,
 both sides of the four specializations (A1)-(A4), a Krattenthaler-Rivoal
-right-hand side) and the plain harmonic-product series.
+right-hand side) and the plain harmonic-product series. The last test
+audits every side of the registry, plain, alternating and closed-form.
 ``tests/test_alternating_tails.py`` covers the Boole-tailed runs.
 """
 
@@ -14,8 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from mzsv import Index, KRParamsI
+from mzsv import Index, KRParamsI, PrecisionContext
 from mzsv.hypergeom import kr_rhs_i, pfq_ex, specialized_lhs, specialized_rhs
+from mzsv.identities import verify_suite
 from mzsv.series import mzsv, mzv, weighted_product_series_ex
 
 from test_alternating_tails import _assert_estimate_bounds_error
@@ -71,3 +73,27 @@ def test_kr_rhs_estimate_bounds_error():
 def test_weighted_estimate_bounds_error(r, s):
     _assert_estimate_bounds_error(
         lambda ctx: weighted_product_series_ex(r, s, False, ctx))
+
+
+def test_registry_sides_estimates_bound_error():
+    # the whole registry as `verify all` runs it at 30 digits (tol 1e-25),
+    # each side against the same side at 60 digits: no side, series or
+    # closed form, may be further from its reference than its error_estimate
+    ctx = PrecisionContext(digits=30, tol="1e-25")
+    ref_ctx = PrecisionContext(digits=60, tol="1e-55")
+    mp = ref_ctx.mp
+    results = verify_suite(None, None, ctx)
+    refs = verify_suite(None, None, ref_ctx)
+    assert len(results) == len(refs) >= 220
+    over = []
+    for res, ref in zip(results, refs):
+        assert (res.id, res.params) == (ref.id, ref.params)
+        assert res.error is None and ref.error is None, (res.id, res.error, ref.error)
+        for side, value, ref_value, diag in (
+                ("lhs", res.lhs_value, ref.lhs_value, res.lhs_diag),
+                ("rhs", res.rhs_value, ref.rhs_value, res.rhs_diag)):
+            err = abs(mp.mpf(value.mpf) - ref_value.mpf)
+            est = mp.mpf(diag.error_estimate.mpf)
+            if err > est:
+                over.append((res.id, res.params, side, mp.nstr(err, 3), mp.nstr(est, 3)))
+    assert not over, (len(over), over[:5])

@@ -217,7 +217,7 @@ def test_weighted_tail_is_exact(ctx30, s):
     for r in range(6):
         ev = WeightedChainEvaluator(ctx30, r, 2 * s - 1, False)
         values = []
-        for M in (first_checkpoint(ctx30), 500, 1000, 2000):
+        for M in (first_checkpoint(ctx30, False), 500, 1000, 2000):
             ev.advance_to(M + 1)
             values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M))
         assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits, r
@@ -234,7 +234,7 @@ def test_power_chain_tail_is_checkpoint_independent(ctx30, parts, strict):
         mp = ctx.mp
         ev = ChainEvaluator(ctx, index_levels(parts), strict=strict)
         values = []
-        for M in (first_checkpoint(ctx), 500, 1000, 2000):
+        for M in (first_checkpoint(ctx, False), 500, 1000, 2000):
             ev.advance_to(M)
             values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M - 1))
         assert max(values) - min(values) <= mp.mpf(10) ** -ctx.working_digits, ctx.digits
@@ -270,7 +270,7 @@ class _StubEvaluator:
         self.ctx = ctx
         self.value = value
         self.calls = []
-        self.start = first_checkpoint(ctx)
+        self.start = first_checkpoint(ctx, self.alternating)
 
     def advance_to(self, M):
         self.calls.append(M)
@@ -290,7 +290,7 @@ def test_driver_plateau_raises_at_third_checkpoint():
     ev = _StubEvaluator(ctx, lambda n: (-1) ** n / 1000)
     with pytest.raises(ConvergenceError, match="plateaued"):
         _run_evaluator(ev, "1e-20", True, "stub")
-    M0 = first_checkpoint(ctx)
+    M0 = first_checkpoint(ctx, False)
     M1 = M0 + ceil(M0 / 8)
     assert ev.calls == [M0, M1, 2 * M1, 4 * M1]
 
@@ -322,7 +322,7 @@ def test_scaled_step_difference_bounds_power_model_error(j, tol):
     # step, 2^j - 1 at a doubling. j = 1 is tight (ratio 1), so the check
     # allows the rounding floor 10^-40 of 30 digits; the ratio is only as
     # exact as the stub's values, which carry 45 digits after the point
-    M0 = first_checkpoint(PrecisionContext(30))
+    M0 = first_checkpoint(PrecisionContext(30), False)
     est, err, Mp, M = _run_model(
         lambda mp, M: mp.mpf(10) ** -18 * (mp.mpf(M0) / M) ** j, tol)
     assert err <= est + 1e-40
@@ -352,7 +352,7 @@ def test_tol_below_rounding_floor_raises_at_first_checkpoint(ctx30):
     ev = _StubEvaluator(PrecisionContext(30), lambda n: 3)
     with pytest.raises(DomainError, match="rounding floor"):
         _run_evaluator(ev, "5e-40", True, "stub")   # floor 3e-40 at 40 digits
-    assert ev.calls == [first_checkpoint(ctx30)]
+    assert ev.calls == [first_checkpoint(ctx30, False)]
     below_floor = mp.mpf(10) ** -(ctx30.working_digits + 1)
     with pytest.raises(DomainError, match="rounding floor"):
         mzsv(Index((2,)), ctx30, tol=below_floor)
@@ -370,8 +370,10 @@ def test_large_shift_moves_the_first_checkpoint():
     level = Level(ratio=Ratio((a, Fraction(1, 2)), (Fraction(1), a + Fraction(5, 2)),
                               init=Fraction(1)))
     ctx = PrecisionContext(30)
-    assert first_checkpoint(ctx, [level]) == 903 > first_checkpoint(ctx)
-    assert first_checkpoint(ctx, index_levels((1, 2))) == first_checkpoint(ctx)
+    for alternating in (False, True):
+        M0 = first_checkpoint(ctx, alternating)
+        assert first_checkpoint(ctx, alternating, [level]) == 903 > M0
+        assert first_checkpoint(ctx, alternating, index_levels((1, 2))) == M0
     ev = ChainEvaluator(PrecisionContext(30, max_terms=1000), [level])
     with pytest.raises(ConvergenceError, match="first two checkpoints"):
         ev.run("1e-20")

@@ -14,8 +14,9 @@ from math import factorial, floor, lgamma, log, pi
 import pytest
 
 from mzsv import DomainError, PrecisionContext
-from mzsv.chains import ChainEvaluator, first_checkpoint, index_levels
-from mzsv.tailcalc import MARGIN, TailCalc, TailPoly, expansion_plan, power_sum_tail
+from mzsv.chains import ChainEvaluator, Level, Ratio, first_checkpoint, index_levels
+from mzsv.tailcalc import (MARGIN, TailCalc, TailPoly, _em_fraction, expansion_plan,
+                           power_sum_tail)
 
 X = 10 ** 4
 
@@ -23,7 +24,7 @@ X = 10 ** 4
 @pytest.fixture(scope="module", params=[30, 100], ids=["30d", "100d"])
 def env(request):
     ctx = PrecisionContext(digits=request.param)
-    return ctx.mp, TailCalc(ctx.mp), ctx.mp.mpf(10) ** (-(ctx.working_digits - 3))
+    return ctx.mp, TailCalc(ctx.mp, False), ctx.mp.mpf(10) ** (-(ctx.working_digits - 3))
 
 
 def _mpf(mp, s):
@@ -147,34 +148,59 @@ def test_power_sum_tail_one_pass(digits, p):
 
 # -- the first checkpoint and the expansion order -----------------------------------
 
+def _log_first_dropped_plain_term(m0, qmax, p):
+    """log of the first Euler-Maclaurin term a plain tail of (m+1)^-p
+    drops at x = M0 - 1, relative to its leading term M0^(1-p)/(p-1):
+    (p-1) |B_2k|/(2k)! (p)_{2k-1} M0^-2k at the least k with 2k - 1 > qmax,
+    B_2k/(2k)! from the exact table."""
+    k = qmax // 2 + 1
+    num, den = _em_fraction(k)
+    rising = lgamma(p + 2 * k - 1) - lgamma(p)  # log (p)_{2k-1}
+    return log(p - 1) + log(abs(num)) - log(den) + rising - 2 * k * log(m0)
+
+
 def test_expansion_plan_truncation_and_margin():
     # at every precision from 15 to 1000 digits (any guard), the first
     # dropped key leaves a Boole truncation of at most 10^-dps at the first
     # checkpoint, of the tail of (m+1)^-3 relative to itself,
     # 2 M0 (q+3)!/(pi M0)^(q+2), and so also of the estimate the truncation
     # of every tail starts from, (q+1)!/(pi M0)^(q+1); M0 stays MARGIN *
-    # qmax clear of qmax, the margin eval_at asks for
+    # qmax clear of qmax, the margin eval_at asks for. The plain plan keeps
+    # the same bounds with 2 pi in place of pi, and its first dropped
+    # Euler-Maclaurin term, computed exactly for the powers up to 3, stays
+    # at most 10^-dps relative to the tail
     assert MARGIN >= 4
-    for dps in range(15, 1011):
-        m0, q = expansion_plan(dps)
-        assert m0 >= MARGIN * q, dps
-        bound = -dps * log(10)
-        assert log(2 * m0) + lgamma(q + 4) - (q + 2) * log(pi * m0) <= bound, dps
-        assert lgamma(q + 2) - (q + 1) * log(pi * m0) <= bound, dps
+    for alternating, c in ((True, pi), (False, 2 * pi)):
+        for dps in range(15, 1011):
+            m0, q = expansion_plan(dps, alternating)
+            assert m0 >= MARGIN * q, dps
+            bound = -dps * log(10)
+            assert log(2 * m0) + lgamma(q + 4) - (q + 2) * log(c * m0) <= bound, dps
+            assert lgamma(q + 2) - (q + 1) * log(c * m0) <= bound, dps
+            if not alternating:
+                for p in (1.5, 2, 2.5, 3):
+                    assert _log_first_dropped_plain_term(m0, q, p) <= bound, (dps, p)
+    # the plans at 30, 100 and 200 digits (40, 110 and 210 working digits)
+    assert [expansion_plan(d, True) for d in (40, 110, 210)] == [
+        (112, 28), (389, 67), (1005, 114)]
+    assert [expansion_plan(d, False) for d in (40, 110, 210)] == [
+        (92, 23), (268, 60), (711, 103)]
 
 
 @pytest.mark.parametrize("digits", [15, 30, 100, 200])
 def test_run_start_and_tailcalc_share_the_plan(digits):
     ctx = PrecisionContext(digits=digits)
-    m0, qmax = expansion_plan(ctx.working_digits)
-    assert first_checkpoint(ctx) == m0
-    assert TailCalc(ctx.mp).qmax == qmax
+    for alternating in (False, True):
+        m0, qmax = expansion_plan(ctx.working_digits, alternating)
+        assert first_checkpoint(ctx, alternating) == m0
+        assert ctx.tail_calc(alternating).qmax == qmax
+        assert TailCalc(ctx.mp, alternating).qmax == qmax
 
 
 # -- alternating (Boole) tail sums ------------------------------------------------
 
 # the tails after the first checkpoint at 30 digits and after M = 500
-ALT_X = (first_checkpoint(PrecisionContext(digits=30)) - 1, 499)
+ALT_X = (first_checkpoint(PrecisionContext(digits=30), True) - 1, 499)
 
 
 def _alt_power_tail(mp, p, x):
@@ -185,13 +211,13 @@ def _alt_power_tail(mp, p, x):
 
 
 def _check_alt(build):
-    """sumtail(alternating=True) of build(calc, mp) at each ALT_X and 30
-    digits, against the Hurwitz form of every power at 60 digits."""
+    """The Boole sumtail of build(calc, mp) at each ALT_X and 30 digits,
+    against the Hurwitz form of every power at 60 digits."""
     ctx = PrecisionContext(digits=30)
     mp = ctx.mp
-    calc = TailCalc(mp)
+    calc = TailCalc(mp, True)
     f = build(calc, mp)
-    G = calc.sumtail(f, alternating=True)
+    G = calc.sumtail(f)
     for x in ALT_X:
         got = (-1) ** x * calc.eval_at(G, x)
         with mp.workdps(2 * mp.dps):
@@ -214,15 +240,14 @@ def test_alternating_sumtail_of_ratio_shape():
 
 def test_sumtail_domain_thresholds():
     mp = PrecisionContext(digits=30).mp
-    calc = TailCalc(mp)
-    one = _poly(calc, 1, {0: 1})
+    calc, boole = TailCalc(mp, False), TailCalc(mp, True)
     with pytest.raises(DomainError):
-        calc.sumtail(one)                       # plain needs min power > 1
-    assert calc.sumtail(one, alternating=True).coeffs
-    for f in (_poly(calc, 0, {0: 1}), _poly(calc, 2, {-2: 1, 0: 1})):
+        calc.sumtail(_poly(calc, 1, {0: 1}))    # plain needs min power > 1
+    assert boole.sumtail(_poly(boole, 1, {0: 1})).coeffs
+    for f in (_poly(boole, 0, {0: 1}), _poly(boole, 2, {-2: 1, 0: 1})):
         with pytest.raises(DomainError):
-            calc.sumtail(f, alternating=True)   # alternating needs > 0
-    assert calc.sumtail(_poly(calc, "0.25", {0: 1}), alternating=True).coeffs
+            boole.sumtail(f)                    # alternating needs > 0
+    assert boole.sumtail(_poly(boole, "0.25", {0: 1})).coeffs
 
 
 # -- the mpf tail algebra as an oracle ---------------------------------------------
@@ -325,7 +350,7 @@ def _check_algebra(digits, alternating, seed, xs):
     in xs, against the mpf oracle at twice the working digits."""
     ctx = PrecisionContext(digits=digits)
     mp = ctx.mp
-    calc = TailCalc(mp)
+    calc = TailCalc(mp, alternating)
     qmax = calc.qmax
     rng = random.Random(1000 * digits + 10 * seed + alternating)
     rho, qlo = rng.choice(ALTERNATING if alternating else PLAIN)
@@ -338,12 +363,12 @@ def _check_algebra(digits, alternating, seed, xs):
     fx, gx = _poly(calc, *f), _poly(calc, *g)
     shape = calc.ratio_asymptotics(ns, ds)
     got = {
-        "sumtail": calc.sumtail(fx, alternating),
+        "sumtail": calc.sumtail(fx),
         "mul": calc.mul(fx, gx),
         "sumtail(mul(f, add(g, sumtail(g))))": calc.sumtail(
-            calc.mul(fx, calc.add(gx, calc.sumtail(gx, alternating))), alternating),
+            calc.mul(fx, calc.add(gx, calc.sumtail(gx)))),
         "ratio_asymptotics": shape,
-        "sumtail(shape)": calc.sumtail(shape, alternating),
+        "sumtail(shape)": calc.sumtail(shape),
     }
     with mp.workdps(2 * mp.dps):
         fo, go = _oracle_poly(mp, f), _oracle_poly(mp, g)
@@ -384,7 +409,8 @@ def test_fixed_point_algebra_at_the_first_checkpoint(digits, alternating, seed):
     # graded scale weigh the most
     ctx = PrecisionContext(digits=digits)
     _check_algebra(digits, alternating, seed,
-                   (first_checkpoint(ctx) - 1, 2 ** TailCalc(ctx.mp).d - 1))
+                   (first_checkpoint(ctx, alternating) - 1,
+                    2 ** TailCalc(ctx.mp, alternating).d - 1))
 
 
 
@@ -396,7 +422,7 @@ def test_eval_at_long_exponents_match_mpf_oracle(digits, rho):
     # power with extra bits past that (a large e, or a long denominator)
     ctx = PrecisionContext(digits=digits)
     mp = ctx.mp
-    calc = TailCalc(mp)
+    calc = TailCalc(mp, False)
     f = _random_poly(random.Random(digits), rho, 0, calc.qmax)
     for x in (ORACLE_X, 10 ** 6):
         got = calc.eval_at(_poly(calc, *f), x)
@@ -411,15 +437,18 @@ def test_eval_at_rejects_points_below_the_graded_minimum(digits):
     # key q sits at scale 2**(bits - q*d): below m + 1 = 2**d a unit of a
     # later key would outweigh one of key 0
     ctx = PrecisionContext(digits=digits)
-    calc = TailCalc(ctx.mp)
-    f = calc.sumtail(calc.pow_weight(2, 1))
-    assert 2 ** calc.d <= first_checkpoint(ctx) < 2 ** (calc.d + 1)
-    with pytest.raises(DomainError):
-        calc.eval_at(f, 2 ** calc.d - 2)
-    with pytest.raises(DomainError):
-        calc.eval_at(TailPoly(Fraction(2), {}), 0)
-    assert calc.eval_at(f, first_checkpoint(ctx) - 1) > 0
-    assert calc.eval_at(f, 2 ** calc.d - 1) > 0
+    for alternating, sign in ((False, 1), (True, -1)):
+        # the Boole tail of (m+1)^-2 is about -(m+2)^-2/2
+        calc = TailCalc(ctx.mp, alternating)
+        f = calc.scale(calc.sumtail(calc.pow_weight(2, 1)), sign)
+        m0 = first_checkpoint(ctx, alternating)
+        assert 2 ** calc.d <= m0 < 2 ** (calc.d + 1)
+        with pytest.raises(DomainError):
+            calc.eval_at(f, 2 ** calc.d - 2)
+        with pytest.raises(DomainError):
+            calc.eval_at(TailPoly(Fraction(2), {}), 0)
+        assert calc.eval_at(f, m0 - 1) > 0
+        assert calc.eval_at(f, 2 ** calc.d - 1) > 0
 
 
 def test_bernoulli_table_matches_bernfrac(monkeypatch):
@@ -436,29 +465,95 @@ def test_bernoulli_table_matches_bernfrac(monkeypatch):
 
 def test_each_context_keeps_one_tail_algebra_and_its_rows():
     ctx = PrecisionContext(digits=30)
-    calc = ctx.tail_calc()
-    assert ctx.tail_calc() is calc
+    calc, boole = ctx.tail_calc(False), ctx.tail_calc(True)
+    assert ctx.tail_calc(False) is calc and ctx.tail_calc(True) is boole
+    assert boole is not calc and boole.alternating and not calc.alternating
     twin = PrecisionContext(digits=30)
-    assert twin.tail_calc() is not calc
-    assert ctx.raised(90).tail_calc() not in (calc, twin.tail_calc())
+    assert twin.tail_calc(False) is not calc
+    assert ctx.raised(90).tail_calc(False) not in (calc, twin.tail_calc(False))
     # key 5 of a poly at rho = 1/2 asks for a shorter row of p = 11/2 than
     # key 0 of one at rho = 11/2; the longer request extends it in place
     calc.sumtail(_poly(calc, "1/2", {5: 1}))
-    kept = calc.rows[(11, 2, False)]
+    kept = calc.rows[(11, 2)]
     short = list(kept)
     assert len(short) == (calc.qmax - 4) // 2 + 1
     calc.sumtail(_poly(calc, "11/2", {0: 1}))
-    row = calc.rows[(11, 2, False)]
+    row = calc.rows[(11, 2)]
     assert row is kept and len(row) == (calc.qmax + 1) // 2 + 1
     assert row[:len(short)] == short
-    assert row == TailCalc(ctx.mp)._sum_row(11, 2, False, len(row) - 1)
-    assert twin.tail_calc().rows == {}
+    assert row == TailCalc(ctx.mp, False)._sum_row(11, 2, len(row) - 1)
+    assert twin.tail_calc(False).rows == {} and boole.rows == {}
     # a second evaluation of one chain (at another tolerance, past the
-    # memo) builds its tails again from the rows the first one left
+    # memo) takes the tails the first one built, one per level, and builds
+    # no row
     levels = index_levels((3, 1, 2))
     ChainEvaluator(ctx, levels, alternating=True).run(ctx.mp.mpf("1e-30"))
-    built = dict(calc.rows)
-    assert len(built) > 2
+    built, tails = dict(boole.rows), dict(boole.suffix_tails)
+    assert len(built) > 2 and len(tails) == len(levels)
     ChainEvaluator(ctx, levels, alternating=True).run(ctx.mp.mpf("1e-25"))
-    assert calc.rows.keys() == built.keys()
-    assert all(calc.rows[k] is built[k] for k in built)
+    for kept, now in ((built, boole.rows), (tails, boole.suffix_tails)):
+        assert now.keys() == kept.keys()
+        assert all(now[k] is kept[k] for k in kept)
+    assert calc.suffix_tails == {}
+
+
+# -- tails shared by the chains of one context -------------------------------------
+
+_GAUSS = Level(ratio=Ratio((Fraction(3, 10), Fraction(2, 5)), (Fraction(1), Fraction(11, 5)),
+                           init=Fraction(1)))
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("earlier, later, strict, alternating, shared", [
+    # zeta*(1, 2, 2) after zeta*(2, 2): the levels run innermost first, so
+    # the two chains share their outer levels (2, 2)
+    ((index_levels((2, 2)), False, False), index_levels((1, 2, 2)), False, False, 2),
+    ((index_levels((1, 1, 3)), False, False), index_levels((2, 1, 1, 3)), False, False, 3),
+    ((index_levels((2, 3)), True, False), index_levels((1, 1, 2, 3)), True, False, 2),
+    ((index_levels((1, 2)), False, True), index_levels((3, 1, 2)), False, True, 2),
+    ((index_levels((2,)) + [_GAUSS], False, False), index_levels((1, 2)) + [_GAUSS],
+     False, False, 2),
+    # a weak chain's tails are not a strict one's, and a plain chain's are
+    # not an alternating one's
+    ((index_levels((2, 3)), False, False), index_levels((1, 2, 3)), True, False, 0),
+    ((index_levels((2, 3)), False, False), index_levels((1, 2, 3)), False, True, 0),
+], ids=["weak", "weak-deep", "strict", "alternating", "ratio", "strict-after-weak",
+        "alternating-after-plain"])
+def test_shared_suffix_tails_match_a_fresh_context(monkeypatch, digits, earlier, later,
+                                                   strict, alternating, shared):
+    # a chain whose outer levels an earlier chain on its context built takes
+    # their tails, builds only the levels it does not share, and corrects
+    # its truncation bit for bit as the same chain on a fresh context does
+    ctx = PrecisionContext(digits)
+    first = ChainEvaluator(ctx, *earlier)
+    first.advance_to(first.start)
+    first.tail_correction(first.start - 1)
+
+    counts = {}
+    sumtail = TailCalc.sumtail
+
+    def counted(calc, f):
+        counts[calc] = counts.get(calc, 0) + 1
+        return sumtail(calc, f)
+
+    monkeypatch.setattr(TailCalc, "sumtail", counted)
+    fresh_ctx = PrecisionContext(digits)
+    values = []
+    for c in (ctx, fresh_ctx):
+        ev = ChainEvaluator(c, later, strict, alternating)
+        ev.advance_to(ev.start)
+        values.append(ev.tail_correction(ev.start - 1))
+    assert values[0] == values[1] and values[0] != 0
+    assert counts[ctx.tail_calc(alternating)] == len(later) - shared
+    assert counts[fresh_ctx.tail_calc(alternating)] == len(later)
+
+
+def test_equal_shift_sets_share_one_shape():
+    calc = PrecisionContext(30).tail_calc(False)
+    ns, ds = (Fraction(1, 3), Fraction(7, 4)), (Fraction(1), Fraction(9, 4))
+    shape = calc.ratio_asymptotics(ns, ds)
+    assert calc.ratio_asymptotics(list(ns), list(ds)) is shape
+    other = calc.ratio_asymptotics(ns, (Fraction(1), Fraction(5, 2)))
+    assert other is not shape and other.rho != shape.rho
+    fresh = TailCalc(calc.mp, False).ratio_asymptotics(ns, ds)
+    assert (fresh.rho, fresh.coeffs) == (shape.rho, shape.coeffs)
