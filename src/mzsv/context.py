@@ -11,6 +11,7 @@ computing at whichever precision happens to win.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor, log10
 from typing import Union
 
 # mpmath is unused here; perfbench/worker.py reads mzsv.context.mpmath's
@@ -22,6 +23,8 @@ from .errors import ContextMismatchError, DomainError, ParseError
 from .tailcalc import TailCalc
 
 Real = Union["HPReal", int, float, str, Fraction]
+
+_LOG10_2 = log10(2)
 
 
 def as_int(value, name: str, lo: int) -> int:
@@ -152,17 +155,21 @@ def _decimal_string(mp, x, sig: int) -> str:
         return str(x)
     if x == 0:
         return "0." + "0" * (sig - 1)
-    # decimal magnitude d10: 10^d10 <= |x| < 10^(d10+1)
-    d10 = int(mp.floor(mp.log10(abs(x))))
-    if d10 >= 6:  # before the exact rational, which has about d10 digits
+    sign, man, exp, bc = x._mpf_
+    if bc + exp > 20:  # |x| >= 2**20 > 10**6, before the exact rational
         return mp.nstr(x, sig)
-    sign, man, exp, _ = x._mpf_
     # exact binary rational man * 2**exp
     num, den = man, 1
     if exp >= 0:
         num = man << exp
     else:
         den = 1 << (-exp)
+    # decimal magnitude d10: 10^d10 <= |x| < 10^(d10+1); from
+    # 2^(bc+exp-1) <= |x| the estimate is at most d10 and within 2 of it
+    d10 = floor((bc + exp - 1) * _LOG10_2) - 1
+    while (den * 10 ** (d10 + 1) <= num if d10 >= -1
+           else den <= num * 10 ** (-d10 - 1)):
+        d10 += 1
     # round-half-even integer of |x| * 10^(sig-1-d10)
     shift = sig - 1 - d10
     if shift >= 0:

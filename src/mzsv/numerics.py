@@ -2,11 +2,12 @@
 
 gamma                  -- exact at an int or Fraction argument up to Gamma at
                           its fractional part, which is computed once per
-                          context; Stirling's series on the shared Bernoulli
-                          table, after a shift chosen from the working
-                          digits, for that part and for any other argument
+                          context; Stirling's series, after a shift chosen
+                          from the working digits, for that part and for
+                          any other argument, its Bernoulli sum in fixed
+                          point by tailcalc's shared helper
 zeta_tail              -- Euler-Maclaurin remainder of the zeta series, to
-                          working precision
+                          working precision (tailcalc.power_sum_tail)
 derivative_at          -- central-difference derivative oracle of order r,
                           f run at wd + ceil(r wd/(r+2)) digits plus guard
 """
@@ -20,7 +21,7 @@ from typing import Callable
 
 from .context import HPReal, PrecisionContext, as_int
 from .errors import DomainError
-from .tailcalc import _em_fraction, power_sum_tail
+from .tailcalc import GUARD_BITS, _binary_ratio, _em_series, power_sum_tail
 
 # -- gamma --------------------------------------------------------------------
 
@@ -38,7 +39,11 @@ def _stirling(x, mp, working_digits: int):
     (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k B_2k / (2k (2k-1) z^(2k-1))
     stops after its first term below 10^-D; for real z > 0 the remainder
     is smaller than the first term left out (DLMF 5.11(ii)). Then
-    Gamma(x) = exp(sum) / (x)_N.
+    Gamma(x) = exp(sum) / (x)_N. The Bernoulli sum runs in fixed point at
+    the work precision plus GUARD_BITS (``tailcalc._em_series``), with
+    g_k = (2k-2)! z^(1-2k) stepped by the exact factor (2k-1) 2k / z^2:
+    z is exact, a Fraction for a Fraction x and a binary rational for an
+    mpf one.
     """
     if isinstance(x, Fraction):
         bits = x.numerator.bit_length() - x.denominator.bit_length()
@@ -52,19 +57,16 @@ def _stirling(x, mp, working_digits: int):
         zmin = work * math.log(10) / math.pi
         shift = int(mp.ceil(zmin - base)) if base < zmin else 0
         z = base + shift
-        total = (z - 0.5) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-        eps = mp.mpf(10) ** -work
-        inv2 = 1 / (z * z)
-        zpow = 1 / z  # z^-(2k-1)
-        k = 1
-        while True:
-            num, den = _em_fraction(k)  # B_2k / (2k)!
-            term = mp.mpf(num * math.factorial(2 * k - 2)) / den * zpow
-            total += term
-            if abs(term) < eps:
-                break
-            zpow *= inv2
-            k += 1
+        if isinstance(x, Fraction):
+            zq = x + shift
+            zn, zd = zq.numerator, zq.denominator
+        else:
+            zn, zd = _binary_ratio(z)
+        scale = mp.prec + GUARD_BITS
+        one = 1 << scale
+        series = _em_series(zd * one // zn, 0, zd, zn * zn, one // 10 ** work)
+        total = ((z - 0.5) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
+                 + mp.ldexp(series, -scale))
         rising = mp.mpf(1)  # (x)_N
         for j in range(shift):
             rising *= base + j

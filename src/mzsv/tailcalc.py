@@ -6,7 +6,9 @@ Two layers:
   tolerance in one pass: it sums a short bridge up to an expansion point
   chosen so that the asymptotic Euler-Maclaurin expansion has a least term
   far below tolerance, then adds the expansion. This backs ``series.zeta``
-  and the public ``zeta_tail`` operation.
+  and the public ``zeta_tail`` operation. Its Bernoulli series, like that
+  of Stirling's series in ``numerics``, runs in fixed-point integers in
+  ``_em_series``, one running term stepped by exact integer factors.
 
 * :class:`TailCalc` manipulates asymptotic *tail polynomials*: functions of
   an integer m of the form ``F(m) = sum_q c_q * (m+1)**-(rho+q)`` with a
@@ -45,9 +47,9 @@ PrecisionContext keeps one TailCalc per sign
 (``PrecisionContext.tail_calc``), so every evaluation on a context shares
 what the others built. The exact B_2k/(2k)! behind the rows, the module's
 one table, come from the integer tangent numbers and also serve
-``power_sum_tail`` and Stirling's series in ``numerics``. Only
-``eval_at`` returns an mpf: it runs Horner by integer division by m+1 and
-converts once, times (m+1)**-(rho + lowest key).
+``_em_series``. Only ``eval_at`` returns an mpf: it runs Horner by
+integer division by m+1 and converts once, times (m+1)**-(rho + lowest
+key), and keeps the value on the tail polynomial, one per m.
 
 Series are truncated at ``qmax`` powers, and the run loop of ``chains``
 takes its first checkpoint at M0; ``expansion_plan`` derives both from
@@ -72,6 +74,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, exp, lgamma, log, pi
 
+from mpmath.libmp import to_fixed
+
 from .errors import DomainError
 
 GUARD_BITS = 32  # fixed-point bits of TailCalc beyond the context's precision
@@ -90,13 +94,21 @@ def power_sum_tail(mp, p, M: int, tol):
 
     Bridge-sums explicitly up to the expansion point
     X = max(M, floor(tol_digits * ln 10 / (2 pi)) + 8), then adds the
-    Euler-Maclaurin expansion at X+1 up to its first term below tol/1000,
-    or up to its least term. The terms B_2k/(2k)! (p)_{2k-1} (X+1)**(1-p-2k)
+    Euler-Maclaurin expansion at N = X+1,
+    N**(1-p) (1/(p-1) + 1/(2N) + sum_k B_2k/(2k)! (p)_{2k-1} N**-2k),
+    whose series runs in fixed point (``_em_series``) up to its first term
+    below tol/1000, or up to its least term. The terms
     fall while p + 2k < 2 pi X, so the least term is at most about
     X e**(2 pi - 2 pi X), the worst case being p near 2 pi. Since
     X >= tol_digits * ln 10 / (2 pi) + 7, that is below tol * X e**(-12 pi),
     far under tol/1000 (a scan over 20-410 digits and p from 1.0001 to 1e5
     found at most 3e-21 tol), so the pass never needs a larger X.
+
+    Everything but N**(1-p) is summed in integers at the scale
+    2**(prec + GUARD_BITS): the mpf p is an exact binary rational, so the
+    series steps by exact integer factors. An integer p takes each bridge
+    term m**-p by one integer division, and stops the bridge at the first
+    m whose m**p exceeds the scale; any other p takes mpf powers there.
     """
     p = mp.mpf(p)
     if p <= 1:
@@ -106,27 +118,26 @@ def power_sum_tail(mp, p, M: int, tol):
     tol = mp.mpf(tol)
     tol_digits = float(-mp.log10(tol)) if tol < 1 else 1.0
     X = max(M, int(tol_digits * 2.302585 / _TWO_PI) + 8)
-    bridge = mp.mpf(0)
-    for m in range(M + 1, X + 1):
-        bridge += mp.mpf(m) ** (-p)
-    base = mp.mpf(X + 1)
-    total = base ** (1 - p) / (p - 1) + base ** (-p) / 2
-    # Bernoulli correction terms; asymptotic, so stop at the least term
-    stop = tol * mp.mpf("1e-3")
-    at = prev = mp.inf
-    k = 1
-    rf = p  # (p)_{2k-1} built incrementally
-    while at >= stop:
-        num, den = _em_fraction(k)
-        term = mp.mpf(num) / den * rf * base ** (1 - p - 2 * k)
-        at = abs(term)
-        if at >= prev:
-            break  # past the least term
-        total += term
-        prev = at
-        rf *= (p + 2 * k - 1) * (p + 2 * k)
-        k += 1
-    return bridge + total
+    N = X + 1
+    bits = mp.prec + GUARD_BITS
+    one = 1 << bits
+    pn, pd = _binary_ratio(p)
+    bridge = 0
+    if pd == 1:
+        for m in range(M + 1, N):
+            if pn * (m.bit_length() - 1) > bits:
+                break  # m**-p, and every later term, is below one unit
+            bridge += one // m ** pn
+    else:
+        for m in range(M + 1, N):
+            bridge += to_fixed(mp.power(m, -p)._mpf_, bits)
+    lead = mp.power(N, 1 - p)
+    # the series stops at tol/1000 of the whole tail, so at that over lead
+    stop = mp.ldexp(tol / lead, bits) / 1000
+    stop = int(stop) if stop < one else one
+    series = _em_series(pn * one // (pd * N * N), pn, pd, (pd * N) ** 2, stop)
+    bracket = pd * one // (pn - pd) + one // (2 * N) + series
+    return mp.ldexp(bridge, -bits) + lead * mp.ldexp(bracket, -bits)
 
 
 def expansion_plan(dps: int, alternating: bool) -> tuple:
@@ -176,9 +187,9 @@ def expansion_plan(dps: int, alternating: bool) -> tuple:
 
 def _em_fraction(k: int) -> tuple:
     """B_2k/(2k)! as an exact (numerator, denominator) pair: the reduced
-    B_2k = num/den, and den * (2k)!. One table, shared by power_sum_tail,
-    numerics and every scale, rebuilt to max(k, twice its length) when
-    asked past its end.
+    B_2k = num/den, and den * (2k)!. One table, shared by ``_em_series``
+    and every scale of the sumtail rows, rebuilt to max(k, twice its
+    length) when asked past its end.
 
     B_2j = (-1)**(j-1) 2j T_j / (4**j (4**j - 1)) with the tangent numbers
     T_j, which an O(n**2) recurrence in small integers gives all at once
@@ -202,18 +213,57 @@ def _em_fraction(k: int) -> tuple:
     return _em_exact[k - 1]
 
 
+def _em_series(g: int, a: int, b: int, c: int, stop: int) -> int:
+    """sum_{k>=1} B_2k/(2k)! g_k in fixed point, for power_sum_tail and
+    Stirling's series in ``numerics``: g = g_1 at the caller's scale and
+    g_{k+1} = g_k (a + (2k-1) b) (a + 2k b) / c, with exact integers
+    a >= 0 and b, c >= 1. g_k runs as one rounded-down integer, and each
+    term is its product with B_2k/(2k)!, rounded down. The sum takes terms
+    up to and including the first one below stop (in units of the scale),
+    and stops before a term that is not smaller than the one before: the
+    series is asymptotic, and that term is past its least one.
+    """
+    total = 0
+    prev = None
+    k = 1
+    while True:
+        num, den = _em_fraction(k)
+        term = g * num // den
+        at = abs(term)
+        if prev is not None and at >= prev:
+            return total
+        total += term
+        if at < stop:
+            return total
+        prev = at
+        g = g * (a + (2 * k - 1) * b) * (a + 2 * k * b) // c
+        k += 1
+
+
+def _binary_ratio(x) -> tuple:
+    """An mpf x as an exact (numerator, denominator) pair in lowest terms;
+    the denominator is a power of 2."""
+    sign, man, e, _ = x._mpf_
+    if sign:
+        man = -man
+    return (man << e, 1) if e >= 0 else (man, 1 << -e)
+
+
 class TailPoly:
     """Asymptotic tail polynomial: sum_q c_q * (m+1)**-(rho+q).
 
     rho is an exact Fraction; each coeffs[q] is an int, c_q times
-    2**(bits - q*d) of the TailCalc that built it.
+    2**(bits - q*d) of the TailCalc that built it. ``values`` keeps the
+    mpf values ``TailCalc.eval_at`` computed, keyed by m (None until the
+    first one).
     """
 
-    __slots__ = ("rho", "coeffs")
+    __slots__ = ("rho", "coeffs", "values")
 
     def __init__(self, rho, coeffs: dict):
         self.rho = rho
         self.coeffs = coeffs
+        self.values = None
 
     def min_power(self):
         return self.rho + min(self.coeffs) if self.coeffs else None
@@ -437,14 +487,23 @@ class TailCalc:
         has at most EXACT_POWER_BITS bits. Past that (a parameter with many
         digits, or a large one) the power takes an mpf exponent, with
         enough extra bits that its rounding, magnified by e*log(m+1), stays
-        GUARD_BITS below the working precision."""
+        GUARD_BITS below the working precision.
+
+        The value is kept on f (``f.values``), so chains that share a tail
+        and a checkpoint compute it once."""
+        values = f.values
+        if values is None:
+            values = f.values = {}
+        elif m in values:
+            return values[m]
         mp = self.mp
         d = self.d
         n = m + 1
         if n < 1 << d:
             raise DomainError(f"tail evaluated at m + 1 = {n}, below its minimum 2**{d}")
         if not f.coeffs:
-            return mp.mpf(0)
+            values[m] = mp.mpf(0)
+            return values[m]
         coeffs = f.coeffs
         keys = sorted(coeffs, reverse=True)
         prev = keys[0]
@@ -457,8 +516,11 @@ class TailCalc:
         a, b = e.numerator, e.denominator
         if abs(a) * n.bit_length() <= EXACT_POWER_BITS:
             power = mp.root(n ** abs(a), b)
-            return value / power if e > 0 else value * power
-        lost = int(abs(e) * n.bit_length()).bit_length()
-        with mp.workprec(mp.prec + GUARD_BITS + lost):
-            power = mp.power(n, mp.mpf(-a) / b)
-        return value * power
+            value = value / power if e > 0 else value * power
+        else:
+            lost = int(abs(e) * n.bit_length()).bit_length()
+            with mp.workprec(mp.prec + GUARD_BITS + lost):
+                power = mp.power(n, mp.mpf(-a) / b)
+            value *= power
+        values[m] = value
+        return value

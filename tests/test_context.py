@@ -1,3 +1,5 @@
+import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,40 @@ def test_decimal_rendering(ctx30):
 
 def test_decimal_rounding_carry(ctx30):
     assert ctx30.real("9.9999").decimal(4) == "10.00"
+
+
+def _reference_decimal(x, sig: int) -> str:
+    """x rounded half-even to sig significant digits by the decimal module,
+    from its exact Fraction value, in plain notation (|x| < 10**6 after
+    rounding)."""
+    sign, man, e, _ = x._mpf_
+    fr = Fraction(-man if sign else man) * Fraction(2) ** e
+    with localcontext() as dc:
+        dc.prec, dc.rounding = sig, ROUND_HALF_EVEN
+        r = Decimal(fr.numerator) / Decimal(fr.denominator)
+        r = r.quantize(Decimal((0, (1,), r.adjusted() - sig + 1)))
+    return format(r, "f")
+
+
+def test_decimal_rendering_matches_a_fraction_reference(ctx30):
+    # the decimal magnitude is exact: a value just below a power of ten,
+    # whose log10 rounds up to the power, still gets every digit asked for
+    mp = ctx30.mp
+    wd = ctx30.working_digits
+    xs = []
+    for e in range(-45, 6):
+        man, ex = (mp.mpf(10) ** e).man_exp
+        xs += [mp.ldexp(man + j, ex) for j in (-2, -1, 0, 1, 2)]
+        xs.append(mp.mpf(10) ** e * (1 - mp.mpf(2) ** -130))
+    rng = random.Random(2029)
+    xs += [mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** rng.randint(-45, 5)
+           for _ in range(300)]
+    for x in xs:
+        for sig in (10, ctx30.digits, wd):
+            want = _reference_decimal(x, sig)
+            assert HPReal(x, ctx30).decimal(sig) == want, (x, sig)
+    text = HPReal(mp.mpf(10) ** -35 * (1 - mp.mpf(2) ** -130), ctx30).decimal(wd)
+    assert text.startswith("0." + "0" * 35 + "9") and len(text) == 2 + 35 + wd
 
 
 def test_hpreal_repr(ctx30):

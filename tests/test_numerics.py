@@ -165,6 +165,23 @@ def test_gamma_non_rational_path_meets_working_precision(digits):
         assert ulps <= 10, x
 
 
+def test_stirling_mpf_arguments_at_200_digits():
+    # the fixed-point Bernoulli sum steps by the exact binary rational z = x
+    # + shift: mpf arguments with full-length mantissas, tiny to large, each
+    # within 10 working ulps of mpmath at twice the digits
+    ctx = PrecisionContext(200)
+    mp = ctx.mp
+    wd = ctx.working_digits
+    ref_mp = mpmath.mp.clone()
+    ref_mp.dps = 2 * wd
+    xs = [mp.mpf(1) / 3, mp.sqrt(2), mp.pi, 1 + mp.mpf(10) ** -50, mp.mpf(2) ** -40 / 3,
+          mp.exp(5), mp.mpf(10) ** 5 / 7, mp.mpf(10) ** 30 / 7]
+    for x in xs:
+        ours = numerics._stirling(x, mp, wd)
+        ref = ref_mp.gamma(ref_mp.mpf(x))
+        assert abs(ref_mp.mpf(ours) - ref) / ref * ref_mp.mpf(10) ** wd <= 10, x
+
+
 # -- zeta tail -----------------------------------------------------------------
 
 def test_zeta_tail_first_term_values(ctx30):
@@ -197,16 +214,21 @@ def test_zeta_tail_m_independence(ctx30):
 @pytest.mark.parametrize("tol", [None, "1e-9"])
 def test_zeta_tail_meets_working_precision(tol):
     # summed to the working digits whatever ctx.tol is, against the Hurwitz
-    # zeta at twice the digits
-    ctx = PrecisionContext(30, tol=tol)
-    ref_mp = mpmath.mp.clone()
-    ref_mp.dps = 2 * ctx.working_digits
-    bound = 10 * ref_mp.mpf(10) ** -ctx.working_digits
-    for s, M in ((2, 1), (3, 1), (Fraction(5, 2), 10), (2, 1000), (Fraction(11, 10), 5)):
-        sv = ref_mp.mpf(s.numerator) / s.denominator if isinstance(s, Fraction) else s
-        ref = ref_mp.zeta(sv, M + 1)
-        ours = zeta_tail(s, M, ctx).mpf
-        assert abs(ref_mp.mpf(ours) - ref) <= bound * max(1, ref), (s, M)
+    # zeta at twice the digits, at s as the context rounds it; M = 100 and
+    # 1000 lie beyond the expansion point (22, 48 and 84 at 30, 100 and 200
+    # digits), where no bridge is summed
+    cases = [(2, 1), (3, 1), (Fraction(5, 2), 10), (2, 1000), (Fraction(11, 10), 5),
+             (12, 1), (12, 100), (Fraction(10001, 10000), 5),
+             (Fraction(10001, 10000), 1000), (10 ** 5, 1), (10 ** 5, 1000)]
+    for digits in (30, 100, 200):
+        ctx = PrecisionContext(digits, tol=tol)
+        ref_mp = mpmath.mp.clone()
+        ref_mp.dps = 2 * ctx.working_digits
+        bound = 10 * ref_mp.mpf(10) ** -ctx.working_digits
+        for s, M in cases:
+            ref = ref_mp.zeta(ref_mp.mpf(ctx.real(s).mpf), M + 1)
+            ours = zeta_tail(s, M, ctx).mpf
+            assert abs(ref_mp.mpf(ours) - ref) <= bound * max(1, ref), (digits, s, M)
 
 
 def test_zeta_tail_domain(ctx30):

@@ -27,15 +27,19 @@ def test_zeta_real_argument(ctx30):
 
 def test_zeta_meets_working_precision():
     # the sides built on zeta claim exact_diag's floor, so even at a loose
-    # tol its tail must be summed to the working digits
-    ctx = PrecisionContext(30, tol="1e-9")
-    ref_mp = ctx.mp.clone()
-    ref_mp.dps = 60
-    floor = ref_mp.mpf(10) ** -ctx.working_digits
-    for k in (2, 3, 10, "2.5"):
-        assert abs(zeta(k, ctx).mpf - ref_mp.zeta(ref_mp.mpf(k))) <= floor, k
-    res = verify("a2_cyclic", {"s": 5}, ctx)
-    assert res.abs_diff.mpf <= ctx.mp.mpf("1e-30")
+    # tol its tail must be summed to the working digits; against mpmath at
+    # twice the digits, at k as the context rounds it, relative to the
+    # tail zeta(k) - 1 where that exceeds 1 (k = 1.0001)
+    for digits in (30, 100, 200):
+        ctx = PrecisionContext(digits, tol="1e-9")
+        ref_mp = ctx.mp.clone()
+        ref_mp.dps = 2 * ctx.working_digits
+        floor = ref_mp.mpf(10) ** -ctx.working_digits
+        for k in (2, 3, 10, 12, "2.5", "1.0001", 10 ** 5):
+            ref = ref_mp.zeta(ref_mp.mpf(ctx.real(k).mpf))
+            assert abs(zeta(k, ctx).mpf - ref) <= floor * max(1, ref - 1), (digits, k)
+        res = verify("a2_cyclic", {"s": 5}, ctx)
+        assert res.abs_diff.mpf <= ctx.mp.mpf(10) ** -digits
 
 
 def test_eta_shifted_values(ctx30):

@@ -557,3 +557,36 @@ def test_equal_shift_sets_share_one_shape():
     assert other is not shape and other.rho != shape.rho
     fresh = TailCalc(calc.mp, False).ratio_asymptotics(ns, ds)
     assert (fresh.rho, fresh.coeffs) == (shape.rho, shape.coeffs)
+
+
+def test_shared_suffix_tail_is_evaluated_once_per_checkpoint(monkeypatch):
+    # zeta*(1, 2, 2) after zeta*(2, 2) takes the tails of the outer levels
+    # (2, 2) from its context, and at the same checkpoint their values too:
+    # eval_at returns the mpf it kept on the tail, the very object the first
+    # chain got, so no second Horner pass made it
+    ctx = PrecisionContext(30)
+    calls = []
+    eval_at = TailCalc.eval_at
+
+    def recorded(calc, f, m):
+        value = eval_at(calc, f, m)
+        calls.append((f, m, value))
+        return value
+
+    monkeypatch.setattr(TailCalc, "eval_at", recorded)
+
+    def correction(parts, c):
+        ev = ChainEvaluator(c, index_levels(parts))
+        ev.advance_to(ev.start)
+        return ev.tail_correction(ev.start - 1)
+
+    correction((2, 2), ctx)
+    first = {(id(f), m): value for f, m, value in calls}
+    kept = [f for f, m, value in calls]
+    calls.clear()
+    later = correction((1, 2, 2), ctx)
+    assert len(first) == 2 and all(f.values for f in kept)
+    shared = [(f, m, value) for f, m, value in calls if (id(f), m) in first]
+    assert len(shared) == 2 and len(calls) == 3
+    assert all(value is first[id(f), m] for f, m, value in shared)
+    assert correction((1, 2, 2), PrecisionContext(30)) == later
