@@ -6,6 +6,7 @@ every division is exact, fractional shifts included."""
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,9 @@ def test_weighted_split_divisor_matches_one_division(p, alt):
 # -- the level-major blocks against the one-division oracle ---------------------
 
 BLOCK = kernels.BLOCK
+# the hypothesis tests run the kernels at small block sizes, which put many
+# block seams into short ranges; the real BLOCK gets fixed long ranges below
+SMALL_BLOCKS = (1, 2, 7, 64)
 
 
 @st.composite
@@ -262,10 +266,25 @@ def _pieces(draw, fractional):
 def _ratio(draw):
     """(nums, dens) of one ratio: as many factors A + t*L above as below."""
     L = draw(st.sampled_from((1, 2, 3)))
-    n = draw(st.integers(1, 2))
+    n = draw(st.integers(0, 2))       # no factors: a constant weight
     factor = st.tuples(st.integers(1, 4 * L), st.just(L))
     return (tuple(draw(factor) for _ in range(n)),
             tuple(draw(factor) for _ in range(n)))
+
+
+@st.composite
+def _block_and_bounds(draw, odd_start=False):
+    """A block size and the ranges of successive calls, which start anywhere
+    against its seams; ranges up to two blocks long, and empty ones."""
+    block = draw(st.sampled_from(SMALL_BLOCKS))
+    t0 = draw(st.integers(0, 3 * BLOCK))
+    if odd_start:
+        t0 |= 1
+    lengths = draw(st.lists(st.integers(0, 2 * block + 40), min_size=1, max_size=4))
+    cuts = [t0]
+    for n in lengths:
+        cuts.append(cuts[-1] + n)
+    return block, tuple(zip(cuts, cuts[1:]))
 
 
 @st.composite
@@ -285,16 +304,10 @@ def _chain_and_calls(draw, kind):
         level_ratio, ratio_nums, ratio_dens, rvals = [-1] * depth, (), (), []
     strict = kind == "strict"
     alt = kind == "alt" or (not strict and draw(st.booleans()))
-    t0 = draw(st.integers(0, 3 * BLOCK))
-    if kind == "alt":
-        t0 |= 1
-    lengths = draw(st.lists(st.integers(0, BLOCK + 40), min_size=1, max_size=4))
-    cuts = [t0]
-    for n in lengths:
-        cuts.append(cuts[-1] + n)
-    return dict(level_pows=level_pows, bounds=tuple(zip(cuts, cuts[1:])),
-                level_ratio=tuple(level_ratio), ratio_nums=ratio_nums,
-                ratio_dens=ratio_dens, rvals=rvals, strict=strict, alt=alt)
+    block, bounds = draw(_block_and_bounds(odd_start=kind == "alt"))
+    return block, dict(level_pows=level_pows, bounds=bounds,
+                       level_ratio=tuple(level_ratio), ratio_nums=ratio_nums,
+                       ratio_dens=ratio_dens, rvals=rvals, strict=strict, alt=alt)
 
 
 @pytest.mark.parametrize("kind", ["weak", "strict", "alt", "ratio", "fractional"])
@@ -303,8 +316,83 @@ def _chain_and_calls(draw, kind):
 def test_blocks_match_one_division_oracle(kind, data):
     # split points anywhere against the block grid, ranges shorter than a
     # block and empty ones: the state is the per-t oracle's, bit for bit
-    got, want = _both_nested(**data.draw(_chain_and_calls(kind)))
+    block, chain = data.draw(_chain_and_calls(kind))
+    with mock.patch.object(kernels, "BLOCK", block):
+        got, want = _both_nested(**chain)
     assert got == want
+
+
+def _both_weighted(r, p, svals, tvals, bounds, alt):
+    """(kernel state, reference state) after the same calls over bounds."""
+    states = []
+    for advance in (kernels.weighted_chain_advance, _reference_weighted):
+        sv, tv, acc = list(svals), list(tvals), 0
+        for lo, hi in bounds:
+            acc = advance(r, p, S, sv, tv, acc, lo, hi, alt)
+        states.append((sv, tv, acc))
+    return states
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_weighted_blocks_match_one_division_oracle(data):
+    # any harmonic state at t0, r = 0..4, p = 1..6, and for an alternating
+    # sum an odd t0, split anywhere against the block grid
+    r = data.draw(st.integers(0, 4))
+    p = data.draw(st.integers(1, 6))
+    alt = data.draw(st.booleans())
+    svals = [S] + data.draw(st.lists(st.integers(0, S), min_size=r, max_size=r))
+    tvals = [S] + data.draw(st.lists(st.integers(0, S), min_size=r, max_size=r))
+    block, bounds = data.draw(_block_and_bounds(odd_start=alt))
+    with mock.patch.object(kernels, "BLOCK", block):
+        got, want = _both_weighted(r, p, svals, tvals, bounds, alt)
+    assert got == want
+
+
+@pytest.mark.parametrize("strict, alt", ORDERS)
+def test_real_block_seams_match_one_division(strict, alt):
+    # calls over two seams of the real BLOCK, from an odd t0, with an
+    # integer, a fractional and a ratio level
+    level_pows = (((1, 2, 1),), ((1, 3, 2),), ((2, 1, 1),))
+    bounds = ((1, 2 * BLOCK + 40), (2 * BLOCK + 40, 3 * BLOCK + 45))
+    ratio = {} if strict else dict(level_ratio=(-1, 0, -1), ratio_nums=(((1, 1),),),
+                                   ratio_dens=(((3, 1),),), rvals=(S // 3,))
+    got, want = _both_nested(level_pows, bounds, strict=strict, alt=alt, **ratio)
+    assert got == want
+    got, want = _both_weighted(3, 5, [S, 0, 0, 0], [S, 0, 0, 0], bounds, alt)
+    assert got == want
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_empty_levels_are_plain_prefix_sums(strict):
+    # levels with no pieces and no ratio, innermost and between two others:
+    # strict order reads the n values P_{i-1}(t-1) of a block, not n + 1
+    level_pows = ((), ((1, 2, 1),), (), ((1, 1, 1),))
+    got, want = _both_nested(level_pows, ((0, 5), (5, BLOCK + 9)), strict=strict)
+    assert got == want
+    N = 12
+    L = lcm(*range(1, N + 1))
+    got, _ = _both_nested(((), ((1, 1, 1),)), ((0, N),), strict=strict, scale=L)
+    # strict: sum_t P_1(t-1)/(t+1) with P_1(t-1) = t; weak: P_1(t) = t + 1
+    assert Fraction(got[0][2], L) == sum(Fraction(t if strict else t + 1, t + 1)
+                                         for t in range(N))
+
+
+def test_ratio_without_factors_keeps_its_weight():
+    # Ratio((), (), init) is a constant weight init: the kernel keeps it
+    ratio = Ratio((), (), init=Fraction(1, 3))
+    (lp, lr, rn, rd), rvals = kernel_levels(
+        [Level(pows=(Pow(1, Fraction(1)),)), Level(ratio=ratio)], S, False)
+    assert rn == rd == ((),)
+    got, want = _both_nested(lp, ((0, 10), (10, BLOCK + 20)), level_ratio=lr,
+                             ratio_nums=rn, ratio_dens=rd, rvals=rvals)
+    assert got == want and got[1] == rvals
+    # over t < 3: sum_t H_t * (S//3) // S, with H_t = sum_{u<=t} S//(u+1)
+    pvals = [S, 0, 0]
+    kernels.nested_chain_advance(lp, lr, rn, rd, S, pvals, list(rvals), 0, 3,
+                                 False, False)
+    h = [S, S + S // 2, S + S // 2 + S // 3]
+    assert pvals == [S, h[2], sum(x * (S // 3) // S for x in h)]
 
 
 @pytest.mark.parametrize("t0, t1", [(5, 5), (BLOCK + 3, 7)])
@@ -318,15 +406,15 @@ def test_empty_range_leaves_state_untouched(t0, t1):
 
 
 def test_one_long_call_keeps_memory_bounded():
-    # 200 000 terms of zeta*(2, 2, 2): the kernel keeps a few block columns,
-    # about 60 KB, where whole-range columns of 46-digit ints would hold
-    # some 40 MB. tracemalloc slows the call about thirtyfold, to seconds
+    # 60 000 terms of zeta*(2, 2, 2): the kernel keeps a few block columns,
+    # some 200 KB, where whole-range columns of 46-digit ints would hold
+    # about 12 MB. tracemalloc slows the call about thirtyfold, to seconds
     (lp, lr, rn, rd), rvals = kernel_levels(index_levels((2, 2, 2)), S, False)
     pvals = [S, 0, 0, 0]
     tracemalloc.start()
     try:
         kernels.nested_chain_advance(lp, lr, rn, rd, S, pvals, rvals,
-                                     0, 200_000, False, False)
+                                     0, 60_000, False, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
