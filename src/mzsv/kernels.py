@@ -40,25 +40,23 @@ Kernel state conventions:
   recurrence ``w = w * num // den``. Every (t, level) takes the same floor
   divisions in the same order as a loop over t would, so the state is
   bit-identical whatever the block boundaries, and a call keeps
-  O(depth * BLOCK) integers whatever the length of its range. The split
-  of each level's pieces is kept per chain shape (``_level_table``), so a
-  short call does not rebuild it.
+  O(depth * BLOCK) integers whatever the length of its range.
 
-* A divisor ``(t+c)^k`` with an integer c is split into one-digit factors.
-  With q = t + c, the kernel divides by q once if k is odd, then by q*q
-  k//2 times. Every divisor after the first is positive, and
-  floor(floor(x/a)/b) = floor(x/(a*b)) for an integer b > 0, so the state
-  is bit-identical to one division by q^k for any sign of the contribution
-  or of q. While q < 2^15, q*q fits in one 30-bit CPython digit, and
-  CPython divides by a one-digit int on its short-division path:
-  ``x // qq // qq`` takes about 0.6 of the time of ``x // q**4`` on
-  CPython 3.11, power included. Each block builds one q column (a
-  ``range``) per shift and one q*q column, ``map(mul, qs, qs)``, per shift
-  that some level divides by q*q; all levels share them, and each division
-  is one ``map(floordiv, ...)`` stage. The leading piece of a level takes
-  this split when its shift is an integer; every other piece keeps the
-  single division, since moving a piece past a fractional one would change
-  its floors. ``weighted_chain_advance`` splits ``(t+1)^p`` the same way.
+* Every power piece, in either kernel, takes one split path (``_divide``).
+  With q = b*t + a, the kernel multiplies by b^k when b != 1, then divides
+  by q once if k is odd and by q*q k//2 times. Every divisor after the
+  first is positive, and floor(floor(x/a)/b) = floor(x/(a*b)) for an
+  integer b > 0, so the state is bit-identical to one division by q^k for
+  any sign of the contribution or of q. While q < 2^15, q*q fits in one
+  30-bit CPython digit, and CPython divides by a one-digit int on its
+  short-division path: ``x // qq // qq`` takes about 0.6 of the time of
+  ``x // q**4`` on CPython 3.11, power included. Each block builds one q
+  column, ``range(b*b0 + a, b*b1 + a, b)``, per (a, b) and one q*q column,
+  ``map(mul, q, q)``, per (a, b) that some piece divides by q*q; all
+  levels share them, and each division is one ``map(floordiv, ...)``
+  stage. The pieces of a level keep their order, so every floor is the
+  one the single division would make. ``weighted_chain_advance`` divides
+  by (t+1)^p on the same path.
 
 * ``weighted_chain_advance`` accumulates
   ``sum_t sigma(t)/(t+1)^p * sum_{i<=r} S_t(1^(r-i)) S*_t(1^i)``
@@ -74,7 +72,6 @@ kernel carries no sign between calls.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from operator import add, floordiv, mul
 
@@ -101,24 +98,14 @@ def _factor_column(factors, b0, b1):
     return col
 
 
-@lru_cache(maxsize=512)
-def _level_table(level_pows, level_ratio):
-    """Per level (ratio index, a, k, other pieces), with (a, k) the leading
-    integer-shift piece (k = 0 if there is none) and the other pieces as
-    (a, k, b, b^k); and per integer shift a, whether a level divides by
-    (t + a)^2."""
-    table = []
-    for pieces, ridx in zip(level_pows, level_ratio):
-        a = k = 0
-        if pieces and pieces[0][2] == 1:
-            (a, k, _), pieces = pieces[0], pieces[1:]
-        rest = tuple((ap, kp, bp, bp ** kp) for ap, kp, bp in pieces)
-        table.append((ridx, a, k, rest))
-    shifts = {}
-    for _, a, k, _ in table:
-        if k:
-            shifts[a] = shifts.get(a, False) or k > 1
-    return tuple(table), tuple(shifts.items())
+def _divide(c, k, q, qq):
+    """Column c floor-divided by q^k: by the column q once if k is odd, then
+    k//2 times by the column qq = q*q (None if k < 2)."""
+    if k & 1:
+        c = map(floordiv, c, q)
+    for _ in range(k >> 1):
+        c = map(floordiv, c, qq)
+    return c
 
 
 def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
@@ -137,8 +124,13 @@ def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
     Per block, each level is a pipeline of ``map`` stages over the previous
     level's prefix column; see the module docstring.
     """
-    table, shifts = _level_table(level_pows, level_ratio)
-    outer = len(table)
+    # each (a, b) that a piece divides by, and whether one divides by its square
+    shifts = {}
+    for pieces in level_pows:
+        for a, k, b in pieces:
+            if k > 1 or (a, b) not in shifts:
+                shifts[a, b] = k > 1
+    outer = len(level_pows)
     for b0 in range(t0, t1, BLOCK):
         b1 = min(b0 + BLOCK, t1)
         n = b1 - b0
@@ -157,28 +149,21 @@ def nested_chain_advance(level_pows, level_ratio, ratio_nums, ratio_dens,
                 w = w * num // den
             rcols.append(wcol)
             rvals[j] = w
-        # one t + a and one (t + a)^2 column per integer shift, for all levels
-        qs = {}
-        qqs = {}
-        for a, squared in shifts:
-            q = qs[a] = range(b0 + a, b1 + a)
-            if squared:
-                qqs[a] = list(map(mul, q, q))
+        # one b*t + a and one (b*t + a)^2 column per (a, b), for all levels
+        cols = {}
+        for (a, b), squared in shifts.items():
+            q = range(b * b0 + a, b * b1 + a, b)
+            cols[a, b] = q, list(map(mul, q, q)) if squared else None
         # the prefix column P_{i-1}(b0 - 1), ..., P_{i-1}(b1 - 1); P_0 = S
         col = [pvals[0]] * (n + 1)
-        for i, (ridx, a, k, rest) in enumerate(table, 1):
+        for i, (pieces, ridx) in enumerate(zip(level_pows, level_ratio), 1):
             c = islice(col, 0, n) if strict else islice(col, 1, None)
             if ridx >= 0:
                 c = map(floordiv, map(mul, c, rcols[ridx]), repeat(S))
-            if k & 1:
-                c = map(floordiv, c, qs[a])
-            for _ in range(k >> 1):
-                c = map(floordiv, c, qqs[a])
-            for ap, kp, bp, bk in rest:
-                if bk != 1:
-                    c = map(mul, c, repeat(bk))
-                c = map(floordiv, c, map(pow, range(bp * b0 + ap, bp * b1 + ap, bp),
-                                         repeat(kp)))
+            for a, k, b in pieces:
+                if b != 1:
+                    c = map(mul, c, repeat(b ** k))
+                c = _divide(c, k, *cols[a, b])
             if i == outer:
                 pvals[i] += _signed_sum(c, b0, alt)
             else:
@@ -219,12 +204,6 @@ def weighted_chain_advance(r, p, S, svals, tvals, acc, t0, t1, alt):
             W = map(add, W, map(mul, islice(scols[r - i], 0, n),
                                 islice(tcols[i], 1, None)))
         c = map(floordiv, W, repeat(S))
-        # W // u**p split as in nested_chain_advance; u > 0
-        if p & 1:
-            c = map(floordiv, c, us)
-        if p > 1:
-            uus = list(map(mul, us, us))
-            for _ in range(p >> 1):
-                c = map(floordiv, c, uus)
+        c = _divide(c, p, us, list(map(mul, us, us)) if p > 1 else None)
         acc += _signed_sum(c, b0, alt)
     return acc

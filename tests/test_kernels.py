@@ -352,10 +352,12 @@ def test_weighted_blocks_match_one_division_oracle(data):
 @pytest.mark.parametrize("strict, alt", ORDERS)
 def test_real_block_seams_match_one_division(strict, alt):
     # calls over two seams of the real BLOCK, from an odd t0, with an
-    # integer, a fractional and a ratio level
-    level_pows = (((1, 2, 1),), ((1, 3, 2),), ((2, 1, 1),))
+    # integer, a fractional and a ratio level, and an integer piece followed
+    # by a fractional one whose 11t + 15 passes 2^15 (at t = 2978), so that
+    # its q*q column leaves one CPython digit
+    level_pows = (((1, 2, 1),), ((1, 3, 2),), ((1, 2, 1), (15, 4, 11)), ((2, 1, 1),))
     bounds = ((1, 2 * BLOCK + 40), (2 * BLOCK + 40, 3 * BLOCK + 45))
-    ratio = {} if strict else dict(level_ratio=(-1, 0, -1), ratio_nums=(((1, 1),),),
+    ratio = {} if strict else dict(level_ratio=(-1, 0, -1, -1), ratio_nums=(((1, 1),),),
                                    ratio_dens=(((3, 1),),), rvals=(S // 3,))
     got, want = _both_nested(level_pows, bounds, strict=strict, alt=alt, **ratio)
     assert got == want
