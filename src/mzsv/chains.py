@@ -39,16 +39,24 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
   the same way, with every level's tail sum taken by the Boole formula
   (the ``sumtail`` of an alternating TailCalc), since the sign of the
   outermost level carries into every level below it;
+* every checkpoint runs in integers at the evaluator's scale S: the tail
+  comes back as an int at S (the power levels and the harmonic-product
+  series sum P_i * T_i with each T_i an int at the tail algebra's 2**bits,
+  a ratio-scaled level in mpf, converted once), and the run loop forms the
+  value, the rounding floor, the scaled step and the plateau test in ints.
+  A run converts to mpf only when it finishes;
 * a finished run is memoised on its PrecisionContext, keyed by the
-  evaluator's structure (``memo_key``), tol and corrections, so the many
-  identities that share a series sum it once per context. A run that
-  raises is not stored.
+  evaluator's structure (``memo_key``: for a chain, the kernel's exact
+  integers per level and each ratio's exact initial weight), tol and
+  corrections, so the many identities that share a series sum it once per
+  context. A run that raises is not stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, lcm
 from typing import Optional, Tuple
 
@@ -114,18 +122,30 @@ def first_checkpoint(ctx: PrecisionContext, alternating: bool, levels=()) -> int
     starts at twice its largest |c-1| at least, and the run loop steps on
     from there.
     """
-    shifts = [p.shift for lvl in levels for p in lvl.pows]
-    shifts += [c for lvl in levels if lvl.ratio is not None
-               for c in lvl.ratio.num_shifts + lvl.ratio.den_shifts]
-    reach = max((abs(c - 1) for c in shifts), default=0)
-    return max(ctx.tail_calc(alternating).m0, ceil(2 * reach))
+    kernel_args, _ = kernel_levels(levels, 1, False)
+    return _first_checkpoint(ctx, alternating, _level_keys(kernel_args))
+
+
+def _first_checkpoint(ctx: PrecisionContext, alternating: bool, level_keys) -> int:
+    """``first_checkpoint`` from the kernel's exact shifts (``_level_keys``):
+    ceil(2|c-1|) is ceil(2|a-b|/b) for a piece (a, k, b), c = a/b, and
+    ceil(2|A-L|/L) for a ratio factor (A, L), c = A/L."""
+    reach = 0
+    for pows, nums, dens in level_keys:
+        factors = [(a, b) for a, _, b in pows]
+        if nums is not None:
+            factors += nums + dens
+        for a, b in factors:
+            reach = max(reach, -(-2 * abs(a - b) // b))
+    return max(ctx.tail_calc(alternating).m0, reach)
 
 
 def _run_evaluator(ev, tol, corrections: bool, what: str):
     """The run loop of both evaluators.
 
     Checkpoint M sums the M terms t = 0 .. M-1 and adds the remainder after
-    them, unless corrections is off; M starts at ev.start (the
+    them (``ev.tail_correction``, an int at ev.S), unless corrections is
+    off; M starts at ev.start (the
     ``first_checkpoint`` of its levels), M0, steps to M0 + ceil(M0/8) and
     then doubles, until two successive results differ by less than tol/2.
     The difference over a step Mp -> M is scaled by Mp/(M - Mp), about 8
@@ -139,10 +159,17 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     each round at their own size. A tol that
     10^-working_digits * max(1, |E|) alone exceeds can never be met and
     raises DomainError at the first checkpoint. A plateau (the scaled
-    difference no longer shrinking while still above tolerance) means the
-    truncation model has bottomed out, and raises ConvergenceError at
-    once; so does a next checkpoint past ctx.max_terms, checked for the
-    second before the first is summed.
+    difference no longer shrinking, diff * 1.6 > the previous one, while
+    still above tolerance) means the truncation model has bottomed out,
+    and raises ConvergenceError at once; so does a next checkpoint past
+    ctx.max_terms, checked for the second before the first is summed.
+
+    Every checkpoint computes in ints at scale S: E = ev.acc + tail, the
+    floor max(S, |E|) // 10^working_digits, the scaled step
+    |E - E_prev| * Mprev // (M - Mprev), and the plateau as
+    8 * diff > 5 * diff_prev; tol/2 is rounded to S once per run. The
+    value, the tail and the estimate become mpfs once, when the run
+    finishes.
 
     Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol,
     corrections). A hit returns the stored value and a copy of its info
@@ -160,7 +187,9 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     if ev.alternating:
         what = "alternating " + what
     digits = ctx.working_digits
-    floor = mp.mpf(10) ** -digits
+    S = ev.S
+    unit = 10 ** digits     # a value v at scale S rounds at max(S, |v|) // unit
+    half = int(tolm * S / 2)
     M = ev.start
     nxt = M + ceil(M / 8)
     if nxt > ctx.max_terms:
@@ -168,33 +197,36 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
             f"{what}: its first two checkpoints, M = {M} and {nxt}, "
             f"exceed max_terms={ctx.max_terms}")
     prev = dprev = None
+    tail = 0
     while True:
         ev.advance_to(M)
-        tail = ev.tail_correction(M - 1) if corrections else mp.mpf(0)
-        E = mp.mpf(ev.acc) / ev.S + tail
-        rounding = floor * max(1, abs(E))
-        if rounding >= tolm / 2:
+        if corrections:
+            tail = ev.tail_correction(M - 1)
+        E = ev.acc + tail
+        rounding = max(S, abs(E)) // unit
+        if rounding >= half:
             raise DomainError(
                 f"{what}: tolerance {mp.nstr(tolm, 4)} is below the rounding "
-                f"floor {mp.nstr(rounding, 4)} of {digits} working digits; "
-                f"raise the precision")
+                f"floor {mp.nstr(mp.mpf(rounding) / S, 4)} of {digits} working "
+                f"digits; raise the precision")
         if prev is not None:
-            # the step difference scaled by Mprev/(M - Mprev), the factor
-            # formed first so that a doubling scales by exactly 1; E adds
-            # the tail to the partial sum, and where both far exceed E (a
-            # long alternating sum with large terms), each rounds at its
-            # own size
-            step = abs(E - prev) * (mp.mpf(Mprev) / (M - Mprev))
-            diff = max(step, rounding, floor * abs(tail))
-            if diff < tolm / 2:
-                info = {"terms": M, "tail": tail, "estimate": diff,
+            # the step difference scaled by Mprev/(M - Mprev), exact for a
+            # doubling; E adds the tail to the partial sum, and where both
+            # far exceed E (a long alternating sum with large terms), each
+            # rounds at its own size
+            step = abs(E - prev) * Mprev // (M - Mprev)
+            diff = max(step, rounding, abs(tail) // unit)
+            if diff < half:
+                value = mp.mpf(E) / S
+                info = {"terms": M, "tail": mp.mpf(tail) / S,
+                        "estimate": mp.mpf(diff) / S,
                         "strategy": TAIL_CORRECTED if corrections else DIRECT}
-                memo[key] = (E, info)
-                return E, dict(info)
-            if dprev is not None and diff * mp.mpf("1.6") > dprev:
+                memo[key] = (value, info)
+                return value, dict(info)
+            if dprev is not None and 8 * diff > 5 * dprev:
                 raise ConvergenceError(
-                    f"{what}: truncation error plateaued at {mp.nstr(diff, 4)} "
-                    f"above tolerance {mp.nstr(tolm, 4)}")
+                    f"{what}: truncation error plateaued at "
+                    f"{mp.nstr(mp.mpf(diff) / S, 4)} above tolerance {mp.nstr(tolm, 4)}")
             dprev = diff
         prev, Mprev = E, M
         if nxt > ctx.max_terms:
@@ -206,7 +238,13 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
 
 def index_levels(parts):
     """The chain levels of an index, innermost first: part k is 1/(t+1)^k."""
-    return [Level(pows=(Pow(k, Fraction(1)),)) for k in parts]
+    return [_index_level(k) for k in parts]
+
+
+@lru_cache(maxsize=None)
+def _index_level(k: int) -> Level:
+    """The level 1/(t+1)^k, built once per k: a Level is immutable."""
+    return Level(pows=(Pow(k, Fraction(1)),))
 
 
 def kernel_levels(levels, S: int, strict: bool):
@@ -235,11 +273,23 @@ def kernel_levels(levels, S: int, strict: bool):
             r = lvl.ratio
             level_ratio.append(len(rvals))
             L = lcm(*(s.denominator for s in r.num_shifts + r.den_shifts))
-            ratio_nums.append(tuple((int(s * L), L) for s in r.num_shifts))
-            ratio_dens.append(tuple((int(s * L), L) for s in r.den_shifts))
+            ratio_nums.append(tuple((s.numerator * (L // s.denominator), L)
+                                    for s in r.num_shifts))
+            ratio_dens.append(tuple((s.numerator * (L // s.denominator), L)
+                                    for s in r.den_shifts))
             rvals.append(round(r.init * S))
     return (tuple(level_pows), tuple(level_ratio), tuple(ratio_nums),
             tuple(ratio_dens)), rvals
+
+
+def _level_keys(kernel_args):
+    """Per level, (pieces, ratio numerator factors, ratio denominator
+    factors) of a chain's kernel view, the factors None for a level with no
+    ratio: its exact shifts, as ints, which key the run memo and the suffix
+    tails and give ``first_checkpoint``."""
+    level_pows, level_ratio, ratio_nums, ratio_dens = kernel_args
+    return tuple((pows, None, None) if r < 0 else (pows, ratio_nums[r], ratio_dens[r])
+                 for pows, r in zip(level_pows, level_ratio))
 
 
 class ChainEvaluator:
@@ -253,17 +303,21 @@ class ChainEvaluator:
         self.levels = list(levels)
         self.strict = strict
         self.alternating = alternating
-        # Level, Pow and Ratio are frozen dataclasses of Fractions: hashable
-        self.memo_key = (tuple(self.levels), strict, alternating)
         n = len(self.levels)
         if n < 1:
             raise DomainError("chain needs at least one level")
         S = 10 ** (ctx.working_digits + SCALE_PAD)
         self.S = S
         self._kernel_args, self.rvals = kernel_levels(self.levels, S, strict)
+        self._level_keys = _level_keys(self._kernel_args)
+        # the kernel's exact integers, and each ratio's exact initial weight
+        self.memo_key = (self._level_keys,
+                         tuple((lvl.ratio.init.numerator, lvl.ratio.init.denominator)
+                               for lvl in self.levels if lvl.ratio is not None),
+                         strict, alternating)
         self.pvals = [S] + [0] * n
         self.t_next = 0
-        self.start = first_checkpoint(ctx, alternating, self.levels)
+        self.start = _first_checkpoint(ctx, alternating, self._level_keys)
         self._tails = None
 
     # -- kernel driving -------------------------------------------------------
@@ -283,14 +337,14 @@ class ChainEvaluator:
         depends on the checkpoint: the tail of level i is linear in the
         scale of every ratio level at or outside i. Level i's entry
         depends only on levels[i:] and the order, so it is kept in
-        ``calc.suffix_tails`` under (tuple(levels[i:]), strict), with the
-        series the next level inwards multiplies by: T (strict) or G + T
-        (weak), G the summand of T.
+        ``calc.suffix_tails`` under their kernel view and strict
+        (``_level_keys``), with the series the next level inwards
+        multiplies by: T (strict) or G + T (weak), G the summand of T.
         """
         tails = []
         inner = None
         for i in range(len(self.levels) - 1, -1, -1):
-            key = (tuple(self.levels[i:]), self.strict)
+            key = (self._level_keys[i:], self.strict)
             entry = calc.suffix_tails.get(key)
             if entry is None:
                 lvl = self.levels[i]
@@ -312,29 +366,40 @@ class ChainEvaluator:
             tails.append((shape, T))
         return tails
 
-    def tail_correction(self, mc: int):
-        """Remainder sum_{t>mc} of the chain, by level-by-level expansion.
+    def tail_correction(self, mc: int) -> int:
+        """Remainder sum_{t>mc} of the chain at scale S, by level-by-level
+        expansion.
 
         The tail series are built once per context, by the TailCalc of the
         chain's sign (``_build_tails``); at each checkpoint the tail of
         level i is scaled by w(mc+1)/shape(mc+1) of every ratio level at or
-        outside i, which pins each ratio shape to its running weight. An
-        alternating chain's tails are Boole tails, (-1)^mc times the sum.
+        outside i, which pins each ratio shape to its running weight. The
+        levels outside every ratio level sum P_i * T_i(mc) in integers,
+        T_i at scale 2**bits (``TailCalc.eval_at`` with fixed), and shift
+        once. The pinned shapes need their relative precision, so the
+        levels they scale sum in mpf, converted once. An alternating
+        chain's tails are Boole tails, (-1)^mc times the sum.
         """
-        mp = self.ctx.mp
         calc = self.ctx.tail_calc(self.alternating)
         if self._tails is None:
             self._tails = self._build_tails(calc)
-        ratio_index = self._kernel_args[1]
-        n = len(self.levels)
-        scale = mp.mpf(1)
-        corr = mp.mpf(0)
+        pv = self.pvals
+        n = len(pv) - 1
+        acc = 0         # at scale S * 2**bits
+        rest = 0        # at scale S, an mpf once a ratio level scales it
+        scale = None
         for j, (shape, T) in enumerate(self._tails):
             i = n - 1 - j
             if shape is not None:
-                w_next = mp.mpf(self.rvals[ratio_index[i]]) / self.S
-                scale *= w_next / calc.eval_at(shape, mc + 1)
-            corr += scale * (mp.mpf(self.pvals[i]) / self.S) * calc.eval_at(T, mc)
+                mp = self.ctx.mp
+                pin = (mp.mpf(self.rvals[self._kernel_args[1][i]]) / self.S
+                       / calc.eval_at(shape, mc + 1))
+                scale = pin if scale is None else scale * pin
+            if scale is None:
+                acc += pv[i] * calc.eval_at(T, mc, fixed=True)
+            else:
+                rest += scale * pv[i] * calc.eval_at(T, mc)
+        corr = (acc >> calc.bits) + int(rest)
         return -corr if self.alternating and mc % 2 else corr
 
     # -- adaptive driver ------------------------------------------------------
@@ -386,7 +451,7 @@ class WeightedChainEvaluator:
         self.tvals = [S] + [0] * r
         self.acc = 0    # the scaled running sum; term t is the one at N = t + 1
         self.t_next = 0
-        self.start = first_checkpoint(ctx, alternating)
+        self.start = _first_checkpoint(ctx, alternating, ())
         self._tails = None
 
     def advance_to(self, t_exclusive: int):
@@ -408,17 +473,19 @@ class WeightedChainEvaluator:
             tails.append(calc.sumtail(F))
         return tails
 
-    def tail_correction(self, mc: int):
-        """sum_{N>K} N^-p W_r(N) with K = mc + 1, the last N summed."""
-        mp = self.ctx.mp
+    def tail_correction(self, mc: int) -> int:
+        """sum_{N>K} N^-p W_r(N) at scale S, with K = mc + 1, the last N
+        summed: sum_a A_a * T_{r-a}(K), A_a at scale S^2 and each T at
+        2**bits, divided once by S * 2**bits."""
         calc = self.ctx.tail_calc(self.alternating)
         if self._tails is None:
             self._tails = self._segment_tails(calc)
-        S, r, sv, tv = self.S, self.r, self.svals, self.tvals
-        corr = mp.mpf(0)
+        r, sv, tv = self.r, self.svals, self.tvals
+        acc = 0
         for a in range(r + 1):
-            A = mp.mpf(sum(sv[a - i] * tv[i] for i in range(a + 1))) / (S * S)
-            corr += A * calc.eval_at(self._tails[r - a], mc + 1)
+            A = sum(sv[a - i] * tv[i] for i in range(a + 1))
+            acc += A * calc.eval_at(self._tails[r - a], mc + 1, fixed=True)
+        corr = acc // (self.S << calc.bits)
         return -corr if self.alternating and mc % 2 else corr
 
     def run(self, tol, corrections: bool = True):

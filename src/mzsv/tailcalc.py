@@ -42,14 +42,18 @@ factors per p = rho+q: 1/(p-1), then B_2k/(2k)! (p)_{2k-1}, times
 value at the scale of the key it lands on. A TailCalc builds its rows on
 first use and keeps them (``rows``), and so the shapes of
 ``ratio_asymptotics`` (``shapes``) and the tails the chain evaluators
-build per suffix of their levels (``suffix_tails``). Each
+build per suffix of their levels (``suffix_tails``, keyed by the
+kernel's exact integers for those levels). Each
 PrecisionContext keeps one TailCalc per sign
 (``PrecisionContext.tail_calc``), so every evaluation on a context shares
 what the others built. The exact B_2k/(2k)! behind the rows, the module's
 one table, come from the integer tangent numbers and also serve
-``_em_series``. Only ``eval_at`` returns an mpf: it runs Horner by
-integer division by m+1 and converts once, times (m+1)**-(rho + lowest
-key), and keeps the value on the tail polynomial, one per m.
+``_em_series``. ``eval_at`` runs Horner by integer division by m+1 and
+finishes times (m+1)**-(rho + lowest key) in one of two ways: as an int
+at scale 2**bits, by one integer division for an integer exponent, which
+the chain evaluators take at every checkpoint of a power level; or as an
+mpf, converted once, which keeps the relative precision a ratio shape
+needs. It keeps each value on the tail polynomial, one per m and finish.
 
 Series are truncated at ``qmax`` powers, and the run loop of ``chains``
 takes its first checkpoint at M0; ``expansion_plan`` derives both from
@@ -255,8 +259,8 @@ class TailPoly:
 
     rho is an exact Fraction; each coeffs[q] is an int, c_q times
     2**(bits - q*d) of the TailCalc that built it. ``values`` keeps the
-    mpf values ``TailCalc.eval_at`` computed, keyed by m (None until the
-    first one).
+    values ``TailCalc.eval_at`` computed, keyed by (m, fixed) (None until
+    the first one).
     """
 
     __slots__ = ("rho", "coeffs", "values")
@@ -280,10 +284,12 @@ class TailCalc:
     (``alternating``).
 
     It keeps what it builds, for every evaluation on its context:
-    ``rows``, the sumtail factor rows, keyed by (a, b) with p = a/b;
+    ``rows``, the sumtail factor rows, keyed by (a, b) with p = a/b, and
+    ``row_ends``, the exact Pochhammer product each row resumes from;
     ``shapes``, the ``ratio_asymptotics`` results, keyed by their shift
     tuples; and ``suffix_tails``, which ``chains.ChainEvaluator`` fills
-    with one entry per suffix of its levels. Every entry is read only."""
+    with one entry per suffix of its levels. A row grows at its end, and
+    its ``row_ends`` entry moves with it; every other entry is read only."""
 
     def __init__(self, mp, alternating: bool):
         self.mp = mp
@@ -292,6 +298,7 @@ class TailCalc:
         self.bits = mp.prec + GUARD_BITS
         self.d = self.m0.bit_length() - 1
         self.rows: dict = {}
+        self.row_ends: dict = {}
         self.shapes: dict = {}
         self.suffix_tails: dict = {}
 
@@ -408,7 +415,10 @@ class TailCalc:
         its product with the coefficient of key q, shifted down by bits, lands
         at the graded scale of its key, q-1 or q-1+2k. Each factor is rounded
         down from its exact rational value. Rows are kept in ``rows`` under
-        (a, b), and extended in place when a longer one is asked for."""
+        (a, b), and extended in place when a longer one is asked for: the
+        exact (p)_{2k-1} of the first missing entry, as a numerator and a
+        denominator, is kept in ``row_ends`` under the same key, so an
+        extension starts where the row stopped."""
         key = (a, b)
         row = self.rows.get(key)
         if row is not None and len(row) > kmax:
@@ -416,18 +426,20 @@ class TailCalc:
         bits, d, alternating = self.bits, self.d, self.alternating
         if row is None:
             row = self.rows[key] = [0 if alternating else (b << (bits + d)) // (a - b)]
-        num, den = a, b  # (p)_{2k-1} = num/den, carried across the kept entries
-        for k in range(1, kmax + 1):
-            if k >= len(row):
-                en, ed = _em_fraction(k)
-                if alternating:
-                    en *= 4 ** k - 1
-                en *= num
-                ed *= den
-                s = bits - (2 * k - 1) * d  # a later key's scale may be below 2**0
-                row.append((en << s) // ed if s >= 0 else en // (ed << -s))
+            num, den = a, b  # (p)_1
+        else:
+            num, den = self.row_ends[key]
+        for k in range(len(row), kmax + 1):
+            en, ed = _em_fraction(k)
+            if alternating:
+                en *= 4 ** k - 1
+            en *= num
+            ed *= den
+            s = bits - (2 * k - 1) * d  # a later key's scale may be below 2**0
+            row.append((en << s) // ed if s >= 0 else en // (ed << -s))
             num *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
             den *= b * b
+        self.row_ends[key] = (num, den)
         return row
 
     def sumtail(self, f: TailPoly) -> TailPoly:
@@ -473,47 +485,70 @@ class TailCalc:
         return TailPoly(f.rho, {q: v >> bits for q, v in out.items()})
 
     # -- evaluation ------------------------------------------------------------
-    def eval_at(self, f: TailPoly, m: int):
-        """Numeric value of f at integer m, valid for m well above qmax (a
-        run evaluates its tails at m + 1 >= M0 >= MARGIN * qmax, see
-        ``expansion_plan``). m + 1 must be at least 2**d, where a unit of
-        every key's graded scale is worth at most 2**-bits (m+1)**-rho;
-        below that a tail would lose digits, so it raises DomainError.
+    def eval_at(self, f: TailPoly, m: int, fixed: bool = False):
+        """Value of f at integer m, valid for m well above qmax (a run
+        evaluates its tails at m + 1 >= M0 >= MARGIN * qmax, see
+        ``expansion_plan``): an mpf, or with fixed, an int at scale
+        2**bits. m + 1 must be at least 2**d, where a unit of every key's
+        graded scale is worth at most 2**-bits (m+1)**-rho; below that a
+        tail would lose digits, so it raises DomainError.
 
         Horner in fixed point: moving from key prev down to key q shifts
         the running total up to q's scale by (prev-q)*d bits and divides
-        it by (m+1)**(prev-q). Then one mpf conversion times (m+1)**-e,
-        e = rho + lowest key. With e = a/b that power is the b-th root of
-        the exact integer (m+1)**|a|, which rounds once, while that integer
-        has at most EXACT_POWER_BITS bits. Past that (a parameter with many
+        it by (m+1)**(prev-q). The finish multiplies by (m+1)**-e, e = rho
+        + lowest key. The fixed finish of an integer e is one division of
+        the total, brought to scale 2**bits, by (m+1)**e (a multiplication
+        by (m+1)**-e for e < 0), so the value is off by less than one unit
+        of 2**-bits beyond the Horner rounding. Otherwise there is one mpf
+        conversion times (m+1)**-e, which keeps the relative precision a
+        ratio shape needs, and the fixed value is that mpf, rounded down to
+        scale 2**bits. With e = a/b that power is the b-th root of the
+        exact integer (m+1)**|a|, which rounds once, while that integer has
+        at most EXACT_POWER_BITS bits. Past that (a parameter with many
         digits, or a large one) the power takes an mpf exponent, with
         enough extra bits that its rounding, magnified by e*log(m+1), stays
         GUARD_BITS below the working precision.
 
-        The value is kept on f (``f.values``), so chains that share a tail
-        and a checkpoint compute it once."""
+        The value is kept on f (``f.values``, keyed by (m, fixed)), so
+        chains that share a tail and a checkpoint compute it once."""
         values = f.values
+        key = (m, fixed)
         if values is None:
             values = f.values = {}
-        elif m in values:
-            return values[m]
-        mp = self.mp
+        elif key in values:
+            return values[key]
         d = self.d
         n = m + 1
         if n < 1 << d:
             raise DomainError(f"tail evaluated at m + 1 = {n}, below its minimum 2**{d}")
-        if not f.coeffs:
-            values[m] = mp.mpf(0)
-            return values[m]
         coeffs = f.coeffs
+        if not coeffs:
+            values[key] = 0 if fixed else self.mp.mpf(0)
+            return values[key]
         keys = sorted(coeffs, reverse=True)
         prev = keys[0]
         total = 0
         for q in keys:
             total = (total << (prev - q) * d) // n ** (prev - q) + coeffs[q]
             prev = q
+        rho = f.rho
+        if fixed and rho.denominator == 1:
+            # total * 2**(prev*d) * n**-e at scale 2**bits, one floor
+            e = rho.numerator + prev
+            num, den = total, 1
+            if prev >= 0:
+                num <<= prev * d
+            else:
+                den <<= -prev * d
+            if e >= 0:
+                den *= n ** e
+            else:
+                num *= n ** -e
+            values[key] = num // den
+            return values[key]
+        mp = self.mp
         value = mp.ldexp(mp.mpf(total), prev * d - self.bits)
-        e = f.rho + prev
+        e = rho + prev
         a, b = e.numerator, e.denominator
         if abs(a) * n.bit_length() <= EXACT_POWER_BITS:
             power = mp.root(n ** abs(a), b)
@@ -523,5 +558,7 @@ class TailCalc:
             with mp.workprec(mp.prec + GUARD_BITS + lost):
                 power = mp.power(n, mp.mpf(-a) / b)
             value *= power
-        values[m] = value
+        if fixed:
+            value = to_fixed(value._mpf_, self.bits)
+        values[key] = value
         return value

@@ -347,7 +347,7 @@ def test_ratio_chain_tail_is_checkpoint_independent(monkeypatch, name, levels):
     values = []
     for M in (first_checkpoint(ctx30, False), 500, 1000, 2000):
         ev.advance_to(M)
-        values.append(mp.mpf(ev.acc) / ev.S + ev.tail_correction(M - 1))
+        values.append(mp.mpf(ev.acc + ev.tail_correction(M - 1)) / ev.S)
     assert max(values) - min(values) <= mp.mpf(10) ** -ctx30.working_digits, name
     assert len(sumtails) == len(levels), name
 

@@ -562,14 +562,14 @@ def test_equal_shift_sets_share_one_shape():
 def test_shared_suffix_tail_is_evaluated_once_per_checkpoint(monkeypatch):
     # zeta*(1, 2, 2) after zeta*(2, 2) takes the tails of the outer levels
     # (2, 2) from its context, and at the same checkpoint their values too:
-    # eval_at returns the mpf it kept on the tail, the very object the first
-    # chain got, so no second Horner pass made it
+    # eval_at returns the value it kept on the tail, the very object the
+    # first chain got, so no second Horner pass made it
     ctx = PrecisionContext(30)
     calls = []
     eval_at = TailCalc.eval_at
 
-    def recorded(calc, f, m):
-        value = eval_at(calc, f, m)
+    def recorded(calc, f, m, fixed=False):
+        value = eval_at(calc, f, m, fixed)
         calls.append((f, m, value))
         return value
 

@@ -85,3 +85,30 @@ def test_tracer_counts_fractional_and_ratio_chains(monkeypatch):
             tracer.uninstall()
         metrics = tracing.layer_metrics(tracer)
         assert metrics["kernels.term_levels"] == ev.diagnostics.terms_used * levels
+
+
+def test_traced_checkpoint_layers_see_every_checkpoint(monkeypatch):
+    # the tracer times the checkpoint glue under chains.tail_correction and
+    # tailcalc.eval_at: every checkpoint of a run must go through both names,
+    # one tail correction per kernel advance, on a fresh context (a memo hit
+    # advances nothing)
+    tracing = _load_tracing(monkeypatch)
+    hg, series = mzsv.hypergeom, mzsv.series
+    runs = [
+        lambda ctx: series.mzsv(mzsv.Index((1, 2)), ctx),
+        lambda ctx: series.alt_mzsv(mzsv.Index((2,)), ctx),
+        lambda ctx: hg.specialized_rhs("a1", "0.6", 2, ctx),
+        lambda ctx: series.weighted_product_series_ex(2, 2, False, ctx),
+    ]
+    for evaluate in runs:
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer, mzsv)
+            evaluate(mzsv.PrecisionContext(30))
+        finally:
+            tracer.uninstall()
+        aggs = tracer.aggs
+        advances = aggs["chains.advance_to"].calls
+        assert advances >= 2
+        assert aggs["chains.tail_correction"].calls == advances
+        assert aggs["tailcalc.eval_at"].calls >= 1
