@@ -340,6 +340,9 @@ class ChainEvaluator:
         ``calc.suffix_tails`` under their kernel view and strict
         (``_level_keys``), with the series the next level inwards
         multiplies by: T (strict) or G + T (weak), G the summand of T.
+        The summand is the ratio shape times that series, times each power
+        piece in turn (``TailCalc.pow_weight`` with its tail), so the only
+        dense product is the one of a ratio level with a level outside it.
         """
         tails = []
         inner = None
@@ -352,13 +355,12 @@ class ChainEvaluator:
                 if lvl.ratio is not None:
                     shape = F = calc.ratio_asymptotics(lvl.ratio.num_shifts,
                                                        lvl.ratio.den_shifts)
+                if inner is not None:
+                    F = inner if F is None else calc.mul(F, inner)
                 for p in lvl.pows:
-                    pf = calc.pow_weight(p.k, p.shift)
-                    F = pf if F is None else calc.mul(F, pf)
+                    F = calc.pow_weight(p.k, p.shift, F)
                 if F is None:
                     F = calc.const(1)
-                if inner is not None:
-                    F = calc.mul(F, inner)
                 T = calc.sumtail(F)
                 entry = calc.suffix_tails[key] = (
                     shape, T, T if self.strict else calc.add(F, T))
@@ -464,12 +466,11 @@ class WeightedChainEvaluator:
 
     def _segment_tails(self, calc):
         """[T_0, ..., T_r] as tail series in x; none depends on the checkpoint."""
-        inner = [calc.pow_weight(c, 0) for c in range(1, self.r + 1)]
         tails: list = []
         for b in range(self.r + 1):
             F = calc.pow_weight(self.p + b, 0)
             for c in range(1, b + 1):
-                F = calc.add(F, calc.scale(calc.mul(inner[c - 1], tails[b - c]), 2))
+                F = calc.add(F, calc.scale(calc.pow_weight(c, 0, tails[b - c]), 2))
             tails.append(calc.sumtail(F))
         return tails
 

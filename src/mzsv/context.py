@@ -59,10 +59,13 @@ class PrecisionContext:
     that ``numerics.derivative_at`` raises it to (``raised(digits)``) and
     the chain evaluators' tail algebra alike: one TailCalc per sign, plain
     or alternating (``tail_calc(alternating)``), each with what it built.
+    ``exact_diag`` holds the one diagnostics record that every closed-form
+    quantity on the context reports (``series.exact_diag``; None until the
+    first is asked for).
     """
 
     __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr",
-                 "evaluations", "gammas", "_raised", "_tail_calcs")
+                 "evaluations", "gammas", "_raised", "_tail_calcs", "exact_diag")
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
@@ -84,6 +87,7 @@ class PrecisionContext:
         self.gammas: dict = {}
         self._raised: dict = {}
         self._tail_calcs: dict = {}
+        self.exact_diag = None
 
     @property
     def working_digits(self) -> int:
@@ -222,28 +226,40 @@ class HPReal:
             return other
         return self.ctx.real(other)
 
+    def _operand(self, other):
+        """other as an operand of + - * / with this value's mpf.
+
+        A plain int of at most the context's binary precision in bits goes
+        to mpmath as it is: mpmath takes an int exactly and rounds the
+        result once, and coercion would round nothing, so the result is the
+        same mpf. Anything else (a bool, a larger int, a Fraction, a str,
+        a float, an HPReal) is coerced."""
+        if type(other) is int and other.bit_length() <= self.ctx._mp.prec:
+            return other
+        return self._coerce(other)._v
+
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        return HPReal(self._v + self._coerce(other)._v, self.ctx)
+        return HPReal(self._v + self._operand(other), self.ctx)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return HPReal(self._v - self._coerce(other)._v, self.ctx)
+        return HPReal(self._v - self._operand(other), self.ctx)
 
     def __rsub__(self, other):
-        return HPReal(self._coerce(other)._v - self._v, self.ctx)
+        return HPReal(self._operand(other) - self._v, self.ctx)
 
     def __mul__(self, other):
-        return HPReal(self._v * self._coerce(other)._v, self.ctx)
+        return HPReal(self._v * self._operand(other), self.ctx)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return HPReal(self._v / self._coerce(other)._v, self.ctx)
+        return HPReal(self._v / self._operand(other), self.ctx)
 
     def __rtruediv__(self, other):
-        return HPReal(self._coerce(other)._v / self._v, self.ctx)
+        return HPReal(self._operand(other) / self._v, self.ctx)
 
     def __pow__(self, other):
         return HPReal(self.ctx.mp.power(self._v, self._coerce(other)._v), self.ctx)

@@ -129,20 +129,29 @@ def dr_ratio_at1_forms(m: int, r: int) -> Tuple[Fraction, Fraction]:
     Second: sum_i 2^i * sum over compositions k of r+1 into i+1 parts of
             S_m(k_1..k_i) / (m+1)^(k_{i+1}).
     Equality of the two for all m, r is itself one of the verified identities.
+
+    Both sum in integers, with L = lcm(1..m+1): the first over
+    L^(2r) (m+1), from the kernel's exact prefixes of the chains 1^r at
+    scale L^r, the second over L^(r+1) (m+1)^(r+1), each S_m(k_1..k_i)
+    exact at scale L^(r+1) since k_1 + ... + k_i <= r. Each form is one
+    Fraction, made at the end.
     """
     m, r = as_int(m, "m", 0), as_int(r, "r", 0)
-    ones_s = _exact_prefixes((1,) * r, m, strict=True)
-    ones_t = _exact_prefixes((1,) * r, m, strict=False)
-    form_a = sum((ones_s[r - i] * ones_t[i] for i in range(r + 1)),
-                 Fraction(0)) / (m + 1)
-    form_b = Fraction(0)
+    n1 = m + 1
+    L = math.lcm(*range(1, m + 2))
+    S = L ** r
+    ones_s = _chain_prefixes((1,) * r, m, True, S)
+    ones_t = _chain_prefixes((1,) * r, m, False, S)
+    form_a = Fraction(sum(ones_s[r - i] * ones_t[i] for i in range(r + 1)), S * S * n1)
+    S *= L
+    num_b = 0
     for i in range(min(m, r) + 1):
-        inner = Fraction(0)
+        inner = 0
         for comp in compositions(r + 1, i + 1):
-            head = strict_sum_exact(Index(comp[:i]) if i else None, m)
-            inner += head / Fraction(m + 1) ** comp[i]
-        form_b += 2 ** i * inner
-    return form_a, form_b
+            head = _chain_prefixes(comp[:i], m, True, S)[-1] if i else S
+            inner += head * n1 ** (r + 1 - comp[i])
+        num_b += inner << i
+    return form_a, Fraction(num_b, S * n1 ** (r + 1))
 
 
 def dr_ratio_at1(m: int, r: int, ctx: PrecisionContext) -> HPReal:

@@ -56,9 +56,16 @@ def run_evaluation(ev, tol=None, pref=1) -> Evaluation:
 
 
 def exact_diag(ctx: PrecisionContext) -> EvalDiagnostics:
-    """Diagnostics for closed-form quantities (error at the rounding floor)."""
-    floor = ctx.mp.mpf(10) ** (-(ctx.working_digits - 2))
-    return EvalDiagnostics(0, ctx.zero(), HPReal(floor, ctx), "direct")
+    """Diagnostics for closed-form quantities (error at the rounding floor).
+
+    Built once per context and kept on it (``ctx.exact_diag``): the record
+    is frozen, so every caller may share it."""
+    diag = ctx.exact_diag
+    if diag is None:
+        floor = ctx.mp.mpf(10) ** (-(ctx.working_digits - 2))
+        diag = EvalDiagnostics(0, ctx.zero(), HPReal(floor, ctx), "direct")
+        ctx.exact_diag = diag
+    return diag
 
 
 def zeta(k, ctx: PrecisionContext) -> HPReal:

@@ -20,10 +20,14 @@ Two layers:
   The alternating tail ``x -> sum_{m>x} (-1)**m F(m)`` is (-1)**x times a
   tail polynomial too, by the Boole summation formula, so one operator
   serves both kinds of sum; a TailCalc takes one of the two signs
-  (``alternating``) for all its sums. Nested-series evaluators expand their
-  truncation remainder into a short chain of such operations, so the
-  remainder of a dynamic-programming chain is corrected analytically
-  instead of by brute-force term counts.
+  (``alternating``) for all its sums. A product by a power weight
+  (m+c)**-k takes no dense product: ``pow_weight`` runs the tail through
+  k first-order passes over its keys, one small factor per key, so
+  ``mul`` is left for the product of two general tails (a ratio shape
+  and the tail of the levels outside it). Nested-series evaluators
+  expand their truncation remainder into a short chain of such
+  operations, so the remainder of a dynamic-programming chain is
+  corrected analytically instead of by brute-force term counts.
 
 Coefficients are fixed-point integers, as in the kernels, at a scale
 graded by key: each TailCalc keeps c_q as round-down(c_q * 2**(bits -
@@ -258,17 +262,20 @@ class TailPoly:
     """Asymptotic tail polynomial: sum_q c_q * (m+1)**-(rho+q).
 
     rho is an exact Fraction; each coeffs[q] is an int, c_q times
-    2**(bits - q*d) of the TailCalc that built it. ``values`` keeps the
-    values ``TailCalc.eval_at`` computed, keyed by (m, fixed) (None until
-    the first one).
+    2**(bits - q*d) of the TailCalc that built it. The coefficients never
+    change once the poly is built. ``values`` keeps the values
+    ``TailCalc.eval_at`` computed, keyed by (m, fixed), and ``keys`` the
+    keys in the descending order its Horner pass takes them (both None
+    until the first evaluation).
     """
 
-    __slots__ = ("rho", "coeffs", "values")
+    __slots__ = ("rho", "coeffs", "values", "keys")
 
     def __init__(self, rho, coeffs: dict):
         self.rho = rho
         self.coeffs = coeffs
         self.values = None
+        self.keys = None
 
     def min_power(self):
         return self.rho + min(self.coeffs) if self.coeffs else None
@@ -307,22 +314,48 @@ class TailCalc:
         v = Fraction(value)
         return TailPoly(Fraction(0), {0: (v.numerator << self.bits) // v.denominator})
 
-    def pow_weight(self, k, c) -> TailPoly:
-        """(m+c)**(-k) expanded around the (m+1) basis; rho = k. k and c
-        are exact (int or Fraction)."""
-        k = Fraction(k)
-        u = 1 - Fraction(c)  # (m+c)^-k = (m+1)^-k * (1 - u/(m+1))^-k
-        un, ud = u.numerator, u.denominator
-        kn, kd = k.numerator, k.denominator
-        d = self.d
-        coeffs = {}
-        term = 1 << self.bits
-        for j in range(self.qmax + 1):
-            if not term:
-                break  # u = 0, or rounded away: every later term is 0 too
-            coeffs[j] = term
-            term = term * un * (kn + j * kd) // (ud * kd * (j + 1) << d)
-        return TailPoly(k, coeffs)
+    def pow_weight(self, k: int, c, f: TailPoly | None = None) -> TailPoly:
+        """f * (m+c)**(-k), with f = 1 by default; k is an int >= 0 and c is
+        exact (int or Fraction).
+
+        (m+c)**-1 = (m+1)**-1 / (1 - u/(m+1)) with u = 1 - c, so a product
+        by it raises rho by one and takes the coefficients through one
+        first-order pass, g_q = f_q + u g_(q-1), over the keys from f's
+        lowest up to qmax; at the graded scale u g_(q-1) also drops d
+        bits, and it is rounded down once. k such passes make the product
+        by (m+c)**-k, each key within k + 1 units of its scale of the exact
+        product, in k * (qmax + 1) steps of a small factor where a
+        dense product by the binomial series of (m+c)**-k takes about
+        qmax**2 / 2 big-integer products. Past f's highest key a pass
+        stops at its first zero, after which f adds nothing, so from the
+        constant 1 the keys end where (m+c)**-k rounds away. With u = 0
+        (c = 1) every pass is the identity and f's coefficients come back
+        exact.
+        """
+        if f is None:
+            f = TailPoly(Fraction(0), {0: 1 << self.bits})
+        coeffs = f.coeffs
+        rho = f.rho + k
+        u = 1 - Fraction(c)
+        if not u or not k or not coeffs:
+            return TailPoly(rho, coeffs)
+        un, ud = u.numerator, u.denominator << self.d
+        lo = min(coeffs)
+        span = self.qmax - lo + 1  # keys lo..qmax
+        vals = [coeffs.get(q, 0) for q in range(lo, min(max(coeffs), self.qmax) + 1)]
+        for _ in range(k):
+            g = 0
+            out = []
+            for fq in vals:
+                g = fq + g * un // ud
+                out.append(g)
+            while len(out) < span:
+                g = g * un // ud
+                if not g:
+                    break
+                out.append(g)
+            vals = out
+        return TailPoly(rho, dict(enumerate(vals, lo)))
 
     # -- arithmetic ----------------------------------------------------------
     def add(self, f: TailPoly, g: TailPoly) -> TailPoly:
@@ -510,11 +543,14 @@ class TailCalc:
         GUARD_BITS below the working precision.
 
         The value is kept on f (``f.values``, keyed by (m, fixed)), so
-        chains that share a tail and a checkpoint compute it once."""
+        chains that share a tail and a checkpoint compute it once, and so is
+        the descending key order of the Horner pass (``f.keys``), sorted at
+        the first evaluation."""
         values = f.values
         key = (m, fixed)
         if values is None:
             values = f.values = {}
+            f.keys = sorted(f.coeffs, reverse=True)
         elif key in values:
             return values[key]
         d = self.d
@@ -525,7 +561,7 @@ class TailCalc:
         if not coeffs:
             values[key] = 0 if fixed else self.mp.mpf(0)
             return values[key]
-        keys = sorted(coeffs, reverse=True)
+        keys = f.keys
         prev = keys[0]
         total = 0
         for q in keys:

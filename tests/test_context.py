@@ -1,3 +1,4 @@
+import operator
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -203,3 +204,51 @@ def test_integer_arguments_take_integral_values(ctx30):
     assert mzsv.eta_shifted(2.0, ctx30) == mzsv.eta_shifted(2, ctx30)
     assert mzsv.pochhammer(2, Fraction(6, 2), ctx30) == 24
     assert PrecisionContext(digits=30.0).digits == 30
+
+
+_ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("op", _ARITHMETIC, ids=["add", "sub", "mul", "truediv"])
+def test_int_operands_give_the_coerced_result(ctx30, op, monkeypatch):
+    # a plain int of at most the binary precision goes to mpmath as it is;
+    # the result is the mpf that coercing it first gives, in either order
+    prec = ctx30.mp.prec
+    coerced = []
+    real = PrecisionContext.real
+
+    def counting_real(self, x):
+        coerced.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(PrecisionContext, "real", counting_real)
+    x = real(ctx30, "1.3")
+    for n in (0, 1, -1, 2 ** prec - 1, -(2 ** prec - 1), 2 ** prec, -2 ** prec,
+              2 ** prec + 1):
+        coerced.clear()
+        want_n = real(ctx30, n).mpf
+        for left, right, want_left, want_right in ((x, n, x.mpf, want_n),
+                                                   (n, x, want_n, x.mpf)):
+            if op is operator.truediv and right is n and n == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            got = op(left, right)
+            assert isinstance(got, HPReal) and got.ctx is ctx30
+            assert got.mpf._mpf_ == op(want_left, want_right)._mpf_, (op, n)
+        # only an int past the precision is coerced, once per order
+        assert coerced == ([n, n] if n.bit_length() > prec else []), n
+
+
+def test_int_fast_path_keeps_bool_and_context_checks(ctx30, ctx50):
+    x = ctx30.real("1.3")
+    for op in _ARITHMETIC:
+        for left, right in ((x, True), (False, x)):
+            with pytest.raises(DomainError):
+                op(left, right)
+        for left, right in ((x, ctx50.real(2)), (ctx50.real(2), x)):
+            with pytest.raises(ContextMismatchError):
+                op(left, right)
+    # a Fraction, a str and a float still take the coercion path
+    for other in (Fraction(1, 3), "0.25", 0.5):
+        assert (x + other).mpf == x.mpf + ctx30.real(other).mpf

@@ -13,6 +13,7 @@ from mzsv import (DomainError, Index, PrecisionContext,
                   strict_sum_exact)
 from mzsv.finite_sums import (_exact_prefixes, dr_ratio_at1_forms,
                               dr_inv_pochhammer_2minus_at1_exact)
+from mzsv.indices import compositions
 
 
 # -- oracle: plain enumeration and Fraction recurrences, independent of the
@@ -222,6 +223,32 @@ def test_dr_ratio_both_routes_agree_broadly():
             ones_s, ones_t = _ones_strict(m, r), _ones_star(m, r)
             want = sum(ones_s[r - i] * ones_t[i] for i in range(r + 1)) / (m + 1)
             assert a == b == want, (m, r)
+
+
+def _dr_ratio_forms_by_fractions(m, r):
+    """Both forms of dr_ratio_at1_forms summed term by term in Fractions,
+    each sum over a composition from strict_sum_exact: the route it took
+    before it summed in integers at one scale."""
+    ones_s = _exact_prefixes((1,) * r, m, strict=True)
+    ones_t = _exact_prefixes((1,) * r, m, strict=False)
+    form_a = sum((ones_s[r - i] * ones_t[i] for i in range(r + 1)),
+                 Fraction(0)) / (m + 1)
+    form_b = Fraction(0)
+    for i in range(min(m, r) + 1):
+        inner = Fraction(0)
+        for comp in compositions(r + 1, i + 1):
+            head = strict_sum_exact(Index(comp[:i]) if i else None, m)
+            inner += head / Fraction(m + 1) ** comp[i]
+        form_b += 2 ** i * inner
+    return form_a, form_b
+
+
+def test_dr_ratio_forms_match_the_fraction_route():
+    for m in range(16):
+        for r in range(9):
+            got = dr_ratio_at1_forms(m, r)
+            assert got == _dr_ratio_forms_by_fractions(m, r), (m, r)
+            assert got[0] == got[1]
 
 
 def _inv_pochhammer_2minus(x, m):

@@ -8,7 +8,7 @@ from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext, admiss
                   weighted_product_series, zeta)
 from mzsv.chains import (ChainEvaluator, Level, Ratio, WeightedChainEvaluator,
                          _run_evaluator, first_checkpoint, index_levels)
-from mzsv.series import weighted_product_series_ex
+from mzsv.series import exact_diag, weighted_product_series_ex
 
 
 def test_zeta_classical_values(ctx30):
@@ -398,3 +398,13 @@ def test_run_sums_exactly_the_terms_it_reports(make):
     ev = make(ctx)
     _, info = ev.run(ctx.mp.mpf("1e-20"))
     assert ev.t_next == info["terms"]
+
+
+def test_exact_diag_is_built_once_per_context():
+    ctx, other = PrecisionContext(30), PrecisionContext(30)
+    diag = exact_diag(ctx)
+    assert exact_diag(ctx) is diag and ctx.exact_diag is diag
+    assert exact_diag(other) is not diag and exact_diag(other).error_estimate.ctx is other
+    assert diag.terms_used == 0 and diag.strategy == "direct"
+    assert diag.tail_correction == 0 and diag.tail_correction.ctx is ctx
+    assert diag.error_estimate.mpf == ctx.mp.mpf(10) ** -(ctx.working_digits - 2)

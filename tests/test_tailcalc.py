@@ -9,7 +9,7 @@ below as a second oracle, run at twice the working digits.
 
 import random
 from fractions import Fraction
-from math import factorial, floor, lgamma, log, pi
+from math import comb, factorial, floor, lgamma, log, pi
 
 import pytest
 
@@ -590,3 +590,112 @@ def test_shared_suffix_tail_is_evaluated_once_per_checkpoint(monkeypatch):
     assert len(shared) == 2 and len(calls) == 3
     assert all(value is first[id(f), m] for f, m, value in shared)
     assert correction((1, 2, 2), PrecisionContext(30)) == later
+
+
+# -- power weights by first-order passes ------------------------------------------
+
+POW_SHIFTS = [0, 1, Fraction(3, 5), Fraction(7, 10), Fraction(13, 10), Fraction(17, 10)]
+
+
+def _binomial_series(calc, k, c):
+    """(m+c)**-k as the dense binomial series in (m+1)**-1, one running term
+    rounded down per key, up to qmax or its first zero: how pow_weight built
+    it before its passes, and what chains multiplied a tail by."""
+    u = 1 - Fraction(c)
+    coeffs = {}
+    term = 1 << calc.bits
+    for j in range(calc.qmax + 1):
+        if not term:
+            break
+        coeffs[j] = term
+        term = term * u.numerator * (k + j) // (u.denominator * (j + 1) << calc.d)
+    return TailPoly(Fraction(k), coeffs)
+
+
+def _exact_product(calc, k, c, f):
+    """f * (m+c)**-k in exact rationals at the graded scale, keys lo..qmax:
+    key q gathers f_j binom(k+i-1, i) (u 2**-d)**i, i = q - j, u = 1 - c.
+    Returned as {q: (numerator, denominator)}, over (u's denominator times
+    2**d)**(q - lo)."""
+    u = 1 - Fraction(c)
+    un, ud = u.numerator, u.denominator << calc.d
+    lo = min(f.coeffs)
+    binoms = [comb(k + i - 1, i) * un ** i for i in range(calc.qmax - lo + 1)]
+    out = {}
+    for q in range(lo, calc.qmax + 1):
+        out[q] = (sum(fj * binoms[q - j] * ud ** (j - lo)
+                      for j, fj in f.coeffs.items() if j <= q), ud ** (q - lo))
+    return out
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
+def test_pow_weight_passes_match_the_dense_product(digits, alternating):
+    # k passes round down once per key each, so every key is within k + 1
+    # units of the exact product. The dense route, a product by the rounded
+    # binomial series, stops that series at qmax and where it rounds to 0,
+    # so next to a plain tail's key -1 (2**d units) it drops up to 2**d
+    # units at a key; its values at the first checkpoint must still agree
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    calc = TailCalc(mp, alternating)
+    m = first_checkpoint(ctx, alternating) - 1
+    rtol = mp.mpf(10) ** -ctx.working_digits
+    tails = {
+        "sumtail": calc.sumtail(calc.pow_weight(3, 1)),
+        "shape": calc.ratio_asymptotics((Fraction(13, 10), Fraction(1, 3)),
+                                        (Fraction(7, 10), Fraction(5, 2))),
+    }
+    for name, f in tails.items():
+        for k in range(1, 10):
+            for c in POW_SHIFTS:
+                got = calc.pow_weight(k, c, f)
+                assert got.rho == f.rho + k
+                if c == 1:
+                    assert got.coeffs == f.coeffs
+                    continue
+                want = _exact_product(calc, k, c, f)
+                assert sorted(got.coeffs) == sorted(want), (name, k, c)
+                assert all(abs(got.coeffs[q] * den - num) <= (k + 1) * den
+                           for q, (num, den) in want.items()), (name, k, c)
+                dense = calc.eval_at(calc.mul(f, _binomial_series(calc, k, c)), m)
+                passes = calc.eval_at(got, m)
+                assert abs(passes - dense) <= abs(dense) * rtol, (name, k, c)
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
+def test_pow_weight_alone_is_the_binomial_series(digits, alternating):
+    # from the constant 1 the passes give binom(k+j-1, j) u**j at key j's
+    # scale within k units, and stop where the series rounds away
+    calc = TailCalc(PrecisionContext(digits).mp, alternating)
+    for k in range(1, 10):
+        for c in POW_SHIFTS:
+            got = calc.pow_weight(k, c)
+            assert got.rho == k
+            u = 1 - Fraction(c)
+            exact = {j: comb(k + j - 1, j) * u ** j
+                     * Fraction(2) ** (calc.bits - j * calc.d)
+                     for j in range(calc.qmax + 1)}
+            assert min(got.coeffs) == 0
+            assert all(abs(got.coeffs.get(j, 0) - v) <= k for j, v in exact.items()), (k, c)
+            if c == 1:
+                assert got.coeffs == {0: 1 << calc.bits}
+            top = max(got.coeffs)
+            assert got.coeffs[top] != 0
+            assert top == calc.qmax or abs(exact[top + 1]) < k + 1, (k, c)
+    assert calc.pow_weight(0, Fraction(3, 5)).coeffs == {0: 1 << calc.bits}
+
+
+def test_eval_at_keeps_the_key_order():
+    # the keys are sorted at the first evaluation and reused at every later
+    # point, which evaluates as on a fresh poly
+    calc = TailCalc(PrecisionContext(30).mp, False)
+    coeffs = {2: 1, -1: "0.5", 0: -2}
+    f = _poly(calc, 3, coeffs)
+    assert f.keys is None
+    first = calc.eval_at(f, X)
+    assert f.keys == [2, 0, -1]
+    for m, fixed in ((2 * X, False), (2 * X, True), (X, True)):
+        assert calc.eval_at(f, m, fixed) == calc.eval_at(_poly(calc, 3, coeffs), m, fixed)
+    assert calc.eval_at(f, X) is first and f.keys == [2, 0, -1]

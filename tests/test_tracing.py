@@ -112,3 +112,35 @@ def test_traced_checkpoint_layers_see_every_checkpoint(monkeypatch):
         assert advances >= 2
         assert aggs["chains.tail_correction"].calls == advances
         assert aggs["tailcalc.eval_at"].calls >= 1
+
+
+def test_tracer_wraps_every_public_tail_method(monkeypatch):
+    # tail work outside a wrapped TailCalc method would be timed as
+    # chains.tail_correction instead of tailcalc.self_s
+    tracing = _load_tracing(monkeypatch)
+    public = {name for name, value in vars(mzsv.tailcalc.TailCalc).items()
+              if callable(value) and not name.startswith("_")}
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, mzsv)
+        wrapped = {attr for owner, attr, _ in tracer._patched
+                   if owner is mzsv.tailcalc.TailCalc}
+    finally:
+        tracer.uninstall()
+    assert public and public <= wrapped
+
+
+def test_traced_registry_pass_makes_the_tail_calls_it_should(monkeypatch):
+    # a 30-digit verify all --r 0..3: power weights go through pow_weight's
+    # passes, so mul is left with the products of a ratio shape and a tail
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, mzsv)
+        mzsv.identities.verify_suite("*", {"r": [0, 1, 2, 3]}, mzsv.PrecisionContext(30))
+    finally:
+        tracer.uninstall()
+    calls = {name: tracer.aggs[name].calls
+             for name in ("tailcalc.mul", "tailcalc.sumtail", "tailcalc.ratio_asymptotics")}
+    assert calls == {"tailcalc.mul": 23, "tailcalc.sumtail": 241,
+                     "tailcalc.ratio_asymptotics": 63}
