@@ -40,11 +40,12 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
   (the ``sumtail`` of an alternating TailCalc), since the sign of the
   outermost level carries into every level below it;
 * every checkpoint runs in integers at the evaluator's scale S: the tail
-  comes back as an int at S (the power levels and the harmonic-product
-  series sum P_i * T_i with each T_i an int at the tail algebra's 2**bits,
-  a ratio-scaled level in mpf, converted once), and the run loop forms the
-  value, the rounding floor, the scaled step and the plateau test in ints.
-  A run converts to mpf only when it finishes;
+  comes back as an int at S (every level sums P_i * T_i with T_i an int at
+  the tail algebra's 2**bits, a ratio-scaled level's times its pins, a
+  quotient of ints in which the ratio shapes' fractional powers cancel),
+  and the run loop forms the value, the rounding floor, the scaled step
+  and the plateau test in ints. A run converts to mpf only when it
+  finishes;
 * a finished run is memoised on its PrecisionContext, keyed by the
   evaluator's structure (``memo_key``: for a chain, the kernel's exact
   integers per level and each ratio's exact initial weight), tol and
@@ -57,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import ceil, lcm, prod
 from typing import Optional, Tuple
 
 from .context import PrecisionContext
@@ -331,7 +332,8 @@ class ChainEvaluator:
 
     # -- tail corrections -----------------------------------------------------
     def _build_tails(self, calc):
-        """Per level, outermost first: (ratio shape or None, tail series).
+        """Per level, outermost first: (ratio shape or None, tail series,
+        the sum k of the power pieces at or outside the level).
 
         Each ratio level enters at unit scale (its shape), so no series
         depends on the checkpoint: the tail of level i is linear in the
@@ -346,11 +348,13 @@ class ChainEvaluator:
         """
         tails = []
         inner = None
+        k = 0
         for i in range(len(self.levels) - 1, -1, -1):
+            lvl = self.levels[i]
+            k += sum(p.k for p in lvl.pows)
             key = (self._level_keys[i:], self.strict)
             entry = calc.suffix_tails.get(key)
             if entry is None:
-                lvl = self.levels[i]
                 shape = F = None
                 if lvl.ratio is not None:
                     shape = F = calc.ratio_asymptotics(lvl.ratio.num_shifts,
@@ -365,43 +369,47 @@ class ChainEvaluator:
                 entry = calc.suffix_tails[key] = (
                     shape, T, T if self.strict else calc.add(F, T))
             shape, T, inner = entry
-            tails.append((shape, T))
+            tails.append((shape, T, k))
         return tails
 
     def tail_correction(self, mc: int) -> int:
         """Remainder sum_{t>mc} of the chain at scale S, by level-by-level
-        expansion.
+        expansion, in integers.
 
         The tail series are built once per context, by the TailCalc of the
-        chain's sign (``_build_tails``); at each checkpoint the tail of
-        level i is scaled by w(mc+1)/shape(mc+1) of every ratio level at or
-        outside i, which pins each ratio shape to its running weight. The
-        levels outside every ratio level sum P_i * T_i(mc) in integers,
-        T_i at scale 2**bits (``TailCalc.eval_at`` with fixed), and shift
-        once. The pinned shapes need their relative precision, so the
-        levels they scale sum in mpf, converted once. An alternating
-        chain's tails are Boole tails, (-1)^mc times the sum.
+        chain's sign (``_build_tails``); at the checkpoint M = mc + 1 the
+        tail of level i is scaled by w(M)/shape(M) of every ratio level at
+        or outside i, which pins each ratio shape to its running weight.
+        The shape is read at mc, as the tails are, through the ratio's own
+        step R(t) = prod(t + n_j) / prod(t + d_j):
+        w(M)/shape(M) = w(M) prod(mc + d_j) / (prod(mc + n_j) shape(mc)),
+        each factor the kernel's int A + mc*L. ``TailCalc.eval_at`` gives
+        every tail and shape at 2**bits without its power M**rho, and the
+        fractional powers cancel: rho(T_i) less the rho of the pinned
+        shapes is k, the power pieces at or outside level i. So level i
+        adds P_i * floor(T_i * pins / M**k) at scale S * 2**bits, the pins
+        one running quotient of ints (1/1 outside every ratio level, where
+        this is a power level's one floor), and a shift ends the sum. An
+        alternating chain's tails are Boole tails, (-1)^mc times the sum.
         """
         calc = self.ctx.tail_calc(self.alternating)
         if self._tails is None:
             self._tails = self._build_tails(calc)
         pv = self.pvals
         n = len(pv) - 1
-        acc = 0         # at scale S * 2**bits
-        rest = 0        # at scale S, an mpf once a ratio level scales it
-        scale = None
-        for j, (shape, T) in enumerate(self._tails):
+        _, level_ratio, ratio_nums, ratio_dens = self._kernel_args
+        M = mc + 1
+        acc = 0             # at scale S * 2**bits
+        num = den = 1       # the pins at or outside the level
+        for j, (shape, T, k) in enumerate(self._tails):
             i = n - 1 - j
             if shape is not None:
-                mp = self.ctx.mp
-                pin = (mp.mpf(self.rvals[self._kernel_args[1][i]]) / self.S
-                       / calc.eval_at(shape, mc + 1))
-                scale = pin if scale is None else scale * pin
-            if scale is None:
-                acc += pv[i] * calc.eval_at(T, mc, fixed=True)
-            else:
-                rest += scale * pv[i] * calc.eval_at(T, mc)
-        corr = (acc >> calc.bits) + int(rest)
+                r = level_ratio[i]
+                num *= self.rvals[r] * prod(A + mc * L for A, L in ratio_dens[r]) << calc.bits
+                den *= (self.S * prod(A + mc * L for A, L in ratio_nums[r])
+                        * calc.eval_at(shape, mc))
+            acc += pv[i] * (calc.eval_at(T, mc) * num // (den * M ** k))
+        corr = acc >> calc.bits
         return -corr if self.alternating and mc % 2 else corr
 
     # -- adaptive driver ------------------------------------------------------
@@ -477,15 +485,18 @@ class WeightedChainEvaluator:
     def tail_correction(self, mc: int) -> int:
         """sum_{N>K} N^-p W_r(N) at scale S, with K = mc + 1, the last N
         summed: sum_a A_a * T_{r-a}(K), A_a at scale S^2 and each T at
-        2**bits, divided once by S * 2**bits."""
+        2**bits, divided once by S * 2**bits. T_b has rho = p + b, so
+        ``TailCalc.eval_at`` gives T_b(K) (K+1)**(p+b), and one floor
+        divides it by that power."""
         calc = self.ctx.tail_calc(self.alternating)
         if self._tails is None:
             self._tails = self._segment_tails(calc)
         r, sv, tv = self.r, self.svals, self.tvals
+        n = mc + 2
         acc = 0
         for a in range(r + 1):
             A = sum(sv[a - i] * tv[i] for i in range(a + 1))
-            acc += A * calc.eval_at(self._tails[r - a], mc + 1, fixed=True)
+            acc += A * (calc.eval_at(self._tails[r - a], mc + 1) // n ** (self.p + r - a))
         corr = acc // (self.S << calc.bits)
         return -corr if self.alternating and mc % 2 else corr
 

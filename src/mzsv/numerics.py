@@ -1,6 +1,6 @@
 """Arbitrary-precision scalar operations.
 
-gamma                  -- exact at an int or Fraction argument up to Gamma at
+gamma                  -- exact at an int, Fraction or decimal string up to Gamma at
                           its fractional part, which is computed once per
                           context; Stirling's series, after a shift chosen
                           from the working digits, for that part and for
@@ -15,6 +15,7 @@ derivative_at          -- central-difference derivative oracle of order r,
 from __future__ import annotations
 
 import math
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -105,10 +106,20 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
     Gamma(x) = pi / (sin(pi x) Gamma(1-x)). A rational above
     EXACT_PART_MAX, and any other argument (which must then be > 0), takes
     Stirling's series at guard digits beyond the working precision.
+    A decimal string is read exactly, as a Fraction, unless its exponent
+    is past EXACT_PART_MAX (where that Fraction would be a huge integer);
+    ctx.real reads every other string, or rejects it.
     The result is within a few units of the working precision, relative.
     """
     if isinstance(x, int) and not isinstance(x, bool):  # a bool fails in ctx.real
         x = Fraction(x)
+    elif isinstance(x, str):
+        try:
+            d = Decimal(x)
+            if d.is_finite() and abs(d.adjusted()) <= EXACT_PART_MAX:
+                x = Fraction(d)
+        except InvalidOperation:
+            pass  # not a decimal: ctx.real reads it or raises ParseError
     if isinstance(x, Fraction):
         n = math.floor(x)
         f = x - n

@@ -53,11 +53,11 @@ PrecisionContext keeps one TailCalc per sign
 what the others built. The exact B_2k/(2k)! behind the rows, the module's
 one table, come from the integer tangent numbers and also serve
 ``_em_series``. ``eval_at`` runs Horner by integer division by m+1 and
-finishes times (m+1)**-(rho + lowest key) in one of two ways: as an int
-at scale 2**bits, by one integer division for an integer exponent, which
-the chain evaluators take at every checkpoint of a power level; or as an
-mpf, converted once, which keeps the relative precision a ratio shape
-needs. It keeps each value on the tail polynomial, one per m and finish.
+returns f(m) (m+1)**rho, the value without its power, as an int at scale
+2**bits, finished times (m+1)**-(lowest key) in one floor; the caller
+divides by an integer power of m+1, or by none where the powers of
+pinned ratio shapes cancel, so no tail takes an mpf or a root. It keeps
+each value on the tail polynomial, one per m.
 
 Series are truncated at ``qmax`` powers, and the run loop of ``chains``
 takes its first checkpoint at M0; ``expansion_plan`` derives both from
@@ -92,7 +92,6 @@ _TWO_PI = 6.283185307179586
 
 PRODUCT_COST = 0.25  # one tail-coefficient product in kernel term steps (expansion_plan)
 MARGIN = 4  # the first checkpoint is at least MARGIN * qmax (expansion_plan)
-EXACT_POWER_BITS = 4096  # eval_at takes a root of (m+1)**|a| up to this size
 
 _em_exact: list = []
 
@@ -264,7 +263,7 @@ class TailPoly:
     rho is an exact Fraction; each coeffs[q] is an int, c_q times
     2**(bits - q*d) of the TailCalc that built it. The coefficients never
     change once the poly is built. ``values`` keeps the values
-    ``TailCalc.eval_at`` computed, keyed by (m, fixed), and ``keys`` the
+    ``TailCalc.eval_at`` computed, keyed by m, and ``keys`` the
     keys in the descending order its Horner pass takes them (both None
     until the first evaluation).
     """
@@ -299,7 +298,6 @@ class TailCalc:
     its ``row_ends`` entry moves with it; every other entry is read only."""
 
     def __init__(self, mp, alternating: bool):
-        self.mp = mp
         self.alternating = alternating
         self.m0, self.qmax = expansion_plan(mp.dps, alternating)
         self.bits = mp.prec + GUARD_BITS
@@ -518,83 +516,50 @@ class TailCalc:
         return TailPoly(f.rho, {q: v >> bits for q, v in out.items()})
 
     # -- evaluation ------------------------------------------------------------
-    def eval_at(self, f: TailPoly, m: int, fixed: bool = False):
-        """Value of f at integer m, valid for m well above qmax (a run
+    def eval_at(self, f: TailPoly, m: int) -> int:
+        """f(m) * (m+1)**rho, the value of f at integer m without its power,
+        as an int at scale 2**bits; valid for m well above qmax (a run
         evaluates its tails at m + 1 >= M0 >= MARGIN * qmax, see
-        ``expansion_plan``): an mpf, or with fixed, an int at scale
-        2**bits. m + 1 must be at least 2**d, where a unit of every key's
-        graded scale is worth at most 2**-bits (m+1)**-rho; below that a
-        tail would lose digits, so it raises DomainError.
+        ``expansion_plan``). m + 1 must be at least 2**d, where a unit of
+        every key's graded scale is worth at most 2**-bits (m+1)**-rho;
+        below that a tail would lose digits, so it raises DomainError.
 
         Horner in fixed point: moving from key prev down to key q shifts
         the running total up to q's scale by (prev-q)*d bits and divides
-        it by (m+1)**(prev-q). The finish multiplies by (m+1)**-e, e = rho
-        + lowest key. The fixed finish of an integer e is one division of
-        the total, brought to scale 2**bits, by (m+1)**e (a multiplication
-        by (m+1)**-e for e < 0), so the value is off by less than one unit
-        of 2**-bits beyond the Horner rounding. Otherwise there is one mpf
-        conversion times (m+1)**-e, which keeps the relative precision a
-        ratio shape needs, and the fixed value is that mpf, rounded down to
-        scale 2**bits. With e = a/b that power is the b-th root of the
-        exact integer (m+1)**|a|, which rounds once, while that integer has
-        at most EXACT_POWER_BITS bits. Past that (a parameter with many
-        digits, or a large one) the power takes an mpf exponent, with
-        enough extra bits that its rounding, magnified by e*log(m+1), stays
-        GUARD_BITS below the working precision.
+        it by (m+1)**(prev-q). The finish multiplies the total, at the
+        scale of the lowest key prev, by (m+1)**-prev and brings it to
+        scale 2**bits in one floor: ``(total << prev*d) // n**prev`` for
+        prev >= 0 and ``total * n**-prev >> -prev*d`` below. The value is off by less
+        than one unit of 2**-bits beyond the Horner rounding. The caller
+        divides by the power (m+1)**rho, an integer one for a power level
+        (by one more floor, which gives the floor of the whole quotient)
+        and none at all for a pinned ratio level, whose fractional powers
+        cancel (``chains.ChainEvaluator.tail_correction``).
 
-        The value is kept on f (``f.values``, keyed by (m, fixed)), so
-        chains that share a tail and a checkpoint compute it once, and so is
-        the descending key order of the Horner pass (``f.keys``), sorted at
-        the first evaluation."""
+        The value is kept on f (``f.values``, keyed by m), so chains that
+        share a tail and a checkpoint compute it once, and so is the
+        descending key order of the Horner pass (``f.keys``), sorted at the
+        first evaluation."""
         values = f.values
-        key = (m, fixed)
         if values is None:
             values = f.values = {}
             f.keys = sorted(f.coeffs, reverse=True)
-        elif key in values:
-            return values[key]
+        elif m in values:
+            return values[m]
         d = self.d
         n = m + 1
         if n < 1 << d:
             raise DomainError(f"tail evaluated at m + 1 = {n}, below its minimum 2**{d}")
         coeffs = f.coeffs
-        if not coeffs:
-            values[key] = 0 if fixed else self.mp.mpf(0)
-            return values[key]
         keys = f.keys
-        prev = keys[0]
+        prev = keys[0] if keys else 0
         total = 0
         for q in keys:
             total = (total << (prev - q) * d) // n ** (prev - q) + coeffs[q]
             prev = q
-        rho = f.rho
-        if fixed and rho.denominator == 1:
-            # total * 2**(prev*d) * n**-e at scale 2**bits, one floor
-            e = rho.numerator + prev
-            num, den = total, 1
-            if prev >= 0:
-                num <<= prev * d
-            else:
-                den <<= -prev * d
-            if e >= 0:
-                den *= n ** e
-            else:
-                num *= n ** -e
-            values[key] = num // den
-            return values[key]
-        mp = self.mp
-        value = mp.ldexp(mp.mpf(total), prev * d - self.bits)
-        e = rho + prev
-        a, b = e.numerator, e.denominator
-        if abs(a) * n.bit_length() <= EXACT_POWER_BITS:
-            power = mp.root(n ** abs(a), b)
-            value = value / power if e > 0 else value * power
+        if prev >= 0:
+            value = (total << prev * d) // n ** prev
         else:
-            lost = int(abs(e) * n.bit_length()).bit_length()
-            with mp.workprec(mp.prec + GUARD_BITS + lost):
-                power = mp.power(n, mp.mpf(-a) / b)
-            value *= power
-        if fixed:
-            value = to_fixed(value._mpf_, self.bits)
-        values[key] = value
+            value = total * n ** -prev >> -prev * d
+        values[m] = value
         return value

@@ -36,6 +36,12 @@ def test_eval_gamma_and_pochhammer(capsys):
     code, out, _ = run_cli(capsys, "eval", "gamma", "0.5", "--prec", "20")
     assert code == 0
     assert out.strip().startswith("1.772453850905516027")
+    # a negative decimal is read exactly, as the Fraction -1/2
+    code, out, _ = run_cli(capsys, "eval", "gamma", "-0.5")
+    assert code == 0
+    assert out.strip().startswith("-3.54490770181103205459")
+    code, _, err = run_cli(capsys, "eval", "gamma", "-3")
+    assert code == 2 and "pole" in err
     code, out, _ = run_cli(capsys, "eval", "pochhammer", "0.5", "2")
     assert code == 0
     assert out.strip().startswith("0.750")

@@ -1,24 +1,27 @@
 """The chain checkpoints in integers at the evaluator's scale S.
 
 Each evaluator's ``tail_correction`` returns the remainder as an int at S,
-and ``TailCalc.eval_at`` has a fixed finish, an int at 2**bits. The mpf
-formulas they replaced are kept below as references.
+and ``TailCalc.eval_at`` has one finish, an int at 2**bits without the
+tail's power. The mpf formulas they replaced are kept below as references.
 """
 
 import random
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor, prod
 
 import pytest
-from mpmath.libmp import to_fixed
+from conftest import tail_value
 
-from mzsv import PrecisionContext, tailcalc
+from mzsv import PrecisionContext, hypergeom, tailcalc
 from mzsv.chains import (ChainEvaluator, Level, Pow, Ratio, WeightedChainEvaluator,
                          first_checkpoint, index_levels)
+from mzsv.hypergeom import KRParamsII, _kr_levels
 from mzsv.tailcalc import TailCalc, TailPoly
 
 _GAUSS = Level(ratio=Ratio((Fraction(3, 10), Fraction(2, 5)), (Fraction(1), Fraction(11, 5)),
                            init=Fraction(1)))
+# two ratio levels, the outer one coupled to the inner by d = 1
+_KR = KRParamsII(s=2, a=2, c0="1.3", b=(1, 1), c=(1, 1))
 
 CHAINS = {
     "weak": (index_levels((1, 2, 2)), False, False),
@@ -26,24 +29,31 @@ CHAINS = {
     "alternating": (index_levels((3, 1, 2)), False, True),
     # a ratio level inside two power levels: the outer ones sum in ints
     "ratio": ([_GAUSS] + index_levels((1, 2)), False, False),
+    # the inner level takes the product of both pins
+    "kr": (_kr_levels(_KR), False, False),
 }
 
 
 def _mpf_chain_tail(ev, mc):
     """The chain's remainder by the mpf formula: every level scaled by the
-    pinned shapes at or outside it, each factor an mpf."""
+    pinned shapes at or outside it, each shape read at mc and stepped to
+    M = mc + 1 by its ratio's exact step, each factor an mpf."""
     mp = ev.ctx.mp
     calc = ev.ctx.tail_calc(ev.alternating)
     ratio_index = ev._kernel_args[1]
     n = len(ev.levels)
     scale = mp.mpf(1)
     corr = mp.mpf(0)
-    for j, (shape, T) in enumerate(ev._tails):
+    for j, (shape, T, _) in enumerate(ev._tails):
         i = n - 1 - j
         if shape is not None:
+            ratio = ev.levels[i].ratio
+            step = (prod(mc + s for s in ratio.num_shifts)
+                    / prod(mc + s for s in ratio.den_shifts))
             w_next = mp.mpf(ev.rvals[ratio_index[i]]) / ev.S
-            scale *= w_next / calc.eval_at(shape, mc + 1)
-        corr += scale * (mp.mpf(ev.pvals[i]) / ev.S) * calc.eval_at(T, mc)
+            scale *= w_next / (tail_value(mp, calc, shape, mc)
+                               * step.numerator / step.denominator)
+        corr += scale * (mp.mpf(ev.pvals[i]) / ev.S) * tail_value(mp, calc, T, mc)
     return -corr if ev.alternating and mc % 2 else corr
 
 
@@ -54,7 +64,7 @@ def _mpf_weighted_tail(ev, mc):
     corr = mp.mpf(0)
     for a in range(r + 1):
         A = mp.mpf(sum(sv[a - i] * tv[i] for i in range(a + 1))) / (S * S)
-        corr += A * calc.eval_at(ev._tails[r - a], mc + 1)
+        corr += A * tail_value(mp, calc, ev._tails[r - a], mc + 1)
     return -corr if ev.alternating and mc % 2 else corr
 
 
@@ -95,6 +105,15 @@ class _NoMpf:
         raise AssertionError(f"mpf work: mp.{name}")
 
 
+def _side_evaluator(side):
+    """The ChainEvaluator that a hypergeom side builds, not run."""
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypergeom, "run_evaluation", lambda ev, *args: made.append(ev))
+        side()
+    return made[0]
+
+
 @pytest.mark.parametrize("make", [
     lambda ctx: ChainEvaluator(ctx, index_levels((1, 2, 2))),
     lambda ctx: ChainEvaluator(ctx, index_levels((2, 1, 3)), strict=True),
@@ -102,39 +121,72 @@ class _NoMpf:
     lambda ctx: ChainEvaluator(ctx, [Level(pows=(Pow(2, Fraction(3, 5)),))]),
     lambda ctx: WeightedChainEvaluator(ctx, 3, 3, False),
     lambda ctx: WeightedChainEvaluator(ctx, 3, 2, True),
-], ids=["weak", "strict", "alternating", "shifted", "weighted", "weighted_alternating"])
+    lambda ctx: _side_evaluator(lambda: hypergeom.pfq_ex(["0.3", "0.4"], ["2.2"], 1, ctx)),
+    lambda ctx: _side_evaluator(lambda: hypergeom.pfq_ex(["0.3", "0.4"], ["2.2"], -1, ctx)),
+    lambda ctx: _side_evaluator(lambda: hypergeom.kr_rhs_ii(_KR, ctx)),
+    lambda ctx: _side_evaluator(lambda: hypergeom.specialized_rhs("a1", "0.6", 3, ctx)),
+], ids=["weak", "strict", "alternating", "shifted", "weighted", "weighted_alternating",
+        "2f1_plus", "2f1_minus", "kr_coupled", "a1_rhs"])
 def test_power_and_harmonic_checkpoints_make_no_mpf(monkeypatch, make):
-    # once the tail series are built, a checkpoint of a power-only chain or
-    # of the harmonic-product series is integer work throughout
+    # once the tail series are built, a checkpoint of any chain, ratio
+    # levels and their pins included, or of the harmonic-product series is
+    # integer work throughout
     ctx = PrecisionContext(30)
     ev = make(ctx)
     ev.advance_to(ev.start)
     ev.tail_correction(ev.start - 1)     # builds the tails
-    calc = ctx.tail_calc(ev.alternating)
     monkeypatch.setattr(ctx, "_mp", _NoMpf())
-    monkeypatch.setattr(calc, "mp", _NoMpf())
     for M in (ev.start + 13, 2 * ev.start):
         ev.advance_to(M)
         assert isinstance(ev.tail_correction(M - 1), int)
 
 
-# -- the fixed finish of eval_at ---------------------------------------------------
+@pytest.mark.parametrize("digits", [30, 100])
+def test_ratio_chain_tail_matches_twice_the_digits(digits):
+    # the two-ratio KR chain's tail at its checkpoint 2 M0 + 1, against
+    # the same tail at twice the digits: each pin and tail is read at
+    # 2**bits, GUARD_BITS past the working precision, so the tail keeps
+    # the working digits with room to spare
+    levels = _kr_levels(_KR)
+    ctx = PrecisionContext(digits)
+    ev = ChainEvaluator(ctx, levels)
+    ref = ChainEvaluator(PrecisionContext(2 * digits), levels)
+    M = 2 * ev.start + 1
+    ev.advance_to(M)
+    ref.advance_to(M)
+    err = abs(Fraction(ev.tail_correction(M - 1), ev.S)
+              - Fraction(ref.tail_correction(M - 1), ref.S))
+    assert err * 10 ** ctx.working_digits <= Fraction(1, 10 ** 5), float(err)
+
+
+# -- the one finish of eval_at -----------------------------------------------------
 
 def _random_fixed_poly(calc, rng, rho, keys):
     return TailPoly(Fraction(rho), {q: rng.randrange(-1 << calc.bits, 1 << calc.bits)
                                     for q in keys})
 
 
+def _exact_finish(calc, f, m):
+    """f(m) (m+1)**rho at scale 2**bits, an exact Fraction."""
+    n = m + 1
+    return sum(Fraction(c << q * calc.d, n ** q) if q >= 0
+               else Fraction(c * n ** -q, 1 << -q * calc.d)
+               for q, c in f.coeffs.items())
+
+
 @pytest.mark.parametrize("digits", [30, 100, 200])
 @pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
 def test_fixed_finish_matches_the_mpf_finish(digits, alternating):
-    # within one unit of 2**-bits of the mpf finish, the latter computed at
-    # 200 extra bits so that its own rounding stays far below that unit; at
-    # the least admitted point m + 1 = 2**d and at two later ones, for
-    # lowest powers e = rho + (lowest key) above, at and below zero
+    # the int eval_at returns against the exact value of the poly without
+    # its power: each Horner step floors once at the running key's scale,
+    # a unit of which is worth at most one unit of the lowest key's, and
+    # the finish floors once more, a unit of the lowest key being worth
+    # max(1, ((m+1) / 2**d)**-lowest) units of 2**bits; at the least
+    # admitted point m + 1 = 2**d and at two later ones, for lowest powers
+    # e = rho + (lowest key) above, at and below zero. A single key takes
+    # no Horner floor, so its finish is the exact value rounded down
     ctx = PrecisionContext(digits)
     calc = TailCalc(ctx.mp, alternating)
-    mp = calc.mp
     rng = random.Random(digits)
     cases = [
         (3, range(-1, calc.qmax + 1)),          # e = 2, as sumtail leaves it
@@ -145,21 +197,28 @@ def test_fixed_finish_matches_the_mpf_finish(digits, alternating):
     for rho, keys in cases:
         for m in (2 ** calc.d - 1, 4 * calc.m0 - 1, 10 ** 6):
             f = _random_fixed_poly(calc, rng, rho, keys)
-            got = calc.eval_at(f, m, fixed=True)
+            got = calc.eval_at(f, m)
             assert isinstance(got, int)
-            with mp.workprec(mp.prec + 200):
-                want = mp.ldexp(calc.eval_at(TailPoly(f.rho, f.coeffs), m), calc.bits)
-                assert abs(got - want) <= 1, (rho, keys, m)
-            assert calc.eval_at(f, m, fixed=True) is got   # kept on f
+            lo = min(keys)
+            unit = max(1, Fraction(m + 1, 1 << calc.d) ** -lo)
+            assert 0 <= _exact_finish(calc, f, m) - got < (len(keys) - 1) * unit + 1, \
+                (rho, keys, m)
+            assert calc.eval_at(f, m) is got   # kept on f
+            single = TailPoly(f.rho, {lo: f.coeffs[lo]})
+            assert calc.eval_at(single, m) == floor(_exact_finish(calc, single, m))
 
 
 def test_fixed_finish_of_a_fractional_power_is_the_mpf_rounded_down():
+    # a fractional rho leaves the finish as it is, with no root or mpf: the
+    # int is the one the same coefficients give at rho = 0, the exact value
+    # without its power rounded down, within one unit per Horner floor
     ctx = PrecisionContext(30)
     calc = ctx.tail_calc(False)
     f = _random_fixed_poly(calc, random.Random(7), "7/3", range(0, 6))
     m = calc.m0 - 1
-    got = calc.eval_at(f, m, fixed=True)
-    assert got == to_fixed(calc.eval_at(f, m)._mpf_, calc.bits)
+    got = calc.eval_at(f, m)
+    assert got == calc.eval_at(TailPoly(Fraction(0), f.coeffs), m)
+    assert 0 <= _exact_finish(calc, f, m) - got < len(f.coeffs)
 
 
 # -- set-up from the kernel's integers ---------------------------------------------
@@ -234,7 +293,7 @@ def test_a_row_extension_computes_only_the_missing_entries(monkeypatch):
         calls.clear()
         assert calc._sum_row(11, 2, 9) is row
         assert calls == [5, 6, 7, 8, 9]
-        assert row == TailCalc(calc.mp, alternating)._sum_row(11, 2, 9)
+        assert row == TailCalc(PrecisionContext(30).mp, alternating)._sum_row(11, 2, 9)
         p = Fraction(11, 2)
         rising = 1
         for j in range(2 * 10 - 1):

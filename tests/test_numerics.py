@@ -5,7 +5,7 @@ import pytest
 
 import mpmath
 
-from mzsv import (DomainError, PrecisionContext, derivative_at,
+from mzsv import (DomainError, ParseError, PrecisionContext, derivative_at,
                   dr_inv_pochhammer_2minus_at1, gamma, get_identity, numerics,
                   verify, zeta_tail)
 
@@ -19,6 +19,32 @@ def test_gamma_classical_values(ctx30):
     assert close(gamma(5, ctx30), 24, ctx30.tol * 24)
     sqrt_pi = "1.772453850905516027298167483341145182798"
     assert gamma("0.5", ctx30).decimal().startswith(sqrt_pi[:31])
+
+
+def test_gamma_reads_a_decimal_string_exactly(ctx30):
+    # a decimal string is the Fraction it spells, so it takes the rational
+    # paths, negative non-integers included; a negative integer is a pole,
+    # a non-finite string a DomainError and a non-numeric one a ParseError
+    mp = ctx30.mp
+    ref_mp = mp.clone()
+    ref_mp.dps = 2 * ctx30.working_digits
+    for text, x in (("-0.5", Fraction(-1, 2)), ("-2.75", Fraction(-11, 4)),
+                    ("-1.25e1", Fraction(-25, 2)), (" 0.5 ", Fraction(1, 2)),
+                    ("1e-3", Fraction(1, 1000))):
+        ours = gamma(text, ctx30).mpf
+        assert ours == gamma(x, ctx30).mpf, text
+        ref = ref_mp.gamma(ref_mp.mpf(x.numerator) / x.denominator)
+        assert abs(ours - ref) <= 10 * ref_mp.mpf(10) ** -ctx30.working_digits * abs(ref), text
+    assert gamma("-0.5", ctx30).decimal().startswith("-3.54490770181103205459")
+    for text in ("-2", "-3.0", "0", "-1e1"):
+        with pytest.raises(DomainError, match="pole"):
+            gamma(text, ctx30)
+    for text in ("inf", "-inf", "nan"):
+        with pytest.raises(DomainError):
+            gamma(text, ctx30)
+    for text in ("x", "", "1/0", "-0.5x", "--1"):
+        with pytest.raises(ParseError):
+            gamma(text, ctx30)
 
 
 def test_gamma_functional_equation(ctx30):
@@ -99,9 +125,11 @@ def test_gamma_poles_and_negative_reals(ctx30):
     for x in (Fraction(-2000), Fraction(-numerics.EXACT_PART_MAX), Fraction(0)):
         with pytest.raises(DomainError, match="pole"):
             gamma(x, ctx30)
-    # only an exact rational may be negative
-    with pytest.raises(DomainError):
-        gamma("-0.5", ctx30)
+    # only an exact rational may be negative: a decimal string is one
+    # (test_gamma_reads_a_decimal_string_exactly), a float or an HPReal is not
+    for x in (-0.5, ctx30.real("-0.5")):
+        with pytest.raises(DomainError):
+            gamma(x, ctx30)
 
 
 def test_stirling_runs_once_per_fractional_part(monkeypatch):

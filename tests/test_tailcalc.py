@@ -3,8 +3,10 @@
 sum_{m>x} (m+1)**-p is the Hurwitz zeta value zeta(p, x+2), which mpmath
 computes by its own route, so every tail sum below has a reference that
 shares no code with TailCalc. TailCalc keeps the coefficient of key q as
-an integer at scale 2**(bits - q*d); the mpf algebra it replaced is kept
-below as a second oracle, run at twice the working digits.
+an integer at scale 2**(bits - q*d), and ``eval_at`` returns an int
+without the power (m+1)**-rho, which ``tail_value`` puts back as an mpf;
+the mpf algebra it replaced is kept below as a second oracle, run at twice
+the working digits.
 """
 
 import random
@@ -12,6 +14,7 @@ from fractions import Fraction
 from math import comb, factorial, floor, lgamma, log, pi
 
 import pytest
+from conftest import tail_value
 
 from mzsv import DomainError, PrecisionContext
 from mzsv.chains import ChainEvaluator, Level, Ratio, first_checkpoint, index_levels
@@ -46,7 +49,7 @@ def _poly(calc, rho, coeffs):
 @pytest.mark.parametrize("rho", ["2", "3", "2.5", "1.25"])
 def test_sumtail_of_single_power(env, rho):
     mp, calc, rtol = env
-    got = calc.eval_at(calc.sumtail(_poly(calc, rho, {0: 1})), X)
+    got = tail_value(mp, calc, calc.sumtail(_poly(calc, rho, {0: 1})), X)
     _close(mp, got, mp.zeta(_mpf(mp, rho), X + 2), rtol)
 
 
@@ -54,7 +57,7 @@ def test_sumtail_of_single_power(env, rho):
 def test_sumtail_of_shifted_pow_weight(env, k, shift):
     mp, calc, rtol = env
     c = _mpf(mp, shift)
-    got = calc.eval_at(calc.sumtail(calc.pow_weight(k, Fraction(shift))), X)
+    got = tail_value(mp, calc, calc.sumtail(calc.pow_weight(k, Fraction(shift))), X)
     # sum_{m>x} (m+c)**-k = zeta(k, x+1+c)
     _close(mp, got, mp.zeta(k, X + 1 + c), rtol)
 
@@ -63,7 +66,7 @@ def test_sumtail_with_negative_keys(env):
     mp, calc, rtol = env
     rho = mp.mpf("3.5")
     f = _poly(calc, "3.5", {-1: 2, 0: -3, 2: "0.5"})
-    got = calc.eval_at(calc.sumtail(f), X)
+    got = tail_value(mp, calc, calc.sumtail(f), X)
     want = (2 * mp.zeta(rho - 1, X + 2) - 3 * mp.zeta(rho, X + 2)
             + mp.mpf("0.5") * mp.zeta(rho + 2, X + 2))
     _close(mp, got, want, rtol)
@@ -74,7 +77,7 @@ def test_composed_tail_sums(env):
     # sum_{m>x} sum_{n>m} (n+1)**-3 = sum_{N>=x+3} (N-x-2) N**-3
     inner = calc.sumtail(calc.pow_weight(3, 1))
     assert min(inner.coeffs) == -1
-    got = calc.eval_at(calc.sumtail(inner), X)
+    got = tail_value(mp, calc, calc.sumtail(inner), X)
     want = mp.zeta(2, X + 3) - (X + 2) * mp.zeta(3, X + 3)
     _close(mp, got, want, rtol)
     # weak order, as a zeta-star chain composes it:
@@ -83,7 +86,7 @@ def test_composed_tail_sums(env):
     # and sum_{N>=1} H_N / N**2 = zeta*(1,2) = 2 zeta(3)
     F = calc.pow_weight(2, 1)
     outer = calc.mul(calc.pow_weight(1, 1), calc.add(F, calc.sumtail(F)))
-    got = calc.eval_at(calc.sumtail(outer), X)
+    got = tail_value(mp, calc, calc.sumtail(outer), X)
     H = mp.mpf(0)
     head = mp.mpf(0)
     for N in range(1, X + 2):
@@ -124,7 +127,7 @@ def test_ratio_asymptotics_matches_direct_product(env, nums, dens):
             w *= t + n
         for d in ds:
             w /= t + d
-    got = calc.eval_at(shape, t2) / calc.eval_at(shape, t1)
+    got = tail_value(mp, calc, shape, t2) / tail_value(mp, calc, shape, t1)
     _close(mp, got, w, rtol * 10 ** 3)
 
 
@@ -219,7 +222,7 @@ def _check_alt(build):
     f = build(calc, mp)
     G = calc.sumtail(f)
     for x in ALT_X:
-        got = (-1) ** x * calc.eval_at(G, x)
+        got = (-1) ** x * tail_value(mp, calc, G, x)
         with mp.workdps(2 * mp.dps):
             want = sum(mp.ldexp(c, q * calc.d - calc.bits)
                        * _alt_power_tail(mp, _mpf(mp, f.rho + q), x)
@@ -387,7 +390,7 @@ def _check_algebra(digits, alternating, seed, xs):
         with mp.workdps(2 * mp.dps):
             wx = {name: _oracle_eval(mp, h, x) for name, h in want.items()}
         for name, h in got.items():
-            val = calc.eval_at(h, x)
+            val = tail_value(mp, calc, h, x)
             with mp.workdps(2 * mp.dps):
                 err = abs(val - wx[name]) / abs(wx[name])
                 assert err <= mp.mpf(10) ** -ctx.working_digits, (x, name, mp.nstr(err, 3))
@@ -418,14 +421,18 @@ def test_fixed_point_algebra_at_the_first_checkpoint(digits, alternating, seed):
 @pytest.mark.parametrize("rho", ["7/2", "1001/2", Fraction(0.1) + 2, "2.1234567"],
                          ids=["short", "large", "float", "digits7"])
 def test_eval_at_long_exponents_match_mpf_oracle(digits, rho):
-    # (m+1)**-e is an exact root while (m+1)**|numerator| is small, an mpf
-    # power with extra bits past that (a large e, or a long denominator)
+    # eval_at leaves the power (m+1)**-rho to its caller, so no exponent,
+    # a large one or one with a long denominator, enters it: it returns the
+    # int the same coefficients give at rho = 0, and that int read back
+    # with the power matches the oracle
     ctx = PrecisionContext(digits=digits)
     mp = ctx.mp
     calc = TailCalc(mp, False)
     f = _random_poly(random.Random(digits), rho, 0, calc.qmax)
     for x in (ORACLE_X, 10 ** 6):
-        got = calc.eval_at(_poly(calc, *f), x)
+        fx = _poly(calc, *f)
+        got = tail_value(mp, calc, fx, x)
+        assert calc.eval_at(fx, x) == calc.eval_at(TailPoly(Fraction(0), fx.coeffs), x)
         with mp.workdps(2 * mp.dps):
             want = _oracle_eval(mp, _oracle_poly(mp, f), x)
             err = abs(got - want) / abs(want)
@@ -555,7 +562,7 @@ def test_equal_shift_sets_share_one_shape():
     assert calc.ratio_asymptotics(list(ns), list(ds)) is shape
     other = calc.ratio_asymptotics(ns, (Fraction(1), Fraction(5, 2)))
     assert other is not shape and other.rho != shape.rho
-    fresh = TailCalc(calc.mp, False).ratio_asymptotics(ns, ds)
+    fresh = TailCalc(PrecisionContext(30).mp, False).ratio_asymptotics(ns, ds)
     assert (fresh.rho, fresh.coeffs) == (shape.rho, shape.coeffs)
 
 
@@ -568,8 +575,8 @@ def test_shared_suffix_tail_is_evaluated_once_per_checkpoint(monkeypatch):
     calls = []
     eval_at = TailCalc.eval_at
 
-    def recorded(calc, f, m, fixed=False):
-        value = eval_at(calc, f, m, fixed)
+    def recorded(calc, f, m):
+        value = eval_at(calc, f, m)
         calls.append((f, m, value))
         return value
 
@@ -696,6 +703,6 @@ def test_eval_at_keeps_the_key_order():
     assert f.keys is None
     first = calc.eval_at(f, X)
     assert f.keys == [2, 0, -1]
-    for m, fixed in ((2 * X, False), (2 * X, True), (X, True)):
-        assert calc.eval_at(f, m, fixed) == calc.eval_at(_poly(calc, 3, coeffs), m, fixed)
+    for m in (2 * X, X):
+        assert calc.eval_at(f, m) == calc.eval_at(_poly(calc, 3, coeffs), m)
     assert calc.eval_at(f, X) is first and f.keys == [2, 0, -1]
