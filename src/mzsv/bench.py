@@ -9,8 +9,7 @@ reference.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from .chains import ChainEvaluator, index_levels
 from .context import PrecisionContext
@@ -20,8 +19,7 @@ from .hypergeom import specialized_lhs
 CSV_HEADER = "workload,strategy,terms,elapsed_ms,abs_err"
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     workload: str
     strategy: str
     terms: int

@@ -55,11 +55,10 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm, prod
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .context import PrecisionContext
 from .errors import ConvergenceError, DomainError
@@ -73,15 +72,19 @@ DIRECT = "direct"
 TAIL_CORRECTED = "tail_corrected"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     """Weight factor 1/(t + shift)^k with an exact rational shift."""
     k: int
     shift: Fraction = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Ratio:
+class _RatioFields(NamedTuple):
+    num_shifts: Tuple[Fraction, ...]
+    den_shifts: Tuple[Fraction, ...]
+    init: Fraction
+
+
+class Ratio(_RatioFields):
     """Running weight w(t+1) = w(t) * prod(t + ns) / prod(t + ds).
 
     ``init`` is the exact w at the chain's first t. The kernel takes each
@@ -91,18 +94,16 @@ class Ratio:
     the recurrence itself fixes, and c estimated at each checkpoint from
     the running value.
     """
-    num_shifts: Tuple[Fraction, ...]
-    den_shifts: Tuple[Fraction, ...]
-    init: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.num_shifts) != len(self.den_shifts):
+    def __new__(cls, num_shifts, den_shifts, init):
+        if len(num_shifts) != len(den_shifts):
             raise DomainError("ratio weight needs equally many numerator "
                               "and denominator factors")
+        return tuple.__new__(cls, (num_shifts, den_shifts, init))
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """Weight of one chain level: the product of its pieces. An empty level
     has weight 1, so it is a plain prefix sum of the level below; it must
     not be the outermost level, whose tail sum would then diverge."""

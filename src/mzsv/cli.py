@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -85,6 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one quantity")
+    # argparse reads "-1/3" or "-1e-5" as an option unless it matches this
+    # pattern; no eval option starts with a digit, so any such word is a number
+    pe._negative_number_matcher = re.compile(r"-\.?\d")
     pe.add_argument("kind", choices=EVAL_KINDS)
     pe.add_argument("args", nargs="*",
                     help="positional arguments (index text or numbers)")

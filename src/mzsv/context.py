@@ -25,6 +25,10 @@ from .tailcalc import TailCalc
 Real = Union["HPReal", int, float, str, Fraction]
 
 _LOG10_2 = log10(2)
+# the largest |exponent| that PrecisionContext.real reads from a string: a
+# value 10^-e prints (decimal(), str) with e leading zeros, which takes about
+# 20 ms at this bound and a gigabyte of text at 10^9
+EXPONENT_MAX = 10 ** 5
 
 
 def as_int(value, name: str, lo: int) -> int:
@@ -117,8 +121,9 @@ class PrecisionContext:
         """Coerce a number into this context.
 
         Strings are parsed as exact decimals before rounding; floats are
-        taken at their exact binary value. A bool or a non-finite value
-        (nan, inf) raises DomainError.
+        taken at their exact binary value. A bool, a non-finite value
+        (nan, inf) or a string whose exponent is past EXPONENT_MAX raises
+        DomainError.
         """
         if isinstance(x, HPReal):
             if x.ctx is not self:
@@ -130,6 +135,8 @@ class PrecisionContext:
         if isinstance(x, Fraction):
             v = mp.mpf(x.numerator) / x.denominator
         else:
+            if isinstance(x, str) and abs(_exponent(x)) > EXPONENT_MAX:
+                raise DomainError(f"{x!r}: exponent beyond +-{EXPONENT_MAX}")
             try:
                 v = mp.mpf(x)
             except (TypeError, ValueError, ZeroDivisionError):
@@ -147,6 +154,15 @@ class PrecisionContext:
     def __repr__(self):
         return (f"PrecisionContext(digits={self.digits}, guard={self.guard}, "
                 f"max_terms={self.max_terms}, tol={self._tol_repr})")
+
+
+def _exponent(text: str) -> int:
+    """The exponent of a decimal string as mpmath reads it, or 0."""
+    _, e, tail = text.lower().strip().rstrip("l").partition("e")
+    try:
+        return int(tail) if e else 0
+    except ValueError:
+        return 0
 
 
 def _decimal_string(mp, x, sig: int) -> str:

@@ -133,7 +133,9 @@ def dr_ratio_at1_forms(m: int, r: int) -> Tuple[Fraction, Fraction]:
     Both sum in integers, with L = lcm(1..m+1): the first over
     L^(2r) (m+1), from the kernel's exact prefixes of the chains 1^r at
     scale L^r, the second over L^(r+1) (m+1)^(r+1), each S_m(k_1..k_i)
-    exact at scale L^(r+1) since k_1 + ... + k_i <= r. Each form is one
+    exact at scale L^(r+1) since k_1 + ... + k_i <= r. Each such head is
+    read off the prefixes of the one kernel call on the longest head
+    through it, so each longest head is summed once. Each form is one
     Fraction, made at the end.
     """
     m, r = as_int(m, "m", 0), as_int(r, "r", 0)
@@ -144,12 +146,20 @@ def dr_ratio_at1_forms(m: int, r: int) -> Tuple[Fraction, Fraction]:
     ones_t = _chain_prefixes((1,) * r, m, False, S)
     form_a = Fraction(sum(ones_s[r - i] * ones_t[i] for i in range(r + 1)), S * S * n1)
     S *= L
+    heads = {(): S}  # S_m(head) at scale S, read off the prefixes of chains
+    imax = min(m, r)
     num_b = 0
-    for i in range(min(m, r) + 1):
+    for i in range(imax + 1):
         inner = 0
         for comp in compositions(r + 1, i + 1):
-            head = _chain_prefixes(comp[:i], m, True, S)[-1] if i else S
-            inner += head * n1 ** (r + 1 - comp[i])
+            head = comp[:i]
+            if head not in heads:
+                # the longest head through this one: it sums to r or has
+                # imax parts, and its one kernel call gives every prefix
+                chain = head + (comp[i] - 1,) if i < imax and comp[i] > 1 else head
+                heads.update(zip((chain[:j] for j in range(len(chain) + 1)),
+                                 _chain_prefixes(chain, m, True, S)))
+            inner += heads[head] * n1 ** (r + 1 - comp[i])
         num_b += inner << i
     return form_a, Fraction(num_b, S * n1 ** (r + 1))
 

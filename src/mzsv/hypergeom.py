@@ -21,10 +21,9 @@ outside this engine's domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .chains import ChainEvaluator, Level, Pow, Ratio, index_levels
 from .context import HPReal, PrecisionContext, as_int
@@ -48,16 +47,17 @@ def _is_nonpos_int(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
-def _normalise(p, extra_pairs: int):
-    """Shared __post_init__: s an integer >= 1, a, b and c exact, and
-    s + extra_pairs pairs (b_i, c_i)."""
-    object.__setattr__(p, "s", as_int(p.s, "s", 1))
-    object.__setattr__(p, "a", as_fraction(p.a))
-    object.__setattr__(p, "b", tuple(as_fraction(x) for x in p.b))
-    object.__setattr__(p, "c", tuple(as_fraction(x) for x in p.c))
-    pairs = p.s + extra_pairs
-    if len(p.b) != pairs or len(p.c) != pairs:
-        raise DomainError(f"b and c must have length {pairs} at s={p.s}")
+def _normalise(s, a, b, c, extra_pairs: int):
+    """Shared by both parameter records: s an integer >= 1, a, b and c
+    exact, and s + extra_pairs pairs (b_i, c_i); returns (s, a, b, c)."""
+    s = as_int(s, "s", 1)
+    a = as_fraction(a)
+    b = tuple(as_fraction(x) for x in b)
+    c = tuple(as_fraction(x) for x in c)
+    pairs = s + extra_pairs
+    if len(b) != pairs or len(c) != pairs:
+        raise DomainError(f"b and c must have length {pairs} at s={s}")
+    return s, a, b, c
 
 
 def _pairs(p) -> Tuple[Tuple[str, Fraction], ...]:
@@ -66,18 +66,21 @@ def _pairs(p) -> Tuple[Tuple[str, Fraction], ...]:
                  for name, x in zip("bc", bc))
 
 
-@dataclass(frozen=True)
-class KRParamsI:
-    """Parameters of the z = -1 identity: a plus s+1 pairs (b_i, c_i)."""
+class _KRFieldsI(NamedTuple):
     s: int
     a: Fraction
     b: Tuple[Fraction, ...]
     c: Tuple[Fraction, ...]
+
+
+class KRParamsI(_KRFieldsI):
+    """Parameters of the z = -1 identity: a plus s+1 pairs (b_i, c_i)."""
+    __slots__ = ()
     z = -1
     margin_text = "(2s+1)(a+1) - 2*sum(b_i+c_i)"
 
-    def __post_init__(self):
-        _normalise(self, 1)
+    def __new__(cls, s, a, b, c):
+        return tuple.__new__(cls, _normalise(s, a, b, c, 1))
 
     @property
     def wellpoised(self) -> Tuple[Tuple[str, Fraction], ...]:
@@ -85,20 +88,24 @@ class KRParamsI:
         return _pairs(self)
 
 
-@dataclass(frozen=True)
-class KRParamsII:
-    """Parameters of the z = +1 identity: a, c0 plus s pairs (b_i, c_i)."""
+class _KRFieldsII(NamedTuple):
     s: int
     a: Fraction
     c0: Fraction
     b: Tuple[Fraction, ...]
     c: Tuple[Fraction, ...]
+
+
+class KRParamsII(_KRFieldsII):
+    """Parameters of the z = +1 identity: a, c0 plus s pairs (b_i, c_i)."""
+    __slots__ = ()
     z = 1
     margin_text = "2s(a+1) - 2c_0 - 2*sum(b_i+c_i)"
 
-    def __post_init__(self):
-        object.__setattr__(self, "c0", as_fraction(self.c0))
-        _normalise(self, 0)
+    def __new__(cls, s, a, c0, b, c):
+        c0 = as_fraction(c0)
+        s, a, b, c = _normalise(s, a, b, c, 0)
+        return tuple.__new__(cls, (s, a, c0, b, c))
 
     @property
     def wellpoised(self) -> Tuple[Tuple[str, Fraction], ...]:
@@ -106,15 +113,13 @@ class KRParamsII:
         return (("c_0", self.c0),) + _pairs(self)
 
 
-@dataclass(frozen=True)
-class ConditionEntry:
+class ConditionEntry(NamedTuple):
     description: str
     lhs_value: Fraction
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     entries: Tuple[ConditionEntry, ...]
     overall: bool
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fnmatch import fnmatch
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import finite_sums, hypergeom, series
 from .context import HPReal, PrecisionContext
@@ -28,8 +27,7 @@ from .numerics import derivative_at
 from .series import EvalDiagnostics, Evaluation, exact_diag
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     name: str
     kind: str                      # 'int' | 'real' | 'choice'
     lo: Optional[Fraction] = None  # closed bounds unless *_open
@@ -69,8 +67,7 @@ class ParamSpec:
         return int(frac) if self.kind == "int" else value
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(NamedTuple):
     id: str
     anchor: str
     params: Tuple[ParamSpec, ...]
@@ -86,8 +83,7 @@ class IdentityDescriptor:
             for inst in self.default_grid)
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     id: str
     params: dict
     lhs_value: HPReal

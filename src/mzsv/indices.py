@@ -10,8 +10,6 @@ nothing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, List, Tuple
 
 from .errors import DomainError, ParseError
@@ -19,20 +17,37 @@ from .errors import DomainError, ParseError
 _ITEM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
 class Index:
-    """A non-empty composition of positive integers; a bool is not a part."""
+    """A non-empty composition of positive integers; a bool is not a part.
+    Immutable; two indices are equal when their parts are."""
 
-    parts: Tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: Tuple[int, ...]):
+        if not parts:
             raise DomainError("index must have at least one part")
-        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in self.parts):
-            raise DomainError(f"index parts must be positive integers: {self.parts}")
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
+            raise DomainError(f"index parts must be positive integers: {parts}")
+        object.__setattr__(self, "parts", tuple(int(p) for p in parts))
 
-    @cached_property
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.parts == other.parts if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Index(parts={self.parts!r})"
+
+    def __reduce__(self):
+        return Index, (self.parts,)
+
+    @property
     def weight(self) -> int:
         return sum(self.parts)
 

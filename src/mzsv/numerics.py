@@ -106,20 +106,24 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
     Gamma(x) = pi / (sin(pi x) Gamma(1-x)). A rational above
     EXACT_PART_MAX, and any other argument (which must then be > 0), takes
     Stirling's series at guard digits beyond the working precision.
-    A decimal string is read exactly, as a Fraction, unless its exponent
-    is past EXACT_PART_MAX (where that Fraction would be a huge integer);
-    ctx.real reads every other string, or rejects it.
+    An a/b string is read exactly, as a Fraction, and so is a decimal
+    string unless its exponent is past EXACT_PART_MAX (where that Fraction
+    would be a huge integer); ctx.real reads every other string, or
+    rejects it.
     The result is within a few units of the working precision, relative.
     """
     if isinstance(x, int) and not isinstance(x, bool):  # a bool fails in ctx.real
         x = Fraction(x)
     elif isinstance(x, str):
         try:
-            d = Decimal(x)
-            if d.is_finite() and abs(d.adjusted()) <= EXACT_PART_MAX:
-                x = Fraction(d)
-        except InvalidOperation:
-            pass  # not a decimal: ctx.real reads it or raises ParseError
+            if "/" in x:
+                x = Fraction(x)
+            else:
+                d = Decimal(x)
+                if d.is_finite() and abs(d.adjusted()) <= EXACT_PART_MAX:
+                    x = Fraction(d)
+        except (InvalidOperation, ValueError, ZeroDivisionError):
+            pass  # not a decimal or a/b: ctx.real reads it or raises ParseError
     if isinstance(x, Fraction):
         n = math.floor(x)
         f = x - n

@@ -12,7 +12,6 @@ EvalDiagnostics (terms used, tail correction, error estimate, strategy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chains import ChainEvaluator, WeightedChainEvaluator, index_levels
@@ -22,8 +21,7 @@ from .indices import Index, admissible
 from .tailcalc import power_sum_tail
 
 
-@dataclass(frozen=True)
-class EvalDiagnostics:
+class EvalDiagnostics(NamedTuple):
     """Truncation report for one series evaluation."""
     terms_used: int
     tail_correction: HPReal

@@ -42,6 +42,10 @@ def test_eval_gamma_and_pochhammer(capsys):
     assert out.strip().startswith("-3.54490770181103205459")
     code, _, err = run_cli(capsys, "eval", "gamma", "-3")
     assert code == 2 and "pole" in err
+    # a negative a/b is a number to the parser, read exactly as a Fraction
+    code, out, _ = run_cli(capsys, "eval", "gamma", "-1/3")
+    assert code == 0
+    assert out.strip().startswith("-4.0623538182792")
     code, out, _ = run_cli(capsys, "eval", "pochhammer", "0.5", "2")
     assert code == 0
     assert out.strip().startswith("0.750")

@@ -1,5 +1,9 @@
 import operator
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -29,6 +33,34 @@ def test_non_finite_reals_are_domain_errors(ctx30):
     for x in ("nan", "inf", "-inf", float("nan"), float("inf"), mp.nan, -mp.inf):
         with pytest.raises(DomainError):
             ctx30.real(x)
+
+
+def test_real_rejects_a_string_exponent_past_the_bound():
+    # a value 10^-e prints with e leading zeros, which never ends at e = 10^9;
+    # the subprocess makes a regression fail, not hang
+    code = textwrap.dedent("""\
+        from mzsv import DomainError, PrecisionContext
+        from mzsv.context import EXPONENT_MAX
+        ctx = PrecisionContext(digits=30)
+        for text in ("-1e-999999999", "1e-999999999l", " 1E-1_000_000 ",
+                     f"1e{EXPONENT_MAX + 1}"):
+            for call in (ctx.real, lambda t: PrecisionContext(digits=30, tol=t)):
+                try:
+                    call(text)
+                except DomainError as exc:
+                    assert str(EXPONENT_MAX) in str(exc), exc
+                else:
+                    raise AssertionError(text)
+        assert 0 < ctx.real(f"1e-{EXPONENT_MAX}") < ctx.real(f"-1e{EXPONENT_MAX}") * -1
+        zeros = "0" * (EXPONENT_MAX - 1)
+        assert str(ctx.real(f"-1e-{EXPONENT_MAX}")) == "-0." + zeros + "1" + "0" * 29
+        print("ok")
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_defaults():

@@ -157,6 +157,27 @@ def test_exact_sums_run_on_the_chain_kernel(monkeypatch):
     assert len(calls) > 2
 
 
+@pytest.mark.parametrize("m, r, heads", [
+    (5, 0, 0), (5, 1, 1), (5, 3, 4), (8, 8, 2 ** 7), (1, 3, 3), (2, 3, 4), (0, 3, 0)])
+def test_dr_ratio_forms_sum_each_longest_head_once(monkeypatch, m, r, heads):
+    # the second form needs S_m(head) for every head k_1..k_i summing to at
+    # most r, i <= min(m, r); one kernel call on each longest head (summing
+    # to r, or of min(m, r) parts) gives every shorter head as a prefix
+    prefixes = mzsv.finite_sums._chain_prefixes
+    calls = []
+
+    def counting(parts, m, strict, S):
+        calls.append((parts, strict))
+        return prefixes(parts, m, strict, S)
+
+    monkeypatch.setattr(mzsv.finite_sums, "_chain_prefixes", counting)
+    a, b = dr_ratio_at1_forms(m, r)
+    assert a == b
+    # two for the first form, on 1^r strict and weak, then one per head
+    assert len(calls) == 2 + heads
+    assert len(set(calls[2:])) == heads
+
+
 def test_strict_ones_is_harmonic(ctx30):
     mp = ctx30.mp
     for m in (1, 10, 100, 1000):

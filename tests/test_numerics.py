@@ -36,6 +36,13 @@ def test_gamma_reads_a_decimal_string_exactly(ctx30):
         ref = ref_mp.gamma(ref_mp.mpf(x.numerator) / x.denominator)
         assert abs(ours - ref) <= 10 * ref_mp.mpf(10) ** -ctx30.working_digits * abs(ref), text
     assert gamma("-0.5", ctx30).decimal().startswith("-3.54490770181103205459")
+    # an a/b string is the Fraction it spells too
+    for text, x in (("-1/3", Fraction(-1, 3)), (" 7/2 ", Fraction(7, 2)),
+                    ("-2001/2", Fraction(-2001, 2)), ("5000/3", Fraction(5000, 3))):
+        assert gamma(text, ctx30).mpf == gamma(x, ctx30).mpf, text
+    assert gamma("-1/3", ctx30).decimal().startswith("-4.0623538182792")
+    with pytest.raises(DomainError, match="pole"):
+        gamma("-4/2", ctx30)
     for text in ("-2", "-3.0", "0", "-1e1"):
         with pytest.raises(DomainError, match="pole"):
             gamma(text, ctx30)
