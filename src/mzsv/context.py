@@ -10,6 +10,7 @@ computing at whichever precision happens to win.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import floor, log10
 from typing import Union
@@ -25,26 +26,43 @@ from .tailcalc import TailCalc
 Real = Union["HPReal", int, float, str, Fraction]
 
 _LOG10_2 = log10(2)
-# the largest |exponent| that PrecisionContext.real reads from a string: a
-# value 10^-e prints (decimal(), str) with e leading zeros, which takes about
-# 20 ms at this bound and a gigabyte of text at 10^9
+# the largest |exponent| of a decimal string that as_fraction and
+# PrecisionContext.real read: 10^e is an integer of 3.3 e bits, which takes
+# about 5 ms to build at this bound and 415 MB at 10^9
 EXPONENT_MAX = 10 ** 5
+
+
+def as_fraction(x) -> Fraction:
+    """x as an exact Fraction: the one reader of a caller's exact argument.
+
+    It takes what Fraction takes but a bool: an int, a Fraction, a float at
+    its exact binary value, a Decimal, and a decimal or a/b string. A string
+    or Decimal whose exponent is past EXPONENT_MAX, or anything else, raises
+    DomainError.
+    """
+    if not isinstance(x, bool):
+        if isinstance(x, (str, Decimal)) and abs(_exponent(str(x))) > EXPONENT_MAX:
+            raise DomainError(f"{x!r}: exponent beyond +-{EXPONENT_MAX}")
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise DomainError(f"cannot interpret {x!r} as an exact real parameter")
 
 
 def as_int(value, name: str, lo: int) -> int:
     """value as an int >= lo, for an integer argument of a public entry point.
 
     A value of any exact integer worth (2, 2.0, Fraction(4, 2)) passes; a
-    bool, a non-integral value (2.5) or one below lo raises DomainError
-    instead of being truncated.
+    bool, a non-integral value (2.5), one below lo, or one as_fraction does
+    not read raises DomainError instead of being truncated.
     """
-    if not isinstance(value, bool):
-        try:
-            frac = Fraction(value)
-        except (TypeError, ValueError, OverflowError):
-            frac = None
-        if frac is not None and frac.denominator == 1 and frac >= lo:
+    try:
+        frac = as_fraction(value)
+        if frac.denominator == 1 and frac >= lo:
             return int(frac)
+    except DomainError:
+        pass
     raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
@@ -77,7 +95,10 @@ class PrecisionContext:
         self.guard = as_int(guard, "guard", 5)
         self.max_terms = as_int(max_terms, "max_terms", 10 ** 3)
         mp = MPContext()
-        mp.dps = self.digits + self.guard
+        try:
+            mp.dps = self.working_digits
+        except OverflowError:  # mpmath sizes its precision through a float
+            raise DomainError("digits + guard is more than mpmath can hold") from None
         self._mp = mp
         if tol is None:
             self.tol = mp.mpf(10) ** (-self.digits)
@@ -168,15 +189,18 @@ def _exponent(text: str) -> int:
 def _decimal_string(mp, x, sig: int) -> str:
     """Fixed-point decimal rendering with `sig` significant digits.
 
-    Plain decimal notation for |x| < 10**6 (no exponent form, as required
-    for diffable reports); falls back to mpmath's string form above that.
+    Plain decimal notation for 10**-EXPONENT_MAX <= |x| < 10**6 (no
+    exponent form, as required for diffable reports); mpmath's string form
+    outside that, decided from the binary exponent, so that no leading
+    zeros or power of ten are built for a tiny value.
     """
     if mp.isnan(x) or mp.isinf(x):
         return str(x)
     if x == 0:
         return "0." + "0" * (sig - 1)
     sign, man, exp, bc = x._mpf_
-    if bc + exp > 20:  # |x| >= 2**20 > 10**6, before the exact rational
+    # |x| >= 2**20 > 10**6, or |x| < 2**(bc+exp) <= 10**-EXPONENT_MAX
+    if bc + exp > 20 or (bc + exp) * _LOG10_2 < -EXPONENT_MAX:
         return mp.nstr(x, sig)
     # exact binary rational man * 2**exp
     num, den = man, 1
@@ -234,25 +258,19 @@ class HPReal:
         """The underlying mpmath value at working precision."""
         return self._v
 
-    def _coerce(self, other) -> "HPReal":
-        if isinstance(other, HPReal):
-            if other.ctx is not self.ctx:
-                raise ContextMismatchError(
-                    "cannot combine HPReal values from different contexts")
-            return other
-        return self.ctx.real(other)
-
     def _operand(self, other):
-        """other as an operand of + - * / with this value's mpf.
+        """other as an operand of + - * /, ** or a comparison with this
+        value's mpf.
 
         A plain int of at most the context's binary precision in bits goes
         to mpmath as it is: mpmath takes an int exactly and rounds the
         result once, and coercion would round nothing, so the result is the
         same mpf. Anything else (a bool, a larger int, a Fraction, a str,
-        a float, an HPReal) is coerced."""
+        a float, an HPReal) goes through ctx.real, which also rejects an
+        HPReal of another context."""
         if type(other) is int and other.bit_length() <= self.ctx._mp.prec:
             return other
-        return self._coerce(other)._v
+        return self.ctx.real(other)._v
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -278,10 +296,10 @@ class HPReal:
         return HPReal(self._operand(other) / self._v, self.ctx)
 
     def __pow__(self, other):
-        return HPReal(self.ctx.mp.power(self._v, self._coerce(other)._v), self.ctx)
+        return HPReal(self.ctx.mp.power(self._v, self._operand(other)), self.ctx)
 
     def __rpow__(self, other):
-        return HPReal(self.ctx.mp.power(self._coerce(other)._v, self._v), self.ctx)
+        return HPReal(self.ctx.mp.power(self._operand(other), self._v), self.ctx)
 
     def __neg__(self):
         return HPReal(-self._v, self.ctx)
@@ -303,12 +321,9 @@ class HPReal:
         return HPReal(self.ctx.mp.sqrt(self._v), self.ctx)
 
     # -- comparisons --------------------------------------------------------
-    def _cmp_value(self, other):
-        return self._coerce(other)._v
-
     def __eq__(self, other):
         try:
-            return self._v == self._cmp_value(other)
+            return self._v == self._operand(other)
         except ContextMismatchError:
             raise
         except (TypeError, ValueError):
@@ -319,16 +334,16 @@ class HPReal:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __lt__(self, other):
-        return self._v < self._cmp_value(other)
+        return self._v < self._operand(other)
 
     def __le__(self, other):
-        return self._v <= self._cmp_value(other)
+        return self._v <= self._operand(other)
 
     def __gt__(self, other):
-        return self._v > self._cmp_value(other)
+        return self._v > self._operand(other)
 
     def __ge__(self, other):
-        return self._v >= self._cmp_value(other)
+        return self._v >= self._operand(other)
 
     def __hash__(self):
         return hash((self._v, id(self.ctx)))

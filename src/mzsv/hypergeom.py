@@ -2,10 +2,11 @@
 nested-sum right-hand sides, hypothesis checking, and the four specialized
 series pairs at a real parameter alpha.
 
-Parameters are real only and normalized to exact fractions (decimal strings
-stay exact); hypothesis margins are therefore decided exactly. Convergence
-conditions name the violated margin when they fail. Each parameter class of
-the two Krattenthaler-Rivoal identities lists its well-poised parameters
+Parameters are real only and normalized to exact fractions by
+``context.as_fraction`` (decimal strings stay exact); hypothesis margins
+are therefore decided exactly. Convergence conditions name the violated
+margin when they fail. Each parameter class of the two
+Krattenthaler-Rivoal identities lists its well-poised parameters
 (``wellpoised``), the xs that enter the series as x over 1+a-x; both
 identities take their series side, margin and hypothesis checks from it.
 
@@ -26,21 +27,11 @@ from itertools import product as iter_product
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .chains import ChainEvaluator, Level, Pow, Ratio, index_levels
-from .context import HPReal, PrecisionContext, as_int
+from .context import HPReal, PrecisionContext, as_fraction, as_int
 from .errors import ConditionError, ConvergenceError, DomainError
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
 from .numerics import _iterated_means, gamma  # noqa: F401
 from .series import Evaluation, exact_diag, run_evaluation
-
-
-def as_fraction(x) -> Fraction:
-    """Exact normalization of a real parameter (decimal strings stay exact)."""
-    if isinstance(x, (Fraction, int, str, float)) and not isinstance(x, bool):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise DomainError(f"cannot interpret {x!r} as an exact real parameter")
 
 
 def _is_nonpos_int(x: Fraction) -> bool:

@@ -20,7 +20,7 @@ from itertools import product as iter_product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import finite_sums, hypergeom, series
-from .context import HPReal, PrecisionContext
+from .context import HPReal, PrecisionContext, as_fraction
 from .errors import ConfigurationError, DomainError
 from .indices import Index, compositions
 from .numerics import derivative_at
@@ -52,10 +52,8 @@ class ParamSpec(NamedTuple):
                     f"{self.name}={value!r} not in {self.choices}")
             return str(value)
         what = "an integer" if self.kind == "int" else "a real number"
-        if isinstance(value, bool):  # an int to Python, a flag to a caller
-            raise ConfigurationError(f"{self.name}={value!r} is not {what}")
         try:
-            frac = hypergeom.as_fraction(value)
+            frac = as_fraction(value)
         except DomainError:
             raise ConfigurationError(f"{self.name}={value!r} is not {what}")
         if self.kind == "int" and frac.denominator != 1:
@@ -272,10 +270,10 @@ def _kr_params(kind: str, variant: str, alpha, s: int):
     if variant == "generic":
         a, first, rest = Fraction(11, 5), Fraction(7, 10), Fraction(7, 10)
     elif variant in ("a1", "a2"):
-        rest = hypergeom.as_fraction(alpha)
+        rest = as_fraction(alpha)
         a, first = 2 * rest, Fraction(1)
     else:
-        first = hypergeom.as_fraction(alpha)
+        first = as_fraction(alpha)
         a, rest = Fraction(2), Fraction(1)
     if kind == "i":
         return hypergeom.KRParamsI(s=s, a=a, b=(first,) + (rest,) * s,

@@ -15,12 +15,11 @@ derivative_at          -- central-difference derivative oracle of order r,
 from __future__ import annotations
 
 import math
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .context import HPReal, PrecisionContext, as_int
+from .context import HPReal, PrecisionContext, as_fraction, as_int
 from .errors import DomainError
 from .tailcalc import GUARD_BITS, _binary_ratio, _em_series, power_sum_tail
 
@@ -106,29 +105,23 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
     Gamma(x) = pi / (sin(pi x) Gamma(1-x)). A rational above
     EXACT_PART_MAX, and any other argument (which must then be > 0), takes
     Stirling's series at guard digits beyond the working precision.
-    An a/b string is read exactly, as a Fraction, and so is a decimal
-    string unless its exponent is past EXACT_PART_MAX (where that Fraction
-    would be a huge integer); ctx.real reads every other string, or
-    rejects it.
+    A decimal or a/b string is read exactly, as the Fraction it spells
+    (``context.as_fraction``), for any exponent up to +-EXPONENT_MAX =
+    10^5: "1e1001" is the integer 10^1001, not its rounding to the working
+    digits. ctx.real reads every other string, or rejects it.
     The result is within a few units of the working precision, relative.
     """
-    if isinstance(x, int) and not isinstance(x, bool):  # a bool fails in ctx.real
-        x = Fraction(x)
-    elif isinstance(x, str):
+    given = x  # a pole names it: str() of a Fraction past 4300 digits raises
+    if isinstance(x, (int, str)):
         try:
-            if "/" in x:
-                x = Fraction(x)
-            else:
-                d = Decimal(x)
-                if d.is_finite() and abs(d.adjusted()) <= EXACT_PART_MAX:
-                    x = Fraction(d)
-        except (InvalidOperation, ValueError, ZeroDivisionError):
-            pass  # not a decimal or a/b: ctx.real reads it or raises ParseError
+            x = as_fraction(x)
+        except DomainError:
+            pass  # a bool or other text: ctx.real reads it, or raises
     if isinstance(x, Fraction):
         n = math.floor(x)
         f = x - n
         if f == 0 and n <= 0:
-            raise DomainError(f"gamma pole at {x}")
+            raise DomainError(f"gamma pole at {given}")
         if abs(n) <= EXACT_PART_MAX:
             return _gamma_exact(n, f, ctx)
         if n < 0:

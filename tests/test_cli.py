@@ -214,7 +214,9 @@ def test_eval_domain_errors_exit_2(capsys):
                  ("verify", "eq1", "--s", "abc"), ("verify", "eq1", "--s", "1..x"),
                  ("eval", "gamma", "1/0"), ("eval", "pochhammer", "1/0", "2"),
                  ("verify", "eq1", "--s", "1", "--tol", "abc"),
-                 ("verify", "eq1", "--s", "1", "--tol", "1/0")):
+                 ("verify", "eq1", "--s", "1", "--tol", "1/0"),
+                 # a digit count too large for mpmath's precision
+                 ("eval", "zeta", "3", "--prec", "1" + "0" * 400)):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:"), argv
     # so are non-finite ones, which used to hang (zeta) or crash (gamma)

@@ -36,10 +36,15 @@ def test_non_finite_reals_are_domain_errors(ctx30):
 
 
 def test_real_rejects_a_string_exponent_past_the_bound():
-    # a value 10^-e prints with e leading zeros, which never ends at e = 10^9;
-    # the subprocess makes a regression fail, not hang
+    # 10^e is an integer of 3.3 e bits and 10^-e prints with e leading zeros,
+    # neither of which ends at e = 10^9: every reader of a caller's argument
+    # and the printer must refuse it at once. The subprocess and its short
+    # timeout make a regression fail, not hang
     code = textwrap.dedent("""\
-        from mzsv import DomainError, PrecisionContext
+        from mzsv import (ConfigurationError, DomainError, Index, KRParamsI,
+                          KRParamsII, PrecisionContext, gamma, pfq,
+                          specialized_lhs, star_sum, verify)
+        from mzsv.cli import main
         from mzsv.context import EXPONENT_MAX
         ctx = PrecisionContext(digits=30)
         for text in ("-1e-999999999", "1e-999999999l", " 1E-1_000_000 ",
@@ -51,14 +56,43 @@ def test_real_rejects_a_string_exponent_past_the_bound():
                     assert str(EXPONENT_MAX) in str(exc), exc
                 else:
                     raise AssertionError(text)
+        big = "1e999999999"
+        for call, error, says in (
+                (lambda: PrecisionContext(digits=big), DomainError, "digits"),
+                (lambda: PrecisionContext(max_terms=big), DomainError, "max_terms"),
+                (lambda: star_sum(Index((2,)), big, ctx), DomainError, "m must"),
+                (lambda: KRParamsI(s=1, a=big, b=(1, 1), c=(1, 1)), DomainError,
+                 str(EXPONENT_MAX)),
+                (lambda: KRParamsII(s=1, a=2, c0=big, b=(1,), c=(1,)), DomainError,
+                 str(EXPONENT_MAX)),
+                (lambda: pfq([big, 1], [3], 1, ctx), DomainError, str(EXPONENT_MAX)),
+                (lambda: specialized_lhs("a1", "1e-999999999", 1, ctx), DomainError,
+                 str(EXPONENT_MAX)),
+                (lambda: verify("a1_specialized", {"s": 1, "alpha": big}, ctx),
+                 ConfigurationError, "alpha="),
+                (lambda: gamma(big, ctx), DomainError, str(EXPONENT_MAX)),
+                # read exactly, a pole whose integer has no str()
+                (lambda: gamma("-1e5000", ctx), DomainError, "pole at -1e5000")):
+            try:
+                call()
+            except error as exc:
+                assert says in str(exc), exc
+            else:
+                raise AssertionError(says)
+        for argv in (["verify", "a1_specialized", "--alpha", big, "--s", "1"],
+                     ["eval", "pfq", "--upper", big + ",1", "--lower", "3", "--z", "1"]):
+            assert main(argv) == 2, argv
         assert 0 < ctx.real(f"1e-{EXPONENT_MAX}") < ctx.real(f"-1e{EXPONENT_MAX}") * -1
         zeros = "0" * (EXPONENT_MAX - 1)
         assert str(ctx.real(f"-1e-{EXPONENT_MAX}")) == "-0." + zeros + "1" + "0" * 29
+        # below 10^-EXPONENT_MAX a value prints in exponent form
+        assert str(ctx.real("1e-90000") ** 11) == "1.0e-990000"
+        assert str(-ctx.real(f"1e-{EXPONENT_MAX}") / 10) == f"-1.0e-{EXPONENT_MAX + 1}"
         print("ok")
     """)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+                          env=dict(os.environ, PYTHONPATH=src), timeout=15)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 
