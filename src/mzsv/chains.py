@@ -57,10 +57,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm, prod
+from math import lcm, prod
 from typing import NamedTuple, Optional, Tuple
 
-from .context import PrecisionContext
+from .context import PrecisionContext, _exact_text
 from .errors import ConvergenceError, DomainError
 from .kernels import nested_chain_advance, weighted_chain_advance
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
@@ -193,11 +193,11 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     unit = 10 ** digits     # a value v at scale S rounds at max(S, |v|) // unit
     half = int(tolm * S / 2)
     M = ev.start
-    nxt = M + ceil(M / 8)
+    nxt = M - (-M // 8)     # M + ceil(M/8) in ints: M may pass a float
     if nxt > ctx.max_terms:
         raise ConvergenceError(
-            f"{what}: its first two checkpoints, M = {M} and {nxt}, "
-            f"exceed max_terms={ctx.max_terms}")
+            f"{what}: its first two checkpoints, M = {_exact_text(M)} and "
+            f"{_exact_text(nxt)}, exceed max_terms={ctx.max_terms}")
     prev = dprev = None
     tail = 0
     while True:
@@ -375,7 +375,8 @@ class ChainEvaluator:
 
     def tail_correction(self, mc: int) -> int:
         """Remainder sum_{t>mc} of the chain at scale S, by level-by-level
-        expansion, in integers.
+        expansion, in integers. It reads the inner prefix values, all of
+        pvals but the last, as the state at mc.
 
         The tail series are built once per context, by the TailCalc of the
         chain's sign (``_build_tails``); at the checkpoint M = mc + 1 the

@@ -19,6 +19,7 @@ from typing import Union
 # __version__ and libmp.BACKEND for its facts line
 import mpmath  # noqa: F401
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_rational, round_nearest, to_str
 
 from .errors import ContextMismatchError, DomainError, ParseError
 from .tailcalc import TailCalc
@@ -30,6 +31,9 @@ _LOG10_2 = log10(2)
 # PrecisionContext.real read: 10^e is an integer of 3.3 e bits, which takes
 # about 5 ms to build at this bound and 415 MB at 10^9
 EXPONENT_MAX = 10 ** 5
+# an int or Fraction with a numerator or denominator of more bits than this
+# prints in exponent form in an error message (``_exact_text``)
+_TEXT_BITS_MAX = 1024
 
 
 def as_fraction(x) -> Fraction:
@@ -63,7 +67,22 @@ def as_int(value, name: str, lo: int) -> int:
             return int(frac)
     except DomainError:
         pass
-    raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+    shown = _exact_text(value) if isinstance(value, (int, Fraction)) else repr(value)
+    raise DomainError(f"{name} must be an integer >= {lo}, got {shown}")
+
+
+def _exact_text(x) -> str:
+    """An exact int or Fraction as an error message prints it: str(x), or
+    its exponent form at 15 significant digits once its numerator or
+    denominator passes _TEXT_BITS_MAX bits (about 308 digits), as
+    ``_decimal_string`` turns to exponent form for a large value. as_fraction
+    reads values of up to 10^EXPONENT_MAX, and str() of an int of more than
+    4 300 digits raises ValueError, so no message prints one in full."""
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if max(abs(num), den).bit_length() <= _TEXT_BITS_MAX:
+        return str(x)
+    return to_str(from_rational(num, den, 53, round_nearest), 15)
 
 
 class PrecisionContext:

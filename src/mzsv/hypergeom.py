@@ -27,7 +27,7 @@ from itertools import product as iter_product
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .chains import ChainEvaluator, Level, Pow, Ratio, index_levels
-from .context import HPReal, PrecisionContext, as_fraction, as_int
+from .context import HPReal, PrecisionContext, _exact_text, as_fraction, as_int
 from .errors import ConditionError, ConvergenceError, DomainError
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
 from .numerics import _iterated_means, gamma  # noqa: F401
@@ -219,7 +219,8 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
         raise DomainError(f"z must be +1 or -1, got {z}")
     for l in lo:
         if _is_nonpos_int(l):
-            raise DomainError(f"lower parameter {l} is a non-positive integer")
+            raise DomainError(
+                f"lower parameter {_exact_text(l)} is a non-positive integer")
     terminating = [u for u in up if _is_nonpos_int(u)]
     if terminating:
         N = min(int(-u) for u in terminating)
@@ -240,10 +241,12 @@ def pfq_ex(upper: Sequence, lower: Sequence, z: int, ctx: PrecisionContext,
     # converges (conditionally) down to margin > -1
     if z == 1 and delta <= 0:
         raise ConvergenceError(
-            f"series diverges at z=+1: margin sum(lower) - sum(upper) = {delta} <= 0")
+            f"series diverges at z=+1: margin sum(lower) - sum(upper) = "
+            f"{_exact_text(delta)} <= 0")
     if z == -1 and delta <= -1:
         raise ConvergenceError(
-            f"series diverges at z=-1: margin sum(lower) - sum(upper) = {delta} <= -1")
+            f"series diverges at z=-1: margin sum(lower) - sum(upper) = "
+            f"{_exact_text(delta)} <= -1")
     level = Level(ratio=Ratio(tuple(up), (Fraction(1),) + tuple(lo),
                               init=Fraction(1)))
     return run_evaluation(ChainEvaluator(ctx, [level], alternating=(z == -1)), tol)
@@ -286,9 +289,9 @@ def _kr_levels(p):
         d = one + a - b[j] - c[j]
         if d.denominator != 1 or d < 1:
             raise DomainError(
-                f"coupling exponent 1+a-b_{j + 1}-c_{j + 1} = {d} is not a "
-                "positive integer; the nested sum is summed only for integer "
-                "couplings")
+                f"coupling exponent 1+a-b_{j + 1}-c_{j + 1} = {_exact_text(d)} is "
+                "not a positive integer; the nested sum is summed only for "
+                "integer couplings")
         ratio = Ratio((b[j + 1], c[j + 1]), (one + a - b[j], one + a - c[j]),
                       init=one)
         levels += [Level()] * (int(d) - 1) + [Level(ratio=ratio)]

@@ -20,7 +20,7 @@ from itertools import product as iter_product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import finite_sums, hypergeom, series
-from .context import HPReal, PrecisionContext, as_fraction
+from .context import HPReal, PrecisionContext, _exact_text, as_fraction
 from .errors import ConfigurationError, DomainError
 from .indices import Index, compositions
 from .numerics import derivative_at
@@ -39,8 +39,8 @@ class ParamSpec(NamedTuple):
     def describe(self) -> str:
         if self.kind == "choice":
             return f"{self.name} in {{{','.join(self.choices)}}}"
-        lo = "" if self.lo is None else str(self.lo)
-        hi = "" if self.hi is None else str(self.hi)
+        lo = "" if self.lo is None else _exact_text(self.lo)
+        hi = "" if self.hi is None else _exact_text(self.hi)
         lb = "(" if self.lo_open else "["
         rb = ")" if self.hi_open else "]"
         return f"{self.name}:{self.kind} {lb}{lo}..{hi}{rb}"
@@ -54,15 +54,19 @@ class ParamSpec(NamedTuple):
         what = "an integer" if self.kind == "int" else "a real number"
         try:
             frac = as_fraction(value)
-        except DomainError:
-            raise ConfigurationError(f"{self.name}={value!r} is not {what}")
+        except DomainError as exc:
+            raise ConfigurationError(
+                f"{self.name}={value!r} is not {what}: {exc}") from None
         if self.kind == "int" and frac.denominator != 1:
-            raise ConfigurationError(f"{self.name}={value!r} is not an integer")
-        if self.lo is not None and (frac < self.lo or (self.lo_open and frac == self.lo)):
-            raise ConfigurationError(f"{self.name}={value} below bound {self.lo}")
-        if self.hi is not None and (frac > self.hi or (self.hi_open and frac == self.hi)):
-            raise ConfigurationError(f"{self.name}={value} above bound {self.hi}")
-        return int(frac) if self.kind == "int" else value
+            problem = "is not an integer"
+        elif self.lo is not None and (frac < self.lo or (self.lo_open and frac == self.lo)):
+            problem = f"below bound {_exact_text(self.lo)}"
+        elif self.hi is not None and (frac > self.hi or (self.hi_open and frac == self.hi)):
+            problem = f"above bound {_exact_text(self.hi)}"
+        else:
+            return int(frac) if self.kind == "int" else value
+        shown = _exact_text(frac) if isinstance(value, (int, Fraction)) else repr(value)
+        raise ConfigurationError(f"{self.name}={shown} {problem}")
 
 
 class IdentityDescriptor(NamedTuple):

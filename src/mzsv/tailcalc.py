@@ -92,6 +92,9 @@ _TWO_PI = 6.283185307179586
 
 PRODUCT_COST = 0.25  # one tail-coefficient product in kernel term steps (expansion_plan)
 MARGIN = 4  # the first checkpoint is at least MARGIN * qmax (expansion_plan)
+# values a TailPoly keeps (eval_at): more than a run's checkpoints, fewer
+# than the bounds that finite sums on one context may ask for
+VALUES_KEPT = 32
 
 _em_exact: list = []
 
@@ -262,8 +265,8 @@ class TailPoly:
 
     rho is an exact Fraction; each coeffs[q] is an int, c_q times
     2**(bits - q*d) of the TailCalc that built it. The coefficients never
-    change once the poly is built. ``values`` keeps the values
-    ``TailCalc.eval_at`` computed, keyed by m, and ``keys`` the
+    change once the poly is built. ``values`` keeps up to VALUES_KEPT
+    values ``TailCalc.eval_at`` computed, keyed by m, and ``keys`` the
     keys in the descending order its Horner pass takes them (both None
     until the first evaluation).
     """
@@ -539,7 +542,9 @@ class TailCalc:
         The value is kept on f (``f.values``, keyed by m), so chains that
         share a tail and a checkpoint compute it once, and so is the
         descending key order of the Horner pass (``f.keys``), sorted at the
-        first evaluation."""
+        first evaluation. Past VALUES_KEPT values the kept ones start
+        over, so that finite sums at ever new bounds do not grow them
+        without end."""
         values = f.values
         if values is None:
             values = f.values = {}
@@ -561,5 +566,7 @@ class TailCalc:
             value = (total << prev * d) // n ** prev
         else:
             value = total * n ** -prev >> -prev * d
+        if len(values) >= VALUES_KEPT:
+            values.clear()
         values[m] = value
         return value

@@ -85,6 +85,27 @@ def test_eval_convergence_failure_exit_3(capsys):
     assert "diverges" in err
 
 
+def test_huge_parameters_and_loops_exit_with_a_message(capsys):
+    # a 5 001-digit parameter prints in exponent form, and a loop past
+    # max_terms is refused before it starts (twelve 1s need more words than
+    # the tail route lists, so that sum is one kernel call over every term);
+    # neither leaves a traceback
+    for argv, code, says in (
+            (("eval", "pfq", "--upper", "1e5000,1", "--lower", "3", "--z", "1"), 3,
+             "= -1.0e+5000 <= 0"),
+            (("eval", "pfq", "--upper", "1e5000,1", "--lower", "-1e5000", "--z", "1"), 2,
+             "parameter -1.0e+5000 is a non-positive integer"),
+            (("eval", "kr-rhs-ii", "--s", "1", "--a", "1e5000", "--c0", "1", "--b", "1",
+              "--c", "1"), 3, "M = 2.0e+5000"),
+            (("eval", "finite-star", ",".join("1" * 12), "--m", "1000000000"), 3,
+             "its 1000000001 terms exceed max_terms=100000000"),
+            (("eval", "pochhammer", "2", "1000000000"), 3,
+             "its 1000000000 factors exceed max_terms=100000000")):
+        got, _, err = run_cli(capsys, *argv)
+        assert got == code, argv
+        assert says in err and "Traceback" not in err, err
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "eq1", "--s", "1..2")
     assert code == 0

@@ -10,7 +10,10 @@ from fractions import Fraction
 import pytest
 
 import mzsv
-from mzsv import ContextMismatchError, DomainError, HPReal, PrecisionContext
+from mzsv import (ConfigurationError, ContextMismatchError, ConvergenceError,
+                  DomainError, HPReal, PrecisionContext, pfq)
+from mzsv.context import _exact_text, as_int
+from mzsv.identities import ParamSpec
 
 
 def test_context_validation():
@@ -69,14 +72,15 @@ def test_real_rejects_a_string_exponent_past_the_bound():
                 (lambda: specialized_lhs("a1", "1e-999999999", 1, ctx), DomainError,
                  str(EXPONENT_MAX)),
                 (lambda: verify("a1_specialized", {"s": 1, "alpha": big}, ctx),
-                 ConfigurationError, "alpha="),
+                 ConfigurationError, ("alpha=", str(EXPONENT_MAX))),
                 (lambda: gamma(big, ctx), DomainError, str(EXPONENT_MAX)),
                 # read exactly, a pole whose integer has no str()
                 (lambda: gamma("-1e5000", ctx), DomainError, "pole at -1e5000")):
             try:
                 call()
             except error as exc:
-                assert says in str(exc), exc
+                for text in (says,) if isinstance(says, str) else says:
+                    assert text in str(exc), exc
             else:
                 raise AssertionError(says)
         for argv in (["verify", "a1_specialized", "--alpha", big, "--s", "1"],
@@ -95,6 +99,35 @@ def test_real_rejects_a_string_exponent_past_the_bound():
                           env=dict(os.environ, PYTHONPATH=src), timeout=15)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_messages_print_huge_exact_values_in_exponent_form(ctx30):
+    # str() of an int of more than 4 300 digits raises ValueError, so a
+    # message that printed such a parameter in full raised that instead
+    huge = 10 ** 5000
+    assert _exact_text(Fraction(1, 3)) == "1/3" and _exact_text(-7) == "-7"
+    assert _exact_text(2 ** 1024 - 1) == str(2 ** 1024 - 1)     # 1 024 bits
+    assert _exact_text(2 ** 1024) == "1.79769313486232e+308"
+    assert _exact_text(Fraction(-huge, 7)) == "-1.42857142857143e+4999"
+    assert _exact_text(Fraction(3, huge)) == "3.0e-5000"
+    spec = ParamSpec("n", "int", lo=Fraction(1), hi=Fraction(huge))
+    assert spec.describe() == "n:int [1..1.0e+5000]"
+    for value, says in ((huge + 1, "n=1.0e+5000 above bound 1.0e+5000"),
+                        (Fraction(huge, 3), "n=3.33333333333333e+4999 is not an integer"),
+                        ("0", "n='0' below bound 1")):
+        with pytest.raises(ConfigurationError) as info:
+            spec.validate(value)
+        assert says in str(info.value)
+    with pytest.raises(DomainError) as info:
+        as_int(-huge, "m", 0)
+    assert str(info.value) == "m must be an integer >= 0, got -1.0e+5000"
+    for upper, lower, error, says in (
+            (["1e5000", 1], [3], ConvergenceError, "= -1.0e+5000 <= 0"),
+            (["1e5000", 1], ["-1e5000"], DomainError, "parameter -1.0e+5000 is"),
+            (["1e5000", 1], ["1e5001"], ConvergenceError, "M = 2.0e+5001")):
+        with pytest.raises(error) as info:
+            pfq(upper, lower, 1, ctx30)
+        assert says in str(info.value)
 
 
 def test_defaults():

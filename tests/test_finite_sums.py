@@ -1,4 +1,9 @@
 import math
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -6,14 +11,15 @@ import mpmath
 import pytest
 
 import mzsv.chains
-from mzsv import (DomainError, Index, PrecisionContext,
+from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext,
                   d1_inv_pochhammer2a_at1, d1_pochhammer_at1,
                   dr_inv_pochhammer_2minus_at1, dr_ratio_at1, derivative_at,
                   pochhammer, star_sum, star_sum_exact, strict_sum,
                   strict_sum_exact)
-from mzsv.finite_sums import (_exact_prefixes, dr_ratio_at1_forms,
+from mzsv.finite_sums import (_PLAN_MAX, _chain_prefixes, _exact_prefixes, _plan,
+                              _recipe, _tail_route, dr_ratio_at1_forms,
                               dr_inv_pochhammer_2minus_at1_exact)
-from mzsv.indices import compositions
+from mzsv.indices import coarsenings, compositions
 
 
 # -- oracle: plain enumeration and Fraction recurrences, independent of the
@@ -124,19 +130,21 @@ def test_exact_sums_at_large_m(ctx30):
 def test_single_part_sums_match_hurwitz_zeta(digits):
     # independent route: S*_m((k)) = zeta(k) - zeta(k, m+2) and
     # S_m((k)) = S*_{m-1}((k)), with mpmath's Hurwitz zeta at twice the
-    # digits; at m = 40 000 the kernel's q*q = (t+1)^2 passes 2^30, two digits
+    # digits; at m = 40 000 the kernel's q*q = (t+1)^2 passes 2^30, two
+    # digits, and at 10^8 the sum is its first M0 terms and two tails
     ctx = PrecisionContext(digits)
     ref_mp = mpmath.mp.clone()
     ref_mp.dps = 2 * digits
-    m = 40_000
     bound = ref_mp.mpf(10) ** -digits
-    for k in (2, 3, 4):
-        star_ref = ref_mp.zeta(k) - ref_mp.zeta(k, m + 2)
-        strict_ref = ref_mp.zeta(k) - ref_mp.zeta(k, m + 1)
-        star, strict = star_sum(Index((k,)), m, ctx), strict_sum(Index((k,)), m, ctx)
-        for got, ref in ((star, star_ref), (strict, strict_ref)):
-            assert abs(ref_mp.mpf(got.mpf) - ref) <= bound * ref, (k, digits)
-        assert strict.mpf == star_sum(Index((k,)), m - 1, ctx).mpf
+    for m in (40_000, 10 ** 8):
+        for k in (2, 3, 4):
+            star_ref = ref_mp.zeta(k) - ref_mp.zeta(k, m + 2)
+            strict_ref = ref_mp.zeta(k) - ref_mp.zeta(k, m + 1)
+            star = star_sum(Index((k,)), m, ctx)
+            strict = strict_sum(Index((k,)), m, ctx)
+            for got, ref in ((star, star_ref), (strict, strict_ref)):
+                assert abs(ref_mp.mpf(got.mpf) - ref) <= bound * ref, (k, m, digits)
+            assert strict.mpf == star_sum(Index((k,)), m - 1, ctx).mpf
 
 
 def test_exact_sums_run_on_the_chain_kernel(monkeypatch):
@@ -155,6 +163,145 @@ def test_exact_sums_run_on_the_chain_kernel(monkeypatch):
     a, b = dr_ratio_at1_forms(5, 2)
     assert a == b
     assert len(calls) > 2
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_tail_route_matches_one_kernel_call(digits):
+    # the tail route sums t < M0 and takes the rest from the words' tails,
+    # a word ending in 1s through the stuffle product with H_end; at the
+    # same scale it gives the same mpf as the one kernel call over every
+    # term, on both sides of M0 and far past it, and so does the public sum
+    # whichever route it takes
+    ctx = PrecisionContext(digits)
+    m0 = mzsv.chains.first_checkpoint(ctx, False)
+    S = 10 ** (ctx.working_digits + mzsv.chains.SCALE_PAD)
+    rng = random.Random(3800 + digits)
+    for m in (list(range(m0 - 1, m0 + 3)) + [rng.randint(m0, 3 * m0) for _ in range(4)]
+              + [rng.randint(m0, 20_000) for _ in range(4)]):
+        for strict in (True, False):
+            for lo in (1, 2):
+                parts = tuple(rng.randint(lo, 5) for _ in range(rng.randint(1, 5)))
+                end = m if strict else m + 1
+                want = _chain_prefixes(parts, end, strict, S)[-1]
+                fn = strict_sum if strict else star_sum
+                assert fn(Index(parts), m, ctx).mpf == ctx.mp.mpf(want) / S, (parts, m)
+                if end > m0:
+                    words = _plan(parts, _PLAN_MAX)
+                    got = _tail_route(ctx, S, m0, end, strict, words)
+                    assert ctx.mp.mpf(got) / S == ctx.mp.mpf(want) / S, (parts, m, strict)
+
+
+@pytest.mark.parametrize("m", [10_000, 10 ** 8])
+def test_sums_with_parts_one_keep_the_coarsening_identities(ctx30, m):
+    # S*_m(k) = sum_c S_{m+1}(c) and S_m(k) = sum_c (-1)^(n-|c|) S*_{m-1}(c)
+    # over the coarsenings c of k: every side takes the tail route, and the
+    # coarsened words end in 1s where k does not, and the other way round
+    mp = ctx30.mp
+    bound = mp.mpf(10) ** -ctx30.digits
+    for parts in ((1, 2, 1), (3, 1, 1, 2), (2, 1, 3, 1), (1, 1, 1, 1)):
+        ix = Index(parts)
+        star = star_sum(ix, m, ctx30).mpf
+        other = sum(strict_sum(c, m + 1, ctx30).mpf for c in coarsenings(ix))
+        assert abs(star - other) <= bound * star, (parts, m)
+        strict = strict_sum(ix, m, ctx30).mpf
+        other = sum((-1) ** (ix.depth - c.depth) * star_sum(c, m - 1, ctx30).mpf
+                    for c in coarsenings(ix))
+        assert abs(strict - other) <= bound * strict, (parts, m)
+
+
+def test_stuffle_plan_orders_words_and_stops_at_its_budget():
+    words = _plan((2, 1, 1), _PLAN_MAX)
+    assert words[-1] == (2, 1, 1) and len(set(words)) == len(words)
+    for i, w in enumerate(words):
+        recipe = _recipe(w)
+        needs = ([w[:j] for j in range(1, len(w))] if recipe is None
+                 else [recipe[1], (1,)] + recipe[2] + recipe[3])
+        assert all(x in words[:i] for x in needs if x and x != w), w
+    assert _recipe((2, 1, 1)) == (2, (2, 1), [(1, 2, 1)], [(3, 1), (2, 2)])
+    # ten 1s need all 2^10 compositions of 1..10 into the same parts
+    assert len(_plan((1,) * 10, _PLAN_MAX)) == 1023
+    assert _plan((1,) * 10, 100) is None
+
+
+def _kernel_ranges(monkeypatch):
+    """Record the (t0, t1) of every kernel call through chains."""
+    kernel = mzsv.chains.nested_chain_advance
+    ranges = []
+
+    def counting(*args):
+        ranges.append(args[7:9])
+        return kernel(*args)
+
+    monkeypatch.setattr(mzsv.chains, "nested_chain_advance", counting)
+    return ranges
+
+
+def test_sums_past_the_first_checkpoint_sum_only_to_it(monkeypatch):
+    ctx = PrecisionContext(30)
+    m0 = mzsv.chains.first_checkpoint(ctx, False)
+    ranges = _kernel_ranges(monkeypatch)
+    for fn, end in ((strict_sum, 20_000), (star_sum, 20_001)):
+        for parts in ((2, 3, 2), (2, 1, 3), (1, 1, 1, 1, 1)):
+            ranges.clear()
+            fn(Index(parts), 20_000, ctx)
+            assert ranges and set(ranges) == {(0, m0)}, parts
+        # eight 1s need 255 words: at this m one kernel call costs less
+        ranges.clear()
+        fn(Index((1,) * 8), 20_000, ctx)
+        assert ranges == [(0, end)]
+    ranges.clear()
+    star_sum(Index((2, 3)), m0 - 1, ctx)     # m0 terms: no tail
+    assert ranges == [(0, m0)]
+
+
+def test_sums_at_many_bounds_keep_a_bounded_number_of_tail_values():
+    # every bound evaluates each head's tails at a new point; the kept
+    # values must not grow with the number of bounds asked for
+    ctx = PrecisionContext(30)
+    m0 = mzsv.chains.first_checkpoint(ctx, False)
+    kept = mzsv.tailcalc.VALUES_KEPT
+    for m in range(m0, m0 + 3 * kept):
+        star_sum(Index((2, 3)), 10 * m, ctx)
+    tails = [T for _, T, _ in ctx.tail_calc(False).suffix_tails.values()]
+    assert len(tails) == 3 and all(0 < len(T.values) <= kept for T in tails)
+
+
+def test_loops_past_max_terms_raise_before_they_start():
+    # ten 1s need 1 023 words, more than one kernel call over these
+    # bounds; twelve need 4 095, past _PLAN_MAX at any bound
+    ctx = PrecisionContext(30, max_terms=1000)
+    for call in (lambda: star_sum(Index((1,) * 10), 1000, ctx),
+                 lambda: strict_sum(Index((1,) * 10), 1001, ctx),
+                 lambda: star_sum(Index((1,) * 12), 10 ** 9, PrecisionContext(30)),
+                 lambda: pochhammer(2, 1001, ctx)):
+        with pytest.raises(ConvergenceError, match="exceed max_terms="):
+            call()
+    star_sum(Index((1,) * 10), 999, ctx)
+    strict_sum(Index((1,) * 10), 1000, ctx)
+    pochhammer(2, 1000, ctx)
+    # a sum on the tail route loops to M0 only, at any m
+    assert star_sum(Index((2, 2)), 10 ** 9, ctx) < star_sum(Index((2, 2)), 10 ** 10, ctx)
+    assert star_sum(Index((2, 1)), 10 ** 9, ctx) < star_sum(Index((2, 1)), 10 ** 10, ctx)
+
+
+def test_a_deep_sum_at_a_billion_terms_returns_at_once():
+    # one kernel call over every term would take minutes; the
+    # subprocess makes a regression fail by its timeout instead of hanging;
+    # each sum falls short of its series by about its head's value over m
+    code = textwrap.dedent("""
+        from mzsv import Index, PrecisionContext, mzsv, mzv, star_sum, strict_sum
+        ctx = PrecisionContext(30)
+        for finite, series, parts in ((star_sum, mzsv, (2, 3, 2, 4, 2)),
+                                      (strict_sum, mzv, (5, 2, 2, 3, 2))):
+            gap = series(Index(parts), ctx).value - finite(Index(parts), 10 ** 9, ctx)
+            assert 0 < gap < 2e-9, (parts, gap)
+        print("ok")
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 @pytest.mark.parametrize("m, r, heads", [
