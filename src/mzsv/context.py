@@ -99,7 +99,9 @@ class PrecisionContext:
     that ``numerics.gamma`` met (``gammas``), one context per digit count
     that ``numerics.derivative_at`` raises it to (``raised(digits)``) and
     the chain evaluators' tail algebra alike: one TailCalc per sign, plain
-    or alternating (``tail_calc(alternating)``), each with what it built.
+    or alternating (``tail_calc(alternating)``), each with what it built;
+    the plain one also keeps each finite-sum word once, with its evaluator
+    and value at infinity (``finite_sums._tail_route``).
     ``exact_diag`` holds the one diagnostics record that every closed-form
     quantity on the context reports (``series.exact_diag``; None until the
     first is asked for).

@@ -6,7 +6,9 @@ t = 0, cut off at m, in O(depth * kernels.BLOCK) memory. A rounded sum
 past the first checkpoint M0 (``chains.first_checkpoint``) sums its first
 M0 terms on the kernel and takes the rest, up to any m, from the chains'
 tail series, a word ending in 1s through the stuffle product with the
-harmonic number (``_tail_route``), in time independent of m; one with at
+harmonic number (``_tail_route``), in time independent of m. A context
+keeps each such word once, with its evaluator and its value at infinity,
+so a word it has met costs only its tails at the new bound. A sum with at
 most M0 terms, or whose words would cost more, is one kernel call over
 all of them, in O(depth * m). Either loop is capped by ctx.max_terms.
 The exact rational twins run the whole chain on the same kernel at the
@@ -87,9 +89,10 @@ def _finite_sum(parts: Tuple[int, ...], m: int, ctx: PrecisionContext,
 
 
 # what a word of ``_tail_route`` costs per part, in kernel term-levels per
-# M0: its tails' evaluations and their builds, the first time a context
-# needs them, took 1.1-1.7 M0 warm and 5-6.4 M0 cold at 100 and 30 digits
-# (medians over random words of parts 1-4)
+# M0, the first time a context meets it: its tails' evaluations and their
+# builds took 1.1-1.7 M0 warm and 5-6.4 M0 cold at 100 and 30 digits
+# (medians over random words of parts 1-4); the context then keeps the
+# word, and a new bound costs one evaluation of its tails
 _WORD_COST = 3
 # the most word parts ``_plan`` lists: about half a second of tail route
 _PLAN_MAX = 2 ** 14
@@ -157,21 +160,31 @@ def _tail_route(ctx: PrecisionContext, S: int, m0: int, end: int, strict: bool,
     the sum of u with one part raised by 1. The r gaps after v give w, so
     r * w = u * H - (the other insertions) -+ (the raised words)
     (``_recipe``), where H = P_(1)(end-1) = H_end, from mpmath's digamma;
-    every word on the right is shorter or ends in fewer 1s. Tails are
-    built once per context (``TailCalc.suffix_tails``).
+    every word on the right is shorter or ends in fewer 1s.
+
+    A context keeps each word w ending in a part >= 2 once, keyed by
+    (w, strict) (``TailCalc.finite_words``): its evaluator and its value at
+    infinity P_w(M0-1) + R_w(M0-1), which does not depend on end. Kernel
+    calls over t < M0 are made only for words not kept yet, so a word met
+    before costs one ``tail_correction`` at end-1. Tails are built once per
+    context (``TailCalc.suffix_tails``).
     """
+    kept = ctx.tail_calc(False).finite_words
     at_m0 = {(): S}
     for w in sorted(words, key=len, reverse=True):
-        if w[-1] >= 2 and w not in at_m0:
+        if w[-1] >= 2 and (w, strict) not in kept and w not in at_m0:
             pv = _chain_prefixes(w, m0, strict, S)
             at_m0.update((w[:i], pv[i]) for i in range(1, len(w) + 1))
     at_end = {(): S}
     for w in words:
         recipe = _recipe(w)
         if recipe is None:
-            ev = chains.ChainEvaluator(ctx, chains.index_levels(w), strict)
-            ev.pvals = [at_m0[w[:i]] for i in range(len(w) + 1)]
-            rest = at_m0[w] + ev.tail_correction(m0 - 1)
+            entry = kept.get((w, strict))
+            if entry is None:
+                ev = chains.ChainEvaluator(ctx, chains.index_levels(w), strict)
+                ev.pvals = [at_m0[w[:i]] for i in range(len(w) + 1)]
+                entry = kept[w, strict] = (ev, at_m0[w] + ev.tail_correction(m0 - 1))
+            ev, rest = entry
             ev.pvals = [at_end[w[:i]] for i in range(len(w))] + [0]
             at_end[w] = rest - ev.tail_correction(end - 1)
         elif w == (1,):

@@ -266,7 +266,7 @@ def _gamma_ratio(ctx: PrecisionContext, num: Sequence[Fraction],
     return val
 
 
-def _kr_levels(p):
+def _kr_levels(p, ctx: PrecisionContext):
     """The nested sum of either identity as one prefix chain, innermost
     level first.
 
@@ -275,7 +275,8 @@ def _kr_levels(p):
     Each level above weighs (b_{j+1})_t (c_{j+1})_t / ((1+a-b_j)_t (1+a-c_j)_t)
     (j = 2..s in (i), 1..s-1 in (ii)) and is coupled to the one below by d_j.
     The coupling weight (d)_l / l! is a d-fold prefix sum, so an integer
-    d >= 1 puts d-1 weight-one levels between the two ratio levels.
+    d >= 1 puts d-1 weight-one levels between the two ratio levels; a d
+    past ctx.max_terms raises ConvergenceError before any level is built.
     """
     one = Fraction(1)
     a, b, c = p.a, p.b, p.c
@@ -292,6 +293,10 @@ def _kr_levels(p):
                 f"coupling exponent 1+a-b_{j + 1}-c_{j + 1} = {_exact_text(d)} is "
                 "not a positive integer; the nested sum is summed only for "
                 "integer couplings")
+        if d > ctx.max_terms:
+            raise ConvergenceError(
+                f"nested sum: its coupling 1+a-b_{j + 1}-c_{j + 1} = {_exact_text(d)} "
+                f"exceeds max_terms={ctx.max_terms}")
         ratio = Ratio((b[j + 1], c[j + 1]), (one + a - b[j], one + a - c[j]),
                       init=one)
         levels += [Level()] * (int(d) - 1) + [Level(ratio=ratio)]
@@ -310,7 +315,7 @@ def _kr_rhs(p, ctx: PrecisionContext, tol=None) -> Evaluation:
         raise ConditionError(
             "hypothesis conditions fail: "
             + "; ".join(e.description for e in report.failures()), report)
-    levels = _kr_levels(p)
+    levels = _kr_levels(p, ctx)
     one = Fraction(1)
     b, c = p.b[-1], p.c[-1]
     pref = _gamma_ratio(ctx, [one + p.a - b, one + p.a - c],

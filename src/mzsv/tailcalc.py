@@ -296,9 +296,13 @@ class TailCalc:
     ``rows``, the sumtail factor rows, keyed by (a, b) with p = a/b, and
     ``row_ends``, the exact Pochhammer product each row resumes from;
     ``shapes``, the ``ratio_asymptotics`` results, keyed by their shift
-    tuples; and ``suffix_tails``, which ``chains.ChainEvaluator`` fills
-    with one entry per suffix of its levels. A row grows at its end, and
-    its ``row_ends`` entry moves with it; every other entry is read only."""
+    tuples; ``suffix_tails``, which ``chains.ChainEvaluator`` fills
+    with one entry per suffix of its levels; and ``finite_words``, where
+    ``finite_sums._tail_route`` keeps each word it met once, keyed by (word,
+    strict), with its evaluator and its value at infinity. A row grows at
+    its end, and its ``row_ends`` entry moves with it; an evaluator there
+    has its inner prefix values reset on each use; every other entry is
+    read only."""
 
     def __init__(self, mp, alternating: bool):
         self.alternating = alternating
@@ -309,6 +313,7 @@ class TailCalc:
         self.row_ends: dict = {}
         self.shapes: dict = {}
         self.suffix_tails: dict = {}
+        self.finite_words: dict = {}
 
     # -- constructors --------------------------------------------------------
     def const(self, value) -> TailPoly:

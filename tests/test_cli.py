@@ -97,6 +97,9 @@ def test_huge_parameters_and_loops_exit_with_a_message(capsys):
              "parameter -1.0e+5000 is a non-positive integer"),
             (("eval", "kr-rhs-ii", "--s", "1", "--a", "1e5000", "--c0", "1", "--b", "1",
               "--c", "1"), 3, "M = 2.0e+5000"),
+            # a coupling past max_terms is refused before its levels are built
+            (("eval", "kr-rhs-i", "--s", "2", "--a", "1e5000", "--b", "1,1,1",
+              "--c", "1,1,1"), 3, "1+a-b_2-c_2 = 1.0e+5000 exceeds max_terms=100000000"),
             (("eval", "finite-star", ",".join("1" * 12), "--m", "1000000000"), 3,
              "its 1000000001 terms exceed max_terms=100000000"),
             (("eval", "pochhammer", "2", "1000000000"), 3,

@@ -191,6 +191,59 @@ def test_tail_route_matches_one_kernel_call(digits):
                     assert ctx.mp.mpf(got) / S == ctx.mp.mpf(want) / S, (parts, m, strict)
 
 
+def test_a_known_word_costs_only_its_tails(monkeypatch):
+    # a context keeps each word of the tail route once, with its evaluator
+    # and its value at infinity: the same sum at a new bound past M0 makes
+    # no kernel call and builds no evaluator, and gives the mpf of a fresh
+    # context; the store grows with the distinct words only
+    ctx = PrecisionContext(30)
+    m0 = mzsv.chains.first_checkpoint(ctx, False)
+    ix = Index((2, 1, 4, 3, 1))
+    bounds = (100 * m0, 100 * m0 + 1, 217 * m0, 10 ** 6)
+    fresh = {(fn, m): fn(ix, m, PrecisionContext(30)).mpf
+             for fn in (star_sum, strict_sum) for m in bounds}
+    kept = ctx.tail_calc(False).finite_words
+    kernel, init = mzsv.chains.nested_chain_advance, mzsv.chains.ChainEvaluator.__init__
+    calls, built = [], []
+    monkeypatch.setattr(mzsv.chains, "nested_chain_advance",
+                        lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(mzsv.chains.ChainEvaluator, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for fn in (star_sum, strict_sum):
+        assert fn(ix, bounds[0], ctx).mpf == fresh[fn, bounds[0]]
+        assert calls and built
+        size = len(kept)
+        for m in bounds[1:] + bounds[:1]:
+            calls.clear()
+            built.clear()
+            assert fn(ix, m, ctx).mpf == fresh[fn, m], (fn, m)
+            assert not calls and not built, (fn, m)
+        assert len(kept) == size
+    words = [w for w in _plan(ix.parts, _PLAN_MAX) if w[-1] >= 2]
+    assert sorted(kept) == sorted((w, strict) for w in words for strict in (False, True))
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_tail_route_keeps_the_working_digits(digits):
+    # seeded sums of parts 1-6, among them a strict depth-6 sum of 4.4e-14,
+    # against one kernel call at twice the digits: the tail route keeps
+    # the package's standard, 10^-wd times max(1, |value|)
+    ctx = PrecisionContext(digits)
+    ref = PrecisionContext(2 * digits)
+    S = 10 ** (ref.working_digits + mzsv.chains.SCALE_PAD)
+    m0 = mzsv.chains.first_checkpoint(ctx, False)
+    bound = ref.mp.mpf(10) ** -ctx.working_digits
+    rng = random.Random(3900 + digits)
+    cases = [((2, 1, 5, 6, 4, 6), 19_977, True)] + [
+        (tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 6))),
+         rng.randint(2 * m0, 20_000), rng.random() < 0.5) for _ in range(12)]
+    for parts, m, strict in cases:
+        fn = strict_sum if strict else star_sum
+        got = ref.mp.mpf(fn(Index(parts), m, ctx).mpf)
+        want = ref.mp.mpf(_chain_prefixes(parts, m if strict else m + 1, strict, S)[-1]) / S
+        assert abs(got - want) <= bound * max(1, abs(want)), (parts, m, strict)
+
+
 @pytest.mark.parametrize("m", [10_000, 10 ** 8])
 def test_sums_with_parts_one_keep_the_coarsening_identities(ctx30, m):
     # S*_m(k) = sum_c S_{m+1}(c) and S_m(k) = sum_c (-1)^(n-|c|) S*_{m-1}(c)

@@ -323,7 +323,7 @@ def _ratio_chains():
     # the (A3) right-hand side at alpha = 1/2, s = 3, as specialized_rhs sums it
     a3 = [Level(ratio=Ratio((Fraction(1),), (3 - half,), init=1 / (2 - half)))]
     a3 += [Level(pows=(Pow(2, Fraction(1)),))] * 2
-    return [("kr_ii", _kr_levels(kr)), ("pfq", [Level(ratio=gauss)]),
+    return [("kr_ii", _kr_levels(kr, PrecisionContext(30))), ("pfq", [Level(ratio=gauss)]),
             ("a3_rhs", a3)]
 
 

@@ -30,7 +30,7 @@ CHAINS = {
     # a ratio level inside two power levels: the outer ones sum in ints
     "ratio": ([_GAUSS] + index_levels((1, 2)), False, False),
     # the inner level takes the product of both pins
-    "kr": (_kr_levels(_KR), False, False),
+    "kr": (_kr_levels(_KR, PrecisionContext(30)), False, False),
 }
 
 
@@ -147,8 +147,8 @@ def test_ratio_chain_tail_matches_twice_the_digits(digits):
     # the same tail at twice the digits: each pin and tail is read at
     # 2**bits, GUARD_BITS past the working precision, so the tail keeps
     # the working digits with room to spare
-    levels = _kr_levels(_KR)
     ctx = PrecisionContext(digits)
+    levels = _kr_levels(_KR, ctx)
     ev = ChainEvaluator(ctx, levels)
     ref = ChainEvaluator(PrecisionContext(2 * digits), levels)
     M = 2 * ev.start + 1
