@@ -19,12 +19,15 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from mpmath.libmp import to_fixed
+
 from . import finite_sums, hypergeom, series
 from .context import HPReal, PrecisionContext, _exact_text, as_fraction
 from .errors import ConfigurationError, DomainError
 from .indices import Index, compositions
 from .numerics import derivative_at
 from .series import EvalDiagnostics, Evaluation, exact_diag
+from .tailcalc import GUARD_BITS
 
 
 class ParamSpec(NamedTuple):
@@ -206,10 +209,18 @@ def _ev_eq2_check(ctx, p):
     lhs = _scalar(ctx, finite_sums.dr_inv_pochhammer_2minus_at1(m, r, ctx))
 
     def f(x):
-        prod = x.ctx.one()
-        for j in range(m + 1):
-            prod = prod * (2 - x + j)
-        return 1 / prod
+        # 1/(2-x)_{m+1} in integers at GUARD_BITS past x's precision, with
+        # no HPReal operation per factor: a = 2 - x exactly (x is a stencil
+        # node near 1), m products floored at 2^-bits while the product stays
+        # above 1/2, so each floor costs under 2^(1-bits) relative, then one
+        # reciprocal scaled to bits+1 significant bits and one rounding
+        bits = x.ctx.mp.prec + GUARD_BITS
+        a = (2 << bits) - to_fixed(x.mpf._mpf_, bits)
+        prod = a
+        for j in range(1, m + 1):
+            prod = prod * (a + (j << bits)) >> bits
+        s = prod.bit_length()
+        return HPReal(x.ctx.mp.ldexp((1 << (bits + s)) // prod, -s), x.ctx)
 
     rhs = _scalar(ctx, derivative_at(f, 1, r, ctx) / math.factorial(r))
     return lhs, rhs

@@ -8,8 +8,12 @@ gamma                  -- exact at an int, Fraction or decimal string up to Gamm
                           point by tailcalc's shared helper
 zeta_tail              -- Euler-Maclaurin remainder of the zeta series, to
                           working precision (tailcalc.power_sum_tail)
-derivative_at          -- central-difference derivative oracle of order r,
-                          f run at wd + ceil(r wd/(r+2)) digits plus guard
+derivative_at          -- central-difference derivative oracle of order
+                          r <= 6 at the binary step h = 2^-e, the largest
+                          power of two <= 10^(-wd/(r+2)); f run at
+                          wd + ceil(r wd/(r+2)) digits plus guard, so the
+                          guard digits cover the factor 2^r <= 64 that the
+                          shorter step adds to the rounding
 """
 
 from __future__ import annotations
@@ -177,35 +181,53 @@ def _central_weights(r: int, npts: int):
     return nodes, weights
 
 
+_MAX_ORDER = 6  # the highest order derivative_at takes, eq2_check's largest r
+
+
+def _stencil(r: int, wd: int):
+    """(e, nodes, weights) of the order-r oracle at wd working digits: the
+    step h = 2^-e with e = ceil(wd log2(10) / (r+2)), so h <= 10^(-wd/(r+2))
+    < 2h, and the 2r+3-point central stencil of ``_central_weights``."""
+    # wd log2(10) lies strictly between b-1 and b, and no multiple of r+2
+    # lies in between, so its ceiling over r+2 is that of b
+    b = (10 ** wd).bit_length()
+    return -(-b // (r + 2)), *_central_weights(r, 2 * r + 3)
+
+
 def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
                   ctx: PrecisionContext) -> HPReal:
     """r-th derivative of f at x0 (taken into ctx) by central differences.
 
+    The order is an integer 0 <= r <= 6; a larger r raises
+    DomainError before f is called (at r = 7 the result already misses
+    10^-(wd-2), and at r = 30 it is wrong by a factor of about 50).
     The 2r+3-point stencil has accuracy order r+3 or more, and its step
-    h = 10^(-wd/(r+2)), wd = ctx.working_digits, keeps the truncation error
-    (about h^(r+3)) below 10^-wd. Dividing by h^r magnifies the rounding of
-    each f value by 10^(r wd/(r+2)), so f runs on ``ctx.raised(wd +
-    ceil(r wd/(r+2)))``, whose guard digits hold that error near
-    10^-(wd+guard) times the stencil's weights. `f` receives HPReal
+    h = 2^-e, the largest power of two <= 10^(-wd/(r+2)), wd =
+    ctx.working_digits (``_stencil``), keeps the truncation error (about
+    h^(r+3)) below 10^-wd. The nodes x0 + j h are exact for a short x0
+    such as 1, and dividing by h^r is a shift of the exponent. That
+    division magnifies the rounding of each f value by 10^(r wd/(r+2))
+    times at most 2^r <= 64 (h may fall short of 10^(-wd/(r+2)) by a
+    factor below 2), so f runs on ``ctx.raised(wd + ceil(r wd/(r+2)))``,
+    whose guard digits (10 by default) hold that error near
+    10^-(wd+guard) times 64 and the stencil's weights. `f` receives HPReal
     arguments bound to that context and must return one in it (or a number).
     """
     r = as_int(r, "derivative order r", 0)
+    if r > _MAX_ORDER:
+        raise DomainError(f"derivative order r must be at most {_MAX_ORDER}, got {r}")
     wd = ctx.working_digits
     hi = ctx.raised(wd - (-r * wd // (r + 2)))
-    x0v = HPReal(hi.mp.mpf(ctx.real(x0).mpf), hi)  # exact binary transfer
-    npts = 2 * r + 3  # accuracy order >= r + 3
-    nodes, weights = _central_weights(r, npts)
     mp = hi.mp
-    h = mp.mpf(10) ** (mp.mpf(-wd) / (r + 2))
+    x0 = mp.mpf(ctx.real(x0).mpf)  # exact binary transfer
+    e, nodes, weights = _stencil(r, wd)
     acc = mp.mpf(0)
     for node, w in zip(nodes, weights):
         if w == 0:
             continue
-        pt = HPReal(x0v.mpf + node * h, hi)
-        val = hi.real(f(pt))
+        val = hi.real(f(HPReal(x0 + mp.ldexp(node, -e), hi)))
         acc += mp.mpf(w.numerator) / w.denominator * val.mpf
-    res = acc / h ** r
-    return HPReal(ctx.mp.mpf(res), ctx)
+    return HPReal(ctx.mp.mpf(mp.ldexp(acc, r * e)), ctx)
 
 
 # -- pairwise means ---------------------------------------------------------------

@@ -80,7 +80,7 @@ M0 = 92 and qmax = 23 at 30 digits (D = 40), 268 and 60 at 100, 711 and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, exp, lgamma, log, pi
+from math import ceil, exp, isqrt, lgamma, log, pi
 
 from mpmath.libmp import to_fixed
 
@@ -118,7 +118,9 @@ def power_sum_tail(mp, p, M: int, tol):
     2**(prec + GUARD_BITS): the mpf p is an exact binary rational, so the
     series steps by exact integer factors. An integer p takes each bridge
     term m**-p by one integer division, and stops the bridge at the first
-    m whose m**p exceeds the scale; any other p takes mpf powers there.
+    m whose m**p exceeds the scale; a half-integer p = a/2 takes it as the
+    integer square root of one**2 // m**a, the exact floor, and stops once
+    m**a exceeds one**2; any other p takes mpf powers there.
     """
     p = mp.mpf(p)
     if p <= 1:
@@ -138,6 +140,11 @@ def power_sum_tail(mp, p, M: int, tol):
             if pn * (m.bit_length() - 1) > bits:
                 break  # m**-p, and every later term, is below one unit
             bridge += one // m ** pn
+    elif pd == 2:  # one * m**-(pn/2), floored exactly: isqrt(one**2 // m**pn)
+        for m in range(M + 1, N):
+            if pn * (m.bit_length() - 1) > 2 * bits:
+                break
+            bridge += isqrt((one << bits) // m ** pn)
     else:
         for m in range(M + 1, N):
             bridge += to_fixed(mp.power(m, -p)._mpf_, bits)

@@ -7,6 +7,7 @@ import pytest
 
 import mzsv
 import mzsv.cli  # noqa: F401  (the tracer wraps a name in it)
+from mzsv import identities
 from mzsv import (ConfigurationError, PrecisionContext, get_identity,
                   list_identities, verify, verify_suite, zeta)
 
@@ -212,3 +213,44 @@ def test_registry_evaluators_reach_the_tracer(monkeypatch, id_, params,
     # Theorem A: one pFq series side and one nested right-hand side
     assert calls.get("hypergeom.pfq", 0) == sides
     assert calls.get("hypergeom.kr_rhs", 0) == sides
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+def test_eq2_check_integer_oracle_across_the_schema(digits):
+    # the registry's Eq. (2) check at the schema's corners: both sides within
+    # 10^-wd relative (absolute below 1), far inside the claimed floor
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    for m in (0, 7, 15, 30):
+        for r in range(7):
+            res = verify("eq2_check", {"m": m, "r": r}, ctx)
+            lhs = res.lhs_value.mpf
+            bound = mp.mpf(10) ** -ctx.working_digits * max(1, abs(lhs))
+            assert res.passed and abs(lhs - res.rhs_value.mpf) <= bound, (m, r)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 30])
+def test_eq2_check_integer_product_matches_hpreal_product(monkeypatch, m):
+    # the oracle's f, 1/(2-x)_{m+1} in integers, against the same product
+    # taken by HPReal operations, at every stencil point derivative_at hands
+    # it: four at r = 1 (the centre weighs nothing), fifteen at r = 6
+    real_derivative_at = identities.derivative_at
+    seen = []
+
+    def spy(f, x0, r, ctx):
+        def g(x):
+            prod = x.ctx.one()
+            for j in range(m + 1):
+                prod = prod * (2 - x + j)
+            ours, ref = f(x), (1 / prod).mpf
+            mp = x.ctx.mp
+            seen.append(abs(ours.mpf - ref) / ref * mp.mpf(2) ** mp.prec)
+            return ours
+        return real_derivative_at(g, x0, r, ctx)
+
+    monkeypatch.setattr(identities, "derivative_at", spy)
+    for r in (1, 6):
+        assert verify("eq2_check", {"m": m, "r": r}, PrecisionContext(30)).passed
+    # in units of 2^-prec relative: each of the HPReal side's m+1 roundings
+    # costs at most one, the integer side's one final rounding one
+    assert len(seen) == 4 + 15 and max(seen) <= m + 3

@@ -186,11 +186,8 @@ def test_gamma_non_rational_path_meets_working_precision(digits):
     ref_mp.dps = 2 * ctx.working_digits
     xs = [ctx.real(x).mpf for x in ("1e-30", "0.001", "0.9999", "1.0001", "2.5",
                                     "170.5", "12345.678", "1e20")]
-    wd = ctx.working_digits
-    hi = ctx.raised(wd - (-wd // 3))  # the context derivative_at takes at r = 1
-    h = hi.mp.mpf(10) ** (hi.mp.mpf(-wd) / 3)
-    nodes, weights = numerics._central_weights(1, 5)
-    xs += [mp.mpf(c * (1 + j * h)) for c in (1, 2)
+    e, nodes, weights = numerics._stencil(1, ctx.working_digits)
+    xs += [c * (1 + mp.ldexp(j, -e)) for c in (1, 2)
            for j, w in zip(nodes, weights) if w]
     for x in xs:
         ours = gamma(x, ctx).mpf
@@ -366,4 +363,20 @@ def test_derivative_reuses_one_context_per_digit_count():
 def test_derivative_domain(ctx30):
     with pytest.raises(DomainError):
         derivative_at(lambda x: x, 1, -1, ctx30)
+    # past order 6 the oracle misses 10^-(wd-2) (at r = 30 by a factor of
+    # about 50): it names the order and calls f at no point
+    calls = []
+    with pytest.raises(DomainError, match="at most 6, got 7"):
+        derivative_at(lambda x: calls.append(x) or x, 1, 7, ctx30)
+    assert calls == []
+
+
+@pytest.mark.parametrize("wd", [15, 40, 110, 210, 1000])
+def test_stencil_step_is_the_largest_power_of_two_in_range(wd):
+    # h = 2^-e with h <= 10^(-wd/(r+2)) < 2h, checked in integers as
+    # 2^((e-1)(r+2)) < 10^wd <= 2^(e(r+2))
+    for r in range(7):
+        e, nodes, weights = numerics._stencil(r, wd)
+        assert 2 ** ((e - 1) * (r + 2)) < 10 ** wd <= 2 ** (e * (r + 2)), r
+        assert (nodes, weights) == numerics._central_weights(r, 2 * r + 3)
 

@@ -149,6 +149,21 @@ def test_power_sum_tail_one_pass(digits, p):
         assert abs(val - ref) <= tol * max(1, abs(ref)), M
 
 
+@pytest.mark.parametrize("digits", [30, 100, 200])
+def test_power_sum_tail_half_integer_bridge(digits):
+    # zeta(k + 1/2) = 1 + the tail past M = 1, whose bridge takes each term
+    # by an integer square root: within 10 working ulps of mpmath at twice
+    # the working digits
+    mp = PrecisionContext(digits=digits).mp
+    ref_mp = mp.clone()
+    ref_mp.dps = 2 * mp.dps
+    for k in range(1, 6):
+        pv = mp.mpf(k) + 0.5
+        val = 1 + power_sum_tail(mp, pv, 1, mp.mpf(10) ** -mp.dps)
+        ref = ref_mp.zeta(ref_mp.mpf(pv))
+        assert abs(val - ref) / ref * ref_mp.mpf(10) ** mp.dps <= 10, k
+
+
 # -- the first checkpoint and the expansion order -----------------------------------
 
 def _log_first_dropped_plain_term(m0, qmax, p):
