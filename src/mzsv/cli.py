@@ -6,18 +6,22 @@ text (no exponent notation below 10^6), so reports diff cleanly.
 
 The default precision comes from MZSV_DEFAULT_PREC (decimal digits) and is
 overridden by --prec.
+
+Each command imports the layers it runs, so that ``eval finite-star`` does
+not load the series, hypergeometric or identity layers.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 from typing import List, Optional
 
-from . import __version__, bench, finite_sums, hypergeom, identities, series
+from . import __version__, finite_sums
 from .context import PrecisionContext
 from .errors import ConfigurationError, ConvergenceError, MzsvError, ParseError
 from .indices import parse_index
@@ -45,7 +49,7 @@ def _default_prec() -> int:
 
 
 def _context(args) -> PrecisionContext:
-    digits = args.prec if args.prec else _default_prec()
+    digits = args.prec if args.prec is not None else _default_prec()
     tol = getattr(args, "tol", None)
     if tol is None and args.command == "verify":
         tol = f"1e-{digits - 5}"  # five digits below the output precision
@@ -92,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("kind", choices=EVAL_KINDS)
     pe.add_argument("args", nargs="*",
                     help="positional arguments (index text or numbers)")
-    pe.add_argument("--prec", type=int, default=0, help="output decimal digits")
+    pe.add_argument("--prec", type=int, default=None, help="output decimal digits")
     pe.add_argument("--m", type=int, default=None, help="finite-sum bound")
     pe.add_argument("--s", type=int, default=None)
     pe.add_argument("--alpha", default=None)
@@ -111,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--m", default=None)
     pv.add_argument("--alpha", default=None, help="comma-separated values")
     pv.add_argument("--variant", default=None, help="comma-separated variants")
-    pv.add_argument("--prec", type=int, default=0)
+    pv.add_argument("--prec", type=int, default=None)
     pv.add_argument("--tol", default=None,
                     help="verification tolerance (default 10^-(digits-5), "
                          "1e-25 at 30 digits)")
@@ -123,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="benchmark summation strategies")
     pb.add_argument("--suite", choices=("truncation",),
                     default="truncation")
-    pb.add_argument("--prec", type=int, default=0)
+    pb.add_argument("--prec", type=int, default=None)
     pb.add_argument("--tol", default="1e-5")
     pb.add_argument("--csv", dest="csv_path", default=None)
     return ap
@@ -137,17 +141,30 @@ def _require(args_list, n, usage):
     return args_list
 
 
+def _open_output(path: str, newline: Optional[str] = None):
+    """Open an output file before the run, so that an unwritable path is a
+    usage error at once, not a traceback after the whole run."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_eval(args) -> int:
     ctx = _context(args)
     kind = args.kind
     pos = args.args
     if kind == "zeta":
+        from . import series
         (k,) = _require(pos, 1, "eval zeta K")
         value = series.zeta(ctx.real(k), ctx)
     elif kind == "eta":
+        from . import series
         (k,) = _require(pos, 1, "eval eta K")
         value = series.eta_shifted(_parse_int(k), ctx)
     elif kind in ("mzv", "mzsv", "alt-mzsv"):
+        from . import series
         (text,) = _require(pos, 1, f"eval {kind} INDEX")
         ix = parse_index(text)
         fn = {"mzv": series.mzv, "mzsv": series.mzsv,
@@ -167,11 +184,13 @@ def cmd_eval(args) -> int:
         (x,) = _require(pos, 1, "eval gamma X")
         value = gamma(x, ctx)
     elif kind == "pfq":
+        from . import hypergeom
         if not args.upper or not args.lower or args.z is None:
             raise ParseError("eval pfq needs --upper, --lower and --z")
         value = hypergeom.pfq(_parse_reals(args.upper), _parse_reals(args.lower),
                               args.z, ctx)
     elif kind in ("kr-rhs-i", "kr-rhs-ii"):
+        from . import hypergeom
         ii = kind == "kr-rhs-ii"
         if (args.s is None or args.a is None or not args.b or not args.c
                 or ii and args.c0 is None):
@@ -183,6 +202,7 @@ def cmd_eval(args) -> int:
                      c=tuple(_parse_reals(args.c)), **extra)
         value = getattr(hypergeom, kind.replace("-", "_"))(params, ctx).value
     else:  # special-lhs / special-rhs
+        from . import hypergeom
         (case,) = _require(pos, 1, f"eval {kind} CASE --alpha A --s S")
         if args.alpha is None or args.s is None:
             raise ParseError(f"eval {kind} needs --alpha and --s")
@@ -231,6 +251,7 @@ def _params_text(params: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import identities
     ctx = _context(args)
     grid = {}
     for name in ("s", "r", "m"):
@@ -245,7 +266,19 @@ def cmd_verify(args) -> int:
     pattern = "*" if target == "all" else target
     if target != "all" and not any(ch in target for ch in "*?["):
         identities.get_identity(target)  # unknown id -> usage error
-    results = identities.verify_suite(pattern, grid or None, ctx)
+    with (_open_output(args.json_path) if args.json_path is not None
+          else contextlib.nullcontext()) as fh:
+        results = identities.verify_suite(pattern, grid or None, ctx)
+        passed = _print_results(results, ctx)
+        if fh is not None:
+            json.dump(build_report(results, ctx), fh, indent=2)
+    if fh is not None:
+        print(f"report written to {args.json_path}")
+    return EXIT_OK if passed == len(results) else EXIT_VERIFY_FAILED
+
+
+def _print_results(results, ctx) -> int:
+    """Print the verification table and summary; returns the pass count."""
     mp = ctx.mp
     print(f"{'identity':22s} {'params':28s} {'|lhs-rhs|':>12s} "
           f"{'tolerance':>12s} {'ms':>9s} status")
@@ -258,14 +291,11 @@ def cmd_verify(args) -> int:
               + (f"  ({r.error})" if r.error else ""))
     passed = sum(1 for r in results if r.passed)
     print(f"summary: {passed}/{len(results)} passed")
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(build_report(results, ctx), fh, indent=2)
-        print(f"report written to {args.json_path}")
-    return EXIT_OK if passed == len(results) else EXIT_VERIFY_FAILED
+    return passed
 
 
 def cmd_list(_args) -> int:
+    from . import identities
     for desc in identities.list_identities():
         print(f"{desc.id:22s} | {desc.anchor:34s} | {desc.schema_text():44s} "
               f"| grid: {desc.grid_text()}")
@@ -273,18 +303,21 @@ def cmd_list(_args) -> int:
 
 
 def cmd_bench(args) -> int:
-    digits = args.prec if args.prec else _default_prec()
+    from . import bench
+    digits = args.prec if args.prec is not None else _default_prec()
     # the context checks --tol before any run
     ctx_mp = PrecisionContext(digits=digits, tol=args.tol).mp
-    rows = bench.run_truncation_suite(digits, args.tol)
-    print(bench.format_table(rows, ctx_mp))
-    if args.csv_path:
-        import csv as csv_mod
-        with open(args.csv_path, "w", encoding="utf-8", newline="") as fh:
+    with (_open_output(args.csv_path, newline="") if args.csv_path is not None
+          else contextlib.nullcontext()) as fh:
+        rows = bench.run_truncation_suite(digits, args.tol)
+        print(bench.format_table(rows, ctx_mp))
+        if fh is not None:
+            import csv as csv_mod
             writer = csv_mod.writer(fh)
             writer.writerow(bench.CSV_HEADER.split(","))
             for r in rows:
                 writer.writerow(r.csv_fields(ctx_mp))
+    if fh is not None:
         print(f"csv written to {args.csv_path}")
     return EXIT_OK
 

@@ -480,13 +480,18 @@ def verify_suite(id_filter: Optional[str], param_grid: Optional[dict],
                  ctx: PrecisionContext) -> List[VerificationResult]:
     """Run all matching (identity, parameters) combinations in canonical order.
 
-    Individual failures are recorded, never raised; an empty match is a
-    configuration error.
+    Individual failures are recorded, never raised; an empty match, or a
+    grid axis that no matched identity takes, is a configuration error.
     """
     pattern = id_filter or "*"
     matched = [d for d in _REGISTRY if fnmatch(d.id, pattern)]
     if not matched:
         raise ConfigurationError(f"no identity matches {pattern!r}")
+    taken = {p.name for d in matched for p in d.params}
+    for axis in param_grid or ():
+        if axis not in taken:
+            raise ConfigurationError(
+                f"no identity matching {pattern!r} takes parameter {axis!r}")
     results: List[VerificationResult] = []
     for desc in matched:
         for inst in _instances_for(desc, param_grid):

@@ -285,3 +285,33 @@ def test_verify_out_of_schema_exit_2(capsys):
     assert code == 2
     assert "bound" in err
 
+
+
+def test_prec_zero_is_a_usage_error(capsys):
+    # --prec 0 is a precision like any other, not "use the default"
+    for argv in (("eval", "zeta", "3"), ("verify", "eq1", "--s", "2"),
+                 ("bench",)):
+        code, out, err = run_cli(capsys, *argv, "--prec", "0")
+        assert code == 2 and err.startswith("error:") and ">= 10" in err, argv
+        assert out == "", argv
+
+
+def test_unwritable_output_path_exit_2(capsys, tmp_path):
+    # an output file that cannot be opened is a usage error, raised before
+    # the run, not a traceback (exit 1 means "verification failed")
+    for path, reason in ((tmp_path / "missing" / "out", "No such file"),
+                         (tmp_path, "Is a directory"), ("", "No such file")):
+        for argv in (("verify", "eq1", "--s", "2", "--json", str(path)),
+                     ("bench", "--csv", str(path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and err.startswith("error:"), argv
+            assert str(path) in err and reason in err, argv
+            assert out == "", argv
+
+
+def test_verify_axis_no_matched_identity_takes_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "eq1", "--alpha", "0.5")
+    assert code == 2 and "'alpha'" in err and "summary" not in out
+    # one matched identity taking the axis is enough: eq3 takes r
+    code, out, _ = run_cli(capsys, "verify", "eq*", "--r", "1")
+    assert code == 0 and "eq3" in out
