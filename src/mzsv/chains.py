@@ -23,7 +23,9 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
   level-by-level into tail-polynomial sums (exact for power-law weights;
   a ratio weight uses its full asymptotic shape, whose decay exponent
   sum(den_shifts) - sum(num_shifts) the ratio itself fixes, pinned to
-  the running value), so the check usually passes at its first
+  the running value; the shape is built from the reduced shifts, shared
+  ones cancelled and integer-step pairs taken as power passes,
+  ``TailCalc.ratio_asymptotics``), so the check usually passes at its first
   comparison, the second checkpoint, instead of chasing O(1/M)
   remainders (every evaluation takes at least two checkpoints); the
   harmonic-product series splits its remainder exactly into the prefix
@@ -122,7 +124,9 @@ def first_checkpoint(ctx: PrecisionContext, alternating: bool, levels=()) -> int
     has a large shift: a piece 1/(t+c)^k, or a ratio factor t + c, expands
     in powers of (c-1)/(m+1), which diverge for m below |c-1|. So a chain
     starts at twice its largest |c-1| at least, and the run loop steps on
-    from there.
+    from there. The power passes a ratio shape takes for an integer-step
+    pair n, d = n + j have shifts c in [n, d), so |c-1| <= max(|n-1|,
+    |d-1|) and the same start holds for them.
     """
     kernel_args, _ = kernel_levels(levels, 1, False)
     return _first_checkpoint(ctx, alternating, _level_keys(kernel_args))
@@ -346,6 +350,8 @@ class ChainEvaluator:
         The summand is the ratio shape times that series, times each power
         piece in turn (``TailCalc.pow_weight`` with its tail), so the only
         dense product is the one of a ratio level with a level outside it.
+        The shape itself comes from the ratio's reduced shifts, and levels
+        whose ratios reduce alike share it (``TailCalc.ratio_asymptotics``).
         """
         tails = []
         inner = None

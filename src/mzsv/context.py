@@ -34,6 +34,10 @@ EXPONENT_MAX = 10 ** 5
 # an int or Fraction with a numerator or denominator of more bits than this
 # prints in exponent form in an error message (``_exact_text``)
 _TEXT_BITS_MAX = 1024
+# a value of more binary magnitude than this prints by ``_exponent_text``:
+# past it mpmath's nstr builds a power of ten with as many digits as the
+# exponent has, which takes time quadratic in them
+_NSTR_BITS_MAX = 3500
 
 
 def as_fraction(x) -> Fraction:
@@ -102,13 +106,19 @@ class PrecisionContext:
     or alternating (``tail_calc(alternating)``), each with what it built;
     the plain one also keeps each finite-sum word once, with its evaluator
     and value at infinity (``finite_sums._tail_route``).
-    ``exact_diag`` holds the one diagnostics record that every closed-form
-    quantity on the context reports (``series.exact_diag``; None until the
-    first is asked for).
+    ``exact_floor`` holds the error, 10^-(working_digits - 2), that every
+    closed-form quantity on the context reports (``series.exact_diag``; None
+    until the first is asked for).
+
+    Nothing a context keeps refers back to it, so it is freed as soon as
+    the last value on it goes: a kept finite-sum evaluator holds it through
+    a weak proxy (``finite_sums._tail_route``), and a diagnostics record,
+    whose HPReals refer to it, is built per call.
     """
 
     __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr",
-                 "evaluations", "gammas", "_raised", "_tail_calcs", "exact_diag")
+                 "evaluations", "gammas", "_raised", "_tail_calcs", "exact_floor",
+                 "__weakref__")
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
@@ -133,7 +143,7 @@ class PrecisionContext:
         self.gammas: dict = {}
         self._raised: dict = {}
         self._tail_calcs: dict = {}
-        self.exact_diag = None
+        self.exact_floor = None
 
     @property
     def working_digits(self) -> int:
@@ -187,11 +197,12 @@ class PrecisionContext:
                 raise DomainError(f"{x!r} is not a finite real number")
         return HPReal(v, self)
 
+    # mpmath's own constants: an mpf never changes, so every HPReal may share one
     def zero(self) -> "HPReal":
-        return HPReal(self._mp.mpf(0), self)
+        return HPReal(self._mp.zero, self)
 
     def one(self) -> "HPReal":
-        return HPReal(self._mp.mpf(1), self)
+        return HPReal(self._mp.one, self)
 
     def __repr__(self):
         return (f"PrecisionContext(digits={self.digits}, guard={self.guard}, "
@@ -213,15 +224,20 @@ def _decimal_string(mp, x, sig: int) -> str:
     Plain decimal notation for 10**-EXPONENT_MAX <= |x| < 10**6 (no
     exponent form, as required for diffable reports); mpmath's string form
     outside that, decided from the binary exponent, so that no leading
-    zeros or power of ten are built for a tiny value.
+    zeros or power of ten are built for a tiny value. Past 2**_NSTR_BITS_MAX
+    and below 10**-EXPONENT_MAX the string form comes from
+    ``_exponent_text``, which builds no power of ten either.
     """
     if mp.isnan(x) or mp.isinf(x):
         return str(x)
     if x == 0:
         return "0." + "0" * (sig - 1)
     sign, man, exp, bc = x._mpf_
-    # |x| >= 2**20 > 10**6, or |x| < 2**(bc+exp) <= 10**-EXPONENT_MAX
-    if bc + exp > 20 or (bc + exp) * _LOG10_2 < -EXPONENT_MAX:
+    # past 2**_NSTR_BITS_MAX, or |x| < 2**(bc+exp) <= 10**-EXPONENT_MAX (an
+    # int compares with a float exactly, however large)
+    if bc + exp > _NSTR_BITS_MAX or bc + exp < -EXPONENT_MAX / _LOG10_2:
+        return _exponent_text(mp, x, sig)
+    if bc + exp > 20:  # |x| >= 2**20 > 10**6
         return mp.nstr(x, sig)
     # exact binary rational man * 2**exp
     num, den = man, 1
@@ -259,6 +275,45 @@ def _decimal_string(mp, x, sig: int) -> str:
     else:
         body = "0." + "0" * (-d10 - 1) + digits
     return ("-" if sign else "") + body
+
+
+def _exponent_text(mp, x, sig: int) -> str:
+    """mp.nstr(x, sig) for a value of any binary exponent, in time linear
+    in the exponent's digits: the same digits, rounding and layout.
+
+    The decimal exponent e10 = floor(log10|x|) and the fraction
+    f = log10|x| - e10 come from one logarithm at as many bits as the
+    binary exponent has plus 4 per digit; the digits are
+    floor(10**(f + sig + 2)), sig + 3 of them, rounded up at digit sig + 1
+    from 5 on, as nstr rounds its own sig + 3 truncated digits. An
+    exponent within nstr's fixed-point range, -max(sig // 3, 5) < e10 <
+    sig, is small, so that case is left to nstr. An exponent of more
+    digits than Python's int-to-string limit prints as ``_exact_text``
+    prints a large int."""
+    sign, man, exp, bc = x._mpf_
+    with mp.workprec((bc + exp).bit_length() + 4 * sig + 64):
+        lg = mp.log10(abs(x))
+        e10 = int(mp.floor(lg))
+        frac = lg - e10
+    if -max(sig // 3, 5) < e10 < sig:
+        return mp.nstr(x, sig)
+    with mp.workprec(4 * sig + 64):
+        digits = str(int(mp.power(10, frac + (sig + 2))))
+    e10 += len(digits) - (sig + 3)  # 10**f rounded up to 10
+    head = digits[:sig]
+    if digits[sig] in "56789":
+        head = str(int(head) + 1)
+        if len(head) > sig:
+            head = head[:sig]
+            e10 += 1
+    body = (head[0] + "." + head[1:]).rstrip("0")
+    if body.endswith("."):
+        body += "0"
+    try:
+        power = str(e10)
+    except ValueError:  # past Python's int-to-string digit limit
+        power = _exact_text(e10)
+    return ("-" if sign else "") + body + ("e+" if e10 >= 0 else "e") + power
 
 
 class HPReal:

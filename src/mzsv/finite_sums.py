@@ -20,6 +20,7 @@ only rounded on return.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -164,7 +165,8 @@ def _tail_route(ctx: PrecisionContext, S: int, m0: int, end: int, strict: bool,
 
     A context keeps each word w ending in a part >= 2 once, keyed by
     (w, strict) (``TailCalc.finite_words``): its evaluator and its value at
-    infinity P_w(M0-1) + R_w(M0-1), which does not depend on end. Kernel
+    infinity P_w(M0-1) + R_w(M0-1), which does not depend on end; the
+    evaluator holds ctx through a weak proxy, since ctx holds it. Kernel
     calls over t < M0 are made only for words not kept yet, so a word met
     before costs one ``tail_correction`` at end-1. Tails are built once per
     context (``TailCalc.suffix_tails``).
@@ -182,6 +184,7 @@ def _tail_route(ctx: PrecisionContext, S: int, m0: int, end: int, strict: bool,
             entry = kept.get((w, strict))
             if entry is None:
                 ev = chains.ChainEvaluator(ctx, chains.index_levels(w), strict)
+                ev.ctx = weakref.proxy(ctx)  # no reference cycle through the store
                 ev.pvals = [at_m0[w[:i]] for i in range(len(w) + 1)]
                 entry = kept[w, strict] = (ev, at_m0[w] + ev.tail_correction(m0 - 1))
             ev, rest = entry

@@ -56,14 +56,13 @@ def run_evaluation(ev, tol=None, pref=1) -> Evaluation:
 def exact_diag(ctx: PrecisionContext) -> EvalDiagnostics:
     """Diagnostics for closed-form quantities (error at the rounding floor).
 
-    Built once per context and kept on it (``ctx.exact_diag``): the record
-    is frozen, so every caller may share it."""
-    diag = ctx.exact_diag
-    if diag is None:
-        floor = ctx.mp.mpf(10) ** (-(ctx.working_digits - 2))
-        diag = EvalDiagnostics(0, ctx.zero(), HPReal(floor, ctx), "direct")
-        ctx.exact_diag = diag
-    return diag
+    A new record per call: its HPReals refer to ctx, so a record kept on
+    ctx would hold ctx in a reference cycle. The floor 10^-(wd-2) is built
+    once and kept on ctx (``ctx.exact_floor``)."""
+    floor = ctx.exact_floor
+    if floor is None:
+        floor = ctx.exact_floor = ctx.mp.mpf(10) ** (-(ctx.working_digits - 2))
+    return EvalDiagnostics(0, ctx.zero(), HPReal(floor, ctx), "direct")
 
 
 def zeta(k, ctx: PrecisionContext) -> HPReal:

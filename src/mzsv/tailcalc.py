@@ -47,7 +47,11 @@ value at the scale of the key it lands on. A TailCalc builds its rows on
 first use and keeps them (``rows``), and so the shapes of
 ``ratio_asymptotics`` (``shapes``) and the tails the chain evaluators
 build per suffix of their levels (``suffix_tails``, keyed by the
-kernel's exact integers for those levels). Each
+kernel's exact integers for those levels). A ratio shape is built from
+its reduced shifts: a shift on both sides cancels, a pair n, n + j with
+j a whole number becomes the power passes of prod_{i<j} (m+n+i)**-1, and
+only the shifts left take the O(qmax**2) recurrence, so ratios with the
+same reduction share one shape and a ratio that telescopes takes none. Each
 PrecisionContext keeps one TailCalc per sign
 (``PrecisionContext.tail_calc``), so every evaluation on a context shares
 what the others built. The exact B_2k/(2k)! behind the rows, the module's
@@ -81,6 +85,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, exp, isqrt, lgamma, log, pi
+from operator import mul
 
 from mpmath.libmp import to_fixed
 
@@ -267,6 +272,36 @@ def _binary_ratio(x) -> tuple:
     return (man << e, 1) if e >= 0 else (man, 1 << -e)
 
 
+def _reduced_ratio(num_shifts, den_shifts, jmax: int) -> tuple:
+    """The key ``TailCalc.ratio_asymptotics`` builds a shape under: (the
+    numerator shifts left, the denominator shifts left, the peeled
+    (c, k) pairs), each sorted. A shift on both sides cancels, repeats
+    counted. Then each denominator shift d, in ascending order, takes the
+    largest numerator shift n left with d - n a whole number j, 1 <= j <=
+    jmax, and the pair becomes the factors (t+c)**-1, c = n .. d - 1,
+    counted k times per c. Nothing peels a pair whose step passes jmax:
+    its j passes would cost more than the recurrence they save."""
+    dens = sorted(Fraction(s) for s in den_shifts)
+    nums = []
+    for n in sorted(Fraction(s) for s in num_shifts):
+        if n in dens:
+            dens.remove(n)
+        else:
+            nums.append(n)
+    left = []
+    peeled: dict = {}
+    for s in dens:
+        steps = [n for n in nums if (s - n).denominator == 1 and 1 <= s - n <= jmax]
+        if not steps:
+            left.append(s)
+            continue
+        n = max(steps)
+        nums.remove(n)
+        for i in range(int(s - n)):
+            peeled[n + i] = peeled.get(n + i, 0) + 1
+    return tuple(nums), tuple(left), tuple(sorted(peeled.items()))
+
+
 class TailPoly:
     """Asymptotic tail polynomial: sum_q c_q * (m+1)**-(rho+q).
 
@@ -303,8 +338,10 @@ class TailCalc:
     ``rows``, the sumtail factor rows, keyed by (a, b) with p = a/b, and
     ``row_ends``, the exact Pochhammer product each row resumes from;
     ``shapes``, the ``ratio_asymptotics`` results, keyed by their shift
-    tuples; ``suffix_tails``, which ``chains.ChainEvaluator`` fills
-    with one entry per suffix of its levels; and ``finite_words``, where
+    tuples and by their reduction (``_reduced_ratio``), so shift lists
+    that reduce alike share one; ``suffix_tails``, which
+    ``chains.ChainEvaluator`` fills with one entry per suffix of its
+    levels; and ``finite_words``, where
     ``finite_sums._tail_route`` keeps each word it met once, keyed by (word,
     strict), with its evaluator and its value at infinity. A row grows at
     its end, and its ``row_ends`` entry moves with it; an evaluator there
@@ -401,17 +438,52 @@ class TailCalc:
         obeying w(t+1) = w(t) * prod(t + n_j) / prod(t + d_j).
 
         With equal factor counts the weight behaves like
-        (t+1)^(-rho) * (1 + c_1/(t+1) + ...), rho = sum(d) - sum(n); the c_q
-        solve a triangular recurrence obtained by matching the functional
-        equation order by order. Scaling the result to the running value at
-        one point makes the model exact to series-truncation order. The
-        shifts are exact (int or Fraction). A shape is built once per pair of
-        shift tuples and kept in ``shapes``.
+        (t+1)^(-rho) * (1 + c_1/(t+1) + ...), rho = sum(d) - sum(n). Scaling
+        the result to the running value at one point makes the model exact
+        to series-truncation order. The shifts are exact (int or Fraction).
+
+        The shifts are reduced first (``_reduced_ratio``): a shift on both
+        sides cancels, and a numerator shift n paired with a denominator
+        shift d = n + j, j a positive integer up to qmax, is the exact
+        weight prod_{i<j} (t+n+i)**-1, which ``pow_weight`` applies, one
+        pass per factor. Only the shifts left go through the triangular
+        recurrence (``_ratio_shape``); a ratio that telescopes completely
+        runs none. Every peeled c = n + i lies in [n, d), so |c - 1| <=
+        max(|n - 1|, |d - 1|): the first checkpoint of a chain with this
+        ratio, at least twice every |shift - 1|
+        (``chains.first_checkpoint``), is inside the reach of each pass.
+
+        A shape is built once per reduction and kept in ``shapes`` under
+        both keys: the raw shift tuples and (sorted numerator remainder,
+        sorted denominator remainder, peeled (c, k) pairs), so permuted
+        lists and ratios with the same reduction share one TailPoly. The
+        remainder's own shape is kept too, with no peeled pairs, so ratios
+        that differ only in their peeled pairs run one recurrence.
         """
         key = (tuple(num_shifts), tuple(den_shifts))
         shape = self.shapes.get(key)
         if shape is not None:
             return shape
+        reduced = _reduced_ratio(num_shifts, den_shifts, self.qmax)
+        shape = self.shapes.get(reduced)
+        if shape is None:
+            nums, dens, peeled = reduced
+            shape = self.shapes.get((nums, dens, ()))
+            if shape is None:
+                shape = self.shapes[nums, dens, ()] = (
+                    self._ratio_shape(nums, dens) if nums
+                    else TailPoly(Fraction(0), {0: 1 << self.bits}))
+            for c, k in peeled:
+                shape = self.pow_weight(k, c, shape)
+            self.shapes[reduced] = shape
+        self.shapes[key] = shape
+        return shape
+
+    def _ratio_shape(self, num_shifts, den_shifts) -> TailPoly:
+        """The shape of ``ratio_asymptotics`` by its general recurrence: the
+        c_q solve a triangular recurrence obtained by matching the
+        functional equation order by order, in O(qmax**2) big-integer
+        products."""
         bits, d, qmax = self.bits, self.d, self.qmax
         one = 1 << bits
         rho = sum(den_shifts, Fraction(0)) - sum(num_shifts, Fraction(0))
@@ -431,26 +503,29 @@ class TailCalc:
             for i in range(1, qmax + 2):
                 P[i] -= P[i - 1] * a // b
 
-        # binom(-q-rho, i) for i <= qmax+1-q, one column per q, entry i at
-        # the scale of key i: (-q-rho-j)/(j+1) = (-(q+j)*rd - rn) / (rd*(j+1))
+        # c_(m-1) = sum_q c_q (binom(-q-rho, m-q) - P[m-q]) / (m-1), q < m-1.
+        # binom(-q-rho, i) runs down column q by (-q-rho-j)/(j+1) =
+        # (-(q+j)*rd - rn) / (rd*(j+1)), entry i at the scale of key i, and
+        # each entry less P[i] joins the anti-diagonal m = q + i it serves
+        # (entry 1 lands after the c_q of its diagonal exist, and map stops
+        # at c's end). c_q (key q) times an entry of diagonal m is at the
+        # scale of key m; c_(m-1) is d bits above it. The sums are exact, so
+        # their order does not change a bit
         rn, rd = rho.numerator, rho.denominator
-        cols = []
+        nums = [-k * rd - rn for k in range(qmax + 1)]
+        dens = [rd * j << d for j in range(1, qmax + 2)]
+        diags = [[] for _ in range(qmax + 2)]
         for q in range(qmax):
-            col = [one]
-            for j in range(qmax + 1 - q):
-                col.append(col[j] * (-(q + j) * rd - rn) // (rd * (j + 1) << d))
-            cols.append(col)
-
-        # c_q (key q) times a y^(m-q) entry is at the scale of key m; c_(m-1)
-        # is d bits above it
+            x = one
+            m = q
+            for a, b, p in zip(nums[q:], dens, P[1:]):
+                x = x * a // b
+                m += 1
+                diags[m].append(x - p)
         c = [one]
         for m in range(2, qmax + 2):
-            acc = 0
-            for q in range(0, m - 1):
-                acc += c[q] * (cols[q][m - q] - P[m - q])
-            c.append((acc >> (bits - d)) // (m - 1))
-        shape = self.shapes[key] = TailPoly(rho, dict(enumerate(c)))
-        return shape
+            c.append((sum(map(mul, c, diags[m])) >> (bits - d)) // (m - 1))
+        return TailPoly(rho, dict(enumerate(c)))
 
     # -- the tail-sum operator -----------------------------------------------
     def _sum_row(self, a: int, b: int, kmax: int) -> list:

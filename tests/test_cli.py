@@ -51,6 +51,15 @@ def test_eval_gamma_and_pochhammer(capsys):
     assert out.strip().startswith("0.750")
 
 
+def test_eval_gamma_of_an_astronomical_argument(capsys):
+    # Gamma(1e5000) has a decimal exponent of 5 004 digits, past Python's
+    # int-to-string limit: it prints, the exponent in exponent form, and
+    # the CLI exits 0 instead of 1 with a ValueError
+    code, out, _ = run_cli(capsys, "eval", "gamma", "1e5000")
+    assert code == 0
+    assert out.strip() == "2.38204060116782191668339086856e+4.9995657055181e+5003"
+
+
 def test_eval_pfq(capsys):
     code, out, _ = run_cli(capsys, "eval", "pfq", "--upper=-2,1",
                            "--lower", "1", "--z=-1")

@@ -1,9 +1,12 @@
+import gc
 import operator
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import time
+import weakref
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -12,8 +15,10 @@ import pytest
 import mzsv
 from mzsv import (ConfigurationError, ContextMismatchError, ConvergenceError,
                   DomainError, HPReal, PrecisionContext, pfq)
-from mzsv.context import _exact_text, as_int
-from mzsv.identities import ParamSpec
+from mzsv.context import _decimal_string, _exact_text, as_int
+from mzsv.finite_sums import star_sum
+from mzsv.identities import ParamSpec, verify
+from mzsv.numerics import gamma
 
 
 def test_context_validation():
@@ -191,6 +196,45 @@ def test_decimal_rendering(ctx30):
     assert ctx30.real("1e400").decimal(3) == "1.0e+400"
 
 
+@pytest.mark.parametrize("digits", [10, 30, 100])
+def test_huge_exponents_render_as_nstr_does(digits):
+    # past 2**_NSTR_BITS_MAX and below 10**-EXPONENT_MAX the text comes
+    # from one logarithm, not from nstr's power of ten; wherever nstr
+    # itself is quick it is the same text, digits, rounding and layout
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    rng = random.Random(4200 + digits)
+    xs = [mp.mpf(10) ** 2000, mp.mpf(10) ** -200000,
+          mp.mpf(10) ** 2000 * (1 + mp.mpf(2) ** -mp.prec), gamma("1e300", ctx).mpf]
+    for _ in range(40):
+        exp = rng.choice([3501, 10 ** 4, 10 ** 6, 2 ** 40, -340_000, -10 ** 7, -2 ** 40])
+        xs.append(mp.mpf((rng.choice((-1, 1)) * (rng.getrandbits(mp.prec) | 1),
+                          exp + rng.randint(0, 1000))))
+    for x in xs:
+        for sig in (5, 15, digits):
+            assert _decimal_string(mp, x, sig) == mp.nstr(x, sig), (sig, mp.nstr(x, 5))
+
+
+def test_astronomical_values_render_quickly():
+    # gamma(1e4000) has a decimal exponent of 4 004 digits, which nstr took
+    # 17 s to build a power of ten for; gamma(1e5000)'s exponent is past
+    # Python's int-to-string limit of 4 300 digits and prints in exponent
+    # form, as an error message prints a large int
+    ctx = PrecisionContext(30)
+    big = gamma("1e4000", ctx)
+    times = []
+    for _ in range(3):  # the best of three, so a busy host does not fail it
+        start = time.perf_counter()
+        text = str(big)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    assert text.startswith("1.22026290411427561987990288146e+399956570551809674817")
+    assert len(text) == 33 + 4004
+    huge = gamma("1e5000", ctx)
+    assert str(huge) == "2.38204060116782191668339086856e+4.9995657055181e+5003"
+    assert str(1 / huge).endswith("e-4.9995657055181e+5003")
+
+
 def test_decimal_rounding_carry(ctx30):
     assert ctx30.real("9.9999").decimal(4) == "10.00"
 
@@ -351,3 +395,23 @@ def test_int_fast_path_keeps_bool_and_context_checks(ctx30, ctx50):
     # a Fraction, a str and a float still take the coercion path
     for other in (Fraction(1, 3), "0.25", 0.5):
         assert (x + other).mpf == x.mpf + ctx30.real(other).mpf
+
+
+@pytest.mark.parametrize("run", [
+    lambda ctx: verify("eq1", {"s": 2}, ctx),             # closed-form diagnostics
+    lambda ctx: star_sum(mzsv.Index((2, 3, 1)), 50_000, ctx),  # a kept finite-sum word
+], ids=["verify", "star_sum"])
+def test_a_context_is_freed_without_the_cyclic_collector(run):
+    # nothing a context keeps refers back to it, so dropping the last
+    # reference frees it, and the contexts it raised, by reference counts
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = PrecisionContext(30)
+        run(ctx)
+        refs = [weakref.ref(c) for c in (ctx, *ctx._raised.values())]
+        assert ctx.tail_calc(False).finite_words or ctx.exact_floor is not None
+        del ctx
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

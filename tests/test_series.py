@@ -400,11 +400,14 @@ def test_run_sums_exactly_the_terms_it_reports(make):
     assert ev.t_next == info["terms"]
 
 
-def test_exact_diag_is_built_once_per_context():
+def test_exact_diag_reports_the_floor_kept_on_its_context():
+    # a record per call, since its HPReals refer to ctx and a record kept
+    # on ctx would hold ctx in a cycle; the floor it reports is built once
     ctx, other = PrecisionContext(30), PrecisionContext(30)
     diag = exact_diag(ctx)
-    assert exact_diag(ctx) is diag and ctx.exact_diag is diag
-    assert exact_diag(other) is not diag and exact_diag(other).error_estimate.ctx is other
+    floor = ctx.exact_floor
+    assert exact_diag(ctx) == diag and exact_diag(ctx).error_estimate.mpf is floor
+    assert exact_diag(other).error_estimate.ctx is other and other.exact_floor is not floor
     assert diag.terms_used == 0 and diag.strategy == "direct"
     assert diag.tail_correction == 0 and diag.tail_correction.ctx is ctx
     assert diag.error_estimate.mpf == ctx.mp.mpf(10) ** -(ctx.working_digits - 2)

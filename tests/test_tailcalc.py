@@ -581,6 +581,144 @@ def test_equal_shift_sets_share_one_shape():
     assert (fresh.rho, fresh.coeffs) == (shape.rho, shape.coeffs)
 
 
+# shift sets that reduce before the recurrence: shared shifts cancel, and an
+# integer-step pair n, n + j peels into the power factors (t+n+i)**-1, i < j
+REDUCING = {
+    "shared": ((Fraction(1), Fraction(1), Fraction(13, 10)),
+               (Fraction(1), Fraction(17, 10), Fraction(5, 2))),
+    "kr_levels": ((2, 2, Fraction(13, 10), 1, 1, 1, 1),
+                  (1, 1, Fraction(17, 10), 2, 2, 2, 2)),
+    "steps": ((Fraction(1, 3), Fraction(7, 10), Fraction(7, 10)),
+              (Fraction(10, 3), Fraction(17, 10), Fraction(9, 4))),
+    "mixed": ((Fraction(1, 2), Fraction(3, 5), Fraction(2)),
+              (Fraction(5, 2), Fraction(3, 2), Fraction(11, 5))),
+    "telescope": ((Fraction(1, 2), Fraction(1, 3), 1), (Fraction(5, 2), Fraction(7, 3), 4)),
+}
+
+
+def _reference_ratio_shape(calc, ns, ds):
+    """The general recurrence as plain loops, column by column and one
+    indexed sum per key: how ratio_asymptotics ran it on every shape
+    before its anti-diagonal sums, rounded at the same points."""
+    bits, d, qmax = calc.bits, calc.d, calc.qmax
+    one = 1 << bits
+    rho = sum(map(Fraction, ds), Fraction(0)) - sum(map(Fraction, ns), Fraction(0))
+    P = [one] + [0] * (qmax + 1)
+    for n in ns:
+        u = Fraction(n) - 1
+        for i in range(qmax + 1, 0, -1):
+            P[i] += P[i - 1] * u.numerator // (u.denominator << d)
+    for s in ds:
+        u = Fraction(s) - 1
+        for i in range(1, qmax + 2):
+            P[i] -= P[i - 1] * u.numerator // (u.denominator << d)
+    rn, rd = rho.numerator, rho.denominator
+    cols = []
+    for q in range(qmax):
+        col = [one]
+        for j in range(qmax + 1 - q):
+            col.append(col[j] * (-(q + j) * rd - rn) // (rd * (j + 1) << d))
+        cols.append(col)
+    c = [one]
+    for m in range(2, qmax + 2):
+        acc = sum(c[q] * (cols[q][m - q] - P[m - q]) for q in range(m - 1))
+        c.append((acc >> (bits - d)) // (m - 1))
+    return rho, dict(enumerate(c))
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
+def test_ratio_recurrence_is_bit_identical_to_plain_loops(digits, alternating):
+    # the anti-diagonal sums add the same exact products as the plain loops,
+    # so every coefficient is the same integer
+    calc = TailCalc(PrecisionContext(digits).mp, alternating)
+    rng = random.Random(4200 + digits + alternating)
+    for _ in range(6):
+        k = rng.randint(0, 3)
+        ns, ds = ([Fraction(rng.randint(1, 40), rng.randint(1, 10)) for _ in range(k)]
+                  for _ in range(2))
+        shape = calc._ratio_shape(ns, ds)
+        assert (shape.rho, shape.coeffs) == _reference_ratio_shape(calc, ns, ds), (ns, ds)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
+def test_reduced_ratio_shapes_match_the_mpf_oracle(digits, alternating, monkeypatch):
+    # every key of the reduced shape against the recurrence on the raw
+    # lists in mpf at twice the digits, in units of the key's graded scale.
+    # The general recurrence forms key m - 1 from entries at key m's scale,
+    # d bits coarser, so its keys carry up to about 2**(d+1) units; k power
+    # passes add at most k + 1, so a shape that telescopes completely stays
+    # within a few units
+    mp = PrecisionContext(digits).mp
+    calc = TailCalc(mp, alternating)
+    recurrences = []
+    recurrence = TailCalc._ratio_shape
+    monkeypatch.setattr(TailCalc, "_ratio_shape",
+                        lambda self, ns, ds: recurrences.append(ns) or recurrence(self, ns, ds))
+    for name, (ns, ds) in REDUCING.items():
+        recurrences.clear()
+        shape = calc.ratio_asymptotics(ns, ds)
+        rho = sum(map(Fraction, ds)) - sum(map(Fraction, ns))
+        assert shape.rho == rho and shape.coeffs[0] == 1 << calc.bits, name
+        with mp.workdps(2 * mp.dps):
+            _, want = _oracle_ratio_asymptotics(mp, calc.qmax, [_mpf(mp, n) for n in ns],
+                                                [_mpf(mp, d) for d in ds], _mpf(mp, rho))
+            worst = max(abs(shape.coeffs.get(q, 0)
+                            - want[q] * mp.mpf(2) ** (calc.bits - q * calc.d))
+                        for q in range(calc.qmax + 1))
+        bound = 2 ** (calc.d + 2) if recurrences else 1 + int(rho)
+        assert worst <= bound, (name, mp.nstr(worst, 4), bound)
+        assert bool(recurrences) == (name != "telescope"), name
+
+
+def test_equal_reductions_share_one_shape(monkeypatch):
+    calc = PrecisionContext(30).tail_calc(False)
+    built = []
+    recurrence = TailCalc._ratio_shape
+    monkeypatch.setattr(TailCalc, "_ratio_shape",
+                        lambda self, ns, ds: built.append((ns, ds)) or recurrence(self, ns, ds))
+    ns, ds = REDUCING["kr_levels"]
+    shape = calc.ratio_asymptotics(ns, ds)
+    assert built == [((Fraction(13, 10),), (Fraction(17, 10),))]
+    # a permuted list, and lists with the same remainder and peeled
+    # factors, take the very same object without a second recurrence
+    assert calc.ratio_asymptotics(ns[::-1], ds[::-1]) is shape
+    same = calc.ratio_asymptotics((Fraction(13, 10), 1, 1, 5), (2, 2, 5, Fraction(17, 10)))
+    assert same is shape
+    assert len(built) == 1
+    # the remainder alone is a shape of its own, of lower rho, kept when it
+    # was first built, so neither it nor the remainder with other peeled
+    # pairs runs a second recurrence
+    bare = calc.ratio_asymptotics((Fraction(13, 10),), (Fraction(17, 10),))
+    assert bare is not shape and bare.rho == shape.rho - 2
+    other = calc.ratio_asymptotics((Fraction(13, 10), Fraction(1, 2)),
+                                   (Fraction(17, 10), Fraction(7, 2)))
+    assert other.rho == bare.rho + 3 and len(built) == 1
+    # a shift on both sides cancels: [1, 1]/[1, 17/10] is [1]/[17/10]
+    assert (calc.ratio_asymptotics((1, 1), (1, Fraction(17, 10)))
+            is calc.ratio_asymptotics((1,), (Fraction(17, 10),)))
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("alternating", [False, True], ids=["plain", "boole"])
+def test_a_telescoping_ratio_runs_no_recurrence(digits, alternating, monkeypatch):
+    # (1/2)(1/3)(1) over (5/2)(7/3)(4): every pair steps by a whole number,
+    # so the shape is (t+1/2)^-1 (t+3/2)^-1 (t+1/3)^-1 (t+4/3)^-1
+    # (t+1)^-1 (t+2)^-1 (t+3)^-1, the pow_weight passes in ascending shift
+    calc = TailCalc(PrecisionContext(digits).mp, alternating)
+    monkeypatch.setattr(TailCalc, "_ratio_shape", lambda *args: pytest.fail("recurrence run"))
+    shape = calc.ratio_asymptotics(*REDUCING["telescope"])
+    want = None
+    for c in sorted([Fraction(1, 3), Fraction(1, 2), 1, Fraction(4, 3), Fraction(3, 2), 2, 3]):
+        want = calc.pow_weight(1, c, want)
+    assert (shape.rho, shape.coeffs) == (want.rho, want.coeffs) == (7, want.coeffs)
+    # and an empty ratio, or one whose shifts all cancel, is the constant 1
+    assert calc.ratio_asymptotics((), ()).coeffs == {0: 1 << calc.bits}
+    cancelled = calc.ratio_asymptotics((Fraction(2, 3),), (Fraction(2, 3),))
+    assert cancelled.coeffs == {0: 1 << calc.bits}
+
+
 def test_shared_suffix_tail_is_evaluated_once_per_checkpoint(monkeypatch):
     # zeta*(1, 2, 2) after zeta*(2, 2) takes the tails of the outer levels
     # (2, 2) from its context, and at the same checkpoint their values too:

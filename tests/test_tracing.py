@@ -132,8 +132,16 @@ def test_tracer_wraps_every_public_tail_method(monkeypatch):
 
 def test_traced_registry_pass_makes_the_tail_calls_it_should(monkeypatch):
     # a 30-digit verify all --r 0..3: power weights go through pow_weight's
-    # passes, so mul is left with the products of a ratio shape and a tail
+    # passes, so mul is left with the products of a ratio shape and a tail.
+    # Its 63 ratio shapes have 35 distinct shift lists, which reduce (shared
+    # shifts cancelled, integer-step pairs peeled into power passes) to 31
+    # distinct forms; 13 of those telescope completely and the other 18
+    # leave 12 distinct remainders, so only 12 run the general recurrence
     tracing = _load_tracing(monkeypatch)
+    recurrences = []
+    recurrence = mzsv.tailcalc.TailCalc._ratio_shape
+    monkeypatch.setattr(mzsv.tailcalc.TailCalc, "_ratio_shape",
+                        lambda self, ns, ds: recurrences.append(ns) or recurrence(self, ns, ds))
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer, mzsv)
@@ -144,3 +152,4 @@ def test_traced_registry_pass_makes_the_tail_calls_it_should(monkeypatch):
              for name in ("tailcalc.mul", "tailcalc.sumtail", "tailcalc.ratio_asymptotics")}
     assert calls == {"tailcalc.mul": 23, "tailcalc.sumtail": 241,
                      "tailcalc.ratio_asymptotics": 63}
+    assert len(recurrences) == 12
