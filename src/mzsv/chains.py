@@ -49,10 +49,11 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
   and the plateau test in ints. A run converts to mpf only when it
   finishes;
 * a finished run is memoised on its PrecisionContext, keyed by the
-  evaluator's structure (``memo_key``: for a chain, the kernel's exact
-  integers per level and each ratio's exact initial weight), tol and
+  evaluator's structure (``memo_key``: for a chain, each level's exact
+  shifts and powers and each ratio's exact initial weight), tol and
   corrections, so the many identities that share a series sum it once per
-  context. A run that raises is not stored.
+  context. A hit is one dictionary lookup: a chain evaluator builds its
+  kernel view only when it runs. A run that raises is not stored.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from typing import NamedTuple, Optional, Tuple
+
+from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_shift, to_int
 
 from .context import PrecisionContext, _exact_text
 from .errors import ConvergenceError, DomainError
@@ -177,25 +180,31 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     value, the tail and the estimate become mpfs once, when the run
     finishes.
 
-    Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol,
-    corrections). A hit returns the stored value and a copy of its info
-    without advancing ev; ConvergenceError and DomainError are never
-    stored, so a repeat raises them again.
+    Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol's raw
+    mpf, corrections). A hit returns the stored value and a copy of its
+    info without advancing ev, and builds no kernel view
+    (``ChainEvaluator.__getattr__``); ConvergenceError and DomainError are
+    never stored, so a repeat raises them again. tol * S / 2 and the three
+    conversions at the finish are the mpf operations ``tolm * S / 2`` and
+    ``mpf(x) / S`` would make, at the context's (prec, rounding), taken
+    through libmp.
     """
     ctx = ev.ctx
     mp = ctx.mp
     tolm = mp.mpf(tol)
     memo = ctx.evaluations
-    key = (ev.memo_key, tolm, corrections)
-    if key in memo:
-        E, info = memo[key]
-        return E, dict(info)
+    key = (ev.memo_key, tolm._mpf_, corrections)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[0], dict(hit[1])
     if ev.alternating:
         what = "alternating " + what
     digits = ctx.working_digits
     S = ev.S
+    prec, rnd = mp._prec_rounding
     unit = 10 ** digits     # a value v at scale S rounds at max(S, |v|) // unit
-    half = int(tolm * S / 2)
+    # tol * S / 2: the division by 2 is exact, a shift
+    half = to_int(mpf_shift(mpf_mul_int(tolm._mpf_, S, prec, rnd), -1))
     M = ev.start
     nxt = M - (-M // 8)     # M + ceil(M/8) in ints: M may pass a float
     if nxt > ctx.max_terms:
@@ -223,9 +232,11 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
             step = abs(E - prev) * Mprev // (M - Mprev)
             diff = max(step, rounding, abs(tail) // unit)
             if diff < half:
-                value = mp.mpf(E) / S
-                info = {"terms": M, "tail": mp.mpf(tail) / S,
-                        "estimate": mp.mpf(diff) / S,
+                Sv = from_int(S)
+                value, tailv, estimate = (
+                    mp.make_mpf(mpf_div(from_int(x, prec, rnd), Sv, prec, rnd))
+                    for x in (E, tail, diff))
+                info = {"terms": M, "tail": tailv, "estimate": estimate,
                         "strategy": TAIL_CORRECTED if corrections else DIRECT}
                 memo[key] = (value, info)
                 return value, dict(info)
@@ -291,15 +302,37 @@ def kernel_levels(levels, S: int, strict: bool):
 def _level_keys(kernel_args):
     """Per level, (pieces, ratio numerator factors, ratio denominator
     factors) of a chain's kernel view, the factors None for a level with no
-    ratio: its exact shifts, as ints, which key the run memo and the suffix
-    tails and give ``first_checkpoint``."""
+    ratio: its exact shifts, as ints, which key the suffix tails and give
+    ``first_checkpoint``."""
     level_pows, level_ratio, ratio_nums, ratio_dens = kernel_args
     return tuple((pows, None, None) if r < 0 else (pows, ratio_nums[r], ratio_dens[r])
                  for pows, r in zip(level_pows, level_ratio))
 
 
+@lru_cache(maxsize=1024)
+def _memo_level(lvl: Level, strict: bool):
+    """A level's exact integers for the run memo: (a, k, b) per power piece
+    1/(t + a/b)^k, and for a ratio its shifts and its initial weight as
+    (numerator, denominator) pairs. The index levels recur in almost every
+    chain, so the last levels met are kept."""
+    pows = tuple((p.shift.numerator, p.k, p.shift.denominator) for p in lvl.pows)
+    r = lvl.ratio
+    if r is None:
+        return pows
+    if strict:
+        raise DomainError("ratio weights are only supported on weak-order chains")
+    return (pows, tuple((s.numerator, s.denominator) for s in r.num_shifts),
+            tuple((s.numerator, s.denominator) for s in r.den_shifts),
+            (r.init.numerator, r.init.denominator))
+
+
 class ChainEvaluator:
-    """One chain over t = 0, 1, ..., evaluated adaptively and resumably."""
+    """One chain over t = 0, 1, ..., evaluated adaptively and resumably.
+
+    ``memo_key`` comes from the exact levels, strict and the sign alone. The
+    kernel view (``_kernel_args``, ``rvals``, ``_level_keys``) and the first
+    checkpoint ``start`` are built on first use (``__getattr__``), so a run
+    the context's memo holds builds none of them."""
 
     def __init__(self, ctx: PrecisionContext, levels, strict: bool = False,
                  alternating: bool = False):
@@ -314,17 +347,20 @@ class ChainEvaluator:
             raise DomainError("chain needs at least one level")
         S = 10 ** (ctx.working_digits + SCALE_PAD)
         self.S = S
-        self._kernel_args, self.rvals = kernel_levels(self.levels, S, strict)
-        self._level_keys = _level_keys(self._kernel_args)
-        # the kernel's exact integers, and each ratio's exact initial weight
-        self.memo_key = (self._level_keys,
-                         tuple((lvl.ratio.init.numerator, lvl.ratio.init.denominator)
-                               for lvl in self.levels if lvl.ratio is not None),
+        self.memo_key = (tuple(_memo_level(lvl, strict) for lvl in self.levels),
                          strict, alternating)
         self.pvals = [S] + [0] * n
         self.t_next = 0
-        self.start = _first_checkpoint(ctx, alternating, self._level_keys)
         self._tails = None
+
+    def __getattr__(self, name):
+        """Build the kernel view and ``start`` when one of them is first read."""
+        if name not in ("_kernel_args", "rvals", "_level_keys", "start"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._kernel_args, self.rvals = kernel_levels(self.levels, self.S, self.strict)
+        self._level_keys = _level_keys(self._kernel_args)
+        self.start = _first_checkpoint(self.ctx, self.alternating, self._level_keys)
+        return self.__dict__[name]
 
     # -- kernel driving -------------------------------------------------------
     def advance_to(self, t_exclusive: int):
@@ -481,9 +517,11 @@ class WeightedChainEvaluator:
         self.t_next = t_exclusive
 
     def _segment_tails(self, calc):
-        """[T_0, ..., T_r] as tail series in x; none depends on the checkpoint."""
-        tails: list = []
-        for b in range(self.r + 1):
+        """[T_0, ..., T_r] as tail series in x. None depends on the
+        checkpoint or on r, so the TailCalc keeps them per p
+        (``calc.segment_tails``), and a larger r only extends the list."""
+        tails = calc.segment_tails.setdefault(self.p, [])
+        for b in range(len(tails), self.r + 1):
             F = calc.pow_weight(self.p + b, 0)
             for c in range(1, b + 1):
                 F = calc.add(F, calc.scale(calc.pow_weight(c, 0, tails[b - c]), 2))

@@ -100,8 +100,11 @@ class PrecisionContext:
     A context also memoises the finished series evaluations run on it
     (``chains._run_evaluator``), so it is cheap to evaluate one series
     several times on one context. It keeps Gamma at each fractional part
-    that ``numerics.gamma`` met (``gammas``), one context per digit count
-    that ``numerics.derivative_at`` raises it to (``raised(digits)``) and
+    that ``numerics.gamma`` met (``gammas``), zeta and Gamma at each exact
+    argument that ``series.zeta`` and ``numerics.gamma`` met, as raw mpfs
+    under ("zeta" or "gamma", argument) (``scalars``), one context per
+    digit count that ``numerics.derivative_at`` raises it to
+    (``raised(digits)``) and
     the chain evaluators' tail algebra alike: one TailCalc per sign, plain
     or alternating (``tail_calc(alternating)``), each with what it built;
     the plain one also keeps each finite-sum word once, with its evaluator
@@ -112,13 +115,14 @@ class PrecisionContext:
 
     Nothing a context keeps refers back to it, so it is freed as soon as
     the last value on it goes: a kept finite-sum evaluator holds it through
-    a weak proxy (``finite_sums._tail_route``), and a diagnostics record,
-    whose HPReals refer to it, is built per call.
+    a weak proxy (``finite_sums._tail_route``), a diagnostics record, whose
+    HPReals refer to it, is built per call, and the memo and ``scalars``
+    hold raw mpfs, never an HPReal.
     """
 
     __slots__ = ("digits", "guard", "max_terms", "_mp", "tol", "_tol_repr",
-                 "evaluations", "gammas", "_raised", "_tail_calcs", "exact_floor",
-                 "__weakref__")
+                 "evaluations", "gammas", "scalars", "_raised", "_tail_calcs",
+                 "exact_floor", "__weakref__")
 
     def __init__(self, digits: int = 30, guard: int = 10,
                  max_terms: int = 10 ** 8, tol=None):
@@ -141,6 +145,7 @@ class PrecisionContext:
             self._tol_repr = str(tol)
         self.evaluations: dict = {}
         self.gammas: dict = {}
+        self.scalars: dict = {}
         self._raised: dict = {}
         self._tail_calcs: dict = {}
         self.exact_floor = None

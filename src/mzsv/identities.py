@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from mpmath.libmp import to_fixed
+from mpmath.libmp import fzero, mpf_add, mpf_mul_int, to_fixed
 
 from . import finite_sums, hypergeom, series
 from .context import HPReal, PrecisionContext, _exact_text, as_fraction
@@ -110,19 +110,29 @@ def _scalar(ctx: PrecisionContext, value) -> Evaluation:
 
 
 def _combine(ctx: PrecisionContext, parts: List[Tuple[int, Evaluation]]) -> Evaluation:
-    """Signed integer combination of evaluations with aggregated diagnostics."""
-    total = ctx.zero()
-    tail = ctx.zero()
-    est = ctx.zero()
+    """Signed integer combination of evaluations with aggregated diagnostics.
+
+    Each sum runs from zero through libmp, a product by the coefficient and
+    a sum per part at the context's (prec, rounding): the operations, and
+    so the mpfs, of ``total + coef * value`` in HPReals; ``ctx.real``
+    still rejects a part from another context."""
+    prec, rnd = ctx.mp._prec_rounding
+
+    def add(acc, coef, x):
+        return mpf_add(acc, mpf_mul_int(ctx.real(x).mpf._mpf_, coef, prec, rnd), prec, rnd)
+
+    total = tail = est = fzero
     terms = 0
     strategy = "direct"
     for coef, ev in parts:
-        total = total + coef * ev.value
-        tail = tail + coef * ev.diagnostics.tail_correction
-        est = est + abs(coef) * ev.diagnostics.error_estimate
-        if ev.diagnostics.terms_used >= terms:
-            terms = ev.diagnostics.terms_used
-            strategy = ev.diagnostics.strategy
+        diag = ev.diagnostics
+        total = add(total, coef, ev.value)
+        tail = add(tail, coef, diag.tail_correction)
+        est = add(est, abs(coef), diag.error_estimate)
+        if diag.terms_used >= terms:
+            terms = diag.terms_used
+            strategy = diag.strategy
+    total, tail, est = (HPReal(ctx.mp.make_mpf(v), ctx) for v in (total, tail, est))
     return Evaluation(total, EvalDiagnostics(terms, tail, est, strategy))
 
 

@@ -5,7 +5,8 @@ gamma                  -- exact at an int, Fraction or decimal string up to Gamm
                           context; Stirling's series, after a shift chosen
                           from the working digits, for that part and for
                           any other argument, its Bernoulli sum in fixed
-                          point by tailcalc's shared helper
+                          point by tailcalc's shared helper; each value
+                          kept on the context per exact argument
 zeta_tail              -- Euler-Maclaurin remainder of the zeta series, to
                           working precision (tailcalc.power_sum_tail)
 derivative_at          -- central-difference derivative oracle of order
@@ -13,7 +14,8 @@ derivative_at          -- central-difference derivative oracle of order
                           power of two <= 10^(-wd/(r+2)); f run at
                           wd + ceil(r wd/(r+2)) digits plus guard, so the
                           guard digits cover the factor 2^r <= 64 that the
-                          shorter step adds to the rounding
+                          shorter step adds to the rounding; the stencil's
+                          weights rounded once per order and precision
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
+
+from mpmath.libmp import from_int, mpf_div
 
 from .context import HPReal, PrecisionContext, as_fraction, as_int
 from .errors import DomainError
@@ -77,11 +81,12 @@ def _stirling(x, mp, working_digits: int):
         return mp.exp(total) / rising
 
 
-def _gamma_exact(n: int, f: Fraction, ctx: PrecisionContext) -> HPReal:
-    """Gamma(n + f) for an integer n and a rational 0 <= f < 1, not a pole."""
+def _gamma_exact(n: int, f: Fraction, ctx: PrecisionContext):
+    """Gamma(n + f) for an integer n and a rational 0 <= f < 1, not a pole,
+    as an mpf of ctx."""
     mp = ctx.mp
     if f == 0:
-        return HPReal(mp.mpf(math.factorial(n - 1)), ctx)
+        return mp.mpf(math.factorial(n - 1))
     wd = ctx.working_digits
     g = ctx.gammas.get(f)
     if g is None:
@@ -92,7 +97,7 @@ def _gamma_exact(n: int, f: Fraction, ctx: PrecisionContext) -> HPReal:
             val = g * math.prod(p + j * q for j in range(n)) / q ** n
         else:  # Gamma(f) / (x)_{-n}, (x)_{-n} = prod_{i=1..-n} (p - i q) / q^-n
             val = g * q ** -n / math.prod(p - i * q for i in range(1, 1 - n))
-    return HPReal(mp.mpf(val), ctx)  # one rounding from the work precision
+    return mp.mpf(val)  # one rounding from the work precision
 
 
 def gamma(x, ctx: PrecisionContext) -> HPReal:
@@ -114,6 +119,9 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
     10^5: "1e1001" is the integer 10^1001, not its rounding to the working
     digits. ctx.real reads every other string, or rejects it.
     The result is within a few units of the working precision, relative.
+    Each result is kept on ctx, as a raw mpf, per exact argument (the
+    Fraction, or the mpf ctx.real makes): ``ctx.scalars``, so a repeat is
+    one lookup.
     """
     given = x  # a pole names it: str() of a Fraction past 4300 digits raises
     if isinstance(x, (int, str)):
@@ -121,6 +129,18 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
             x = as_fraction(x)
         except DomainError:
             pass  # a bool or other text: ctx.real reads it, or raises
+    if not isinstance(x, Fraction):
+        x = ctx.real(x).mpf
+    key = ("gamma", x if isinstance(x, Fraction) else x._mpf_)
+    val = ctx.scalars.get(key)
+    if val is None:
+        val = ctx.scalars[key] = _gamma(x, given, ctx)
+    return HPReal(val, ctx)
+
+
+def _gamma(x, given, ctx: PrecisionContext):
+    """``gamma`` at a Fraction or an mpf of ctx, as an mpf of ctx."""
+    mp = ctx.mp
     if isinstance(x, Fraction):
         n = math.floor(x)
         f = x - n
@@ -129,18 +149,15 @@ def gamma(x, ctx: PrecisionContext) -> HPReal:
         if abs(n) <= EXACT_PART_MAX:
             return _gamma_exact(n, f, ctx)
         if n < 0:
-            mp = ctx.mp
             # sin(pi x) = (-1)^n sin(pi g), g = min(f, 1-f) keeps sinpi
             # well conditioned near f = 1
             g = min(f, 1 - f)
             val = mp.pi / (mp.sinpi(mp.mpf(g.numerator) / g.denominator)
                            * gamma(1 - x, ctx).mpf)
-            return HPReal(-val if n % 2 else val, ctx)
-    xv = ctx.real(x)
-    if xv <= 0:
-        raise DomainError(f"gamma requires x > 0, got {xv}")
-    arg = x if isinstance(x, Fraction) else xv.mpf
-    return HPReal(ctx.mp.mpf(_stirling(arg, ctx.mp, ctx.working_digits)), ctx)
+            return -val if n % 2 else val
+    elif x <= 0:
+        raise DomainError(f"gamma requires x > 0, got {HPReal(x, ctx)}")
+    return mp.mpf(_stirling(x, mp, ctx.working_digits))
 
 
 # -- zeta tail ------------------------------------------------------------------
@@ -220,14 +237,23 @@ def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
     hi = ctx.raised(wd - (-r * wd // (r + 2)))
     mp = hi.mp
     x0 = mp.mpf(ctx.real(x0).mpf)  # exact binary transfer
-    e, nodes, weights = _stencil(r, wd)
+    e = _stencil(r, wd)[0]
     acc = mp.mpf(0)
-    for node, w in zip(nodes, weights):
-        if w == 0:
-            continue
+    for node, w in _weight_mpfs(r, *mp._prec_rounding):
         val = hi.real(f(HPReal(x0 + mp.ldexp(node, -e), hi)))
-        acc += mp.mpf(w.numerator) / w.denominator * val.mpf
+        acc += mp.make_mpf(w) * val.mpf
     return HPReal(ctx.mp.mpf(mp.ldexp(acc, r * e)), ctx)
+
+
+@lru_cache(maxsize=None)
+def _weight_mpfs(r: int, prec: int, rnd: str):
+    """(node, raw mpf weight) for each nonzero weight of the order-r
+    stencil (``_stencil``), the weight rounded as mpf(num) / den rounds
+    it at (prec, rnd): built once per order and precision."""
+    nodes, weights = _central_weights(r, 2 * r + 3)
+    return tuple((node, mpf_div(from_int(w.numerator, prec, rnd), from_int(w.denominator),
+                                prec, rnd))
+                 for node, w in zip(nodes, weights) if w)
 
 
 # -- pairwise means ---------------------------------------------------------------

@@ -39,18 +39,23 @@ def run_evaluation(ev, tol=None, pref=1) -> Evaluation:
 
     The run asks for tol / max(1, |pref|) (tol defaults to ctx.tol), so
     the scaled value meets tol; the tail and the estimate are scaled alike.
+    With pref = 1 that takes no mpf operation: the run rounds tol into the
+    context itself, and a product by 1 would return the same mpfs.
     """
     ctx = ev.ctx
-    prefa = abs(pref)
-    tolm = ctx.mp.mpf(tol if tol is not None else ctx.tol)
-    val, info = ev.run(tolm / (prefa if prefa > 1 else 1))
-    diag = EvalDiagnostics(
-        terms_used=info["terms"],
-        tail_correction=HPReal(pref * info["tail"], ctx),
-        error_estimate=HPReal(prefa * info["estimate"], ctx),
-        strategy=info["strategy"],
-    )
-    return Evaluation(HPReal(pref * val, ctx), diag)
+    if tol is None:
+        tol = ctx.tol
+    if pref == 1:
+        val, info = ev.run(tol)
+        tail, est = info["tail"], info["estimate"]
+    else:
+        prefa = abs(pref)
+        tolm = ctx.mp.mpf(tol)
+        val, info = ev.run(tolm / prefa if prefa > 1 else tolm)
+        val, tail, est = pref * val, pref * info["tail"], prefa * info["estimate"]
+    diag = EvalDiagnostics(info["terms"], HPReal(tail, ctx), HPReal(est, ctx),
+                           info["strategy"])
+    return Evaluation(HPReal(val, ctx), diag)
 
 
 def exact_diag(ctx: PrecisionContext) -> EvalDiagnostics:
@@ -66,14 +71,20 @@ def exact_diag(ctx: PrecisionContext) -> EvalDiagnostics:
 
 
 def zeta(k, ctx: PrecisionContext) -> HPReal:
-    """Riemann zeta for real k > 1 by partial sum plus Euler-Maclaurin tail."""
+    """Riemann zeta for real k > 1 by partial sum plus Euler-Maclaurin tail,
+    kept on ctx as a raw mpf per argument (``ctx.scalars``, keyed by k's
+    mpf in ctx), so a repeat is one lookup."""
     kv = ctx.real(k)
-    if kv <= 1:
-        raise DomainError(f"zeta requires k > 1, got {kv}")
-    mp = ctx.mp
-    # to working precision, so that callers may claim exact_diag's floor
-    tail = power_sum_tail(mp, kv.mpf, 1, mp.mpf(10) ** -ctx.working_digits)
-    return HPReal(1 + tail, ctx)
+    key = ("zeta", kv.mpf._mpf_)
+    val = ctx.scalars.get(key)
+    if val is None:
+        if kv <= 1:
+            raise DomainError(f"zeta requires k > 1, got {kv}")
+        mp = ctx.mp
+        # to working precision, so that callers may claim exact_diag's floor
+        tail = power_sum_tail(mp, kv.mpf, 1, mp.mpf(10) ** -ctx.working_digits)
+        val = ctx.scalars[key] = 1 + tail
+    return HPReal(val, ctx)
 
 
 def eta_shifted(k: int, ctx: PrecisionContext) -> HPReal:

@@ -101,7 +101,8 @@ MARGIN = 4  # the first checkpoint is at least MARGIN * qmax (expansion_plan)
 # than the bounds that finite sums on one context may ask for
 VALUES_KEPT = 32
 
-_em_exact: list = []
+_em_exact: list = []    # B_2k/(2k)!, k = 1, 2, ... (``_em_fraction``)
+_em_state: list = [[], 1, 1]  # the tangent recurrence's last column, n!, (2n)!
 
 
 def power_sum_tail(mp, p, M: int, tol):
@@ -211,28 +212,28 @@ def expansion_plan(dps: int, alternating: bool) -> tuple:
 def _em_fraction(k: int) -> tuple:
     """B_2k/(2k)! as an exact (numerator, denominator) pair: the reduced
     B_2k = num/den, and den * (2k)!. One table, shared by ``_em_series``
-    and every scale of the sumtail rows, rebuilt to max(k, twice its
-    length) when asked past its end.
+    and every scale of the sumtail rows, grown one entry at a time up to k
+    when asked past its end; no entry is ever computed twice.
 
     B_2j = (-1)**(j-1) 2j T_j / (4**j (4**j - 1)) with the tangent numbers
-    T_j, which an O(n**2) recurrence in small integers gives all at once
-    (Brent & Zimmermann, Modern Computer Arithmetic, 4.7.2).
+    T_j, from the O(n**2) recurrence in small integers of Brent &
+    Zimmermann, Modern Computer Arithmetic, 4.7.2: T_j^(1) = (j-1)!, and
+    T_j^(i) = (j-i) T_(j-1)^(i) + (j-i+2) T_j^(i-1) for i = 2..j, with
+    T_j = T_j^(j). Column j needs only column j - 1, so ``_em_state``
+    keeps the last column [T_n^(1), ..., T_n^(n)], n! and (2n)!, n the
+    table's length, and the next entry costs one column of n + 1 products.
     """
-    if k > len(_em_exact):
-        n = max(k, 2 * len(_em_exact))
-        T = [0, 1]  # T[j] for j = 1..n
-        for j in range(2, n + 1):
-            T.append((j - 1) * T[j - 1])
-        for i in range(2, n + 1):
-            for j in range(i, n + 1):
-                T[j] = (j - i) * T[j - 1] + (j - i + 2) * T[j]
-        table = []
-        fact = 1  # (2j)!
-        for j in range(1, n + 1):
-            fact *= (2 * j - 1) * (2 * j)
-            b = Fraction((-1) ** (j - 1) * 2 * j * T[j], 4 ** j * (4 ** j - 1))
-            table.append((b.numerator, b.denominator * fact))
-        _em_exact[:] = table
+    while k > len(_em_exact):
+        col, fact, fact2 = _em_state
+        j = len(_em_exact) + 1      # the entry to add, from column j - 1
+        new = [fact]
+        # at i = j the term (j - i) T_(j-1)^(i) vanishes: column j - 1 ends at i = j - 1
+        for i, t in zip(range(2, j + 1), col[1:] + [0]):
+            new.append((j - i) * t + (j - i + 2) * new[-1])
+        fact2 *= (2 * j - 1) * (2 * j)
+        b = Fraction((-1) ** (j - 1) * 2 * j * new[-1], 4 ** j * (4 ** j - 1))
+        _em_exact.append((b.numerator, b.denominator * fact2))
+        _em_state[:] = [new, fact * j, fact2]
     return _em_exact[k - 1]
 
 
@@ -341,7 +342,9 @@ class TailCalc:
     tuples and by their reduction (``_reduced_ratio``), so shift lists
     that reduce alike share one; ``suffix_tails``, which
     ``chains.ChainEvaluator`` fills with one entry per suffix of its
-    levels; and ``finite_words``, where
+    levels; ``segment_tails``, the harmonic-product tails T_0, T_1, ... of
+    ``chains.WeightedChainEvaluator``, one list per power p; and
+    ``finite_words``, where
     ``finite_sums._tail_route`` keeps each word it met once, keyed by (word,
     strict), with its evaluator and its value at infinity. A row grows at
     its end, and its ``row_ends`` entry moves with it; an evaluator there
@@ -357,6 +360,7 @@ class TailCalc:
         self.row_ends: dict = {}
         self.shapes: dict = {}
         self.suffix_tails: dict = {}
+        self.segment_tails: dict = {}
         self.finite_words: dict = {}
 
     # -- constructors --------------------------------------------------------

@@ -1,11 +1,15 @@
 """The per-context memo of finished evaluator runs (chains._run_evaluator)."""
 
+from fractions import Fraction
+
 import pytest
 
 from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext,
                   alt_mzsv, chains, mzsv, mzv)
-from mzsv.chains import ChainEvaluator, WeightedChainEvaluator, index_levels
-from mzsv.series import weighted_product_series_ex
+from mzsv.chains import (ChainEvaluator, Level, Ratio, WeightedChainEvaluator,
+                         index_levels)
+from mzsv.series import eta_shifted_ex, run_evaluation, weighted_product_series_ex
+from mzsv.tailcalc import TailCalc
 
 
 @pytest.fixture
@@ -43,6 +47,40 @@ def test_a_repeat_is_a_hit(kernel_calls, evaluate):
     assert calls > 0
     assert evaluate(ctx) == first  # the value and every diagnostic
     assert len(kernel_calls) == calls
+
+
+def _ratio_chain(ctx):
+    ratio = Ratio((Fraction(1, 2),), (Fraction(5, 2),), init=Fraction(1))
+    return run_evaluation(ChainEvaluator(ctx, [Level(ratio=ratio)]))
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda ctx: mzsv(Index((1, 2, 3)), ctx),
+    lambda ctx: mzv(Index((2, 3)), ctx),
+    lambda ctx: alt_mzsv(Index((1, 2)), ctx),
+    lambda ctx: eta_shifted_ex(3, ctx),
+    _ratio_chain,
+], ids=["mzsv", "mzv", "alt_mzsv", "eta_shifted", "ratio"])
+def test_a_hit_builds_no_kernel_view(monkeypatch, evaluate):
+    # a repeat is one memo lookup: the evaluator keys the memo from its exact
+    # levels and never builds the kernel's view of them
+    views = []
+    build = chains.kernel_levels
+    monkeypatch.setattr(chains, "kernel_levels",
+                        lambda *args: views.append(args) or build(*args))
+    made = []
+    init = ChainEvaluator.__init__
+    monkeypatch.setattr(ChainEvaluator, "__init__",
+                        lambda self, *a, **k: made.append(self) or init(self, *a, **k))
+    ctx = PrecisionContext(30)
+    first = evaluate(ctx)
+    assert len(views) == 1
+    again = evaluate(ctx)
+    assert len(views) == 1 and len(made) == 2
+    assert not {"_kernel_args", "rvals", "_level_keys", "start"} & vars(made[1]).keys()
+    assert again == first
+    assert again.value.mpf is first.value.mpf
+    assert len(ctx.evaluations) == 1
 
 
 def test_a_hit_does_not_advance_the_evaluator(kernel_calls):
@@ -108,3 +146,21 @@ def test_errors_are_not_stored(kernel_calls, run, max_terms, error):
             run(ctx)
         assert len(kernel_calls) > calls
     assert ctx.evaluations == {}
+
+
+def test_harmonic_product_tails_are_shared_across_r(monkeypatch):
+    # T_0..T_r depend on (p, sign) alone: the context keeps one list per p,
+    # so r = 3 after r = 1 builds T_2 and T_3 only, and r = 2 builds none;
+    # the values are those a fresh context gives
+    sums = []
+    sumtail = TailCalc.sumtail
+    monkeypatch.setattr(TailCalc, "sumtail", lambda self, f: sums.append(f) or sumtail(self, f))
+    ctx = PrecisionContext(30)
+    for r, built in ((1, 2), (3, 2), (2, 0)):
+        sums.clear()
+        shared = weighted_product_series_ex(r, 2, False, ctx)
+        assert len(sums) == built, r
+        fresh = weighted_product_series_ex(r, 2, False, PrecisionContext(30))
+        assert shared.value.mpf == fresh.value.mpf
+        assert shared.diagnostics.error_estimate.mpf == fresh.diagnostics.error_estimate.mpf
+    assert len(ctx.tail_calc(False).segment_tails[3]) == 4

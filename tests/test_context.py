@@ -397,6 +397,34 @@ def test_int_fast_path_keeps_bool_and_context_checks(ctx30, ctx50):
         assert (x + other).mpf == x.mpf + ctx30.real(other).mpf
 
 
+def test_a_context_keeps_no_hpreal_and_no_evaluation():
+    # the memo holds (raw mpf, info of mpfs) per finished run and the kept
+    # zeta and Gamma values are raw mpfs: nothing there refers to a context
+    from mzsv.series import EvalDiagnostics, Evaluation
+    ctx = PrecisionContext(30)
+    for id_, params in (("remark1_odd", {"s": 2}), ("eq1", {"s": 2}),
+                        ("a1_specialized", {"s": 2, "alpha": "0.6"}),
+                        ("eq3", {"r": 1, "s": 2}), ("a1_prefactor_derivative", {})):
+        assert verify(id_, params, ctx).passed, id_
+
+    def leaves(x):
+        if isinstance(x, (tuple, list)):
+            for y in x:
+                yield from leaves(y)
+        elif isinstance(x, dict):
+            for y in x.values():
+                yield from leaves(y)
+        else:
+            yield x
+
+    kept = (ctx.evaluations, ctx.scalars, ctx.gammas)
+    assert all(kept)
+    assert not any(isinstance(x, (mzsv.HPReal, Evaluation, EvalDiagnostics,
+                                  PrecisionContext)) for x in leaves(kept))
+    assert all(type(v) is ctx.mp.mpf and type(info) is dict
+               for v, info in ctx.evaluations.values())
+
+
 @pytest.mark.parametrize("run", [
     lambda ctx: verify("eq1", {"s": 2}, ctx),             # closed-form diagnostics
     lambda ctx: star_sum(mzsv.Index((2, 3, 1)), 50_000, ctx),  # a kept finite-sum word

@@ -16,8 +16,8 @@ from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext,
                   dr_inv_pochhammer_2minus_at1, dr_ratio_at1, derivative_at,
                   pochhammer, star_sum, star_sum_exact, strict_sum,
                   strict_sum_exact)
-from mzsv.finite_sums import (_PLAN_MAX, _chain_prefixes, _exact_prefixes, _plan,
-                              _recipe, _tail_route, dr_ratio_at1_forms,
+from mzsv.finite_sums import (_PLAN_MAX, _chain_prefixes, _exact_prefixes, _harmonic,
+                              _plan, _recipe, _tail_route, dr_ratio_at1_forms,
                               dr_inv_pochhammer_2minus_at1_exact)
 from mzsv.indices import coarsenings, compositions
 
@@ -500,3 +500,21 @@ def test_closed_forms_match_derivative_oracle(ctx50, m, r):
     d_ratio = derivative_at(lambda x: _ratio_fn(x, m), 1, r, ctx50)
     want_ratio = ctx50.real(dr_ratio_at1_forms(m, r)[0] * fact_r)
     assert abs((d_ratio - want_ratio).mpf) <= bound * max(1, abs(want_ratio.mpf))
+
+
+@pytest.mark.parametrize("digits", [30, 100, 200])
+def test_harmonic_number_is_mpmaths_floor_at_the_scale(digits):
+    # H_end from the package's own Euler-Maclaurin series, at every bound
+    # the tail route takes (end > M0), is the integer that mpmath's
+    # harmonic number, rounded at 8 bits beyond S's bits + 32, floors to
+    from mpmath.libmp import from_int, mpf_harmonic, round_nearest, to_fixed
+    ctx = PrecisionContext(digits)
+    S = 10 ** (ctx.working_digits + mzsv.chains.SCALE_PAD)
+    bits = S.bit_length() + 32
+    m0 = mzsv.chains.first_checkpoint(ctx, False)
+    rng = random.Random(digits)
+    ends = [m0 + 1] + [rng.choice((rng.randint(m0 + 1, 4 * m0), rng.randint(m0 + 1, 10 ** 7),
+                                   rng.randint(10 ** 7, 10 ** 15))) for _ in range(150)]
+    for end in ends:
+        want = to_fixed(mpf_harmonic(from_int(end), bits + 8, round_nearest), bits) * S >> bits
+        assert _harmonic(end, S) == want, end

@@ -1,4 +1,5 @@
 import importlib.util
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -254,3 +255,50 @@ def test_eq2_check_integer_product_matches_hpreal_product(monkeypatch, m):
     # in units of 2^-prec relative: each of the HPReal side's m+1 roundings
     # costs at most one, the integer side's one final rounding one
     assert len(seen) == 4 + 15 and max(seen) <= m + 3
+
+
+def _hpreal_combine(ctx, parts):
+    """The HPReal loop that identities._combine runs in libmp: the reference."""
+    total = tail = est = ctx.zero()
+    terms, strategy = 0, "direct"
+    for coef, ev in parts:
+        total = total + coef * ev.value
+        tail = tail + coef * ev.diagnostics.tail_correction
+        est = est + abs(coef) * ev.diagnostics.error_estimate
+        if ev.diagnostics.terms_used >= terms:
+            terms, strategy = ev.diagnostics.terms_used, ev.diagnostics.strategy
+    return total.mpf._mpf_, tail.mpf._mpf_, est.mpf._mpf_, terms, strategy
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_combine_is_the_hpreal_loop_bit_for_bit(digits):
+    # seeded signed parts of every magnitude, with zeros and near-cancelling
+    # pairs: the same raw mpfs, terms and strategy as the HPReal loop
+    ctx = PrecisionContext(digits)
+    mp = ctx.mp
+    rng = random.Random(digits)
+
+    def value():
+        if rng.random() < 0.1:
+            return ctx.zero()
+        man = rng.choice((-1, 1)) * rng.getrandbits(mp.prec)
+        return mzsv.HPReal(mp.ldexp(mp.mpf(man), rng.randint(-mp.prec - 40, 4)), ctx)
+
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 12)):
+            v = value()
+            if parts and rng.random() < 0.2:   # nearly cancels the part before
+                v = -parts[-1][1].value + mzsv.HPReal(mp.ldexp(1, -mp.prec), ctx)
+            diag = identities.EvalDiagnostics(rng.randint(0, 500), value(), abs(value()),
+                                              rng.choice(("direct", "tail_corrected")))
+            coef = rng.choice((-1, 1)) * rng.randint(1, 3) << rng.randint(0, 6)
+            parts.append((coef, identities.Evaluation(v, diag)))
+        got = identities._combine(ctx, parts)
+        diag = got.diagnostics
+        assert (got.value.mpf._mpf_, diag.tail_correction.mpf._mpf_,
+                diag.error_estimate.mpf._mpf_, diag.terms_used,
+                diag.strategy) == _hpreal_combine(ctx, parts)
+    other = PrecisionContext(digits)
+    with pytest.raises(mzsv.ContextMismatchError):
+        identities._combine(ctx, [(1, identities._scalar(other, 1))])

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,8 @@ import mpmath
 from mzsv import (DomainError, ParseError, PrecisionContext, derivative_at,
                   dr_inv_pochhammer_2minus_at1, gamma, get_identity, numerics,
                   verify, zeta_tail)
+
+from mzsv import zeta as mzsv_zeta
 
 from conftest import close
 
@@ -156,6 +160,46 @@ def test_stirling_runs_once_per_fractional_part(monkeypatch):
             assert verify(id_, params, ctx).passed, (id_, params)
     assert calls and all(isinstance(x, Fraction) and 0 < x < 1 for x in calls)
     assert len(calls) == len(set(calls)) == len(ctx.gammas)
+
+
+def test_a_repeated_gamma_is_one_lookup(monkeypatch):
+    # each argument's value is kept on the context as a raw mpf, under its
+    # exact value: a decimal string and its Fraction share one entry; Gamma
+    # at each fractional part stays in ctx.gammas
+    calls = []
+    compute = numerics._gamma
+    monkeypatch.setattr(numerics, "_gamma", lambda *args: calls.append(args) or compute(*args))
+    ctx = PrecisionContext(30)
+    for x in (Fraction(7, 10), "0.7", 5, Fraction(-2001, 2), 2.5, ctx.real("1.25"),
+              Fraction(3001, 2)):
+        first = gamma(x, ctx).mpf
+        made = len(calls)
+        assert gamma(x, ctx).mpf is first
+        assert len(calls) == made
+        fresh = PrecisionContext(30)
+        assert first == gamma(fresh.real(x.mpf) if hasattr(x, "mpf") else x, fresh).mpf
+    # "0.7" is Fraction(7, 10); -2001/2 adds 2003/2
+    assert sum(args[-1] is ctx for args in calls) == 7
+    assert all(type(v) is ctx.mp.mpf for v in ctx.scalars.values())
+    assert all(isinstance(f, Fraction) and 0 < f < 1 for f in ctx.gammas)
+
+
+def test_kept_values_leave_the_context_free_of_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = PrecisionContext(30)
+        zeta_value = mzsv_zeta(3, ctx)
+        gamma(Fraction(7, 10), ctx)
+        gamma(2.5, ctx)
+        assert len(ctx.scalars) == 3
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is not None   # zeta_value still holds it
+        del zeta_value
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_gamma_independent_of_call_order():
@@ -380,3 +424,17 @@ def test_stencil_step_is_the_largest_power_of_two_in_range(wd):
         assert 2 ** ((e - 1) * (r + 2)) < 10 ** wd <= 2 ** (e * (r + 2)), r
         assert (nodes, weights) == numerics._central_weights(r, 2 * r + 3)
 
+
+
+@pytest.mark.parametrize("digits", [20, 30, 100])
+def test_stencil_weights_are_rounded_once_as_an_mpf_division(digits):
+    # the raw mpfs mpf(num) / den makes at the raised context's precision,
+    # zero weights left out, built once per order and precision
+    mp = PrecisionContext(digits).mp
+    for r in range(7):
+        nodes, weights = numerics._central_weights(r, 2 * r + 3)
+        want = tuple((node, (mp.mpf(w.numerator) / w.denominator)._mpf_)
+                     for node, w in zip(nodes, weights) if w)
+        got = numerics._weight_mpfs(r, *mp._prec_rounding)
+        assert got == want
+        assert numerics._weight_mpfs(r, *mp._prec_rounding) is got

@@ -19,6 +19,25 @@ def test_zeta_classical_values(ctx30):
         zeta(1, ctx30)
 
 
+def test_a_repeated_zeta_is_one_lookup(monkeypatch):
+    # kept on the context as a raw mpf per argument: an int and the string
+    # of the same value share one entry, and an error is never kept
+    from mzsv import series
+    calls = []
+    tail = series.power_sum_tail
+    monkeypatch.setattr(series, "power_sum_tail", lambda *a: calls.append(a) or tail(*a))
+    ctx = PrecisionContext(30)
+    first = zeta(3, ctx).mpf
+    assert zeta(3, ctx).mpf is first and zeta("3", ctx).mpf is first
+    assert zeta("2.5", ctx).mpf is zeta(Fraction(5, 2), ctx).mpf
+    assert len(calls) == 2
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            zeta(1, ctx)
+    assert list(ctx.scalars.values()) == [first, zeta("2.5", ctx).mpf]
+    assert first == zeta(3, PrecisionContext(30)).mpf
+
+
 def test_zeta_real_argument(ctx30):
     # cross-checked against the library's analytic continuation
     ref = ctx30.mp.zeta(ctx30.mp.mpf("2.5"))

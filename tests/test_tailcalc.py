@@ -475,14 +475,23 @@ def test_eval_at_rejects_points_below_the_graded_minimum(digits):
 
 def test_bernoulli_table_matches_bernfrac(monkeypatch):
     # the tangent-number table, grown on demand from empty, against
-    # mpmath's B_2k: the same reduced pairs (num, den * (2k)!)
+    # mpmath's B_2k: the same reduced pairs (num, den * (2k)!). It grows one
+    # entry at a time, to exactly the k asked for, and keeps every entry it
+    # made: a jump ahead adds the missing entries and touches no earlier one
     from mpmath import bernfrac
     from mzsv import tailcalc
     monkeypatch.setattr(tailcalc, "_em_exact", [])
-    for k in range(1, 121):
+    monkeypatch.setattr(tailcalc, "_em_state", [[], 1, 1])
+    made = []
+    for k in list(range(1, 61)) + [97, 130]:
+        tailcalc._em_fraction(k)
+        assert len(tailcalc._em_exact) == k
+        assert all(a is b for a, b in zip(made, tailcalc._em_exact))
+        made = list(tailcalc._em_exact)
+    for k in range(1, 131):
         num, den = bernfrac(2 * k)
         assert tailcalc._em_fraction(k) == (num, den * factorial(2 * k)), k
-    assert len(tailcalc._em_exact) == 128
+    assert len(tailcalc._em_exact) == 130
 
 
 def test_each_context_keeps_one_tail_algebra_and_its_rows():
