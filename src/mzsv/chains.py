@@ -8,8 +8,9 @@ over such chains, and both evaluators share one run loop,
 ``_run_evaluator``: advance to M, add the tail, compare with the last
 checkpoint, step M on. Every chain starts at t = 0, with index part k as
 the level 1/(t+1)^k (``index_levels``). Every shift reaches the kernel
-exactly (``kernel_levels``): a power piece 1/(t+a/b)^k as (a, k, b), a ratio
-factor t + s as (s*L, L) over the common denominator L of its ratio.
+exactly, and each level becomes integers once, in its view
+(``level_view``), from which the memo key, the suffix-tail keys, the first
+checkpoint and the kernel's arguments (``kernel_levels``) all come.
 
 * start at M = M0, take the second checkpoint a short step on, at
   M0 + ceil(M0/8), and double M from there until two successive results,
@@ -52,8 +53,8 @@ factor t + s as (s*L, L) over the common denominator L of its ratio.
   evaluator's structure (``memo_key``: for a chain, each level's exact
   shifts and powers and each ratio's exact initial weight), tol and
   corrections, so the many identities that share a series sum it once per
-  context. A hit is one dictionary lookup: a chain evaluator builds its
-  kernel view only when it runs. A run that raises is not stored.
+  context. A hit is one lookup after a set-up that reads each level's kept
+  view. A run that raises is not stored.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_shift, to_int
 
-from .context import PrecisionContext, _exact_text
+from .context import HPReal, PrecisionContext, _exact_text
 from .errors import ConvergenceError, DomainError
 from .kernels import nested_chain_advance, weighted_chain_advance
 # _iterated_means is unused here; perfbench/tracing.py wraps it by name
@@ -118,35 +119,23 @@ class Level(NamedTuple):
 
 def first_checkpoint(ctx: PrecisionContext, alternating: bool, levels=()) -> int:
     """The first checkpoint of a run on ctx over the given chain levels,
-    with a plain or an alternating outer sum.
-
-    That is M0 of ctx's tail algebra of that sign
-    (``ctx.tail_calc(alternating).m0``: 92 at 30 digits and 268 at 100 for
-    a plain sum, 112 and 389 for an alternating one), from which its tail
-    expansion holds the working digits, unless a level
-    has a large shift: a piece 1/(t+c)^k, or a ratio factor t + c, expands
-    in powers of (c-1)/(m+1), which diverge for m below |c-1|. So a chain
-    starts at twice its largest |c-1| at least, and the run loop steps on
-    from there. The power passes a ratio shape takes for an integer-step
-    pair n, d = n + j have shifts c in [n, d), so |c-1| <= max(|n-1|,
-    |d-1|) and the same start holds for them.
+    with a plain or an alternating outer sum: M0 of ctx's tail algebra of
+    that sign (``ctx.tail_calc(alternating).m0``: 92 at 30 digits and 268
+    at 100 for a plain sum, 112 and 389 for an alternating one), from which
+    its tail expansion holds the working digits, or the levels' largest
+    reach (``level_view``). A piece 1/(t+c)^k, or a ratio factor t + c,
+    expands in powers of (c-1)/(m+1), which diverge for m below |c-1|, so
+    a chain starts at 2|c-1| at least. The power passes a ratio shape takes
+    for an integer-step pair n, d = n + j have shifts c in [n, d), so
+    |c-1| <= max(|n-1|, |d-1|) and the same start holds for them.
     """
-    kernel_args, _ = kernel_levels(levels, 1, False)
-    return _first_checkpoint(ctx, alternating, _level_keys(kernel_args))
+    return max([ctx.tail_calc(alternating).m0] + [level_view(lvl)[4] for lvl in levels])
 
 
-def _first_checkpoint(ctx: PrecisionContext, alternating: bool, level_keys) -> int:
-    """``first_checkpoint`` from the kernel's exact shifts (``_level_keys``):
-    ceil(2|c-1|) is ceil(2|a-b|/b) for a piece (a, k, b), c = a/b, and
-    ceil(2|A-L|/L) for a ratio factor (A, L), c = A/L."""
-    reach = 0
-    for pows, nums, dens in level_keys:
-        factors = [(a, b) for a, _, b in pows]
-        if nums is not None:
-            factors += nums + dens
-        for a, b in factors:
-            reach = max(reach, -(-2 * abs(a - b) // b))
-    return max(ctx.tail_calc(alternating).m0, reach)
+def _tol_mpf(ctx: PrecisionContext, tol):
+    """tol as an mpf of ctx: an HPReal through ``ctx.real``, which rejects
+    one of another context, and anything else as mpmath reads it."""
+    return ctx.real(tol).mpf if isinstance(tol, HPReal) else ctx.mp.mpf(tol)
 
 
 def _run_evaluator(ev, tol, corrections: bool, what: str):
@@ -181,17 +170,17 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
     finishes.
 
     Runs are memoised in ev.ctx.evaluations under (ev.memo_key, tol's raw
-    mpf, corrections). A hit returns the stored value and a copy of its
-    info without advancing ev, and builds no kernel view
-    (``ChainEvaluator.__getattr__``); ConvergenceError and DomainError are
-    never stored, so a repeat raises them again. tol * S / 2 and the three
-    conversions at the finish are the mpf operations ``tolm * S / 2`` and
-    ``mpf(x) / S`` would make, at the context's (prec, rounding), taken
-    through libmp.
+    mpf, corrections), tol read by ``_tol_mpf``. A hit returns the stored
+    value and a copy of its info without advancing ev. What raises is never
+    stored, so a repeat raises again: ConvergenceError, DomainError, and
+    the DomainError of a tol that is not positive and finite, checked after
+    the lookup. tol * S / 2 and the three conversions at the finish are the
+    mpf operations ``tolm * S / 2`` and ``mpf(x) / S`` would make, at the
+    context's (prec, rounding), taken through libmp.
     """
     ctx = ev.ctx
     mp = ctx.mp
-    tolm = mp.mpf(tol)
+    tolm = tol if tol is ctx.tol else _tol_mpf(ctx, tol)    # ctx.tol is an mpf of ctx
     memo = ctx.evaluations
     key = (ev.memo_key, tolm._mpf_, corrections)
     hit = memo.get(key)
@@ -199,6 +188,8 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
         return hit[0], dict(hit[1])
     if ev.alternating:
         what = "alternating " + what
+    if not (tolm > 0 and mp.isfinite(tolm)):
+        raise DomainError(f"{what}: tol must be positive and finite, got {mp.nstr(tolm, 4)}")
     digits = ctx.working_digits
     S = ev.S
     prec, rnd = mp._prec_rounding
@@ -264,75 +255,57 @@ def _index_level(k: int) -> Level:
     return Level(pows=(Pow(k, Fraction(1)),))
 
 
-def kernel_levels(levels, S: int, strict: bool):
-    """The kernel's view of a chain at scale S.
-
-    Returns ((level_pows, level_ratio, ratio_nums, ratio_dens), rvals), the
-    leading arguments of ``nested_chain_advance`` and the scaled ratio
-    weights at t = 0, each rounded to the nearest multiple of 1/S. The
-    shifts stay exact: a power piece 1/(t + a/b)^k, a/b in lowest terms,
-    becomes (a, k, b), and a ratio factor t + s becomes (s*L, L), with L
-    the lcm of that ratio's shift denominators.
-    """
-    level_pows = []
-    level_ratio = []
-    ratio_nums = []
-    ratio_dens = []
-    rvals = []
-    for lvl in levels:
-        level_pows.append(tuple((p.shift.numerator, p.k, p.shift.denominator)
-                                for p in lvl.pows))
-        if lvl.ratio is None:
-            level_ratio.append(-1)
-        else:
-            if strict:
-                raise DomainError("ratio weights are only supported on weak-order chains")
-            r = lvl.ratio
-            level_ratio.append(len(rvals))
-            L = lcm(*(s.denominator for s in r.num_shifts + r.den_shifts))
-            ratio_nums.append(tuple((s.numerator * (L // s.denominator), L)
-                                    for s in r.num_shifts))
-            ratio_dens.append(tuple((s.numerator * (L // s.denominator), L)
-                                    for s in r.den_shifts))
-            rvals.append(round(r.init * S))
-    return (tuple(level_pows), tuple(level_ratio), tuple(ratio_nums),
-            tuple(ratio_dens)), rvals
-
-
-def _level_keys(kernel_args):
-    """Per level, (pieces, ratio numerator factors, ratio denominator
-    factors) of a chain's kernel view, the factors None for a level with no
-    ratio: its exact shifts, as ints, which key the suffix tails and give
-    ``first_checkpoint``."""
-    level_pows, level_ratio, ratio_nums, ratio_dens = kernel_args
-    return tuple((pows, None, None) if r < 0 else (pows, ratio_nums[r], ratio_dens[r])
-                 for pows, r in zip(level_pows, level_ratio))
-
-
 @lru_cache(maxsize=1024)
-def _memo_level(lvl: Level, strict: bool):
-    """A level's exact integers for the run memo: (a, k, b) per power piece
-    1/(t + a/b)^k, and for a ratio its shifts and its initial weight as
-    (numerator, denominator) pairs. The index levels recur in almost every
-    chain, so the last levels met are kept."""
+def level_view(lvl: Level):
+    """A level's exact integers, kept for the last levels met: (pieces,
+    ratio numerator factors, ratio denominator factors, init, reach), a
+    piece 1/(t + a/b)^k, a/b in lowest terms, as (a, k, b), a ratio factor
+    t + s as (s*L, L), L the lcm of its ratio's shift denominators, init
+    the ratio's initial weight as (numerator, denominator), the three None
+    with no ratio, and reach ceil(2|c-1|) over the shifts c, or 0, in ints:
+    ceil(2|a-b|/b) for a piece and ceil(2|A-L|/L) for a factor (A, L)."""
     pows = tuple((p.shift.numerator, p.k, p.shift.denominator) for p in lvl.pows)
+    factors = [(a, b) for a, _, b in pows]
+    nums = dens = init = None
     r = lvl.ratio
-    if r is None:
-        return pows
-    if strict:
-        raise DomainError("ratio weights are only supported on weak-order chains")
-    return (pows, tuple((s.numerator, s.denominator) for s in r.num_shifts),
-            tuple((s.numerator, s.denominator) for s in r.den_shifts),
-            (r.init.numerator, r.init.denominator))
+    if r is not None:
+        L = lcm(*(s.denominator for s in r.num_shifts + r.den_shifts))
+        nums = tuple((s.numerator * (L // s.denominator), L) for s in r.num_shifts)
+        dens = tuple((s.numerator * (L // s.denominator), L) for s in r.den_shifts)
+        init = (r.init.numerator, r.init.denominator)
+        factors += nums + dens
+    return pows, nums, dens, init, max((-(-2 * abs(a - b) // b) for a, b in factors), default=0)
+
+
+def kernel_levels(levels, S: int, strict: bool):
+    """The kernel's view of a chain at scale S, from its levels' views:
+    ((level_pows, level_ratio, ratio_nums, ratio_dens), rvals), the leading
+    arguments of ``nested_chain_advance`` and the ratio weights at t = 0,
+    each rounded to the nearest multiple of 1/S, ties to even."""
+    return _kernel_from_views([level_view(lvl) for lvl in levels], S, strict)
+
+
+def _kernel_from_views(views, S: int, strict: bool):
+    level_ratio, ratio_nums, ratio_dens, rvals = [], [], [], []
+    for _, nums, dens, init, _ in views:
+        if init is None:
+            level_ratio.append(-1)
+            continue
+        if strict:
+            raise DomainError("ratio weights are only supported on weak-order chains")
+        level_ratio.append(len(rvals))
+        ratio_nums.append(nums)
+        ratio_dens.append(dens)
+        q, rem = divmod(init[0] * S, init[1])      # round(init * S), ties to even
+        rvals.append(q + (2 * rem + (q & 1) > init[1]))
+    return (tuple([v[0] for v in views]), tuple(level_ratio), tuple(ratio_nums),
+            tuple(ratio_dens)), rvals
 
 
 class ChainEvaluator:
     """One chain over t = 0, 1, ..., evaluated adaptively and resumably.
-
-    ``memo_key`` comes from the exact levels, strict and the sign alone. The
-    kernel view (``_kernel_args``, ``rvals``, ``_level_keys``) and the first
-    checkpoint ``start`` are built on first use (``__getattr__``), so a run
-    the context's memo holds builds none of them."""
+    ``memo_key`` (the views, strict and the sign), the kernel's arguments,
+    ``rvals`` and ``start`` come from its levels' views (``level_view``)."""
 
     def __init__(self, ctx: PrecisionContext, levels, strict: bool = False,
                  alternating: bool = False):
@@ -342,32 +315,26 @@ class ChainEvaluator:
         self.levels = list(levels)
         self.strict = strict
         self.alternating = alternating
-        n = len(self.levels)
-        if n < 1:
+        if not self.levels:
             raise DomainError("chain needs at least one level")
         S = 10 ** (ctx.working_digits + SCALE_PAD)
         self.S = S
-        self.memo_key = (tuple(_memo_level(lvl, strict) for lvl in self.levels),
-                         strict, alternating)
-        self.pvals = [S] + [0] * n
+        views = tuple(map(level_view, self.levels))
+        self.memo_key = (views, strict, alternating)
+        self._kernel_args, self.rvals = _kernel_from_views(views, S, strict)
+        self.pvals = [S] + [0] * len(views)
         self.t_next = 0
         self._tails = None
 
-    def __getattr__(self, name):
-        """Build the kernel view and ``start`` when one of them is first read."""
-        if name not in ("_kernel_args", "rvals", "_level_keys", "start"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._kernel_args, self.rvals = kernel_levels(self.levels, self.S, self.strict)
-        self._level_keys = _level_keys(self._kernel_args)
-        self.start = _first_checkpoint(self.ctx, self.alternating, self._level_keys)
-        return self.__dict__[name]
+    @property
+    def start(self) -> int:
+        return first_checkpoint(self.ctx, self.alternating, self.levels)
 
     # -- kernel driving -------------------------------------------------------
     def advance_to(self, t_exclusive: int):
         if t_exclusive <= self.t_next:
             return
-        lp, lr, rn, rd = self._kernel_args
-        nested_chain_advance(lp, lr, rn, rd, self.S, self.pvals, self.rvals,
+        nested_chain_advance(*self._kernel_args, self.S, self.pvals, self.rvals,
                              self.t_next, t_exclusive, self.strict, self.alternating)
         self.t_next = t_exclusive
 
@@ -380,9 +347,10 @@ class ChainEvaluator:
         depends on the checkpoint: the tail of level i is linear in the
         scale of every ratio level at or outside i. Level i's entry
         depends only on levels[i:] and the order, so it is kept in
-        ``calc.suffix_tails`` under their kernel view and strict
-        (``_level_keys``), with the series the next level inwards
-        multiplies by: T (strict) or G + T (weak), G the summand of T.
+        ``calc.suffix_tails`` under their shifts (``level_view``, not a
+        ratio's init: its shape is at unit scale) and strict, with the
+        series the next level inwards multiplies by: T (strict) or G + T
+        (weak), G the summand of T.
         The summand is the ratio shape times that series, times each power
         piece in turn (``TailCalc.pow_weight`` with its tail), so the only
         dense product is the one of a ratio level with a level outside it.
@@ -395,7 +363,7 @@ class ChainEvaluator:
         for i in range(len(self.levels) - 1, -1, -1):
             lvl = self.levels[i]
             k += sum(p.k for p in lvl.pows)
-            key = (self._level_keys[i:], self.strict)
+            key = (tuple(view[:3] for view in self.memo_key[0][i:]), self.strict)
             entry = calc.suffix_tails.get(key)
             if entry is None:
                 shape = F = None
@@ -505,7 +473,7 @@ class WeightedChainEvaluator:
         self.tvals = [S] + [0] * r
         self.acc = 0    # the scaled running sum; term t is the one at N = t + 1
         self.t_next = 0
-        self.start = _first_checkpoint(ctx, alternating, ())
+        self.start = ctx.tail_calc(alternating).m0
         self._tails = None
 
     def advance_to(self, t_exclusive: int):

@@ -427,7 +427,9 @@ class HPReal:
         return self._v >= self._operand(other)
 
     def __hash__(self):
-        return hash((self._v, id(self.ctx)))
+        # an mpf hashes as an equal int, float or Fraction, as == needs; equal
+        # values of two contexts meet in __eq__, which raises for them
+        return hash(self._v)
 
     # -- conversions --------------------------------------------------------
     def __float__(self):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chains import ChainEvaluator, WeightedChainEvaluator, index_levels
+from .chains import ChainEvaluator, WeightedChainEvaluator, index_levels, _tol_mpf
 from .context import HPReal, PrecisionContext, as_int
 from .errors import DomainError
 from .indices import Index, admissible
@@ -50,7 +50,7 @@ def run_evaluation(ev, tol=None, pref=1) -> Evaluation:
         tail, est = info["tail"], info["estimate"]
     else:
         prefa = abs(pref)
-        tolm = ctx.mp.mpf(tol)
+        tolm = _tol_mpf(ctx, tol)
         val, info = ev.run(tolm / prefa if prefa > 1 else tolm)
         val, tail, est = pref * val, pref * info["tail"], prefa * info["estimate"]
     diag = EvalDiagnostics(info["terms"], HPReal(tail, ctx), HPReal(est, ctx),

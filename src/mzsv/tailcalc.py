@@ -46,8 +46,8 @@ factors per p = rho+q: 1/(p-1), then B_2k/(2k)! (p)_{2k-1}, times
 value at the scale of the key it lands on. A TailCalc builds its rows on
 first use and keeps them (``rows``), and so the shapes of
 ``ratio_asymptotics`` (``shapes``) and the tails the chain evaluators
-build per suffix of their levels (``suffix_tails``, keyed by the
-kernel's exact integers for those levels). A ratio shape is built from
+build per suffix of their levels (``suffix_tails``, keyed by those
+levels' exact shifts, ``chains.level_view``). A ratio shape is built from
 its reduced shifts: a shift on both sides cancels, a pair n, n + j with
 j a whole number becomes the power passes of prod_{i<j} (m+n+i)**-1, and
 only the shifts left take the O(qmax**2) recurrence, so ratios with the

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext,
-                  alt_mzsv, chains, mzsv, mzv)
+from mzsv import (ContextMismatchError, ConvergenceError, DomainError, Index,
+                  PrecisionContext, alt_mzsv, chains, mzsv, mzv)
 from mzsv.chains import (ChainEvaluator, Level, Ratio, WeightedChainEvaluator,
                          index_levels)
+from mzsv.hypergeom import KRParamsI, kr_rhs_i
 from mzsv.series import eta_shifted_ex, run_evaluation, weighted_product_series_ex
 from mzsv.tailcalc import TailCalc
 
@@ -61,26 +62,32 @@ def _ratio_chain(ctx):
     lambda ctx: eta_shifted_ex(3, ctx),
     _ratio_chain,
 ], ids=["mzsv", "mzv", "alt_mzsv", "eta_shifted", "ratio"])
-def test_a_hit_builds_no_kernel_view(monkeypatch, evaluate):
-    # a repeat is one memo lookup: the evaluator keys the memo from its exact
-    # levels and never builds the kernel's view of them
-    views = []
-    build = chains.kernel_levels
-    monkeypatch.setattr(chains, "kernel_levels",
-                        lambda *args: views.append(args) or build(*args))
+def test_a_level_view_is_built_once_and_a_hit_runs_no_kernel(monkeypatch, kernel_calls,
+                                                             evaluate):
+    # every evaluator reads its levels' kept views: a view is built once per
+    # distinct level in the process, whatever the context, and a repeat on
+    # one context is one memo lookup, which runs no kernel
     made = []
     init = ChainEvaluator.__init__
     monkeypatch.setattr(ChainEvaluator, "__init__",
                         lambda self, *a, **k: made.append(self) or init(self, *a, **k))
+    chains.level_view.cache_clear()
     ctx = PrecisionContext(30)
     first = evaluate(ctx)
-    assert len(views) == 1
+    built = chains.level_view.cache_info().misses
+    assert built == len(set(made[0].levels))
+    calls = len(kernel_calls)
     again = evaluate(ctx)
-    assert len(views) == 1 and len(made) == 2
-    assert not {"_kernel_args", "rvals", "_level_keys", "start"} & vars(made[1]).keys()
+    assert len(kernel_calls) == calls and len(ctx.evaluations) == 1
     assert again == first
     assert again.value.mpf is first.value.mpf
-    assert len(ctx.evaluations) == 1
+    # the hit's evaluator holds its whole view from construction on
+    ev, hit = made
+    assert hit.memo_key == ev.memo_key and hit.start == ev.start
+    assert (hit._kernel_args, hit.rvals) == chains.kernel_levels(hit.levels, hit.S, hit.strict)
+    evaluate(PrecisionContext(30))
+    assert len(kernel_calls) > calls
+    assert chains.level_view.cache_info().misses == built
 
 
 def test_a_hit_does_not_advance_the_evaluator(kernel_calls):
@@ -146,6 +153,37 @@ def test_errors_are_not_stored(kernel_calls, run, max_terms, error):
             run(ctx)
         assert len(kernel_calls) > calls
     assert ctx.evaluations == {}
+
+
+_KR = KRParamsI(s=1, a=2, b=(1, 1), c=(1, 1))
+_TOL_RUNS = {
+    "mzsv": lambda ctx, tol: mzsv(Index((2,)), ctx, tol=tol),
+    "kr_rhs_i": lambda ctx, tol: kr_rhs_i(_KR, ctx, tol=tol),
+    "weighted": lambda ctx, tol: weighted_product_series_ex(1, 2, False, ctx, tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", list(_TOL_RUNS))
+def test_an_hpreal_tol_is_read_as_its_mpf(kernel_calls, name):
+    # a per-call tol is read like the context's: an HPReal of the context
+    # keys the memo as its string does, and one of another context is refused
+    run = _TOL_RUNS[name]
+    ctx = PrecisionContext(30)
+    want = run(ctx, "1e-20")
+    calls = len(kernel_calls)
+    assert run(ctx, ctx.real("1e-20")) == want
+    assert len(kernel_calls) == calls and len(ctx.evaluations) == 1
+    with pytest.raises(ContextMismatchError):
+        run(ctx, PrecisionContext(30).real("1e-20"))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", 0, -1, "-1e-20"])
+@pytest.mark.parametrize("name", list(_TOL_RUNS))
+def test_a_tol_not_positive_and_finite_is_a_domain_error(kernel_calls, name, tol):
+    ctx = PrecisionContext(30)
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        _TOL_RUNS[name](ctx, tol)
+    assert kernel_calls == [] and ctx.evaluations == {}
 
 
 def test_harmonic_product_tails_are_shared_across_r(monkeypatch):

@@ -183,6 +183,21 @@ def test_cross_context_mixing_is_an_error(ctx30, ctx50):
     assert abs(mzsv.derivative_at(lambda x: x * x, a * "1.5", 1, ctx30) - 3) <= ctx30.tol
 
 
+@pytest.mark.parametrize("value", [2, -7, 0, 10 ** 30, 0.5, -0.1, 1e300, Fraction(3, 4),
+                                   Fraction(-5, 8)])
+def test_hash_agrees_with_eq(ctx30, ctx50, value):
+    # a value the context holds exactly equals the number and hashes alike,
+    # so a set or a dict finds either by the other; equal values of two
+    # contexts hash alike and meet in ==, which refuses them
+    x = ctx30.real(value)
+    assert x == value and hash(x) == hash(value)
+    assert value in {x} and x in {value}
+    assert {x: 1}.get(value) == 1 and {value: 1}.get(x) == 1
+    assert hash(ctx50.real(value)) == hash(x)
+    with pytest.raises(ContextMismatchError):
+        _ = x in {ctx50.real(value)}
+
+
 def test_decimal_rendering(ctx30):
     assert ctx30.real(0).decimal(5) == "0.0000"
     assert ctx30.real(24).decimal(10) == "24.00000000"

@@ -14,7 +14,7 @@ from conftest import tail_value
 
 from mzsv import PrecisionContext, hypergeom, tailcalc
 from mzsv.chains import (ChainEvaluator, Level, Pow, Ratio, WeightedChainEvaluator,
-                         first_checkpoint, index_levels)
+                         first_checkpoint, index_levels, level_view)
 from mzsv.hypergeom import KRParamsII, _kr_levels
 from mzsv.tailcalc import TailCalc, TailPoly
 
@@ -223,13 +223,17 @@ def test_fixed_finish_of_a_fractional_power_is_the_mpf_rounded_down():
 
 # -- set-up from the kernel's integers ---------------------------------------------
 
-def _fraction_first_checkpoint(ctx, alternating, levels):
-    """first_checkpoint by its definition, from the exact Fraction shifts."""
+def _fraction_reach(levels):
+    """ceil(2 max |c - 1|) over the exact Fraction shifts c, or 0."""
     shifts = [p.shift for lvl in levels for p in lvl.pows]
     shifts += [c for lvl in levels if lvl.ratio is not None
                for c in lvl.ratio.num_shifts + lvl.ratio.den_shifts]
-    reach = max((abs(c - 1) for c in shifts), default=0)
-    return max(ctx.tail_calc(alternating).m0, ceil(2 * reach))
+    return ceil(2 * max((abs(c - 1) for c in shifts), default=0))
+
+
+def _fraction_first_checkpoint(ctx, alternating, levels):
+    """first_checkpoint by its definition, from the exact Fraction shifts."""
+    return max(ctx.tail_calc(alternating).m0, _fraction_reach(levels))
 
 
 def test_first_checkpoint_from_integer_shifts_matches_its_definition():
@@ -253,6 +257,25 @@ def test_first_checkpoint_from_integer_shifts_matches_its_definition():
             want = _fraction_first_checkpoint(ctx, alternating, levels)
             assert first_checkpoint(ctx, alternating, levels) == want
             assert ChainEvaluator(ctx, levels, alternating=alternating).start == want
+        # each level's kept reach, fractional pieces and ratio factors alike;
+        # an equal level built anew reads the same kept view
+        for lvl in levels:
+            view = level_view(lvl)
+            assert view[4] == _fraction_reach([lvl])
+            assert level_view(Level(tuple(lvl.pows), lvl.ratio)) is view
+
+
+def test_ratio_weights_round_at_s_as_fractions_do():
+    # rvals rounds each exact init at S in ints, ties to even
+    ctx = PrecisionContext(30)
+    S = ChainEvaluator(ctx, index_levels((2,))).S
+    rng = random.Random(5)
+    inits = [Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 9))
+             for _ in range(300)]
+    inits += [Fraction(2 * j + 1, 2 * S) for j in range(-3, 3)]     # exact ties
+    for init in inits:
+        ratio = Ratio((Fraction(1, 2),), (Fraction(5, 2),), init)
+        assert ChainEvaluator(ctx, [Level(ratio=ratio)]).rvals == [round(init * S)]
 
 
 def test_memo_key_is_the_kernel_view_and_the_exact_inits():
