@@ -75,11 +75,5 @@ __all__ = [
     "pochhammer", "strict_sum", "star_sum", "strict_sum_exact",
     "star_sum_exact", "d1_pochhammer_at1", "d1_inv_pochhammer2a_at1",
     "dr_inv_pochhammer_2minus_at1", "dr_ratio_at1",
-    "zeta", "eta_shifted", "mzv", "mzsv", "alt_mzsv",
-    "weighted_product_series", "Evaluation", "EvalDiagnostics",
-    "KRParamsI", "KRParamsII", "ConditionReport", "pfq",
-    "kr_conditions_i", "kr_conditions_ii", "kr_rhs_i", "kr_rhs_ii",
-    "kr_lhs_i", "kr_lhs_ii", "specialized_lhs", "specialized_rhs",
-    "IdentityDescriptor", "VerificationResult", "list_identities",
-    "get_identity", "verify", "verify_suite",
+    *(name for names in _LAZY_NAMES.values() for name in names),
 ]

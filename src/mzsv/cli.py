@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional
 
 from . import __version__, finite_sums
-from .context import PrecisionContext
+from .context import EXPONENT_MAX, PrecisionContext
 from .errors import ConfigurationError, ConvergenceError, MzsvError, ParseError
 from .indices import parse_index
 from .numerics import gamma
@@ -71,8 +71,10 @@ def _parse_int_range(text: str) -> List[int]:
     """'1..4' -> [1,2,3,4]; '1,3,5' -> [1,3,5]; '2' -> [2]; never empty."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(_parse_int(lo), _parse_int(hi) + 1))
+        lo, hi = (_parse_int(x) for x in text.split("..", 1))
+        if hi - lo >= EXPONENT_MAX:  # before the list is built
+            raise ConfigurationError(f"range {text!r} has more than {EXPONENT_MAX} values")
+        values = list(range(lo, hi + 1))
     else:
         values = [_parse_int(x) for x in text.split(",") if x.strip()]
     if not values:

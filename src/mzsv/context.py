@@ -10,9 +10,10 @@ computing at whichever precision happens to win.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from math import floor, log10
+from functools import lru_cache
+from math import log10
 from typing import Union
 
 # mpmath is unused here; perfbench/worker.py reads mzsv.context.mpmath's
@@ -38,6 +39,9 @@ _TEXT_BITS_MAX = 1024
 # past it mpmath's nstr builds a power of ten with as many digits as the
 # exponent has, which takes time quadratic in them
 _NSTR_BITS_MAX = 3500
+# ``_decimal_string`` divides by 2**k as 1 << k below this, as _EXACT.power(2, k) from it on
+_SHIFT_BITS_MAX = 1000
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def as_fraction(x) -> Fraction:
@@ -226,60 +230,39 @@ def _exponent(text: str) -> int:
 def _decimal_string(mp, x, sig: int) -> str:
     """Fixed-point decimal rendering with `sig` significant digits.
 
-    Plain decimal notation for 10**-EXPONENT_MAX <= |x| < 10**6 (no
-    exponent form, as required for diffable reports); mpmath's string form
-    outside that, decided from the binary exponent, so that no leading
-    zeros or power of ten are built for a tiny value. Past 2**_NSTR_BITS_MAX
-    and below 10**-EXPONENT_MAX the string form comes from
+    Plain decimal notation for 10**-EXPONENT_MAX <= |x| < 10**6 (no exponent
+    form, as diffable reports need): the digits of one ``decimal`` division
+    of man by 2**-exp, correctly rounded half to even. Outside that range,
+    mpmath's string form, decided from the binary exponent so that no
+    leading zeros or power of ten are built for a tiny value; past
+    2**_NSTR_BITS_MAX and below 10**-EXPONENT_MAX it comes from
     ``_exponent_text``, which builds no power of ten either.
     """
-    if mp.isnan(x) or mp.isinf(x):
-        return str(x)
-    if x == 0:
-        return "0." + "0" * (sig - 1)
     sign, man, exp, bc = x._mpf_
+    if not man:  # zero, or nan and +-inf, which libmp marks by bc < 0
+        return str(x) if bc else "0." + "0" * (sig - 1)
     # past 2**_NSTR_BITS_MAX, or |x| < 2**(bc+exp) <= 10**-EXPONENT_MAX (an
     # int compares with a float exactly, however large)
     if bc + exp > _NSTR_BITS_MAX or bc + exp < -EXPONENT_MAX / _LOG10_2:
         return _exponent_text(mp, x, sig)
     if bc + exp > 20:  # |x| >= 2**20 > 10**6
         return mp.nstr(x, sig)
-    # exact binary rational man * 2**exp
-    num, den = man, 1
+    rounding = _rounding(sig)
     if exp >= 0:
-        num = man << exp
-    else:
-        den = 1 << (-exp)
-    # decimal magnitude d10: 10^d10 <= |x| < 10^(d10+1); from
-    # 2^(bc+exp-1) <= |x| the estimate is at most d10 and within 2 of it
-    d10 = floor((bc + exp - 1) * _LOG10_2) - 1
-    while (den * 10 ** (d10 + 1) <= num if d10 >= -1
-           else den <= num * 10 ** (-d10 - 1)):
-        d10 += 1
-    # round-half-even integer of |x| * 10^(sig-1-d10)
-    shift = sig - 1 - d10
-    if shift >= 0:
-        num *= 10 ** shift
-    else:
-        den *= 10 ** (-shift)
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        q += 1
-    digits = str(q)
-    if len(digits) != sig:  # rounding bumped the magnitude (e.g. 9.99 -> 10.0)
-        d10 += len(digits) - sig
-        digits = digits[:sig]
+        q = rounding.plus(man << exp)
+    else:  # Decimal(1 << k) takes time quadratic in k; power(2, k) does not
+        q = rounding.divide(man, 1 << -exp if -exp < _SHIFT_BITS_MAX
+                            else _EXACT.power(2, -exp))
+    d10 = q.adjusted()  # 10**d10 <= |x| rounded < 10**(d10 + 1)
     if d10 >= 6:
         return mp.nstr(x, sig)
-    body: str
-    if d10 >= 0:
-        if d10 + 1 >= len(digits):
-            body = digits + "0" * (d10 + 1 - len(digits))
-        else:
-            body = digits[:d10 + 1] + "." + digits[d10 + 1:]
-    else:
-        body = "0." + "0" * (-d10 - 1) + digits
-    return ("-" if sign else "") + body
+    return ("-" if sign else "") + format(q, f".{max(sig - 1 - d10, 0)}f")
+
+
+@lru_cache(maxsize=64)
+def _rounding(sig: int) -> Context:
+    """Half-even rounding to `sig` digits, kept: one costs a third of a rendering."""
+    return Context(prec=sig, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _exponent_text(mp, x, sig: int) -> str:

@@ -8,7 +8,9 @@ are therefore decided exactly. Convergence conditions name the violated
 margin when they fail. Each parameter class of the two
 Krattenthaler-Rivoal identities lists its well-poised parameters
 (``wellpoised``), the xs that enter the series as x over 1+a-x; both
-identities take their series side, margin and hypothesis checks from it.
+identities take their series side, margin and hypothesis checks from it,
+so ``kr_conditions_i``/``_ii``, ``kr_lhs_i``/``_ii`` and ``kr_rhs_i``/``_ii``
+are each two names of one function, which reads ``z`` from the record.
 
 Every non-terminating series here runs through the chain driver of
 ``chains``: a pFq series and each specialized single-series side are
@@ -52,7 +54,8 @@ def _normalise(s, a, b, c, extra_pairs: int):
 
 
 def _pairs(p) -> Tuple[Tuple[str, Fraction], ...]:
-    """(name, x) of b_1, c_1, b_2, c_2, ... in series order."""
+    """(name, x) of b_1, c_1, b_2, c_2, ... in series order: the well-poised
+    parameters of (i), each x entering the series as x over 1+a-x."""
     return tuple((f"{name}_{i}", x) for i, bc in enumerate(zip(p.b, p.c), 1)
                  for name, x in zip("bc", bc))
 
@@ -73,10 +76,7 @@ class KRParamsI(_KRFieldsI):
     def __new__(cls, s, a, b, c):
         return tuple.__new__(cls, _normalise(s, a, b, c, 1))
 
-    @property
-    def wellpoised(self) -> Tuple[Tuple[str, Fraction], ...]:
-        """(name, x) of each x that enters the series as x over 1+a-x."""
-        return _pairs(self)
+    wellpoised = property(_pairs)
 
 
 class _KRFieldsII(NamedTuple):
@@ -100,7 +100,7 @@ class KRParamsII(_KRFieldsII):
 
     @property
     def wellpoised(self) -> Tuple[Tuple[str, Fraction], ...]:
-        """(name, x) of each x that enters the series as x over 1+a-x."""
+        """c_0 and then the pairs: each x that enters the series as x over 1+a-x."""
         return (("c_0", self.c0),) + _pairs(self)
 
 
@@ -174,14 +174,7 @@ def _kr_conditions(p) -> ConditionReport:
     return ConditionReport.build(entries)
 
 
-def kr_conditions_i(p: KRParamsI) -> ConditionReport:
-    """Hypothesis check for the z = -1 identity."""
-    return _kr_conditions(p)
-
-
-def kr_conditions_ii(p: KRParamsII) -> ConditionReport:
-    """Hypothesis check for the z = +1 identity (includes the c0 inequality)."""
-    return _kr_conditions(p)
+kr_conditions_i = kr_conditions_ii = _kr_conditions
 
 
 # -- the hypergeometric series itself ------------------------------------------
@@ -331,24 +324,8 @@ def _kr_lhs(p, ctx: PrecisionContext, tol=None) -> Evaluation:
                   p.z, ctx, tol=tol)
 
 
-def kr_rhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
-    """Gamma prefactor times the s-fold nested sum of the z = -1 identity."""
-    return _kr_rhs(p, ctx, tol)
-
-
-def kr_rhs_ii(p: KRParamsII, ctx: PrecisionContext, tol=None) -> Evaluation:
-    """Gamma prefactor times the s-fold nested sum of the z = +1 identity."""
-    return _kr_rhs(p, ctx, tol)
-
-
-def kr_lhs_i(p: KRParamsI, ctx: PrecisionContext, tol=None) -> Evaluation:
-    """The very-well-poised series of the z = -1 identity."""
-    return _kr_lhs(p, ctx, tol)
-
-
-def kr_lhs_ii(p: KRParamsII, ctx: PrecisionContext, tol=None) -> Evaluation:
-    """The very-well-poised series of the z = +1 identity."""
-    return _kr_lhs(p, ctx, tol)
+kr_rhs_i = kr_rhs_ii = _kr_rhs
+kr_lhs_i = kr_lhs_ii = _kr_lhs
 
 
 # -- the four specializations -----------------------------------------------------

@@ -400,16 +400,14 @@ def _build_registry() -> List[IdentityDescriptor]:
     add("theoremA_i", "Theorem A (i)",
         [ParamSpec("variant", "choice", choices=("a1", "a4", "generic")),
          _int_spec("s", 1, 3), _alpha_spec()],
-        tuple([{"variant": "a1", "s": 1, "alpha": a} for a in _ALPHAS]
-              + [{"variant": "a4", "s": 1, "alpha": a} for a in _ALPHAS]
-              + [{"variant": "generic", "s": 1, "alpha": "1.0"}]),
+        _grid(variant=["a1", "a4"], s=[1], alpha=_ALPHAS)
+        + ({"variant": "generic", "s": 1, "alpha": "1.0"},),
         _ev_theoremA("i"))
     add("theoremA_ii", "Theorem A (ii)",
         [ParamSpec("variant", "choice", choices=("a2", "a3", "generic")),
          _int_spec("s", 1, 3), _alpha_spec()],
-        tuple([{"variant": "a2", "s": 2, "alpha": a} for a in _ALPHAS]
-              + [{"variant": "a3", "s": 2, "alpha": a} for a in _ALPHAS]
-              + [{"variant": "generic", "s": 1, "alpha": "1.0"}]),
+        _grid(variant=["a2", "a3"], s=[2], alpha=_ALPHAS)
+        + ({"variant": "generic", "s": 1, "alpha": "1.0"},),
         _ev_theoremA("ii"))
     return reg
 
@@ -467,12 +465,8 @@ def verify(id_: str, params: dict, ctx: PrecisionContext) -> VerificationResult:
 
 def _instances_for(desc: IdentityDescriptor,
                    param_grid: Optional[dict]) -> List[dict]:
-    if not param_grid:
-        return [dict(g) for g in desc.default_grid]
     names = [p.name for p in desc.params]
-    override_keys = [k for k in param_grid if k in names]
-    if not override_keys and desc.params:
-        return [dict(g) for g in desc.default_grid]
+    override_keys = [k for k in param_grid or () if k in names]
     instances = []
     seen = set()
     for base in desc.default_grid or ({},):

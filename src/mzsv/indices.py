@@ -12,9 +12,12 @@ from __future__ import annotations
 import re
 from typing import Iterator, List, Tuple
 
+from .context import EXPONENT_MAX
 from .errors import DomainError, ParseError
 
-_ITEM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# a part or count has no more digits than EXPONENT_MAX: int() reads no long string
+_ITEM_RE = re.compile(r"^0*(\d{1,%d})(?:\^0*(\d{1,%d}))?$"
+                      % ((len(str(EXPONENT_MAX)),) * 2))
 
 
 class Index:
@@ -66,7 +69,8 @@ class Index:
 
 
 def parse_index(text: str) -> Index:
-    """Parse the comma/repetition grammar into an expanded Index."""
+    """Parse the comma/repetition grammar into an expanded Index; a part, a
+    count or an expansion past EXPONENT_MAX raises ParseError, unexpanded."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty index text")
     parts: List[int] = []
@@ -75,10 +79,12 @@ def parse_index(text: str) -> Index:
         m = _ITEM_RE.match(item)
         if not m:
             raise ParseError(f"malformed index item {item!r}")
-        value = int(m.group(1))
-        count = int(m.group(2)) if m.group(2) is not None else 1
+        value, count = map(int, m.groups("1"))
         if value < 1:
             raise ParseError(f"index parts must be >= 1, got {value}")
+        if max(value, len(parts) + count) > EXPONENT_MAX:
+            raise ParseError(f"index item {item!r}: a part, count or expansion "
+                             f"past {EXPONENT_MAX}")
         parts.extend([value] * count)
     if not parts:
         raise ParseError(f"index {text!r} expands to nothing")

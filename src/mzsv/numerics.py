@@ -25,11 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from mpmath.libmp import from_int, mpf_div
+from mpmath.libmp import from_int, mpf_div, to_rational
 
 from .context import HPReal, PrecisionContext, as_fraction, as_int
 from .errors import DomainError
-from .tailcalc import GUARD_BITS, _binary_ratio, _em_series, power_sum_tail
+from .tailcalc import GUARD_BITS, _em_series, power_sum_tail
 
 # -- gamma --------------------------------------------------------------------
 
@@ -65,11 +65,8 @@ def _stirling(x, mp, working_digits: int):
         zmin = work * math.log(10) / math.pi
         shift = int(mp.ceil(zmin - base)) if base < zmin else 0
         z = base + shift
-        if isinstance(x, Fraction):
-            zq = x + shift
-            zn, zd = zq.numerator, zq.denominator
-        else:
-            zn, zd = _binary_ratio(z)
+        zn, zd = ((x + shift).as_integer_ratio() if isinstance(x, Fraction)
+                  else to_rational(z._mpf_))
         scale = mp.prec + GUARD_BITS
         one = 1 << scale
         series = _em_series(zd * one // zn, 0, zd, zn * zn, one // 10 ** work)

@@ -87,7 +87,7 @@ from fractions import Fraction
 from math import ceil, exp, isqrt, lgamma, log, pi
 from operator import mul
 
-from mpmath.libmp import to_fixed
+from mpmath.libmp import to_fixed, to_rational
 
 from .errors import DomainError
 
@@ -139,7 +139,7 @@ def power_sum_tail(mp, p, M: int, tol):
     N = X + 1
     bits = mp.prec + GUARD_BITS
     one = 1 << bits
-    pn, pd = _binary_ratio(p)
+    pn, pd = to_rational(p._mpf_)
     bridge = 0
     if pd == 1:
         for m in range(M + 1, N):
@@ -262,15 +262,6 @@ def _em_series(g: int, a: int, b: int, c: int, stop: int) -> int:
         prev = at
         g = g * (a + (2 * k - 1) * b) * (a + 2 * k * b) // c
         k += 1
-
-
-def _binary_ratio(x) -> tuple:
-    """An mpf x as an exact (numerator, denominator) pair in lowest terms;
-    the denominator is a power of 2."""
-    sign, man, e, _ = x._mpf_
-    if sign:
-        man = -man
-    return (man << e, 1) if e >= 0 else (man, 1 << -e)
 
 
 def _reduced_ratio(num_shifts, den_shifts, jmax: int) -> tuple:

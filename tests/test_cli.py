@@ -324,3 +324,18 @@ def test_verify_axis_no_matched_identity_takes_exit_2(capsys):
     # one matched identity taking the axis is enough: eq3 takes r
     code, out, _ = run_cli(capsys, "verify", "eq*", "--r", "1")
     assert code == 0 and "eq3" in out
+
+
+def test_a_range_past_the_bound_is_refused_before_it_is_built():
+    # 10^5 values at most (context.EXPONENT_MAX); "1..1000000000" asked for
+    # a 10^9-entry list before any schema check
+    assert len(cli._parse_int_range("1..100000")) == 100000
+    for text in ("1..100001", "-100000..0", "1..1000000000"):
+        with pytest.raises(cli.ConfigurationError, match="more than 100000 values"):
+            cli._parse_int_range(text)
+
+
+def test_index_text_past_the_bound_exits_2(capsys):
+    # a 5 000-digit part: int() raised a bare ValueError, a traceback
+    code, _, err = run_cli(capsys, "eval", "mzsv", "9" * 5000)
+    assert code == 2 and err.startswith("error: ")

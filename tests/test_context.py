@@ -15,7 +15,7 @@ import pytest
 import mzsv
 from mzsv import (ConfigurationError, ContextMismatchError, ConvergenceError,
                   DomainError, HPReal, PrecisionContext, pfq)
-from mzsv.context import _decimal_string, _exact_text, as_int
+from mzsv.context import _SHIFT_BITS_MAX, _decimal_string, _exact_text, as_int
 from mzsv.finite_sums import star_sum
 from mzsv.identities import ParamSpec, verify
 from mzsv.numerics import gamma
@@ -286,6 +286,48 @@ def test_decimal_rendering_matches_a_fraction_reference(ctx30):
             assert HPReal(x, ctx30).decimal(sig) == want, (x, sig)
     text = HPReal(mp.mpf(10) ** -35 * (1 - mp.mpf(2) ** -130), ctx30).decimal(wd)
     assert text.startswith("0." + "0" * 35 + "9") and len(text) == 2 + 35 + wd
+    # exact ties at every sig from 1 to 200: n / 2**m with n * 5**m of sig + 1
+    # digits, the last a 5, lies half way between two sig-digit decimals;
+    # half to even keeps an even last digit and raises an odd one
+    for sig in range(1, 201):
+        ties = [(n, m) for m in range(1, 300) for n in (1, 3, 7, 9, 13, 19)
+                if len(str(n * 5 ** m)) == sig + 1][:3]
+        assert ties, sig
+        for n, m in ties:
+            q, last = divmod(n * 5 ** m, 10)
+            assert last == 5
+            want = str(q + (q & 1))[:sig]  # the digits, a carry cut to sig
+            for x in (mp.ldexp(n, -m), -mp.ldexp(n, -m)):
+                text = HPReal(x, ctx30).decimal(sig)
+                assert text == _reference_decimal(x, sig), (n, m, sig)
+                assert text.lstrip("-0.").replace(".", "")[:sig] == want, (n, m, sig)
+    # a carry into 10**6 leaves plain notation for nstr's: 10**6 - 2**-e is
+    # exact in the context's bits, below half a unit of the sig-th digit
+    for sig in range(1, 31):
+        x = 10 ** 6 - mp.ldexp(1, -(10 * sig // 3 + 2))
+        assert x < 10 ** 6
+        text = HPReal(x, ctx30).decimal(sig)
+        assert text == mp.nstr(x, sig) and float(text) == 10 ** 6, sig
+    # the divisor 2**k is the int 1 << k below _SHIFT_BITS_MAX bits and an
+    # exact decimal power from it on; ties there need n * 5**k's digits
+    for k in range(_SHIFT_BITS_MAX - 2, _SHIFT_BITS_MAX + 3):
+        xs = [mp.ldexp(rng.getrandbits(mp.prec) | 1, -k) for _ in range(5)]
+        for x in xs:
+            for sig in (1, 10, ctx30.digits, wd):
+                assert HPReal(x, ctx30).decimal(sig) == _reference_decimal(x, sig)
+        tie = mp.ldexp(7, -k)
+        sig = len(str(7 * 5 ** k)) - 1
+        assert HPReal(tie, ctx30).decimal(sig) == _reference_decimal(tie, sig)
+    # at 2**-330 000 the divisor has about 99 400 digits: Decimal(1 << k)
+    # takes 0.16 s there, a decimal power 4 ms
+    x = mp.ldexp(rng.getrandbits(mp.prec) | 1, -330_000 - mp.prec)
+    times = []
+    for _ in range(3):  # the best of three, so a busy host does not fail it
+        start = time.perf_counter()
+        text = HPReal(x, ctx30).decimal()
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05
+    assert text == _reference_decimal(x, ctx30.digits)
 
 
 def test_hpreal_repr(ctx30):

@@ -119,6 +119,16 @@ def test_pfq_preconditions(ctx30):
 
 # -- hypothesis checks ---------------------------------------------------------------
 
+def test_each_theorem_a_pair_is_one_function():
+    # one function per pair reads the identity from its record; the tracer
+    # still wraps each public name on its own
+    for i, ii in ((kr_conditions_i, kr_conditions_ii), (kr_lhs_i, kr_lhs_ii),
+                  (kr_rhs_i, kr_rhs_ii)):
+        assert i is ii
+    assert (kr_conditions_i, kr_lhs_i, kr_rhs_i) == (
+        hypergeom._kr_conditions, hypergeom._kr_lhs, hypergeom._kr_rhs)
+
+
 def test_conditions_i_examples():
     assert kr_conditions_i(KRParamsI(s=1, a=2, b=(1, 1), c=(1, 1))).overall
     rep = kr_conditions_i(KRParamsI(s=1, a=0, b=(1, 1), c=(1, 1)))
@@ -256,13 +266,15 @@ def test_theorem_ii_generic_s2_convolution(ctx30):
 _HALF = Fraction(1, 2)
 
 
+# the ids name the public aliases: an id taken from the function would
+# name _kr_lhs and _kr_rhs, the one function behind each pair
 @pytest.mark.parametrize("p,lhs_fn,rhs_fn", [
-    (KRParamsII(s=2, a=3, c0=_HALF, b=(_HALF,) * 2, c=(_HALF,) * 2),
-     kr_lhs_ii, kr_rhs_ii),                                     # d = 3
-    (KRParamsII(s=3, a=4, c0=_HALF, b=(_HALF,) * 3, c=(_HALF,) * 3),
-     kr_lhs_ii, kr_rhs_ii),                                     # d = 4, 4
-    (KRParamsI(s=2, a=3, b=(_HALF,) * 3, c=(_HALF,) * 3),
-     kr_lhs_i, kr_rhs_i),                                       # d_2 = 3
+    pytest.param(KRParamsII(s=2, a=3, c0=_HALF, b=(_HALF,) * 2, c=(_HALF,) * 2),
+                 kr_lhs_ii, kr_rhs_ii, id="p0-kr_lhs_ii-kr_rhs_ii"),  # d = 3
+    pytest.param(KRParamsII(s=3, a=4, c0=_HALF, b=(_HALF,) * 3, c=(_HALF,) * 3),
+                 kr_lhs_ii, kr_rhs_ii, id="p1-kr_lhs_ii-kr_rhs_ii"),  # d = 4, 4
+    pytest.param(KRParamsI(s=2, a=3, b=(_HALF,) * 3, c=(_HALF,) * 3),
+                 kr_lhs_i, kr_rhs_i, id="p2-kr_lhs_i-kr_rhs_i"),      # d_2 = 3
 ])
 def test_integer_couplings_match_lhs_to_working_precision(ctx30, p, lhs_fn, rhs_fn):
     tol = ctx30.mp.mpf("1e-28")
@@ -272,8 +284,10 @@ def test_integer_couplings_match_lhs_to_working_precision(ctx30, p, lhs_fn, rhs_
 
 
 @pytest.mark.parametrize("p, fn", [
-    (KRParamsI(s=2, a=3, b=(_HALF,) * 3, c=(_HALF,) * 3), kr_rhs_i),
-    (KRParamsII(s=2, a=3, c0=_HALF, b=(_HALF,) * 2, c=(_HALF,) * 2), kr_lhs_ii),
+    pytest.param(KRParamsI(s=2, a=3, b=(_HALF,) * 3, c=(_HALF,) * 3), kr_rhs_i,
+                 id="p0-kr_rhs_i"),
+    pytest.param(KRParamsII(s=2, a=3, c0=_HALF, b=(_HALF,) * 2, c=(_HALF,) * 2),
+                 kr_lhs_ii, id="p1-kr_lhs_ii"),
 ])
 def test_error_estimate_bounds_error_against_60_digits(ctx30, p, fn):
     # the prefix chain (with its gamma prefactor) and the pFq ratio chain

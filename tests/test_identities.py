@@ -302,3 +302,19 @@ def test_combine_is_the_hpreal_loop_bit_for_bit(digits):
     other = PrecisionContext(digits)
     with pytest.raises(mzsv.ContextMismatchError):
         identities._combine(ctx, [(1, identities._scalar(other, 1))])
+
+
+def test_instances_take_only_the_axes_an_identity_takes():
+    _instances_for = identities._instances_for
+    eq3 = get_identity("eq3")
+    default = [dict(g) for g in eq3.default_grid]
+    # no grid, an empty one and one of foreign axes all run the default grid
+    for grid in (None, {}, {"alpha": ["0.6"], "m": [3]}):
+        assert _instances_for(eq3, grid) == default
+    # an override replaces its axis in every default point; repeats, also
+    # after the default grid's other axes are merged in, run once
+    assert _instances_for(eq3, {"s": [2, 2], "r": [1]}) == [{"r": 1, "s": 2}]
+    assert _instances_for(eq3, {"s": [3]}) == [{"r": r, "s": 3} for r in range(4)]
+    # an identity with no parameters runs its one empty instance
+    assert _instances_for(get_identity("a1_prefactor_derivative"), {"s": [2]}) == [{}]
+    assert _instances_for(eq3, {"s": []}) == []

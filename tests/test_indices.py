@@ -24,6 +24,23 @@ def test_parse_errors():
             parse_index(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "2^100001", "100001", "9" * 5000, "3^" + "9" * 5000, "1^99999,2^2",
+    "1," * 100000 + "2"], ids=["count", "part", "part_digits", "count_digits",
+                               "expansion", "items"])
+def test_parse_refuses_a_part_count_or_expansion_past_the_bound(text):
+    # EXPONENT_MAX = 10^5, the bound of every reader of outside text; an
+    # int() of more than 4 300 digits would raise a bare ValueError
+    with pytest.raises(ParseError):
+        parse_index(text)
+
+
+def test_parse_takes_a_part_count_and_expansion_at_the_bound():
+    assert parse_index("100000").parts == (100000,)
+    assert parse_index("0" * 5000 + "7^2").parts == (7, 7)
+    assert len(parse_index("1^99999,2").parts) == 100000
+
+
 def test_index_invariants():
     ix = Index((1, 3, 2))
     assert ix.weight == 6

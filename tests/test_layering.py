@@ -184,3 +184,59 @@ print(json.dumps({"patched": len(patched), "wrapped": wrapped,
                   "restored": all(current(o, a) is orig for o, a, orig in patched)}))
 """ % (str(ROOT / "perfbench" / "tracing.py"),))
     assert out["patched"] > 0 and out["wrapped"] and out["restored"]
+
+
+# -- dead imports ---------------------------------------------------------------
+
+def unused_imports(path):
+    """(line, name) of every name an import binds in the module at path and
+    the module never reads; in ``__init__`` a name listed in ``__all__`` is
+    read. An import statement with ``# noqa: F401`` on one of its lines is
+    exempt: the benchmark's tracer finds a few names bound where they are
+    not read."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    if path.stem == "__init__":
+        read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_every_imported_name_is_read():
+    bad = {p.name: unused_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert not any(bad.values()), {k: v for k, v in bad.items() if v}
+
+
+def test_dead_import_guard_sees_each_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os, sys as system\n"
+                    "from math import floor, log10\n"
+                    "from .numerics import _iterated_means  # noqa: F401\n"
+                    "from .tailcalc import (GUARD_BITS,\n"
+                    "                       _binary_ratio)\n"
+                    "def f(x: Fraction) -> int:\n"
+                    "    from fractions import Fraction\n"
+                    "    return log10(x) + GUARD_BITS\n")
+    assert unused_imports(path) == [(2, "os"), (2, "system"), (3, "floor"),
+                                    (5, "_binary_ratio")]
+    init = tmp_path / "__init__.py"
+    init.write_text("from .context import HPReal, PrecisionContext\n"
+                    "__all__ = ['HPReal', *(n for n in ())]\n")
+    assert unused_imports(init) == [(1, "PrecisionContext")]
