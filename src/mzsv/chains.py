@@ -117,19 +117,20 @@ class Level(NamedTuple):
     ratio: Optional[Ratio] = None
 
 
-def first_checkpoint(ctx: PrecisionContext, alternating: bool, levels=()) -> int:
-    """The first checkpoint of a run on ctx over the given chain levels,
-    with a plain or an alternating outer sum: M0 of ctx's tail algebra of
-    that sign (``ctx.tail_calc(alternating).m0``: 92 at 30 digits and 268
-    at 100 for a plain sum, 112 and 389 for an alternating one), from which
-    its tail expansion holds the working digits, or the levels' largest
-    reach (``level_view``). A piece 1/(t+c)^k, or a ratio factor t + c,
-    expands in powers of (c-1)/(m+1), which diverge for m below |c-1|, so
-    a chain starts at 2|c-1| at least. The power passes a ratio shape takes
-    for an integer-step pair n, d = n + j have shifts c in [n, d), so
-    |c-1| <= max(|n-1|, |d-1|) and the same start holds for them.
+def first_checkpoint(ctx: PrecisionContext, alternating: bool, views=()) -> int:
+    """The first checkpoint of a run on ctx over chain levels, given by
+    their views (``level_view``, as a ChainEvaluator keeps them), with a
+    plain or an alternating outer sum: M0 of ctx's tail algebra of that
+    sign (``ctx.tail_calc(alternating).m0``: 92 at 30 digits and 268 at 100
+    for a plain sum, 112 and 389 for an alternating one), from which its
+    tail expansion holds the working digits, or the views' largest reach.
+    A piece 1/(t+c)^k, or a ratio factor t + c, expands in powers of
+    (c-1)/(m+1), which diverge for m below |c-1|, so a chain starts at
+    2|c-1| at least. The power passes a ratio shape takes for an integer-step
+    pair n, d = n + j have shifts c in [n, d), so |c-1| <= max(|n-1|, |d-1|)
+    and the same start holds for them.
     """
-    return max([ctx.tail_calc(alternating).m0] + [level_view(lvl)[4] for lvl in levels])
+    return max([ctx.tail_calc(alternating).m0] + [view[4] for view in views])
 
 
 def _tol_mpf(ctx: PrecisionContext, tol):
@@ -143,9 +144,9 @@ def _run_evaluator(ev, tol, corrections: bool, what: str):
 
     Checkpoint M sums the M terms t = 0 .. M-1 and adds the remainder after
     them (``ev.tail_correction``, an int at ev.S), unless corrections is
-    off; M starts at ev.start (the
-    ``first_checkpoint`` of its levels), M0, steps to M0 + ceil(M0/8) and
-    then doubles, until two successive results differ by less than tol/2.
+    off; M starts at ev.start (the ``first_checkpoint`` of its levels'
+    views), M0, steps to M0 + ceil(M0/8) and then doubles, until two
+    successive results differ by less than tol/2.
     The difference over a step Mp -> M is scaled by Mp/(M - Mp), about 8
     for the first step and 1 for a doubling: a model error c*M^-j with
     j >= 1 changes over the step by (x^j - 1)/(x - 1) >= 1 times its value
@@ -328,7 +329,7 @@ class ChainEvaluator:
 
     @property
     def start(self) -> int:
-        return first_checkpoint(self.ctx, self.alternating, self.levels)
+        return first_checkpoint(self.ctx, self.alternating, self.memo_key[0])
 
     # -- kernel driving -------------------------------------------------------
     def advance_to(self, t_exclusive: int):

@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional
 
 from . import __version__, finite_sums
-from .context import EXPONENT_MAX, PrecisionContext
+from .context import EXPONENT_MAX, PrecisionContext, _echo
 from .errors import ConfigurationError, ConvergenceError, MzsvError, ParseError
 from .indices import parse_index
 from .numerics import gamma
@@ -64,7 +64,7 @@ def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"{text!r} is not an integer") from None
+        raise ParseError(f"{_echo(text)} is not an integer") from None
 
 
 def _parse_int_range(text: str) -> List[int]:
@@ -73,12 +73,12 @@ def _parse_int_range(text: str) -> List[int]:
     if ".." in text:
         lo, hi = (_parse_int(x) for x in text.split("..", 1))
         if hi - lo >= EXPONENT_MAX:  # before the list is built
-            raise ConfigurationError(f"range {text!r} has more than {EXPONENT_MAX} values")
+            raise ConfigurationError(f"range {_echo(text)} has more than {EXPONENT_MAX} values")
         values = list(range(lo, hi + 1))
     else:
         values = [_parse_int(x) for x in text.split(",") if x.strip()]
     if not values:
-        raise ConfigurationError(f"range {text!r} is empty")
+        raise ConfigurationError(f"range {_echo(text)} is empty")
     return values
 
 
@@ -248,10 +248,6 @@ def build_report(results, ctx) -> dict:
     }
 
 
-def _params_text(params: dict) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(params.items())) or "-"
-
-
 def cmd_verify(args) -> int:
     from . import identities
     ctx = _context(args)
@@ -281,12 +277,13 @@ def cmd_verify(args) -> int:
 
 def _print_results(results, ctx) -> int:
     """Print the verification table and summary; returns the pass count."""
+    from .identities import params_text
     mp = ctx.mp
     print(f"{'identity':22s} {'params':28s} {'|lhs-rhs|':>12s} "
           f"{'tolerance':>12s} {'ms':>9s} status")
     for r in results:
         status = "PASS" if r.passed else ("ERROR" if r.error else "FAIL")
-        print(f"{r.id:22s} {_params_text(r.params):28s} "
+        print(f"{r.id:22s} {params_text(r.params):28s} "
               f"{mp.nstr(r.abs_diff.mpf, 4):>12s} "
               f"{mp.nstr(r.tolerance.mpf, 4):>12s} "
               f"{r.elapsed_s * 1000:>9.1f} {status}"

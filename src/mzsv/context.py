@@ -35,6 +35,8 @@ EXPONENT_MAX = 10 ** 5
 # an int or Fraction with a numerator or denominator of more bits than this
 # prints in exponent form in an error message (``_exact_text``)
 _TEXT_BITS_MAX = 1024
+# outside text an error message repeats is cut after this many characters (``_echo``)
+_ECHO_CHARS = 60
 # a value of more binary magnitude than this prints by ``_exponent_text``:
 # past it mpmath's nstr builds a power of ten with as many digits as the
 # exponent has, which takes time quadratic in them
@@ -54,12 +56,12 @@ def as_fraction(x) -> Fraction:
     """
     if not isinstance(x, bool):
         if isinstance(x, (str, Decimal)) and abs(_exponent(str(x))) > EXPONENT_MAX:
-            raise DomainError(f"{x!r}: exponent beyond +-{EXPONENT_MAX}")
+            raise DomainError(f"{_echo(x)}: exponent beyond +-{EXPONENT_MAX}")
         try:
             return Fraction(x)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass
-    raise DomainError(f"cannot interpret {x!r} as an exact real parameter")
+    raise DomainError(f"cannot interpret {_echo(x)} as an exact real parameter")
 
 
 def as_int(value, name: str, lo: int) -> int:
@@ -75,8 +77,7 @@ def as_int(value, name: str, lo: int) -> int:
             return int(frac)
     except DomainError:
         pass
-    shown = _exact_text(value) if isinstance(value, (int, Fraction)) else repr(value)
-    raise DomainError(f"{name} must be an integer >= {lo}, got {shown}")
+    raise DomainError(f"{name} must be an integer >= {lo}, got {_echo(value)}")
 
 
 def _exact_text(x) -> str:
@@ -91,6 +92,19 @@ def _exact_text(x) -> str:
     if max(abs(num), den).bit_length() <= _TEXT_BITS_MAX:
         return str(x)
     return to_str(from_rational(num, den, 53, round_nearest), 15)
+
+
+def _echo(x) -> str:
+    """A caller's value as an error message repeats it: an int or Fraction
+    (not a bool) by ``_exact_text``; anything else by repr, whole up to
+    _ECHO_CHARS characters and else as its head and its length, so that no
+    message grows with the text it quotes."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return _exact_text(x)
+    text = repr(x)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
 class PrecisionContext:
@@ -197,13 +211,13 @@ class PrecisionContext:
             v = mp.mpf(x.numerator) / x.denominator
         else:
             if isinstance(x, str) and abs(_exponent(x)) > EXPONENT_MAX:
-                raise DomainError(f"{x!r}: exponent beyond +-{EXPONENT_MAX}")
+                raise DomainError(f"{_echo(x)}: exponent beyond +-{EXPONENT_MAX}")
             try:
                 v = mp.mpf(x)
             except (TypeError, ValueError, ZeroDivisionError):
-                raise ParseError(f"cannot read {x!r} as a real number") from None
+                raise ParseError(f"cannot read {_echo(x)} as a real number") from None
             if not mp.isfinite(v):
-                raise DomainError(f"{x!r} is not a finite real number")
+                raise DomainError(f"{_echo(x)} is not a finite real number")
         return HPReal(v, self)
 
     # mpmath's own constants: an mpf never changes, so every HPReal may share one
@@ -393,10 +407,6 @@ class HPReal:
         except (TypeError, ValueError):
             return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         return self._v < self._operand(other)
 
@@ -419,8 +429,10 @@ class HPReal:
         return float(self._v)
 
     def decimal(self, digits: int | None = None) -> str:
-        """Decimal string rounded to the context's output digits."""
-        return _decimal_string(self.ctx.mp, self._v, digits or self.ctx.digits)
+        """Decimal string rounded to `digits` significant digits, an integer
+        >= 1 (``as_int``), or to the context's output digits if None."""
+        sig = self.ctx.digits if digits is None else as_int(digits, "digits", 1)
+        return _decimal_string(self.ctx.mp, self._v, sig)
 
     def __repr__(self):
         return f"HPReal({self.decimal()})"

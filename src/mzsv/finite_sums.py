@@ -70,17 +70,21 @@ def _chain_prefixes(parts: Tuple[int, ...], end: int, strict: bool, S: int) -> L
     return pvals
 
 
-def _finite_sum(parts: Tuple[int, ...], m: int, ctx: PrecisionContext,
+def _finite_sum(ix: Optional[Index], m: int, ctx: PrecisionContext,
                 strict: bool) -> HPReal:
     """S_m (strict) or S*_m (weak), the chain summed over t < end, end = m
     or m + 1, at S = 10^(working digits + SCALE_PAD): ``_tail_route`` past
     the first checkpoint M0 where the words it needs cost less than one
-    kernel call over every term, else that call."""
+    kernel call over every term, else that call; the empty index (None) gives 1."""
+    m = as_int(m, "m", 0)
+    if ix is None:
+        return ctx.one()
+    parts = ix.parts
     S = 10 ** (ctx.working_digits + chains.SCALE_PAD)
     end = m if strict else m + 1    # strict S_m stops at h_n(m-1), weak S*_m at m
     m0 = chains.first_checkpoint(ctx, False)
     budget = min(len(parts) * end // (_WORD_COST * m0), _PLAN_MAX)
-    words = _plan(tuple(parts), budget) if end > m0 else None
+    words = _plan(parts, budget) if end > m0 else None
     if words:
         _check_loop("finite sum", m0, "terms", ctx)
         value = _tail_route(ctx, S, m0, end, strict, words)
@@ -225,41 +229,35 @@ def _exact_prefixes(parts: Tuple[int, ...], m: int, strict: bool) -> List[Fracti
                                                     strict, S)]
 
 
+def _exact_sum(ix: Optional[Index], m: int, strict: bool) -> Fraction:
+    """Exact S_m (strict) or S*_m (weak), from the index chain at an exact scale."""
+    m = as_int(m, "m", 0)
+    if ix is None:
+        return Fraction(1)
+    return _exact_prefixes(ix.parts, m, strict)[-1]
+
+
 def strict_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
     """S_m: sum over 0 <= m_1 < ... < m_n < m of prod (m_i+1)^(-k_i).
 
     The empty index gives 1; m below the depth gives 0.
     """
-    m = as_int(m, "m", 0)
-    if ix is None:
-        return ctx.one()
-    if m < ix.depth:
-        return ctx.zero()
-    return _finite_sum(ix.parts, m, ctx, strict=True)
+    return _finite_sum(ix, m, ctx, strict=True)
 
 
 def star_sum(ix: Optional[Index], m: int, ctx: PrecisionContext) -> HPReal:
     """S*_m: sum over 0 <= m_1 <= ... <= m_n <= m of prod (m_i+1)^(-k_i)."""
-    m = as_int(m, "m", 0)
-    if ix is None:
-        return ctx.one()
-    return _finite_sum(ix.parts, m, ctx, strict=False)
+    return _finite_sum(ix, m, ctx, strict=False)
 
 
 def strict_sum_exact(ix: Optional[Index], m: int) -> Fraction:
-    """Exact S_m, from the index chain at an exact scale."""
-    m = as_int(m, "m", 0)
-    if ix is None:
-        return Fraction(1)
-    return _exact_prefixes(ix.parts, m, strict=True)[-1]
+    """Exact S_m."""
+    return _exact_sum(ix, m, strict=True)
 
 
 def star_sum_exact(ix: Optional[Index], m: int) -> Fraction:
-    """Exact S*_m, from the index chain at an exact scale."""
-    m = as_int(m, "m", 0)
-    if ix is None:
-        return Fraction(1)
-    return _exact_prefixes(ix.parts, m, strict=False)[-1]
+    """Exact S*_m."""
+    return _exact_sum(ix, m, strict=False)
 
 
 def d1_pochhammer_at1(m: int, ctx: PrecisionContext) -> HPReal:

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from mpmath.libmp import fzero, mpf_add, mpf_mul_int, to_fixed
 
 from . import finite_sums, hypergeom, series
-from .context import HPReal, PrecisionContext, _exact_text, as_fraction
+from .context import HPReal, PrecisionContext, _echo, _exact_text, as_fraction
 from .errors import ConfigurationError, DomainError
 from .indices import Index, compositions
 from .numerics import derivative_at
@@ -52,14 +52,14 @@ class ParamSpec(NamedTuple):
         if self.kind == "choice":
             if str(value) not in self.choices:
                 raise ConfigurationError(
-                    f"{self.name}={value!r} not in {self.choices}")
+                    f"{self.name}={_echo(value)} not in {self.choices}")
             return str(value)
         what = "an integer" if self.kind == "int" else "a real number"
         try:
             frac = as_fraction(value)
         except DomainError as exc:
             raise ConfigurationError(
-                f"{self.name}={value!r} is not {what}: {exc}") from None
+                f"{self.name}={_echo(value)} is not {what}: {exc}") from None
         if self.kind == "int" and frac.denominator != 1:
             problem = "is not an integer"
         elif self.lo is not None and (frac < self.lo or (self.lo_open and frac == self.lo)):
@@ -68,8 +68,7 @@ class ParamSpec(NamedTuple):
             problem = f"above bound {_exact_text(self.hi)}"
         else:
             return int(frac) if self.kind == "int" else value
-        shown = _exact_text(frac) if isinstance(value, (int, Fraction)) else repr(value)
-        raise ConfigurationError(f"{self.name}={shown} {problem}")
+        raise ConfigurationError(f"{self.name}={_echo(value)} {problem}")
 
 
 class IdentityDescriptor(NamedTuple):
@@ -83,9 +82,7 @@ class IdentityDescriptor(NamedTuple):
         return ", ".join(p.describe() for p in self.params) or "(no parameters)"
 
     def grid_text(self) -> str:
-        return "; ".join(
-            ",".join(f"{k}={v}" for k, v in sorted(inst.items())) or "-"
-            for inst in self.default_grid)
+        return "; ".join(map(params_text, self.default_grid))
 
 
 class VerificationResult(NamedTuple):
@@ -102,11 +99,15 @@ class VerificationResult(NamedTuple):
     error: Optional[str] = None
 
 
+def params_text(params: dict) -> str:
+    """Parameters as the tables print them: sorted k=v, comma-separated, or "-"."""
+    return ",".join(f"{k}={v}" for k, v in sorted(params.items())) or "-"
+
+
 # -- evaluation helpers -----------------------------------------------------------
 
 def _scalar(ctx: PrecisionContext, value) -> Evaluation:
-    v = value if isinstance(value, HPReal) else ctx.real(value)
-    return Evaluation(v, exact_diag(ctx))
+    return Evaluation(ctx.real(value), exact_diag(ctx))
 
 
 def _combine(ctx: PrecisionContext, parts: List[Tuple[int, Evaluation]]) -> Evaluation:

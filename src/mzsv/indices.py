@@ -10,9 +10,10 @@ nothing.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from typing import Iterator, List, Tuple
 
-from .context import EXPONENT_MAX
+from .context import EXPONENT_MAX, _echo
 from .errors import DomainError, ParseError
 
 # a part or count has no more digits than EXPONENT_MAX: int() reads no long string
@@ -78,7 +79,7 @@ def parse_index(text: str) -> Index:
         item = item.strip()
         m = _ITEM_RE.match(item)
         if not m:
-            raise ParseError(f"malformed index item {item!r}")
+            raise ParseError(f"malformed index item {_echo(item)}")
         value, count = map(int, m.groups("1"))
         if value < 1:
             raise ParseError(f"index parts must be >= 1, got {value}")
@@ -87,7 +88,7 @@ def parse_index(text: str) -> Index:
                              f"past {EXPONENT_MAX}")
         parts.extend([value] * count)
     if not parts:
-        raise ParseError(f"index {text!r} expands to nothing")
+        raise ParseError(f"index {_echo(text)} expands to nothing")
     return Index(tuple(parts))
 
 
@@ -122,17 +123,9 @@ def coarsenings(ix: Index) -> List[Index]:
 
 def compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
     """All compositions of `total` into exactly `parts` positive integers,
-    lexicographically ordered."""
+    lexicographically ordered: one per choice of parts - 1 cut points in
+    1..total-1, taken in the lexicographic order of ``combinations``."""
     if parts < 1 or parts > total:
         raise DomainError(f"need 1 <= parts <= total, got parts={parts}, total={total}")
-    out: List[Tuple[int, ...]] = []
-
-    def rec(prefix: Tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(1, remaining - slots + 2):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), total, parts)
-    return out
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+            for cuts in combinations(range(1, total), parts - 1)]

@@ -198,14 +198,14 @@ def _central_weights(r: int, npts: int):
 _MAX_ORDER = 6  # the highest order derivative_at takes, eq2_check's largest r
 
 
-def _stencil(r: int, wd: int):
-    """(e, nodes, weights) of the order-r oracle at wd working digits: the
+def _stencil(r: int, wd: int) -> int:
+    """The step exponent e of the order-r oracle at wd working digits: the
     step h = 2^-e with e = ceil(wd log2(10) / (r+2)), so h <= 10^(-wd/(r+2))
-    < 2h, and the 2r+3-point central stencil of ``_central_weights``."""
+    < 2h."""
     # wd log2(10) lies strictly between b-1 and b, and no multiple of r+2
     # lies in between, so its ceiling over r+2 is that of b
     b = (10 ** wd).bit_length()
-    return -(-b // (r + 2)), *_central_weights(r, 2 * r + 3)
+    return -(-b // (r + 2))
 
 
 def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
@@ -234,7 +234,7 @@ def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
     hi = ctx.raised(wd - (-r * wd // (r + 2)))
     mp = hi.mp
     x0 = mp.mpf(ctx.real(x0).mpf)  # exact binary transfer
-    e = _stencil(r, wd)[0]
+    e = _stencil(r, wd)
     acc = mp.mpf(0)
     for node, w in _weight_mpfs(r, *mp._prec_rounding):
         val = hi.real(f(HPReal(x0 + mp.ldexp(node, -e), hi)))
@@ -245,8 +245,9 @@ def derivative_at(f: Callable[[HPReal], HPReal], x0, r: int,
 @lru_cache(maxsize=None)
 def _weight_mpfs(r: int, prec: int, rnd: str):
     """(node, raw mpf weight) for each nonzero weight of the order-r
-    stencil (``_stencil``), the weight rounded as mpf(num) / den rounds
-    it at (prec, rnd): built once per order and precision."""
+    2r+3-point central stencil (``_central_weights``), the weight rounded
+    as mpf(num) / den rounds it at (prec, rnd): built once per order and
+    precision."""
     nodes, weights = _central_weights(r, 2 * r + 3)
     return tuple((node, mpf_div(from_int(w.numerator, prec, rnd), from_int(w.denominator),
                                 prec, rnd))

@@ -51,7 +51,7 @@ levels' exact shifts, ``chains.level_view``). A ratio shape is built from
 its reduced shifts: a shift on both sides cancels, a pair n, n + j with
 j a whole number becomes the power passes of prod_{i<j} (m+n+i)**-1, and
 only the shifts left take the O(qmax**2) recurrence, so ratios with the
-same reduction share one shape and a ratio that telescopes takes none. Each
+same remainder share it and a ratio that telescopes takes none. Each
 PrecisionContext keeps one TailCalc per sign
 (``PrecisionContext.tail_calc``), so every evaluation on a context shares
 what the others built. The exact B_2k/(2k)! behind the rows, the module's
@@ -327,18 +327,18 @@ class TailCalc:
     (``alternating``).
 
     It keeps what it builds, for every evaluation on its context:
-    ``rows``, the sumtail factor rows, keyed by (a, b) with p = a/b, and
-    ``row_ends``, the exact Pochhammer product each row resumes from;
-    ``shapes``, the ``ratio_asymptotics`` results, keyed by their shift
-    tuples and by their reduction (``_reduced_ratio``), so shift lists
-    that reduce alike share one; ``suffix_tails``, which
+    ``rows``, each sumtail factor row with the exact Pochhammer product
+    it resumes from, keyed by (a, b) with p = a/b; ``shapes``, the
+    ``ratio_asymptotics`` results under their shift tuples, and each
+    reduced remainder's bare shape (``_reduced_ratio``), so shift lists
+    with one remainder share its recurrence; ``suffix_tails``, which
     ``chains.ChainEvaluator`` fills with one entry per suffix of its
     levels; ``segment_tails``, the harmonic-product tails T_0, T_1, ... of
     ``chains.WeightedChainEvaluator``, one list per power p; and
     ``finite_words``, where
     ``finite_sums._tail_route`` keeps each word it met once, keyed by (word,
     strict), with its evaluator and its value at infinity. A row grows at
-    its end, and its ``row_ends`` entry moves with it; an evaluator there
+    its end, and the product it resumes from moves with it; an evaluator there
     has its inner prefix values reset on each use; every other entry is
     read only."""
 
@@ -348,7 +348,6 @@ class TailCalc:
         self.bits = mp.prec + GUARD_BITS
         self.d = self.m0.bit_length() - 1
         self.rows: dict = {}
-        self.row_ends: dict = {}
         self.shapes: dict = {}
         self.suffix_tails: dict = {}
         self.segment_tails: dict = {}
@@ -448,21 +447,16 @@ class TailCalc:
         ratio, at least twice every |shift - 1|
         (``chains.first_checkpoint``), is inside the reach of each pass.
 
-        A shape is built once per reduction and kept in ``shapes`` under
-        both keys: the raw shift tuples and (sorted numerator remainder,
-        sorted denominator remainder, peeled (c, k) pairs), so permuted
-        lists and ratios with the same reduction share one TailPoly. The
-        remainder's own shape is kept too, with no peeled pairs, so ratios
-        that differ only in their peeled pairs run one recurrence.
+        ``shapes`` keeps each shape under its raw shift tuples, and each
+        remainder's bare shape under (sorted numerator remainder, sorted
+        denominator remainder, ()): a shift list met before is one lookup,
+        and ratios that reduce to one remainder run one recurrence, a new
+        list taking only its own peeled passes on the kept remainder.
         """
         key = (tuple(num_shifts), tuple(den_shifts))
         shape = self.shapes.get(key)
-        if shape is not None:
-            return shape
-        reduced = _reduced_ratio(num_shifts, den_shifts, self.qmax)
-        shape = self.shapes.get(reduced)
         if shape is None:
-            nums, dens, peeled = reduced
+            nums, dens, peeled = _reduced_ratio(num_shifts, den_shifts, self.qmax)
             shape = self.shapes.get((nums, dens, ()))
             if shape is None:
                 shape = self.shapes[nums, dens, ()] = (
@@ -470,8 +464,7 @@ class TailCalc:
                     else TailPoly(Fraction(0), {0: 1 << self.bits}))
             for c, k in peeled:
                 shape = self.pow_weight(k, c, shape)
-            self.shapes[reduced] = shape
-        self.shapes[key] = shape
+            self.shapes[key] = shape
         return shape
 
     def _ratio_shape(self, num_shifts, den_shifts) -> TailPoly:
@@ -530,21 +523,17 @@ class TailCalc:
         Boole tail, at scale 2**(bits - (2k-1)*d), for k = 1..kmax, so that
         its product with the coefficient of key q, shifted down by bits, lands
         at the graded scale of its key, q-1 or q-1+2k. Each factor is rounded
-        down from its exact rational value. Rows are kept in ``rows`` under
-        (a, b), and extended in place when a longer one is asked for: the
-        exact (p)_{2k-1} of the first missing entry, as a numerator and a
-        denominator, is kept in ``row_ends`` under the same key, so an
-        extension starts where the row stopped."""
+        down from its exact rational value. ``rows`` keeps under (a, b) one
+        entry: the row, and the exact (p)_{2k-1} of its first missing entry
+        as a numerator and a denominator, from which a longer request
+        extends the row in place."""
         key = (a, b)
-        row = self.rows.get(key)
-        if row is not None and len(row) > kmax:
-            return row
+        kept = self.rows.get(key)
+        if kept is not None and len(kept[0]) > kmax:
+            return kept[0]
         bits, d, alternating = self.bits, self.d, self.alternating
-        if row is None:
-            row = self.rows[key] = [0 if alternating else (b << (bits + d)) // (a - b)]
-            num, den = a, b  # (p)_1
-        else:
-            num, den = self.row_ends[key]
+        # a new row starts at (p)_1 = a/b
+        row, num, den = kept or ([0 if alternating else (b << (bits + d)) // (a - b)], a, b)
         for k in range(len(row), kmax + 1):
             en, ed = _em_fraction(k)
             if alternating:
@@ -555,7 +544,7 @@ class TailCalc:
             row.append((en << s) // ed if s >= 0 else en // (ed << -s))
             num *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
             den *= b * b
-        self.row_ends[key] = (num, den)
+        self.rows[key] = row, num, den
         return row
 
     def sumtail(self, f: TailPoly) -> TailPoly:

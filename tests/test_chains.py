@@ -90,6 +90,23 @@ def test_a_level_view_is_built_once_and_a_hit_runs_no_kernel(monkeypatch, kernel
     assert chains.level_view.cache_info().misses == built
 
 
+@pytest.mark.parametrize("make", [
+    lambda ctx: ChainEvaluator(ctx, index_levels((1, 2, 3))),
+    lambda ctx: ChainEvaluator(ctx, index_levels((2, 1)), alternating=True),
+    lambda ctx: ChainEvaluator(ctx, index_levels((1, 1, 2)), strict=True),
+    lambda ctx: ChainEvaluator(ctx, [Level(ratio=Ratio((Fraction(1, 2),), (Fraction(5, 2),),
+                                                       init=Fraction(1)))]),
+], ids=["plain", "alternating", "strict", "ratio"])
+def test_a_run_reads_no_level_view_after_its_evaluator_is_built(make):
+    # the evaluator keeps its views from construction on: its start, memo
+    # key, kernel arguments and suffix-tail keys all read them there
+    ev = make(PrecisionContext(30))
+    before = chains.level_view.cache_info()
+    ev.run("1e-20")
+    assert ev.t_next > 0
+    assert chains.level_view.cache_info() == before
+
+
 def test_a_hit_does_not_advance_the_evaluator(kernel_calls):
     ctx = PrecisionContext(30)
     _chain((1, 2))(ctx)

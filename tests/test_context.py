@@ -183,6 +183,57 @@ def test_cross_context_mixing_is_an_error(ctx30, ctx50):
     assert abs(mzsv.derivative_at(lambda x: x * x, a * "1.5", 1, ctx30) - 3) <= ctx30.tol
 
 
+def test_error_messages_quote_long_text_by_its_head_and_length(ctx30):
+    # every reader of a caller's text repeats at most _ECHO_CHARS of it
+    long = "1" * 4000 + "x"
+    spec = ParamSpec("s", "int", Fraction(1), Fraction(4))
+    for call in (lambda: mzsv.context.as_fraction(long), lambda: ctx30.real(long),
+                 lambda: ctx30.real("1e" + "9" * 5000), lambda: as_int(long, "m", 0),
+                 lambda: spec.validate(long), lambda: mzsv.parse_index(long)):
+        with pytest.raises((DomainError, ConfigurationError, mzsv.ParseError)) as exc:
+            call()
+        assert len(str(exc.value)) < 300 and "characters)" in str(exc.value)
+    # short text, and an exact number, read as before
+    with pytest.raises(DomainError, match=r"cannot interpret 'abc' as"):
+        mzsv.context.as_fraction("abc")
+    with pytest.raises(DomainError, match=r"got True$"):
+        as_int(True, "m", 0)
+    with pytest.raises(ConfigurationError, match=r"s=5 above bound 4$"):
+        spec.validate(5)
+
+
+def test_ne_inverts_eq(ctx30, ctx50):
+    # != is Python's inverse of ==: equal numbers of every kind compare
+    # equal both ways, others unequal, and text that is no number unequal
+    half = ctx30.real("0.5")
+    for same in (Fraction(1, 2), 0.5, "0.5", ctx30.real(Fraction(1, 2))):
+        assert not half != same and not same != half, same
+    for other in (0, 2.5, Fraction(1, 3), "0.25", ctx30.real(3), "abc", None):
+        assert half != other and other != half, other
+    seven = ctx30.real(7)
+    assert not seven != 7 and not 7 != seven
+    assert seven != 8 and 8 != seven and seven != 10 ** 40
+    # values of two contexts are not compared at all
+    for a, b in ((half, ctx50.real("0.5")), (ctx50.real(1), ctx30.real(2))):
+        with pytest.raises(ContextMismatchError):
+            _ = a != b
+
+
+@pytest.mark.parametrize("digits", [0, -3, 2.5, True, "x"])
+def test_decimal_refuses_a_digit_count_below_one_or_not_whole(ctx30, digits):
+    with pytest.raises(DomainError, match="digits must be an integer >= 1"):
+        ctx30.real("1.25").decimal(digits)
+
+
+def test_decimal_digit_counts(ctx30):
+    x = ctx30.real("1.25")
+    assert x.decimal(1) == "1"
+    assert ctx30.real("-0.0375").decimal(1) == "-0.04"
+    # None is the context's output digits: 30 significant digits
+    assert x.decimal(None) == x.decimal() == x.decimal(30) == "1." + "25".ljust(29, "0")
+    assert x.decimal(Fraction(4, 2)) == x.decimal(2) == "1.2"
+
+
 @pytest.mark.parametrize("value", [2, -7, 0, 10 ** 30, 0.5, -0.1, 1e300, Fraction(3, 4),
                                    Fraction(-5, 8)])
 def test_hash_agrees_with_eq(ctx30, ctx50, value):

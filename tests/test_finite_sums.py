@@ -80,6 +80,37 @@ def test_strict_sum_examples(ctx30):
             strict_sum_exact(ix, -1)
 
 
+@pytest.mark.parametrize("name", ["strict", "star", "strict_exact", "star_exact"])
+def test_each_finite_sum_entry_point_reads_m_then_the_index(name, ctx30, monkeypatch):
+    fn = {"strict": lambda ix, m: strict_sum(ix, m, ctx30),
+          "star": lambda ix, m: star_sum(ix, m, ctx30),
+          "strict_exact": strict_sum_exact, "star_exact": star_sum_exact}[name]
+    calls = []
+    kernel = mzsv.chains.nested_chain_advance
+    monkeypatch.setattr(mzsv.chains, "nested_chain_advance",
+                        lambda *args: calls.append(args) or kernel(*args))
+    # a bool or a negative m is refused before any kernel call, with or
+    # without an index
+    for ix in (None, Index((2, 1))):
+        for m in (True, False, -1, -7):
+            with pytest.raises(DomainError, match="m must be an integer >= 0"):
+                fn(ix, m)
+    assert calls == []
+    # the empty index is 1 at every bound, with no kernel call
+    for m in (0, 1, 5, 2.0):
+        assert fn(None, m) == 1
+    assert calls == []
+    # below the depth a strict sum is exactly 0, and a weak one its sum
+    ix = Index((1, 2, 1))
+    for m in (0, 1, 2):
+        got, want = fn(ix, m), _enum_sum(ix.parts, m, name.startswith("strict"))
+        if name.endswith("exact") or not want:
+            assert got == want
+        else:
+            assert abs((got - ctx30.real(want)).mpf) < ctx30.tol
+    assert calls
+
+
 def test_star_sum_examples(ctx30):
     assert abs((star_sum(Index((1,)), 1, ctx30)
                 - ctx30.real(Fraction(3, 2))).mpf) < ctx30.tol

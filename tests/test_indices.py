@@ -88,6 +88,22 @@ def test_compositions_domain():
         compositions(3, 0)
 
 
+def _compositions_by_recursion(total, parts):
+    """The compositions of total into parts by their recursive definition,
+    first part first: every first part that leaves each later part >= 1."""
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(1, total - parts + 2)
+            for rest in _compositions_by_recursion(total - first, parts - 1)]
+
+
+def test_compositions_match_the_recursive_definition_in_order():
+    for total in range(1, 15):
+        for parts in range(1, total + 1):
+            assert compositions(total, parts) == _compositions_by_recursion(total, parts), \
+                (total, parts)
+
+
 def test_composition_counting_law():
     for n in range(1, 13):
         for k in range(1, n + 1):

@@ -255,7 +255,7 @@ def test_first_checkpoint_from_integer_shifts_matches_its_definition():
             levels.append(Level(pows=pows, ratio=ratio))
         for alternating in (False, True):
             want = _fraction_first_checkpoint(ctx, alternating, levels)
-            assert first_checkpoint(ctx, alternating, levels) == want
+            assert first_checkpoint(ctx, alternating, map(level_view, levels)) == want
             assert ChainEvaluator(ctx, levels, alternating=alternating).start == want
         # each level's kept reach, fractional pieces and ratio factors alike;
         # an equal level built anew reads the same kept view
@@ -321,5 +321,6 @@ def test_a_row_extension_computes_only_the_missing_entries(monkeypatch):
         rising = 1
         for j in range(2 * 10 - 1):
             rising *= p + j
-        num, den = calc.row_ends[11, 2]
+        kept, num, den = calc.rows[11, 2]
+        assert kept is row
         assert Fraction(num, den) == rising

@@ -230,7 +230,8 @@ def test_gamma_non_rational_path_meets_working_precision(digits):
     ref_mp.dps = 2 * ctx.working_digits
     xs = [ctx.real(x).mpf for x in ("1e-30", "0.001", "0.9999", "1.0001", "2.5",
                                     "170.5", "12345.678", "1e20")]
-    e, nodes, weights = numerics._stencil(1, ctx.working_digits)
+    e = numerics._stencil(1, ctx.working_digits)
+    nodes, weights = numerics._central_weights(1, 5)
     xs += [c * (1 + mp.ldexp(j, -e)) for c in (1, 2)
            for j, w in zip(nodes, weights) if w]
     for x in xs:
@@ -420,9 +421,8 @@ def test_stencil_step_is_the_largest_power_of_two_in_range(wd):
     # h = 2^-e with h <= 10^(-wd/(r+2)) < 2h, checked in integers as
     # 2^((e-1)(r+2)) < 10^wd <= 2^(e(r+2))
     for r in range(7):
-        e, nodes, weights = numerics._stencil(r, wd)
+        e = numerics._stencil(r, wd)
         assert 2 ** ((e - 1) * (r + 2)) < 10 ** wd <= 2 ** (e * (r + 2)), r
-        assert (nodes, weights) == numerics._central_weights(r, 2 * r + 3)
 
 
 

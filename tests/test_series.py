@@ -7,7 +7,7 @@ from mzsv import (ConvergenceError, DomainError, Index, PrecisionContext, admiss
                   alt_mzsv, coarsenings, eta_shifted, mzsv, mzv, verify,
                   weighted_product_series, zeta)
 from mzsv.chains import (ChainEvaluator, Level, Ratio, WeightedChainEvaluator,
-                         _run_evaluator, first_checkpoint, index_levels)
+                         _run_evaluator, first_checkpoint, index_levels, level_view)
 from mzsv.series import exact_diag, weighted_product_series_ex
 
 
@@ -395,8 +395,9 @@ def test_large_shift_moves_the_first_checkpoint():
     ctx = PrecisionContext(30)
     for alternating in (False, True):
         M0 = first_checkpoint(ctx, alternating)
-        assert first_checkpoint(ctx, alternating, [level]) == 903 > M0
-        assert first_checkpoint(ctx, alternating, index_levels((1, 2))) == M0
+        assert first_checkpoint(ctx, alternating, [level_view(level)]) == 903 > M0
+        views = map(level_view, index_levels((1, 2)))
+        assert first_checkpoint(ctx, alternating, views) == M0
     ev = ChainEvaluator(PrecisionContext(30, max_terms=1000), [level])
     with pytest.raises(ConvergenceError, match="first two checkpoints"):
         ev.run("1e-20")

@@ -505,11 +505,11 @@ def test_each_context_keeps_one_tail_algebra_and_its_rows():
     # key 5 of a poly at rho = 1/2 asks for a shorter row of p = 11/2 than
     # key 0 of one at rho = 11/2; the longer request extends it in place
     calc.sumtail(_poly(calc, "1/2", {5: 1}))
-    kept = calc.rows[(11, 2)]
+    kept = calc.rows[(11, 2)][0]
     short = list(kept)
     assert len(short) == (calc.qmax - 4) // 2 + 1
     calc.sumtail(_poly(calc, "11/2", {0: 1}))
-    row = calc.rows[(11, 2)]
+    row = calc.rows[(11, 2)][0]
     assert row is kept and len(row) == (calc.qmax + 1) // 2 + 1
     assert row[:len(short)] == short
     assert row == TailCalc(ctx.mp, False)._sum_row(11, 2, len(row) - 1)
@@ -691,10 +691,11 @@ def test_equal_reductions_share_one_shape(monkeypatch):
     shape = calc.ratio_asymptotics(ns, ds)
     assert built == [((Fraction(13, 10),), (Fraction(17, 10),))]
     # a permuted list, and lists with the same remainder and peeled
-    # factors, take the very same object without a second recurrence
-    assert calc.ratio_asymptotics(ns[::-1], ds[::-1]) is shape
-    same = calc.ratio_asymptotics((Fraction(13, 10), 1, 1, 5), (2, 2, 5, Fraction(17, 10)))
-    assert same is shape
+    # factors, take the same rho and coefficients without a second recurrence
+    for same in (calc.ratio_asymptotics(ns[::-1], ds[::-1]),
+                 calc.ratio_asymptotics((Fraction(13, 10), 1, 1, 5),
+                                        (2, 2, 5, Fraction(17, 10)))):
+        assert (same.rho, same.coeffs) == (shape.rho, shape.coeffs)
     assert len(built) == 1
     # the remainder alone is a shape of its own, of lower rho, kept when it
     # was first built, so neither it nor the remainder with other peeled
