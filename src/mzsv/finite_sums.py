@@ -74,12 +74,14 @@ def _finite_sum(ix: Optional[Index], m: int, ctx: PrecisionContext,
                 strict: bool) -> HPReal:
     """S_m (strict) or S*_m (weak), the chain summed over t < end, end = m
     or m + 1, at S = 10^(working digits + SCALE_PAD): ``_tail_route`` past
-    the first checkpoint M0 where the words it needs cost less than one
-    kernel call over every term, else that call; the empty index (None) gives 1."""
+    the first checkpoint M0 where its words cost less than one kernel call
+    over every term, else that call; None gives 1, a strict m < depth 0."""
     m = as_int(m, "m", 0)
     if ix is None:
         return ctx.one()
     parts = ix.parts
+    if strict and m < len(parts):
+        return ctx.zero()
     S = 10 ** (ctx.working_digits + chains.SCALE_PAD)
     end = m if strict else m + 1    # strict S_m stops at h_n(m-1), weak S*_m at m
     m0 = chains.first_checkpoint(ctx, False)

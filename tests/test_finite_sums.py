@@ -100,7 +100,8 @@ def test_each_finite_sum_entry_point_reads_m_then_the_index(name, ctx30, monkeyp
     for m in (0, 1, 5, 2.0):
         assert fn(None, m) == 1
     assert calls == []
-    # below the depth a strict sum is exactly 0, and a weak one its sum
+    # below the depth a strict sum is exactly 0, and a weak one its sum; the
+    # rounded strict sum returns its 0 with no kernel call
     ix = Index((1, 2, 1))
     for m in (0, 1, 2):
         got, want = fn(ix, m), _enum_sum(ix.parts, m, name.startswith("strict"))
@@ -108,7 +109,14 @@ def test_each_finite_sum_entry_point_reads_m_then_the_index(name, ctx30, monkeyp
             assert got == want
         else:
             assert abs((got - ctx30.real(want)).mpf) < ctx30.tol
-    assert calls
+    assert bool(calls) == (name != "strict")
+
+
+def test_a_deep_strict_sum_below_its_depth_is_0_past_max_terms():
+    # the 0 comes before any loop, so neither max_terms nor the depth matters
+    ctx = PrecisionContext(30, max_terms=1000)
+    for depth in (3000, 100_000):
+        assert strict_sum(Index((1,) * depth), depth - 1, ctx) == 0
 
 
 def test_star_sum_examples(ctx30):
